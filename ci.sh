@@ -20,8 +20,14 @@ cargo_try_offline() {
     fi
 }
 
-cargo_try_offline build --release
+cargo_try_offline build --release --workspace
 cargo_try_offline test -q --workspace
+
+# Repo-benchmark smoke: build the standalone benchmark/ package against this
+# tree and run one quick repetition of every workload, untraced and traced
+# (~1 min). run.sh exits non-zero when the build breaks or a workload's
+# checks (loss reference, counters) fail.
+run bash benchmark/run.sh --quick
 
 # Multi-process smoke: the TCP transport with real spawned processes, via
 # the dcnn-launch binary (release build from above). A 4-rank allreduce

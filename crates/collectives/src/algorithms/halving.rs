@@ -7,12 +7,9 @@
 //! range each round, at distance p/2, p/4, …, 1); phase 2 allgathers by
 //! recursive doubling, replaying the ranges in reverse.
 
-use dcnn_simnet::{CommSchedule, OpId};
-
-use super::rdouble::{eff_to_global, global_to_eff, prev_pow2};
-use super::{Allreduce, CostModel};
-use crate::reduce::sum_into;
-use crate::runtime::Comm;
+use super::rdouble::{eff_to_global, fold_steps, global_to_eff, prev_pow2, unfold_steps};
+use super::Allreduce;
+use crate::plan::Step;
 
 const TAG: u32 = 0x0C00_0000;
 
@@ -25,31 +22,20 @@ impl Allreduce for HalvingDoubling {
         "halving-doubling"
     }
 
-    fn run(&self, comm: &Comm, buf: &mut [f32]) {
-        let _phase = comm.phase(self.name());
-        let n = comm.size();
+    fn plan(&self, n: usize, r: usize, len: usize) -> Vec<Step> {
+        let mut steps = Vec::new();
         if n <= 1 {
-            return;
+            return steps;
         }
-        let r = comm.rank();
         let p = prev_pow2(n);
         let rem = n - p;
-
-        // Fold non-power-of-two ranks (same as recursive doubling).
-        if r < 2 * rem {
-            if r % 2 == 1 {
-                comm.send_f32(r - 1, TAG, buf);
-            } else {
-                let v = comm.recv_f32(r + 1, TAG);
-                sum_into(buf, &v);
-            }
-        }
+        fold_steps(r, rem, len, TAG, &mut steps);
 
         if let Some(er) = global_to_eff(r, rem) {
             // Reduce-scatter by recursive halving. `cur` is the range this
             // rank keeps refining; `trail` records (range_before, partner)
             // per step so the allgather can replay it backwards.
-            let mut cur = 0..buf.len();
+            let mut cur = 0..len;
             let mut trail: Vec<(std::ops::Range<usize>, usize)> = Vec::new();
             let mut mask = p / 2;
             let mut round = 1u32;
@@ -61,10 +47,9 @@ impl Allreduce for HalvingDoubling {
                 } else {
                     (mid..cur.end, cur.start..mid)
                 };
-                comm.send_f32(peer, TAG + round, &buf[give.clone()]);
-                let v = comm.recv_f32(peer, TAG + round);
-                sum_into(&mut buf[keep.clone()], &v);
-                trail.push((cur.clone(), peer));
+                steps.push(Step::Send { to: peer, range: give, tag: TAG + round });
+                steps.push(Step::RecvReduce { from: peer, range: keep.clone(), tag: TAG + round });
+                trail.push((cur, peer));
                 cur = keep;
                 mask /= 2;
                 round += 1;
@@ -72,104 +57,21 @@ impl Allreduce for HalvingDoubling {
 
             // Allgather by recursive doubling: reverse the trail.
             for (outer, peer) in trail.into_iter().rev() {
-                comm.send_f32(peer, TAG + round, &buf[cur.clone()]);
-                let v = comm.recv_f32(peer, TAG + round);
                 // The peer holds the other half of `outer`.
                 let sibling = if cur.start == outer.start {
                     cur.end..outer.end
                 } else {
                     outer.start..cur.start
                 };
-                buf[sibling].copy_from_slice(&v);
+                steps.push(Step::Send { to: peer, range: cur, tag: TAG + round });
+                steps.push(Step::RecvCopy { from: peer, range: sibling, tag: TAG + round });
                 cur = outer;
                 round += 1;
             }
         }
 
-        // Unfold.
-        if r < 2 * rem {
-            if r.is_multiple_of(2) {
-                comm.send_f32(r + 1, TAG + 63, buf);
-            } else {
-                let v = comm.recv_f32(r - 1, TAG + 63);
-                buf.copy_from_slice(&v);
-            }
-        }
-    }
-
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
-        let mut sch = CommSchedule::new(n.max(1));
-        if n <= 1 || bytes <= 0.0 {
-            return sch;
-        }
-        let p = prev_pow2(n);
-        let rem = n - p;
-        let mut last: Vec<Option<OpId>> = vec![None; n];
-
-        for er in 0..rem {
-            let (even, odd) = (2 * er, 2 * er + 1);
-            let t = sch.transfer(odd, even, bytes, vec![]);
-            let c = sch.compute(even, cost.sum_secs(bytes), vec![t]);
-            last[even] = Some(c);
-            last[odd] = Some(t);
-        }
-
-        // Halving rounds: payload per exchange halves each time.
-        let mut mask = p / 2;
-        let mut part = bytes / 2.0;
-        while mask >= 1 {
-            let snapshot = last.clone();
-            for er in 0..p {
-                let peer_er = er ^ mask;
-                if peer_er < er {
-                    continue;
-                }
-                let a = eff_to_global(er, rem);
-                let b = eff_to_global(peer_er, rem);
-                let ta = sch.transfer(a, b, part, snapshot[a].into_iter().collect());
-                let tb = sch.transfer(b, a, part, snapshot[b].into_iter().collect());
-                let mut da: Vec<OpId> = vec![tb];
-                if let Some(x) = snapshot[a] {
-                    da.push(x);
-                }
-                let mut db: Vec<OpId> = vec![ta];
-                if let Some(x) = snapshot[b] {
-                    db.push(x);
-                }
-                last[a] = Some(sch.compute(a, cost.sum_secs(part), da));
-                last[b] = Some(sch.compute(b, cost.sum_secs(part), db));
-            }
-            mask /= 2;
-            part /= 2.0;
-        }
-
-        // Doubling rounds: payload doubles back up; pure copies.
-        let mut mask = 1usize;
-        let mut part = bytes / p as f64;
-        while mask < p {
-            let snapshot = last.clone();
-            for er in 0..p {
-                let peer_er = er ^ mask;
-                if peer_er < er {
-                    continue;
-                }
-                let a = eff_to_global(er, rem);
-                let b = eff_to_global(peer_er, rem);
-                let ta = sch.transfer(a, b, part, snapshot[a].into_iter().collect());
-                let tb = sch.transfer(b, a, part, snapshot[b].into_iter().collect());
-                last[a] = Some(tb);
-                last[b] = Some(ta);
-            }
-            mask *= 2;
-            part *= 2.0;
-        }
-
-        for er in 0..rem {
-            let (even, odd) = (2 * er, 2 * er + 1);
-            let t = sch.transfer(even, odd, bytes, last[even].into_iter().collect());
-            last[odd] = Some(t);
-        }
-        sch
+        unfold_steps(r, rem, len, TAG + 63, &mut steps);
+        steps
     }
 }
 
@@ -237,7 +139,7 @@ mod tests {
 
     #[test]
     fn schedule_less_traffic_than_rdouble() {
-        use super::super::{RecursiveDoubling, Allreduce as _};
+        use super::super::{CostModel, RecursiveDoubling};
         let cost = CostModel::default();
         let hd = HalvingDoubling.schedule(8, 8e6, &cost);
         let rd = RecursiveDoubling.schedule(8, 8e6, &cost);

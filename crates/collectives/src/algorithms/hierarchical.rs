@@ -8,11 +8,9 @@
 //! the paper's Algorithm 1 does implicitly with its intra-node summation
 //! before `MPI_Allreduce`.
 
-use dcnn_simnet::{CommSchedule, OpId};
-
-use super::{Allreduce, CostModel, MultiColor};
-use crate::primitives::{bcast_f32, reduce_f32};
-use crate::runtime::Comm;
+use super::{Allreduce, MultiColor};
+use crate::plan::{embed, Step};
+use crate::primitives::{bcast_steps, reduce_steps};
 
 /// Hierarchical allreduce: per-group reduce → leaders' allreduce → bcast.
 #[derive(Debug, Clone)]
@@ -27,7 +25,6 @@ impl Hierarchical {
         assert!(group_size >= 1);
         Hierarchical { group_size, inner: MultiColor::new(colors) }
     }
-
 }
 
 impl Allreduce for Hierarchical {
@@ -35,96 +32,32 @@ impl Allreduce for Hierarchical {
         "hierarchical"
     }
 
-    fn run(&self, comm: &Comm, buf: &mut [f32]) {
-        let _phase = comm.phase(self.name());
-        let n = comm.size();
+    fn plan(&self, n: usize, me: usize, len: usize) -> Vec<Step> {
         if n <= 1 {
-            return;
+            return Vec::new();
         }
-        let me = comm.rank();
-        let group = me / self.group_size;
-        let sub = comm.split(group as u64, me as i64);
-        // Phase 1: reduce to the group leader (sub-rank 0).
-        reduce_f32(&sub, 0, buf);
+        let g = self.group_size;
+        let first = me / g * g;
+        let group: Vec<usize> = (first..(first + g).min(n)).collect();
+        let leaders: Vec<usize> = (0..n).step_by(g).collect();
+        let local = me - first;
+        // Phase 1: reduce to the group leader (the group's first rank).
+        let mut steps: Vec<Step> =
+            embed(reduce_steps(group.len(), local, 0, len), &group).collect();
         // Phase 2: leaders allreduce among themselves.
-        let is_leader = sub.rank() == 0;
-        let leaders = comm.split(u64::from(is_leader), me as i64);
-        if is_leader && leaders.size() > 1 {
-            self.inner.run(&leaders, buf);
+        if local == 0 {
+            steps.extend(embed(self.inner.plan(leaders.len(), me / g, len), &leaders));
         }
         // Phase 3: broadcast within the group.
-        bcast_f32(&sub, 0, buf);
-    }
-
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
-        let mut sch = CommSchedule::new(n.max(1));
-        if n <= 1 || bytes <= 0.0 {
-            return sch;
-        }
-        let g = self.group_size.min(n);
-        let mut entry: Vec<Option<OpId>> = vec![None; n];
-
-        // Phase 1: binomial reduce to each group leader. For simplicity the
-        // schedule serializes each member's send into the leader's summation
-        // chain (fan-in trees differ only at the margin for small groups).
-        let mut leaders = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = (start + g).min(n);
-            let leader = start;
-            leaders.push(leader);
-            let mut last: Option<OpId> = None;
-            for member in start + 1..end {
-                let t = sch.transfer(member, leader, bytes, last.into_iter().collect());
-                let c = sch.compute(leader, cost.sum_secs(bytes), vec![t]);
-                entry[member] = Some(t);
-                last = Some(c);
-            }
-            entry[leader] = last;
-            start = end;
-        }
-
-        // Phase 2: leaders' allreduce, embedded onto the leader ranks and
-        // gated on each leader's phase-1 completion.
-        if leaders.len() > 1 {
-            let inner = self.inner.schedule(leaders.len(), bytes, cost);
-            let off = sch.append_embedded(&inner, &leaders, &entry);
-            // Every leader's last phase-2 op gates its broadcast.
-            for (logical, &leader) in leaders.iter().enumerate() {
-                let mut last = entry[leader];
-                for (i, op) in inner.ops().iter().enumerate() {
-                    let initiator = match op.kind {
-                        dcnn_simnet::OpKind::Transfer { src, .. } => src,
-                        dcnn_simnet::OpKind::Compute { rank, .. } => rank,
-                    };
-                    if initiator == logical {
-                        last = Some(off + i);
-                    }
-                }
-                entry[leader] = last;
-            }
-        }
-
-        // Phase 3: leader broadcasts to its group (serialized sends; small
-        // groups make the difference to a tree negligible).
-        let mut start = 0;
-        while start < n {
-            let end = (start + g).min(n);
-            let leader = start;
-            let mut last = entry[leader];
-            for member in start + 1..end {
-                let t = sch.transfer(leader, member, bytes, last.into_iter().collect());
-                last = Some(t);
-            }
-            start = end;
-        }
-        sch
+        steps.extend(embed(bcast_steps(group.len(), local, 0, len), &group));
+        steps
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::CostModel;
     use crate::runtime::run_cluster;
     use dcnn_simnet::{FatTree, SimOptions};
 

@@ -1,10 +1,17 @@
 //! Allreduce algorithms.
 //!
-//! Every algorithm implements [`Allreduce`]: it can *execute* on real `f32`
-//! buffers over the threaded runtime (used by the trainer and by correctness
-//! tests/benches), and it can *compile* itself to a
-//! [`dcnn_simnet::CommSchedule`] whose virtual-time simulation over the
-//! modelled fat-tree reproduces the paper's Figure 5/6 comparisons.
+//! Every algorithm implements [`Allreduce`] by writing one thing: its
+//! [`Allreduce::plan`], the per-rank list of [`Step`]s (send / receive-and-sum
+//! / receive-and-copy over element ranges). Both faces of the algorithm are
+//! derived from it. [`Allreduce::run`] hands the calling rank's plan to the
+//! interpreter ([`crate::plan::execute`]), which moves real `f32` buffers
+//! over either transport — what the trainer, tests and benches use.
+//! [`Allreduce::schedule`] hands all `n` ranks' plans to the compiler
+//! ([`crate::plan::compile`]), which yields the [`dcnn_simnet::CommSchedule`]
+//! whose virtual-time simulation over the modelled fat-tree reproduces the
+//! paper's Figure 5/6 comparisons. No algorithm file builds schedule ops or
+//! calls `send`/`recv` itself, so the simulated message pattern is the
+//! executed one by construction.
 
 mod halving;
 mod hierarchical;
@@ -24,6 +31,7 @@ use std::sync::Arc;
 
 use dcnn_simnet::CommSchedule;
 
+use crate::plan::{self, Step};
 use crate::runtime::{Comm, PendingReduce};
 
 /// Cost constants for compiling an algorithm to a schedule.
@@ -109,12 +117,24 @@ pub trait Allreduce {
     /// Human-readable name (appears in figures and benches).
     fn name(&self) -> &'static str;
 
-    /// Execute on the threaded runtime: on return every rank's `buf` holds
-    /// the elementwise sum over all ranks.
-    fn run(&self, comm: &Comm, buf: &mut [f32]);
+    /// The algorithm itself: the steps `rank` of `n` performs to allreduce
+    /// a `len`-element buffer. Empty when `n <= 1`.
+    fn plan(&self, n: usize, rank: usize, len: usize) -> Vec<Step>;
 
-    /// Compile to a network schedule for `n` ranks and a `bytes` payload.
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule;
+    /// Execute on the runtime: on return every rank's `buf` holds the
+    /// elementwise sum over all ranks.
+    fn run(&self, comm: &Comm, buf: &mut [f32]) {
+        let _phase = comm.phase(self.name());
+        plan::execute(comm, &self.plan(comm.size(), comm.rank(), buf.len()), buf);
+    }
+
+    /// Compile to a network schedule for `n` ranks and a `bytes` payload
+    /// (rounded up to whole `f32` elements).
+    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
+        let len = (bytes / 4.0).ceil() as usize;
+        let plans: Vec<Vec<Step>> = (0..n).map(|r| self.plan(n, r, len)).collect();
+        plan::compile(&plans, cost)
+    }
 
     /// Launch this algorithm as a nonblocking reduce of `bucket` on `comm`'s
     /// comm worker; the returned handle resolves to the reduced buffer (see

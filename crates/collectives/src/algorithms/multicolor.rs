@@ -8,14 +8,10 @@
 //! pipeline sub-chunks that stream through the tree, the way the paper's
 //! RDMA-read implementation pipelines the reduction.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
-use dcnn_simnet::{CommSchedule, OpId};
-
-use super::{even_ranges, Allreduce, CostModel, Pipeline};
-use crate::reduce::sum_into;
-use crate::runtime::Comm;
+use super::{even_ranges, Allreduce, Pipeline};
+use crate::plan::Step;
 use crate::tree::ColorTree;
 
 const TAG_RED: u32 = 0x0500_0000;
@@ -50,36 +46,6 @@ impl MultiColor {
     pub fn colors(&self) -> usize {
         self.colors
     }
-
-    fn effective_colors(&self, n: usize) -> usize {
-        self.colors.clamp(1, n)
-    }
-
-    fn tag(phase: u32, c: usize, s: usize, s_max: usize) -> u32 {
-        phase + (c * s_max + s) as u32
-    }
-
-    fn reduce_step(comm: &Comm, tree: &ColorTree, buf: &mut [f32], range: &Range<usize>, tag: u32) {
-        let me = comm.rank();
-        for &ch in tree.children(me) {
-            let v = comm.recv_f32(ch, tag);
-            sum_into(&mut buf[range.clone()], &v);
-        }
-        if tree.parent(me) != me {
-            comm.send_f32(tree.parent(me), tag, &buf[range.clone()]);
-        }
-    }
-
-    fn bcast_step(comm: &Comm, tree: &ColorTree, buf: &mut [f32], range: &Range<usize>, tag: u32) {
-        let me = comm.rank();
-        if tree.parent(me) != me {
-            let v = comm.recv_f32(tree.parent(me), tag);
-            buf[range.clone()].copy_from_slice(&v);
-        }
-        for &ch in tree.children(me) {
-            comm.send_f32(ch, tag, &buf[range.clone()]);
-        }
-    }
 }
 
 impl Allreduce for MultiColor {
@@ -87,15 +53,14 @@ impl Allreduce for MultiColor {
         "multicolor"
     }
 
-    fn run(&self, comm: &Comm, buf: &mut [f32]) {
-        let _phase = comm.phase(self.name());
-        let n = comm.size();
+    fn plan(&self, n: usize, me: usize, len: usize) -> Vec<Step> {
+        let mut steps = Vec::new();
         if n <= 1 {
-            return;
+            return steps;
         }
-        let k = self.effective_colors(n);
+        let k = self.colors.clamp(1, n);
         let trees = ColorTree::build_all(n, k);
-        let color_ranges = even_ranges(buf.len(), k);
+        let color_ranges = even_ranges(len, k);
         let s_max = color_ranges
             .iter()
             .map(|r| self.pipeline.chunks_for(r.len() * 4))
@@ -111,92 +76,43 @@ impl Allreduce for MultiColor {
                     .collect()
             })
             .collect();
+        let tag_of = |phase: u32, c: usize, s: usize| phase + (c * s_max + s) as u32;
 
         for i in 0..s_max + LOOKAHEAD {
             if i < s_max {
+                // Reduce sub-chunk i up every tree: sum the children, forward.
                 for (c, tree) in trees.iter().enumerate() {
-                    let tag = Self::tag(TAG_RED, c, i, s_max);
-                    Self::reduce_step(comm, tree, buf, &subs[c][i], tag);
+                    let (range, tag) = (&subs[c][i], tag_of(TAG_RED, c, i));
+                    for &from in tree.children(me) {
+                        steps.push(Step::RecvReduce { from, range: range.clone(), tag });
+                    }
+                    if tree.parent(me) != me {
+                        steps.push(Step::Send { to: tree.parent(me), range: range.clone(), tag });
+                    }
                 }
             }
             if i >= LOOKAHEAD {
+                // Broadcast sub-chunk i - LOOKAHEAD back down every tree.
                 let s = i - LOOKAHEAD;
                 for (c, tree) in trees.iter().enumerate() {
-                    let tag = Self::tag(TAG_BC, c, s, s_max);
-                    Self::bcast_step(comm, tree, buf, &subs[c][s], tag);
-                }
-            }
-        }
-    }
-
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
-        let mut sch = CommSchedule::new(n.max(1));
-        if n <= 1 || bytes <= 0.0 {
-            return sch;
-        }
-        let k = self.effective_colors(n);
-        let color_bytes = bytes / k as f64;
-        let s_max = self.pipeline.chunks_for(color_bytes.ceil() as usize);
-        let sub_bytes = color_bytes / s_max as f64;
-
-        for tree in ColorTree::build_all(n, k) {
-            // Reduce emission order: deepest nodes first, so child transfers
-            // exist before the parent's summation op references them.
-            let mut by_depth: Vec<usize> = (0..n).collect();
-            by_depth.sort_by_key(|&v| std::cmp::Reverse(tree.depth(v)));
-            let bfs: Vec<usize> = by_depth.iter().rev().copied().collect();
-
-            // Per-edge predecessors to serialize successive sub-chunks.
-            let mut prev_up: HashMap<usize, OpId> = HashMap::new();
-            let mut prev_down: HashMap<(usize, usize), OpId> = HashMap::new();
-
-            for _s in 0..s_max {
-                let mut red_tx: Vec<Option<OpId>> = vec![None; n];
-                let mut chunk_ready: Vec<Option<OpId>> = vec![None; n];
-                for &v in &by_depth {
-                    if !tree.is_leaf(v) {
-                        let deps: Vec<OpId> = tree
-                            .children(v)
-                            .iter()
-                            .map(|&ch| red_tx[ch].expect("child emitted first"))
-                            .collect();
-                        let secs = cost.sum_secs(tree.children(v).len() as f64 * sub_bytes);
-                        chunk_ready[v] = Some(sch.compute(v, secs, deps));
+                    let (range, tag) = (&subs[c][s], tag_of(TAG_BC, c, s));
+                    if tree.parent(me) != me {
+                        steps.push(Step::RecvCopy { from: tree.parent(me), range: range.clone(), tag });
                     }
-                    if tree.parent(v) != v {
-                        let mut deps: Vec<OpId> = chunk_ready[v].into_iter().collect();
-                        if let Some(&p) = prev_up.get(&v) {
-                            deps.push(p);
-                        }
-                        let t = sch.transfer(v, tree.parent(v), sub_bytes, deps);
-                        red_tx[v] = Some(t);
-                        prev_up.insert(v, t);
-                    }
-                }
-
-                // Broadcast wave, shallow to deep.
-                let mut down_ready: Vec<Option<OpId>> = vec![None; n];
-                down_ready[tree.root] = chunk_ready[tree.root];
-                for &v in &bfs {
-                    for &ch in tree.children(v) {
-                        let mut deps: Vec<OpId> = down_ready[v].into_iter().collect();
-                        if let Some(&p) = prev_down.get(&(v, ch)) {
-                            deps.push(p);
-                        }
-                        let t = sch.transfer(v, ch, sub_bytes, deps);
-                        down_ready[ch] = Some(t);
-                        prev_down.insert((v, ch), t);
+                    for &to in tree.children(me) {
+                        steps.push(Step::Send { to, range: range.clone(), tag });
                     }
                 }
             }
         }
-        sch
+        steps
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::CostModel;
     use crate::runtime::run_cluster;
     use dcnn_simnet::{FatTree, SimOptions};
 

@@ -6,11 +6,8 @@
 //! pipelining, which is why it trails both rings and the multi-color trees at
 //! the gradient sizes deep learning cares about.
 
-use dcnn_simnet::{CommSchedule, OpId};
-
-use super::{Allreduce, CostModel};
-use crate::reduce::sum_into;
-use crate::runtime::Comm;
+use super::Allreduce;
+use crate::plan::Step;
 
 const TAG: u32 = 0x0900_0000;
 
@@ -50,110 +47,62 @@ pub(crate) fn global_to_eff(r: usize, rem: usize) -> Option<usize> {
     }
 }
 
+/// The non-power-of-two fold both doubling algorithms open with: odd ranks
+/// below `2 * rem` contribute their whole buffer to their even neighbour.
+pub(crate) fn fold_steps(r: usize, rem: usize, len: usize, tag: u32, steps: &mut Vec<Step>) {
+    if r < 2 * rem {
+        steps.push(if r % 2 == 1 {
+            Step::Send { to: r - 1, range: 0..len, tag }
+        } else {
+            Step::RecvReduce { from: r + 1, range: 0..len, tag }
+        });
+    }
+}
+
+/// The matching unfold: even ranks return the result to the folded neighbour.
+pub(crate) fn unfold_steps(r: usize, rem: usize, len: usize, tag: u32, steps: &mut Vec<Step>) {
+    if r < 2 * rem {
+        steps.push(if r.is_multiple_of(2) {
+            Step::Send { to: r + 1, range: 0..len, tag }
+        } else {
+            Step::RecvCopy { from: r - 1, range: 0..len, tag }
+        });
+    }
+}
+
 impl Allreduce for RecursiveDoubling {
     fn name(&self) -> &'static str {
         "openmpi-default"
     }
 
-    fn run(&self, comm: &Comm, buf: &mut [f32]) {
-        let _phase = comm.phase(self.name());
-        let n = comm.size();
+    fn plan(&self, n: usize, r: usize, len: usize) -> Vec<Step> {
+        let mut steps = Vec::new();
         if n <= 1 {
-            return;
+            return steps;
         }
-        let r = comm.rank();
         let p = prev_pow2(n);
         let rem = n - p;
-
-        // Fold: odd ranks below 2*rem contribute to their even neighbour.
-        if r < 2 * rem {
-            if r % 2 == 1 {
-                comm.send_f32(r - 1, TAG, buf);
-            } else {
-                let v = comm.recv_f32(r + 1, TAG);
-                sum_into(buf, &v);
-            }
-        }
-
+        fold_steps(r, rem, len, TAG, &mut steps);
         if let Some(er) = global_to_eff(r, rem) {
             let mut mask = 1usize;
             let mut round = 1u32;
             while mask < p {
                 let peer = eff_to_global(er ^ mask, rem);
-                comm.send_f32(peer, TAG + round, buf);
-                let v = comm.recv_f32(peer, TAG + round);
-                sum_into(buf, &v);
+                steps.push(Step::Send { to: peer, range: 0..len, tag: TAG + round });
+                steps.push(Step::RecvReduce { from: peer, range: 0..len, tag: TAG + round });
                 mask <<= 1;
                 round += 1;
             }
         }
-
-        // Unfold: even ranks return the result to their folded neighbour.
-        if r < 2 * rem {
-            if r.is_multiple_of(2) {
-                comm.send_f32(r + 1, TAG + 63, buf);
-            } else {
-                let v = comm.recv_f32(r - 1, TAG + 63);
-                buf.copy_from_slice(&v);
-            }
-        }
-    }
-
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
-        let mut sch = CommSchedule::new(n.max(1));
-        if n <= 1 || bytes <= 0.0 {
-            return sch;
-        }
-        let p = prev_pow2(n);
-        let rem = n - p;
-        let mut last: Vec<Option<OpId>> = vec![None; n];
-
-        // Fold.
-        for er in 0..rem {
-            let even = 2 * er;
-            let odd = even + 1;
-            let t = sch.transfer(odd, even, bytes, vec![]);
-            let c = sch.compute(even, cost.sum_secs(bytes), vec![t]);
-            last[even] = Some(c);
-            last[odd] = Some(t);
-        }
-
-        // Doubling rounds: full-buffer exchange both directions + sums.
-        let mut mask = 1usize;
-        while mask < p {
-            let mut new_last = last.clone();
-            for er in 0..p {
-                let peer_er = er ^ mask;
-                if peer_er < er {
-                    continue; // handle each pair once
-                }
-                let a = eff_to_global(er, rem);
-                let b = eff_to_global(peer_er, rem);
-                let ta = sch.transfer(a, b, bytes, last[a].into_iter().collect());
-                let tb = sch.transfer(b, a, bytes, last[b].into_iter().collect());
-                let ca = sch.compute(a, cost.sum_secs(bytes), vec![tb]);
-                let cb = sch.compute(b, cost.sum_secs(bytes), vec![ta]);
-                new_last[a] = Some(ca);
-                new_last[b] = Some(cb);
-            }
-            last = new_last;
-            mask <<= 1;
-        }
-
-        // Unfold.
-        for er in 0..rem {
-            let even = 2 * er;
-            let odd = even + 1;
-            let t = sch.transfer(even, odd, bytes, last[even].into_iter().collect());
-            last[odd] = Some(t);
-        }
-        sch
+        unfold_steps(r, rem, len, TAG + 63, &mut steps);
+        steps
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::CostModel;
     use crate::runtime::run_cluster;
 
     #[test]

@@ -8,13 +8,8 @@
 //! every byte crosses `O(n)` links, which is why the paper's multi-color
 //! algorithm beats it.
 
-use std::collections::HashMap;
-
-use dcnn_simnet::{CommSchedule, OpId};
-
-use super::{even_ranges, Allreduce, CostModel, Pipeline};
-use crate::reduce::sum_into;
-use crate::runtime::Comm;
+use super::{even_ranges, Allreduce, Pipeline};
+use crate::plan::Step;
 
 const TAG_RED: u32 = 0x0700_0000;
 const TAG_BC: u32 = 0x0800_0000;
@@ -37,99 +32,46 @@ impl Allreduce for PipelinedRing {
         "ring"
     }
 
-    fn run(&self, comm: &Comm, buf: &mut [f32]) {
-        let _phase = comm.phase(self.name());
-        let n = comm.size();
+    fn plan(&self, n: usize, r: usize, len: usize) -> Vec<Step> {
+        let mut steps = Vec::new();
         if n <= 1 {
-            return;
+            return steps;
         }
-        let r = comm.rank();
-        let s_max = self.pipeline.chunks_for(buf.len() * 4);
-        let subs = even_ranges(buf.len(), s_max);
+        let s_max = self.pipeline.chunks_for(len * 4);
+        let subs = even_ranges(len, s_max);
         // Keep up to `n` reduce sub-chunks in flight before collecting the
         // broadcast of the oldest — roughly when the root has finished it.
         let lookahead = n.min(s_max).max(1);
 
         for i in 0..s_max + lookahead {
             if i < s_max {
-                let range = subs[i].clone();
-                if r == 0 {
-                    comm.send_f32(1, TAG_RED + i as u32, &buf[range]);
-                } else {
-                    let v = comm.recv_f32(r - 1, TAG_RED + i as u32);
-                    sum_into(&mut buf[range.clone()], &v);
-                    if r < n - 1 {
-                        comm.send_f32(r + 1, TAG_RED + i as u32, &buf[range]);
-                    }
+                let (range, tag) = (subs[i].clone(), TAG_RED + i as u32);
+                if r > 0 {
+                    steps.push(Step::RecvReduce { from: r - 1, range: range.clone(), tag });
+                }
+                if r < n - 1 {
+                    steps.push(Step::Send { to: r + 1, range, tag });
                 }
             }
             if i >= lookahead {
                 let s = i - lookahead;
-                let range = subs[s].clone();
-                if r == n - 1 {
-                    comm.send_f32(r - 1, TAG_BC + s as u32, &buf[range]);
-                } else {
-                    let v = comm.recv_f32(r + 1, TAG_BC + s as u32);
-                    buf[range.clone()].copy_from_slice(&v);
-                    if r > 0 {
-                        comm.send_f32(r - 1, TAG_BC + s as u32, &buf[range]);
-                    }
-                }
-            }
-        }
-    }
-
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
-        let mut sch = CommSchedule::new(n.max(1));
-        if n <= 1 || bytes <= 0.0 {
-            return sch;
-        }
-        let s_max = self.pipeline.chunks_for(bytes.ceil() as usize);
-        let sub = bytes / s_max as f64;
-        let mut prev_up: HashMap<usize, OpId> = HashMap::new(); // keyed by sender
-        let mut prev_down: HashMap<usize, OpId> = HashMap::new();
-        for _s in 0..s_max {
-            // Reduce wave 0 → n-1.
-            let mut incoming: Option<OpId> = None;
-            let mut ready_at_root: Option<OpId> = None;
-            for r in 0..n {
-                let summed = if r > 0 {
-                    let deps: Vec<OpId> = incoming.into_iter().collect();
-                    Some(sch.compute(r, cost.sum_secs(sub), deps))
-                } else {
-                    None
-                };
+                let (range, tag) = (subs[s].clone(), TAG_BC + s as u32);
                 if r < n - 1 {
-                    let mut deps: Vec<OpId> = summed.into_iter().collect();
-                    if let Some(&p) = prev_up.get(&r) {
-                        deps.push(p);
-                    }
-                    let t = sch.transfer(r, r + 1, sub, deps);
-                    prev_up.insert(r, t);
-                    incoming = Some(t);
-                } else {
-                    ready_at_root = summed;
+                    steps.push(Step::RecvCopy { from: r + 1, range: range.clone(), tag });
                 }
-            }
-            // Broadcast wave n-1 → 0.
-            let mut have: Option<OpId> = ready_at_root;
-            for r in (1..n).rev() {
-                let mut deps: Vec<OpId> = have.into_iter().collect();
-                if let Some(&p) = prev_down.get(&r) {
-                    deps.push(p);
+                if r > 0 {
+                    steps.push(Step::Send { to: r - 1, range, tag });
                 }
-                let t = sch.transfer(r, r - 1, sub, deps);
-                prev_down.insert(r, t);
-                have = Some(t);
             }
         }
-        sch
+        steps
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::CostModel;
     use crate::runtime::run_cluster;
     use dcnn_simnet::{FatTree, SimOptions};
 

@@ -6,9 +6,9 @@
 //! Every rank sends `2(n-1)/n × payload` in total, the bandwidth lower bound
 //! for an allreduce, at the cost of `2(n-1)` latency terms.
 
-use dcnn_simnet::{CommSchedule, OpId};
-
-use super::{even_ranges, Allreduce, CostModel};
+use super::{even_ranges, Allreduce};
+use crate::plan::Step;
+use crate::primitives::{ring_allgather_steps, ring_reduce_scatter_steps};
 use crate::runtime::Comm;
 
 /// Reduce-scatter + allgather ring.
@@ -20,17 +20,13 @@ impl Allreduce for RingReduceScatter {
         "ring-reduce-scatter"
     }
 
-    fn run(&self, comm: &Comm, buf: &mut [f32]) {
+    fn plan(&self, n: usize, rank: usize, len: usize) -> Vec<Step> {
         // Composed from the first-class primitives: an even reduce-scatter
         // (chunk r owned by rank r) followed by the matching allgather.
-        let _phase = comm.phase(self.name());
-        let n = comm.size();
-        if n <= 1 {
-            return;
-        }
-        let counts: Vec<usize> = even_ranges(buf.len(), n).iter().map(|c| c.len()).collect();
-        comm.reduce_scatter(buf, &counts);
-        comm.allgather_f32(buf, &counts);
+        let counts: Vec<usize> = even_ranges(len, n).iter().map(|c| c.len()).collect();
+        let mut steps = ring_reduce_scatter_steps(rank, &counts);
+        steps.extend(ring_allgather_steps(rank, &counts));
+        steps
     }
 
     fn reduce_scatter(&self, comm: &Comm, buf: &mut [f32], counts: &[usize]) {
@@ -42,46 +38,12 @@ impl Allreduce for RingReduceScatter {
         let _phase = comm.phase(self.name());
         comm.reduce_scatter(buf, counts);
     }
-
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
-        let mut sch = CommSchedule::new(n.max(1));
-        if n <= 1 || bytes <= 0.0 {
-            return sch;
-        }
-        let chunk = bytes / n as f64;
-        let mut last: Vec<Option<OpId>> = vec![None; n];
-        // Reduce-scatter phase: each step every rank sends one chunk and sums
-        // the one it received.
-        for _step in 0..n - 1 {
-            let mut incoming: Vec<Option<OpId>> = vec![None; n];
-            let snapshot = last.clone();
-            for r in 0..n {
-                let t = sch.transfer(r, (r + 1) % n, chunk, snapshot[r].into_iter().collect());
-                incoming[(r + 1) % n] = Some(t);
-            }
-            for r in 0..n {
-                let mut deps: Vec<OpId> = incoming[r].into_iter().collect();
-                if let Some(p) = snapshot[r] {
-                    deps.push(p);
-                }
-                last[r] = Some(sch.compute(r, cost.sum_secs(chunk), deps));
-            }
-        }
-        // Allgather phase: pure forwarding.
-        for _step in 0..n - 1 {
-            let snapshot = last.clone();
-            for r in 0..n {
-                let t = sch.transfer(r, (r + 1) % n, chunk, snapshot[r].into_iter().collect());
-                last[(r + 1) % n] = Some(t);
-            }
-        }
-        sch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::CostModel;
     use crate::runtime::run_cluster;
 
     #[test]

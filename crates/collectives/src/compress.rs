@@ -11,6 +11,7 @@
 use dcnn_simnet::CommSchedule;
 
 use crate::algorithms::{Allreduce, CostModel};
+use crate::plan::Step;
 use crate::runtime::Comm;
 
 /// Convert an `f32` to IEEE 754 binary16 bits, round-to-nearest-even.
@@ -114,6 +115,10 @@ impl<A: Allreduce> Fp16Allreduce<A> {
 impl<A: Allreduce> Allreduce for Fp16Allreduce<A> {
     fn name(&self) -> &'static str {
         "fp16"
+    }
+
+    fn plan(&self, n: usize, rank: usize, len: usize) -> Vec<Step> {
+        self.inner.plan(n, rank, len)
     }
 
     fn run(&self, comm: &Comm, buf: &mut [f32]) {

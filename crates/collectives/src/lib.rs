@@ -17,10 +17,13 @@
 //!   is reduced along its own tree whose *interior (non-leaf) nodes are
 //!   disjoint from every other color's*, so the summing work and the
 //!   root-adjacent links are spread across the machine.
-//! * [`algorithms`] — Allreduce implementations, each able to (a) execute on
-//!   real `f32` buffers across the threaded runtime and (b) compile itself to
-//!   a [`dcnn_simnet::CommSchedule`] for virtual-time evaluation on the
-//!   simulated fat-tree:
+//! * [`plan`] — per-rank step plans (send / receive-and-sum / receive-and-copy
+//!   over element ranges), the interpreter that runs one on a [`Comm`] and
+//!   the compiler that turns all ranks' plans into a
+//!   [`dcnn_simnet::CommSchedule`].
+//! * [`algorithms`] — Allreduce implementations, each written once as a plan,
+//!   so the same description (a) executes on real `f32` buffers across the
+//!   runtime and (b) is evaluated in virtual time on the simulated fat-tree:
 //!     * [`algorithms::MultiColor`] — the paper's contribution (§4.2),
 //!     * [`algorithms::PipelinedRing`] — the paper's ring comparator (reduce
 //!       to a single root along the ring, broadcast in the opposite
@@ -39,6 +42,7 @@ pub mod algorithms;
 pub mod cell;
 pub mod compress;
 pub mod config;
+pub mod plan;
 pub mod primitives;
 pub mod reduce;
 pub mod runtime;
@@ -54,6 +58,7 @@ pub use algorithms::{
 pub use cell::{cell_fill, f32_crc, CellMeasurement, CellSpec, SimEstimate};
 pub use compress::{quantize_f16, Fp16Allreduce};
 pub use config::{ConfigError, FaultSpec, OverlapMode, RuntimeConfig};
+pub use plan::Step;
 pub use runtime::{
     run_cluster, run_tcp_rank, run_tcp_rank_with, try_run_tcp_rank_with, BucketSpan,
     ClusterBuilder, ClusterRun, Comm, CommError, CommStats, PendingReduce, ProcessRun,

@@ -5,14 +5,17 @@
 //! allreduce itself: broadcast (model distribution to GPUs' host buffers),
 //! gather/allgather (control-plane exchanges such as shuffle counts), and
 //! `MPI_Alltoallv`, which implements the DIMD shuffle (Algorithm 2). The
-//! counts-based ring reduce-scatter and `f32` allgather back the sharded
-//! optimizer (and compose into the ring allreduce); their public entry
-//! points are [`Comm::reduce_scatter`] / [`Comm::allgather_f32`], which add
-//! the scatter/gather [`crate::CommStats`] accounting.
+//! `f32` collectives — the counts-based ring reduce-scatter / allgather and
+//! the binomial reduce / broadcast — are written as [`Step`] generators, so
+//! algorithms concatenate them into their plans (the ring allreduce, the
+//! hierarchical allreduce) and the wrappers here just execute them. The
+//! ring pair backs the sharded optimizer through [`Comm::reduce_scatter`] /
+//! [`Comm::allgather_f32`], which add the scatter/gather
+//! [`crate::CommStats`] accounting.
 
 use dcnn_simnet::CommSchedule;
 
-use crate::reduce::sum_into;
+use crate::plan::{execute, Step};
 use crate::runtime::Comm;
 
 const TAG_BCAST: u32 = 0x0100_0000;
@@ -34,63 +37,67 @@ fn chunk_offsets(counts: &[usize]) -> Vec<usize> {
     off
 }
 
-/// Ring reduce-scatter over per-rank `counts`: chunk `r` of `buf` (contiguous,
-/// in rank order, `counts[r]` elements) belongs to rank `r`; on return this
-/// rank's chunk holds the elementwise sum over all ranks, and the other
-/// chunks hold partial sums.
-///
-/// The ring anchors each element's accumulation order at its owning rank
-/// (owner `o` computes `g_o + (g_{o-1} + (… + g_{o+1})…)`), never at the
-/// chunk boundaries — so for a fixed global owner map the owned bits are
-/// identical no matter how the payload is split into buckets. The sharded
-/// optimizer's bitwise-equivalence guarantee rests on this.
-pub(crate) fn ring_reduce_scatter(comm: &Comm, buf: &mut [f32], counts: &[usize]) {
-    let _phase = comm.phase("reduce-scatter");
-    let n = comm.size();
-    assert_eq!(counts.len(), n, "reduce_scatter needs one count per rank");
+/// One pass around the ring over per-rank `counts` (chunk `i` is
+/// `counts[i]` contiguous elements, in rank order): at step `s` rank `r`
+/// sends chunk `r - s - 1 + lead` to `r + 1` and receives the chunk one
+/// further back from `r - 1`.
+fn ring_pass(
+    r: usize,
+    counts: &[usize],
+    lead: usize,
+    tag0: u32,
+    recv: fn(usize, std::ops::Range<usize>, u32) -> Step,
+) -> Vec<Step> {
+    let n = counts.len();
     let off = chunk_offsets(counts);
-    assert_eq!(off[n], buf.len(), "reduce_scatter counts must cover the buffer");
-    if n <= 1 {
-        return;
+    let chunk = |i: usize| off[i % n]..off[i % n + 1];
+    let mut steps = Vec::new();
+    for step in 0..n.saturating_sub(1) {
+        let tag = tag0 + step as u32;
+        let send_idx = r + 2 * n - step - 1 + lead;
+        steps.push(Step::Send { to: (r + 1) % n, range: chunk(send_idx), tag });
+        steps.push(recv((r + n - 1) % n, chunk(send_idx - 1), tag));
     }
-    let r = comm.rank();
-    let next = (r + 1) % n;
-    let prev = (r + n - 1) % n;
-    // Step s moves the running partial sum of chunk c one hop closer to its
-    // owner: send the chunk that is s+1 hops "behind" us, fold the received
-    // one into ours. After n-1 steps chunk r is complete at rank r.
-    for step in 0..n - 1 {
-        let send_idx = (r + n - step - 1) % n;
-        let recv_idx = (r + 2 * n - step - 2) % n;
-        comm.send_f32(next, TAG_RSC + step as u32, &buf[off[send_idx]..off[send_idx + 1]]);
-        let v = comm.recv_f32(prev, TAG_RSC + step as u32);
-        sum_into(&mut buf[off[recv_idx]..off[recv_idx + 1]], &v);
-    }
+    steps
 }
 
-/// Ring allgather over per-rank `counts`: each rank contributes its own chunk
-/// (see [`ring_reduce_scatter`] for the layout) and on return every rank's
-/// `buf` holds all chunks. Pure forwarding — no arithmetic, so it cannot
-/// perturb bits.
+/// Ring reduce-scatter over per-rank `counts`, as rank `r`'s steps: chunk
+/// `r` of the buffer (contiguous, in rank order, `counts[r]` elements)
+/// belongs to rank `r`; afterwards this rank's chunk holds the elementwise
+/// sum over all ranks, and the other chunks hold partial sums.
+///
+/// Step `s` moves the running partial sum of a chunk one hop closer to its
+/// owner, so the ring anchors each element's accumulation order at its
+/// owning rank (owner `o` computes `g_o + (g_{o-1} + (… + g_{o+1})…)`),
+/// never at the chunk boundaries — for a fixed global owner map the owned
+/// bits are identical no matter how the payload is split into buckets. The
+/// sharded optimizer's bitwise-equivalence guarantee rests on this.
+pub(crate) fn ring_reduce_scatter_steps(r: usize, counts: &[usize]) -> Vec<Step> {
+    ring_pass(r, counts, 0, TAG_RSC, |from, range, tag| Step::RecvReduce { from, range, tag })
+}
+
+/// Ring allgather over per-rank `counts`, as rank `r`'s steps: each rank
+/// contributes its own chunk (layout as in [`ring_reduce_scatter_steps`])
+/// and afterwards every rank holds all chunks. Pure forwarding — no
+/// arithmetic, so it cannot perturb bits.
+pub(crate) fn ring_allgather_steps(r: usize, counts: &[usize]) -> Vec<Step> {
+    ring_pass(r, counts, 1, TAG_AGC, |from, range, tag| Step::RecvCopy { from, range, tag })
+}
+
+/// [`Comm::reduce_scatter`]'s body: run the reduce-scatter steps on `comm`.
+pub(crate) fn ring_reduce_scatter(comm: &Comm, buf: &mut [f32], counts: &[usize]) {
+    let _phase = comm.phase("reduce-scatter");
+    assert_eq!(counts.len(), comm.size(), "reduce_scatter needs one count per rank");
+    assert_eq!(counts.iter().sum::<usize>(), buf.len(), "reduce_scatter counts must cover the buffer");
+    execute(comm, &ring_reduce_scatter_steps(comm.rank(), counts), buf);
+}
+
+/// [`Comm::allgather_f32`]'s body: run the allgather steps on `comm`.
 pub(crate) fn ring_allgather(comm: &Comm, buf: &mut [f32], counts: &[usize]) {
     let _phase = comm.phase("allgather");
-    let n = comm.size();
-    assert_eq!(counts.len(), n, "allgather needs one count per rank");
-    let off = chunk_offsets(counts);
-    assert_eq!(off[n], buf.len(), "allgather counts must cover the buffer");
-    if n <= 1 {
-        return;
-    }
-    let r = comm.rank();
-    let next = (r + 1) % n;
-    let prev = (r + n - 1) % n;
-    for step in 0..n - 1 {
-        let send_idx = (r + n - step) % n;
-        let recv_idx = (r + n - step - 1) % n;
-        comm.send_f32(next, TAG_AGC + step as u32, &buf[off[send_idx]..off[send_idx + 1]]);
-        let v = comm.recv_f32(prev, TAG_AGC + step as u32);
-        buf[off[recv_idx]..off[recv_idx + 1]].copy_from_slice(&v);
-    }
+    assert_eq!(counts.len(), comm.size(), "allgather needs one count per rank");
+    assert_eq!(counts.iter().sum::<usize>(), buf.len(), "allgather counts must cover the buffer");
+    execute(comm, &ring_allgather_steps(comm.rank(), counts), buf);
 }
 
 /// Binomial-tree broadcast of a byte buffer from `root`.
@@ -122,20 +129,16 @@ pub fn bcast_bytes(comm: &Comm, root: usize, buf: &mut Vec<u8>) {
     }
 }
 
-/// Binomial-tree broadcast of an `f32` buffer from `root`.
-pub fn bcast_f32(comm: &Comm, root: usize, buf: &mut [f32]) {
-    let _phase = comm.phase("bcast");
-    let n = comm.size();
-    if n <= 1 {
-        return;
-    }
-    let vrank = (comm.rank() + n - root) % n;
+/// Binomial-tree broadcast of a `len`-element `f32` buffer from `root`, as
+/// the steps of `rank` of `n`.
+pub(crate) fn bcast_steps(n: usize, rank: usize, root: usize, len: usize) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let vrank = (rank + n - root) % n;
     let mut mask = 1usize;
     while mask < n {
         if vrank & mask != 0 {
             let parent = (vrank - mask + root) % n;
-            let v = comm.recv_f32(parent, TAG_BCAST);
-            buf.copy_from_slice(&v);
+            steps.push(Step::RecvCopy { from: parent, range: 0..len, tag: TAG_BCAST });
             break;
         }
         mask <<= 1;
@@ -144,10 +147,39 @@ pub fn bcast_f32(comm: &Comm, root: usize, buf: &mut [f32]) {
     while mask > 0 {
         if vrank + mask < n && vrank & (mask - 1) == 0 && vrank & mask == 0 {
             let child = (vrank + mask + root) % n;
-            comm.send_f32(child, TAG_BCAST, buf);
+            steps.push(Step::Send { to: child, range: 0..len, tag: TAG_BCAST });
         }
         mask >>= 1;
     }
+    steps
+}
+
+/// Binomial-tree sum-reduction of a `len`-element buffer to `root`, as the
+/// steps of `rank` of `n`.
+pub(crate) fn reduce_steps(n: usize, rank: usize, root: usize, len: usize) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let vrank = (rank + n - root) % n;
+    let mut mask = 1usize;
+    while mask < n {
+        if vrank & mask == 0 {
+            let peer = vrank | mask;
+            if peer < n {
+                steps.push(Step::RecvReduce { from: (peer + root) % n, range: 0..len, tag: TAG_REDUCE });
+            }
+        } else {
+            let peer = (vrank & !mask) % n;
+            steps.push(Step::Send { to: (peer + root) % n, range: 0..len, tag: TAG_REDUCE });
+            break;
+        }
+        mask <<= 1;
+    }
+    steps
+}
+
+/// Binomial-tree broadcast of an `f32` buffer from `root`.
+pub fn bcast_f32(comm: &Comm, root: usize, buf: &mut [f32]) {
+    let _phase = comm.phase("bcast");
+    execute(comm, &bcast_steps(comm.size(), comm.rank(), root, buf.len()), buf);
 }
 
 /// Binomial-tree sum-reduction of `buf` to `root`. On return, `root`'s `buf`
@@ -155,26 +187,7 @@ pub fn bcast_f32(comm: &Comm, root: usize, buf: &mut [f32]) {
 /// unspecified (they hold partial sums).
 pub fn reduce_f32(comm: &Comm, root: usize, buf: &mut [f32]) {
     let _phase = comm.phase("reduce");
-    let n = comm.size();
-    if n <= 1 {
-        return;
-    }
-    let vrank = (comm.rank() + n - root) % n;
-    let mut mask = 1usize;
-    while mask < n {
-        if vrank & mask == 0 {
-            let peer = vrank | mask;
-            if peer < n {
-                let v = comm.recv_f32((peer + root) % n, TAG_REDUCE);
-                sum_into(buf, &v);
-            }
-        } else {
-            let peer = (vrank & !mask) % n;
-            comm.send_f32((peer + root) % n, TAG_REDUCE, buf);
-            break;
-        }
-        mask <<= 1;
-    }
+    execute(comm, &reduce_steps(comm.size(), comm.rank(), root, buf.len()), buf);
 }
 
 /// Gather per-rank byte buffers at `root`. Returns `Some(all)` on the root

@@ -111,28 +111,6 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Whether the `DCNN_TRACE` environment variable asks for tracing
-/// (`1`, `true`, `on`, case-insensitive).
-#[deprecated(note = "use crate::config::RuntimeConfig::from_env, which parses every DCNN_* \
-                     variable in one place and rejects malformed values")]
-pub fn trace_enabled_from_env() -> bool {
-    match std::env::var("DCNN_TRACE") {
-        Ok(v) => matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on"),
-        Err(_) => false,
-    }
-}
-
-/// The output path the `DCNN_TRACE_JSON` environment variable asks trace
-/// events to be exported to, if any. Setting it implies tracing on.
-#[deprecated(note = "use crate::config::RuntimeConfig::from_env, which parses every DCNN_* \
-                     variable in one place and rejects malformed values")]
-pub fn trace_json_path_from_env() -> Option<String> {
-    match std::env::var("DCNN_TRACE_JSON") {
-        Ok(p) if !p.is_empty() => Some(p),
-        _ => None,
-    }
-}
-
 /// Serialize `events` to `out` as JSON lines — one compact object per
 /// event, in the order given. Multi-process runs write one file per rank
 /// (`<path>.rank<N>`); concatenating the files and sorting on `t_ns`
@@ -208,13 +186,5 @@ mod tests {
         assert_eq!(v.get("peer").and_then(|x| x.as_u64()), Some(0));
         let w: serde_json::Value = serde_json::from_str(lines[1]).expect("line 1 parses");
         assert!(matches!(w.get("peer"), Some(serde_json::Value::Null)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn env_toggle_parses() {
-        // Only exercises the parser, not the environment (tests run in
-        // parallel; setting env vars here would race other tests).
-        assert!(!trace_enabled_from_env() || std::env::var("DCNN_TRACE").is_ok());
     }
 }

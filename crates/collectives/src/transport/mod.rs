@@ -187,19 +187,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-impl TransportKind {
-    /// Resolve the backend from the `DCNN_TRANSPORT` environment variable
-    /// (`tcp` selects TCP; anything else, including unset, selects threads).
-    #[deprecated(note = "use crate::config::RuntimeConfig::from_env, which parses every DCNN_* \
-                         variable in one place and rejects malformed values")]
-    pub fn from_env() -> Self {
-        match std::env::var("DCNN_TRANSPORT") {
-            Ok(v) if v.eq_ignore_ascii_case("tcp") => TransportKind::Tcp,
-            _ => TransportKind::Threads,
-        }
-    }
-}
-
 /// Reflected polynomial of CRC-32/IEEE.
 const CRC_POLY: u32 = 0xEDB8_8320;
 

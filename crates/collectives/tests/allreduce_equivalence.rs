@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use dcnn_collectives::{
-    run_cluster, Allreduce, AllreduceAlgo, ClusterBuilder, CostModel, MultiColor,
-    PipelinedRing, RecursiveDoubling, TransportKind,
+    f32_crc, run_cluster, Allreduce, AllreduceAlgo, ClusterBuilder, CostModel, MultiColor,
+    PipelinedRing, RecursiveDoubling, RingReduceScatter, TransportKind,
 };
 use dcnn_simnet::{throughput_gbps, FatTree, SimOptions};
 use proptest::prelude::*;
@@ -59,6 +59,63 @@ fn all_algorithms_agree_with_reference() {
                 }
             }
         }
+    }
+}
+
+/// World sizes of the golden fingerprints, column order of [`GOLDEN`].
+const GOLDEN_WORLDS: [usize; 5] = [2, 3, 4, 5, 8];
+
+/// CRC-32 of every algorithm's reduced buffer on the seed-42 `contribution`
+/// inputs, captured from the hand-written `run` bodies at the commit before
+/// they became step plans: 260 elements stays under the default `Pipeline`
+/// threshold, 1.2 M elements cuts every color into ≥ 2 sub-chunks. Matching
+/// them bit for bit is the proof that the plans kept each algorithm's
+/// summation order.
+const GOLDEN: [(&str, usize, [u32; 5]); 12] = [
+    ("multicolor", 260, [0xe11cdcde, 0x851ca40a, 0xc84a1b58, 0x73cb3aa6, 0x5a156c1d]),
+    ("ring", 260, [0xe11cdcde, 0x8c4b5864, 0xd63b0507, 0xfd0b63f4, 0x6cc9bd09]),
+    ("openmpi-default", 260, [0xe11cdcde, 0x8c4b5864, 0xe64926e5, 0xb4646ea5, 0x8b023494]),
+    ("ring-reduce-scatter", 260, [0xe11cdcde, 0x46cb5bab, 0x9648f1fb, 0xcf1a7bbf, 0x5d175e97]),
+    ("halving-doubling", 260, [0xe11cdcde, 0x8c4b5864, 0xf62b365d, 0xe97c10c6, 0x7b8d5f87]),
+    ("hierarchical", 260, [0xe11cdcde, 0x8c4b5864, 0xe64926e5, 0x21794bd6, 0x8b023494]),
+    ("multicolor", 1_200_000, [0x72ac8239, 0x2c93e524, 0x36ecbb15, 0x7d3f02d2, 0x72a303d1]),
+    ("ring", 1_200_000, [0x72ac8239, 0xca28bb9c, 0xdf0896e9, 0x8cd42ca0, 0x8e015732]),
+    ("openmpi-default", 1_200_000, [0x72ac8239, 0xca28bb9c, 0x3a23f8fb, 0xbffa8c84, 0x99517501]),
+    ("ring-reduce-scatter", 1_200_000, [0x72ac8239, 0xe6d1f28c, 0x26614493, 0xad3f3d73, 0x1f3ac17c]),
+    ("halving-doubling", 1_200_000, [0x72ac8239, 0xca28bb9c, 0x359f9acc, 0x33455252, 0x19d1791a]),
+    ("hierarchical", 1_200_000, [0x72ac8239, 0xca28bb9c, 0x3a23f8fb, 0x5942d023, 0x99517501]),
+];
+
+#[test]
+fn every_algorithm_reproduces_the_golden_fingerprints() {
+    for (name, len, crcs) in GOLDEN {
+        let algo: AllreduceAlgo = name.parse().expect("golden row names an algorithm");
+        for (n, want) in GOLDEN_WORLDS.into_iter().zip(crcs) {
+            for (rank, buf) in run_algo(&algo, n, len, 42).iter().enumerate() {
+                assert_eq!(f32_crc(buf), want, "{name} n={n} len={len} rank={rank}");
+            }
+        }
+    }
+}
+
+/// Same capture for the reduce-scatter ring's native scatter seam under
+/// uneven owner maps (one with an empty shard): each rank's owned range.
+#[test]
+fn ring_reduce_scatter_seam_reproduces_the_golden_fingerprints() {
+    let golden: [(&[usize], &[u32]); 3] = [
+        (&[35, 34, 34], &[0x6581808d, 0x659a0176, 0xf6952b6d]),
+        (&[100, 0, 37, 123], &[0x1df1abf6, 0x00000000, 0xcc6cc1b5, 0x5a6451d8]),
+        (&[21, 21, 21, 20, 20], &[0x926f6a35, 0xe62ec9aa, 0xa4f8abf9, 0xa16260b9, 0xedcd37b5]),
+    ];
+    for (counts, crcs) in golden {
+        let len: usize = counts.iter().sum();
+        let owned = run_cluster(counts.len(), move |c| {
+            let mut buf: Vec<f32> = (0..len).map(|i| contribution(c.rank(), i, 42)).collect();
+            RingReduceScatter.reduce_scatter(c, &mut buf, counts);
+            let start: usize = counts[..c.rank()].iter().sum();
+            f32_crc(&buf[start..start + counts[c.rank()]])
+        });
+        assert_eq!(owned, crcs, "counts {counts:?}");
     }
 }
 

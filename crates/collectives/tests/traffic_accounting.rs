@@ -1,38 +1,62 @@
 //! Cross-validation of the two faces of each algorithm: the bytes the *real*
-//! threaded execution puts on the wire must equal the bytes its compiled
-//! schedule claims to move. This pins the simulation results (Figures 5–6)
-//! to the actual implementations.
+//! threaded execution puts on each link must equal the bytes its compiled
+//! schedule claims to move there. This pins the simulation results
+//! (Figures 5–6) to the actual implementations.
 
+use dcnn_collectives::plan::{compile, Step};
 use dcnn_collectives::{run_cluster, AllreduceAlgo, CostModel};
+use dcnn_simnet::OpKind;
 
 #[test]
-fn real_traffic_matches_schedule_totals() {
-    let n = 8;
-    let elems = 4096; // divisible by every chunking the algorithms use
-    let payload_bytes = (elems * 4) as f64;
+fn real_link_bytes_equal_schedule_link_bytes() {
+    let elems = 4099; // prime: uneven chunks at every world size
+    let cost = CostModel::default();
+    for n in [2usize, 3, 4, 8] {
+        for algo in AllreduceAlgo::all() {
+            let a = algo.build();
+            // real[src][dst]: what each rank's per-link counters recorded.
+            let real: Vec<Vec<u64>> = run_cluster(n, |comm| {
+                let before = comm.stats();
+                let mut buf = vec![comm.rank() as f32; elems];
+                a.run(comm, &mut buf);
+                comm.stats().link_bytes_delta(&before)
+            });
+            let mut scheduled = vec![vec![0u64; n]; n];
+            for op in a.schedule(n, (elems * 4) as f64, &cost).ops() {
+                if let OpKind::Transfer { src, dst, bytes } = op.kind {
+                    scheduled[src][dst] += bytes as u64;
+                }
+            }
+            assert_eq!(real, scheduled, "{} n={n}", algo.name());
+        }
+    }
+}
+
+/// Every plan is well-formed at every world size, degenerate lengths
+/// included: compiling terminates (a stuck compile *is* a deadlock of the
+/// real run), pairs each send with exactly one receive of equal length and
+/// leaves none over — `compile` panics otherwise — so the schedule has one
+/// transfer per send and one compute per receive-and-sum.
+#[test]
+fn every_plan_is_well_formed() {
     let cost = CostModel::default();
     for algo in AllreduceAlgo::all() {
         let a = algo.build();
-        let sent = run_cluster(n, |comm| {
-            let before = comm.bytes_sent();
-            let mut buf = vec![comm.rank() as f32; elems];
-            a.run(comm, &mut buf);
-            comm.bytes_sent() - before
-        });
-        let real_total: u64 = sent.iter().sum();
-        let schedule_total = a.schedule(n, payload_bytes, &cost).total_bytes();
-        // Hierarchical runs comm splits whose control messages (16 B per
-        // member) add a sliver; everything else should match to rounding.
-        let tol = if algo.name() == "hierarchical" { 0.02 } else { 0.005 };
-        let rel = (real_total as f64 - schedule_total).abs() / schedule_total;
-        assert!(
-            rel <= tol,
-            "{}: real {} B vs schedule {} B (rel {:.4})",
-            algo.name(),
-            real_total,
-            schedule_total,
-            rel
-        );
+        for n in 1..=17usize {
+            for len in [0, 1, n - 1, n, 257] {
+                let plans: Vec<Vec<Step>> = (0..n).map(|r| a.plan(n, r, len)).collect();
+                let count = |f: fn(&Step) -> bool| plans.iter().flatten().filter(|s| f(s)).count();
+                let sends = count(|s| matches!(s, Step::Send { .. }));
+                let sums = count(|s| matches!(s, Step::RecvReduce { .. }));
+                let copies = count(|s| matches!(s, Step::RecvCopy { .. }));
+                assert_eq!(sends, sums + copies, "{} n={n} len={len}", algo.name());
+                let sch = compile(&plans, &cost);
+                let transfers =
+                    sch.ops().iter().filter(|op| matches!(op.kind, OpKind::Transfer { .. })).count();
+                assert_eq!(transfers, sends, "{} n={n} len={len}", algo.name());
+                assert_eq!(sch.len() - transfers, sums, "{} n={n} len={len}", algo.name());
+            }
+        }
     }
 }
 

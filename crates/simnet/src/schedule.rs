@@ -100,61 +100,6 @@ impl CommSchedule {
         id
     }
 
-    /// Merge another schedule into this one (op ids of `other` are shifted).
-    /// Returns the id offset applied to `other`'s ops.
-    pub fn append(&mut self, other: &CommSchedule) -> usize {
-        assert_eq!(self.n_ranks, other.n_ranks, "rank-count mismatch on append");
-        let off = self.ops.len();
-        for op in &other.ops {
-            let mut shifted = op.clone();
-            for d in &mut shifted.deps {
-                *d += off;
-            }
-            self.ops.push(shifted);
-        }
-        off
-    }
-
-    /// Append `other` — a schedule over `map.len()` *logical* ranks — with
-    /// logical rank `i` placed on this schedule's rank `map[i]`, and with
-    /// every dependency-free op of `other` made to wait for `entry[rank]` of
-    /// the rank that initiates it (the sender of a transfer, the owner of a
-    /// compute). This is how phases compose: e.g. a leaders-only allreduce
-    /// embedded after per-group reductions.
-    pub fn append_embedded(
-        &mut self,
-        other: &CommSchedule,
-        map: &[usize],
-        entry: &[Option<OpId>],
-    ) -> usize {
-        assert_eq!(map.len(), other.n_ranks, "map must cover other's ranks");
-        assert_eq!(entry.len(), self.n_ranks, "entry deps are per physical rank");
-        for &p in map {
-            assert!(p < self.n_ranks, "mapped rank out of range");
-        }
-        let off = self.ops.len();
-        for op in &other.ops {
-            let initiator = match op.kind {
-                OpKind::Transfer { src, .. } => map[src],
-                OpKind::Compute { rank, .. } => map[rank],
-            };
-            let kind = match op.kind {
-                OpKind::Transfer { src, dst, bytes } => {
-                    OpKind::Transfer { src: map[src], dst: map[dst], bytes }
-                }
-                OpKind::Compute { rank, secs } => OpKind::Compute { rank: map[rank], secs },
-            };
-            let mut deps: Vec<OpId> = op.deps.iter().map(|d| d + off).collect();
-            if deps.is_empty() {
-                if let Some(e) = entry[initiator] {
-                    deps.push(e);
-                }
-            }
-            self.ops.push(Op { kind, deps });
-        }
-        off
-    }
-
     /// Total bytes transferred by all `Transfer` ops.
     pub fn total_bytes(&self) -> f64 {
         self.ops
@@ -250,20 +195,6 @@ mod tests {
     fn out_of_range_endpoint_panics() {
         let mut s = CommSchedule::new(2);
         s.transfer(0, 2, 1.0, vec![]);
-    }
-
-    #[test]
-    fn append_shifts_dependencies() {
-        let mut a = CommSchedule::new(2);
-        a.transfer(0, 1, 1.0, vec![]);
-        let mut b = CommSchedule::new(2);
-        let t = b.transfer(1, 0, 2.0, vec![]);
-        b.compute(0, 0.1, vec![t]);
-        let off = a.append(&b);
-        assert_eq!(off, 1);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.ops()[2].deps, vec![1]);
-        a.validate();
     }
 
     #[test]

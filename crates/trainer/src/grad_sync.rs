@@ -177,20 +177,6 @@ impl GradSync {
         GradSync::from_selector(selector, segments, bucket_bytes, fp16)
     }
 
-    /// Construct from a bare algorithm handle.
-    #[deprecated(
-        note = "thread a typed `AlgoPolicy` through `GradSync::with_policy` instead of a \
-                trait-object handle"
-    )]
-    pub fn new(
-        algo: Arc<dyn Allreduce + Send + Sync>,
-        segments: &[ParamSegment],
-        bucket_bytes: usize,
-        fp16: bool,
-    ) -> Self {
-        GradSync::from_selector(Selector::Fixed(algo), segments, bucket_bytes, fp16)
-    }
-
     fn from_selector(
         selector: Selector,
         segments: &[ParamSegment],
@@ -787,32 +773,6 @@ mod tests {
                 assert!(drain, "sharded={sharded} rank {rank}: drain diverged");
                 assert!(hooked, "sharded={sharded} rank {rank}: hooked diverged");
             }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_handle_constructor_still_reduces() {
-        // The trait-object constructor stays one release as a shim; it must
-        // keep producing the same bits as the policy path.
-        let s = segs(&[17, 48]);
-        let out = run_cluster(2, move |comm| {
-            let mk = |rank: usize| -> Vec<f32> {
-                (0..65).map(|i| ((i + rank * 7) as f32).cos()).collect()
-            };
-            let mut shim = mk(comm.rank());
-            GradSync::new(AllreduceAlgo::PipelinedRing.build_shared(), &s, 128, false)
-                .reduce(comm, &mut shim);
-            let mut policy = mk(comm.rank());
-            GradSync::with_policy(AllreduceAlgo::PipelinedRing.into(), &s, 128, false)
-                .reduce(comm, &mut policy);
-            (shim, policy)
-        });
-        for (a, b) in &out {
-            assert_eq!(
-                a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
         }
     }
 

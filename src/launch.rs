@@ -15,7 +15,7 @@ use dcnn_collectives::{
 };
 use dcnn_dimd::{BatchSource, Dimd, Hello, LocalSource, ServiceSource, SynthConfig, SynthImageNet};
 use dcnn_tensor::optim::LrSchedule;
-use dcnn_trainer::{train_on_comm, TrainConfig};
+use dcnn_trainer::{train_on_comm, EpochStats, TrainConfig};
 
 /// Names every registered workload, in registry order.
 pub fn workload_names() -> &'static [&'static str] {
@@ -122,21 +122,54 @@ pub fn allreduce_workload(comm: &Comm) -> Vec<String> {
     lines
 }
 
-/// One epoch of the quickstart training run (scaled ResNet, DIMD
-/// partitions, multicolor allreduce) on however many ranks the cluster
-/// has. Every rank regenerates the same synthetic dataset from the same
-/// seed, exactly as separate nodes would. The loss is printed to full
-/// precision: training math is deterministic, so backends must agree on
-/// every bit of it.
-pub fn quickstart_epoch_workload(comm: &Comm) -> Vec<String> {
+/// What sets one `*-epoch` workload's training run apart from the others;
+/// everything else about the run is shared (see [`train_epochs`]).
+struct EpochSpec {
+    /// Training images per class of the synthetic set.
+    train_per_class: usize,
+    /// Validation images per class (generated, never evaluated).
+    val_per_class: usize,
+    /// Epochs to train.
+    epochs: usize,
+    /// ResNet `(base_width, init seed)`.
+    model: (usize, u64),
+    /// Cross-node shuffle cadence in epochs (0 = never).
+    shuffle_every: usize,
+}
+
+/// The quickstart ResNet: small enough that an epoch is a smoke test.
+const QUICKSTART_MODEL: (usize, u64) = (6, 77);
+/// A wider ResNet with enough parameters to split into many buckets.
+const WIDE_MODEL: (usize, u64) = (24, 78);
+/// Network input crop of every `*-epoch` workload.
+const EPOCH_CROP: usize = 16;
+
+/// The 4-class 16×16 synthetic set the `*-epoch` workloads train on.
+fn epoch_synth(train_per_class: usize, val_per_class: usize) -> SynthConfig {
     let mut synth = SynthConfig::tiny(4);
-    synth.train_per_class = 24;
-    synth.val_per_class = 8;
+    synth.train_per_class = train_per_class;
+    synth.val_per_class = val_per_class;
     synth.base_hw = 16;
-    let ds = SynthImageNet::new(synth);
-    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, 1, &runtime());
-    cfg.crop = 16;
+    synth
+}
+
+/// The training run every `*-epoch` workload shares: every rank regenerates
+/// the same synthetic dataset from the same seed, exactly as separate nodes
+/// would, and trains a one-block ResNet for `spec.epochs` epochs under the
+/// `DCNN_*` runtime (2 GPUs per node, batch 4 per GPU, constant 0.05
+/// learning rate, no validation). `overrides` runs last, for the settings a
+/// single workload pins or defaults differently.
+fn train_epochs(
+    comm: &Comm,
+    spec: &EpochSpec,
+    overrides: impl FnOnce(&mut TrainConfig, &RuntimeConfig),
+) -> Vec<EpochStats> {
+    let ds = SynthImageNet::new(epoch_synth(spec.train_per_class, spec.val_per_class));
+    let rt = runtime();
+    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, spec.epochs, &rt);
+    cfg.crop = EPOCH_CROP;
     cfg.validate = false;
+    cfg.shuffle_every_epochs = spec.shuffle_every;
     cfg.lr = LrSchedule {
         init_lr: 0.05,
         base_lr: 0.05,
@@ -144,28 +177,43 @@ pub fn quickstart_epoch_workload(comm: &Comm) -> Vec<String> {
         step_epochs: 100.0,
         decay: 0.1,
     };
-    let stats = train_on_comm(comm, &cfg, &ds, &|| {
+    overrides(&mut cfg, &rt);
+    let (base_width, seed) = spec.model;
+    train_on_comm(comm, &cfg, &ds, &|| {
         crate::models::resnet::ResNetConfig {
             blocks: vec![1],
-            base_width: 6,
+            base_width,
             bottleneck: false,
             classes: 4,
             input: [3, 16, 16],
             imagenet_stem: false,
         }
-        .build(77)
-    });
+        .build(seed)
+    })
+}
+
+/// One `epoch N loss=… acc=…` report line per epoch. The loss is printed to
+/// full precision: training math is deterministic, so backends and modes
+/// that claim equivalence must agree on every bit of it.
+fn epoch_lines(stats: &[EpochStats]) -> Vec<String> {
     stats
         .iter()
-        .map(|s| {
-            format!(
-                "epoch {} loss={} acc={:.4}",
-                s.epoch,
-                s.train_loss,
-                s.train_acc
-            )
-        })
+        .map(|s| format!("epoch {} loss={} acc={:.4}", s.epoch, s.train_loss, s.train_acc))
         .collect()
+}
+
+/// One epoch of the quickstart training run (scaled ResNet, DIMD
+/// partitions with the cross-node shuffle on, multicolor allreduce) on
+/// however many ranks the cluster has.
+pub fn quickstart_epoch_workload(comm: &Comm) -> Vec<String> {
+    let spec = EpochSpec {
+        train_per_class: 24,
+        val_per_class: 8,
+        epochs: 1,
+        model: QUICKSTART_MODEL,
+        shuffle_every: 1,
+    };
+    epoch_lines(&train_epochs(comm, &spec, |_, _| {}))
 }
 
 /// One epoch of overlap-aware training: a wider ResNet than the quickstart
@@ -181,44 +229,15 @@ pub fn quickstart_epoch_workload(comm: &Comm) -> Vec<String> {
 /// bucket reduces — the observable proof that the overlap engine actually
 /// overlapped.
 pub fn bucketed_epoch_workload(comm: &Comm) -> Vec<String> {
-    let mut synth = SynthConfig::tiny(4);
-    synth.train_per_class = 12;
-    synth.val_per_class = 4;
-    synth.base_hw = 16;
-    let ds = SynthImageNet::new(synth);
-    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, 1, &runtime());
-    cfg.crop = 16;
-    cfg.validate = false;
-    cfg.shuffle_every_epochs = 0;
-    cfg.lr = LrSchedule {
-        init_lr: 0.05,
-        base_lr: 0.05,
-        warmup_epochs: 1.0,
-        step_epochs: 100.0,
-        decay: 0.1,
+    let spec = EpochSpec {
+        train_per_class: 12,
+        val_per_class: 4,
+        epochs: 1,
+        model: WIDE_MODEL,
+        shuffle_every: 0,
     };
-    let stats = train_on_comm(comm, &cfg, &ds, &|| {
-        crate::models::resnet::ResNetConfig {
-            blocks: vec![1],
-            base_width: 24,
-            bottleneck: false,
-            classes: 4,
-            input: [3, 16, 16],
-            imagenet_stem: false,
-        }
-        .build(78)
-    });
-    let mut lines: Vec<String> = stats
-        .iter()
-        .map(|s| {
-            format!(
-                "epoch {} loss={} acc={:.4}",
-                s.epoch,
-                s.train_loss,
-                s.train_acc
-            )
-        })
-        .collect();
+    let stats = train_epochs(comm, &spec, |_, _| {});
+    let mut lines = epoch_lines(&stats);
     let hwm = stats.iter().map(|s| s.async_inflight_hwm).max().unwrap_or(0);
     lines.push(format!("inflight_hwm={hwm}"));
     lines
@@ -233,44 +252,15 @@ pub fn bucketed_epoch_workload(comm: &Comm) -> Vec<String> {
 /// schedule hides strictly more reduce time than the end-of-backward drain
 /// schedule. The trailing `inflight_hwm=` line proves reduces overlapped.
 pub fn overlap_epoch_workload(comm: &Comm) -> Vec<String> {
-    let mut synth = SynthConfig::tiny(4);
-    synth.train_per_class = 12;
-    synth.val_per_class = 4;
-    synth.base_hw = 16;
-    let ds = SynthImageNet::new(synth);
-    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, 2, &runtime());
-    cfg.crop = 16;
-    cfg.validate = false;
-    cfg.shuffle_every_epochs = 0;
-    cfg.lr = LrSchedule {
-        init_lr: 0.05,
-        base_lr: 0.05,
-        warmup_epochs: 1.0,
-        step_epochs: 100.0,
-        decay: 0.1,
+    let spec = EpochSpec {
+        train_per_class: 12,
+        val_per_class: 4,
+        epochs: 2,
+        model: WIDE_MODEL,
+        shuffle_every: 0,
     };
-    let stats = train_on_comm(comm, &cfg, &ds, &|| {
-        crate::models::resnet::ResNetConfig {
-            blocks: vec![1],
-            base_width: 24,
-            bottleneck: false,
-            classes: 4,
-            input: [3, 16, 16],
-            imagenet_stem: false,
-        }
-        .build(78)
-    });
-    let mut lines: Vec<String> = stats
-        .iter()
-        .map(|s| {
-            format!(
-                "epoch {} loss={} acc={:.4}",
-                s.epoch,
-                s.train_loss,
-                s.train_acc
-            )
-        })
-        .collect();
+    let stats = train_epochs(comm, &spec, |_, _| {});
+    let mut lines = epoch_lines(&stats);
     let overlap = stats.iter().map(|s| s.overlap_frac).fold(0.0, f64::max);
     let hwm = stats.iter().map(|s| s.async_inflight_hwm).max().unwrap_or(0);
     lines.push(format!("overlap_frac={overlap:.6}"));
@@ -288,44 +278,14 @@ pub fn overlap_epoch_workload(comm: &Comm) -> Vec<String> {
 /// with a structured `PeerDead` report naming it — which is exactly what
 /// `tests/transport_process.rs` and the `ci.sh` fault smoke assert on.
 pub fn fault_epoch_workload(comm: &Comm) -> Vec<String> {
-    let mut synth = SynthConfig::tiny(4);
-    synth.train_per_class = 24;
-    synth.val_per_class = 4;
-    synth.base_hw = 16;
-    let ds = SynthImageNet::new(synth);
-    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, 3, &runtime());
-    cfg.crop = 16;
-    cfg.validate = false;
-    cfg.shuffle_every_epochs = 0;
-    cfg.lr = LrSchedule {
-        init_lr: 0.05,
-        base_lr: 0.05,
-        warmup_epochs: 1.0,
-        step_epochs: 100.0,
-        decay: 0.1,
+    let spec = EpochSpec {
+        train_per_class: 24,
+        val_per_class: 4,
+        epochs: 3,
+        model: QUICKSTART_MODEL,
+        shuffle_every: 0,
     };
-    let stats = train_on_comm(comm, &cfg, &ds, &|| {
-        crate::models::resnet::ResNetConfig {
-            blocks: vec![1],
-            base_width: 6,
-            bottleneck: false,
-            classes: 4,
-            input: [3, 16, 16],
-            imagenet_stem: false,
-        }
-        .build(77)
-    });
-    stats
-        .iter()
-        .map(|s| {
-            format!(
-                "epoch {} loss={} acc={:.4}",
-                s.epoch,
-                s.train_loss,
-                s.train_acc
-            )
-        })
-        .collect()
+    epoch_lines(&train_epochs(comm, &spec, |_, _| {}))
 }
 
 /// Two epochs of the wide ResNet on the ring-reduce-scatter algorithm,
@@ -340,45 +300,17 @@ pub fn fault_epoch_workload(comm: &Comm) -> Vec<String> {
 /// and optimizer residency: the sharded run's `opt_bytes` must shrink by
 /// ~world-size ×, which is the strategy's memory win, measured.
 pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
-    let mut synth = SynthConfig::tiny(4);
-    synth.train_per_class = 24;
-    synth.val_per_class = 4;
-    synth.base_hw = 16;
-    let ds = SynthImageNet::new(synth);
-    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, 2, &runtime());
-    cfg.algo = AllreduceAlgo::RingReduceScatter.into();
-    cfg.crop = 16;
-    cfg.validate = false;
-    cfg.shuffle_every_epochs = 0;
-    cfg.lr = LrSchedule {
-        init_lr: 0.05,
-        base_lr: 0.05,
-        warmup_epochs: 1.0,
-        step_epochs: 100.0,
-        decay: 0.1,
+    let spec = EpochSpec {
+        train_per_class: 24,
+        val_per_class: 4,
+        epochs: 2,
+        model: WIDE_MODEL,
+        shuffle_every: 0,
     };
-    let stats = train_on_comm(comm, &cfg, &ds, &|| {
-        crate::models::resnet::ResNetConfig {
-            blocks: vec![1],
-            base_width: 24,
-            bottleneck: false,
-            classes: 4,
-            input: [3, 16, 16],
-            imagenet_stem: false,
-        }
-        .build(78)
+    let stats = train_epochs(comm, &spec, |cfg, _| {
+        cfg.algo = AllreduceAlgo::RingReduceScatter.into();
     });
-    let mut lines: Vec<String> = stats
-        .iter()
-        .map(|s| {
-            format!(
-                "epoch {} loss={} acc={:.4}",
-                s.epoch,
-                s.train_loss,
-                s.train_acc
-            )
-        })
-        .collect();
+    let mut lines = epoch_lines(&stats);
     // Gather the last epoch's measured residency from every rank so rank
     // 0's report carries the whole cluster's memory picture.
     let last = stats.last().expect("at least one epoch");
@@ -405,54 +337,25 @@ pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
 /// `ci.sh` asserts exactly that, plus bitwise-equal losses against a fixed
 /// run when the candidate set is pinned to one algorithm.
 pub fn autotune_epoch_workload(comm: &Comm) -> Vec<String> {
-    let mut synth = SynthConfig::tiny(4);
-    synth.train_per_class = 12;
-    synth.val_per_class = 4;
-    synth.base_hw = 16;
-    let ds = SynthImageNet::new(synth);
-    let rt = runtime();
-    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, 3, &rt);
-    if rt.algo.is_none() {
-        cfg.algo = AlgoPolicy::Auto(TunerConfig::with_candidates(vec![
-            AllreduceAlgo::PipelinedRing,
-            AllreduceAlgo::HalvingDoubling,
-        ]));
-    }
-    if rt.bucket_bytes.is_none() {
-        cfg.bucket_bytes = 4096;
-    }
-    cfg.crop = 16;
-    cfg.validate = false;
-    cfg.shuffle_every_epochs = 0;
-    cfg.lr = LrSchedule {
-        init_lr: 0.05,
-        base_lr: 0.05,
-        warmup_epochs: 1.0,
-        step_epochs: 100.0,
-        decay: 0.1,
+    let spec = EpochSpec {
+        train_per_class: 12,
+        val_per_class: 4,
+        epochs: 3,
+        model: WIDE_MODEL,
+        shuffle_every: 0,
     };
-    let stats = train_on_comm(comm, &cfg, &ds, &|| {
-        crate::models::resnet::ResNetConfig {
-            blocks: vec![1],
-            base_width: 24,
-            bottleneck: false,
-            classes: 4,
-            input: [3, 16, 16],
-            imagenet_stem: false,
+    let stats = train_epochs(comm, &spec, |cfg, rt| {
+        if rt.algo.is_none() {
+            cfg.algo = AlgoPolicy::Auto(TunerConfig::with_candidates(vec![
+                AllreduceAlgo::PipelinedRing,
+                AllreduceAlgo::HalvingDoubling,
+            ]));
         }
-        .build(78)
+        if rt.bucket_bytes.is_none() {
+            cfg.bucket_bytes = 4096;
+        }
     });
-    let mut lines: Vec<String> = stats
-        .iter()
-        .map(|s| {
-            format!(
-                "epoch {} loss={} acc={:.4}",
-                s.epoch,
-                s.train_loss,
-                s.train_acc
-            )
-        })
-        .collect();
+    let mut lines = epoch_lines(&stats);
     // Gather every rank's final decision table so rank 0's report proves
     // (or disproves) cluster-wide agreement.
     let last = stats.last().expect("at least one epoch");
@@ -521,18 +424,14 @@ pub struct DataPlaneSpec {
 
 /// The one spec both data-plane workloads and the server binary share.
 pub fn data_plane_spec() -> DataPlaneSpec {
-    let mut synth = SynthConfig::tiny(4);
-    synth.train_per_class = 24;
-    synth.val_per_class = 4;
-    synth.base_hw = 16;
     DataPlaneSpec {
-        synth,
+        synth: epoch_synth(24, 4),
         quality: 70,
         seed: 42,
         epochs: 2,
         shuffle_every: 1,
         segment_bytes: 2048,
-        crop: 16,
+        crop: EPOCH_CROP,
     }
 }
 
@@ -551,44 +450,20 @@ pub fn data_plane_partition(spec: &DataPlaneSpec, ds: &SynthImageNet, v: usize, 
 /// print byte-identical `epoch` lines, which is the data plane's
 /// correctness contract (`ci.sh` diffs exactly that).
 pub fn data_epoch_workload(comm: &Comm) -> Vec<String> {
-    let spec = data_plane_spec();
-    let ds = SynthImageNet::new(spec.synth.clone());
-    let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, spec.epochs, &runtime());
-    cfg.crop = spec.crop;
-    cfg.validate = false;
-    cfg.quality = spec.quality;
-    cfg.seed = spec.seed;
-    cfg.shuffle_every_epochs = spec.shuffle_every;
-    cfg.shuffle_segment_bytes = spec.segment_bytes;
-    cfg.lr = LrSchedule {
-        init_lr: 0.05,
-        base_lr: 0.05,
-        warmup_epochs: 1.0,
-        step_epochs: 100.0,
-        decay: 0.1,
+    let plane = data_plane_spec();
+    let spec = EpochSpec {
+        train_per_class: plane.synth.train_per_class,
+        val_per_class: plane.synth.val_per_class,
+        epochs: plane.epochs,
+        model: QUICKSTART_MODEL,
+        shuffle_every: plane.shuffle_every,
     };
-    let stats = train_on_comm(comm, &cfg, &ds, &|| {
-        crate::models::resnet::ResNetConfig {
-            blocks: vec![1],
-            base_width: 6,
-            bottleneck: false,
-            classes: 4,
-            input: [3, 16, 16],
-            imagenet_stem: false,
-        }
-        .build(77)
+    let stats = train_epochs(comm, &spec, |cfg, _| {
+        cfg.quality = plane.quality;
+        cfg.seed = plane.seed;
+        cfg.shuffle_segment_bytes = plane.segment_bytes;
     });
-    stats
-        .iter()
-        .map(|s| {
-            format!(
-                "epoch {} loss={} acc={:.4}",
-                s.epoch,
-                s.train_loss,
-                s.train_acc
-            )
-        })
-        .collect()
+    epoch_lines(&stats)
 }
 
 /// Data-plane soak: every rank is a pure *consumer* — no model, no SGD —
