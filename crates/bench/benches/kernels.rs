@@ -11,7 +11,8 @@ use dcnn_core::dimd::{decode_image, encode_image, SynthConfig, SynthImageNet};
 use dcnn_core::dpt::{DptExecutor, DptStrategy};
 use dcnn_core::models::resnet::ResNetConfig;
 use dcnn_core::simnet::{FatTree, SimOptions};
-use dcnn_core::tensor::gemm::gemm;
+use dcnn_core::tensor::gemm::{gemm, gemm_nt_acc, gemm_tn_acc};
+use dcnn_core::tensor::im2col::{col2im, im2col};
 use dcnn_core::tensor::layers::{Conv2d, Module};
 use dcnn_core::tensor::Tensor;
 
@@ -82,7 +83,7 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
-/// GEMM and convolution kernels.
+/// GEMM, im2col/col2im and convolution kernels.
 fn bench_tensor_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("tensor_kernels");
     let n = 128;
@@ -94,6 +95,43 @@ fn bench_tensor_kernels(c: &mut Criterion) {
         b.iter(|| {
             gemm(&mut out, a.data(), bm.data(), n, n, n);
             black_box(out[0])
+        })
+    });
+    // The two conv-backward GEMMs of a 16-filter 3x3 conv on a 16-channel
+    // 32x32 image: gW += g · colᵀ (nt) and gcol += Wᵀ · g (tn).
+    let (oc, k2, hw) = (16, 144, 1024);
+    let grad = Tensor::randn(&[oc, hw], 1.0, 3);
+    let colm = Tensor::randn(&[k2, hw], 1.0, 4);
+    let w = Tensor::randn(&[oc, k2], 1.0, 5);
+    let mut gw = vec![0.0f32; oc * k2];
+    let mut gcol = vec![0.0f32; k2 * hw];
+    g.throughput(Throughput::Elements((2 * oc * k2 * hw) as u64));
+    g.bench_function("gemm_nt_acc_16x1024x144", |b| {
+        b.iter(|| {
+            gemm_nt_acc(&mut gw, grad.data(), colm.data(), oc, hw, k2);
+            black_box(gw[0])
+        })
+    });
+    g.bench_function("gemm_tn_acc_144x16x1024", |b| {
+        b.iter(|| {
+            gemm_tn_acc(&mut gcol, w.data(), grad.data(), k2, oc, hw);
+            black_box(gcol[0])
+        })
+    });
+    let (ch, side) = (16, 32);
+    let img = Tensor::randn(&[ch, side, side], 1.0, 6);
+    let mut dimg = vec![0.0f32; img.len()];
+    g.throughput(Throughput::Bytes((gcol.len() * 4) as u64));
+    g.bench_function("im2col_16x32x32_k3p1", |b| {
+        b.iter(|| {
+            im2col(img.data(), &mut gcol, ch, side, side, 3, 3, 1, 1);
+            black_box(gcol[0])
+        })
+    });
+    g.bench_function("col2im_16x32x32_k3p1", |b| {
+        b.iter(|| {
+            col2im(&gcol, &mut dimg, ch, side, side, 3, 3, 1, 1);
+            black_box(dimg[0])
         })
     });
     g.finish();

@@ -9,9 +9,10 @@
 //! statistic of record — scheduler preemption and cache pollution only ever
 //! add time, so the min is the closest observable to the kernel's true
 //! cost and is by far the most stable across runs. Deterministic
-//! CPU-bound rows are `tracked` (CI gates on them); loopback socket
-//! round-trips are recorded for the trajectory but untracked, because
-//! wall-clock RTT through the kernel's TCP stack is too noisy to gate on.
+//! CPU-bound rows are `tracked` (CI gates on them); rows that time a
+//! hand-off between threads — loopback socket round-trips and the two-rank
+//! `shard/*` collectives — are recorded for the trajectory but untracked,
+//! because their wall clock is the scheduler's, not the kernel's.
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -241,10 +242,10 @@ pub fn bench_data_plane(quick: bool, rows: &mut Vec<PerfRow>) {
 /// Benchmark the sharded-optimizer collectives: a blocking ring
 /// reduce-scatter and the matching counts-based allgather between two
 /// threaded ranks — the per-step exchange pair the `DCNN_SHARD_OPTIM`
-/// gradient path lives on. The threaded fabric is in-process channel
-/// passing (no kernel sockets), so the min-of-N statistic is stable
-/// enough to gate; each row reports the cluster-max of the per-rank
-/// minima, since a collective is only as fast as its slowest rank.
+/// gradient path lives on. Each row reports the cluster-max of the
+/// per-rank minima, since a collective is only as fast as its slowest
+/// rank. Untracked: every iteration is a rendezvous of two threads, and on
+/// a 2-core host the same binary reads ~11 µs or ~30 µs minutes apart.
 pub fn bench_shard_collectives(quick: bool, rows: &mut Vec<PerfRow>) {
     use dcnn_core::collectives::{run_cluster, Comm};
 
@@ -265,7 +266,7 @@ pub fn bench_shard_collectives(quick: bool, rows: &mut Vec<PerfRow>) {
             })
         });
         let ns = mins.into_iter().fold(0.0f64, f64::max);
-        rows.push(row(format!("shard/reduce_scatter/{n}"), bytes, ns, true));
+        rows.push(row(format!("shard/reduce_scatter/{n}"), bytes, ns, false));
 
         let c = counts.clone();
         let mins = run_cluster(2, move |comm: &Comm| {
@@ -275,7 +276,7 @@ pub fn bench_shard_collectives(quick: bool, rows: &mut Vec<PerfRow>) {
             })
         });
         let ns = mins.into_iter().fold(0.0f64, f64::max);
-        rows.push(row(format!("shard/allgather/{n}"), bytes, ns, true));
+        rows.push(row(format!("shard/allgather/{n}"), bytes, ns, false));
     }
 }
 
@@ -481,6 +482,28 @@ mod tests {
         let mut fast = mk(130.0);
         fast.rows[0].tracked = false;
         assert!(regressions(&fast, &baseline, 0.20).is_empty());
+    }
+
+    #[test]
+    fn shard_rows_are_recorded_but_never_gate() {
+        // The committed baseline still marks them tracked; the gate reads
+        // the current report's flag, so a 3x slower rendezvous passes.
+        let mut rows = Vec::new();
+        bench_shard_collectives(true, &mut rows);
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["shard/reduce_scatter/16384", "shard/allgather/16384"]);
+        assert!(rows.iter().all(|r| !r.tracked), "scheduler-bound rows must be untracked");
+        let baseline_rows: Vec<PerfRow> =
+            rows.iter().map(|r| row(r.name.clone(), r.bytes, r.ns_per_iter / 3.0, true)).collect();
+        let report = |rows| BenchReport {
+            schema: SCHEMA.to_string(),
+            date: "2026-08-07".to_string(),
+            quick: true,
+            rows,
+        };
+        let baseline_json = serde_json::to_string(&report(baseline_rows)).expect("serialize");
+        let baseline: serde_json::Value = serde_json::from_str(&baseline_json).expect("parse");
+        assert!(regressions(&report(rows), &baseline, 0.20).is_empty());
     }
 
     #[test]

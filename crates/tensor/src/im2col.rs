@@ -15,8 +15,21 @@ pub fn out_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize 
     (input + 2 * pad - kernel) / stride + 1
 }
 
+/// Output columns `oj` of kernel column `kj` whose input column
+/// `oj·stride + kj − pad` lies inside `0..w`, as `(lo, hi, first)`: the
+/// half-open interval `lo..hi` (empty as `lo == hi`) and the input column of
+/// `lo`. Outside it the tap reads padding.
+fn valid_cols(kj: usize, w: usize, ow: usize, stride: usize, pad: usize) -> (usize, usize, usize) {
+    let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
+    let hi = if w + pad > kj { ((w + pad - kj - 1) / stride + 1).min(ow) } else { 0 };
+    (lo, hi.max(lo), (lo * stride + kj).saturating_sub(pad))
+}
+
 /// Unroll one image `x` of shape `[c, h, w]` into `col` of shape
 /// `[c·kh·kw, oh·ow]` (row-major, preallocated).
+///
+/// Each `(channel, ki, kj, oi)` row of `col` is one run of an image row —
+/// copied whole at stride 1 — between zeroed edges.
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
     x: &[f32],
@@ -33,28 +46,27 @@ pub fn im2col(
     let ow = out_dim(w, kw, stride, pad);
     assert_eq!(x.len(), c * h * w);
     assert_eq!(col.len(), c * kh * kw * oh * ow);
-    let mut row = 0usize;
-    for ci in 0..c {
-        let xc = &x[ci * h * w..(ci + 1) * h * w];
+    let mut rows = col.chunks_mut(ow);
+    for xc in x.chunks(h * w) {
         for ki in 0..kh {
             for kj in 0..kw {
-                let dst = &mut col[row * oh * ow..(row + 1) * oh * ow];
-                row += 1;
+                let (lo, hi, first) = valid_cols(kj, w, ow, stride, pad);
                 for oi in 0..oh {
-                    let ii = (oi * stride + ki) as isize - pad as isize;
-                    let dst_row = &mut dst[oi * ow..(oi + 1) * ow];
-                    if ii < 0 || ii >= h as isize {
-                        dst_row.iter_mut().for_each(|v| *v = 0.0);
+                    let dst = rows.next().expect("c·kh·kw·oh rows");
+                    let ii = oi * stride + ki;
+                    if ii < pad || ii >= h + pad || lo == hi {
+                        dst.fill(0.0);
                         continue;
                     }
-                    let ii = ii as usize;
-                    for (oj, d) in dst_row.iter_mut().enumerate() {
-                        let jj = (oj * stride + kj) as isize - pad as isize;
-                        *d = if jj < 0 || jj >= w as isize {
-                            0.0
-                        } else {
-                            xc[ii * w + jj as usize]
-                        };
+                    let src = &xc[(ii - pad) * w + first..];
+                    dst[..lo].fill(0.0);
+                    dst[hi..].fill(0.0);
+                    if stride == 1 {
+                        dst[lo..hi].copy_from_slice(&src[..hi - lo]);
+                    } else {
+                        for (d, &s) in dst[lo..hi].iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = s;
+                        }
                     }
                 }
             }
@@ -63,7 +75,8 @@ pub fn im2col(
 }
 
 /// Scatter-add `col` (shape `[c·kh·kw, oh·ow]`) back into image gradient
-/// `dx` of shape `[c, h, w]` (accumulating; caller zeroes `dx` first).
+/// `dx` of shape `[c, h, w]` (accumulating; caller zeroes `dx` first), in
+/// `(channel, ki, kj, oi, oj)` order.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im(
     col: &[f32],
@@ -80,23 +93,25 @@ pub fn col2im(
     let ow = out_dim(w, kw, stride, pad);
     assert_eq!(dx.len(), c * h * w);
     assert_eq!(col.len(), c * kh * kw * oh * ow);
-    let mut row = 0usize;
-    for ci in 0..c {
-        let xc = &mut dx[ci * h * w..(ci + 1) * h * w];
+    let mut rows = col.chunks(ow);
+    for xc in dx.chunks_mut(h * w) {
         for ki in 0..kh {
             for kj in 0..kw {
-                let src = &col[row * oh * ow..(row + 1) * oh * ow];
-                row += 1;
+                let (lo, hi, first) = valid_cols(kj, w, ow, stride, pad);
                 for oi in 0..oh {
-                    let ii = (oi * stride + ki) as isize - pad as isize;
-                    if ii < 0 || ii >= h as isize {
+                    let src = &rows.next().expect("c·kh·kw·oh rows")[lo..hi];
+                    let ii = oi * stride + ki;
+                    if ii < pad || ii >= h + pad || lo == hi {
                         continue;
                     }
-                    let ii = ii as usize;
-                    for oj in 0..ow {
-                        let jj = (oj * stride + kj) as isize - pad as isize;
-                        if jj >= 0 && jj < w as isize {
-                            xc[ii * w + jj as usize] += src[oi * ow + oj];
+                    let dst = &mut xc[(ii - pad) * w + first..];
+                    if stride == 1 {
+                        for (d, &s) in dst[..hi - lo].iter_mut().zip(src) {
+                            *d += s;
+                        }
+                    } else {
+                        for (d, &s) in dst.iter_mut().step_by(stride).zip(src) {
+                            *d += s;
                         }
                     }
                 }
@@ -154,6 +169,97 @@ mod tests {
         assert_eq!(col[0], 0.0);
         // Row 4 = kernel center: output (0,0) reads x[0,0] = 1.
         assert_eq!(col[4 * 4], 1.0);
+    }
+
+    /// Every geometry of the sweep that `out_dim` accepts, as
+    /// `(h, w, k, stride, pad)`: kernels wider than the unpadded image
+    /// (`k = 5, 7` on `w = 3`) and taps with no valid column at all
+    /// (`k = 7`, `pad = 3`, `w = 3`: `kj = 6` starts past the last pixel).
+    fn sweep() -> impl Iterator<Item = (usize, usize, usize, usize, usize)> {
+        let dims = [(5, 3), (4, 9), (6, 7)];
+        dims.into_iter()
+            .flat_map(|(h, w)| [1, 2, 3, 5, 7].map(|k| (h, w, k)))
+            .flat_map(|(h, w, k)| [1, 2, 3].map(|stride| (h, w, k, stride)))
+            .flat_map(|(h, w, k, stride)| [0, 1, 2, 3].map(|pad| (h, w, k, stride, pad)))
+            .filter(|&(h, w, k, _, pad)| h + 2 * pad >= k && w + 2 * pad >= k)
+    }
+
+    /// Input pixel under tap `(ki, kj)` of output `(oi, oj)`, or `None` in
+    /// the padding — the per-element bounds test the kernels no longer make.
+    fn tap(
+        (oi, oj): (usize, usize),
+        (ki, kj): (usize, usize),
+        (h, w): (usize, usize),
+        stride: usize,
+        pad: usize,
+    ) -> Option<usize> {
+        let ii = (oi * stride + ki) as isize - pad as isize;
+        let jj = (oj * stride + kj) as isize - pad as isize;
+        (ii >= 0 && ii < h as isize && jj >= 0 && jj < w as isize)
+            .then(|| ii as usize * w + jj as usize)
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn im2col_equals_definition_gather_bitwise() {
+        let c = 2;
+        let mut empty_rows = 0;
+        for (h, w, k, stride, pad) in sweep() {
+            let (oh, ow) = (out_dim(h, k, stride, pad), out_dim(w, k, stride, pad));
+            let x: Vec<f32> = (0..c * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
+            let mut want = Vec::with_capacity(c * k * k * oh * ow);
+            for ci in 0..c {
+                for ki in 0..k {
+                    for kj in 0..k {
+                        empty_rows += (kj >= w + pad) as usize;
+                        for oi in 0..oh {
+                            for oj in 0..ow {
+                                let at = tap((oi, oj), (ki, kj), (h, w), stride, pad);
+                                want.push(at.map_or(0.0, |p| x[ci * h * w + p]));
+                            }
+                        }
+                    }
+                }
+            }
+            let mut col = vec![f32::NAN; want.len()];
+            im2col(&x, &mut col, c, h, w, k, k, stride, pad);
+            assert_eq!(bits(&col), bits(&want), "h={h} w={w} k={k} stride={stride} pad={pad}");
+        }
+        assert!(empty_rows > 0, "the sweep must reach taps with an empty interval");
+    }
+
+    #[test]
+    fn col2im_equals_definition_scatter_bitwise() {
+        let c = 2;
+        for (h, w, k, stride, pad) in sweep() {
+            let (oh, ow) = (out_dim(h, k, stride, pad), out_dim(w, k, stride, pad));
+            let col: Vec<f32> =
+                (0..c * k * k * oh * ow).map(|i| (i as f32 * 0.11).cos() * 3.0).collect();
+            // Accumulate onto a non-zero image, in (c, ki, kj, oi, oj) order.
+            let dx0: Vec<f32> = (0..c * h * w).map(|i| (i as f32 * 0.7).sin()).collect();
+            let mut want = dx0.clone();
+            let mut src = col.iter();
+            for ci in 0..c {
+                for ki in 0..k {
+                    for kj in 0..k {
+                        for oi in 0..oh {
+                            for oj in 0..ow {
+                                let v = src.next().expect("col element");
+                                if let Some(p) = tap((oi, oj), (ki, kj), (h, w), stride, pad) {
+                                    want[ci * h * w + p] += v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            let mut dx = dx0;
+            col2im(&col, &mut dx, c, h, w, k, k, stride, pad);
+            assert_eq!(bits(&dx), bits(&want), "h={h} w={w} k={k} stride={stride} pad={pad}");
+        }
     }
 
     #[test]

@@ -6,15 +6,16 @@ use std::cell::RefCell;
 use rayon::prelude::*;
 
 use super::{Module, Param};
-use crate::gemm::{gemm, gemm_nt_acc, gemm_tn_acc};
+use crate::gemm::{gemm_acc, gemm_nt_acc, gemm_tn_acc};
 use crate::im2col::{col2im, im2col, out_dim};
 use crate::init::he_conv;
 use crate::tensor::Tensor;
 
 thread_local! {
-    /// Reusable im2col scratch per rayon worker — conv layers are called
-    /// every iteration, and the unrolled column matrix is the single largest
-    /// transient allocation in training.
+    /// Reusable im2col scratch per thread (one per rank thread under the
+    /// sequential rayon shim) — conv layers are called every iteration, and
+    /// the unrolled column matrix is the single largest transient allocation
+    /// in training.
     static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Scratch for the backward pass's gradient columns.
     static GCOL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -102,23 +103,24 @@ impl Module for Conv2d {
         let img = self.in_c * h * w;
         let oimg = self.out_c * oh * ow;
         let wdata = self.weight.value.data();
-        let bias = self.bias.as_ref().map(|b| b.value.data().to_vec());
+        let bias = self.bias.as_ref().map(|b| b.value.data());
         let pointwise = self.is_pointwise();
         out.data_mut()
             .par_chunks_mut(oimg)
             .zip(x.data().par_chunks(img))
             .for_each(|(yo, xo)| {
+                // `yo` is still the zeros it was allocated as.
                 if pointwise {
                     // y[oc, hw] = W[oc, ic] · x[ic, hw] — the image already
                     // *is* the im2col matrix.
-                    gemm(yo, wdata, xo, self.out_c, self.in_c, oh * ow);
+                    gemm_acc(yo, wdata, xo, self.out_c, self.in_c, oh * ow);
                 } else {
                     with_scratch(&COL_SCRATCH, k2 * oh * ow, |col| {
                         im2col(xo, col, self.in_c, h, w, self.kh, self.kw, self.stride, self.pad);
-                        gemm(yo, wdata, col, self.out_c, k2, oh * ow);
+                        gemm_acc(yo, wdata, col, self.out_c, k2, oh * ow);
                     });
                 }
-                if let Some(b) = &bias {
+                if let Some(b) = bias {
                     for (c, yc) in yo.chunks_mut(oh * ow).enumerate() {
                         let bv = b[c];
                         yc.iter_mut().for_each(|v| *v += bv);
@@ -140,16 +142,18 @@ impl Module for Conv2d {
         let oimg = self.out_c * oh * ow;
         let mut dx = Tensor::zeros(x.shape());
         let wdata = self.weight.value.data();
+        // A conv feeding a BatchNorm has no bias gradient to sum.
+        let gb_len = if self.bias.is_some() { self.out_c } else { 0 };
 
-        // Per-image work, folding the weight/bias gradients thread-locally
-        // and reducing at the end (grad buffers are shared across the batch).
+        // Per-image work, folding the weight/bias gradients into one pair of
+        // buffers and adding it to the (batch-shared) grad buffers at the end.
         let (gw, gb) = dx
             .data_mut()
             .par_chunks_mut(img)
             .zip(x.data().par_chunks(img))
             .zip(grad.data().par_chunks(oimg))
             .fold(
-                || (vec![0.0f32; self.out_c * k2], vec![0.0f32; self.out_c]),
+                || (vec![0.0f32; self.out_c * k2], vec![0.0f32; gb_len]),
                 |(mut gw, mut gb), ((dxo, xo), go)| {
                     if self.is_pointwise() {
                         // gW[oc, ic] += g[oc, hw] · xᵀ; dx[ic, hw] = Wᵀ · g.
@@ -163,19 +167,19 @@ impl Module for Conv2d {
                         });
                         with_scratch(&GCOL_SCRATCH, k2 * oh * ow, |gcol| {
                             // grad_col[k2, ohow] = Wᵀ · g
-                            gcol.iter_mut().for_each(|v| *v = 0.0);
+                            gcol.fill(0.0);
                             gemm_tn_acc(gcol, wdata, go, k2, self.out_c, oh * ow);
                             col2im(gcol, dxo, self.in_c, h, w, self.kh, self.kw, self.stride, self.pad);
                         });
                     }
-                    for (c, gc) in go.chunks(oh * ow).enumerate() {
-                        gb[c] += gc.iter().sum::<f32>();
+                    for (b, gc) in gb.iter_mut().zip(go.chunks(oh * ow)) {
+                        *b += gc.iter().sum::<f32>();
                     }
                     (gw, gb)
                 },
             )
             .reduce(
-                || (vec![0.0f32; self.out_c * k2], vec![0.0f32; self.out_c]),
+                || (vec![0.0f32; self.out_c * k2], vec![0.0f32; gb_len]),
                 |(mut aw, mut ab), (bw, bb)| {
                     for (a, b) in aw.iter_mut().zip(&bw) {
                         *a += b;

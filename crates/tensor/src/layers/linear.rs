@@ -34,12 +34,8 @@ impl Module for Linear {
         let n = x.shape()[0];
         assert_eq!(x.len(), n * self.in_f, "linear input shape");
         let mut y = Tensor::zeros(&[n, self.out_f]);
-        // y[N,out] = x[N,in] · Wᵀ (W stored out×in).
-        {
-            let yd = y.data_mut();
-            yd.iter_mut().for_each(|v| *v = 0.0);
-            gemm_nt_acc(yd, x.data(), self.weight.value.data(), n, self.in_f, self.out_f);
-        }
+        // y[N,out] = x[N,in] · Wᵀ (W stored out×in), into the fresh zeros.
+        gemm_nt_acc(y.data_mut(), x.data(), self.weight.value.data(), n, self.in_f, self.out_f);
         let b = self.bias.value.data();
         for row in y.data_mut().chunks_mut(self.out_f) {
             for (v, &bv) in row.iter_mut().zip(b) {

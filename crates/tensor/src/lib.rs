@@ -8,11 +8,13 @@
 //! The compute substrate for reproducing *Kumar et al. (CLUSTER 2018)*. The
 //! paper trains ResNet-50 and GoogLeNet-BN with cuDNN kernels on P100 GPUs;
 //! we do not have those, so this crate implements the same mathematics on
-//! the CPU, exactly (forward *and* backward for every layer), with rayon
-//! parallelism playing the role of the intra-node accelerator:
+//! the CPU, exactly (forward *and* backward for every layer). The kernels
+//! hand their row blocks and images to `rayon`'s `par_*` API; the vendored
+//! shim runs those in order on the calling thread, so today each rank
+//! computes on one core:
 //!
 //! * [`Tensor`] — dense row-major `f32` tensors with shape tracking.
-//! * [`gemm`] — blocked, parallel matrix multiplication (the workhorse:
+//! * [`gemm`] — blocked, vectorized matrix multiplication (the workhorse:
 //!   convolutions lower to GEMM via [`im2col`], as cuDNN's implicit-GEMM
 //!   kernels do).
 //! * [`layers`] — `Conv2d`, `BatchNorm2d`, `ReLU`, `MaxPool2d`,

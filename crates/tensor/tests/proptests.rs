@@ -19,8 +19,142 @@ fn vecf(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// The four GEMM entry points over one logical product `C[m×n] (+)= A[m×k] · B[k×n]`.
+#[derive(Debug, Clone, Copy)]
+enum Gemm {
+    Nn,
+    NnAcc,
+    TnAcc,
+    NtAcc,
+}
+
+const GEMMS: [Gemm; 4] = [Gemm::Nn, Gemm::NnAcc, Gemm::TnAcc, Gemm::NtAcc];
+
+fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    (0..rows * cols).map(|i| x[(i % rows) * cols + i / rows]).collect()
+}
+
+impl Gemm {
+    /// Run the entry point on logical row-major `a` (m×k) and `b` (k×n),
+    /// storing whichever operand it wants transposed.
+    fn run(self, c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+        match self {
+            Gemm::Nn => gemm(c, a, b, m, k, n),
+            Gemm::NnAcc => gemm_acc(c, a, b, m, k, n),
+            Gemm::TnAcc => gemm_tn_acc(c, &transpose(a, m, k), b, m, k, n),
+            Gemm::NtAcc => gemm_nt_acc(c, a, &transpose(b, k, n), m, k, n),
+        }
+    }
+
+    fn accumulates(self) -> bool {
+        !matches!(self, Gemm::Nn)
+    }
+}
+
+/// Rows `rows` of a row-major matrix with `cols` columns.
+fn take_rows(x: &[f32], cols: usize, rows: &[usize]) -> Vec<f32> {
+    rows.iter().flat_map(|&r| x[r * cols..(r + 1) * cols].iter().copied()).collect()
+}
+
+/// Columns `pick` of a row-major matrix with `cols` columns.
+fn take_cols(x: &[f32], cols: usize, pick: &[usize]) -> Vec<f32> {
+    x.chunks(cols).flat_map(|row| pick.iter().map(|&j| row[j])).collect()
+}
+
+/// Every entry point against an f64 reference at one shape, starting from a
+/// non-zero `C`: the error of an f32 sum of `k` products (in any order) is
+/// within `(k + 2)·ε·Σ|aₗ·bₗ|`.
+fn check_against_f64(m: usize, k: usize, n: usize, seed: u64) {
+    let (a, b, c0) = (vecf(m * k, seed), vecf(k * n, seed + 1), vecf(m * n, seed + 2));
+    for g in GEMMS {
+        let mut c = c0.clone();
+        g.run(&mut c, &a, &b, m, k, n);
+        for i in 0..m {
+            for j in 0..n {
+                let start = if g.accumulates() { c0[i * n + j] as f64 } else { 0.0 };
+                let (mut want, mut mag) = (start, start.abs());
+                for l in 0..k {
+                    let p = a[i * k + l] as f64 * b[l * n + j] as f64;
+                    want += p;
+                    mag += p.abs();
+                }
+                let bound = (k + 2) as f64 * f32::EPSILON as f64 * mag;
+                let got = c[i * n + j] as f64;
+                assert!(
+                    (got - want).abs() <= bound,
+                    "{g:?} ({m},{k},{n}) C[{i},{j}] = {got}, want {want} ± {bound}"
+                );
+            }
+        }
+    }
+}
+
+/// Sub-block invariance, bitwise: the rows `rows` and the columns `cols` of
+/// `C`, each computed by a call of its own on the matching operand subset,
+/// equal the same entries of the one-call result.
+fn check_sub_blocks(m: usize, k: usize, n: usize, rows: &[usize], cols: &[usize], seed: u64) {
+    let (a, b, c0) = (vecf(m * k, seed), vecf(k * n, seed + 1), vecf(m * n, seed + 2));
+    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    for g in GEMMS {
+        let mut full = c0.clone();
+        g.run(&mut full, &a, &b, m, k, n);
+
+        let mut by_rows = take_rows(&c0, n, rows);
+        g.run(&mut by_rows, &take_rows(&a, k, rows), &b, rows.len(), k, n);
+        assert_eq!(
+            bits(&by_rows),
+            bits(&take_rows(&full, n, rows)),
+            "{g:?} ({m},{k},{n}) rows {rows:?}"
+        );
+
+        let mut by_cols = take_cols(&c0, n, cols);
+        g.run(&mut by_cols, &a, &take_cols(&b, n, cols), m, k, cols.len());
+        assert_eq!(
+            bits(&by_cols),
+            bits(&take_cols(&full, n, cols)),
+            "{g:?} ({m},{k},{n}) cols {cols:?}"
+        );
+    }
+}
+
+/// The `k` values on either side of the accumulator lane count and its
+/// multiples, plus the two probe depths.
+const RAGGED_K: [usize; 9] = [1, 7, 8, 9, 15, 16, 17, 144, 1024];
+
+#[test]
+fn gemm_entry_points_match_f64_reference_at_ragged_shapes() {
+    for k in RAGGED_K {
+        for m in 1..=9 {
+            for n in 1..=9 {
+                check_against_f64(m, k, n, (k * 100 + m * 10 + n) as u64);
+            }
+        }
+    }
+    check_against_f64(16, 144, 2048, 1);
+    check_against_f64(2, 1024, 1024, 2);
+}
+
+#[test]
+fn gemm_sub_blocks_are_bitwise_at_probe_shapes() {
+    check_sub_blocks(16, 144, 2048, &[0, 3, 4, 9, 15], &[1, 2, 3, 500, 2047], 3);
+    check_sub_blocks(2, 1024, 1024, &[1], &[0, 7, 8, 1023], 4);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any row subset and any column subset of `C` computed in separate
+    /// calls carries the bits of the one-call result — what keeps a batch
+    /// split across replicas or calls from changing a gradient bit.
+    #[test]
+    fn gemm_sub_block_invariance(m in 1usize..=9, n in 1usize..=9, ki in 0usize..RAGGED_K.len(),
+                                 row_mask in 1u32..512, col_mask in 1u32..512, seed in 0u64..1000) {
+        let pick = |len: usize, mask: u32| -> Vec<usize> {
+            let set: Vec<usize> = (0..len).filter(|i| mask >> i & 1 == 1).collect();
+            if set.is_empty() { vec![len - 1] } else { set }
+        };
+        check_sub_blocks(m, RAGGED_K[ki], n, &pick(m, row_mask), &pick(n, col_mask), seed);
+    }
 
     /// GEMM distributes over addition: (A+A')B == AB + A'B.
     #[test]
