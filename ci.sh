@@ -231,23 +231,40 @@ if ! ls target/bench-smoke/BENCH_*.json >/dev/null 2>&1; then
 fi
 
 # Scenario-matrix evaluation smoke: a tiny {ring, multicolor:2} × {4 KiB,
-# 256 KiB} matrix over both the threaded fabric and real 2-rank TCP
-# processes (dcnn-eval re-launches dcnn-launch per TCP cell). Asserts every
-# row carries the dcnn-eval-v1 schema, the report names a winner for each
-# of the four size classes, and the simnet discrepancy artifact exists.
+# 256 KiB} × {fused, 64 KiB hooked buckets} matrix over both the threaded
+# fabric and real 2-rank TCP processes (dcnn-eval re-launches dcnn-launch
+# per TCP cell), so the bucketed launch path runs over sockets too. Asserts
+# every row carries the dcnn-eval-v1 schema, the fused and bucketed rows of
+# each (algo, payload, transport) reduced to the same bits, the report
+# names a winner for each of the four size classes, and the simnet
+# discrepancy artifact exists.
 echo "+ eval matrix smoke (dcnn-eval, threads + 2-rank tcp)"
 rm -rf target/eval-smoke
 run ./target/release/dcnn-eval --algos ring,multicolor:2 --worlds 2 \
-    --payloads 4096,262144 --transports threads,tcp --iters 2 \
+    --payloads 4096,262144 --bucketings fused,65536:hooked \
+    --transports threads,tcp --iters 2 \
     --out target/eval-smoke --launch ./target/release/dcnn-launch
 rows=$(ls target/eval-smoke/cell-*.json 2>/dev/null | wc -l)
-if [ "$rows" -ne 8 ]; then
-    echo "ci.sh: expected 8 eval rows in target/eval-smoke, found $rows" >&2
+if [ "$rows" -ne 16 ]; then
+    echo "ci.sh: expected 16 eval rows in target/eval-smoke, found $rows" >&2
     exit 1
 fi
 if grep -L '"schema": "dcnn-eval-v1"' target/eval-smoke/cell-*.json | grep -q .; then
     echo "ci.sh: eval row(s) missing the dcnn-eval-v1 schema tag:" >&2
     grep -L '"schema": "dcnn-eval-v1"' target/eval-smoke/cell-*.json >&2
+    exit 1
+fi
+# One "algo/wN/pBYTES/transport fingerprint" line per row, the bucketing
+# segment of the id dropped: 8 distinct lines means each group's fused and
+# bucketed rows agree.
+fingerprints=$(for f in target/eval-smoke/cell-*.json; do
+    id=$(sed -n 's/^  "id": "\(.*\)",$/\1/p' "$f")
+    fp=$(sed -n 's/^  "fingerprint": \([0-9]*\),$/\1/p' "$f")
+    echo "$(echo "$id" | awk -F/ '{ print $1 "/" $2 "/" $3 "/" $5 }') $fp"
+done | sort -u)
+if [ "$(echo "$fingerprints" | wc -l)" -ne 8 ]; then
+    echo "ci.sh: fused and bucketed eval cells disagree on the reduced bits:" >&2
+    echo "$fingerprints" >&2
     exit 1
 fi
 for class in \

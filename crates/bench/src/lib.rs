@@ -367,38 +367,26 @@ pub struct CommRow {
 /// launched through the nonblocking API, the shape the bucketed trainer
 /// drives — and collect per-rank counters.
 pub fn comm_rows(nodes: usize, elems: usize, policy: &AlgoPolicy) -> Vec<CommRow> {
-    use dcnn_core::collectives::{ClusterBuilder, Tuner, TunerConfig};
+    use dcnn_core::collectives::{ClusterBuilder, CollectiveOp, CommStats};
     use std::sync::Arc;
-    // A fixed policy is a one-candidate tuner: selection degenerates to the
-    // pinned algorithm, and both policy shapes drive the same launch path.
-    let cfg = match policy {
-        AlgoPolicy::Fixed(a) => TunerConfig::with_candidates(vec![*a]),
-        AlgoPolicy::Auto(cfg) => cfg.clone(),
-    };
-    // Per-size phase label(s) for the report: parameterizations of one
-    // algorithm share a phase name, so deduplicate before summing.
-    let phase_names: std::collections::BTreeSet<&'static str> =
-        cfg.candidates.iter().map(|c| c.name()).collect();
     let run = ClusterBuilder::new(nodes).run(move |c| {
-        let mut tuner = Tuner::new(cfg.clone());
+        let mut tuner = policy.tuner();
         let bucket = (elems / 4).max(1);
         let mut pending = Vec::new();
         let mut off = 0;
         while off < elems {
             let len = bucket.min(elems - off);
-            let label: Arc<str> = Arc::from(format!("bucket.{}", pending.len()));
             let sel = tuner.select(pending.len(), (len * 4) as u64, c.size(), false);
-            pending.push(c.allreduce_async_labeled(
-                sel.handle,
-                vec![c.rank() as f32 + 1.0; len],
-                Some(label),
-            ));
+            let op = CollectiveOp::allreduce(sel.handle)
+                .labeled(Arc::from(format!("bucket.{}", pending.len())));
+            pending.push(c.launch(op, vec![c.rank() as f32 + 1.0; len]));
             off += len;
         }
         for p in pending {
             let _ = p.wait();
         }
     });
+    let tuner = policy.tuner();
     run.stats
         .iter()
         .enumerate()
@@ -408,11 +396,11 @@ pub fn comm_rows(nodes: usize, elems: usize, policy: &AlgoPolicy) -> Vec<CommRow
             msgs_sent: s.msgs_sent,
             recv_wait_ms: s.recv_wait_ns as f64 / 1e6,
             stash_hwm: s.stash_hwm,
-            allreduce_ms: phase_names.iter().map(|n| s.phase(n)).sum::<u64>() as f64 / 1e6,
+            allreduce_ms: tuner.phase_ns(s) as f64 / 1e6,
             async_inflight_hwm: s.async_inflight_hwm,
             bucket_wait_ms: s.bucket_wait_ns as f64 / 1e6,
             bucket_spans: s.bucket_spans.len() as u64,
-            inflight_bytes_avg: s.inflight_bytes_avg(0),
+            inflight_bytes_avg: CommStats::inflight_bytes_avg(&s.bucket_spans),
         })
         .collect()
 }

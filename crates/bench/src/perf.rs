@@ -287,7 +287,7 @@ pub fn bench_shard_collectives(quick: bool, rows: &mut Vec<PerfRow>) {
 /// the gradient hot path, so it must stay down in the noise next to the
 /// reduce it schedules.
 pub fn bench_tuner(quick: bool, rows: &mut Vec<PerfRow>) {
-    use dcnn_core::collectives::{AllreduceAlgo, Tuner, TunerConfig};
+    use dcnn_core::collectives::{AlgoPolicy, AllreduceAlgo, TunerConfig};
 
     let reps = if quick { 5 } else { 9 };
     let cfg = TunerConfig::with_candidates(vec![
@@ -304,7 +304,7 @@ pub fn bench_tuner(quick: bool, rows: &mut Vec<PerfRow>) {
         })
         .collect();
 
-    let mut tuner = Tuner::new(cfg);
+    let mut tuner = AlgoPolicy::Auto(cfg).tuner();
     let bytes = (table.len() * 16) as u64;
     let iters = if quick { 1 << 9 } else { 1 << 11 };
     let ns = min_ns_per_iter(reps, iters, || {

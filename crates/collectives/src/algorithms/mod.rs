@@ -32,7 +32,7 @@ use std::sync::Arc;
 use dcnn_simnet::CommSchedule;
 
 use crate::plan::{self, Step};
-use crate::runtime::{Comm, PendingReduce};
+use crate::runtime::Comm;
 
 /// Cost constants for compiling an algorithm to a schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,19 +69,6 @@ impl CostModel {
             return CostModel::default();
         }
         CostModel { reduce_bw: bytes as f64 / (ns as f64 / 1e9) }
-    }
-
-    /// Seed a model from a rank's completed bucket reduces: total payload
-    /// bytes over total span wall time across `stats.bucket_spans`. Falls
-    /// back to the prior when the rank has no spans yet.
-    pub fn from_stats(stats: &crate::runtime::CommStats) -> Self {
-        let mut bytes = 0u64;
-        let mut ns = 0u64;
-        for s in &stats.bucket_spans {
-            bytes += s.bytes;
-            ns += s.duration_ns();
-        }
-        CostModel::measured(bytes, ns)
     }
 }
 
@@ -134,17 +121,6 @@ pub trait Allreduce {
         let len = (bytes / 4.0).ceil() as usize;
         let plans: Vec<Vec<Step>> = (0..n).map(|r| self.plan(n, r, len)).collect();
         plan::compile(&plans, cost)
-    }
-
-    /// Launch this algorithm as a nonblocking reduce of `bucket` on `comm`'s
-    /// comm worker; the returned handle resolves to the reduced buffer (see
-    /// [`Comm::allreduce_async`]). Collective: every rank must start the
-    /// same buckets in the same order.
-    fn start(&self, comm: &Comm, bucket: Vec<f32>) -> PendingReduce
-    where
-        Self: Clone + Send + Sync + Sized + 'static,
-    {
-        comm.allreduce_async(Arc::new(self.clone()), bucket)
     }
 
     /// Reduce-scatter seam for the sharded optimizer: `counts` cuts `buf`
@@ -205,21 +181,9 @@ impl AllreduceAlgo {
         ]
     }
 
-    /// Instantiate the algorithm.
-    pub fn build(&self) -> Box<dyn Allreduce + Send + Sync> {
-        match *self {
-            AllreduceAlgo::MultiColor(k) => Box::new(MultiColor::new(k)),
-            AllreduceAlgo::PipelinedRing => Box::new(PipelinedRing::default()),
-            AllreduceAlgo::RecursiveDoubling => Box::new(RecursiveDoubling),
-            AllreduceAlgo::RingReduceScatter => Box::new(RingReduceScatter),
-            AllreduceAlgo::HalvingDoubling => Box::new(HalvingDoubling),
-            AllreduceAlgo::Hierarchical(g) => Box::new(Hierarchical::new(g, 4)),
-        }
-    }
-
-    /// Instantiate as a shared handle, for repeated async bucket launches
-    /// through [`Comm::allreduce_async`].
-    pub fn build_shared(&self) -> Arc<dyn Allreduce + Send + Sync> {
+    /// Instantiate the algorithm as a shared handle: call it directly, or
+    /// clone it into a [`crate::runtime::CollectiveOp`] per bucket launch.
+    pub fn build(&self) -> Arc<dyn Allreduce + Send + Sync> {
         match *self {
             AllreduceAlgo::MultiColor(k) => Arc::new(MultiColor::new(k)),
             AllreduceAlgo::PipelinedRing => Arc::new(PipelinedRing::default()),

@@ -22,17 +22,16 @@
 //! facade's launch registry and the sweep engine share one definition
 //! through `dcnn-core`, with [`RuntimeConfig`] as the common env carrier.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
 use serde_json::Value;
 
-use crate::algorithms::{Allreduce, AllreduceAlgo, CostModel};
+use crate::algorithms::{AllreduceAlgo, CostModel};
 use crate::config::{OverlapMode, RuntimeConfig};
-use crate::runtime::Comm;
+use crate::runtime::{CollectiveOp, Comm};
 use crate::transport::{crc32, TransportKind};
-use crate::tune::{agree_scores, AlgoPolicy, Tuner};
+use crate::tune::{AlgoPolicy, Tuner};
 
 /// One point in the evaluation matrix. String-typed where the value must
 /// round-trip through environment variables and JSON rows (`algo` holds
@@ -259,73 +258,42 @@ impl CellSpec {
     /// fingerprint is asserted identical across ranks by the caller (the
     /// `eval-cell` workload allgathers it).
     pub fn measure_on_comm(&self, comm: &Comm) -> Result<CellMeasurement, String> {
-        let policy = self.policy()?;
+        let mut tuner = self.policy()?.tuner();
         let n = comm.size();
         let elems = self.elems();
+        let bytes = (elems * 4) as u64;
         let ranges = self.bucket_ranges();
         let hooked = self.overlap == "hooked";
         let start_stats = comm.stats();
+        // Spans from whatever ran on this rank before the cell are not the
+        // tuner's to score.
+        comm.take_bucket_spans();
         let mut best_ns = u64::MAX;
         let mut fingerprint = 0u32;
-        let mut tuner = match &policy {
-            AlgoPolicy::Fixed(_) => None,
-            AlgoPolicy::Auto(tcfg) => Some(Tuner::new(tcfg.clone())),
-        };
-        let fixed = match &policy {
-            AlgoPolicy::Fixed(a) => Some(a.build_shared()),
-            AlgoPolicy::Auto(_) => None,
-        };
 
         for iter in 0..self.iters.max(1) {
             let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
-            let span_mark = comm.stats().bucket_spans.len();
             let t0 = Instant::now();
-            match (&fixed, &mut tuner) {
-                (Some(handle), _) if ranges.len() == 1 && self.bucket_bytes == 0 => {
-                    handle.run(comm, &mut buf);
-                }
-                (Some(handle), _) => {
-                    run_bucketed(comm, &mut buf, &ranges, hooked, |_slot, _bytes| {
-                        Arc::clone(handle)
-                    });
-                }
-                (None, Some(t)) if ranges.len() == 1 && self.bucket_bytes == 0 => {
-                    // Fused auto: blocking launch, reported via record().
-                    let bytes = (elems * 4) as u64;
-                    let sel = t.select(0, bytes, n, false);
-                    let s0 = Instant::now();
-                    sel.handle.run(comm, &mut buf);
-                    t.record(&sel, bytes, s0.elapsed().as_nanos() as u64);
-                }
-                (None, Some(t)) => {
-                    run_bucketed(comm, &mut buf, &ranges, hooked, |slot, bytes| {
-                        Arc::clone(&t.select(slot, bytes, n, true).handle)
-                    });
-                }
-                (None, None) => unreachable!("policy is fixed or auto"),
+            if self.bucket_bytes == 0 {
+                // Fused: one blocking allreduce in place, reported to the
+                // tuner directly (no bucket span records it).
+                let sel = tuner.select(0, bytes, n, false);
+                sel.handle.run(comm, &mut buf);
+                tuner.record(&sel, bytes, t0.elapsed().as_nanos() as u64);
+            } else {
+                run_bucketed(comm, &mut buf, &ranges, hooked, &mut tuner);
             }
             let ns = t0.elapsed().as_nanos() as u64;
             best_ns = best_ns.min(ns);
             fingerprint = f32_crc(&buf);
-            if let Some(t) = &mut tuner {
-                let spans = comm.stats().bucket_spans.split_off(span_mark);
-                if t.end_epoch(&spans) {
-                    let agreed = agree_scores(comm, &t.score_table());
-                    t.apply_agreed(&agreed);
-                }
-            }
+            tuner.close_epoch(comm, &comm.take_bucket_spans());
         }
 
-        let algo_choices = match (&policy, &tuner) {
-            (AlgoPolicy::Fixed(a), _) => a.to_string(),
-            (_, Some(t)) => t.decision_table(),
-            _ => unreachable!(),
-        };
         Ok(CellMeasurement {
             wall_ns: best_ns,
-            bytes: (elems * 4) as u64,
+            bytes,
             link_bytes_sent: comm.stats().link_bytes_delta(&start_stats),
-            algo_choices,
+            algo_choices: tuner.decision_table(),
             fingerprint,
         })
     }
@@ -335,7 +303,7 @@ impl CellSpec {
     /// are scored as their steady state: per bucket, the candidate with
     /// the smallest simulated makespan.
     pub fn simulate(&self, cost: &CostModel) -> Result<SimEstimate, String> {
-        let policy = self.policy()?;
+        let tuner = self.policy()?.tuner();
         let topo = dcnn_simnet::FatTree::minsky(self.world);
         let opts = dcnn_simnet::SimOptions::default();
         let run_one = |algo: &AllreduceAlgo, bytes: f64| {
@@ -346,15 +314,12 @@ impl CellSpec {
         let mut max_util: f64 = 0.0;
         for r in self.bucket_ranges() {
             let bytes = (r.len() * 4) as f64;
-            let (secs, util) = match &policy {
-                AlgoPolicy::Fixed(a) => run_one(a, bytes),
-                AlgoPolicy::Auto(tcfg) => tcfg
-                    .candidates
-                    .iter()
-                    .map(|a| run_one(a, bytes))
-                    .min_by(|a, b| a.0.total_cmp(&b.0))
-                    .ok_or_else(|| format!("cell {}: auto with no candidates", self.id()))?,
-            };
+            let (secs, util) = tuner
+                .candidates()
+                .iter()
+                .map(|a| run_one(a, bytes))
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("a tuner has at least one candidate");
             sim_ns += secs * 1e9;
             max_util = max_util.max(util);
         }
@@ -362,7 +327,8 @@ impl CellSpec {
     }
 }
 
-/// Launch every bucket nonblocking and copy the reductions back. `hooked`
+/// Launch every bucket nonblocking, each with the algorithm `tuner` picks
+/// for its slot and size, and copy the reductions back. `hooked`
 /// interleaves a deterministic compute spin between launches (standing in
 /// for the backward pass the trainer would be running); `drain` launches
 /// back to back. Both wait in launch order, so results are bitwise
@@ -372,14 +338,13 @@ fn run_bucketed(
     buf: &mut [f32],
     ranges: &[std::ops::Range<usize>],
     hooked: bool,
-    mut pick: impl FnMut(usize, u64) -> Arc<dyn Allreduce + Send + Sync>,
+    tuner: &mut Tuner,
 ) {
     let mut pending = Vec::with_capacity(ranges.len());
     let mut sink = 0.0f32;
     for (slot, r) in ranges.iter().enumerate() {
-        let bytes = (r.len() * 4) as u64;
-        let algo = pick(slot, bytes);
-        pending.push(comm.allreduce_async_labeled(algo, buf[r.clone()].to_vec(), None));
+        let algo = tuner.select(slot, (r.len() * 4) as u64, comm.size(), true).handle;
+        pending.push(comm.launch(CollectiveOp::allreduce(algo), buf[r.clone()].to_vec()));
         if hooked {
             // A small fixed busywork quantum per bucket, like a layer's
             // backward pass running while the reduce is in flight.

@@ -20,10 +20,10 @@
 //!
 //! ## Nonblocking collectives
 //!
-//! [`Comm::allreduce_async`] (or [`crate::algorithms::Allreduce::start`])
-//! launches an allreduce on the rank's comm worker — a small lazily-spawned
-//! thread pool (`DCNN_COMM_WORKERS`, default 2) — and returns a
-//! [`PendingReduce`] handle. Each launch runs on its own derived bucket
+//! [`Comm::launch`] runs a [`CollectiveOp`] (an allreduce, reduce-scatter or
+//! allgather described as a value) on the rank's comm worker — a small
+//! lazily-spawned thread pool (`DCNN_COMM_WORKERS`, default 2) — and returns
+//! a [`PendingReduce`] handle. Each launch runs on its own derived bucket
 //! communicator, so several reductions can be in flight without their
 //! messages cross-matching; the rank's single transport inbox is shared
 //! between the main thread and the workers through the receive router (a
@@ -59,12 +59,9 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::algorithms::Allreduce;
 use crate::config::RuntimeConfig;
 use crate::trace::{write_trace_json, TraceEvent, TraceEventKind};
 use crate::transport::local::local_fabric;
@@ -72,6 +69,11 @@ use crate::transport::tcp::{TcpOptions, TcpTransport};
 use crate::transport::{RecvPoll, Transport, TransportKind, WireMsg};
 
 pub use crate::transport::Payload;
+
+mod launch;
+
+use launch::CommWorker;
+pub use launch::{CollectiveOp, PendingReduce};
 
 /// Which consumer of a rank's inbox a receive belongs to: the rank's main
 /// thread, or the comm worker running one async bucket reduce. Ordered so
@@ -239,7 +241,7 @@ struct RankLocal {
     recv_wait_ns: AtomicU64,
     recv_blocks: AtomicU64,
     stash_hwm: AtomicU64,
-    /// Async reduces launched via [`Comm::allreduce_async`].
+    /// Async collectives launched via [`Comm::launch`].
     async_launched: AtomicU64,
     /// Async reduces launched but not yet completed, right now.
     async_inflight: AtomicU64,
@@ -261,8 +263,8 @@ struct RankLocal {
     /// counts loopback self-sends). The per-link view of `bytes_sent`, for
     /// cross-checking real link utilization against the simulator's.
     link_sent: Vec<AtomicU64>,
-    /// Launch/complete timestamps for every async bucket reduce, in
-    /// completion order.
+    /// Launch/complete timestamps of the async bucket reduces completed
+    /// since the last [`Comm::take_bucket_spans`], in completion order.
     bucket_spans: Mutex<Vec<BucketSpan>>,
     /// Inclusive per-phase wall time: `(label, ns, entries)`.
     phases: Mutex<Vec<(&'static str, u64, u64)>>,
@@ -404,7 +406,7 @@ pub struct CommStats {
     pub recv_blocks: u64,
     /// High-water mark of messages parked in the out-of-order stash.
     pub stash_hwm: u64,
-    /// Async reduces launched via [`Comm::allreduce_async`].
+    /// Async collectives launched via [`Comm::launch`].
     pub async_launched: u64,
     /// High-water mark of async reduces in flight at once; ≥ 2 proves
     /// bucket reductions actually overlapped.
@@ -429,9 +431,9 @@ pub struct CommStats {
     /// `bytes_sent`; the per-link resolution is what the real-vs-simnet
     /// cross-check compares against [`dcnn_simnet`]'s `link_bytes`.
     pub link_bytes_sent: Vec<u64>,
-    /// Launch/complete timestamps per async bucket reduce, in completion
-    /// order — the raw data behind bandwidth measurement and adaptive
-    /// bucket sizing.
+    /// Launch/complete timestamps per async bucket reduce not yet drained
+    /// by [`Comm::take_bucket_spans`], in completion order — the raw data
+    /// behind bandwidth measurement and adaptive bucket sizing.
     pub bucket_spans: Vec<BucketSpan>,
     /// Inclusive wall time per [`Comm::phase`] label: `(label, ns, entries)`.
     /// Nested phases both accumulate, so times are inclusive.
@@ -439,34 +441,9 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Seconds receives spent blocked, for reporting.
-    pub fn recv_wait_secs(&self) -> f64 {
-        self.recv_wait_ns as f64 / 1e9
-    }
-
     /// Seconds the launching thread spent draining async bucket reduces.
     pub fn bucket_wait_secs(&self) -> f64 {
         self.bucket_wait_ns as f64 / 1e9
-    }
-
-    /// Seconds spent inside reduce-scatter calls, for reporting.
-    pub fn scatter_wait_secs(&self) -> f64 {
-        self.scatter_wait_ns as f64 / 1e9
-    }
-
-    /// Seconds spent inside `f32` allgather calls, for reporting.
-    pub fn gather_wait_secs(&self) -> f64 {
-        self.gather_wait_ns as f64 / 1e9
-    }
-
-    /// Fraction of async collective time hidden behind compute:
-    /// `1 − bucket_wait / async_comm`, clamped to `[0, 1]`; `0.0` when no
-    /// async reduce ran.
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.async_comm_ns == 0 {
-            return 0.0;
-        }
-        (1.0 - self.bucket_wait_ns as f64 / self.async_comm_ns as f64).clamp(0.0, 1.0)
     }
 
     /// Nanoseconds accumulated under `label`, 0 if never entered.
@@ -507,15 +484,11 @@ impl CommStats {
     }
 
     /// Time-averaged bytes in flight across the async bucket reduces in
-    /// `bucket_spans[from..]`: Σ(bytes × duration) over the window from the
-    /// earliest launch to the latest completion. This is the measurement
-    /// adaptive bucket sizing steers toward the configured in-flight
-    /// budget. Returns 0 when the window is empty or instantaneous.
-    pub fn inflight_bytes_avg(&self, from: usize) -> u64 {
-        let spans = match self.bucket_spans.get(from..) {
-            Some(s) if !s.is_empty() => s,
-            _ => return 0,
-        };
+    /// `spans`: Σ(bytes × duration) over the window from the earliest
+    /// launch to the latest completion. This is the measurement adaptive
+    /// bucket sizing steers toward the configured in-flight budget.
+    /// Returns 0 when the window is empty or instantaneous.
+    pub fn inflight_bytes_avg(spans: &[BucketSpan]) -> u64 {
         let start = spans.iter().map(|s| s.launch_ns).min().unwrap_or(0);
         let end = spans.iter().map(|s| s.done_ns).max().unwrap_or(0);
         let window = end.saturating_sub(start) as u128;
@@ -1030,157 +1003,6 @@ fn find_wait_cycle(snap: &[DiagSnapshot]) -> Option<Vec<usize>> {
     })
 }
 
-/// Work item for the comm worker pool: one bucket's blocking collective.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct WorkerState {
-    tx: Option<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-/// A rank's comm worker pool: runs the blocking collective behind each
-/// async bucket reduce off the rank's main thread. Threads spawn lazily on
-/// the first launch (purely blocking runs pay nothing) and are joined — with
-/// any panic payload re-raised, so a watchdog deadlock report survives to
-/// the rank thread — when the rank's closure returns.
-struct CommWorker {
-    rank: usize,
-    /// Pool size (from [`RuntimeConfig::comm_workers_or_default`], i.e.
-    /// `DCNN_COMM_WORKERS`; default 2, minimum 1).
-    threads: usize,
-    state: Mutex<WorkerState>,
-}
-
-impl CommWorker {
-    fn new(rank: usize, threads: usize) -> Self {
-        CommWorker {
-            rank,
-            threads: threads.max(1),
-            state: Mutex::new(WorkerState { tx: None, handles: Vec::new() }),
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        let mut state = self.state.lock().expect("comm worker state");
-        if state.tx.is_none() {
-            assert!(
-                state.handles.is_empty(),
-                "rank {}: async launch after comm worker shutdown",
-                self.rank
-            );
-            let (tx, rx) = channel::<Job>();
-            let rx = Arc::new(Mutex::new(rx));
-            for i in 0..self.threads {
-                let rx = Arc::clone(&rx);
-                let handle = std::thread::Builder::new()
-                    .name(format!("dcnn-comm-{}-{i}", self.rank))
-                    .spawn(move || loop {
-                        // The queue lock is held only for the dequeue; it is
-                        // released before the job runs, so a panicking job
-                        // cannot poison it.
-                        let job = rx.lock().expect("job queue").recv();
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => return,
-                        }
-                    })
-                    .expect("spawn comm worker thread");
-                state.handles.push(handle);
-            }
-            state.tx = Some(tx);
-        }
-        if state.tx.as_ref().expect("job sender").send(job).is_err() {
-            drop(state);
-            // Every worker died before taking the job: join them and
-            // re-raise the panic that killed them.
-            self.shutdown_and_propagate();
-            panic!("rank {}: comm workers exited before accepting the job", self.rank);
-        }
-    }
-
-    /// Close the job queue, join every worker thread, and re-raise the
-    /// first worker panic (if any) on the calling thread. Idempotent.
-    fn shutdown_and_propagate(&self) {
-        let handles = {
-            let mut state = self.state.lock().expect("comm worker state");
-            state.tx = None;
-            std::mem::take(&mut state.handles)
-        };
-        let mut first_panic = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-/// Handle to one in-flight nonblocking allreduce, returned by
-/// [`Comm::allreduce_async`] / [`crate::algorithms::Allreduce::start`].
-/// Resolve it with [`wait`](PendingReduce::wait) (blocking) or poll it with
-/// [`try_complete`](PendingReduce::try_complete).
-pub struct PendingReduce {
-    rx: Receiver<Vec<f32>>,
-    done: Option<Vec<f32>>,
-    seq: u64,
-    local: Arc<RankLocal>,
-    worker: Arc<CommWorker>,
-}
-
-impl PendingReduce {
-    /// Launch sequence number on the parent communicator (bucket index when
-    /// every iteration launches its buckets in order).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// True once the reduced buffer is ready; never blocks. After `true`,
-    /// [`wait`](PendingReduce::wait) returns immediately.
-    pub fn try_complete(&mut self) -> bool {
-        if self.done.is_some() {
-            return true;
-        }
-        match self.rx.try_recv() {
-            Ok(buf) => {
-                self.done = Some(buf);
-                true
-            }
-            Err(TryRecvError::Empty) => false,
-            Err(TryRecvError::Disconnected) => self.worker_died(),
-        }
-    }
-
-    /// Block until the reduction finishes and return the reduced buffer
-    /// (every rank's elementwise sum). Blocked time is accounted to
-    /// [`CommStats::bucket_wait_ns`].
-    pub fn wait(mut self) -> Vec<f32> {
-        if let Some(buf) = self.done.take() {
-            return buf;
-        }
-        let start = Instant::now();
-        let res = self.rx.recv();
-        self.local.bucket_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-        match res {
-            Ok(buf) => buf,
-            Err(_) => self.worker_died(),
-        }
-    }
-
-    /// The worker dropped the result channel without sending: it panicked
-    /// (e.g. the deadlock watchdog fired inside the bucket's collective).
-    /// Join the pool and re-raise its payload so the report reaches the
-    /// rank thread.
-    fn worker_died(&self) -> ! {
-        self.worker.shutdown_and_propagate();
-        panic!("bucket {}: comm worker exited without delivering a result", self.seq)
-    }
-}
-
 /// A communicator handle: a group of ranks that can exchange messages and
 /// run collectives. Cheap to clone-like via [`Comm::split`]. A `Comm` is
 /// owned by one rank; it is `Send` (async bucket reduces move a derived
@@ -1259,6 +1081,14 @@ impl Comm {
     /// traffic and blocked time to a region, e.g. one training epoch.
     pub fn stats(&self) -> CommStats {
         self.local.snapshot()
+    }
+
+    /// Drain the spans of the async bucket reduces completed since the last
+    /// call (all of this rank's communicator handles share one list). The
+    /// per-epoch consumers — the tuner and adaptive bucket sizing — read
+    /// through this, so a long bucketed run holds one epoch's spans at most.
+    pub fn take_bucket_spans(&self) -> Vec<BucketSpan> {
+        std::mem::take(&mut *self.local.bucket_spans.lock().expect("bucket spans"))
     }
 
     /// Start a labeled timing phase; the elapsed wall time is added to this
@@ -1369,38 +1199,6 @@ impl Comm {
         }
     }
 
-    /// Launch a nonblocking allreduce of `bucket` on this rank's comm
-    /// worker, returning a handle to the in-flight reduction. On
-    /// [`PendingReduce::wait`] the buffer holds the elementwise sum over
-    /// all ranks, exactly as the blocking [`Allreduce::run`] would leave it.
-    ///
-    /// Collective: every rank of this communicator must launch the same
-    /// sequence of async reduces (same algorithms, same bucket lengths, same
-    /// order). Each launch runs on its own derived bucket communicator — a
-    /// fresh tag space keyed by the launch sequence number — so several
-    /// in-flight buckets can never cross-match, on either transport.
-    pub fn allreduce_async(
-        &self,
-        algo: Arc<dyn Allreduce + Send + Sync>,
-        bucket: Vec<f32>,
-    ) -> PendingReduce {
-        self.allreduce_async_labeled(algo, bucket, None)
-    }
-
-    /// [`Comm::allreduce_async`] with a human-readable attribution label —
-    /// the gradient segment that sealed this bucket. The label shows up in
-    /// deadlock-watchdog reports (`rank 0 [bucket 3, sealed by conv1.w]`)
-    /// and in the bucket's [`BucketSpan`]; it has no effect on the
-    /// collective itself.
-    pub fn allreduce_async_labeled(
-        &self,
-        algo: Arc<dyn Allreduce + Send + Sync>,
-        bucket: Vec<f32>,
-        label: Option<Arc<str>>,
-    ) -> PendingReduce {
-        self.collective_async(bucket, label, move |sub, buf| algo.run(sub, buf))
-    }
-
     /// Blocking counts-based ring reduce-scatter: `counts[r]` contiguous
     /// elements of `buf`, in rank order, form the chunk owned by rank `r`;
     /// on return this rank's chunk holds the elementwise sum over all ranks
@@ -1425,109 +1223,6 @@ impl Comm {
         crate::primitives::ring_allgather(self, buf, counts);
         self.local.gather_bytes.fetch_add((buf.len() * 4) as u64, Relaxed);
         self.local.gather_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-    }
-
-    /// Launch `algo`'s reduce-scatter seam ([`Allreduce::reduce_scatter`])
-    /// nonblocking on this rank's comm worker. On [`PendingReduce::wait`]
-    /// the chunk of the buffer owned by this rank (per `counts`) holds the
-    /// elementwise sum; other chunks are unspecified. Collective, with the
-    /// same launch-ordering contract as [`Comm::allreduce_async`].
-    pub fn reduce_scatter_async(
-        &self,
-        algo: Arc<dyn Allreduce + Send + Sync>,
-        bucket: Vec<f32>,
-        counts: Vec<usize>,
-    ) -> PendingReduce {
-        self.reduce_scatter_async_labeled(algo, bucket, counts, None)
-    }
-
-    /// [`Comm::reduce_scatter_async`] with a bucket attribution label, the
-    /// analog of [`Comm::allreduce_async_labeled`].
-    pub fn reduce_scatter_async_labeled(
-        &self,
-        algo: Arc<dyn Allreduce + Send + Sync>,
-        bucket: Vec<f32>,
-        counts: Vec<usize>,
-        label: Option<Arc<str>>,
-    ) -> PendingReduce {
-        self.collective_async(bucket, label, move |sub, buf| {
-            algo.reduce_scatter(sub, buf, &counts)
-        })
-    }
-
-    /// Launch a counts-based `f32` allgather nonblocking on this rank's comm
-    /// worker; the handle resolves to the fully gathered buffer. Collective,
-    /// same launch-ordering contract as [`Comm::allreduce_async`].
-    pub fn allgather_async(
-        &self,
-        bucket: Vec<f32>,
-        counts: Vec<usize>,
-        label: Option<Arc<str>>,
-    ) -> PendingReduce {
-        self.collective_async(bucket, label, move |sub, buf| sub.allgather_f32(buf, &counts))
-    }
-
-    /// Shared launch machinery for the nonblocking collectives: derives the
-    /// per-launch bucket communicator, books the overlap counters and trace
-    /// events, and runs `job` on the comm worker.
-    fn collective_async(
-        &self,
-        bucket: Vec<f32>,
-        label: Option<Arc<str>>,
-        job: impl FnOnce(&Comm, &mut [f32]) + Send + 'static,
-    ) -> PendingReduce {
-        let seq = self.async_seq.get();
-        self.async_seq.set(seq + 1);
-        // Deterministic bucket communicator id, identical across members;
-        // same FNV-style mixing as `split` but over the launch sequence.
-        let mut h = self.comm_id ^ 0xA5B3_55E1_D00D_FEED;
-        h = h.wrapping_mul(0x100000001b3).wrapping_add(seq);
-        h = h.wrapping_mul(0x100000001b3).wrapping_add(0x9E37);
-        let sub = Comm {
-            global_rank: self.global_rank,
-            group: Arc::clone(&self.group),
-            my_index: self.my_index,
-            comm_id: h,
-            split_count: Cell::new(0),
-            async_seq: Cell::new(0),
-            transport: Arc::clone(&self.transport),
-            router: Arc::clone(&self.router),
-            local: Arc::clone(&self.local),
-            worker: Arc::clone(&self.worker),
-            consumer: ConsumerId::Bucket(seq),
-            label: label.clone(),
-        };
-        let local = Arc::clone(&self.local);
-        local.async_launched.fetch_add(1, Relaxed);
-        let inflight = local.async_inflight.fetch_add(1, Relaxed) + 1;
-        local.async_inflight_hwm.fetch_max(inflight, Relaxed);
-        local.trace(TraceEventKind::AsyncLaunch, h, seq as u32, None, bucket.len() * 4);
-        let launch_ns = local.shared.now_ns();
-        let (done_tx, done_rx) = channel();
-        let job_local = Arc::clone(&local);
-        self.worker.submit(Box::new(move || {
-            let mut bucket = bucket;
-            let start = Instant::now();
-            job(&sub, &mut bucket);
-            job_local.async_comm_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-            job_local.async_inflight.fetch_sub(1, Relaxed);
-            job_local.trace(TraceEventKind::AsyncDone, sub.comm_id, seq as u32, None, bucket.len() * 4);
-            job_local.bucket_spans.lock().expect("bucket spans").push(BucketSpan {
-                seq,
-                bytes: (bucket.len() * 4) as u64,
-                launch_ns,
-                done_ns: job_local.shared.now_ns(),
-                label: label.as_deref().unwrap_or("").to_string(),
-            });
-            let _ = done_tx.send(bucket);
-        }));
-        PendingReduce {
-            rx: done_rx,
-            done: None,
-            seq,
-            local,
-            worker: Arc::clone(&self.worker),
-        }
     }
 
     /// Split into sub-communicators, like `MPI_Comm_split`: ranks passing the
@@ -2317,7 +2012,7 @@ mod tests {
 
     #[test]
     fn async_allreduce_matches_blocking_bitwise() {
-        use crate::algorithms::RecursiveDoubling;
+        use crate::algorithms::{Allreduce, RecursiveDoubling};
         let seed = |r: usize| -> Vec<f32> {
             (0..97).map(|i| ((r * 97 + i) as f32).sin() * 3.0).collect()
         };
@@ -2326,7 +2021,9 @@ mod tests {
             RecursiveDoubling.run(c, &mut buf);
             buf
         });
-        let nonblocking = run_cluster(4, |c| RecursiveDoubling.start(c, seed(c.rank())).wait());
+        let nonblocking = run_cluster(4, |c| {
+            c.launch(CollectiveOp::allreduce(Arc::new(RecursiveDoubling)), seed(c.rank())).wait()
+        });
         for (b, nb) in blocking.iter().zip(&nonblocking) {
             let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
             let nb_bits: Vec<u32> = nb.iter().map(|x| x.to_bits()).collect();
@@ -2336,7 +2033,7 @@ mod tests {
 
     #[test]
     fn concurrent_buckets_stay_isolated() {
-        use crate::algorithms::MultiColor;
+        use crate::algorithms::{Allreduce, MultiColor};
         // Buckets big enough that all three launches land before the first
         // reduce can finish — the in-flight high-water mark must show
         // genuine overlap.
@@ -2346,7 +2043,7 @@ mod tests {
                 .map(|b| {
                     let len = 16_384 + 512 * b as usize;
                     let buf = vec![(c.rank() as f32 + 1.0) * (b as f32 + 1.0); len];
-                    c.allreduce_async(Arc::clone(&algo), buf)
+                    c.launch(CollectiveOp::allreduce(Arc::clone(&algo)), buf)
                 })
                 .collect();
             pending.into_iter().map(PendingReduce::wait).collect::<Vec<_>>()
@@ -2373,7 +2070,8 @@ mod tests {
     fn try_complete_polls_to_completion() {
         use crate::algorithms::PipelinedRing;
         let out = run_cluster(2, |c| {
-            let mut p = PipelinedRing::default().start(c, vec![c.rank() as f32 + 1.0; 8]);
+            let op = CollectiveOp::allreduce(Arc::new(PipelinedRing::default()));
+            let mut p = c.launch(op, vec![c.rank() as f32 + 1.0; 8]);
             while !p.try_complete() {
                 std::thread::yield_now();
             }
@@ -2387,7 +2085,8 @@ mod tests {
         use crate::algorithms::RecursiveDoubling;
         let out = run_cluster(4, |c| {
             let sub = c.split((c.rank() % 2) as u64, c.rank() as i64);
-            RecursiveDoubling.start(&sub, vec![c.rank() as f32; 4]).wait()
+            sub.launch(CollectiveOp::allreduce(Arc::new(RecursiveDoubling)), vec![c.rank() as f32; 4])
+                .wait()
         });
         assert_eq!(out[0][0], 2.0); // ranks 0 + 2
         assert_eq!(out[1][0], 4.0); // ranks 1 + 3
@@ -2400,7 +2099,8 @@ mod tests {
         // bucket reduces on the comm worker — both share the inbox through
         // the router and neither may steal the other's messages.
         let out = run_cluster(2, |c| {
-            let pending = RecursiveDoubling.start(c, vec![c.rank() as f32 + 1.0; 4096]);
+            let op = CollectiveOp::allreduce(Arc::new(RecursiveDoubling));
+            let pending = c.launch(op, vec![c.rank() as f32 + 1.0; 4096]);
             let peer = 1 - c.rank();
             let mut acc = 0u64;
             for i in 0..50u8 {

@@ -2,9 +2,11 @@
 //!
 //! The paper's Figure 5/6 point is that no single allreduce wins at every
 //! message size — the multicolor/ring/recursive-doubling curves cross. This
-//! module turns that observation into a runtime policy: an [`AlgoPolicy`]
-//! either pins one [`AllreduceAlgo`] (`Fixed`) or hands bucket-by-bucket
-//! selection to a [`Tuner`] (`Auto`).
+//! module turns that observation into a runtime policy: every
+//! [`AlgoPolicy`] becomes a [`Tuner`] ([`AlgoPolicy::tuner`]) consulted per
+//! bucket launch. `Fixed` is a tuner **pinned** to its one candidate — it
+//! never probes, simulates or communicates — and `Auto` chooses bucket by
+//! bucket.
 //!
 //! The tuner works in per-size-class terms (power-of-two byte classes).
 //! During the first [`TunerConfig::probe_epochs`] epochs it rotates every
@@ -33,7 +35,7 @@ use dcnn_simnet::{FatTree, SimOptions};
 
 use crate::algorithms::{Allreduce, AllreduceAlgo, CostModel};
 use crate::primitives::allgather_bytes;
-use crate::runtime::{BucketSpan, Comm};
+use crate::runtime::{BucketSpan, Comm, CommStats};
 
 /// How the trainer chooses an allreduce algorithm for each gradient bucket.
 ///
@@ -56,12 +58,15 @@ impl From<AllreduceAlgo> for AlgoPolicy {
 }
 
 impl AlgoPolicy {
-    /// The fixed algorithm, if this policy is `Fixed`.
-    pub fn fixed(&self) -> Option<AllreduceAlgo> {
-        match self {
-            AlgoPolicy::Fixed(a) => Some(*a),
-            AlgoPolicy::Auto(_) => None,
-        }
+    /// The launch-time selector for this policy — the one way to make a
+    /// [`Tuner`]. `Fixed(a)` is a tuner pinned to `a`: one candidate and no
+    /// probe window, so it always selects `a`, never runs the simulator or
+    /// an agreement round, and renders `a`'s name as its decision table.
+    pub fn tuner(&self) -> Tuner {
+        Tuner::new(match self {
+            AlgoPolicy::Fixed(a) => TunerConfig { candidates: vec![*a], probe_epochs: 0 },
+            AlgoPolicy::Auto(cfg) => cfg.clone(),
+        })
     }
 }
 
@@ -115,8 +120,9 @@ impl FromStr for AlgoPolicy {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TunerConfig {
     /// Algorithms the tuner may choose between. Must be non-empty; with a
-    /// single candidate `Auto` degenerates to `Fixed` of that algorithm
-    /// (and stays bitwise-identical to it).
+    /// single candidate every selection is that algorithm (bitwise
+    /// identical to `Fixed` of it), and with `probe_epochs == 0` as well
+    /// the tuner *is* the pinned one `Fixed` builds.
     pub candidates: Vec<AllreduceAlgo>,
     /// Warm-up epochs that rotate candidates over the live buckets before
     /// the measured table is agreed and frozen. `0` disables probing: the
@@ -153,13 +159,12 @@ pub struct Selection {
 /// A score-table row: `(size class, candidate index, ns per byte)`.
 pub type ScoreEntry = (u32, u32, f64);
 
-/// Measurement-driven per-bucket algorithm selector. See the module docs
-/// for the probe → agree → converge lifecycle.
+/// Per-bucket algorithm selector, built by [`AlgoPolicy::tuner`]. See the
+/// module docs for the probe → agree → converge lifecycle.
 pub struct Tuner {
     cfg: TunerConfig,
-    /// Cold-start cost model for replay scoring (static so that replay
-    /// selection is identical on every rank without communication).
-    prior: CostModel,
+    /// One candidate and no probe window: nothing to measure or decide.
+    pinned: bool,
     handles: Vec<Arc<dyn Allreduce + Send + Sync>>,
     /// Completed training epochs observed via [`Tuner::end_epoch`].
     epoch: usize,
@@ -186,18 +191,12 @@ impl Tuner {
     ///
     /// # Panics
     /// If the candidate list is empty.
-    pub fn new(cfg: TunerConfig) -> Self {
-        Tuner::with_cost(cfg, CostModel::default())
-    }
-
-    /// A tuner whose replay scoring uses `prior` instead of the default
-    /// cost model.
-    pub fn with_cost(cfg: TunerConfig, prior: CostModel) -> Self {
+    fn new(cfg: TunerConfig) -> Self {
         assert!(!cfg.candidates.is_empty(), "tuner needs at least one candidate algorithm");
-        let handles = cfg.candidates.iter().map(|a| a.build_shared()).collect();
+        let handles: Vec<_> = cfg.candidates.iter().map(|a| a.build()).collect();
         Tuner {
+            pinned: handles.len() == 1 && cfg.probe_epochs == 0,
             cfg,
-            prior: prior.clone(),
             handles,
             epoch: 0,
             world: 2,
@@ -206,7 +205,7 @@ impl Tuner {
             replay_cache: BTreeMap::new(),
             choices: BTreeMap::new(),
             agreed: false,
-            model: prior,
+            model: CostModel::default(),
         }
     }
 
@@ -216,7 +215,7 @@ impl Tuner {
         bytes.max(1).next_power_of_two().trailing_zeros()
     }
 
-    /// The registered candidates.
+    /// The registered candidates (never empty).
     pub fn candidates(&self) -> &[AllreduceAlgo] {
         &self.cfg.candidates
     }
@@ -259,7 +258,9 @@ impl Tuner {
         } else {
             self.choice_for(class)
         };
-        if track {
+        // A pinned tuner has nothing to attribute spans to, and its owner
+        // need never call `end_epoch` to drain the list.
+        if track && !self.pinned {
             self.pending.push((class, candidate));
         }
         Selection { class, candidate, handle: Arc::clone(&self.handles[candidate]) }
@@ -274,6 +275,9 @@ impl Tuner {
 
     /// The frozen (or lazily replayed) choice for `class`.
     fn choice_for(&mut self, class: u32) -> usize {
+        if self.pinned {
+            return 0;
+        }
         if let Some(&c) = self.choices.get(&class) {
             return c;
         }
@@ -300,7 +304,10 @@ impl Tuner {
         if let Some(&v) = self.replay_cache.get(&(class, candidate)) {
             return v;
         }
-        let v = simulated_ns_per_byte(self.cfg.candidates[candidate], class, self.world, &self.prior);
+        // The static cold-start model, so replay selection is identical on
+        // every rank without communication.
+        let prior = CostModel::default();
+        let v = simulated_ns_per_byte(self.cfg.candidates[candidate], class, self.world, &prior);
         self.replay_cache.insert((class, candidate), v);
         v
     }
@@ -380,10 +387,37 @@ impl Tuner {
         self.agreed = true;
     }
 
-    /// Render the current decision table: `<=BYTES:algo` entries joined by
-    /// `;` (comma-free, so it embeds in the metrics CSV), or `probe` while
-    /// the warm-up window is still rotating candidates.
+    /// The epoch boundary as one call: fold the finished epoch's `spans`
+    /// in ([`Tuner::end_epoch`]) and, on the epoch that closes the probe
+    /// window, run the agreement round and freeze the table. **Collective
+    /// on that epoch** — every rank reaches it with the same tuner state,
+    /// so the embedded allgather is matched; a pinned tuner never
+    /// communicates. Returns the rendered decision table.
+    pub fn close_epoch(&mut self, comm: &Comm, spans: &[BucketSpan]) -> String {
+        if self.end_epoch(spans) {
+            let merged = agree_scores(comm, &self.score_table());
+            self.apply_agreed(&merged);
+        }
+        self.decision_table()
+    }
+
+    /// Total nanoseconds `stats` attributes to the candidates' allreduce
+    /// phases (two parameterizations of one algorithm share a phase label,
+    /// so labels are deduplicated before summing).
+    pub fn phase_ns(&self, stats: &CommStats) -> u64 {
+        let names: std::collections::BTreeSet<&'static str> =
+            self.cfg.candidates.iter().map(|c| c.name()).collect();
+        names.iter().map(|n| stats.phase(n)).sum()
+    }
+
+    /// Render the current decision table: the algorithm's name when
+    /// pinned, else `<=BYTES:algo` entries joined by `;` (comma-free, so it
+    /// embeds in the metrics CSV), or `probe` while the warm-up window is
+    /// still rotating candidates.
     pub fn decision_table(&self) -> String {
+        if self.pinned {
+            return self.handles[0].name().to_string();
+        }
         if self.choices.is_empty() {
             return "probe".to_string();
         }
@@ -596,6 +630,31 @@ mod tests {
     }
 
     #[test]
+    fn fixed_policy_is_a_pinned_tuner() {
+        // Candidate 0 for every slot, size and epoch, no agreement round,
+        // the algorithm's name as the table — and no simulator: replaying
+        // these size classes on a 512-rank fat-tree takes minutes, a pinned
+        // tuner microseconds.
+        let started = std::time::Instant::now();
+        let algo = AllreduceAlgo::MultiColor(2);
+        let mut t = AlgoPolicy::Fixed(algo).tuner();
+        for epoch in 0..3u64 {
+            for slot in 0..4usize {
+                for class in 10..26u32 {
+                    let sel = t.select(slot, 1 << class, 512, slot % 2 == 0);
+                    assert_eq!(sel.candidate, 0, "epoch {epoch} slot {slot} class {class}");
+                    assert_eq!(sel.handle.name(), algo.name());
+                    t.record(&sel, 1 << class, 1000);
+                }
+            }
+            assert!(!t.end_epoch(&[span(epoch, 1 << 12, 1000)]), "epoch {epoch} asked to agree");
+            assert_eq!(t.decision_table(), algo.name());
+        }
+        assert!(!t.agreed() && !t.probing());
+        assert!(started.elapsed() < std::time::Duration::from_millis(500), "{:?}", started.elapsed());
+    }
+
+    #[test]
     fn measured_model_reseeds_from_spans() {
         let mut t = Tuner::new(TunerConfig::with_candidates(vec![AllreduceAlgo::PipelinedRing]));
         assert_eq!(t.measured_model().reduce_bw, CostModel::PRIOR_REDUCE_BW);
@@ -649,11 +708,7 @@ mod tests {
                 } else {
                     (900 * skew, 9_000 * skew) // halving-doubling's epoch
                 };
-                let done = t.end_epoch(&[span(0, 1 << 10, small_ns), span(1, 1 << 14, large_ns)]);
-                if done {
-                    let agreed = agree_scores(comm, &t.score_table());
-                    t.apply_agreed(&agreed);
-                }
+                t.close_epoch(comm, &[span(0, 1 << 10, small_ns), span(1, 1 << 14, large_ns)]);
             }
             assert!(t.agreed());
             // The replanned tiling produces 2^12-byte buckets: class 12 is

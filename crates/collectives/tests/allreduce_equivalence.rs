@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use dcnn_collectives::{
-    f32_crc, run_cluster, Allreduce, AllreduceAlgo, ClusterBuilder, CostModel, MultiColor,
-    PipelinedRing, RecursiveDoubling, RingReduceScatter, TransportKind,
+    f32_crc, run_cluster, Allreduce, AllreduceAlgo, ClusterBuilder, CollectiveOp, CostModel,
+    MultiColor, PipelinedRing, RecursiveDoubling, RingReduceScatter, TransportKind,
 };
 use dcnn_simnet::{throughput_gbps, FatTree, SimOptions};
 use proptest::prelude::*;
@@ -141,7 +141,7 @@ fn run_async_bucketed(
     len: usize,
     bucket_len: usize,
 ) -> Vec<Vec<f32>> {
-    let a = algo.build_shared();
+    let a = algo.build();
     ClusterBuilder::new(n)
         .transport(kind)
         .run(move |c| {
@@ -151,7 +151,8 @@ fn run_async_bucketed(
             let mut start = 0;
             while start < len {
                 let end = (start + bucket_len).min(len);
-                pending.push(c.allreduce_async(Arc::clone(&a), full[start..end].to_vec()));
+                let op = CollectiveOp::allreduce(Arc::clone(&a));
+                pending.push(c.launch(op, full[start..end].to_vec()));
                 spans.push(start..end);
                 start = end;
             }
@@ -273,14 +274,14 @@ fn async_reduce_scatter_bitwise_matches_blocking_every_algorithm() {
                     buf
                 })
                 .results;
-            let a = algo.build_shared();
+            let a = algo.build();
             let cts = counts.clone();
             let asynced = ClusterBuilder::new(n)
                 .transport(kind)
                 .run(move |c| {
                     let buf: Vec<f32> =
                         (0..len).map(|i| contribution(c.rank(), i, 9)).collect();
-                    c.reduce_scatter_async(Arc::clone(&a), buf, cts.clone()).wait()
+                    c.launch(CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()), buf).wait()
                 })
                 .results;
             // Only owned chunks are specified; compare those.
@@ -322,7 +323,7 @@ fn allgather_f32_async_matches_blocking_and_counts() {
                 c.allgather_f32(&mut b, &cts);
                 b
             };
-            let asynced = c.allgather_async(buf, cts.clone(), None).wait();
+            let asynced = c.launch(CollectiveOp::allgather(cts.clone()), buf).wait();
             (blocking, asynced)
         });
         for (rank, (blocking, asynced)) in run.results.iter().enumerate() {

@@ -115,11 +115,11 @@ fn async_bucket_deadlock_names_the_owning_bucket() {
     // the blocked receive lives on rank 0's comm worker, and the report
     // must attribute it to the bucket (its launch sequence number) rather
     // than printing an anonymous rank-0 wait.
-    use dcnn_collectives::AllreduceAlgo;
+    use dcnn_collectives::{AllreduceAlgo, CollectiveOp};
     let report = provoke(2, |c| {
         if c.rank() == 0 {
-            let algo = AllreduceAlgo::RecursiveDoubling.build_shared();
-            let p = c.allreduce_async(algo, vec![1.0f32; 64]);
+            let op = CollectiveOp::allreduce(AllreduceAlgo::RecursiveDoubling.build());
+            let p = c.launch(op, vec![1.0f32; 64]);
             let _ = p.wait(); // never resolves: the peer never launches
         } else {
             let _ = c.recv(0, 33); // keep rank 1 alive and blocked too
@@ -137,13 +137,13 @@ fn labeled_bucket_deadlock_names_the_sealing_segment() {
     // the parameter segment that sealed it; a hung bucket reduce must
     // surface that label so the report points at a layer, not just a
     // sequence number.
-    use dcnn_collectives::AllreduceAlgo;
+    use dcnn_collectives::{AllreduceAlgo, CollectiveOp};
     use std::sync::Arc;
     let report = provoke(2, |c| {
         if c.rank() == 0 {
-            let algo = AllreduceAlgo::RecursiveDoubling.build_shared();
-            let label: Arc<str> = Arc::from("blocks.0.main.2.weight");
-            let p = c.allreduce_async_labeled(algo, vec![1.0f32; 64], Some(label));
+            let op = CollectiveOp::allreduce(AllreduceAlgo::RecursiveDoubling.build())
+                .labeled(Arc::from("blocks.0.main.2.weight"));
+            let p = c.launch(op, vec![1.0f32; 64]);
             let _ = p.wait(); // never resolves: the peer never launches
         } else {
             let _ = c.recv(0, 33); // keep rank 1 alive and blocked too

@@ -370,17 +370,6 @@ pub fn train_on_comm(
     run_rank(comm, cfg, ds, factory)
 }
 
-/// One micro-step: sample, run the DPT, return (loss, grad, correct).
-fn micro_step(
-    exec: &mut DptExecutor,
-    x: &dcnn_tensor::Tensor,
-    labels: &[usize],
-    strategy: DptStrategy,
-) -> (f64, Vec<f32>, u64) {
-    let out = exec.step(x, labels, strategy);
-    (out.loss, out.grad, out.correct as u64)
-}
-
 fn run_rank(
     comm: &Comm,
     cfg: &TrainConfig,
@@ -595,8 +584,7 @@ fn train_epochs(st: TrainState<'_>) {
     };
 
     for epoch in 0..cfg.epochs {
-        let ep_comm = comm.stats();
-        progress.begin(epoch, ep_comm.clone());
+        progress.begin(epoch, comm.stats());
         source.begin_epoch(epoch);
         for it in 0..iterations {
             let frac_epoch = epoch as f32 + it as f32 / iterations as f32;
@@ -605,8 +593,12 @@ fn train_epochs(st: TrainState<'_>) {
             // before the exchange, reusing the pre-sized buffer (the first
             // micro-step overwrites, the rest add in place).
             let accum = cfg.accum_steps.max(1);
-            let mut micro_loss = 0.0;
-            let mut micro_correct = 0u64;
+            let mut step_loss = 0.0;
+            let mut step_correct = 0u64;
+            // One exchange per step, whatever the schedule: the hooked path
+            // feeds it from the backward pass, drain and fused report
+            // nothing and let `finish` do all of it.
+            let mut stream = gsync.begin(comm);
             for micro in 0..accum {
                 let (x, labels) = source.next_batch();
                 if hooked && micro + 1 == accum {
@@ -617,7 +609,6 @@ fn train_epochs(st: TrainState<'_>) {
                     // then hand it to the bucket scheduler — a bucket's
                     // allreduce launches the instant its last range lands.
                     let inv_accum = 1.0 / accum as f32;
-                    let mut stream = gsync.begin(comm);
                     let (l, c) = exec.step_streamed(&x, &labels, |off, vals| {
                         let seg = &mut grad[off..off + vals.len()];
                         if accum == 1 {
@@ -628,36 +619,24 @@ fn train_epochs(st: TrainState<'_>) {
                         }
                         stream.segment_ready(&grad[..], off, vals.len());
                     });
-                    micro_loss += l / accum as f64;
-                    micro_correct += c as u64;
-                    stream.finish(&mut grad[..]);
-                    progress.buckets_launched += gsync.buckets().len() as u64;
+                    step_loss += l / accum as f64;
+                    step_correct += c as u64;
                 } else {
-                    let (l, g, c) = micro_step(exec, &x, &labels, cfg.strategy);
-                    micro_loss += l / accum as f64;
-                    micro_correct += c;
+                    let out = exec.step(&x, &labels, cfg.strategy);
+                    step_loss += out.loss / accum as f64;
+                    step_correct += out.correct as u64;
                     if micro == 0 {
-                        grad.copy_from_slice(&g);
+                        grad.copy_from_slice(&out.grad);
                     } else {
-                        reduce::sum_into(grad, &g);
+                        reduce::sum_into(grad, &out.grad);
                     }
                 }
             }
-            let step_loss = micro_loss;
-            let step_correct = micro_correct;
-            // Inter-node average: sum node-averages, divide by N. The hooked
-            // path already reduced during backprop; drain mode launches the
-            // buckets nonblocking here; `bucket_bytes == 0` runs one fused
-            // blocking allreduce.
-            if !hooked {
-                if accum > 1 {
-                    reduce::scale(grad, 1.0 / accum as f32);
-                }
-                gsync.reduce(comm, &mut grad[..]);
-                if gsync.is_bucketed() {
-                    progress.buckets_launched += gsync.buckets().len() as u64;
-                }
+            if !hooked && accum > 1 {
+                reduce::scale(grad, 1.0 / accum as f32);
             }
+            // Inter-node average: sum node-averages, divide by N.
+            progress.buckets_launched += stream.finish(&mut grad[..]) as u64;
             reduce::scale(grad, 1.0 / n as f32);
             match shards {
                 // Replicated: every replica applies the full averaged
@@ -700,61 +679,32 @@ fn train_epochs(st: TrainState<'_>) {
             Some(vs) => validate(comm, exec, vs, cfg.crop),
             None => 0.0,
         };
-        let now_comm = comm.stats();
+        let spans = comm.take_bucket_spans();
+        let mut row =
+            epoch_row(cfg, progress, &comm.stats(), gsync, me, measure_residency(exec, velocity));
+        row.train_loss = l / (n * iterations) as f64;
+        row.train_acc = c as f64 / cnt as f64;
+        row.val_acc = val_acc;
         // Tuner epoch boundary: fold the epoch's bucket spans into the
         // measured table, and — on the epoch that closes the probe window —
         // run the cluster agreement round that freezes the decision table.
         // Every rank reaches this point on the same epoch with the same
         // tuner state, so the embedded collective is matched.
-        let algo_choices = gsync
-            .tune_epoch_end(comm, &now_comm.bucket_spans[ep_comm.bucket_spans.len()..])
-            .unwrap_or_else(|| gsync.algo_name().to_string());
-        let async_ns = now_comm.async_comm_ns - ep_comm.async_comm_ns;
-        let wait_ns = now_comm.bucket_wait_ns - ep_comm.bucket_wait_ns;
-        let my_overlap = if async_ns == 0 {
-            0.0
-        } else {
-            (1.0 - wait_ns as f64 / async_ns as f64).clamp(0.0, 1.0)
-        };
-        let (res_param, res_opt) = measure_residency(exec, velocity);
-        stats.push(EpochStats {
-            epoch,
-            train_loss: l / (n * iterations) as f64,
-            train_acc: c as f64 / cnt as f64,
-            val_acc,
-            lr: cfg.lr.lr_at(epoch as f32),
-            comm_bytes: now_comm.bytes_sent - ep_comm.bytes_sent,
-            comm_msgs: now_comm.msgs_sent - ep_comm.msgs_sent,
-            comm_wait_secs: (now_comm.recv_wait_ns - ep_comm.recv_wait_ns) as f64 / 1e9,
-            allreduce_secs: (gsync.allreduce_phase_ns(&now_comm)
-                - gsync.allreduce_phase_ns(&ep_comm)) as f64
-                / 1e9,
-            stash_hwm: now_comm.stash_hwm,
-            bucket_wait_secs: wait_ns as f64 / 1e9,
-            overlap_frac: allreduce_max_f64(comm, my_overlap),
-            async_inflight_hwm: allreduce_max_u64(comm, now_comm.async_inflight_hwm),
-            bucket_bytes: gsync.bucket_bytes() as u64,
-            buckets_launched: progress.buckets_launched,
-            resident_param_bytes: res_param,
-            resident_opt_bytes: res_opt,
-            link_bytes_max: {
-                let links = now_comm.link_bytes_delta(&ep_comm);
-                allreduce_max_u64(comm, CommStats::link_bytes_max(me, &links))
-            },
-            link_imbalance: {
-                let links = now_comm.link_bytes_delta(&ep_comm);
-                allreduce_max_f64(comm, CommStats::link_imbalance(me, &links))
-            },
-            algo_choices,
-        });
+        row.algo_choices = gsync.tune_epoch_end(comm, &spans);
+        // Cluster maxima: the leading rank is the one that gets to overlap
+        // and the busiest link can sit on any rank.
+        row.overlap_frac = allreduce_max_f64(comm, row.overlap_frac);
+        row.async_inflight_hwm = allreduce_max_u64(comm, row.async_inflight_hwm);
+        row.link_bytes_max = allreduce_max_u64(comm, row.link_bytes_max);
+        row.link_imbalance = allreduce_max_f64(comm, row.link_imbalance);
+        stats.push(row);
         // Adaptive bucket sizing: steer the measured average of in-flight
         // reduce bytes toward the configured budget by scaling the target
         // between epochs. Every rank adopts the cluster-max measurement, so
         // all ranks re-plan to the identical target (launch order and
         // bucket communicator derivation depend on that).
         if cfg.inflight_budget_bytes > 0 && gsync.is_bucketed() {
-            let avg = now_comm.inflight_bytes_avg(ep_comm.bucket_spans.len());
-            let agreed = allreduce_max_u64(comm, avg);
+            let agreed = allreduce_max_u64(comm, CommStats::inflight_bytes_avg(&spans));
             if agreed > 0 {
                 let cur = gsync.bucket_bytes() as u128;
                 let scaled = cur * cfg.inflight_budget_bytes as u128 / agreed as u128;
@@ -769,6 +719,59 @@ fn train_epochs(st: TrainState<'_>) {
         source.end_epoch(epoch, shuffle_due);
     }
     *dimd = source.finish();
+}
+
+/// The [`EpochStats`] row for `progress`'s epoch as this rank alone sees
+/// it: every field from local counters (`now` against the epoch's opening
+/// snapshot), no communication. The abort path emits it as is; the epoch
+/// end then overwrites the fields the cluster agrees on.
+fn epoch_row(
+    cfg: &TrainConfig,
+    progress: &PartialEpoch,
+    now: &CommStats,
+    gsync: &GradSync,
+    me: usize,
+    (resident_param_bytes, resident_opt_bytes): (u64, u64),
+) -> EpochStats {
+    let start = &progress.start;
+    let secs = |to: u64, from: u64| to.saturating_sub(from) as f64 / 1e9;
+    let async_ns = now.async_comm_ns.saturating_sub(start.async_comm_ns);
+    let wait_ns = now.bucket_wait_ns.saturating_sub(start.bucket_wait_ns);
+    let links = now.link_bytes_delta(start);
+    EpochStats {
+        epoch: progress.epoch,
+        train_loss: if progress.iters == 0 {
+            0.0
+        } else {
+            progress.loss_sum / progress.iters as f64
+        },
+        train_acc: if progress.seen == 0 {
+            0.0
+        } else {
+            progress.correct as f64 / progress.seen as f64
+        },
+        val_acc: 0.0,
+        lr: cfg.lr.lr_at(progress.epoch as f32),
+        comm_bytes: now.bytes_sent.saturating_sub(start.bytes_sent),
+        comm_msgs: now.msgs_sent.saturating_sub(start.msgs_sent),
+        comm_wait_secs: secs(now.recv_wait_ns, start.recv_wait_ns),
+        allreduce_secs: secs(gsync.allreduce_phase_ns(now), gsync.allreduce_phase_ns(start)),
+        stash_hwm: now.stash_hwm,
+        bucket_wait_secs: wait_ns as f64 / 1e9,
+        overlap_frac: if async_ns == 0 {
+            0.0
+        } else {
+            (1.0 - wait_ns as f64 / async_ns as f64).clamp(0.0, 1.0)
+        },
+        async_inflight_hwm: now.async_inflight_hwm,
+        bucket_bytes: gsync.bucket_bytes() as u64,
+        buckets_launched: progress.buckets_launched,
+        resident_param_bytes,
+        resident_opt_bytes,
+        link_bytes_max: CommStats::link_bytes_max(me, &links),
+        link_imbalance: CommStats::link_imbalance(me, &links),
+        algo_choices: gsync.choices_string(),
+    }
 }
 
 /// Live parameter + optimizer bytes on this rank, summed over every local
@@ -789,7 +792,7 @@ fn measure_residency(exec: &mut DptExecutor, velocity: &[f32]) -> (u64, u64) {
 /// to the checkpoint) telling the operator where training stood, and an
 /// abort checkpoint making the completed steps resumable. Deliberately
 /// avoids every collective call: peers are dead or dying, so only local
-/// counters go into the row.
+/// counters go into the row ([`epoch_row`]).
 ///
 /// Under the sharded strategy the abort checkpoint is this rank's
 /// [`ShardCheckpoint`] (`DCKS`) — full momentum no longer exists anywhere —
@@ -807,56 +810,7 @@ fn flush_abort_state(
     err: &CommError,
 ) {
     let me = comm.rank();
-    let now = comm.stats();
-    let async_ns = now.async_comm_ns.saturating_sub(progress.start.async_comm_ns);
-    let wait_ns = now.bucket_wait_ns.saturating_sub(progress.start.bucket_wait_ns);
-    let (res_param, res_opt) = measure_residency(exec, velocity);
-    let row = EpochStats {
-        epoch: progress.epoch,
-        train_loss: if progress.iters == 0 {
-            0.0
-        } else {
-            progress.loss_sum / progress.iters as f64
-        },
-        train_acc: if progress.seen == 0 {
-            0.0
-        } else {
-            progress.correct as f64 / progress.seen as f64
-        },
-        val_acc: 0.0,
-        lr: cfg.lr.lr_at(progress.epoch as f32),
-        comm_bytes: now.bytes_sent.saturating_sub(progress.start.bytes_sent),
-        comm_msgs: now.msgs_sent.saturating_sub(progress.start.msgs_sent),
-        comm_wait_secs: now.recv_wait_ns.saturating_sub(progress.start.recv_wait_ns) as f64 / 1e9,
-        allreduce_secs: gsync
-            .allreduce_phase_ns(&now)
-            .saturating_sub(gsync.allreduce_phase_ns(&progress.start)) as f64
-            / 1e9,
-        stash_hwm: now.stash_hwm,
-        bucket_wait_secs: wait_ns as f64 / 1e9,
-        overlap_frac: if async_ns == 0 {
-            0.0
-        } else {
-            (1.0 - wait_ns as f64 / async_ns as f64).clamp(0.0, 1.0)
-        },
-        async_inflight_hwm: now.async_inflight_hwm,
-        bucket_bytes: gsync.bucket_bytes() as u64,
-        buckets_launched: progress.buckets_launched,
-        resident_param_bytes: res_param,
-        resident_opt_bytes: res_opt,
-        // Local-only link picture for the same no-collective reason.
-        link_bytes_max: {
-            let links = now.link_bytes_delta(&progress.start);
-            CommStats::link_bytes_max(me, &links)
-        },
-        link_imbalance: {
-            let links = now.link_bytes_delta(&progress.start);
-            CommStats::link_imbalance(me, &links)
-        },
-        // No collective here — peers are dead or dying — so render whatever
-        // the local tuner last knew instead of agreeing on anything.
-        algo_choices: gsync.choices_string(),
-    };
+    let row = epoch_row(cfg, progress, &comm.stats(), gsync, me, measure_residency(exec, velocity));
     eprintln!(
         "dcnn: rank {me}: aborting training after {} iteration(s) of epoch {}: {err}",
         progress.iters, progress.epoch
@@ -1140,6 +1094,23 @@ mod tests {
             "expected ≥2 buckets in flight, saw {}",
             last.async_inflight_hwm
         );
+    }
+
+    #[test]
+    fn bucket_spans_are_drained_every_epoch() {
+        // The epoch end takes the epoch's spans out of the communicator, so
+        // a long bucketed run holds (and `Comm::stats` copies) one epoch's
+        // worth at most — not every span since cluster start.
+        let ds = tiny_ds();
+        let mut cfg = tiny_cfg(2, 3);
+        cfg.bucket_bytes = 1024;
+        cfg.validate = false;
+        let run = dcnn_collectives::ClusterBuilder::new(2)
+            .run(|comm| train_on_comm(comm, &cfg, &ds, &tiny_factory));
+        for (epochs, stats) in run.results.iter().zip(&run.stats) {
+            assert_eq!(stats.async_launched, 3 * epochs[0].buckets_launched);
+            assert!(stats.bucket_spans.len() as u64 <= epochs[0].buckets_launched);
+        }
     }
 
     #[test]
@@ -1446,6 +1417,102 @@ mod tests {
         let last = &st.last().expect("stats").algo_choices;
         assert!(last.contains("<="), "table never froze: {last:?}");
         assert_eq!(sf.last().expect("stats").algo_choices, "ring");
+    }
+
+    /// Rank 0's traffic and loss for one gradient-exchange mode: mode name,
+    /// whole-run `(bytes_sent, msgs_sent)`, then per epoch `(comm_bytes,
+    /// comm_msgs, buckets_launched, train_loss bits)`.
+    type TrafficRow = (&'static str, (u64, u64), [(u64, u64, u64, u64); 2]);
+
+    /// Captured at the commit before the exchange paths were unified, on the
+    /// threaded fabric, where byte and message counts are deterministic.
+    /// The whole-run totals also cover the collectives between one epoch's
+    /// closing snapshot and the next epoch's opening one (tuner agreement,
+    /// cluster maxima), which no epoch row counts.
+    #[rustfmt::skip]
+    const TRAFFIC_GOLDEN: &[TrafficRow] = &[
+        ("ring-reduce-scatter/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
+        ("ring-reduce-scatter/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
+        ("ring-reduce-scatter/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
+        ("ring-reduce-scatter/w2/drain/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731), (21048, 37, 30, 4607210913014694081)]),
+        ("ring-reduce-scatter/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
+        ("ring-reduce-scatter/w2/hooked/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731), (21048, 37, 30, 4607210913014694081)]),
+        ("ring-reduce-scatter/w3/fused/replicated", (38592, 52), [(18848, 18, 0, 4608845318715749144), (18848, 18, 0, 4607345403102038685)]),
+        ("ring-reduce-scatter/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318715749144), (18848, 18, 0, 4607345403102038685)]),
+        ("ring-reduce-scatter/w3/drain/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181), (18848, 82, 20, 4607345403130227696)]),
+        ("ring-reduce-scatter/w3/drain/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144), (18848, 50, 20, 4607345403102038685)]),
+        ("ring-reduce-scatter/w3/hooked/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181), (18848, 82, 20, 4607345403130227696)]),
+        ("ring-reduce-scatter/w3/hooked/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144), (18848, 50, 20, 4607345403102038685)]),
+        ("multicolor/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
+        ("multicolor/w2/fused/sharded", (63392, 46), [(31536, 19, 0, 4608632158400617731), (31536, 19, 0, 4607210913014694081)]),
+        ("multicolor/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
+        ("multicolor/w2/drain/sharded", (63392, 142), [(31536, 67, 30, 4608632158400617731), (31536, 67, 30, 4607210913014694081)]),
+        ("multicolor/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
+        ("multicolor/w2/hooked/sharded", (63392, 142), [(31536, 67, 30, 4608632158400617731), (31536, 67, 30, 4607210913014694081)]),
+        ("multicolor/w3/fused/replicated", (38624, 52), [(18864, 18, 0, 4608845318705986953), (18864, 18, 0, 4607345403100759925)]),
+        ("multicolor/w3/fused/sharded", (57280, 68), [(28192, 26, 0, 4608845318705986953), (28192, 26, 0, 4607345403100759925)]),
+        ("multicolor/w3/drain/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549), (18864, 82, 20, 4607345403115794811)]),
+        ("multicolor/w3/drain/sharded", (57280, 196), [(28192, 90, 20, 4608845318743314549), (28192, 90, 20, 4607345403115794811)]),
+        ("multicolor/w3/hooked/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549), (18864, 82, 20, 4607345403115794811)]),
+        ("multicolor/w3/hooked/sharded", (57280, 196), [(28192, 90, 20, 4608845318743314549), (28192, 90, 20, 4607345403115794811)]),
+        ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42416, 130), [(21048, 61, 30, 4608632138296352319), (21048, 61, 30, 4607211123083706365)]),
+        ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84368, 250), [(42024, 121, 60, 4608663114122042792), (42024, 121, 60, 4606370365909963915)]),
+    ];
+
+    #[test]
+    fn exchange_traffic_and_loss_match_the_golden_capture() {
+        use dcnn_collectives::ClusterBuilder;
+        let ds = tiny_ds();
+        // (algorithm, ranks, schedule, sharded, fp16, accumulation steps)
+        let mut modes = Vec::new();
+        for algo in [AllreduceAlgo::RingReduceScatter, AllreduceAlgo::MultiColor(4)] {
+            for nodes in [2, 3] {
+                for sched in ["fused", "drain", "hooked"] {
+                    modes.extend([false, true].map(|shd| (algo, nodes, sched, shd, false, 1)));
+                }
+            }
+        }
+        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, true, 1));
+        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, false, 2));
+
+        let mut actual = Vec::new();
+        for (algo, nodes, sched, sharded, fp16, accum) in modes {
+            let mut cfg = tiny_cfg(nodes, 2);
+            cfg.algo = algo.into();
+            // 1 KiB buckets: five per step on the tiny model.
+            cfg.bucket_bytes = if sched == "fused" { 0 } else { 1024 };
+            cfg.overlap = if sched == "drain" { OverlapMode::Drain } else { OverlapMode::Hooked };
+            cfg.shard_optim = sharded;
+            cfg.fp16_grads = fp16;
+            cfg.accum_steps = accum;
+            cfg.batch_per_gpu = 4 / accum;
+            cfg.validate = false;
+            cfg.shuffle_every_epochs = 0;
+            let run = ClusterBuilder::new(nodes)
+                .run(|comm| train_on_comm(comm, &cfg, &ds, &tiny_factory));
+            let mut name = format!("{algo}/w{nodes}/{sched}/");
+            name += if sharded { "sharded" } else { "replicated" };
+            name += if fp16 { "/fp16" } else { "" };
+            name += if accum > 1 { "/accum2" } else { "" };
+            let epochs: Vec<(u64, u64, u64, u64)> = run.results[0]
+                .iter()
+                .map(|s| (s.comm_bytes, s.comm_msgs, s.buckets_launched, s.train_loss.to_bits()))
+                .collect();
+            actual.push((name, (run.stats[0].bytes_sent, run.stats[0].msgs_sent), epochs));
+        }
+        // On a mismatch, print what was captured in the table's own syntax.
+        let rendered: String = actual
+            .iter()
+            .map(|(n, t, e)| format!("        ({n:?}, {t:?}, [{:?}, {:?}]),\n", e[0], e[1]))
+            .collect();
+        assert_eq!(actual.len(), TRAFFIC_GOLDEN.len(), "captured rows:\n{rendered}");
+        for ((name, totals, epochs), golden) in actual.iter().zip(TRAFFIC_GOLDEN) {
+            assert_eq!(
+                (name.as_str(), *totals, epochs.as_slice()),
+                (golden.0, golden.1, &golden.2[..]),
+                "captured rows:\n{rendered}"
+            );
+        }
     }
 
     #[test]

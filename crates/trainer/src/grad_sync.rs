@@ -5,32 +5,31 @@
 //! Algorithm 1 waits for the whole flattened gradient before starting one
 //! fused allreduce. [`GradSync`] instead packs the model's parameter
 //! segments — walked in reverse layer order, the order backprop completes
-//! them — into size-targeted buckets. Two launch schedules share that plan:
+//! them — into size-targeted buckets, and one schedule, the [`GradStream`],
+//! exchanges them:
 //!
-//! * **Drain** ([`GradSync::reduce`]): after backward completes, launch
-//!   every bucket's nonblocking reduce back-to-back and drain the handles
-//!   in launch order — buckets overlap *each other* but not backprop.
-//! * **Hooked** ([`GradSync::begin`] → [`GradStream`]): the backward hook
-//!   reports each parameter range the moment its gradient is final
-//!   ([`GradStream::segment_ready`]); a bucket seals and launches the
-//!   instant its last segment arrives, so early buckets travel the network
-//!   while earlier layers are still backpropagating.
-//!   [`GradStream::finish`] then launches any stragglers **first-needed
-//!   first** (the bucket covering the first forward layer goes out ahead of
-//!   the rest) and drains the in-flight handles in reverse-launch order, so
-//!   the bucket the next iteration's forward pass needs first completes
-//!   first.
+//! * the backward hook reports each parameter range the moment its gradient
+//!   is final ([`GradStream::segment_ready`]); a bucket seals and launches
+//!   the instant its last segment arrives, so early buckets travel the
+//!   network while earlier layers are still backpropagating (**hooked**);
+//! * [`GradStream::finish`] launches whatever was never sealed
+//!   **first-needed first** (the bucket covering the first forward layer
+//!   goes out ahead of the rest) and drains the in-flight handles in
+//!   reverse-launch order, so the bucket the next iteration's forward pass
+//!   needs first completes first. With nothing reported that is the
+//!   **drain** schedule ([`GradSync::reduce`]): every bucket launched after
+//!   backward, overlapping each other but not backprop.
 //!
-//! A bucket size of `0` disables bucketing entirely: one blocking allreduce
-//! over the fused gradient, byte-for-byte today's behavior. At two ranks the
-//! bucketed path is **bitwise identical** to the blocking one for every
-//! algorithm (a single f32 addition per element commutes); at larger scale
-//! each algorithm's summation order over a sub-range can differ from its
-//! order over the fused buffer, exactly as MPI makes no cross-count
-//! reproducibility promise. Seal order is deterministic and identical on
-//! every rank (each rank walks the same module tree backwards), which is
-//! what lets the runtime derive matching bucket communicator IDs from
-//! launch sequence numbers alone.
+//! A bucket size of `0` disables bucketing entirely: `finish` runs one
+//! blocking allreduce over the fused gradient, in place on the caller's
+//! thread. At two ranks the bucketed path is **bitwise identical** to the
+//! blocking one for every algorithm (a single f32 addition per element
+//! commutes); at larger scale each algorithm's summation order over a
+//! sub-range can differ from its order over the fused buffer, exactly as
+//! MPI makes no cross-count reproducibility promise. Seal order is
+//! deterministic and identical on every rank (each rank walks the same
+//! module tree backwards), which is what lets the runtime derive matching
+//! bucket communicator IDs from launch sequence numbers alone.
 //!
 //! [`GradSync::with_shards`] swaps every allreduce in the plan — fused,
 //! drained or hooked — for a reduce-scatter over the
@@ -39,11 +38,12 @@
 //! optimizer reads before it allgathers the stepped parameters.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dcnn_collectives::runtime::{BucketSpan, Comm, CommStats, PendingReduce};
-use dcnn_collectives::{agree_scores, quantize_f16, AlgoPolicy, Allreduce, Tuner};
+use dcnn_collectives::runtime::{BucketSpan, CollectiveOp, Comm, CommStats, PendingReduce};
+use dcnn_collectives::{quantize_f16, AlgoPolicy, Allreduce, Tuner};
 use dcnn_tensor::layers::ParamSegment;
 
 use crate::shard::ShardMap;
@@ -117,99 +117,53 @@ pub fn plan_buckets(segments: &[ParamSegment], bucket_bytes: usize) -> Vec<Bucke
     out
 }
 
-/// How [`GradSync`] resolves the algorithm for each bucket launch: one
-/// pinned handle, or a measurement-driven [`Tuner`] consulted per launch.
-/// The `RefCell` keeps selection usable from `&self` launch paths
-/// ([`GradStream`] holds a shared borrow of the sync while sealing).
-enum Selector {
-    Fixed(Arc<dyn Allreduce + Send + Sync>),
-    Auto(RefCell<Tuner>),
-}
-
-impl Selector {
-    /// The algorithm handle for the bucket at plan `slot` holding `bytes`
-    /// bytes. `track` must be true for nonblocking launches so the tuner
-    /// can attribute the bucket's completion span back to this choice.
-    fn pick(
-        &self,
-        slot: usize,
-        bytes: u64,
-        world: usize,
-        track: bool,
-    ) -> Arc<dyn Allreduce + Send + Sync> {
-        match self {
-            Selector::Fixed(a) => Arc::clone(a),
-            Selector::Auto(t) => t.borrow_mut().select(slot, bytes, world, track).handle,
-        }
-    }
-}
-
-/// The gradient-exchange engine: owns the algorithm policy and the bucket
+/// The gradient-exchange engine: owns the algorithm selector and the bucket
 /// plan, and runs one exchange per training iteration.
 pub struct GradSync {
-    selector: Selector,
+    /// Picks the algorithm per bucket launch; a `Fixed` policy is a tuner
+    /// pinned to its one candidate. The `RefCell` keeps selection usable
+    /// from `&self` ([`GradStream`] holds a shared borrow while sealing).
+    tuner: RefCell<Tuner>,
     segments: Vec<ParamSegment>,
     buckets: Vec<Bucket>,
     bucket_bytes: usize,
     fp16: bool,
-    bucketed: bool,
     shards: Option<ShardMap>,
 }
 
 impl GradSync {
     /// Plan buckets over `segments` (forward layer order, as produced by
-    /// `dcnn_tensor::layers::param_segments`) and resolve `policy` into the
-    /// launch-time selector: `Fixed` builds the one algorithm, `Auto`
-    /// stands up a [`Tuner`] that probes and then picks per bucket size.
-    /// `bucket_bytes == 0` selects the fused blocking exchange; `fp16`
-    /// quantizes each bucket's payload before it is reduced (elementwise,
-    /// so identical to quantizing the fused gradient).
+    /// `dcnn_tensor::layers::param_segments`) and stand up `policy`'s
+    /// launch-time selector ([`AlgoPolicy::tuner`]). `bucket_bytes == 0`
+    /// selects the fused blocking exchange; `fp16` quantizes each bucket's
+    /// payload before it is reduced (elementwise, so identical to
+    /// quantizing the fused gradient).
     pub fn with_policy(
         policy: AlgoPolicy,
         segments: &[ParamSegment],
         bucket_bytes: usize,
         fp16: bool,
     ) -> Self {
-        let selector = match policy {
-            AlgoPolicy::Fixed(a) => Selector::Fixed(a.build_shared()),
-            AlgoPolicy::Auto(cfg) => Selector::Auto(RefCell::new(Tuner::new(cfg))),
-        };
-        GradSync::from_selector(selector, segments, bucket_bytes, fp16)
-    }
-
-    fn from_selector(
-        selector: Selector,
-        segments: &[ParamSegment],
-        bucket_bytes: usize,
-        fp16: bool,
-    ) -> Self {
-        let buckets = plan_buckets(segments, bucket_bytes);
         GradSync {
-            selector,
+            tuner: RefCell::new(policy.tuner()),
             segments: segments.to_vec(),
-            buckets,
+            buckets: plan_buckets(segments, bucket_bytes),
             bucket_bytes,
             fp16,
-            bucketed: bucket_bytes > 0,
             shards: None,
         }
     }
 
     /// Switch the exchange to the sharded strategy: every reduce becomes a
-    /// reduce-scatter over `shards`' owner map, so after [`GradSync::reduce`]
-    /// (or a [`GradStream`]) only this rank's owned range of the gradient is
-    /// fully reduced — the rest holds partial sums the optimizer must not
-    /// read. `shards.total()` must equal the segment map's total length.
+    /// reduce-scatter over `shards`' owner map, so after the exchange only
+    /// this rank's owned range of the gradient is fully reduced — the rest
+    /// holds partial sums the optimizer must not read. `shards.total()`
+    /// must equal the segment map's total length.
     pub fn with_shards(mut self, shards: ShardMap) -> Self {
         let total: usize = self.segments.iter().map(|s| s.len).sum();
         assert_eq!(shards.total(), total, "shard map must cover the gradient");
         self.shards = Some(shards);
         self
-    }
-
-    /// Whether reduces run as shard-owner reduce-scatters.
-    pub fn is_sharded(&self) -> bool {
-        self.shards.is_some()
     }
 
     /// The planned buckets, in launch (reverse layer) order.
@@ -229,56 +183,27 @@ impl GradSync {
     pub fn replan(&mut self, bucket_bytes: usize) {
         self.buckets = plan_buckets(&self.segments, bucket_bytes);
         self.bucket_bytes = bucket_bytes;
-        self.bucketed = bucket_bytes > 0;
     }
 
     /// Whether the nonblocking bucketed path is active.
     pub fn is_bucketed(&self) -> bool {
-        self.bucketed
-    }
-
-    /// The policy's display name: the fixed algorithm's phase label, or
-    /// `"auto"` when a tuner is choosing per bucket.
-    pub fn algo_name(&self) -> &'static str {
-        match &self.selector {
-            Selector::Fixed(a) => a.name(),
-            Selector::Auto(_) => "auto",
-        }
+        self.bucket_bytes > 0
     }
 
     /// Total nanoseconds `stats` attributes to this sync's allreduce
-    /// phase(s): one phase label when the policy is fixed, the sum over the
-    /// tuner's (deduplicated) candidate labels when it is auto — two
-    /// parameterizations of the same algorithm share one phase label.
+    /// phase(s), summed over the selector's candidate labels.
     pub fn allreduce_phase_ns(&self, stats: &CommStats) -> u64 {
-        match &self.selector {
-            Selector::Fixed(a) => stats.phase(a.name()),
-            Selector::Auto(t) => {
-                let names: std::collections::BTreeSet<&'static str> =
-                    t.borrow().candidates().iter().map(|c| c.name()).collect();
-                names.iter().map(|n| stats.phase(n)).sum()
-            }
-        }
+        self.tuner.borrow().phase_ns(stats)
     }
 
-    /// Epoch boundary hook for the tuner. `spans` are the bucket spans the
-    /// communicator completed during the finished epoch. When the probe
+    /// Epoch boundary hook for the selector. `spans` are the bucket spans
+    /// the communicator completed during the finished epoch. When a probe
     /// window just closed this runs the **collective** agreement round
     /// (every rank reaches this on the same epoch, so the collective is
     /// matched) and freezes the decision table. Returns the rendered
-    /// decision table, or `None` for a fixed policy.
-    pub fn tune_epoch_end(&self, comm: &Comm, spans: &[BucketSpan]) -> Option<String> {
-        match &self.selector {
-            Selector::Fixed(_) => None,
-            Selector::Auto(t) => {
-                let mut t = t.borrow_mut();
-                if t.end_epoch(spans) {
-                    let merged = agree_scores(comm, &t.score_table());
-                    t.apply_agreed(&merged);
-                }
-                Some(t.decision_table())
-            }
-        }
+    /// decision table.
+    pub fn tune_epoch_end(&self, comm: &Comm, spans: &[BucketSpan]) -> String {
+        self.tuner.borrow_mut().close_epoch(comm, spans)
     }
 
     /// The current decision table without any communication: the fixed
@@ -286,10 +211,7 @@ impl GradSync {
     /// warm-up window is still open). Safe to call off the collective path,
     /// e.g. while flushing stats after an injected fault.
     pub fn choices_string(&self) -> String {
-        match &self.selector {
-            Selector::Fixed(a) => a.name().to_string(),
-            Selector::Auto(t) => t.borrow().decision_table(),
-        }
+        self.tuner.borrow().decision_table()
     }
 
     /// Name of the parameter segment containing flat index `idx` (used to
@@ -302,84 +224,47 @@ impl GradSync {
         &self.segments[i - 1].name
     }
 
-    /// Start one iteration's streaming exchange. Feed the stream from the
-    /// backward hook via [`GradStream::segment_ready`], then call
+    /// The collective that exchanges `range` of the flattened gradient with
+    /// `algo`: an allreduce, or under the sharded strategy a reduce-scatter
+    /// over the owner map's cut of that range.
+    fn op(&self, algo: Arc<dyn Allreduce + Send + Sync>, range: Range<usize>) -> CollectiveOp {
+        match &self.shards {
+            None => CollectiveOp::allreduce(algo),
+            Some(sm) => CollectiveOp::reduce_scatter(algo, sm.bucket_counts(range)),
+        }
+    }
+
+    /// Start one iteration's exchange. Feed the stream from the backward
+    /// hook via [`GradStream::segment_ready`] (or not at all), then call
     /// [`GradStream::finish`] before the SGD step.
     pub fn begin<'a>(&'a self, comm: &'a Comm) -> GradStream<'a> {
         GradStream {
             sync: self,
             comm,
             remaining: self.buckets.iter().map(|b| b.len).collect(),
-            pending: self.buckets.iter().map(|_| None).collect(),
-            launch_order: Vec::with_capacity(self.buckets.len()),
+            in_flight: Vec::new(),
         }
     }
 
-    /// Sum `grad` elementwise across all ranks of `comm`, in place.
-    ///
-    /// Blocking mode runs one fused allreduce on the calling thread.
-    /// Bucketed mode launches every bucket's nonblocking reduce in reverse
-    /// layer order, then drains the handles in launch order and scatters
-    /// the reduced payloads back — early buckets finish while later ones
-    /// are still being packed or are in flight.
+    /// Sum `grad` elementwise across all ranks of `comm`, in place: the
+    /// exchange with nothing streamed. Blocking mode runs one fused
+    /// allreduce on the calling thread; bucketed mode launches every
+    /// bucket's nonblocking reduce back to back and drains them.
     pub fn reduce(&self, comm: &Comm, grad: &mut [f32]) {
-        if !self.bucketed {
-            if self.fp16 {
-                quantize_f16(grad);
-            }
-            let bytes = (grad.len() * 4) as u64;
-            match &self.selector {
-                Selector::Fixed(algo) => match &self.shards {
-                    None => algo.run(comm, grad),
-                    Some(sm) => algo.reduce_scatter(comm, grad, &sm.counts()),
-                },
-                Selector::Auto(t) => {
-                    // Blocking launch: no bucket span will record this, so
-                    // time it here and report back to the tuner directly.
-                    let sel = t.borrow_mut().select(0, bytes, comm.size(), false);
-                    let start = Instant::now();
-                    match &self.shards {
-                        None => sel.handle.run(comm, grad),
-                        Some(sm) => sel.handle.reduce_scatter(comm, grad, &sm.counts()),
-                    }
-                    t.borrow_mut().record(&sel, bytes, start.elapsed().as_nanos() as u64);
-                }
-            }
-            return;
-        }
-        let mut pending = Vec::with_capacity(self.buckets.len());
-        for (slot, b) in self.buckets.iter().enumerate() {
-            let mut payload = grad[b.range()].to_vec();
-            if self.fp16 {
-                quantize_f16(&mut payload);
-            }
-            let algo = self.selector.pick(slot, b.bytes() as u64, comm.size(), true);
-            pending.push(match &self.shards {
-                None => comm.allreduce_async(algo, payload),
-                Some(sm) => {
-                    comm.reduce_scatter_async(algo, payload, sm.bucket_counts(b.range()))
-                }
-            });
-        }
-        for (b, p) in self.buckets.iter().zip(pending) {
-            let reduced = p.wait();
-            grad[b.range()].copy_from_slice(&reduced);
-        }
+        self.begin(comm).finish(grad);
     }
 }
 
-/// One training iteration's streaming gradient exchange: buckets seal and
-/// launch as the backward hook reports parameter ranges, and the remainder
-/// drains with next-iteration priority in [`GradStream::finish`].
+/// One training iteration's gradient exchange: buckets seal and launch as
+/// the backward hook reports parameter ranges, and the remainder launches
+/// and drains with next-iteration priority in [`GradStream::finish`].
 pub struct GradStream<'a> {
     sync: &'a GradSync,
     comm: &'a Comm,
     /// Scalars of each bucket not yet reported by the hook; `0` = sealed.
     remaining: Vec<usize>,
-    /// In-flight handle per bucket (set when the bucket launches).
-    pending: Vec<Option<PendingReduce>>,
-    /// Bucket indices in the order they launched.
-    launch_order: Vec<usize>,
+    /// Launched buckets (plan index, handle), in launch order.
+    in_flight: Vec<(usize, PendingReduce)>,
 }
 
 impl<'a> GradStream<'a> {
@@ -414,9 +299,11 @@ impl<'a> GradStream<'a> {
 
     /// Number of buckets whose reduce has launched so far.
     pub fn launched(&self) -> usize {
-        self.launch_order.len()
+        self.in_flight.len()
     }
 
+    /// Everything one bucket's launch takes: copy the payload out, quantize
+    /// it, pick the algorithm, build the op from the shard map, launch.
     fn seal(&mut self, i: usize, grad: &[f32], sealed_at: usize) {
         let sync = self.sync;
         let b = &sync.buckets[i];
@@ -424,45 +311,56 @@ impl<'a> GradStream<'a> {
         if sync.fp16 {
             quantize_f16(&mut payload);
         }
-        let label: Arc<str> = Arc::from(sync.segment_name_at(sealed_at));
         // Seal order is deterministic and identical on every rank, and the
         // tuner's choice depends only on the bucket's plan index — so every
         // rank launches the same algorithm for the same seq.
-        let algo = sync.selector.pick(i, b.bytes() as u64, self.comm.size(), true);
-        self.pending[i] = Some(match &sync.shards {
-            None => self.comm.allreduce_async_labeled(algo, payload, Some(label)),
-            Some(sm) => self.comm.reduce_scatter_async_labeled(
-                algo,
-                payload,
-                sm.bucket_counts(b.range()),
-                Some(label),
-            ),
-        });
-        self.launch_order.push(i);
+        let algo = sync.tuner.borrow_mut().select(i, b.bytes() as u64, self.comm.size(), true).handle;
+        let op = sync.op(algo, b.range()).labeled(Arc::from(sync.segment_name_at(sealed_at)));
+        self.in_flight.push((i, self.comm.launch(op, payload)));
     }
 
-    /// Launch any buckets backprop never sealed (stragglers, or ranges the
-    /// caller withheld) and drain everything in flight, scattering the
-    /// reduced payloads back into `grad`.
+    /// Launch any buckets backprop never sealed (stragglers, ranges the
+    /// caller withheld, or — nothing reported — all of them) and drain
+    /// everything in flight, scattering the reduced payloads back into
+    /// `grad`. Returns the number of nonblocking reduces this exchange
+    /// launched.
     ///
     /// Stragglers launch in **reverse bucket-index order** — the plan's last
     /// bucket covers the first forward layers, which the next iteration
     /// needs first — and the drain walks reverse-launch order for the same
     /// reason. Both orders are deterministic, so ranks keep launching the
     /// same buckets in the same sequence.
-    pub fn finish(mut self, grad: &mut [f32]) {
-        for i in (0..self.sync.buckets.len()).rev() {
+    ///
+    /// A fused plan (`bucket_bytes == 0`) that has launched nothing is the
+    /// classic Algorithm 1 exchange instead: its one op runs blocking, in
+    /// place, on the caller's communicator — no payload copy, no worker
+    /// hop, and `0` launches reported.
+    pub fn finish(mut self, grad: &mut [f32]) -> usize {
+        let sync = self.sync;
+        if !sync.is_bucketed() && self.in_flight.is_empty() {
+            if sync.fp16 {
+                quantize_f16(grad);
+            }
+            // No bucket span will record a blocking launch, so time it
+            // here and report back to the tuner directly.
+            let bytes = (grad.len() * 4) as u64;
+            let sel = sync.tuner.borrow_mut().select(0, bytes, self.comm.size(), false);
+            let op = sync.op(Arc::clone(&sel.handle), 0..grad.len());
+            let start = Instant::now();
+            op.run(self.comm, grad);
+            sync.tuner.borrow_mut().record(&sel, bytes, start.elapsed().as_nanos() as u64);
+            return 0;
+        }
+        for i in (0..sync.buckets.len()).rev() {
             if self.remaining[i] > 0 {
-                self.remaining[i] = 0;
-                self.seal(i, grad, self.sync.buckets[i].offset);
+                self.seal(i, grad, sync.buckets[i].offset);
             }
         }
-        let order = std::mem::take(&mut self.launch_order);
-        for &i in order.iter().rev() {
-            let p = self.pending[i].take().expect("launched bucket has a handle");
-            let reduced = p.wait();
-            grad[self.sync.buckets[i].range()].copy_from_slice(&reduced);
+        let launched = self.in_flight.len();
+        for (i, p) in self.in_flight.into_iter().rev() {
+            grad[sync.buckets[i].range()].copy_from_slice(&p.wait());
         }
+        launched
     }
 }
 
@@ -574,11 +472,29 @@ mod tests {
             }
             assert_eq!(stream.launched(), gsync.buckets().len(), "every bucket sealed");
             stream.finish(&mut streamed);
-            (blocking, streamed)
+
+            // Ranges that straddle the bucket boundaries ([99..101),
+            // [38..99), [33..38), [0..33)) and arrive out of reverse order:
+            // each bucket still seals exactly once, at the report that
+            // completes it, and `finish` launches the one left short
+            // ([0..33) never hears about 20..30).
+            let mut straddled = mk(comm.rank());
+            let mut stream = gsync.begin(comm);
+            let sealed_after: Vec<usize> = [(30, 40), (95, 6), (0, 20), (70, 25)]
+                .iter()
+                .map(|&(off, len)| {
+                    stream.segment_ready(&straddled, off, len);
+                    stream.launched()
+                })
+                .collect();
+            assert_eq!(sealed_after, [1, 2, 2, 3]);
+            assert_eq!(stream.finish(&mut straddled), gsync.buckets().len());
+            (blocking, streamed, straddled)
         });
-        for (rank, (a, b)) in out.iter().enumerate() {
+        for (rank, (a, b, c)) in out.iter().enumerate() {
             for i in 0..a.len() {
                 assert_eq!(a[i].to_bits(), b[i].to_bits(), "rank {rank} elem {i}");
+                assert_eq!(a[i].to_bits(), c[i].to_bits(), "rank {rank} elem {i} (straddled)");
             }
         }
     }
@@ -747,11 +663,11 @@ mod tests {
                     build(policy, 128).reduce(comm, &mut g);
                     g
                 };
-                let run_hooked = |policy: AlgoPolicy| {
+                let run_hooked = |policy: AlgoPolicy, report: bool| {
                     let gsync = build(policy, 128);
                     let mut g = mk(comm.rank());
                     let mut stream = gsync.begin(comm);
-                    for seg in s.iter().rev() {
+                    for seg in s.iter().rev().filter(|_| report) {
                         stream.segment_ready(&g, seg.offset, seg.len);
                     }
                     stream.finish(&mut g);
@@ -765,13 +681,17 @@ mod tests {
                 (
                     view(run_fused(auto())) == view(run_fused(fixed())),
                     view(run_drain(auto())) == view(run_drain(fixed())),
-                    view(run_hooked(auto())) == view(run_hooked(fixed())),
+                    view(run_hooked(auto(), true)) == view(run_hooked(fixed(), true)),
+                    // Drain is not separate code: `reduce` on a bucketed
+                    // plan is the stream with nothing reported.
+                    view(run_drain(fixed())) == view(run_hooked(fixed(), false)),
                 )
             });
-            for (rank, (fused, drain, hooked)) in out.iter().enumerate() {
+            for (rank, (fused, drain, hooked, unreported)) in out.iter().enumerate() {
                 assert!(fused, "sharded={sharded} rank {rank}: fused diverged");
                 assert!(drain, "sharded={sharded} rank {rank}: drain diverged");
                 assert!(hooked, "sharded={sharded} rank {rank}: hooked diverged");
+                assert!(unreported, "sharded={sharded} rank {rank}: reduce != unreported stream");
             }
         }
     }

@@ -9,7 +9,7 @@
 //! cargo run --release --example allreduce_shootout
 //! ```
 
-use dist_cnn::collectives::CostModel;
+use dist_cnn::collectives::{CollectiveOp, CostModel};
 use dist_cnn::prelude::*;
 
 fn main() {
@@ -34,15 +34,14 @@ fn main() {
             algo.name()
         );
         let bytes: u64 = run.stats.iter().map(|s| s.bytes_sent).sum();
-        let max_wait =
-            run.stats.iter().map(CommStats::recv_wait_secs).fold(0.0, f64::max);
+        let max_wait_ns = run.stats.iter().map(|s| s.recv_wait_ns).max().unwrap_or(0);
         let stash_hwm = run.stats.iter().map(|s| s.stash_hwm).max().unwrap_or(0);
         println!(
             "  {:<20} {:>8.2} ms   (sum ok; {:>6.1} MiB sent, max recv wait {:>6.2} ms, stash hwm {})",
             algo.name(),
             dt * 1e3,
             bytes as f64 / (1 << 20) as f64,
-            max_wait * 1e3,
+            max_wait_ns as f64 / 1e6,
             stash_hwm,
         );
     }
@@ -51,7 +50,7 @@ fn main() {
     println!("== overlap engine: same payload in 8 nonblocking buckets per rank ==");
     let buckets = 8;
     for algo in AllreduceAlgo::all() {
-        let a = algo.build_shared();
+        let a = algo.build();
         let t0 = std::time::Instant::now();
         let run = ClusterBuilder::new(ranks).run(|comm| {
             // Launch every bucket before draining any — the trainer does the
@@ -59,7 +58,7 @@ fn main() {
             let pending: Vec<_> = (0..buckets)
                 .map(|_| {
                     let chunk = vec![(comm.rank() + 1) as f32; elems / buckets];
-                    comm.allreduce_async(std::sync::Arc::clone(&a), chunk)
+                    comm.launch(CollectiveOp::allreduce(a.clone()), chunk)
                 })
                 .collect();
             pending.into_iter().map(|p| p.wait()[0]).sum::<f32>()
