@@ -1,8 +1,8 @@
 //! The standing performance baseline: min-of-N microbenchmarks of the
 //! hot paths — the reduce kernels under every allreduce, the frame
-//! encoder under every TCP send, and the data-plane record codec under
-//! every served batch — emitted as one `BENCH_<date>.json` trajectory row
-//! per kernel × size.
+//! encoder under every TCP send, the CRC-32 under every frame and blob
+//! record, and the data-plane record codec under every served batch —
+//! emitted as one `BENCH_<date>.json` trajectory row per kernel × size.
 //!
 //! Timing discipline: each row reports the *minimum* wall time per
 //! iteration over several repetitions. The minimum, not the mean, is the
@@ -19,8 +19,7 @@ use std::net::TcpListener;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use dcnn_core::collectives::reduce::{self, reference};
-use dcnn_core::collectives::transport::wire;
-use dcnn_core::collectives::transport::Payload;
+use dcnn_core::collectives::transport::{crc32_update, crc32_update_portable, wire, Payload};
 use serde::Serialize;
 
 /// Schema tag stamped into every report.
@@ -189,6 +188,28 @@ pub fn bench_frame_encode(quick: bool, rows: &mut Vec<PerfRow>) {
             std::hint::black_box(frame.len());
         });
         rows.push(row(format!("frame/encode_staged/{n}"), bytes, ns, false));
+    }
+}
+
+/// Benchmark the CRC-32 every frame and blob record pays: the dispatching
+/// entry point (the hardware kernel where the CPU has one) and the portable
+/// slicing-by-8 kernel it is measured against.
+pub fn bench_crc(quick: bool, rows: &mut Vec<PerfRow>) {
+    let reps = if quick { 5 } else { 9 };
+    for n in [1usize << 10, 1 << 14, 1 << 18] {
+        let data: Vec<u8> = fill(n / 4, 13).iter().flat_map(|v| v.to_le_bytes()).collect();
+        let bytes = n as u64;
+        let iters = iters_for(bytes, quick);
+
+        let ns = min_ns_per_iter(reps, iters, || {
+            std::hint::black_box(crc32_update(!0, std::hint::black_box(&data)));
+        });
+        rows.push(row(format!("crc/update/{n}"), bytes, ns, true));
+
+        let ns = min_ns_per_iter(reps, iters, || {
+            std::hint::black_box(crc32_update_portable(!0, std::hint::black_box(&data)));
+        });
+        rows.push(row(format!("crc/portable/{n}"), bytes, ns, false));
     }
 }
 
@@ -365,6 +386,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
     let mut rows = Vec::new();
     bench_reduce(quick, &mut rows);
     bench_frame_encode(quick, &mut rows);
+    bench_crc(quick, &mut rows);
     bench_data_plane(quick, &mut rows);
     bench_shard_collectives(quick, &mut rows);
     bench_tuner(quick, &mut rows);

@@ -30,7 +30,7 @@ use serde_json::Value;
 use crate::algorithms::{AllreduceAlgo, CostModel};
 use crate::config::{OverlapMode, RuntimeConfig};
 use crate::runtime::{CollectiveOp, Comm};
-use crate::transport::{crc32, TransportKind};
+use crate::transport::{crc32_f32, TransportKind};
 use crate::tune::{AlgoPolicy, Tuner};
 
 /// One point in the evaluation matrix. String-typed where the value must
@@ -285,7 +285,7 @@ impl CellSpec {
             }
             let ns = t0.elapsed().as_nanos() as u64;
             best_ns = best_ns.min(ns);
-            fingerprint = f32_crc(&buf);
+            fingerprint = !crc32_f32(!0, &buf);
             tuner.close_epoch(comm, &comm.take_bucket_spans());
         }
 
@@ -374,16 +374,6 @@ pub fn cell_fill(rank: usize, elems: usize, iter: u64) -> Vec<f32> {
             ((state >> 33) as u32 % 512) as f32 / 256.0
         })
         .collect()
-}
-
-/// CRC-32 over the little-endian bit pattern of `buf` — the cross-rank
-/// agreement fingerprint for a reduced buffer.
-pub fn f32_crc(buf: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(buf.len() * 4);
-    for v in buf {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    crc32(&bytes)
 }
 
 #[cfg(test)]

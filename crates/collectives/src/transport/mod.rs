@@ -18,10 +18,26 @@
 //! Collectives, the trainer and the examples are all written against
 //! [`crate::runtime::Comm`] and run unchanged on either backend; select one
 //! with [`crate::runtime::ClusterBuilder::transport`] or `DCNN_TRANSPORT`.
+//!
+//! ## The checksum
+//!
+//! [`crc`] owns CRC-32/IEEE for the whole repository — polynomial, tables,
+//! the portable slicing-by-8 kernel, the x86_64 `PCLMULQDQ` folding kernel
+//! and the one place that chooses between them, [`crc32_update`]. Its
+//! functions are re-exported here, which is the path every caller uses
+//! ([`wire`] for the frame trailer, `dcnn_dimd::crc` for blob records, the
+//! launcher for its `crc=` fingerprints). Which kernel ran is not
+//! observable in any checksum: both compute the same polynomial remainder,
+//! so frames written by an x86_64 rank verify on any other target and vice
+//! versa, and a binary from before the hardware kernel interoperates with
+//! one from after it.
 
+pub mod crc;
 pub mod local;
 pub mod tcp;
 pub mod wire;
+
+pub use crc::{crc32, crc32_bytewise, crc32_f32, crc32_update, crc32_update_portable};
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -187,145 +203,9 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Reflected polynomial of CRC-32/IEEE.
-const CRC_POLY: u32 = 0xEDB8_8320;
-
-/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time
-/// table; `CRC_TABLES[k]` advances a byte that sits `k` positions further
-/// ahead in the stream, so eight table reads retire eight input bytes with
-/// one XOR tree instead of an eight-deep dependent chain.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[k][i] = t[0][(t[k - 1][i] & 0xFF) as usize] ^ (t[k - 1][i] >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// Lookup tables computed at compile time (8 × 256 × 4 B = 8 KiB).
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// Advance a *raw* (pre-/post-inversion handled by the caller) CRC-32 state
-/// over `data` with slicing-by-8. Streaming callers seed with
-/// `0xFFFF_FFFF`, fold in chunks as they arrive, and invert once at the
-/// end — exactly what the frame writer does around its scattered
-/// header/payload/trailer pieces.
-pub fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// CRC-32 (IEEE 802.3) of `data`, from scratch (slicing-by-8). Guards every
-/// TCP frame (trailer) and every DIMD blob record — `dcnn_dimd::crc`
-/// re-exports this single implementation (the dependency points dimd →
-/// collectives, so the shared code lives here).
-pub fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(0xFFFF_FFFF, data)
-}
-
-/// The pre-slicing byte-at-a-time table walk, kept as the reference the
-/// equivalence tests (and the perf baseline) compare the sliced kernel
-/// against.
-pub fn crc32_bytewise(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_bytewise(b""), 0);
-    }
-
-    #[test]
-    fn sliced_crc_matches_bytewise_on_random_inputs() {
-        // Deterministic xorshift stream; lengths sweep every alignment
-        // class around the 8-byte slicing width plus larger buffers.
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut byte = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 32) as u8
-        };
-        for len in (0..64).chain([255, 256, 257, 1 << 12, (1 << 16) + 3]) {
-            let data: Vec<u8> = (0..len).map(|_| byte()).collect();
-            assert_eq!(crc32(&data), crc32_bytewise(&data), "len {len}");
-        }
-    }
-
-    #[test]
-    fn sliced_crc_matches_bytewise_on_adversarial_inputs() {
-        // Patterns that break table-mixing bugs: all-zero, all-ones, each
-        // single-bit flip near slice boundaries, and runs of the polynomial
-        // bytes themselves.
-        for data in [vec![0u8; 1024], vec![0xFF; 1024], vec![0xA5; 7], vec![0x5A; 9]] {
-            assert_eq!(crc32(&data), crc32_bytewise(&data));
-        }
-        let base = vec![0u8; 40];
-        for byte in 0..base.len() {
-            for bit in 0..8 {
-                let mut d = base.clone();
-                d[byte] ^= 1 << bit;
-                assert_eq!(crc32(&d), crc32_bytewise(&d), "flip {byte}:{bit}");
-            }
-        }
-        let poly: Vec<u8> = CRC_POLY.to_le_bytes().iter().copied().cycle().take(123).collect();
-        assert_eq!(crc32(&poly), crc32_bytewise(&poly));
-    }
-
-    #[test]
-    fn streaming_update_is_split_invariant() {
-        let data: Vec<u8> = (0u32..300).map(|i| (i * 31 % 251) as u8).collect();
-        let whole = !crc32_update(0xFFFF_FFFF, &data);
-        for split in [0, 1, 7, 8, 9, 128, 299, 300] {
-            let (a, b) = data.split_at(split);
-            let st = crc32_update(0xFFFF_FFFF, a);
-            assert_eq!(!crc32_update(st, b), whole, "split {split}");
-        }
-    }
 
     #[test]
     fn payload_into_bytes_is_zero_copy_when_unique() {

@@ -29,6 +29,20 @@
 //! Decoding is symmetric: an `f32` body is read directly into the final
 //! `Vec<f32>` allocation (no intermediate byte `Vec`, no per-element
 //! `from_le_bytes`), with the CRC checked over the same bytes.
+//!
+//! ## The checksum pass
+//!
+//! After the copies went, the CRC-32 over the body was the only pass left
+//! on either side, and at the portable kernel's ~1.5 GiB/s it was the whole
+//! cost of [`frame_parts`] and most of [`read_frame`]. Both call
+//! [`super::crc32_update`], which on x86_64 runs the `PCLMULQDQ` kernel of
+//! [`super::crc`] for bodies of 64 bytes or more; the 25-byte header always
+//! takes the table kernel. The trailer is the CRC-32/IEEE *value* of
+//! header ‖ body, which no kernel choice can change: [`encode_frame`] (the
+//! staged reference, one `crc32` call over the contiguous frame) and the
+//! vectored writer (streaming, header then body) are held byte-identical
+//! by the tests below up to 1 MiB bodies, and frames from a build that
+//! predates the hardware kernel decode here unchanged.
 
 use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
@@ -63,7 +77,7 @@ pub const HEADER_LEN: usize = 25;
 /// Magic + header: everything before the payload.
 pub const FRAME_HEAD_LEN: usize = 4 + HEADER_LEN;
 
-/// Streaming CRC-32 over multiple slices, same polynomial/table as
+/// Streaming CRC-32 over multiple slices, the same function as
 /// [`super::crc32`] — lets the vectored write path checksum header and
 /// payload without concatenating them first.
 struct Crc32(u32);
@@ -103,7 +117,7 @@ pub fn payload_wire_bytes(p: &Payload) -> Cow<'_, [u8]> {
 }
 
 #[cfg(target_endian = "little")]
-fn f32s_as_le_bytes(v: &[f32]) -> Cow<'_, [u8]> {
+pub(super) fn f32s_as_le_bytes(v: &[f32]) -> Cow<'_, [u8]> {
     // SAFETY: `f32` is 4 bytes with no padding, any byte pattern is a valid
     // `u8`, and `u8` has alignment 1, so reinterpreting the allocation as
     // bytes is always in-bounds and well-formed. On a little-endian target
@@ -112,7 +126,7 @@ fn f32s_as_le_bytes(v: &[f32]) -> Cow<'_, [u8]> {
 }
 
 #[cfg(not(target_endian = "little"))]
-fn f32s_as_le_bytes(v: &[f32]) -> Cow<'_, [u8]> {
+pub(super) fn f32s_as_le_bytes(v: &[f32]) -> Cow<'_, [u8]> {
     let mut out = Vec::with_capacity(v.len() * 4);
     for x in v {
         out.extend_from_slice(&x.to_le_bytes());
@@ -312,22 +326,38 @@ fn read_f32_body(r: &mut impl Read, v: &mut [f32], crc: &mut Crc32) -> io::Resul
 /// Read one frame. A graceful close ([`FrameRead::Bye`]) and a bare EOF
 /// ([`FrameRead::Eof`]) are distinct outcomes: every clean shutdown path
 /// sends BYE first, so an EOF at a frame boundary means the peer process
-/// died (SIGKILL, crash) and its kernel closed the socket.
+/// died (SIGKILL, crash) and its kernel closed the socket. A stream cut
+/// *inside* a frame — head, body or trailer — is an `UnexpectedEof` error.
 ///
 /// `f32` bodies are read straight into the delivered `Vec<f32>` allocation
 /// (no staging byte buffer). A `KIND_F32` frame whose claimed length is not
 /// a multiple of 4 is rejected with a structured error *before* any body
 /// byte is read — trailing bytes are never silently dropped.
 pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
-    let mut magic = [0u8; 4];
-    if let Err(e) = r.read_exact(&mut magic) {
-        return if e.kind() == io::ErrorKind::UnexpectedEof { Ok(FrameRead::Eof) } else { Err(e) };
+    // One read for magic and header together whenever the socket already
+    // holds them. Only a stream that ends *exactly* at a frame boundary is
+    // `Eof`; ending anywhere inside the head is a torn frame, the same as
+    // ending inside the body.
+    let mut head = [0u8; FRAME_HEAD_LEN];
+    let mut got = 0;
+    while got < FRAME_HEAD_LEN {
+        match r.read(&mut head[got..]) {
+            Ok(0) if got == 0 => return Ok(FrameRead::Eof),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("stream ended {got} bytes into a {FRAME_HEAD_LEN}-byte frame head"),
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    if magic != FRAME_MAGIC {
+    if head[..4] != FRAME_MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame magic"));
     }
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
+    let header = &head[4..];
     let kind = header[0];
     let src = u32::from_le_bytes(header[1..5].try_into().expect("4")) as usize;
     let comm_id = u64::from_le_bytes(header[5..13].try_into().expect("8"));
@@ -340,7 +370,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
         ));
     }
     let mut crc = Crc32::new();
-    crc.update(&header);
+    crc.update(header);
     let payload = match kind {
         KIND_F32 => {
             if len % 4 != 0 {
@@ -435,6 +465,8 @@ mod tests {
             Payload::f32(vec![]),
             Payload::f32(vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e-38]),
             Payload::f32((0..1025).map(|i| (i as f32).sin()).collect()),
+            // 1 MiB: the CRC of this one runs the hardware kernel's main loop.
+            Payload::f32((0..1 << 18).map(|i| (i as f32 * 1e-3).cos()).collect()),
         ];
         for (i, payload) in payloads.into_iter().enumerate() {
             let m = msg(3 + i, i as u32, payload);
@@ -564,6 +596,45 @@ mod tests {
         let bye = encode_bye(5);
         assert!(matches!(read_frame(&mut bye.as_slice()).expect("decode"), FrameRead::Bye));
         assert!(matches!(read_frame(&mut [].as_slice()).expect("eof"), FrameRead::Eof));
+    }
+
+    #[test]
+    fn trailers_match_goldens_from_the_build_before_the_hardware_crc() {
+        // Printed by a binary of the parent commit (slicing-by-8 was the
+        // only kernel): the trailer of a 1 MiB and of a 400-byte f32 frame.
+        // A frame it wrote must verify here, and one written here must
+        // carry the trailer it would have computed.
+        let vals: Vec<f32> = (0..1usize << 18).map(|i| i as f32 * 0.5 - 1000.0).collect();
+        let body = f32s_as_le_bytes(&vals);
+        for (len, golden) in [(body.len(), 0xe73d_9723u32), (400, 0xe9fc_8d43)] {
+            let parts = frame_parts(3, 7, 9, KIND_F32, &body[..len]);
+            assert_eq!(u32::from_le_bytes(parts.crc), golden, "{len}-byte body");
+            let mut frame = parts.head.to_vec();
+            frame.extend_from_slice(&body[..len]);
+            frame.extend_from_slice(&golden.to_le_bytes());
+            let FrameRead::Msg(m) = read_frame(&mut frame.as_slice()).expect("verifies") else {
+                panic!("expected a data frame");
+            };
+            assert_eq!(m.payload.as_f32().len(), len / 4);
+        }
+    }
+
+    #[test]
+    fn stream_cut_inside_a_frame_is_an_error_not_a_clean_eof() {
+        // Only offset 0 is a frame boundary. A cut anywhere in the head —
+        // including the first 1–3 magic bytes — or in the body must not be
+        // mistaken for the peer having closed between frames.
+        let frame = encode_frame(1, 7, 3, &Payload::f32(vec![0.25; 4]));
+        assert!(matches!(read_frame(&mut &frame[..0]).expect("eof"), FrameRead::Eof));
+        for cut in 1..FRAME_HEAD_LEN + 8 {
+            let err = read_frame(&mut &frame[..cut]).expect_err("torn frame");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}: {err}");
+            if cut < FRAME_HEAD_LEN {
+                let text = err.to_string();
+                assert!(text.contains(&format!("ended {cut} bytes into")), "cut {cut}: {text}");
+            }
+        }
+        assert!(matches!(read_frame(&mut frame.as_slice()).expect("whole"), FrameRead::Msg(_)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use dcnn_collectives::{
-    f32_crc, run_cluster, Allreduce, AllreduceAlgo, ClusterBuilder, CollectiveOp, CostModel,
+    crc32_f32, run_cluster, Allreduce, AllreduceAlgo, ClusterBuilder, CollectiveOp, CostModel,
     MultiColor, PipelinedRing, RecursiveDoubling, RingReduceScatter, TransportKind,
 };
 use dcnn_simnet::{throughput_gbps, FatTree, SimOptions};
@@ -92,7 +92,7 @@ fn every_algorithm_reproduces_the_golden_fingerprints() {
         let algo: AllreduceAlgo = name.parse().expect("golden row names an algorithm");
         for (n, want) in GOLDEN_WORLDS.into_iter().zip(crcs) {
             for (rank, buf) in run_algo(&algo, n, len, 42).iter().enumerate() {
-                assert_eq!(f32_crc(buf), want, "{name} n={n} len={len} rank={rank}");
+                assert_eq!(!crc32_f32(!0, buf), want, "{name} n={n} len={len} rank={rank}");
             }
         }
     }
@@ -113,7 +113,7 @@ fn ring_reduce_scatter_seam_reproduces_the_golden_fingerprints() {
             let mut buf: Vec<f32> = (0..len).map(|i| contribution(c.rank(), i, 42)).collect();
             RingReduceScatter.reduce_scatter(c, &mut buf, counts);
             let start: usize = counts[..c.rank()].iter().sum();
-            f32_crc(&buf[start..start + counts[c.rank()]])
+            !crc32_f32(!0, &buf[start..start + counts[c.rank()]])
         });
         assert_eq!(owned, crcs, "counts {counts:?}");
     }

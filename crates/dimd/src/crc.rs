@@ -3,10 +3,12 @@
 //! end-to-end checksums; every production record format (TFRecord,
 //! RecordIO) carries them.
 //!
-//! The implementation lives in `dcnn_collectives::transport` (the TCP
+//! The implementation lives in `dcnn_collectives::transport::crc` (the TCP
 //! frame trailer uses the same polynomial, and the dependency already
 //! points dimd → collectives); this module re-exports it so blob-store
-//! code keeps its `crc::crc32` spelling.
+//! code keeps its `crc::crc32` spelling. Records of 64 bytes or more are
+//! checksummed by its `PCLMULQDQ` kernel where the CPU has one; the stored
+//! CRCs are the same values either way, so blobs move between machines.
 
 pub use dcnn_collectives::transport::{crc32, crc32_bytewise, crc32_update};
 

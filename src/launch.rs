@@ -9,10 +9,8 @@
 //! integration tests and `ci.sh`'s smoke test compare exactly that.
 
 use dcnn_collectives::primitives::allgather_bytes;
-use dcnn_collectives::transport::crc32_update;
-use dcnn_collectives::{
-    crc32, AlgoPolicy, AllreduceAlgo, CellSpec, Comm, RuntimeConfig, TunerConfig,
-};
+use dcnn_collectives::transport::{crc32_f32, crc32_update};
+use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, CellSpec, Comm, RuntimeConfig, TunerConfig};
 use dcnn_dimd::{BatchSource, Dimd, Hello, LocalSource, ServiceSource, SynthConfig, SynthImageNet};
 use dcnn_tensor::optim::LrSchedule;
 use dcnn_trainer::{train_on_comm, EpochStats, TrainConfig};
@@ -68,16 +66,6 @@ pub fn contribution(rank: usize, i: usize, seed: u64) -> f32 {
     ((x % 1000) as f32 - 500.0) / 250.0
 }
 
-/// CRC-32 over the exact bit patterns of `buf` — a compact fingerprint
-/// that only matches when two results are bitwise identical.
-pub fn f32_fingerprint(buf: &[f32]) -> u32 {
-    let mut bytes = Vec::with_capacity(buf.len() * 4);
-    for v in buf {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    crc32(&bytes)
-}
-
 /// Every allreduce algorithm (including multicolor) over deterministic
 /// per-rank data. Each rank fingerprints its result buffer; an allgather
 /// asserts every rank produced the *bitwise* same sums, then rank 0's
@@ -94,7 +82,9 @@ pub fn allreduce_workload(comm: &Comm) -> Vec<String> {
         let mut buf: Vec<f32> =
             (0..LEN).map(|i| contribution(comm.rank(), i, SEED)).collect();
         a.run(comm, &mut buf);
-        let crc = f32_fingerprint(&buf);
+        // CRC-32 over the exact bit patterns: matches only when two
+        // results are bitwise identical.
+        let crc = !crc32_f32(!0, &buf);
         let all = allgather_bytes(comm, crc.to_le_bytes().to_vec());
         for (r, b) in all.iter().enumerate() {
             let theirs = u32::from_le_bytes(b.as_slice().try_into().expect("4"));
@@ -526,9 +516,7 @@ pub fn data_storm_workload(comm: &Comm) -> Vec<String> {
         source.begin_epoch(epoch);
         for _ in 0..iterations {
             let (x, labels) = source.next_batch();
-            for v in x.data() {
-                crc = crc32_update(crc, &v.to_le_bytes());
-            }
+            crc = crc32_f32(crc, x.data());
             for l in &labels {
                 crc = crc32_update(crc, &(*l as u64).to_le_bytes());
             }
