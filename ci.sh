@@ -22,6 +22,10 @@ cargo_try_offline() {
 
 cargo_try_offline build --release --workspace
 cargo_try_offline test -q --workspace
+# The DCC1 codec's exhaustive sweeps — the pixel conversion on all 2^32
+# floats, every window of a 128x128 record — take minutes unoptimised and
+# seconds optimised, so they are ignored in debug builds and run here.
+cargo_try_offline test -q --release -p dcnn-dimd -- --include-ignored
 
 # Repo-benchmark smoke: build the standalone benchmark/ package against this
 # tree and run one quick repetition of every workload, untraced and traced

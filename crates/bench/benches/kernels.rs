@@ -1,13 +1,13 @@
 //! Criterion microbenchmarks of the real (non-simulated) kernels: the
-//! threaded allreduce algorithms, the DCT codec, GEMM/convolution, the
-//! distributed shuffle and the data-parallel-table executors.
+//! threaded allreduce algorithms, GEMM/convolution, the distributed shuffle
+//! and the data-parallel-table executors. (The DCT codec is timed by
+//! `dcnn-perf`'s `data/*` rows and the benchmark's `dimd.*` probes.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use dcnn_core::collectives::{run_cluster, AllreduceAlgo};
 use dcnn_core::dimd::shuffle::{shuffle_records, MPI_COUNT_LIMIT};
-use dcnn_core::dimd::{decode_image, encode_image, SynthConfig, SynthImageNet};
 use dcnn_core::dpt::{DptExecutor, DptStrategy};
 use dcnn_core::models::resnet::ResNetConfig;
 use dcnn_core::simnet::{FatTree, SimOptions};
@@ -60,26 +60,6 @@ fn bench_allreduce_sim(c: &mut Criterion) {
             });
         });
     }
-    g.finish();
-}
-
-/// DCT codec encode/decode on a synthetic 64×64 image.
-fn bench_codec(c: &mut Criterion) {
-    let ds = SynthImageNet::new(SynthConfig {
-        classes: 1,
-        train_per_class: 1,
-        val_per_class: 1,
-        base_hw: 64,
-        hw_jitter: 0,
-        noise: 16.0,
-        seed: 7,
-    });
-    let img = ds.train_image(0);
-    let enc = encode_image(&img, 60);
-    let mut g = c.benchmark_group("codec_64x64");
-    g.throughput(Throughput::Bytes(img.data.len() as u64));
-    g.bench_function("encode_q60", |b| b.iter(|| black_box(encode_image(&img, 60))));
-    g.bench_function("decode", |b| b.iter(|| black_box(decode_image(&enc))));
     g.finish();
 }
 
@@ -198,7 +178,6 @@ criterion_group!(
     benches,
     bench_allreduce_real,
     bench_allreduce_sim,
-    bench_codec,
     bench_tensor_kernels,
     bench_shuffle,
     bench_dpt

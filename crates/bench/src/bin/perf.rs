@@ -75,6 +75,14 @@ fn main() -> ExitCode {
         );
     }
 
+    if let Some(x) = report.speedup(perf::DECODE_WINDOW_ROW, perf::DECODE_FULL_CROP_ROW) {
+        eprintln!(
+            "  {} is {x:.1}x its in-run reference {}",
+            perf::DECODE_WINDOW_ROW,
+            perf::DECODE_FULL_CROP_ROW
+        );
+    }
+
     if let Err(e) = std::fs::create_dir_all(&args.out) {
         eprintln!("dcnn-perf: cannot create {}: {e}", args.out.display());
         return ExitCode::from(2);

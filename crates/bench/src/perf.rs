@@ -216,16 +216,18 @@ pub fn bench_crc(quick: bool, rows: &mut Vec<PerfRow>) {
 /// Benchmark the data-plane hot paths: record pack/unpack (every batch a
 /// blob server ships travels through them) and the client-side
 /// decode+augment of a whole mini-batch. All three are deterministic and
-/// CPU-bound, so they gate.
+/// CPU-bound, so they gate; the 128 → 16 decode also carries its own
+/// reference, measured in the same run.
 pub fn bench_data_plane(quick: bool, rows: &mut Vec<PerfRow>) {
     use dcnn_core::dimd::shuffle::{pack, unpack};
     use dcnn_core::dimd::{decode_augmented_batch, Dimd, SynthConfig, SynthImageNet};
+    use std::hint::black_box;
 
     let reps = if quick { 5 } else { 9 };
     let mut synth = SynthConfig::tiny(4);
     synth.train_per_class = 24;
     synth.base_hw = 16;
-    let ds = SynthImageNet::new(synth);
+    let ds = SynthImageNet::new(synth.clone());
     let mut dimd = Dimd::load_partition(&ds, 0, 1, 70, 42);
 
     for n in [8usize, 32] {
@@ -258,6 +260,51 @@ pub fn bench_data_plane(quick: bool, rows: &mut Vec<PerfRow>) {
         });
         rows.push(row(format!("data/decode_batch/{n}"), decode_bytes, ns, true));
     }
+
+    // The windowed decode against the chain it replaced, on the benchmark's
+    // `decode-data` shape: 8 records of 128x128 cropped to 16. The two sides
+    // take turns repetition by repetition, so a slow phase of the machine
+    // falls on both and their ratio (`BenchReport::speedup`) holds when
+    // neither absolute number does. Only the product path gates.
+    synth.base_hw = 128;
+    synth.train_per_class = 2;
+    let ds = SynthImageNet::new(synth);
+    let (salt, records) = Dimd::load_partition(&ds, 0, 1, 70, 42).sample_batch_records(8);
+    let iters = if quick { 8 } else { 32 };
+    let (mut window_ns, mut full_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        window_ns = window_ns.min(min_ns_per_iter(1, iters, || {
+            let (x, _) = decode_augmented_batch(black_box(&records), 16, black_box(salt));
+            black_box(x.data().len());
+        }));
+        full_ns = full_ns.min(min_ns_per_iter(1, iters, || {
+            let x = decode_full_then_crop(black_box(&records), 16, black_box(salt));
+            black_box(x.len());
+        }));
+    }
+    let bytes = (8 * 3 * 16 * 16 * 4) as u64;
+    rows.push(row(DECODE_WINDOW_ROW.into(), bytes, window_ns, true));
+    rows.push(row(DECODE_FULL_CROP_ROW.into(), bytes, full_ns, false));
+}
+
+/// The tracked 128 → 16 batch decode and its untracked in-run reference.
+pub const DECODE_WINDOW_ROW: &str = "data/decode_window/128to16";
+/// See [`DECODE_WINDOW_ROW`].
+pub const DECODE_FULL_CROP_ROW: &str = "data/decode_full_crop/128to16";
+
+/// `decode_augmented_batch` as it ran before the windowed decoder: every
+/// record decoded whole, then cropped, flipped and normalised as separate
+/// images. Same RNG draws, same floats — only the work differs.
+fn decode_full_then_crop(records: &[dcnn_core::dimd::Record], crop: usize, salt: u64) -> Vec<f32> {
+    use dcnn_core::dimd::image::{IMAGENET_MEAN, IMAGENET_STD};
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut data = Vec::with_capacity(records.len() * 3 * crop * crop);
+    for (j, (bytes, label)) in records.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(salt ^ (j as u64) << 17 ^ *label as u64);
+        let img = dcnn_core::dimd::decode_image(bytes).random_crop_flip(crop, &mut rng);
+        data.extend_from_slice(img.to_tensor(&IMAGENET_MEAN, &IMAGENET_STD).data());
+    }
+    data
 }
 
 /// Benchmark the sharded-optimizer collectives: a blocking ring
@@ -394,6 +441,16 @@ pub fn run_suite(quick: bool) -> BenchReport {
     BenchReport { schema: SCHEMA.to_string(), date: civil_date_utc(), quick, rows }
 }
 
+impl BenchReport {
+    /// How many times faster `name` ran than `reference` in this report —
+    /// for rows measured as an interleaved pair, a number that survives a
+    /// slow machine. `None` if either row is missing.
+    pub fn speedup(&self, name: &str, reference: &str) -> Option<f64> {
+        let ns = |n: &str| self.rows.iter().find(|r| r.name == n).map(|r| r.ns_per_iter);
+        Some(ns(reference)? / ns(name)?)
+    }
+}
+
 /// One tracked-row regression against a baseline report.
 #[derive(Debug)]
 pub struct Regression {
@@ -504,6 +561,21 @@ mod tests {
         let mut fast = mk(130.0);
         fast.rows[0].tracked = false;
         assert!(regressions(&fast, &baseline, 0.20).is_empty());
+    }
+
+    #[test]
+    fn speedup_is_the_reference_over_the_row() {
+        let report = BenchReport {
+            schema: SCHEMA.to_string(),
+            date: "2026-10-02".to_string(),
+            quick: true,
+            rows: vec![
+                row(DECODE_WINDOW_ROW.into(), 1, 250.0, true),
+                row(DECODE_FULL_CROP_ROW.into(), 1, 1000.0, false),
+            ],
+        };
+        assert_eq!(report.speedup(DECODE_WINDOW_ROW, DECODE_FULL_CROP_ROW), Some(4.0));
+        assert_eq!(report.speedup(DECODE_WINDOW_ROW, "data/absent"), None);
     }
 
     #[test]

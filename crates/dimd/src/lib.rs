@@ -43,12 +43,12 @@ pub mod store;
 pub mod synth;
 
 pub use blob::{BlobStore, RecordMeta};
-pub use codec::{decode_image, encode_image};
+pub use codec::{decode_image, decode_window, encode_image, try_decode_window, CodecError};
 pub use fileserver::FileServer;
 pub use image::RawImage;
 pub use plan::{plan_groups, PartitionPlan};
 pub use prefetch::Prefetcher;
 pub use service::{serve_blocking, BatchSource, Hello, LocalSource, ServiceClient, ServiceSource};
 pub use shuffle::{try_shuffle_hosted, HostedPartition, HostedShuffle, Record};
-pub use store::{decode_augmented_batch, Dimd, ValSet};
+pub use store::{decode_augmented_batch, try_decode_augmented_batch, Dimd, ValSet};
 pub use synth::{SynthConfig, SynthImageNet};

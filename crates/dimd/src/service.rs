@@ -12,8 +12,9 @@
 //! training batches the in-process path produces, because the server runs
 //! the very same [`Dimd::sample_batch_records`] stream on the trainer's
 //! behalf and ships the still-compressed records + augmentation salt; the
-//! client decodes them through [`decode_augmented_batch`] — the identical
-//! code path local training calls.
+//! client decodes them through [`try_decode_augmented_batch`] — the
+//! identical code path local training calls, with a record the codec
+//! refuses reported as a dead link instead of a panic.
 //!
 //! Protocol, on top of DCTP service frames (all little-endian):
 //!
@@ -45,7 +46,7 @@ use dcnn_tensor::Tensor;
 
 use crate::prefetch::Prefetcher;
 use crate::shuffle::{pack, try_shuffle_hosted, unpack, HostedPartition};
-use crate::store::{decode_augmented_batch, Dimd};
+use crate::store::{try_decode_augmented_batch, Dimd};
 
 /// `tag` value marking a `KIND_DATA_REQ` frame as the [`Hello`] handshake
 /// rather than a batch request (real seqs are far smaller).
@@ -502,6 +503,20 @@ enum Decoded {
     Dead(String),
 }
 
+/// One decode worker's job: a `KIND_DATA_BATCH` body and its salt into a
+/// batch. The bytes came off a socket, so a payload that does not unpack
+/// or a record the codec refuses is a dead link, not a panic.
+fn decode_job(salt: u64, body: &[u8], crop: usize) -> Decoded {
+    let mut records = Vec::new();
+    if let Err((off, kind)) = unpack(body, &mut records) {
+        return Decoded::Dead(format!("malformed batch payload at byte {off}: {kind:?}"));
+    }
+    match try_decode_augmented_batch(&records, crop, salt) {
+        Ok((x, labels)) => Decoded::Batch(x, labels),
+        Err(e) => Decoded::Dead(format!("malformed record: {e}")),
+    }
+}
+
 /// A trainer rank's connection to its blob server: pipelines batch
 /// requests `depth` ahead, decodes arriving record sets on `workers`
 /// parallel threads, and delivers batches in request order.
@@ -575,15 +590,9 @@ impl ServiceClient {
             outs.push(out_rx);
             decoders.push(std::thread::spawn(move || {
                 while let Ok((salt, body)) = job_rx.recv() {
-                    let mut records = Vec::new();
-                    if let Err((off, kind)) = unpack(&body, &mut records) {
-                        let _ = out_tx.send(Decoded::Dead(format!(
-                            "malformed batch payload at byte {off}: {kind:?}"
-                        )));
-                        return;
-                    }
-                    let (x, labels) = decode_augmented_batch(&records, crop, salt);
-                    if out_tx.send(Decoded::Batch(x, labels)).is_err() {
+                    let decoded = decode_job(salt, &body, crop);
+                    let dead = matches!(decoded, Decoded::Dead(_));
+                    if out_tx.send(decoded).is_err() || dead {
                         return;
                     }
                 }
@@ -929,6 +938,7 @@ impl BatchSource for ServiceSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::decode_augmented_batch;
     use crate::synth::{SynthConfig, SynthImageNet};
     use dcnn_collectives::run_cluster;
 
@@ -1047,6 +1057,27 @@ mod tests {
         // client must both reproduce the local path exactly.
         assert_eq!(service_batches(0, 1), reference);
         assert_eq!(service_batches(2, 3), reference);
+    }
+
+    #[test]
+    fn a_record_the_codec_refuses_is_a_dead_link_not_a_panic() {
+        let ds = ds();
+        let (salt, mut records) = partition(&ds, 0).sample_batch_records(BATCH);
+        let Decoded::Batch(x, labels) = decode_job(salt, &pack(&records), CROP) else {
+            panic!("a well-formed batch was refused");
+        };
+        assert_eq!((x, labels), decode_augmented_batch(&records, CROP, salt));
+
+        records[2].0.truncate(40);
+        let Decoded::Dead(cause) = decode_job(salt, &pack(&records), CROP) else {
+            panic!("a truncated record decoded");
+        };
+        assert_eq!(cause, "malformed record: truncated at byte 40");
+
+        let Decoded::Dead(cause) = decode_job(salt, &[1, 2, 3], CROP) else {
+            panic!("a three-byte payload unpacked");
+        };
+        assert!(cause.starts_with("malformed batch payload"), "{cause}");
     }
 
     #[test]

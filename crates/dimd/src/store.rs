@@ -5,10 +5,10 @@ use dcnn_collectives::runtime::Comm;
 use dcnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 
-use crate::codec::decode_image;
+use crate::codec::{header, malformed, try_decode_window, CodecError};
 use crate::image::{IMAGENET_MEAN, IMAGENET_STD};
 use crate::shuffle::{shuffle_records, Record};
 use crate::synth::SynthImageNet;
@@ -80,14 +80,10 @@ impl Dimd {
         self.records.iter().map(|(b, _)| b.len() + 16).sum()
     }
 
-    /// The sampling half of [`Dimd::random_batch`]: advance the epoch
-    /// cursor (reshuffling when a pass completes) and return the picked
-    /// records plus the augmentation salt for this batch. The blob server
-    /// runs exactly this on behalf of a remote trainer rank and ships the
-    /// still-compressed records; the client then decodes them through
-    /// [`decode_augmented_batch`] — the same function the local path calls
-    /// — so local and service-backed training are bitwise identical.
-    pub fn sample_batch_records(&mut self, n: usize) -> (u64, Vec<Record>) {
+    /// Advance the epoch cursor (reshuffling when a pass completes) and
+    /// return the augmentation salt for this batch plus the indices of the
+    /// picked records.
+    fn pick_batch(&mut self, n: usize) -> (u64, Vec<usize>) {
         assert!(!self.records.is_empty(), "empty partition");
         let mut picks = Vec::with_capacity(n);
         for _ in 0..n {
@@ -98,16 +94,29 @@ impl Dimd {
             picks.push(self.order[self.cursor]);
             self.cursor += 1;
         }
-        let salt: u64 = self.epoch_seed.wrapping_add(self.cursor as u64);
+        (self.epoch_seed.wrapping_add(self.cursor as u64), picks)
+    }
+
+    /// The sampling half of [`Dimd::random_batch`], with the picked records
+    /// copied out. The blob server runs exactly this on behalf of a remote
+    /// trainer rank and ships the still-compressed records; the client then
+    /// decodes them through [`decode_augmented_batch`] — the same function
+    /// the local path calls — so local and service-backed training are
+    /// bitwise identical.
+    pub fn sample_batch_records(&mut self, n: usize) -> (u64, Vec<Record>) {
+        let (salt, picks) = self.pick_batch(n);
         (salt, picks.iter().map(|&i| self.records[i].clone()).collect())
     }
 
     /// **Random in-memory batch load** (API ii): decode `n` randomly
     /// sampled records (without replacement within an epoch pass), apply the
     /// paper's augmentation (random `crop²` crop + flip) and normalize.
-    /// Returns `([n, 3, crop, crop], labels)`.
+    /// Returns `([n, 3, crop, crop], labels)`. The records are decoded where
+    /// they lie; only [`Dimd::sample_batch_records`] copies them.
     pub fn random_batch(&mut self, n: usize, crop: usize) -> (Tensor, Vec<usize>) {
-        let (salt, records) = self.sample_batch_records(n);
+        let (salt, picks) = self.pick_batch(n);
+        let records: Vec<(&[u8], u32)> =
+            picks.iter().map(|&i| (self.records[i].0.as_slice(), self.records[i].1)).collect();
         decode_augmented_batch(&records, crop, salt)
     }
 
@@ -150,31 +159,103 @@ impl Dimd {
     }
 }
 
+/// One record as the `crop²` sample a model sees, written into `out`
+/// (`[3, crop, crop]`): a random crop + flip drawn from `rng`, or the centre
+/// crop without one. The window is placed from the record's header and only
+/// that window is decoded, so the cost follows the crop's area, not the
+/// record's. The draws — `top` if the image is taller than the crop, `left`
+/// if wider, then the flip — are [`RawImage::random_crop_flip`]'s, in its
+/// order: which pixels a seed selects is part of every training run's bits.
+///
+/// [`RawImage::random_crop_flip`]: crate::image::RawImage::random_crop_flip
+fn decode_sample(
+    bytes: &[u8],
+    crop: usize,
+    rng: Option<&mut StdRng>,
+    out: &mut [f32],
+) -> Result<(), CodecError> {
+    let (c, h, w) = header(bytes)?;
+    if c != 3 {
+        return Err(CodecError::BadDims);
+    }
+    let (img, flip) = if h < crop || w < crop {
+        // Upscaling reads the whole image.
+        let full = try_decode_window(bytes, 0, 0, h, w)?;
+        let img = match rng {
+            Some(rng) => full.random_crop_flip(crop, rng),
+            None => full.center_crop(crop),
+        };
+        (img, false)
+    } else {
+        let (top, left, flip) = match rng {
+            Some(rng) => (
+                if h > crop { rng.random_range(0..=h - crop) } else { 0 },
+                if w > crop { rng.random_range(0..=w - crop) } else { 0 },
+                rng.random::<bool>(),
+            ),
+            None => ((h - crop) / 2, (w - crop) / 2, false),
+        };
+        (try_decode_window(bytes, top, left, crop, crop)?, flip)
+    };
+    let rows = img.data.chunks_exact(crop).zip(out.chunks_exact_mut(crop));
+    for (i, (src, dst)) in rows.enumerate() {
+        let (m, s) = (IMAGENET_MEAN[i / crop], IMAGENET_STD[i / crop]);
+        let normalize = |(d, &px): (&mut f32, &u8)| *d = (px as f32 / 255.0 - m) / s;
+        if flip {
+            dst.iter_mut().zip(src.iter().rev()).for_each(normalize);
+        } else {
+            dst.iter_mut().zip(src).for_each(normalize);
+        }
+    }
+    Ok(())
+}
+
+/// Run `sample(j, out)` for each of the `n` slots of a `[n, 3, crop, crop]`
+/// tensor, in parallel ("donkey" threads), and gather the labels it returns.
+fn decode_batch(
+    n: usize,
+    crop: usize,
+    sample: impl Fn(usize, &mut [f32]) -> Result<usize, CodecError>,
+) -> Result<(Tensor, Vec<usize>), CodecError> {
+    assert!(crop > 0, "crop must be positive");
+    let mut data = vec![0.0f32; n * 3 * crop * crop];
+    let labels = data
+        .par_chunks_mut(3 * crop * crop)
+        .enumerate()
+        .map(|(j, out)| sample(j, out))
+        .collect::<Result<Vec<usize>, CodecError>>()?;
+    Ok((Tensor::from_vec(data, &[n, 3, crop, crop]), labels))
+}
+
 /// Decode and augment one sampled batch: the per-sample decode + random
 /// crop/flip + normalize pipeline of [`Dimd::random_batch`], factored out
 /// so the data-plane client (which receives still-compressed records and a
 /// salt over the wire) runs the byte-identical code the in-process path
-/// runs. Returns `([n, 3, crop, crop], labels)`.
-pub fn decode_augmented_batch(records: &[Record], crop: usize, salt: u64) -> (Tensor, Vec<usize>) {
-    let n = records.len();
-    // Per-sample decode+augment in parallel ("donkey" threads).
-    let decoded: Vec<(Vec<f32>, usize)> = records
-        .par_iter()
-        .enumerate()
-        .map(|(j, (bytes, label))| {
-            let img = decode_image(bytes);
-            let mut rng = StdRng::seed_from_u64(salt ^ (j as u64) << 17 ^ *label as u64);
-            let img = img.random_crop_flip(crop, &mut rng);
-            (img.to_tensor(&IMAGENET_MEAN, &IMAGENET_STD).into_vec(), *label as usize)
-        })
-        .collect();
-    let mut data = Vec::with_capacity(n * 3 * crop * crop);
-    let mut labels = Vec::with_capacity(n);
-    for (img, label) in decoded {
-        data.extend_from_slice(&img);
-        labels.push(label);
-    }
-    (Tensor::from_vec(data, &[n, 3, crop, crop]), labels)
+/// runs. Takes owned [`Record`]s or borrowed `(&[u8], u32)` pairs. Returns
+/// `([n, 3, crop, crop], labels)`, or the first record the codec refused.
+pub fn try_decode_augmented_batch<B: AsRef<[u8]>>(
+    records: &[(B, u32)],
+    crop: usize,
+    salt: u64,
+) -> Result<(Tensor, Vec<usize>), CodecError> {
+    decode_batch(records.len(), crop, |j, out| {
+        let (bytes, label) = &records[j];
+        let mut rng = StdRng::seed_from_u64(salt ^ (j as u64) << 17 ^ *label as u64);
+        decode_sample(bytes.as_ref(), crop, Some(&mut rng), out)?;
+        Ok(*label as usize)
+    })
+}
+
+/// [`try_decode_augmented_batch`] for records this process encoded itself.
+///
+/// # Panics
+/// Panics on a malformed record.
+pub fn decode_augmented_batch<B: AsRef<[u8]>>(
+    records: &[(B, u32)],
+    crop: usize,
+    salt: u64,
+) -> (Tensor, Vec<usize>) {
+    try_decode_augmented_batch(records, crop, salt).unwrap_or_else(|e| malformed(e))
 }
 
 /// The in-memory validation set. The paper stores *two* blob files — "two
@@ -220,27 +301,20 @@ impl ValSet {
     /// `([len, 3, crop, crop], labels)` with center crops.
     pub fn batch(&self, indices: &[usize], crop: usize) -> (Tensor, Vec<usize>) {
         assert!(!indices.is_empty());
-        let decoded: Vec<(Vec<f32>, usize)> = indices
-            .par_iter()
-            .map(|&i| {
-                let (bytes, label) = &self.records[i];
-                let img = decode_image(bytes).center_crop(crop);
-                (img.to_tensor(&IMAGENET_MEAN, &IMAGENET_STD).into_vec(), *label as usize)
-            })
-            .collect();
-        let mut data = Vec::with_capacity(indices.len() * 3 * crop * crop);
-        let mut labels = Vec::with_capacity(indices.len());
-        for (img, label) in decoded {
-            data.extend_from_slice(&img);
-            labels.push(label);
-        }
-        (Tensor::from_vec(data, &[indices.len(), 3, crop, crop]), labels)
+        decode_batch(indices.len(), crop, |j, out| {
+            let (bytes, label) = &self.records[indices[j]];
+            decode_sample(bytes, crop, None, out)?;
+            Ok(*label as usize)
+        })
+        .unwrap_or_else(|e| malformed(e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_image, encode_image};
+    use crate::image::RawImage;
     use crate::synth::SynthConfig;
     use dcnn_collectives::run_cluster;
 
@@ -284,6 +358,58 @@ mod tests {
         assert_eq!(l1.len(), 6);
         assert_eq!(t1, t2);
         assert_eq!(l1, l2);
+    }
+
+    #[test]
+    fn random_batch_decodes_in_place_what_sample_batch_records_copies() {
+        let ds = ds();
+        let mut in_place = Dimd::load_partition(&ds, 0, 1, 60, 11);
+        let mut copied = Dimd::load_partition(&ds, 0, 1, 60, 11);
+        // 7 x 5 > 32 records: the cursor wraps and reshuffles on the way.
+        for _ in 0..7 {
+            let (salt, records) = copied.sample_batch_records(5);
+            assert_eq!(in_place.random_batch(5, 20), decode_augmented_batch(&records, 20, salt));
+        }
+    }
+
+    #[test]
+    fn non_square_centre_windows_match_decode_then_center_crop() {
+        let ds = ds();
+        let shapes = [(32, 32), (24, 40), (41, 24), (33, 47), (12, 40), (30, 9)];
+        let records: Vec<Record> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(h, w))| (encode_image(&ds.val_image(i).resize(h, w), 70), i as u32))
+            .collect();
+        let reference: Vec<f32> = records
+            .iter()
+            .flat_map(|(bytes, _)| {
+                let img = decode_image(bytes).center_crop(24);
+                img.to_tensor(&IMAGENET_MEAN, &IMAGENET_STD).into_vec()
+            })
+            .collect();
+        let indices: Vec<usize> = (0..records.len()).collect();
+        let (x, labels) = ValSet { records }.batch(&indices, 24);
+        assert_eq!(x, Tensor::from_vec(reference, &[shapes.len(), 3, 24, 24]));
+        assert_eq!(labels, indices);
+    }
+
+    #[test]
+    fn a_refused_record_is_an_error_not_a_panic() {
+        let ds = ds();
+        let good = (encode_image(&ds.train_image(0), 60), 0u32);
+        let mut cut = good.clone();
+        cut.0.truncate(100);
+        assert_eq!(
+            try_decode_augmented_batch(&[good.clone(), cut], 16, 3).err(),
+            Some(CodecError::Truncated { offset: 100 })
+        );
+        // The batch tensor is three-channel; a grey record has no place in it.
+        let grey = (encode_image(&RawImage::new(1, 32, 32), 60), 0u32);
+        assert_eq!(
+            try_decode_augmented_batch(&[good, grey], 16, 3).err(),
+            Some(CodecError::BadDims)
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the DIMD substrate.
 
 use dcnn_dimd::blob::BlobStore;
-use dcnn_dimd::codec::{decode_image, encode_image, psnr};
+use dcnn_dimd::codec::{decode_image, decode_window, encode_image, psnr};
 use dcnn_dimd::image::RawImage;
 use proptest::prelude::*;
 
@@ -65,6 +65,26 @@ proptest! {
         let lo = decode_image(&encode_image(&img, 25));
         let hi = decode_image(&encode_image(&img, 90));
         prop_assert!(psnr(&img, &hi) >= psnr(&img, &lo) - 0.5);
+    }
+
+    /// Any rectangular window — empty, one pixel, block-straddling, the
+    /// whole image — is byte for byte that rectangle of the full decode.
+    #[test]
+    fn window_equals_decode_then_crop(img in arb_image(), q in 1u8..=100,
+                                      a in any::<u32>(), b in any::<u32>(),
+                                      c in any::<u32>(), d in any::<u32>()) {
+        let (wh, ww) = (a as usize % (img.h + 1), b as usize % (img.w + 1));
+        let (top, left) = (c as usize % (img.h - wh + 1), d as usize % (img.w - ww + 1));
+        let enc = encode_image(&img, q);
+        let full = decode_image(&enc);
+        let win = decode_window(&enc, top, left, wh, ww);
+        prop_assert_eq!((win.c, win.h, win.w), (img.c, wh, ww));
+        for ci in 0..img.c {
+            for y in 0..wh {
+                let row = &full.data[(ci * img.h + top + y) * img.w + left..][..ww];
+                prop_assert_eq!(&win.data[(ci * wh + y) * ww..][..ww], row);
+            }
+        }
     }
 
     /// Resize preserves value bounds and hits requested dimensions.
