@@ -26,8 +26,7 @@ use dcnn_core::collectives::{
 use serde::Serialize;
 use serde_json::Value;
 
-/// Schema tag written into every row (bump when the row shape changes;
-/// `dcnn-perf --baseline` analogously refuses foreign schemas).
+/// Schema tag written into every row (bump when the row shape changes).
 pub const SCHEMA: &str = "dcnn-eval-v1";
 
 /// The matrix to sweep: the cross product of every axis.

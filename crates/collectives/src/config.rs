@@ -213,6 +213,28 @@ fn parse_usize(
     v.trim().parse().map_err(|_| ConfigError { var, value: v.to_string(), expected })
 }
 
+/// An unsigned integer no smaller than `min`.
+fn parse_at_least(
+    var: &'static str,
+    v: &str,
+    min: usize,
+    expected: &'static str,
+) -> Result<usize, ConfigError> {
+    match parse_usize(var, v, expected)? {
+        n if n >= min => Ok(n),
+        _ => Err(ConfigError { var, value: v.to_string(), expected }),
+    }
+}
+
+/// An on/off switch.
+fn parse_switch(var: &'static str, v: String) -> Result<bool, ConfigError> {
+    match v.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" => Ok(true),
+        "0" | "false" | "off" => Ok(false),
+        _ => Err(ConfigError { var, value: v, expected: "1/true/on or 0/false/off" }),
+    }
+}
+
 impl RuntimeConfig {
     /// Every environment variable this struct parses — the full public
     /// `DCNN_*` surface. (The `dcnn-launch` binary additionally uses the
@@ -278,28 +300,10 @@ impl RuntimeConfig {
             cfg.rank = Some(parse_usize("DCNN_RANK", &v, "a rank index (unsigned integer)")?);
         }
         if let Some(v) = get("DCNN_WORLD") {
-            let w = parse_usize("DCNN_WORLD", &v, "a rank count (integer ≥ 1)")?;
-            if w == 0 {
-                return Err(ConfigError {
-                    var: "DCNN_WORLD",
-                    value: v,
-                    expected: "a rank count (integer ≥ 1)",
-                });
-            }
-            cfg.world = Some(w);
+            cfg.world = Some(parse_at_least("DCNN_WORLD", &v, 1, "a rank count (integer ≥ 1)")?);
         }
         if let Some(v) = get("DCNN_TRACE") {
-            cfg.trace = Some(match v.trim().to_ascii_lowercase().as_str() {
-                "1" | "true" | "on" => true,
-                "0" | "false" | "off" => false,
-                _ => {
-                    return Err(ConfigError {
-                        var: "DCNN_TRACE",
-                        value: v,
-                        expected: "1/true/on or 0/false/off",
-                    })
-                }
-            });
+            cfg.trace = Some(parse_switch("DCNN_TRACE", v)?);
         }
         cfg.trace_json = get("DCNN_TRACE_JSON");
         if let Some(v) = get("DCNN_RECV_TIMEOUT_MS") {
@@ -311,15 +315,8 @@ impl RuntimeConfig {
             cfg.recv_timeout = Some(Duration::from_millis(ms));
         }
         if let Some(v) = get("DCNN_COMM_WORKERS") {
-            let n = parse_usize("DCNN_COMM_WORKERS", &v, "a thread count (integer ≥ 1)")?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: "DCNN_COMM_WORKERS",
-                    value: v,
-                    expected: "a thread count (integer ≥ 1)",
-                });
-            }
-            cfg.comm_workers = Some(n);
+            cfg.comm_workers =
+                Some(parse_at_least("DCNN_COMM_WORKERS", &v, 1, "a thread count (integer ≥ 1)")?);
         }
         if let Some(v) = get("DCNN_BUCKET_BYTES") {
             cfg.bucket_bytes =
@@ -353,14 +350,13 @@ impl RuntimeConfig {
             )?);
         }
         if let Some(v) = get("DCNN_CONNECT_TIMEOUT_MS") {
-            let ms = v.trim().parse::<u64>().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-                ConfigError {
-                    var: "DCNN_CONNECT_TIMEOUT_MS",
-                    value: v.clone(),
-                    expected: "a timeout in milliseconds (integer ≥ 1)",
-                }
-            })?;
-            cfg.connect_timeout = Some(Duration::from_millis(ms));
+            let ms = parse_at_least(
+                "DCNN_CONNECT_TIMEOUT_MS",
+                &v,
+                1,
+                "a timeout in milliseconds (integer ≥ 1)",
+            )?;
+            cfg.connect_timeout = Some(Duration::from_millis(ms as u64));
         }
         if let Some(v) = get("DCNN_FAULT") {
             cfg.fault = Some(FaultSpec::parse(&v).ok_or(ConfigError {
@@ -378,30 +374,16 @@ impl RuntimeConfig {
             )?);
         }
         if let Some(v) = get("DCNN_DATA_DECODE_WORKERS") {
-            let n =
-                parse_usize("DCNN_DATA_DECODE_WORKERS", &v, "a worker count (integer ≥ 1)")?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: "DCNN_DATA_DECODE_WORKERS",
-                    value: v,
-                    expected: "a worker count (integer ≥ 1)",
-                });
-            }
-            cfg.data_decode_workers = Some(n);
+            cfg.data_decode_workers = Some(parse_at_least(
+                "DCNN_DATA_DECODE_WORKERS",
+                &v,
+                1,
+                "a worker count (integer ≥ 1)",
+            )?);
         }
         cfg.data_service = get("DCNN_DATA_SERVICE");
         if let Some(v) = get("DCNN_SHARD_OPTIM") {
-            cfg.shard_optim = Some(match v.trim().to_ascii_lowercase().as_str() {
-                "1" | "true" | "on" => true,
-                "0" | "false" | "off" => false,
-                _ => {
-                    return Err(ConfigError {
-                        var: "DCNN_SHARD_OPTIM",
-                        value: v,
-                        expected: "1/true/on or 0/false/off",
-                    })
-                }
-            });
+            cfg.shard_optim = Some(parse_switch("DCNN_SHARD_OPTIM", v)?);
         }
         if let Some(v) = get("DCNN_ALGO") {
             cfg.algo = Some(v.trim().parse().map_err(|_| ConfigError {
@@ -413,27 +395,16 @@ impl RuntimeConfig {
             })?);
         }
         if let Some(v) = get("DCNN_EVAL_PAYLOAD") {
-            let bytes =
-                parse_usize("DCNN_EVAL_PAYLOAD", &v, "a payload size in bytes (integer ≥ 4)")?;
-            if bytes < 4 {
-                return Err(ConfigError {
-                    var: "DCNN_EVAL_PAYLOAD",
-                    value: v,
-                    expected: "a payload size in bytes (integer ≥ 4)",
-                });
-            }
-            cfg.eval_payload = Some(bytes);
+            cfg.eval_payload = Some(parse_at_least(
+                "DCNN_EVAL_PAYLOAD",
+                &v,
+                4,
+                "a payload size in bytes (integer ≥ 4)",
+            )?);
         }
         if let Some(v) = get("DCNN_EVAL_ITERS") {
-            let n = parse_usize("DCNN_EVAL_ITERS", &v, "an iteration count (integer ≥ 1)")?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: "DCNN_EVAL_ITERS",
-                    value: v,
-                    expected: "an iteration count (integer ≥ 1)",
-                });
-            }
-            cfg.eval_iters = Some(n);
+            cfg.eval_iters =
+                Some(parse_at_least("DCNN_EVAL_ITERS", &v, 1, "an iteration count (integer ≥ 1)")?);
         }
         Ok(cfg)
     }
@@ -522,12 +493,6 @@ impl RuntimeConfig {
 
     // ---- builder-style programmatic overrides ----
 
-    /// Override the transport backend.
-    pub fn with_transport(mut self, kind: TransportKind) -> Self {
-        self.transport = Some(kind);
-        self
-    }
-
     /// Override the rendezvous address.
     pub fn with_rendezvous(mut self, addr: impl Into<String>) -> Self {
         self.rendezvous = Some(addr.into());
@@ -538,24 +503,6 @@ impl RuntimeConfig {
     pub fn with_rank_world(mut self, rank: usize, world: usize) -> Self {
         self.rank = Some(rank);
         self.world = Some(world);
-        self
-    }
-
-    /// Override event tracing.
-    pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = Some(on);
-        self
-    }
-
-    /// Override the watchdog receive timeout.
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = Some(timeout);
-        self
-    }
-
-    /// Override the comm-worker thread count.
-    pub fn with_comm_workers(mut self, n: usize) -> Self {
-        self.comm_workers = Some(n);
         self
     }
 
@@ -571,12 +518,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Override the adaptive in-flight byte budget.
-    pub fn with_inflight_budget(mut self, bytes: usize) -> Self {
-        self.inflight_budget_bytes = Some(bytes);
-        self
-    }
-
     /// Override the reduce-kernel rayon-split threshold (elements; 0 =
     /// never split).
     pub fn with_reduce_par_threshold(mut self, elements: usize) -> Self {
@@ -584,45 +525,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Override the TCP connect/rendezvous timeout.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = Some(timeout);
-        self
-    }
-
     /// Inject a fault (see [`FaultSpec`]).
     pub fn with_fault(mut self, fault: FaultSpec) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Override the abort-checkpoint directory.
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<String>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Override the data-pipeline prefetch depth (batches; 0 = inline).
-    pub fn with_data_prefetch_depth(mut self, depth: usize) -> Self {
-        self.data_prefetch_depth = Some(depth);
-        self
-    }
-
-    /// Override the data-pipeline decode worker count.
-    pub fn with_data_decode_workers(mut self, n: usize) -> Self {
-        self.data_decode_workers = Some(n);
-        self
-    }
-
-    /// Override the blob-server address list.
-    pub fn with_data_service(mut self, addrs: impl Into<String>) -> Self {
-        self.data_service = Some(addrs.into());
-        self
-    }
-
-    /// Override optimizer-state sharding.
-    pub fn with_shard_optim(mut self, on: bool) -> Self {
-        self.shard_optim = Some(on);
         self
     }
 
@@ -828,41 +733,19 @@ mod tests {
             .expect("parses")
             .with_bucket_bytes(8192)
             .with_overlap_mode(OverlapMode::Drain)
-            .with_comm_workers(5)
-            .with_transport(TransportKind::Tcp)
             .with_rank_world(2, 8)
             .with_rendezvous("10.0.0.1:9000")
-            .with_trace(true)
-            .with_recv_timeout(Duration::from_secs(5))
-            .with_inflight_budget(1 << 20)
             .with_reduce_par_threshold(4096)
-            .with_connect_timeout(Duration::from_secs(2))
             .with_fault(FaultSpec::DropLink { from: 0, to: 1 })
-            .with_checkpoint_dir("/tmp/abort-ckpt")
-            .with_data_prefetch_depth(4)
-            .with_data_decode_workers(3)
-            .with_data_service("127.0.0.1:7500")
-            .with_shard_optim(true)
             .with_algo(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing))
             .with_eval_payload(1 << 16)
             .with_eval_iters(7);
         assert_eq!(cfg.bucket_bytes, Some(8192));
         assert_eq!(cfg.overlap_mode, Some(OverlapMode::Drain));
-        assert_eq!(cfg.comm_workers, Some(5));
-        assert_eq!(cfg.transport, Some(TransportKind::Tcp));
         assert_eq!((cfg.rank, cfg.world), (Some(2), Some(8)));
         assert_eq!(cfg.rendezvous.as_deref(), Some("10.0.0.1:9000"));
-        assert_eq!(cfg.trace, Some(true));
-        assert_eq!(cfg.recv_timeout, Some(Duration::from_secs(5)));
-        assert_eq!(cfg.inflight_budget_bytes, Some(1 << 20));
         assert_eq!(cfg.reduce_par_threshold, Some(4096));
-        assert_eq!(cfg.connect_timeout, Some(Duration::from_secs(2)));
         assert_eq!(cfg.fault, Some(FaultSpec::DropLink { from: 0, to: 1 }));
-        assert_eq!(cfg.checkpoint_dir.as_deref(), Some("/tmp/abort-ckpt"));
-        assert_eq!(cfg.data_prefetch_depth, Some(4));
-        assert_eq!(cfg.data_decode_workers, Some(3));
-        assert_eq!(cfg.data_service.as_deref(), Some("127.0.0.1:7500"));
-        assert_eq!(cfg.shard_optim, Some(true));
         assert_eq!(
             cfg.algo,
             Some(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing))

@@ -82,17 +82,28 @@ const CLMUL_MIN_LEN: usize = 64;
 /// [`crc32_update_portable`]. The result is the same either way.
 pub fn crc32_update(c: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if data.len() >= CLMUL_MIN_LEN
-        && std::arch::is_x86_feature_detected!("pclmulqdq")
-        && std::arch::is_x86_feature_detected!("sse4.1")
-    {
+    if data.len() >= CLMUL_MIN_LEN && crc32_clmul_selected() {
         let (blocks, tail) = data.split_at(data.len() & !15);
         // SAFETY: `clmul::fold`'s only requirement is a CPU with PCLMULQDQ
-        // and SSE4.1, and both were detected on the line above.
+        // and SSE4.1, and `crc32_clmul_selected` detected both on the line
+        // above.
         let c = unsafe { clmul::fold(c, blocks) };
         return crc32_update_portable(c, tail);
     }
     crc32_update_portable(c, data)
+}
+
+/// Whether [`crc32_update`] runs the carry-less-multiply kernel in this
+/// process: the CPU half of its dispatch. Public so `dcnn-perf` holds the
+/// `crc/update` pair to the hardware kernel's floor only where that kernel
+/// is what runs.
+#[inline]
+pub fn crc32_clmul_selected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// The portable slicing-by-8 kernel behind [`crc32_update`], same raw-state

@@ -37,7 +37,9 @@ pub mod local;
 pub mod tcp;
 pub mod wire;
 
-pub use crc::{crc32, crc32_bytewise, crc32_f32, crc32_update, crc32_update_portable};
+pub use crc::{
+    crc32, crc32_bytewise, crc32_clmul_selected, crc32_f32, crc32_update, crc32_update_portable,
+};
 
 use std::sync::Arc;
 use std::time::Duration;

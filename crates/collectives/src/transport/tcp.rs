@@ -118,9 +118,9 @@ pub struct TcpTransport {
 }
 
 /// Dial `addr`, retrying with exponential backoff until `timeout` elapses.
-/// Needed because peer processes (and rank 0's rendezvous listener) come up
-/// at different times.
-fn connect_with_backoff(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+/// Needed because peer processes (and rank 0's rendezvous listener, and a
+/// data server) come up at different times.
+pub fn connect_with_backoff(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + timeout;
     let mut delay = Duration::from_millis(5);
     loop {

@@ -29,14 +29,18 @@
 //!   server fleet runs Algorithm 2's segmented alltoallv **between server
 //!   processes** ([`try_shuffle_hosted`]) if the cadence says so, then
 //!   acks each client with `KIND_DATA_EOE`.
+//! * server → client BYE: once, after the ack of the job's last epoch. A
+//!   connection that ends any other way — EOF, an error, a BYE before that
+//!   ack — is a dead server, reported as [`CommError::PeerDead`].
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dcnn_collectives::runtime::{Comm, CommError};
+use dcnn_collectives::transport::tcp::connect_with_backoff;
 use dcnn_collectives::transport::wire::{
     encode_bye, read_frame, write_service_frames_vectored, FrameRead, KIND_DATA_BATCH,
     KIND_DATA_EOE, KIND_DATA_REQ,
@@ -159,10 +163,16 @@ enum Event {
     Gone { rank: usize, cause: String },
 }
 
+/// Commands for a per-client writer thread.
+enum WriterCmd {
+    Frame(u8, WireMsg),
+    Bye,
+}
+
 /// Per-connected-client server state.
 struct Client {
     hello: Hello,
-    writer: Sender<(u8, WireMsg)>,
+    writer: Sender<WriterCmd>,
     /// The writer thread, joined on clean shutdown so the final EOE ack
     /// and BYE reach the wire before the server process can exit.
     writer_thread: std::thread::JoinHandle<()>,
@@ -171,7 +181,7 @@ struct Client {
 }
 
 /// Read frames from one client socket and translate them into [`Event`]s.
-/// `rank < 0` until the handshake names the peer.
+/// `rank` is `None` until the handshake names the peer.
 fn spawn_client_reader(stream: TcpStream, events: Sender<Event>) {
     std::thread::spawn(move || {
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
@@ -245,28 +255,44 @@ fn spawn_client_reader(stream: TcpStream, events: Sender<Event>) {
     });
 }
 
-/// Batch queued frames into vectored writes on one client socket, then a
-/// BYE when the queue closes — the same drain + `try_recv` batching the
-/// rank fabric's writer thread uses.
+/// Batch queued frames into vectored writes on one client socket — the same
+/// drain + `try_recv` batching the rank fabric's writer thread uses, and the
+/// same rule for the close: only an explicit [`WriterCmd::Bye`] says
+/// goodbye. A queue that is dropped instead — the server is returning an
+/// error, or the injected crash — cuts the socket with no BYE, so the
+/// client reports a dead link rather than a graceful leave.
 fn spawn_client_writer(
     mut stream: TcpStream,
-    rx: Receiver<(u8, WireMsg)>,
+    rx: Receiver<WriterCmd>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        while let Ok(first) = rx.recv() {
-            let mut frames = vec![first];
-            while frames.len() < WRITE_BATCH_MAX {
-                match rx.try_recv() {
-                    Ok(f) => frames.push(f),
-                    Err(_) => break,
+        while let Ok(mut cmd) = rx.recv() {
+            let mut frames = Vec::new();
+            let bye = loop {
+                match cmd {
+                    WriterCmd::Frame(kind, msg) => frames.push((kind, msg)),
+                    WriterCmd::Bye => break true,
                 }
-            }
+                if frames.len() == WRITE_BATCH_MAX {
+                    break false;
+                }
+                match rx.try_recv() {
+                    Ok(next) => cmd = next,
+                    Err(_) => break false,
+                }
+            };
             if write_service_frames_vectored(&mut stream, &frames).is_err() {
+                break;
+            }
+            if bye {
+                let _ = stream.write_all(&encode_bye(0));
+                let _ = stream.flush();
                 return;
             }
         }
-        let _ = stream.write_all(&encode_bye(0));
-        let _ = stream.flush();
+        // The reader thread holds a clone of this socket; dropping ours
+        // would leave the connection open under a server that is gone.
+        let _ = stream.shutdown(Shutdown::Both);
     })
 }
 
@@ -393,7 +419,7 @@ pub fn serve_blocking(
                     tag: seq,
                     payload: Payload::bytes(pack(&records)),
                 };
-                let _ = client.writer.send((KIND_DATA_BATCH, frame));
+                let _ = client.writer.send(WriterCmd::Frame(KIND_DATA_BATCH, frame));
                 if let Some(n) = fault_after_batches {
                     if report.batches_served >= n {
                         // Simulate a crashed server: drop every socket on
@@ -457,18 +483,18 @@ pub fn serve_blocking(
                         tag: 0,
                         payload: Payload::bytes(Vec::new()),
                     };
-                    let _ = client.writer.send((KIND_DATA_EOE, ack));
+                    let _ = client.writer.send(WriterCmd::Frame(KIND_DATA_EOE, ack));
                     client.eoe_epoch = None;
                     client.next_seq = 0;
                 }
                 epoch += 1;
                 if epoch as usize >= job.epochs {
-                    // Closing the writer channels makes each writer drain
-                    // the final EOE ack and send BYE; join them so those
-                    // frames are on the wire before the server process can
-                    // exit and tear the sockets down under the clients.
+                    // Each writer drains the final EOE ack, then says BYE;
+                    // join them so those frames are on the wire before the
+                    // server process can exit and tear the sockets down
+                    // under the clients.
                     for (_, client) in clients.drain() {
-                        drop(client.writer);
+                        let _ = client.writer.send(WriterCmd::Bye);
                         let _ = client.writer_thread.join();
                     }
                     return Ok(report);
@@ -549,23 +575,7 @@ impl ServiceClient {
         timeout: Duration,
     ) -> io::Result<ServiceClient> {
         assert!(workers >= 1, "need at least one decode worker");
-        let deadline = Instant::now() + timeout;
-        let mut pause = Duration::from_millis(5);
-        let stream = loop {
-            match TcpStream::connect(addr) {
-                Ok(s) => break s,
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            e.kind(),
-                            format!("data server {addr} unreachable: {e}"),
-                        ));
-                    }
-                    std::thread::sleep(pause);
-                    pause = (pause * 2).min(Duration::from_millis(200));
-                }
-            }
-        };
+        let stream = connect_with_backoff(addr, timeout)?;
         stream.set_nodelay(true).ok();
 
         let mut tx_stream = stream.try_clone()?;
@@ -604,6 +614,7 @@ impl ServiceClient {
         let reader = std::thread::spawn(move || {
             let mut r = BufReader::new(reader_stream);
             let mut seq = 0usize;
+            let mut acked = 0usize;
             let die = |job_txs: &[DecodeLane], cause: String| {
                 for (_, out_tx) in job_txs {
                     let _ = out_tx.send(Decoded::Dead(cause.clone()));
@@ -621,14 +632,24 @@ impl ServiceClient {
                     }
                     Ok(FrameRead::Service { kind: KIND_DATA_EOE, msg }) => {
                         seq = 0;
+                        acked += 1;
                         if eoe_tx.send(msg.comm_id).is_err() {
                             return;
                         }
                     }
                     Ok(FrameRead::Bye) => {
-                        // Graceful server goodbye after the last epoch: stop
-                        // reading. If batches were still owed, the exhausted
-                        // channels surface it at the consumer.
+                        // The server says goodbye once, after acking the
+                        // job's last epoch. Earlier, it is a server that
+                        // gave up on the job.
+                        if acked < hello.epochs {
+                            die(
+                                &job_txs,
+                                format!(
+                                    "server sent BYE after acking {acked} of {} epochs",
+                                    hello.epochs
+                                ),
+                            );
+                        }
                         return;
                     }
                     Ok(FrameRead::Eof) => {
@@ -640,7 +661,7 @@ impl ServiceClient {
                         return;
                     }
                     Err(e) => {
-                        die(&job_txs, e.to_string());
+                        die(&job_txs, format!("server link failed without BYE: {e}"));
                         return;
                     }
                 }
@@ -1081,6 +1102,27 @@ mod tests {
     }
 
     #[test]
+    fn unreachable_server_fails_at_the_connect_timeout_naming_the_address() {
+        // Bind, note the port, drop: nothing listens there now.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("reserve a port")
+            .to_string();
+        let timeout = Duration::from_millis(300);
+        let start = std::time::Instant::now();
+        let err = ServiceClient::connect(&addr, 0, hello(0), CROP, 0, 1, timeout)
+            .err()
+            .expect("nothing listens there");
+        let elapsed = start.elapsed();
+        assert!(err.to_string().contains(&addr), "{err}");
+        // It kept dialing until the deadline, and the last back-off sleep
+        // was clamped to it: the timeout plus one refused connect, not plus
+        // a 200 ms back-off step.
+        assert!(elapsed >= timeout, "gave up after {elapsed:?}");
+        assert!(elapsed < timeout + Duration::from_millis(100), "returned after {elapsed:?}");
+    }
+
+    #[test]
     fn dead_server_surfaces_structured_peer_death() {
         let ds = ds();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -1140,6 +1182,8 @@ mod tests {
             assert_eq!(*rank, r);
             assert_eq!(*peer, 0, "server index");
             assert!(cause.contains("data server"), "{cause:?}");
+            // The injected crash drops the sockets mid-job: no goodbye.
+            assert!(cause.contains("without BYE"), "{cause:?}");
             assert_eq!(phase.as_deref(), Some("data-plane"));
         }
         let report = server.join().expect("server thread");

@@ -6,7 +6,7 @@
 //! the same function body runs on the threaded fabric inside one process
 //! and across N OS processes over TCP, and because every line is derived
 //! from deterministic math, the outputs must match byte-for-byte. The
-//! integration tests and `ci.sh`'s smoke test compare exactly that.
+//! integration tests (`tests/transport_process.rs`) compare exactly that.
 
 use dcnn_collectives::primitives::allgather_bytes;
 use dcnn_collectives::transport::{crc32_f32, crc32_update};
@@ -285,10 +285,11 @@ pub fn fault_epoch_workload(comm: &Comm) -> Vec<String> {
 /// parameters). The ring algorithm is forced because its reduce-scatter
 /// schedule anchors every element's sum at the owner rank, so the sharded
 /// run must reproduce the replicated loss *bitwise* at any world size —
-/// `ci.sh` diffs the `epoch` lines of both modes at four ranks. The
-/// trailing `resident rank=…` lines gather each rank's measured parameter
-/// and optimizer residency: the sharded run's `opt_bytes` must shrink by
-/// ~world-size ×, which is the strategy's memory win, measured.
+/// `four_process_sharded_epoch_matches_replicated_bitwise` diffs the `epoch`
+/// lines of both modes at four ranks. The trailing `resident rank=…` lines
+/// gather each rank's measured parameter and optimizer residency: the
+/// sharded run's `opt_bytes` must shrink by ~world-size ×, which is the
+/// strategy's memory win, measured.
 pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
     let spec = EpochSpec {
         train_per_class: 24,
@@ -324,8 +325,9 @@ pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
 /// probe. The epoch lines carry the loss to full precision; the trailing
 /// `decisions rank=…` lines gather every rank's final decision table, which
 /// must be identical on all ranks (the table is agreed before it is used) —
-/// `ci.sh` asserts exactly that, plus bitwise-equal losses against a fixed
-/// run when the candidate set is pinned to one algorithm.
+/// `four_process_autotune_epoch_agrees_and_matches_fixed_bitwise` asserts
+/// that, plus bitwise-equal losses against a fixed run when the candidate
+/// set is pinned to one algorithm.
 pub fn autotune_epoch_workload(comm: &Comm) -> Vec<String> {
     let spec = EpochSpec {
         train_per_class: 12,
@@ -438,7 +440,7 @@ pub fn data_plane_partition(spec: &DataPlaneSpec, ds: &SynthImageNet, v: usize, 
 /// With `DCNN_DATA_SERVICE` set, every rank streams its batches from the
 /// blob-server fleet instead of loading a partition in-process — and must
 /// print byte-identical `epoch` lines, which is the data plane's
-/// correctness contract (`ci.sh` diffs exactly that).
+/// correctness contract (`tests/data_plane_process.rs` diffs exactly that).
 pub fn data_epoch_workload(comm: &Comm) -> Vec<String> {
     let plane = data_plane_spec();
     let spec = EpochSpec {
