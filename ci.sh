@@ -41,6 +41,14 @@ cargo_offline test -q --release -p dist-cnn --test transport_process --test data
 # (~1 min). run.sh exits non-zero when the build breaks or a workload's
 # checks (loss reference, counters) fail.
 run bash benchmark/run.sh --quick
+# benchmark/Cargo.lock records every workspace crate's dependency list and
+# run.sh builds without --locked, so a dependency line moved anywhere in the
+# workspace rewrites that tracked file silently.
+if ! git diff --quiet -- benchmark/Cargo.lock; then
+    echo "ci.sh: the benchmark build rewrote the tracked benchmark/Cargo.lock:" >&2
+    git --no-pager diff --stat -- benchmark/Cargo.lock >&2
+    exit 1
+fi
 
 # The three multi-process smokes that follow (release dcnn-launch, real TCP
 # processes) each make an assertion no Rust test makes — a wall-clock or

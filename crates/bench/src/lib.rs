@@ -357,8 +357,8 @@ pub struct CommRow {
     /// Nonblocking bucket reduces this rank completed (one timestamped
     /// launch/done span each).
     pub bucket_spans: u64,
-    /// Average bytes in flight across the rank's bucket-span window — the
-    /// measurement adaptive bucket sizing steers toward its budget.
+    /// Average bytes in flight across the rank's bucket-span window —
+    /// what a bucket size target actually kept on the wire.
     pub inflight_bytes_avg: u64,
 }
 
@@ -444,8 +444,8 @@ pub fn render_comm() -> String {
         "## Comm — runtime counters for a real multi-color allreduce (8 ranks, 256 KiB, 4 async buckets)\n\n\
          Per-rank counters from the threaded runtime's diagnostics layer; the payload travels \
          through the nonblocking bucket engine, so the in-flight high-water mark, bucket wait \
-         and per-bucket launch/done spans (with their windowed average of in-flight bytes — \
-         the signal adaptive bucket sizing steers on) show real overlap. Set DCNN_TRACE=1 \
+         and per-bucket launch/done spans (with their windowed average of in-flight bytes) \
+         show real overlap. Set DCNN_TRACE=1 \
          for the full per-message event log.\n\n{table}"
     )
 }

@@ -1,9 +1,8 @@
 //! The in-CI kernel tripwire: every hot-path kernel that replaced simpler
-//! code — the reduce kernels under every allreduce, the frame encoder under
-//! every TCP send, the CRC-32 under every frame and blob record, the
-//! windowed decode under every training batch — timed against the code it
-//! replaced **in the same run, in alternating turns**, and emitted as one
-//! `BENCH_<date>.json` row per kernel × size.
+//! code — the frame encoder under every TCP send, the CRC-32 under every
+//! frame and blob record, the windowed decode under every training batch —
+//! timed against the code it replaced **in the same run, in alternating
+//! turns**, and emitted as one `BENCH_<date>.json` row per kernel × size.
 //!
 //! What is judged is a [`Pair`]: the median over turns of the per-turn
 //! `reference_ns / product_ns`, held to a constant floor that sits beside
@@ -19,7 +18,6 @@ use std::fmt;
 use std::hint::black_box;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use dcnn_core::collectives::reduce::{self, reference};
 use dcnn_core::collectives::transport::{
     crc32_clmul_selected, crc32_update, crc32_update_portable, wire, Payload,
 };
@@ -85,17 +83,14 @@ pub fn below_floor(pairs: &[Pair]) -> Vec<&Pair> {
     pairs.iter().filter(|p| p.floor.is_some_and(|floor| p.ratio < floor)).collect()
 }
 
-/// "Never slower than the loop you replaced": the floor of a kernel whose
-/// reference the compiler vectorises just as well (all three reduce kernels
-/// read ≈ 1.0x at every size), and of every pair on a machine where the
-/// hardware its own floor rests on is not there.
+/// "Never slower than the code you replaced": the floor of every pair on a
+/// machine where the hardware its own floor rests on is not there.
 const NO_SLOWER: f64 = 0.7;
 
-/// Reduce and encode pairs below this many elements are timed and printed
-/// but cannot fire: about one process in a thousand runs one side of a
-/// 1 024-element pair ~2x slow from first turn to last — either side — so
-/// no floor tells that from a regression. From here up no reduce pair read
-/// outside 0.91–1.34x (EXPERIMENTS.md "Ratio gate").
+/// Encode pairs below this many elements are timed and printed but cannot
+/// fire: about one process in a thousand runs one side of a 1 024-element
+/// pair ~2x slow from first turn to last — either side — so no floor tells
+/// that from a regression (EXPERIMENTS.md "Ratio gate").
 const GATED_MIN_ELEMS: usize = 1 << 14;
 
 /// A floor that exists because of a hardware kernel holds only where the
@@ -234,64 +229,6 @@ fn fill(n: usize, seed: u64) -> Vec<f32> {
             ((state >> 40) as i32 as f32) * 1e-4
         })
         .collect()
-}
-
-/// The three operands of the reduce kernels, carved from one allocation a
-/// third of a page apart (1 344 bytes mod 4 096) and shared by product and
-/// reference. Back-to-back `malloc` buffers of these sizes start 32–48
-/// bytes apart mod 4 096, and a kernel whose load and store streams alias
-/// like that reads up to 9x slow under load — for one side only, and for a
-/// whole run, if each side owns its buffers.
-struct ReduceBufs<'a> {
-    dst: &'a mut [f32],
-    a: &'a [f32],
-    b: &'a [f32],
-}
-
-const THIRD_OF_A_PAGE: usize = 1344 / 4;
-
-/// The reduce kernels against the plain loops they replaced, at element
-/// counts spanning the Figure 5 message-size crossover: below, around and
-/// above the default split threshold (2^18 elements = 1 MiB).
-fn bench_reduce(quick: bool, suite: &mut Suite) {
-    let sizes: &[usize] =
-        if quick { &[1 << 10, 1 << 17] } else { &[1 << 10, 1 << 14, 1 << 17, 1 << 20] };
-    for &n in sizes {
-        let stride = n + THIRD_OF_A_PAGE;
-        let mut arena = fill(3 * stride, 3);
-        let (dst, rest) = arena.split_at_mut(stride);
-        let mut bufs =
-            ReduceBufs { dst: &mut dst[..n], a: &rest[..n], b: &rest[stride..][..n] };
-        let bytes = (n * 4) as u64;
-        let floor = (n >= GATED_MIN_ELEMS).then_some(NO_SLOWER);
-        let names =
-            |kernel: &str| (format!("reduce/{kernel}/{n}"), format!("reduce/{kernel}_ref/{n}"));
-
-        suite.pair(
-            names("sum_into"),
-            bytes,
-            floor,
-            &mut bufs,
-            |s| reduce::sum_into(black_box(&mut *s.dst), black_box(s.a)),
-            |s| reference::sum_into(black_box(&mut *s.dst), black_box(s.a)),
-        );
-        suite.pair(
-            names("sum_to"),
-            bytes,
-            floor,
-            &mut bufs,
-            |s| reduce::sum_to(black_box(&mut *s.dst), black_box(s.a), black_box(s.b)),
-            |s| reference::sum_to(black_box(&mut *s.dst), black_box(s.a), black_box(s.b)),
-        );
-        suite.pair(
-            names("scale"),
-            bytes,
-            floor,
-            &mut bufs,
-            |s| reduce::scale(black_box(&mut *s.dst), black_box(1.000_001)),
-            |s| reference::scale(black_box(&mut *s.dst), black_box(1.000_001)),
-        );
-    }
 }
 
 /// The vectored encoder skips the staging copy (the payload's bytes go to
@@ -462,7 +399,6 @@ fn bench_sim(quick: bool, suite: &mut Suite) {
 /// Run the full suite: the report, and the pairs the gate reads.
 pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     let mut suite = Suite::default();
-    bench_reduce(quick, &mut suite);
     bench_frame_encode(quick, &mut suite);
     bench_crc(&mut suite);
     bench_decode(&mut suite);
@@ -495,7 +431,7 @@ mod tests {
             schema: SCHEMA.to_string(),
             date: "2026-08-07".to_string(),
             quick: true,
-            rows: vec![row("reduce/sum_into/1024".into(), 4096, 100.0, true)],
+            rows: vec![row("crc/update/1024".into(), 4096, 100.0, true)],
         };
         let json = serde_json::to_string(&report).expect("serialize");
         let v: serde_json::Value = serde_json::from_str(&json).expect("parse");
@@ -516,7 +452,7 @@ mod tests {
         let pairs = [
             pair("crc/just_below", 0.99 * CRC_FLOOR, Some(CRC_FLOOR)),
             pair("crc/just_above", 1.01 * CRC_FLOOR, Some(CRC_FLOOR)),
-            pair("reduce/small", 0.01, None),
+            pair("frame/small", 0.01, None),
             // No hardware kernel selected: 5x is not owed, no-slower is.
             pair("crc/tables_only", 1.0, Some(floor_where(false, CRC_FLOOR))),
             pair("crc/tables_only_slow", 0.69, Some(floor_where(false, CRC_FLOOR))),

@@ -157,14 +157,6 @@ pub struct RuntimeConfig {
     /// Bucket scheduling relative to backprop (`DCNN_OVERLAP_MODE`:
     /// `hooked` or `drain`).
     pub overlap_mode: Option<OverlapMode>,
-    /// Adaptive bucket sizing target: desired in-flight reduce bytes
-    /// (`DCNN_INFLIGHT_BUDGET`, bytes; `0`/unset disables resizing).
-    pub inflight_budget_bytes: Option<usize>,
-    /// Element count at which the reduce kernels split across rayon
-    /// (`DCNN_REDUCE_PAR_THRESHOLD`, elements; `0` = never split). The
-    /// split is bitwise identical to the sequential kernel, so this is a
-    /// pure speed knob.
-    pub reduce_par_threshold: Option<usize>,
     /// TCP dial/rendezvous bound (`DCNN_CONNECT_TIMEOUT_MS`): how long
     /// bootstrap connects retry and rank 0's registration accept loop
     /// waits before naming the ranks that never showed up.
@@ -241,7 +233,7 @@ impl RuntimeConfig {
     /// internal `DCNN_LAUNCH_CHILD` / `DCNN_LAUNCH_WORKLOAD` handshake
     /// variables, which are not configuration.) The README env table is
     /// tested against this list.
-    pub const ENV_VARS: [&'static str; 22] = [
+    pub const ENV_VARS: [&'static str; 20] = [
         "DCNN_TRANSPORT",
         "DCNN_RENDEZVOUS",
         "DCNN_RANK",
@@ -252,8 +244,6 @@ impl RuntimeConfig {
         "DCNN_COMM_WORKERS",
         "DCNN_BUCKET_BYTES",
         "DCNN_OVERLAP_MODE",
-        "DCNN_INFLIGHT_BUDGET",
-        "DCNN_REDUCE_PAR_THRESHOLD",
         "DCNN_CONNECT_TIMEOUT_MS",
         "DCNN_FAULT",
         "DCNN_CHECKPOINT_DIR",
@@ -334,20 +324,6 @@ impl RuntimeConfig {
                     })
                 }
             });
-        }
-        if let Some(v) = get("DCNN_INFLIGHT_BUDGET") {
-            cfg.inflight_budget_bytes = Some(parse_usize(
-                "DCNN_INFLIGHT_BUDGET",
-                &v,
-                "an in-flight byte budget (0 = fixed bucket size)",
-            )?);
-        }
-        if let Some(v) = get("DCNN_REDUCE_PAR_THRESHOLD") {
-            cfg.reduce_par_threshold = Some(parse_usize(
-                "DCNN_REDUCE_PAR_THRESHOLD",
-                &v,
-                "a reduce-kernel split threshold in elements (0 = never split)",
-            )?);
         }
         if let Some(v) = get("DCNN_CONNECT_TIMEOUT_MS") {
             let ms = parse_at_least(
@@ -442,17 +418,6 @@ impl RuntimeConfig {
         self.overlap_mode.unwrap_or_default()
     }
 
-    /// Adaptive in-flight byte budget (default 0 = fixed bucket size).
-    pub fn inflight_budget_or_default(&self) -> usize {
-        self.inflight_budget_bytes.unwrap_or(0)
-    }
-
-    /// Reduce-kernel rayon-split threshold in elements (default
-    /// [`crate::reduce::DEFAULT_PAR_THRESHOLD`]; 0 = never split).
-    pub fn reduce_par_threshold_or_default(&self) -> usize {
-        self.reduce_par_threshold.unwrap_or(crate::reduce::DEFAULT_PAR_THRESHOLD)
-    }
-
     /// TCP connect/rendezvous timeout (default 20 s).
     pub fn connect_timeout_or_default(&self) -> Duration {
         self.connect_timeout.unwrap_or(Duration::from_secs(20))
@@ -466,11 +431,6 @@ impl RuntimeConfig {
     /// Parallel decode workers in the data pipeline (default 1, minimum 1).
     pub fn data_decode_workers_or_default(&self) -> usize {
         self.data_decode_workers.unwrap_or(1).max(1)
-    }
-
-    /// Whether optimizer state is sharded across ranks (default: replicated).
-    pub fn shard_optim_or_default(&self) -> bool {
-        self.shard_optim.unwrap_or(false)
     }
 
     /// The allreduce selection policy (default: the paper's multicolor
@@ -515,13 +475,6 @@ impl RuntimeConfig {
     /// Override the bucket scheduling mode.
     pub fn with_overlap_mode(mut self, mode: OverlapMode) -> Self {
         self.overlap_mode = Some(mode);
-        self
-    }
-
-    /// Override the reduce-kernel rayon-split threshold (elements; 0 =
-    /// never split).
-    pub fn with_reduce_par_threshold(mut self, elements: usize) -> Self {
-        self.reduce_par_threshold = Some(elements);
         self
     }
 
@@ -571,12 +524,9 @@ mod tests {
         assert_eq!(cfg.comm_workers_or_default(), 2);
         assert_eq!(cfg.bucket_bytes_or_default(), 0);
         assert_eq!(cfg.overlap_mode_or_default(), OverlapMode::Hooked);
-        assert_eq!(cfg.inflight_budget_or_default(), 0);
-        assert_eq!(cfg.reduce_par_threshold_or_default(), crate::reduce::DEFAULT_PAR_THRESHOLD);
         assert_eq!(cfg.data_prefetch_depth_or_default(), 0);
         assert_eq!(cfg.data_decode_workers_or_default(), 1);
         assert_eq!(cfg.data_service, None);
-        assert!(!cfg.shard_optim_or_default());
         assert_eq!(
             cfg.algo_or_default(),
             crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::MultiColor(4))
@@ -606,8 +556,6 @@ mod tests {
             ("DCNN_COMM_WORKERS", "3"),
             ("DCNN_BUCKET_BYTES", "4096"),
             ("DCNN_OVERLAP_MODE", "drain"),
-            ("DCNN_INFLIGHT_BUDGET", "65536"),
-            ("DCNN_REDUCE_PAR_THRESHOLD", "131072"),
             ("DCNN_CONNECT_TIMEOUT_MS", "750"),
             ("DCNN_FAULT", "kill-after-step=3@2"),
             ("DCNN_CHECKPOINT_DIR", "/tmp/ckpt"),
@@ -630,8 +578,6 @@ mod tests {
         assert_eq!(cfg.comm_workers, Some(3));
         assert_eq!(cfg.bucket_bytes, Some(4096));
         assert_eq!(cfg.overlap_mode, Some(OverlapMode::Drain));
-        assert_eq!(cfg.inflight_budget_bytes, Some(65536));
-        assert_eq!(cfg.reduce_par_threshold, Some(131072));
         assert_eq!(cfg.connect_timeout, Some(Duration::from_millis(750)));
         assert_eq!(cfg.fault, Some(FaultSpec::KillAfterStep { step: 3, rank: 2 }));
         assert_eq!(cfg.checkpoint_dir.as_deref(), Some("/tmp/ckpt"));
@@ -699,8 +645,6 @@ mod tests {
             ("DCNN_COMM_WORKERS", "0"),
             ("DCNN_BUCKET_BYTES", "-1"),
             ("DCNN_OVERLAP_MODE", "eager"),
-            ("DCNN_INFLIGHT_BUDGET", "lots"),
-            ("DCNN_REDUCE_PAR_THRESHOLD", "-4"),
             ("DCNN_CONNECT_TIMEOUT_MS", "0"),
             ("DCNN_FAULT", "unplug-the-rack"),
             ("DCNN_DATA_PREFETCH_DEPTH", "deep"),
@@ -735,7 +679,6 @@ mod tests {
             .with_overlap_mode(OverlapMode::Drain)
             .with_rank_world(2, 8)
             .with_rendezvous("10.0.0.1:9000")
-            .with_reduce_par_threshold(4096)
             .with_fault(FaultSpec::DropLink { from: 0, to: 1 })
             .with_algo(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing))
             .with_eval_payload(1 << 16)
@@ -744,7 +687,6 @@ mod tests {
         assert_eq!(cfg.overlap_mode, Some(OverlapMode::Drain));
         assert_eq!((cfg.rank, cfg.world), (Some(2), Some(8)));
         assert_eq!(cfg.rendezvous.as_deref(), Some("10.0.0.1:9000"));
-        assert_eq!(cfg.reduce_par_threshold, Some(4096));
         assert_eq!(cfg.fault, Some(FaultSpec::DropLink { from: 0, to: 1 }));
         assert_eq!(
             cfg.algo,

@@ -286,30 +286,6 @@ pub fn alltoallv_schedule(counts: &[Vec<f64>]) -> CommSchedule {
     s
 }
 
-/// Step-synchronized variant of [`alltoallv_schedule`]: each rank sends to
-/// one partner per step (`dst = (src + step) mod n`, the classic pairwise
-/// exchange schedule), with every rank's step-`t` send gated on its step-
-/// `t−1` send. This models an MPI library that serializes the exchange to
-/// bound buffer usage; compare against the fully concurrent version to see
-/// what eager-protocol overlap buys.
-pub fn alltoallv_schedule_pairwise(counts: &[Vec<f64>]) -> CommSchedule {
-    let n = counts.len();
-    let mut s = CommSchedule::new(n.max(1));
-    let mut last: Vec<Option<dcnn_simnet::OpId>> = vec![None; n];
-    for step in 1..n {
-        for src in 0..n {
-            let dst = (src + step) % n;
-            assert_eq!(counts[src].len(), n, "count matrix must be square");
-            let bytes = counts[src][dst];
-            if bytes > 0.0 {
-                let t = s.transfer(src, dst, bytes, last[src].into_iter().collect());
-                last[src] = Some(t);
-            }
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,24 +544,5 @@ mod tests {
         let s = alltoallv_schedule(&counts);
         assert_eq!(s.len(), 4); // four non-zero off-diagonal entries
         assert!((s.total_bytes() - 33.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pairwise_schedule_serializes_per_rank() {
-        use dcnn_simnet::{FatTree, SimOptions};
-        let n = 8;
-        let counts: Vec<Vec<f64>> = (0..n)
-            .map(|s| (0..n).map(|d| if s == d { 0.0 } else { 1e7 }).collect())
-            .collect();
-        let conc = alltoallv_schedule(&counts);
-        let pair = alltoallv_schedule_pairwise(&counts);
-        assert!((conc.total_bytes() - pair.total_bytes()).abs() < 1e-6);
-        pair.validate();
-        let topo = FatTree::minsky(n);
-        let tc = conc.simulate(&topo, &SimOptions::default()).makespan;
-        let tp = pair.simulate(&topo, &SimOptions::default()).makespan;
-        // Serialization can't be faster; on a non-blocking fabric with equal
-        // shares it lands close (both NIC-bound) but ≥.
-        assert!(tp >= tc * 0.99, "pairwise {tp} vs concurrent {tc}");
     }
 }

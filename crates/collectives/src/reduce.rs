@@ -1,106 +1,15 @@
 //! Summation kernels for gradient reduction.
 //!
-//! The paper sums network buffers into the local contribution with POWER
-//! altivec vector instructions (§4.2). Here every kernel is written as an
-//! 8-lane unrolled loop that LLVM auto-vectorizes on any target, and above
-//! a configurable element threshold the work is split across rayon in
-//! fixed-size chunks ([`PAR_CHUNK`] elements). Every kernel is
-//! element-independent — `dst[i]` depends only on index `i` of its inputs —
-//! so the split (and any rayon scheduling of it) is bitwise identical to
-//! the sequential loop; `tests/kernel_equivalence.rs` holds that against
-//! the scalar reference kernels in [`reference`].
-//!
-//! The threshold comes from `DCNN_REDUCE_PAR_THRESHOLD` (elements, `0` =
-//! never split) via [`crate::RuntimeConfig`]; cluster entry points apply it
-//! through [`set_par_threshold`].
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use rayon::{ParallelSliceExt, ParallelSliceMutExt};
-
-/// Default element count at which kernels start splitting across rayon:
-/// 256 Ki `f32`s = 1 MiB, past the paper's Figure-5 crossover into the
-/// bandwidth-bound regime where extra cores pay for themselves.
-pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 18;
-
-/// Elements per rayon task. A multiple of the unroll factor, so every
-/// chunk decomposes into the same lane/tail pattern the sequential kernel
-/// uses (not that it matters for bits — the ops are element-independent).
-pub const PAR_CHUNK: usize = 1 << 15;
-
-/// Current split threshold in elements (`0` = splitting disabled).
-static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_THRESHOLD);
-
-/// Set the rayon-split threshold in elements; `0` disables splitting
-/// entirely. Applied by the cluster entry points from
-/// [`crate::RuntimeConfig::reduce_par_threshold_or_default`]
-/// (`DCNN_REDUCE_PAR_THRESHOLD`). Takes effect for subsequent kernel
-/// calls process-wide; any value is safe at any time because every split
-/// is bitwise identical to the sequential kernel.
-pub fn set_par_threshold(elements: usize) {
-    PAR_THRESHOLD.store(elements, Ordering::Relaxed);
-}
-
-/// The currently configured split threshold in elements (`0` = disabled).
-pub fn par_threshold() -> usize {
-    PAR_THRESHOLD.load(Ordering::Relaxed)
-}
-
-#[inline]
-fn split_enabled(n: usize) -> bool {
-    let thr = PAR_THRESHOLD.load(Ordering::Relaxed);
-    thr != 0 && n >= thr
-}
-
-const LANES: usize = 8;
-
-#[inline]
-fn sum_into_seq(dst: &mut [f32], src: &[f32]) {
-    let n = dst.len();
-    let main = n - n % LANES;
-    let (dh, dt) = dst.split_at_mut(main);
-    let (sh, st) = src.split_at(main);
-    for (d, s) in dh.chunks_exact_mut(LANES).zip(sh.chunks_exact(LANES)) {
-        // 8 independent adds per iteration; vectorizes to 2×(4-wide) or 1×(8-wide).
-        for l in 0..LANES {
-            d[l] += s[l];
-        }
-    }
-    for (d, s) in dt.iter_mut().zip(st) {
-        *d += s;
-    }
-}
-
-#[inline]
-fn sum_to_seq(dst: &mut [f32], a: &[f32], b: &[f32]) {
-    let n = dst.len();
-    let main = n - n % LANES;
-    for ((d, x), y) in dst[..main]
-        .chunks_exact_mut(LANES)
-        .zip(a[..main].chunks_exact(LANES))
-        .zip(b[..main].chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            d[l] = x[l] + y[l];
-        }
-    }
-    for i in main..n {
-        dst[i] = a[i] + b[i];
-    }
-}
-
-#[inline]
-fn scale_seq(dst: &mut [f32], k: f32) {
-    let mut it = dst.chunks_exact_mut(LANES);
-    for d in &mut it {
-        for l in 0..LANES {
-            d[l] *= k;
-        }
-    }
-    for d in it.into_remainder() {
-        *d *= k;
-    }
-}
+//! The paper sums network buffers into the local contribution with
+//! hand-written POWER altivec code (§4.2). Here the three operations are
+//! plain iterator loops: rustc turns each into packed `addps` / `mulps` at
+//! the baseline `x86-64` target (and `ymm` code at `x86-64-v3`), and an
+//! 8-lane hand-unrolled version with a chunked split measured equal to them
+//! (EXPERIMENTS.md "Plain reduce loops"), so one copy of each is all there
+//! is. Every operation is element-independent — `dst[i]` depends only on
+//! index `i` of its inputs — so any traversal produces the same bits;
+//! `tests/kernel_equivalence.rs` holds that on NaN, ±inf, −0.0 and
+//! subnormal inputs.
 
 /// `dst[i] += src[i]` for all `i`.
 ///
@@ -108,12 +17,8 @@ fn scale_seq(dst: &mut [f32], k: f32) {
 /// Panics if the slices have different lengths.
 pub fn sum_into(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "reduction length mismatch");
-    if split_enabled(dst.len()) {
-        dst.par_chunks_mut(PAR_CHUNK)
-            .zip(src.par_chunks(PAR_CHUNK))
-            .for_each(|(d, s)| sum_into_seq(d, s));
-    } else {
-        sum_into_seq(dst, src);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
 }
 
@@ -124,53 +29,22 @@ pub fn sum_into(dst: &mut [f32], src: &[f32]) {
 pub fn sum_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
     assert_eq!(dst.len(), a.len(), "reduction length mismatch");
     assert_eq!(dst.len(), b.len(), "reduction length mismatch");
-    if split_enabled(dst.len()) {
-        dst.par_chunks_mut(PAR_CHUNK)
-            .zip(a.par_chunks(PAR_CHUNK))
-            .zip(b.par_chunks(PAR_CHUNK))
-            .for_each(|((d, x), y)| sum_to_seq(d, x, y));
-    } else {
-        sum_to_seq(dst, a, b);
+    for ((d, x), y) in dst.iter_mut().zip(a).zip(b) {
+        *d = x + y;
     }
 }
 
 /// `dst[i] *= k` — used to average gradients after summation.
 pub fn scale(dst: &mut [f32], k: f32) {
-    if split_enabled(dst.len()) {
-        dst.par_chunks_mut(PAR_CHUNK).for_each(|d| scale_seq(d, k));
-    } else {
-        scale_seq(dst, k);
+    for d in dst {
+        *d *= k;
     }
 }
 
-/// Plain one-element-at-a-time reference kernels: the semantics every
-/// optimized path above must match bit for bit. The equivalence tests and
-/// the `dcnn-perf` baseline compare against these; production code calls
-/// the vectorized kernels.
+/// The same three loops under the name the allreduce correctness checks
+/// and the benchmark's probes compare results against.
 pub mod reference {
-    /// Scalar `dst[i] += src[i]`.
-    pub fn sum_into(dst: &mut [f32], src: &[f32]) {
-        assert_eq!(dst.len(), src.len(), "reduction length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
-    }
-
-    /// Scalar `dst[i] = a[i] + b[i]`.
-    pub fn sum_to(dst: &mut [f32], a: &[f32], b: &[f32]) {
-        assert_eq!(dst.len(), a.len(), "reduction length mismatch");
-        assert_eq!(dst.len(), b.len(), "reduction length mismatch");
-        for ((d, x), y) in dst.iter_mut().zip(a).zip(b) {
-            *d = x + y;
-        }
-    }
-
-    /// Scalar `dst[i] *= k`.
-    pub fn scale(dst: &mut [f32], k: f32) {
-        for d in dst {
-            *d *= k;
-        }
-    }
+    pub use super::{scale, sum_into, sum_to};
 }
 
 #[cfg(test)]
@@ -182,19 +56,6 @@ mod tests {
         let mut a = vec![1.0, 2.0, 3.0];
         sum_into(&mut a, &[10.0, 20.0, 30.0]);
         assert_eq!(a, vec![11.0, 22.0, 33.0]);
-    }
-
-    #[test]
-    fn sum_into_covers_tail() {
-        // Length not divisible by the unroll factor.
-        for n in [0, 1, 7, 8, 9, 17, 63, 64, 65] {
-            let mut a: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            let b: Vec<f32> = (0..n).map(|i| 2.0 * i as f32).collect();
-            sum_into(&mut a, &b);
-            for (i, v) in a.iter().enumerate() {
-                assert_eq!(*v, 3.0 * i as f32, "index {i}, n {n}");
-            }
-        }
     }
 
     #[test]
@@ -211,39 +72,5 @@ mod tests {
         assert_eq!(d, vec![5.0; 4]);
         scale(&mut d, 0.2);
         assert_eq!(d, vec![1.0; 4]);
-    }
-
-    #[test]
-    fn sum_to_covers_tail() {
-        for n in [0, 1, 7, 8, 9, 17, 63, 64, 65] {
-            let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            let b: Vec<f32> = (0..n).map(|i| 3.0 * i as f32).collect();
-            let mut d = vec![0.0f32; n];
-            sum_to(&mut d, &a, &b);
-            for (i, v) in d.iter().enumerate() {
-                assert_eq!(*v, 4.0 * i as f32, "index {i}, n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn scale_covers_tail() {
-        for n in [0, 1, 7, 8, 9, 17, 63, 64, 65] {
-            let mut d: Vec<f32> = (0..n).map(|i| i as f32).collect();
-            scale(&mut d, 0.5);
-            for (i, v) in d.iter().enumerate() {
-                assert_eq!(*v, 0.5 * i as f32, "index {i}, n {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn threshold_roundtrips_through_setter() {
-        let before = par_threshold();
-        set_par_threshold(12345);
-        assert_eq!(par_threshold(), 12345);
-        set_par_threshold(0);
-        assert_eq!(par_threshold(), 0);
-        set_par_threshold(before);
     }
 }

@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 use crate::config::RuntimeConfig;
 use crate::trace::{write_trace_json, TraceEvent, TraceEventKind};
 use crate::transport::local::local_fabric;
-use crate::transport::tcp::{TcpOptions, TcpTransport};
+use crate::transport::tcp::TcpTransport;
 use crate::transport::{RecvPoll, Transport, TransportKind, WireMsg};
 
 pub use crate::transport::Payload;
@@ -367,7 +367,7 @@ impl RankLocal {
 }
 
 /// Launch/complete timestamps of one async bucket reduce, for bandwidth
-/// measurement (adaptive bucket sizing) and `repro comm` reporting.
+/// measurement (the tuner) and `repro comm` reporting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketSpan {
     /// Launch sequence number on the parent communicator.
@@ -433,7 +433,7 @@ pub struct CommStats {
     pub link_bytes_sent: Vec<u64>,
     /// Launch/complete timestamps per async bucket reduce not yet drained
     /// by [`Comm::take_bucket_spans`], in completion order — the raw data
-    /// behind bandwidth measurement and adaptive bucket sizing.
+    /// behind bandwidth measurement.
     pub bucket_spans: Vec<BucketSpan>,
     /// Inclusive wall time per [`Comm::phase`] label: `(label, ns, entries)`.
     /// Nested phases both accumulate, so times are inclusive.
@@ -485,9 +485,8 @@ impl CommStats {
 
     /// Time-averaged bytes in flight across the async bucket reduces in
     /// `spans`: Σ(bytes × duration) over the window from the earliest
-    /// launch to the latest completion. This is the measurement adaptive
-    /// bucket sizing steers toward the configured in-flight budget.
-    /// Returns 0 when the window is empty or instantaneous.
+    /// launch to the latest completion (`repro comm` prints it). Returns 0
+    /// when the window is empty or instantaneous.
     pub fn inflight_bytes_avg(spans: &[BucketSpan]) -> u64 {
         let start = spans.iter().map(|s| s.launch_ns).min().unwrap_or(0);
         let end = spans.iter().map(|s| s.done_ns).max().unwrap_or(0);
@@ -1085,8 +1084,8 @@ impl Comm {
 
     /// Drain the spans of the async bucket reduces completed since the last
     /// call (all of this rank's communicator handles share one list). The
-    /// per-epoch consumers — the tuner and adaptive bucket sizing — read
-    /// through this, so a long bucketed run holds one epoch's spans at most.
+    /// per-epoch consumer — the tuner — reads through this, so a long
+    /// bucketed run holds one epoch's spans at most.
     pub fn take_bucket_spans(&self) -> Vec<BucketSpan> {
         std::mem::take(&mut *self.local.bucket_spans.lock().expect("bucket spans"))
     }
@@ -1466,7 +1465,6 @@ impl ClusterBuilder {
     {
         let n = self.n;
         let cfg = self.config.unwrap_or_else(runtime_config_from_env);
-        crate::reduce::set_par_threshold(cfg.reduce_par_threshold_or_default());
         let json_path = cfg.trace_json.clone();
         let trace_on = self.trace.unwrap_or_else(|| cfg.trace_or_default());
         let recv_timeout = self.recv_timeout.unwrap_or_else(|| cfg.recv_timeout_or_default());
@@ -1514,16 +1512,15 @@ impl ClusterBuilder {
                     let transport: Arc<dyn Transport> = match seed {
                         Some(local) => Arc::new(local),
                         None => {
-                            let opts = TcpOptions { connect_timeout, nodelay: true };
                             let t = if rank == 0 {
                                 let listener = tcp_host
                                     .lock()
                                     .expect("host listener")
                                     .take()
                                     .expect("host listener unclaimed");
-                                TcpTransport::host(listener, n, opts)
+                                TcpTransport::host(listener, n, connect_timeout)
                             } else {
-                                TcpTransport::connect(tcp_addr, rank, n, opts)
+                                TcpTransport::connect(tcp_addr, rank, n, connect_timeout)
                             };
                             let t = t.unwrap_or_else(|e| {
                                 panic!("rank {rank}: tcp fabric setup failed: {e}")
@@ -1613,7 +1610,6 @@ pub fn run_tcp_rank_with<R>(cfg: &RuntimeConfig, f: impl FnOnce(&Comm) -> R) -> 
         .unwrap_or_else(|| panic!("DCNN_RENDEZVOUS must be set for the TCP process runtime"));
     assert!(world > 0 && rank < world, "rank {rank} out of range for world {world}");
 
-    crate::reduce::set_par_threshold(cfg.reduce_par_threshold_or_default());
     let json_path = cfg.trace_json.clone();
     let trace_on = cfg.trace_or_default();
     let recv_timeout = cfg.recv_timeout_or_default();
@@ -1625,8 +1621,8 @@ pub fn run_tcp_rank_with<R>(cfg: &RuntimeConfig, f: impl FnOnce(&Comm) -> R) -> 
         cfg.comm_workers_or_default(),
     );
 
-    let opts = TcpOptions { connect_timeout: cfg.connect_timeout_or_default(), nodelay: true };
-    let transport = TcpTransport::establish(rank, world, &rendezvous, opts)
+    let transport =
+        TcpTransport::establish(rank, world, &rendezvous, cfg.connect_timeout_or_default())
         .unwrap_or_else(|e| panic!("rank {rank}: tcp fabric setup failed: {e}"));
     apply_link_fault(&transport, rank, cfg.fault);
     let result = rank_main(Arc::new(transport), Arc::clone(&shared), f);

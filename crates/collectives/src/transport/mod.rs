@@ -68,11 +68,6 @@ impl Payload {
         Payload::F32(Arc::new(v))
     }
 
-    /// Wrap an already-shared byte buffer without copying it.
-    pub fn shared_bytes(v: Arc<Vec<u8>>) -> Self {
-        Payload::Bytes(v)
-    }
-
     /// Wrap an already-shared `f32` buffer without copying it. The threaded
     /// backend delivers the very same allocation to the receiver.
     pub fn shared_f32(v: Arc<Vec<f32>>) -> Self {

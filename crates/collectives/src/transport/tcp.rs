@@ -66,22 +66,6 @@ use super::{RecvPoll, Transport, WireMsg};
 const BATCH_MAX_FRAMES: usize = 64;
 const BATCH_MAX_BYTES: usize = 256 * 1024;
 
-/// Connection-establishment tuning.
-#[derive(Debug, Clone)]
-pub struct TcpOptions {
-    /// Give up dialing (rendezvous or peer) after this long.
-    pub connect_timeout: Duration,
-    /// Set `TCP_NODELAY` on every connection (latency over throughput; the
-    /// collectives exchange many small control frames).
-    pub nodelay: bool,
-}
-
-impl Default for TcpOptions {
-    fn default() -> Self {
-        TcpOptions { connect_timeout: Duration::from_secs(20), nodelay: true }
-    }
-}
-
 /// Commands for a per-peer writer thread.
 enum WriterCmd {
     Frame(WireMsg),
@@ -334,15 +318,15 @@ fn peer_addr_of(s: &TcpStream) -> String {
 }
 
 /// Register with the rendezvous, retrying torn connections with backoff
-/// until `opts.connect_timeout` elapses.
+/// until `timeout` elapses.
 fn rendezvous_register(
     addr: &str,
     rank: usize,
     n: usize,
     my_data_addr: &str,
-    opts: &TcpOptions,
+    timeout: Duration,
 ) -> io::Result<Vec<String>> {
-    let deadline = Instant::now() + opts.connect_timeout;
+    let deadline = Instant::now() + timeout;
     let mut delay = Duration::from_millis(5);
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -394,32 +378,33 @@ fn mesh_dial(addr: &str, my_rank: usize, timeout: Duration) -> io::Result<TcpStr
 impl TcpTransport {
     /// Establish the fabric as rank 0, hosting the rendezvous on an
     /// already-bound `listener` (bind it yourself to pick the port, or use
-    /// [`TcpTransport::establish`] to bind from an address string).
-    pub fn host(listener: TcpListener, world: usize, opts: TcpOptions) -> io::Result<Self> {
-        Self::build(0, world, RendezvousRole::Host(listener), opts)
+    /// [`TcpTransport::establish`] to bind from an address string). Every
+    /// dial and the registration accept loop give up after `timeout`.
+    pub fn host(listener: TcpListener, world: usize, timeout: Duration) -> io::Result<Self> {
+        Self::build(0, world, RendezvousRole::Host(listener), timeout)
     }
 
     /// Establish the fabric as a non-zero rank, registering with the
     /// rendezvous at `addr`.
-    pub fn connect(addr: &str, rank: usize, world: usize, opts: TcpOptions) -> io::Result<Self> {
+    pub fn connect(addr: &str, rank: usize, world: usize, timeout: Duration) -> io::Result<Self> {
         assert!(rank > 0 && rank < world, "rank {rank} out of range for world {world}");
-        Self::build(rank, world, RendezvousRole::Peer(addr.to_string()), opts)
+        Self::build(rank, world, RendezvousRole::Peer(addr.to_string()), timeout)
     }
 
     /// Establish the fabric from `(rank, world, rendezvous)`: rank 0 binds
     /// and hosts `rendezvous`, everyone else dials it. This is the entry the
     /// multi-process runtime uses with `DCNN_RANK` / `DCNN_WORLD` /
     /// `DCNN_RENDEZVOUS`.
-    pub fn establish(rank: usize, world: usize, rendezvous: &str, opts: TcpOptions) -> io::Result<Self> {
+    pub fn establish(rank: usize, world: usize, rendezvous: &str, timeout: Duration) -> io::Result<Self> {
         if rank == 0 {
             let listener = TcpListener::bind(rendezvous)?;
-            Self::host(listener, world, opts)
+            Self::host(listener, world, timeout)
         } else {
-            Self::connect(rendezvous, rank, world, opts)
+            Self::connect(rendezvous, rank, world, timeout)
         }
     }
 
-    fn build(rank: usize, world: usize, role: RendezvousRole, opts: TcpOptions) -> io::Result<Self> {
+    fn build(rank: usize, world: usize, role: RendezvousRole, timeout: Duration) -> io::Result<Self> {
         assert!(world >= 1, "world needs at least one rank");
         let (inbox_tx, inbox_rx) = channel::<Inbound>();
         let mut peers: Vec<Option<Sender<WriterCmd>>> = (0..world).map(|_| None).collect();
@@ -433,17 +418,17 @@ impl TcpTransport {
             let my_data_addr = data_listener.local_addr()?.to_string();
             let table = match &role {
                 RendezvousRole::Host(listener) => {
-                    rendezvous_host(listener, world, &my_data_addr, opts.connect_timeout)?
+                    rendezvous_host(listener, world, &my_data_addr, timeout)?
                 }
                 RendezvousRole::Peer(addr) => {
-                    rendezvous_register(addr, rank, world, &my_data_addr, &opts)?
+                    rendezvous_register(addr, rank, world, &my_data_addr, timeout)?
                 }
             };
 
             // Deterministic mesh: dial below, accept from above.
             let mut streams: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
             for peer in 0..rank {
-                streams[peer] = Some(mesh_dial(&table[peer], rank, opts.connect_timeout)?);
+                streams[peer] = Some(mesh_dial(&table[peer], rank, timeout)?);
             }
             let mut missing = world - rank - 1;
             while missing > 0 {
@@ -504,9 +489,9 @@ impl TcpTransport {
 
             for (peer, slot) in streams.into_iter().enumerate() {
                 let Some(stream) = slot else { continue };
-                if opts.nodelay {
-                    stream.set_nodelay(true)?;
-                }
+                // Latency over throughput: the collectives exchange many
+                // small control frames.
+                stream.set_nodelay(true)?;
                 let reader = stream.try_clone()?;
                 links[peer] = Some(stream.try_clone()?);
                 let (wtx, wrx) = channel::<WriterCmd>();
@@ -721,6 +706,8 @@ mod tests {
     use crate::transport::Payload;
     use std::sync::Arc;
 
+    const TIMEOUT: Duration = Duration::from_secs(20);
+
     fn msg(src: usize, tag: u32, payload: Payload) -> WireMsg {
         WireMsg { src, comm_id: 7, tag, payload }
     }
@@ -781,13 +768,13 @@ mod tests {
         let addr = listener.local_addr().expect("addr").to_string();
         let n = 500usize;
         let t = std::thread::spawn(move || {
-            let t1 = TcpTransport::connect(&addr, 1, 2, TcpOptions::default()).expect("rank 1");
+            let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
             for i in 0..n {
                 t1.send(0, msg(1, i as u32, Payload::f32(vec![i as f32, -(i as f32)])));
             }
             t1.shutdown();
         });
-        let t0 = TcpTransport::host(listener, 2, TcpOptions::default()).expect("rank 0");
+        let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
         for i in 0..n {
             match t0.recv_timeout(Duration::from_secs(10)) {
                 RecvPoll::Msg(m) => {
@@ -806,7 +793,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let t = std::thread::spawn(move || {
-            let t1 = TcpTransport::connect(&addr, 1, 2, TcpOptions::default()).expect("rank 1");
+            let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
             // The remote end of a cut link sees an EOF/reset with no BYE.
             match t1.recv_timeout(Duration::from_secs(10)) {
                 RecvPoll::LinkDown { peer, cause } => {
@@ -819,7 +806,7 @@ mod tests {
             t1.send(0, msg(1, 9, Payload::bytes(vec![1])));
             t1.shutdown();
         });
-        let t0 = TcpTransport::host(listener, 2, TcpOptions::default()).expect("rank 0");
+        let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
         t0.sever_link(1);
         match t0.recv_timeout(Duration::from_secs(10)) {
             RecvPoll::LinkDown { peer, .. } => assert_eq!(peer, 1),
@@ -893,7 +880,7 @@ mod tests {
             s.flush().expect("flush");
             s // keep the socket open so the read side sees the bytes, not a reset
         });
-        let err = match TcpTransport::host(listener, 2, TcpOptions::default()) {
+        let err = match TcpTransport::host(listener, 2, TIMEOUT) {
             Err(e) => e,
             Ok(_) => panic!("garbled hello must fail bootstrap"),
         };
@@ -919,7 +906,7 @@ mod tests {
             s.flush().expect("flush");
             s
         });
-        let err = match TcpTransport::host(listener, 2, TcpOptions::default()) {
+        let err = match TcpTransport::host(listener, 2, TIMEOUT) {
             Err(e) => e,
             Ok(_) => panic!("out-of-range hello must fail bootstrap"),
         };
@@ -954,7 +941,7 @@ mod tests {
             let second = hello(2);
             (_reg1, _reg2, first, second)
         });
-        let err = match TcpTransport::host(listener, 3, TcpOptions::default()) {
+        let err = match TcpTransport::host(listener, 3, TIMEOUT) {
             Err(e) => e,
             Ok(_) => panic!("second live claimant for rank 2 must fail bootstrap"),
         };
@@ -991,7 +978,7 @@ mod tests {
             let other = hello(1);
             (reg1, reg2, retry, other)
         });
-        let t0 = TcpTransport::host(listener, 3, TcpOptions::default())
+        let t0 = TcpTransport::host(listener, 3, TIMEOUT)
             .expect("torn-then-retried hello must not wedge bootstrap");
         let socks = peers.join().expect("peer thread");
         drop(socks); // EOF the fake links so reader threads exit
@@ -1036,7 +1023,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let t = std::thread::spawn(move || {
-            let t1 = TcpTransport::connect(&addr, 1, 2, TcpOptions::default()).expect("rank 1");
+            let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
             t1.send(0, msg(1, 4, Payload::f32(vec![2.5; 8])));
             match t1.recv_timeout(Duration::from_secs(10)) {
                 RecvPoll::Msg(m) => assert_eq!(m.payload.into_bytes(), vec![7, 8]),
@@ -1044,7 +1031,7 @@ mod tests {
             }
             t1.shutdown();
         });
-        let t0 = TcpTransport::host(listener, 2, TcpOptions::default()).expect("rank 0");
+        let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
         match t0.recv_timeout(Duration::from_secs(10)) {
             RecvPoll::Msg(m) => {
                 assert_eq!((m.src, m.tag), (1, 4));
@@ -1060,7 +1047,7 @@ mod tests {
     #[test]
     fn self_send_skips_the_wire() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let t0 = TcpTransport::host(listener, 1, TcpOptions::default()).expect("solo");
+        let t0 = TcpTransport::host(listener, 1, TIMEOUT).expect("solo");
         let data = Arc::new(vec![1.0f32; 4]);
         let ptr = Arc::as_ptr(&data) as usize;
         t0.send(0, msg(0, 1, Payload::shared_f32(data)));

@@ -20,12 +20,11 @@
 //!
 //! After the probe window the scores are **cluster-agreed**: every rank
 //! contributes its local `(class, candidate) → ns/byte` table, the tables
-//! are merged entry-wise with max (the same pessimistic-agreement protocol
-//! the adaptive bucket-sizing replan uses), and every rank then picks the
-//! argmin candidate per class from the *identical* merged table. Agreement
-//! matters because nonblocking collectives derive their sub-communicator
-//! from the launch seq — ranks that disagree on an algorithm for one seq
-//! deadlock or corrupt the sum.
+//! are merged entry-wise with max (pessimistic agreement: the worst rank
+//! wins), and every rank then picks the argmin candidate per class from the
+//! *identical* merged table. Agreement matters because nonblocking
+//! collectives derive their sub-communicator from the launch seq — ranks
+//! that disagree on an algorithm for one seq deadlock or corrupt the sum.
 
 use std::collections::BTreeMap;
 use std::str::FromStr;
@@ -282,8 +281,8 @@ impl Tuner {
             return c;
         }
         let c = if self.agreed {
-            // A class never seen during probing (e.g. a bucket replan
-            // changed the tiling). Borrow the nearest agreed class —
+            // A class never seen during probing (a bucket size that first
+            // appears after the window closed). Borrow the nearest agreed class —
             // deterministic from the agreed table, hence cluster-safe.
             nearest_agreed_class(&self.choices, class).unwrap_or(0)
         } else {
@@ -432,8 +431,8 @@ impl Tuner {
 /// Borrow the choice of the agreed size class nearest to `class`.
 ///
 /// Tie-break contract: when two agreed classes are **equidistant** from
-/// `class` (e.g. classes 10 and 14 around an unseen 12, which a bucket
-/// replan can produce), the *smaller* class wins. The comparison key is
+/// `class` (e.g. classes 10 and 14 around an unseen 12), the *smaller*
+/// class wins. The comparison key is
 /// `(distance, class)` over a `BTreeMap`, so the result is a pure function
 /// of the agreed table — every rank holds the identical cluster-agreed
 /// table, so every rank borrows the same choice. Anything
@@ -686,7 +685,7 @@ mod tests {
     #[test]
     fn equidistant_borrow_after_replan_agrees_across_ranks() {
         // Four ranks probe with rank-skewed wall times, agree, and then a
-        // bucket replan surfaces an unseen class exactly equidistant from
+        // new bucket size surfaces an unseen class exactly equidistant from
         // the two agreed classes. Every rank must select the same
         // candidate (the fabric deadlocks on the first bucket otherwise)
         // and render the same frozen decision table.
@@ -711,7 +710,7 @@ mod tests {
                 t.close_epoch(comm, &[span(0, 1 << 10, small_ns), span(1, 1 << 14, large_ns)]);
             }
             assert!(t.agreed());
-            // The replanned tiling produces 2^12-byte buckets: class 12 is
+            // A 2^12-byte bucket arrives after the window: class 12 is
             // equidistant from agreed classes 10 and 14.
             let sel = t.select(0, 1 << 12, 4, false);
             (sel.candidate, t.decision_table())

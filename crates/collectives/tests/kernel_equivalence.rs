@@ -1,39 +1,13 @@
-//! Bitwise equivalence of the vectorized / chunk-split reduce kernels
-//! against their scalar references.
+//! Bitwise agreement of `reduce::{sum_into, sum_to, scale}` with a loop
+//! written out here, one element at a time.
 //!
-//! The kernels are element-independent — `dst[i]` depends only on
-//! `dst[i]`/`src[i]` — so the 8-lane unrolling and the above-threshold
-//! chunk split must produce results bit-identical to a naive scalar loop
-//! at every length and every threshold, including on NaN and infinity
-//! payloads where `==` comparison would lie. These tests compare raw
-//! `to_bits()` words.
-//!
-//! The split threshold is process-global (`reduce::set_par_threshold`), so
-//! every test that mutates it holds [`THRESHOLD_LOCK`]. Other test
-//! binaries run in their own processes and are unaffected.
+//! Each operation is element-independent — `dst[i]` depends only on index
+//! `i` of its inputs — so however the compiler vectorises the product loop
+//! it must produce the bits of the indexed loop below at every length,
+//! including on NaN and infinity payloads where `==` would lie. These
+//! tests compare raw `to_bits()` words.
 
-use std::sync::{Mutex, MutexGuard};
-
-use dcnn_collectives::reduce::{self, reference};
-
-static THRESHOLD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Take the global-threshold lock (surviving a poisoned mutex from an
-/// earlier assert failure) and reset the threshold on drop.
-fn lock_threshold() -> ThresholdGuard {
-    let guard = THRESHOLD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    ThresholdGuard { _guard: guard }
-}
-
-struct ThresholdGuard {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl Drop for ThresholdGuard {
-    fn drop(&mut self) {
-        reduce::set_par_threshold(reduce::DEFAULT_PAR_THRESHOLD);
-    }
-}
+use dcnn_collectives::reduce;
 
 /// Deterministic pseudo-random f32s with NaN, ±inf, subnormals and signed
 /// zeros sprinkled in — bit patterns the vector path must carry verbatim.
@@ -58,118 +32,63 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Lengths that hit every tail case of the 8-lane unroll and straddle the
-/// chunk boundary of the split path (PAR_CHUNK = 1 << 15).
-fn lengths() -> Vec<usize> {
-    vec![
-        0,
-        1,
-        7,
-        8,
-        9,
-        63,
-        1023,
-        (1 << 15) - 1,
-        1 << 15,
-        (1 << 15) + 1,
-        3 * (1 << 15) + 5,
-    ]
+/// Every vector-width remainder up to 65, and one length past 2^18
+/// elements (1 MiB of `f32`, a whole-gradient-sized operand).
+fn lengths() -> impl Iterator<Item = usize> {
+    (0..=65).chain([(1 << 18) + 3])
 }
 
 #[test]
-fn sum_into_matches_reference_at_every_threshold() {
-    let _guard = lock_threshold();
-    for &n in &lengths() {
+fn sum_into_matches_the_indexed_loop() {
+    for n in lengths() {
         let src = awkward_values(n, 1);
         let base = awkward_values(n, 2);
-        // 0 = never split, 1 = always split, default = size-dependent.
-        for threshold in [0, 1, reduce::DEFAULT_PAR_THRESHOLD] {
-            reduce::set_par_threshold(threshold);
-            let mut fast = base.clone();
-            let mut slow = base.clone();
-            reduce::sum_into(&mut fast, &src);
-            reference::sum_into(&mut slow, &src);
-            assert_eq!(
-                bits(&fast),
-                bits(&slow),
-                "sum_into diverges at n={n}, threshold={threshold}"
-            );
-        }
+        let mut got = base.clone();
+        reduce::sum_into(&mut got, &src);
+        let want: Vec<f32> = (0..n).map(|i| base[i] + src[i]).collect();
+        assert_eq!(bits(&got), bits(&want), "sum_into diverges at n={n}");
     }
 }
 
 #[test]
-fn sum_to_matches_reference_at_every_threshold() {
-    let _guard = lock_threshold();
-    for &n in &lengths() {
+fn sum_to_matches_the_indexed_loop() {
+    for n in lengths() {
         let a = awkward_values(n, 3);
         let b = awkward_values(n, 4);
-        for threshold in [0, 1, reduce::DEFAULT_PAR_THRESHOLD] {
-            reduce::set_par_threshold(threshold);
-            let mut fast = vec![0.0f32; n];
-            let mut slow = vec![0.0f32; n];
-            reduce::sum_to(&mut fast, &a, &b);
-            reference::sum_to(&mut slow, &a, &b);
-            assert_eq!(
-                bits(&fast),
-                bits(&slow),
-                "sum_to diverges at n={n}, threshold={threshold}"
-            );
-        }
+        let mut got = vec![0.0f32; n];
+        reduce::sum_to(&mut got, &a, &b);
+        let want: Vec<f32> = (0..n).map(|i| a[i] + b[i]).collect();
+        assert_eq!(bits(&got), bits(&want), "sum_to diverges at n={n}");
     }
 }
 
 #[test]
-fn scale_matches_reference_at_every_threshold() {
-    let _guard = lock_threshold();
-    for &n in &lengths() {
+fn scale_matches_the_indexed_loop() {
+    for n in lengths() {
         let base = awkward_values(n, 5);
         for factor in [0.25f32, 1.0 / 3.0, f32::NAN, f32::INFINITY, -0.0] {
-            for threshold in [0, 1, reduce::DEFAULT_PAR_THRESHOLD] {
-                reduce::set_par_threshold(threshold);
-                let mut fast = base.clone();
-                let mut slow = base.clone();
-                reduce::scale(&mut fast, factor);
-                reference::scale(&mut slow, factor);
-                assert_eq!(
-                    bits(&fast),
-                    bits(&slow),
-                    "scale diverges at n={n}, factor={factor}, threshold={threshold}"
-                );
-            }
+            let mut got = base.clone();
+            reduce::scale(&mut got, factor);
+            let want: Vec<f32> = (0..n).map(|i| base[i] * factor).collect();
+            assert_eq!(bits(&got), bits(&want), "scale diverges at n={n}, factor={factor}");
         }
     }
 }
 
 #[test]
-fn threshold_boundary_is_exact() {
-    // split_enabled flips exactly at len >= threshold; both sides must
-    // agree bitwise with the reference (they do for any split, but the
-    // boundary lengths are where an off-by-one in chunking would live).
-    let _guard = lock_threshold();
-    let t = 4096usize;
-    reduce::set_par_threshold(t);
-    for n in [t - 1, t, t + 1] {
-        let src = awkward_values(n, 6);
-        let mut fast = awkward_values(n, 7);
-        let mut slow = fast.clone();
-        reduce::sum_into(&mut fast, &src);
-        reference::sum_into(&mut slow, &src);
-        assert_eq!(bits(&fast), bits(&slow), "boundary n={n} vs threshold={t}");
-    }
+#[should_panic(expected = "reduction length mismatch")]
+fn sum_into_rejects_a_shorter_source() {
+    reduce::sum_into(&mut [0.0; 9], &[0.0; 8]);
 }
 
 #[test]
-fn zero_threshold_means_never_split() {
-    let _guard = lock_threshold();
-    reduce::set_par_threshold(0);
-    assert_eq!(reduce::par_threshold(), 0);
-    // A huge buffer must still go through the sequential path and match.
-    let n = 1 << 18;
-    let src = awkward_values(n, 8);
-    let mut fast = awkward_values(n, 9);
-    let mut slow = fast.clone();
-    reduce::sum_into(&mut fast, &src);
-    reference::sum_into(&mut slow, &src);
-    assert_eq!(bits(&fast), bits(&slow));
+#[should_panic(expected = "reduction length mismatch")]
+fn sum_to_rejects_a_shorter_first_operand() {
+    reduce::sum_to(&mut [0.0; 9], &[0.0; 8], &[0.0; 9]);
+}
+
+#[test]
+#[should_panic(expected = "reduction length mismatch")]
+fn sum_to_rejects_a_longer_second_operand() {
+    reduce::sum_to(&mut [0.0; 9], &[0.0; 9], &[0.0; 10]);
 }

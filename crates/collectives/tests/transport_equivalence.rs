@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dcnn_collectives::runtime::ClusterRun;
-use dcnn_collectives::{AllreduceAlgo, ClusterBuilder, Comm, RuntimeConfig, TransportKind};
+use dcnn_collectives::{AllreduceAlgo, ClusterBuilder, Comm, TransportKind};
 
 fn contribution(rank: usize, i: usize, seed: u64) -> f32 {
     let x = (rank as u64)
@@ -82,20 +82,15 @@ fn split_and_barrier_work_over_tcp() {
     assert_eq!(th.results, tcp.results);
 }
 
-/// A payload big enough to cross the reduce-kernel split threshold and the
-/// TCP bulk little-endian copy: threads (split kernels, zero-copy buffers)
-/// and TCP (split kernels, reinterpret-cast frame encode, direct decode
-/// into the final allocation) must agree bit for bit. A tiny threshold
-/// forces the chunk-split path on a buffer whose length is not a multiple
-/// of the chunk size.
+/// A payload big enough for the TCP bulk little-endian copy: threads
+/// (zero-copy buffers) and TCP (reinterpret-cast frame encode, direct decode
+/// into the final allocation) must agree bit for bit.
 #[test]
-fn large_payload_allreduce_bitwise_through_split_kernels_and_bulk_copy() {
+fn large_payload_allreduce_bitwise_through_bulk_copy() {
     let len = 70_003; // odd on purpose: exercises every tail path at once
-    let cfg = RuntimeConfig::default().with_reduce_par_threshold(1024);
     let run = |kind: TransportKind| {
-        let cfg = cfg.clone();
         let a = AllreduceAlgo::HalvingDoubling.build();
-        ClusterBuilder::new(2).transport(kind).configure(cfg).run(move |c| {
+        ClusterBuilder::new(2).transport(kind).run(move |c| {
             let mut buf: Vec<f32> = (0..len).map(|i| contribution(c.rank(), i, 42)).collect();
             a.run(c, &mut buf);
             buf

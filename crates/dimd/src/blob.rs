@@ -88,16 +88,6 @@ impl BlobStore {
         (0..self.len()).find(|&i| !self.verify(i))
     }
 
-    /// Append an image (optionally resizing the shorter side first, as the
-    /// paper's build step does with 256).
-    pub fn push_image(&mut self, img: &RawImage, label: u32, quality: u8, resize_shorter: Option<usize>) {
-        let bytes = match resize_shorter {
-            Some(s) => encode_image(&img.resize_shorter_to(s), quality),
-            None => encode_image(img, quality),
-        };
-        self.push_record(&bytes, label);
-    }
-
     /// Build the training blob from a synthetic dataset, compressing records
     /// in parallel. `indices` selects which training records to include (a
     /// node's partition); pass `0..ds.train_len()` for the full set.

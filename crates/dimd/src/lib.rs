@@ -48,7 +48,9 @@ pub use fileserver::FileServer;
 pub use image::RawImage;
 pub use plan::{plan_groups, PartitionPlan};
 pub use prefetch::Prefetcher;
-pub use service::{serve_blocking, BatchSource, Hello, LocalSource, ServiceClient, ServiceSource};
+pub use service::{
+    open_source, serve_blocking, BatchSource, Hello, LocalSource, ServiceClient, ServiceSource,
+};
 pub use shuffle::{try_shuffle_hosted, HostedPartition, HostedShuffle, Record};
 pub use store::{decode_augmented_batch, try_decode_augmented_batch, Dimd, ValSet};
 pub use synth::{SynthConfig, SynthImageNet};

@@ -956,6 +956,41 @@ impl BatchSource for ServiceSource {
     }
 }
 
+/// Open a rank's batch source — the one place the data plane is chosen.
+/// With `data_service` unset the rank samples `partition()` in-process;
+/// with a comma-separated server list it dials its server instead
+/// (retrying until `connect_timeout`) and `partition` is never called.
+/// `hello` carries the batch size, requests per epoch and shuffle
+/// segmentation both paths need.
+#[allow(clippy::too_many_arguments)]
+pub fn open_source<'a>(
+    comm: &'a Comm,
+    data_service: Option<&str>,
+    partition: impl FnOnce() -> Dimd,
+    hello: Hello,
+    crop: usize,
+    depth: usize,
+    workers: usize,
+    connect_timeout: Duration,
+) -> io::Result<Box<dyn BatchSource + 'a>> {
+    Ok(match data_service {
+        None => Box::new(LocalSource::new(
+            comm,
+            partition(),
+            hello.requests_per_epoch,
+            hello.batch,
+            crop,
+            depth,
+            workers,
+            hello.segment_bytes as usize,
+        )),
+        Some(spec) => {
+            let addrs: Vec<String> = spec.split(',').map(|s| s.trim().to_string()).collect();
+            Box::new(ServiceSource::connect(&addrs, hello, crop, depth, workers, connect_timeout)?)
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,8 @@
 //! runs on the paper's cluster cannot afford to lose progress; this is the
 //! mechanism a production deployment of the system needs.
 //!
-//! Two on-disk formats share the machinery:
+//! Two on-disk formats share the machinery, each closed by a CRC-32 of
+//! everything before it so a flipped bit is an error, not a restored state:
 //!
 //! * `DCKP` — a full replica: every parameter and every momentum value.
 //! * `DCKS` — one rank's shard under the sharded optimizer
@@ -17,6 +18,7 @@
 //!   aborted run restores into either strategy regardless of which one
 //!   wrote the files.
 
+use dcnn_collectives::crc32;
 use dcnn_tensor::layers::{
     collect_momentum, collect_params, set_momentum, set_params, Module,
 };
@@ -46,6 +48,13 @@ pub enum CheckpointError {
         /// Total length actually present.
         len: usize,
     },
+    /// The CRC-32 trailer does not match the bytes before it.
+    BadChecksum {
+        /// The checksum the trailer holds.
+        expected: u32,
+        /// The checksum of the bytes actually present.
+        found: u32,
+    },
     /// A set of shard checkpoints cannot be merged into one full state.
     ShardMismatch {
         /// What disagreed (world size, epoch, offsets, …).
@@ -65,6 +74,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Truncated { expected, len } => {
                 write!(f, "truncated checkpoint: header implies {expected} bytes, got {len}")
             }
+            CheckpointError::BadChecksum { expected, found } => {
+                write!(f, "checkpoint checksum {found:08x}, trailer says {expected:08x}")
+            }
             CheckpointError::ShardMismatch { why } => {
                 write!(f, "shard checkpoints do not merge: {why}")
             }
@@ -73,6 +85,45 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// Close a serialized checkpoint with the CRC-32 of everything in it.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Check a serialized checkpoint of either format — `header` bytes opening
+/// with `magic` and ending in the u64 element count `n`, then `n` parameters
+/// and `n` momentum values, then the CRC-32 trailer — and return `n`.
+fn open(bytes: &[u8], magic: &[u8; 4], header: usize) -> Result<usize, CheckpointError> {
+    if bytes.len() < header {
+        return Err(CheckpointError::TooShort { len: bytes.len() });
+    }
+    if &bytes[0..4] != magic {
+        return Err(CheckpointError::BadMagic { found: bytes[0..4].try_into().expect("4") });
+    }
+    let n = u64::from_le_bytes(bytes[header - 8..header].try_into().expect("8")) as usize;
+    let expected = header.saturating_add(n.saturating_mul(8)).saturating_add(4);
+    if bytes.len() != expected {
+        return Err(CheckpointError::Truncated { expected, len: bytes.len() });
+    }
+    let (body, trailer) = bytes.split_at(expected - 4);
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4"));
+    let found = crc32(body);
+    if found != stored {
+        return Err(CheckpointError::BadChecksum { expected: stored, found });
+    }
+    Ok(n)
+}
+
+/// `count` little-endian f32s starting at byte `off`.
+fn read_f32s(bytes: &[u8], off: usize, count: usize) -> Vec<f32> {
+    bytes[off..off + 4 * count]
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
+        .collect()
+}
 
 /// A point-in-time training state.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,10 +151,11 @@ impl Checkpoint {
         set_momentum(m, &self.momentum);
     }
 
-    /// Serialize to a byte buffer.
+    /// Serialize to a byte buffer (`DCKP` header + params + momentum +
+    /// CRC-32 trailer).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out =
-            Vec::with_capacity(16 + 4 * (self.params.len() + self.momentum.len()));
+            Vec::with_capacity(20 + 4 * (self.params.len() + self.momentum.len()));
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
@@ -113,7 +165,7 @@ impl Checkpoint {
         for v in &self.momentum {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out
+        seal(out)
     }
 
     /// Parse a serialized checkpoint. A malformed buffer (a partial write,
@@ -121,27 +173,13 @@ impl Checkpoint {
     /// rather than a panic, so a resume path can fall back to earlier
     /// checkpoints.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 16 {
-            return Err(CheckpointError::TooShort { len: bytes.len() });
-        }
-        if &bytes[0..4] != MAGIC {
-            return Err(CheckpointError::BadMagic {
-                found: bytes[0..4].try_into().expect("4"),
-            });
-        }
+        let n = open(bytes, MAGIC, 16)?;
         let epoch = u32::from_le_bytes(bytes[4..8].try_into().expect("4"));
-        let n = u64::from_le_bytes(bytes[8..16].try_into().expect("8")) as usize;
-        let expected = 16usize.saturating_add(n.saturating_mul(8));
-        if bytes.len() != expected {
-            return Err(CheckpointError::Truncated { expected, len: bytes.len() });
-        }
-        let read = |off: usize, count: usize| -> Vec<f32> {
-            bytes[off..off + 4 * count]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
-                .collect()
-        };
-        Ok(Checkpoint { epoch, params: read(16, n), momentum: read(16 + 4 * n, n) })
+        Ok(Checkpoint {
+            epoch,
+            params: read_f32s(bytes, 16, n),
+            momentum: read_f32s(bytes, 16 + 4 * n, n),
+        })
     }
 
     /// Write the serialized checkpoint to `path` via a `.tmp` sibling and a
@@ -264,10 +302,10 @@ pub struct ShardCheckpoint {
 
 impl ShardCheckpoint {
     /// Serialize to a byte buffer (`DCKS` header + owned params + owned
-    /// momentum).
+    /// momentum + CRC-32 trailer).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out =
-            Vec::with_capacity(40 + 4 * (self.params.len() + self.momentum.len()));
+            Vec::with_capacity(44 + 4 * (self.params.len() + self.momentum.len()));
         out.extend_from_slice(SHARD_MAGIC);
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.meta.rank.to_le_bytes());
@@ -281,33 +319,15 @@ impl ShardCheckpoint {
         for v in &self.momentum {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out
+        seal(out)
     }
 
     /// Parse a serialized shard checkpoint; malformed buffers come back as
     /// the same typed [`CheckpointError`]s the full format uses.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < 40 {
-            return Err(CheckpointError::TooShort { len: bytes.len() });
-        }
-        if &bytes[0..4] != SHARD_MAGIC {
-            return Err(CheckpointError::BadMagic {
-                found: bytes[0..4].try_into().expect("4"),
-            });
-        }
+        let n = open(bytes, SHARD_MAGIC, 40)?;
         let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4"));
         let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8"));
-        let n = u64_at(32) as usize;
-        let expected = 40usize.saturating_add(n.saturating_mul(8));
-        if bytes.len() != expected {
-            return Err(CheckpointError::Truncated { expected, len: bytes.len() });
-        }
-        let read = |off: usize, count: usize| -> Vec<f32> {
-            bytes[off..off + 4 * count]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
-                .collect()
-        };
         Ok(ShardCheckpoint {
             epoch: u32_at(4),
             meta: ShardMeta {
@@ -316,8 +336,8 @@ impl ShardCheckpoint {
                 offset: u64_at(16),
                 total: u64_at(24),
             },
-            params: read(40, n),
-            momentum: read(40 + 4 * n, n),
+            params: read_f32s(bytes, 40, n),
+            momentum: read_f32s(bytes, 40 + 4 * n, n),
         })
     }
 
@@ -461,6 +481,40 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_bit_anywhere_past_the_header_is_a_bad_checksum() {
+        let mut m = model();
+        train_steps(m.as_mut(), 2, 3);
+        let full = Checkpoint::capture(m.as_mut(), 1);
+        let n = full.params.len();
+        let flipped = |bytes: &[u8], at: usize| {
+            let mut b = bytes.to_vec();
+            b[at] ^= 0x10;
+            b
+        };
+        let bytes = full.to_bytes();
+        let shard = full.to_shard(1, 2);
+        let shard_bytes = shard.to_bytes();
+        let sn = shard.params.len();
+        // One bit in the params, in the momentum, in the trailer.
+        for at in [16 + 4 * (n / 2), 16 + 4 * n + 4 * (n / 2) + 1, bytes.len() - 1] {
+            let err = Checkpoint::from_bytes(&flipped(&bytes, at)).expect_err("bit rot");
+            assert!(matches!(err, CheckpointError::BadChecksum { .. }), "byte {at}: {err}");
+        }
+        for at in [40 + 4 * (sn / 2), 40 + 4 * sn + 4 * (sn / 2) + 1, shard_bytes.len() - 1] {
+            let err = ShardCheckpoint::from_bytes(&flipped(&shard_bytes, at)).expect_err("bit rot");
+            assert!(matches!(err, CheckpointError::BadChecksum { .. }), "byte {at}: {err}");
+        }
+        // The error carries both checksums, and they differ.
+        let Err(CheckpointError::BadChecksum { expected, found }) =
+            Checkpoint::from_bytes(&flipped(&bytes, 20))
+        else {
+            panic!("a flipped parameter bit must be a BadChecksum");
+        };
+        assert_eq!(expected, u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4")));
+        assert_ne!(expected, found);
+    }
+
+    #[test]
     fn file_roundtrip_and_garbage_file_is_invalid_data() {
         let dir = std::env::temp_dir().join(format!("dcnn-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
@@ -482,6 +536,8 @@ mod tests {
         assert!(s.contains("32") && s.contains("20"), "{s}");
         let s = CheckpointError::BadMagic { found: *b"NOPE" }.to_string();
         assert!(s.contains("magic"), "{s}");
+        let s = CheckpointError::BadChecksum { expected: 0xdead_beef, found: 1 }.to_string();
+        assert!(s.contains("deadbeef") && s.contains("00000001"), "{s}");
         let s = CheckpointError::ShardMismatch { why: "epoch skew".into() }.to_string();
         assert!(s.contains("epoch skew"), "{s}");
     }

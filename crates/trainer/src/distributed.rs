@@ -7,6 +7,7 @@
 //! identical everywhere (same factory seed) and stay identical because every
 //! rank applies the same averaged gradient — asserted in tests.
 
+use std::time::Duration;
 
 use dcnn_collectives::primitives::allgather_bytes;
 use dcnn_collectives::reduce;
@@ -15,7 +16,7 @@ use dcnn_collectives::{
     run_cluster, AlgoPolicy, AllreduceAlgo, FaultSpec, OverlapMode, RuntimeConfig,
 };
 use dcnn_dimd::shuffle::MPI_COUNT_LIMIT;
-use dcnn_dimd::{BatchSource, Dimd, Hello, LocalSource, ServiceSource, SynthImageNet, ValSet};
+use dcnn_dimd::{open_source, Dimd, Hello, SynthImageNet, ValSet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
 use dcnn_tensor::layers::{
     collect_params, release_momentum, resident_bytes, set_grads, Module,
@@ -72,6 +73,10 @@ pub struct TrainConfig {
     /// instead of loading a [`Dimd`] partition in-process; the servers own
     /// the partitions and run the cross-node epoch shuffle.
     pub data_service: Option<String>,
+    /// How long the dial to a `data_service` server keeps retrying before
+    /// the rank reports it dead (`DCNN_CONNECT_TIMEOUT_MS`, the bound the
+    /// rank fabric's own bootstrap uses).
+    pub connect_timeout: Duration,
     /// Algorithm 2 segmentation cap (bytes) for the cross-node epoch
     /// shuffle. Defaults to MPI's 32-bit count limit; tests lower it to
     /// force multi-round exchanges.
@@ -102,12 +107,6 @@ pub struct TrainConfig {
     /// identical** to the replicated strategy; only where the optimizer
     /// state lives changes (~`1/nodes` of the replicated footprint).
     pub shard_optim: bool,
-    /// Adaptive bucket sizing target: when nonzero (bytes) and bucketing is
-    /// on, the bucket size is re-planned between epochs so the measured
-    /// average of in-flight reduce bytes approaches this budget. `0`
-    /// disables adaptation. All ranks agree on the measurement (cluster
-    /// max), so plans stay identical everywhere.
-    pub inflight_budget_bytes: usize,
     /// Injected fault for failure-path testing (`DCNN_FAULT` via
     /// [`TrainConfig::apply_runtime`]). Arming any fault also turns on
     /// per-step stderr heartbeats (`dcnn-fault: rank R step S …`), which the
@@ -144,12 +143,12 @@ impl TrainConfig {
             prefetch_depth: 0,
             decode_workers: 1,
             data_service: None,
+            connect_timeout: RuntimeConfig::default().connect_timeout_or_default(),
             shuffle_segment_bytes: MPI_COUNT_LIMIT,
             accum_steps: 1,
             bucket_bytes: 0,
             overlap: OverlapMode::Hooked,
             shard_optim: false,
-            inflight_budget_bytes: 0,
             fault: None,
             checkpoint_dir: None,
             sgd: SgdConfig::default(),
@@ -159,9 +158,9 @@ impl TrainConfig {
     /// Overlay the training-related fields of a parsed [`RuntimeConfig`]
     /// (only the variables that were actually set): `DCNN_ALGO`,
     /// `DCNN_BUCKET_BYTES`, `DCNN_OVERLAP_MODE`, `DCNN_SHARD_OPTIM`,
-    /// `DCNN_INFLIGHT_BUDGET`, `DCNN_FAULT`, `DCNN_CHECKPOINT_DIR`,
-    /// `DCNN_DATA_PREFETCH_DEPTH`, `DCNN_DATA_DECODE_WORKERS` and
-    /// `DCNN_DATA_SERVICE`.
+    /// `DCNN_FAULT`, `DCNN_CHECKPOINT_DIR`, `DCNN_DATA_PREFETCH_DEPTH`,
+    /// `DCNN_DATA_DECODE_WORKERS`, `DCNN_DATA_SERVICE` and
+    /// `DCNN_CONNECT_TIMEOUT_MS`.
     pub fn apply_runtime(&mut self, rt: &RuntimeConfig) {
         if let Some(p) = &rt.algo {
             self.algo = p.clone();
@@ -181,11 +180,11 @@ impl TrainConfig {
         if let Some(s) = &rt.data_service {
             self.data_service = Some(s.clone());
         }
+        if let Some(t) = rt.connect_timeout {
+            self.connect_timeout = t;
+        }
         if let Some(m) = rt.overlap_mode {
             self.overlap = m;
-        }
-        if let Some(b) = rt.inflight_budget_bytes {
-            self.inflight_budget_bytes = b;
         }
         if let Some(f) = rt.fault {
             self.fault = Some(f);
@@ -434,7 +433,6 @@ fn run_rank(
             iterations,
             batch_node,
             hooked,
-            param_total,
             sgd: &sgd,
             dimd: &mut dimd,
             val: &val,
@@ -486,7 +484,6 @@ struct TrainState<'a> {
     iterations: usize,
     batch_node: usize,
     hooked: bool,
-    param_total: usize,
     sgd: &'a Sgd,
     dimd: &'a mut Option<Dimd>,
     val: &'a Option<ValSet>,
@@ -506,7 +503,6 @@ fn train_epochs(st: TrainState<'_>) {
         iterations,
         batch_node,
         hooked,
-        param_total,
         sgd,
         dimd,
         val,
@@ -537,51 +533,38 @@ fn train_epochs(st: TrainState<'_>) {
     // in-process partition (optionally fronted by the donkey prefetch
     // pipeline) or a remote blob server when `DCNN_DATA_SERVICE` is set.
     // Both deliver byte-identical batches for identical seeds.
-    let mut source: Box<dyn BatchSource + '_> = match &cfg.data_service {
-        None => Box::new(LocalSource::new(
-            comm,
-            dimd.take().expect("partition present"),
-            iterations * cfg.accum_steps.max(1),
-            batch_node,
-            cfg.crop,
-            cfg.prefetch_depth,
-            cfg.decode_workers,
-            cfg.shuffle_segment_bytes,
-        )),
-        Some(spec) => {
-            let addrs: Vec<String> = spec.split(',').map(|s| s.trim().to_string()).collect();
-            let hello = Hello {
-                rank: me,
-                world: n,
-                batch: batch_node,
-                requests_per_epoch: iterations * cfg.accum_steps.max(1),
-                epochs: cfg.epochs,
-                shuffle_every: cfg.shuffle_every_epochs,
-                segment_bytes: cfg.shuffle_segment_bytes as u64,
-            };
-            let src = ServiceSource::connect(
-                &addrs,
-                hello,
-                cfg.crop,
-                cfg.prefetch_depth,
-                cfg.decode_workers,
-                std::time::Duration::from_secs(30),
-            )
-            .unwrap_or_else(|e| {
-                // Surface an unreachable server through the same structured
-                // channel a mid-run death uses.
-                std::panic::panic_any(CommError::PeerDead {
-                    rank: me,
-                    peer: me % addrs.len(),
-                    cause: format!("data service connect: {e}"),
-                    phase: Some("data-plane".into()),
-                    bucket: None,
-                    label: None,
-                })
-            });
-            Box::new(src)
-        }
+    let hello = Hello {
+        rank: me,
+        world: n,
+        batch: batch_node,
+        requests_per_epoch: iterations * cfg.accum_steps.max(1),
+        epochs: cfg.epochs,
+        shuffle_every: cfg.shuffle_every_epochs,
+        segment_bytes: cfg.shuffle_segment_bytes as u64,
     };
+    let mut source = open_source(
+        comm,
+        cfg.data_service.as_deref(),
+        || dimd.take().expect("partition present"),
+        hello,
+        cfg.crop,
+        cfg.prefetch_depth,
+        cfg.decode_workers,
+        cfg.connect_timeout,
+    )
+    .unwrap_or_else(|e| {
+        // Surface an unreachable server through the same structured
+        // channel a mid-run death uses.
+        let servers = cfg.data_service.as_ref().map_or(1, |s| s.split(',').count());
+        std::panic::panic_any(CommError::PeerDead {
+            rank: me,
+            peer: me % servers,
+            cause: format!("data service connect: {e}"),
+            phase: Some("data-plane".into()),
+            bucket: None,
+            label: None,
+        })
+    });
 
     for epoch in 0..cfg.epochs {
         progress.begin(epoch, comm.stats());
@@ -698,22 +681,6 @@ fn train_epochs(st: TrainState<'_>) {
         row.link_bytes_max = allreduce_max_u64(comm, row.link_bytes_max);
         row.link_imbalance = allreduce_max_f64(comm, row.link_imbalance);
         stats.push(row);
-        // Adaptive bucket sizing: steer the measured average of in-flight
-        // reduce bytes toward the configured budget by scaling the target
-        // between epochs. Every rank adopts the cluster-max measurement, so
-        // all ranks re-plan to the identical target (launch order and
-        // bucket communicator derivation depend on that).
-        if cfg.inflight_budget_bytes > 0 && gsync.is_bucketed() {
-            let agreed = allreduce_max_u64(comm, CommStats::inflight_bytes_avg(&spans));
-            if agreed > 0 {
-                let cur = gsync.bucket_bytes() as u128;
-                let scaled = cur * cfg.inflight_budget_bytes as u128 / agreed as u128;
-                let new = (scaled.min(usize::MAX as u128) as usize).clamp(1024, param_total * 4);
-                if new != gsync.bucket_bytes() {
-                    gsync.replan(new);
-                }
-            }
-        }
         let shuffle_due =
             cfg.shuffle_every_epochs > 0 && (epoch + 1) % cfg.shuffle_every_epochs == 0;
         source.end_epoch(epoch, shuffle_due);
@@ -1171,32 +1138,28 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_bucket_sizing_replans_between_epochs() {
-        // A huge in-flight budget must push the bucket target up toward the
-        // clamp; the trajectory still matches blocking bitwise (any
-        // bucketing is exact at two ranks), so adaptation is free.
+    fn unreachable_data_service_is_peer_dead_at_the_connect_timeout() {
+        // Bind, note the port, drop: nothing listens there now.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("reserve a port")
+            .to_string();
         let ds = tiny_ds();
-        let mut blocking = tiny_cfg(2, 3);
-        blocking.validate = false;
-        blocking.shuffle_every_epochs = 0;
-        let mut adaptive = blocking.clone();
-        adaptive.bucket_bytes = 1024;
-        adaptive.inflight_budget_bytes = 64 * 1024 * 1024;
-        let sb = train_distributed(&blocking, &ds, tiny_factory);
-        let sa = train_distributed(&adaptive, &ds, tiny_factory);
-        for (a, b) in sb.iter().zip(&sa) {
-            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "epoch {}", a.epoch);
-        }
-        assert_eq!(sa[0].bucket_bytes, 1024, "first epoch runs the configured target");
-        let last = sa.last().expect("stats");
-        assert!(
-            last.bucket_bytes > 1024,
-            "budget {} should have grown the target, still {}",
-            adaptive.inflight_budget_bytes,
-            last.bucket_bytes
-        );
-        // Fewer, larger buckets → fewer launches per epoch.
-        assert!(last.buckets_launched < sa[0].buckets_launched);
+        let mut cfg = tiny_cfg(1, 1);
+        cfg.validate = false;
+        cfg.data_service = Some(addr.clone());
+        cfg.connect_timeout = Duration::from_millis(200);
+        let start = std::time::Instant::now();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            train_distributed(&cfg, &ds, tiny_factory)
+        }))
+        .expect_err("nothing listens there");
+        let elapsed = start.elapsed();
+        let err = payload.downcast::<CommError>().expect("a structured CommError");
+        let CommError::PeerDead { cause, phase, .. } = *err;
+        assert!(cause.contains(&addr), "{cause}");
+        assert_eq!(phase.as_deref(), Some("data-plane"));
+        assert!(elapsed < Duration::from_secs(2), "gave up after {elapsed:?}");
     }
 
     #[test]

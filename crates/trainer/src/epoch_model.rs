@@ -58,11 +58,6 @@ impl Workload {
             raw_record_bytes: 45e3,
         }
     }
-
-    /// DIMD record size after the resize-to-256 build step.
-    pub fn dimd_record_bytes(&self) -> f64 {
-        self.blob_bytes / self.images as f64
-    }
 }
 
 /// Which of the paper's three optimizations are active.

@@ -176,15 +176,6 @@ impl GradSync {
         self.bucket_bytes
     }
 
-    /// Re-plan the buckets for a new size target (adaptive sizing between
-    /// epochs). Every rank must call this with the **same** target — the
-    /// plan drives launch order and bucket communicator derivation, so it
-    /// has to stay identical cluster-wide.
-    pub fn replan(&mut self, bucket_bytes: usize) {
-        self.buckets = plan_buckets(&self.segments, bucket_bytes);
-        self.bucket_bytes = bucket_bytes;
-    }
-
     /// Whether the nonblocking bucketed path is active.
     pub fn is_bucketed(&self) -> bool {
         self.bucket_bytes > 0
@@ -525,25 +516,6 @@ mod tests {
                 b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
         }
-    }
-
-    #[test]
-    fn replan_retiles_and_reports_target() {
-        let s = segs(&[100, 3, 7, 50, 40]);
-        let mut g = GradSync::with_policy(AllreduceAlgo::RingReduceScatter.into(), &s, 0, false);
-        assert!(!g.is_bucketed());
-        assert_eq!(g.bucket_bytes(), 0);
-        assert_eq!(g.buckets().len(), 1);
-        g.replan(160);
-        assert!(g.is_bucketed());
-        assert_eq!(g.bucket_bytes(), 160);
-        assert!(g.buckets().len() > 1);
-        let mut end = 200;
-        for b in g.buckets() {
-            assert_eq!(b.offset + b.len, end);
-            end = b.offset;
-        }
-        assert_eq!(end, 0);
     }
 
     #[test]

@@ -41,15 +41,6 @@ pub fn stats_to_json(stats: &[EpochStats]) -> String {
     serde_json::to_string_pretty(stats).expect("EpochStats serialize")
 }
 
-/// Attach modelled wall-clock hours (from an epoch-seconds figure) to each
-/// epoch: `(hours, stats)` pairs ready for a time-axis plot.
-pub fn with_time_axis(stats: &[EpochStats], epoch_secs: f64) -> Vec<(f64, EpochStats)> {
-    stats
-        .iter()
-        .map(|s| ((s.epoch + 1) as f64 * epoch_secs / 3600.0, s.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,12 +88,5 @@ mod tests {
         assert_eq!(v[0]["epoch"], 2);
         assert_eq!(v[0]["comm_bytes"], 2048);
         assert_eq!(v[0]["comm_wait_secs"], 0.125);
-    }
-
-    #[test]
-    fn time_axis_is_cumulative() {
-        let pts = with_time_axis(&[fake(0), fake(1), fake(2)], 3600.0);
-        assert_eq!(pts[0].0, 1.0);
-        assert_eq!(pts[2].0, 3.0);
     }
 }

@@ -11,7 +11,7 @@
 use dcnn_collectives::primitives::allgather_bytes;
 use dcnn_collectives::transport::{crc32_f32, crc32_update};
 use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, CellSpec, Comm, RuntimeConfig, TunerConfig};
-use dcnn_dimd::{BatchSource, Dimd, Hello, LocalSource, ServiceSource, SynthConfig, SynthImageNet};
+use dcnn_dimd::{open_source, Dimd, Hello, SynthConfig, SynthImageNet};
 use dcnn_tensor::optim::LrSchedule;
 use dcnn_trainer::{train_on_comm, EpochStats, TrainConfig};
 
@@ -473,44 +473,26 @@ pub fn data_storm_workload(comm: &Comm) -> Vec<String> {
     let me = comm.rank();
     let batch = 4;
     let iterations = (ds.train_len() / (batch * n)).max(1);
-    let depth = rt.data_prefetch_depth_or_default();
-    let workers = rt.data_decode_workers_or_default();
-
-    let mut source: Box<dyn BatchSource> = match &rt.data_service {
-        None => Box::new(LocalSource::new(
-            comm,
-            data_plane_partition(&spec, &ds, me, n),
-            iterations,
-            batch,
-            spec.crop,
-            depth,
-            workers,
-            spec.segment_bytes,
-        )),
-        Some(addrs) => {
-            let addrs: Vec<String> =
-                addrs.split(',').map(|s| s.trim().to_string()).collect();
-            let hello = Hello {
-                rank: me,
-                world: n,
-                batch,
-                requests_per_epoch: iterations,
-                epochs: spec.epochs,
-                shuffle_every: spec.shuffle_every,
-                segment_bytes: spec.segment_bytes as u64,
-            };
-            let src = ServiceSource::connect(
-                &addrs,
-                hello,
-                spec.crop,
-                depth,
-                workers,
-                std::time::Duration::from_secs(30),
-            )
-            .unwrap_or_else(|e| panic!("rank {me}: {e}"));
-            Box::new(src)
-        }
+    let hello = Hello {
+        rank: me,
+        world: n,
+        batch,
+        requests_per_epoch: iterations,
+        epochs: spec.epochs,
+        shuffle_every: spec.shuffle_every,
+        segment_bytes: spec.segment_bytes as u64,
     };
+    let mut source = open_source(
+        comm,
+        rt.data_service.as_deref(),
+        || data_plane_partition(&spec, &ds, me, n),
+        hello,
+        spec.crop,
+        rt.data_prefetch_depth_or_default(),
+        rt.data_decode_workers_or_default(),
+        rt.connect_timeout_or_default(),
+    )
+    .unwrap_or_else(|e| panic!("rank {me}: {e}"));
 
     let mut crc = !0u32;
     let mut batches = 0usize;
