@@ -29,6 +29,12 @@ cargo_offline test -q --workspace
 # floats, every window of a 128x128 record — take minutes unoptimised and
 # seconds optimised, so they are ignored in debug builds and run here.
 cargo_offline test -q --release -p dcnn-dimd -- --include-ignored
+# The GEMM kernels' "dispatched arm == portable arm == the written-out loop,
+# bit for bit" (crates/tensor/tests/kernel_bits.rs, proptests.rs) is a
+# statement about optimised code generation — vector width, unrolling,
+# whether a tile stays in registers — so it is checked on the optimised
+# build too.
+cargo_offline test -q --release -p dcnn-tensor
 # The process-level equivalences — TCP processes == threads, sharded ==
 # replicated, tuned == fixed, service-backed == in-process, and the SIGKILL,
 # fleet and storm cases — are asserted by tests/transport_process.rs and

@@ -1,8 +1,9 @@
 //! The in-CI kernel tripwire: every hot-path kernel that replaced simpler
 //! code — the frame encoder under every TCP send, the CRC-32 under every
-//! frame and blob record, the windowed decode under every training batch —
-//! timed against the code it replaced **in the same run, in alternating
-//! turns**, and emitted as one `BENCH_<date>.json` row per kernel × size.
+//! frame and blob record, the windowed decode under every training batch,
+//! the GEMM kernels under every layer — timed against the code it replaced
+//! (or, for a kernel picked by the CPU, its portable arm) **in the same run,
+//! in alternating turns**, and emitted as one `BENCH_<date>.json` row per kernel × size.
 //!
 //! What is judged is a [`Pair`]: the median over turns of the per-turn
 //! `reference_ns / product_ns`, held to a constant floor that sits beside
@@ -335,6 +336,44 @@ fn decode_full_then_crop(records: &[dcnn_core::dimd::Record], crop: usize, salt:
     data
 }
 
+/// The AVX2 arm of the register-tiled AXPY kernels reads 1.34–1.52x the
+/// portable arm at the conv shape (a tile row is two registers instead of
+/// four, so the sixteen accumulators stop spilling); 1.25x is under every
+/// reading and over a dispatch that fell back to the portable arm.
+const GEMM_AXPY_FLOOR: f64 = 1.25;
+
+/// The GEMM entry points (the AVX2 arm where `avx2_selected()`) against
+/// their portable arm: the three kernels at the benchmark's widest
+/// convolution (16 filters over 16x3x3 patches, 2048 output positions), and
+/// `gemm_acc` at a batch-2 `Linear`'s input gradient, where `m < MR` leaves
+/// only one-row tiles — timed so a small-shape regression has a row, not
+/// gated (it is bound by streaming the 4 MiB weight matrix, on either arm).
+/// `gemm_nt_acc`'s eight lanes fill one 256-bit register on either arm's
+/// schedule, so its pair is held to "no slower" only.
+fn bench_gemm(suite: &mut Suite) {
+    use dcnn_core::tensor::gemm::{self, avx2_selected, portable};
+    type Kernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+
+    let mut pair = |name: &str, (m, k, n), floor, product: Kernel, reference: Kernel| {
+        let (a, b) = (fill(m * k, 17), fill(k * n, 19));
+        let mut c = vec![0.0f32; m * n];
+        suite.pair(
+            (format!("gemm/{name}/{m}x{k}x{n}"), format!("gemm/{name}_portable/{m}x{k}x{n}")),
+            ((m * k + k * n + m * n) * 4) as u64,
+            floor,
+            &mut c,
+            |c| product(black_box(c), black_box(&a), black_box(&b), m, k, n),
+            |c| reference(black_box(c), black_box(&a), black_box(&b), m, k, n),
+        );
+    };
+    let conv = (16, 144, 2048);
+    let wide = Some(floor_where(avx2_selected(), GEMM_AXPY_FLOOR));
+    pair("nn", conv, wide, gemm::gemm_acc, portable::gemm_acc);
+    pair("tn", conv, wide, gemm::gemm_tn_acc, portable::gemm_tn_acc);
+    pair("nt", conv, Some(NO_SLOWER), gemm::gemm_nt_acc, portable::gemm_nt_acc);
+    pair("nn-fc", (2, 1024, 1024), None, gemm::gemm_acc, portable::gemm_acc);
+}
+
 /// The collective-tuner decision path: freezing the decision table from a
 /// cluster-agreed score table, and the per-bucket `select` that runs on
 /// every bucket launch once the table is frozen. Bookkeeping with nothing
@@ -402,6 +441,7 @@ pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     bench_frame_encode(quick, &mut suite);
     bench_crc(&mut suite);
     bench_decode(&mut suite);
+    bench_gemm(&mut suite);
     bench_tuner(quick, &mut suite);
     bench_sim(quick, &mut suite);
     let Suite { rows, pairs } = suite;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 // Index loops over parallel arrays (ranks, channels, coefficient tables) are
 // clearer than zipped iterators in this domain.
 #![allow(clippy::needless_range_loop)]
@@ -14,9 +15,12 @@
 //! computes on one core:
 //!
 //! * [`Tensor`] — dense row-major `f32` tensors with shape tracking.
-//! * [`gemm`] — blocked, vectorized matrix multiplication (the workhorse:
+//! * [`gemm`] — register-tiled matrix multiplication (the workhorse:
 //!   convolutions lower to GEMM via [`im2col`], as cuDNN's implicit-GEMM
-//!   kernels do).
+//!   kernels do). Each kernel is one safe body compiled for the baseline
+//!   target and, on x86_64, for AVX2; the CPU picks the arm and the bits do
+//!   not depend on which ran. Its two calls of the `#[target_feature]` arm
+//!   are the crate's only `unsafe`.
 //! * [`layers`] — `Conv2d`, `BatchNorm2d`, `ReLU`, `MaxPool2d`,
 //!   `GlobalAvgPool`, `Linear`, each a [`Module`] with a verified backward
 //!   pass (numeric gradient checks in the test suite).

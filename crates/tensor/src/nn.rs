@@ -41,8 +41,13 @@ impl Sequential {
 
 impl Module for Sequential {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut cur = x.clone();
-        for m in &mut self.mods {
+        // The first module reads `x` where it lies; only the empty chain
+        // (the identity) has to copy it.
+        let Some((first, rest)) = self.mods.split_first_mut() else {
+            return x.clone();
+        };
+        let mut cur = first.forward(x, train);
+        for m in rest {
             cur = m.forward(&cur, train);
         }
         cur
@@ -67,8 +72,12 @@ impl Module for Sequential {
             bases.push(off);
             off += param_count(m.as_mut());
         }
-        let mut cur = grad.clone();
-        for (m, b) in self.mods.iter_mut().zip(bases).rev() {
+        let mut mods = self.mods.iter_mut().zip(bases).rev();
+        let Some((last, b)) = mods.next() else {
+            return grad.clone();
+        };
+        let mut cur = last.backward_hooked(grad, b, hook);
+        for (m, b) in mods {
             cur = m.backward_hooked(&cur, b, hook);
         }
         cur

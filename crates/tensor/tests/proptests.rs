@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor/NN substrate.
 
-use dcnn_tensor::gemm::{gemm, gemm_acc, gemm_nt_acc, gemm_tn_acc};
+use dcnn_tensor::gemm::{gemm, gemm_acc, gemm_nt_acc, gemm_tn_acc, portable, NR};
 use dcnn_tensor::im2col::{col2im, im2col, out_dim};
 use dcnn_tensor::layers::{Conv2d, GlobalAvgPool, Linear, MaxPool2d, Module, ReLU};
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
@@ -146,14 +146,39 @@ proptest! {
     /// Any row subset and any column subset of `C` computed in separate
     /// calls carries the bits of the one-call result — what keeps a batch
     /// split across replicas or calls from changing a gradient bit.
+    ///
+    /// `n` runs past two register tiles, so a column lands in an `NR`-wide
+    /// strip in one call and in a narrower remainder strip in the other.
     #[test]
-    fn gemm_sub_block_invariance(m in 1usize..=9, n in 1usize..=9, ki in 0usize..RAGGED_K.len(),
-                                 row_mask in 1u32..512, col_mask in 1u32..512, seed in 0u64..1000) {
-        let pick = |len: usize, mask: u32| -> Vec<usize> {
+    fn gemm_sub_block_invariance(m in 1usize..=9, n in 1usize..=2 * NR + 7,
+                                 ki in 0usize..RAGGED_K.len(), row_mask in 1u64..512,
+                                 col_mask in 1u64..1 << (2 * NR + 7), seed in 0u64..1000) {
+        let pick = |len: usize, mask: u64| -> Vec<usize> {
             let set: Vec<usize> = (0..len).filter(|i| mask >> i & 1 == 1).collect();
             if set.is_empty() { vec![len - 1] } else { set }
         };
         check_sub_blocks(m, RAGGED_K[ki], n, &pick(m, row_mask), &pick(n, col_mask), seed);
+    }
+
+    /// The entry points (the AVX2 arm where the CPU has it) and the portable
+    /// arm are one function of the operands, bit for bit, at any shape.
+    #[test]
+    fn gemm_dispatched_equals_portable(m in 1usize..=40, k in 1usize..=300, n in 1usize..=100,
+                                       seed in 0u64..1000) {
+        let (a, b, c0) = (vecf(m * k, seed), vecf(k * n, seed + 1), vecf(m * n, seed + 2));
+        type Kernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
+        let arms: [(Kernel, Kernel); 3] = [
+            (gemm_acc, portable::gemm_acc),
+            (gemm_tn_acc, portable::gemm_tn_acc),
+            (gemm_nt_acc, portable::gemm_nt_acc),
+        ];
+        for (x, (dispatched, reference)) in arms.into_iter().enumerate() {
+            let (mut got, mut want) = (c0.clone(), c0.clone());
+            dispatched(&mut got, &a, &b, m, k, n);
+            reference(&mut want, &a, &b, m, k, n);
+            prop_assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
+                         "kernel {x} ({m},{k},{n})");
+        }
     }
 
     /// GEMM distributes over addition: (A+A')B == AB + A'B.
