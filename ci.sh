@@ -35,6 +35,10 @@ cargo_offline test -q --release -p dcnn-dimd -- --include-ignored
 # whether a tile stays in registers — so it is checked on the optimised
 # build too.
 cargo_offline test -q --release -p dcnn-tensor
+# Dead-step elimination's "owned bits == the full allreduce's" sweep runs
+# every algorithm up to 16 ranks and rests on elementwise float sums, so it
+# is checked against optimised code generation too.
+cargo_offline test -q --release -p dcnn-collectives --test plan_prune
 # The process-level equivalences — TCP processes == threads, sharded ==
 # replicated, tuned == fixed, service-backed == in-process, and the SIGKILL,
 # fleet and storm cases — are asserted by tests/transport_process.rs and

@@ -435,6 +435,24 @@ fn bench_sim(quick: bool, suite: &mut Suite) {
     suite.rows.push(row("sim/allreduce_ring_16nodes/93MB".into(), 0, ns, false));
 }
 
+/// What a sharded exchange pays once per bucket and owner map: plan every
+/// rank's allreduce and prune it to its reduce-scatter
+/// (`plan::reduce_scatter`), here the reduce-scatter ring's 480 steps at 16
+/// ranks over 1 Mi elements. One-off bookkeeping with nothing it replaced,
+/// so the row is recorded and does not gate.
+fn bench_plan(quick: bool, suite: &mut Suite) {
+    use dcnn_core::collectives::{even_ranges, plan, AllreduceAlgo};
+
+    let (n, len) = (16, 1 << 20);
+    let ring = AllreduceAlgo::RingReduceScatter.build();
+    let counts: Vec<usize> = even_ranges(len, n).iter().map(|r| r.len()).collect();
+    let ns = min_ns_per_iter(if quick { 5 } else { 9 }, if quick { 8 } else { 32 }, || {
+        let plans: Vec<_> = (0..n).map(|r| ring.plan(n, r, black_box(len))).collect();
+        black_box(plan::reduce_scatter(&plans, &counts));
+    });
+    suite.rows.push(row(format!("plan/reduce_scatter/n{n}"), 0, ns, false));
+}
+
 /// Run the full suite: the report, and the pairs the gate reads.
 pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     let mut suite = Suite::default();
@@ -443,6 +461,7 @@ pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     bench_decode(&mut suite);
     bench_gemm(&mut suite);
     bench_tuner(quick, &mut suite);
+    bench_plan(quick, &mut suite);
     bench_sim(quick, &mut suite);
     let Suite { rows, pairs } = suite;
     (BenchReport { schema: SCHEMA.to_string(), date: civil_date_utc(), quick, rows }, pairs)
@@ -513,11 +532,17 @@ mod tests {
     fn rows_without_a_reference_make_no_pair() {
         let mut suite = Suite::default();
         bench_tuner(true, &mut suite);
+        bench_plan(true, &mut suite);
         bench_sim(true, &mut suite);
         let names: Vec<&str> = suite.rows.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
-            ["tune/apply_agreed/192", "tune/select_converged/16", "sim/allreduce_ring_16nodes/93MB"]
+            [
+                "tune/apply_agreed/192",
+                "tune/select_converged/16",
+                "plan/reduce_scatter/n16",
+                "sim/allreduce_ring_16nodes/93MB"
+            ]
         );
         assert!(suite.rows.iter().all(|r| !r.tracked && r.ns_per_iter > 0.0));
         assert!(suite.pairs.is_empty());

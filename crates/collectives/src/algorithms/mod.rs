@@ -123,21 +123,30 @@ pub trait Allreduce {
         plan::compile(&plans, cost)
     }
 
-    /// Reduce-scatter seam for the sharded optimizer: `counts` cuts `buf`
-    /// into one contiguous chunk per rank (chunk `r` owned by rank `r`,
-    /// `counts` summing to `buf.len()`); on return this rank's owned chunk
-    /// holds the full elementwise sum. Other chunks are unspecified.
-    ///
-    /// The default implementation runs the complete allreduce, so every
-    /// algorithm's owned-chunk bits match its replicated [`Allreduce::run`]
-    /// exactly — the invariant the trainer's sharded strategy relies on for
-    /// bitwise-equivalent loss. Algorithms with a native scatter phase
-    /// (the reduce-scatter ring) override this to skip the allgather half
-    /// and its bandwidth.
+    /// The reduce-scatter this algorithm contains: the steps `rank` performs
+    /// so that every rank's owned chunk — `counts` cuts the buffer into one
+    /// contiguous chunk per rank, chunk `r` owned by rank `r` — ends fully
+    /// reduced. By default the allreduce [`Allreduce::plan`] minus its dead
+    /// steps ([`plan::reduce_scatter`]): owned bits equal [`Allreduce::run`]'s
+    /// by construction, and nothing is moved that no owned element needs.
+    /// Plans all `counts.len()` ranks, so callers that repeat an exchange
+    /// keep the result ([`crate::runtime::CollectiveOp`] does).
+    fn scatter_plan(&self, rank: usize, counts: &[usize]) -> Vec<Step> {
+        let (n, len) = (counts.len(), counts.iter().sum());
+        let plans: Vec<Vec<Step>> = (0..n).map(|r| self.plan(n, r, len)).collect();
+        plan::reduce_scatter(&plans, counts).swap_remove(rank)
+    }
+
+    /// Reduce-scatter seam for the sharded optimizer: runs
+    /// [`Allreduce::scatter_plan`], so on return this rank's owned chunk
+    /// holds the full elementwise sum, bit-identical to the same chunk after
+    /// [`Allreduce::run`] — the invariant the trainer's sharded strategy
+    /// relies on for bitwise-equivalent loss. Other chunks are unspecified.
     fn reduce_scatter(&self, comm: &Comm, buf: &mut [f32], counts: &[usize]) {
-        debug_assert_eq!(counts.len(), comm.size());
-        debug_assert_eq!(counts.iter().sum::<usize>(), buf.len());
-        self.run(comm, buf);
+        assert_eq!(counts.len(), comm.size(), "reduce_scatter needs one count per rank");
+        assert_eq!(counts.iter().sum::<usize>(), buf.len(), "reduce_scatter counts must cover the buffer");
+        let _phase = comm.phase(self.name());
+        plan::execute(comm, &self.scatter_plan(comm.rank(), counts), buf);
     }
 }
 

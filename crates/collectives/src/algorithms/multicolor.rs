@@ -7,6 +7,22 @@
 //! links and can progress concurrently. Each chunk is further cut into
 //! pipeline sub-chunks that stream through the tree, the way the paper's
 //! RDMA-read implementation pipelines the reduction.
+//!
+//! **Send before you wait.** §4.2 has "network packets for each color …
+//! transferred concurrently", but a rank runs its plan in program order and
+//! blocks in every receive. Every rank is a leaf of some colors and interior
+//! to another, so if it walked the colors in index order it would sit in
+//! color 0's receive holding the color-1 send its peer is itself waiting
+//! for — at two ranks the copy, sum, copy, sum of each sub-chunk then run
+//! strictly in series and one rank is always idle. So within each wave (one
+//! phase of one pipeline sub-chunk) the plan emits the steps that wait for
+//! nothing first: in the reduce phase the sends of every color this rank is
+//! a leaf of, then receive-sum-forward for the colors it is interior to; in
+//! the broadcast phase the sends of the color it roots, then
+//! receive-copy-forward. Tags, ranges, the per-parent child order and the
+//! `LOOKAHEAD` window are as in index order, so sums, message counts and
+//! bytes are too; only the idle time goes. It is also the order
+//! [`crate::plan::compile`]'s data-flow model always assumed.
 
 use std::ops::Range;
 
@@ -80,27 +96,40 @@ impl Allreduce for MultiColor {
 
         for i in 0..s_max + LOOKAHEAD {
             if i < s_max {
-                // Reduce sub-chunk i up every tree: sum the children, forward.
-                for (c, tree) in trees.iter().enumerate() {
-                    let (range, tag) = (&subs[c][i], tag_of(TAG_RED, c, i));
-                    for &from in tree.children(me) {
-                        steps.push(Step::RecvReduce { from, range: range.clone(), tag });
-                    }
-                    if tree.parent(me) != me {
-                        steps.push(Step::Send { to: tree.parent(me), range: range.clone(), tag });
+                // Reduce sub-chunk i up every tree. What waits for nothing
+                // goes first: the sends of the colors this rank is a leaf
+                // of, then sum-the-children-and-forward where it is interior.
+                for leaf in [true, false] {
+                    for (c, tree) in trees.iter().enumerate() {
+                        if tree.children(me).is_empty() != leaf {
+                            continue;
+                        }
+                        let (range, tag) = (&subs[c][i], tag_of(TAG_RED, c, i));
+                        for &from in tree.children(me) {
+                            steps.push(Step::RecvReduce { from, range: range.clone(), tag });
+                        }
+                        if tree.parent(me) != me {
+                            steps.push(Step::Send { to: tree.parent(me), range: range.clone(), tag });
+                        }
                     }
                 }
             }
             if i >= LOOKAHEAD {
-                // Broadcast sub-chunk i - LOOKAHEAD back down every tree.
+                // Broadcast sub-chunk i - LOOKAHEAD back down every tree:
+                // the root's sends first, then receive-copy-forward.
                 let s = i - LOOKAHEAD;
-                for (c, tree) in trees.iter().enumerate() {
-                    let (range, tag) = (&subs[c][s], tag_of(TAG_BC, c, s));
-                    if tree.parent(me) != me {
-                        steps.push(Step::RecvCopy { from: tree.parent(me), range: range.clone(), tag });
-                    }
-                    for &to in tree.children(me) {
-                        steps.push(Step::Send { to, range: range.clone(), tag });
+                for root in [true, false] {
+                    for (c, tree) in trees.iter().enumerate() {
+                        if (tree.parent(me) == me) != root {
+                            continue;
+                        }
+                        let (range, tag) = (&subs[c][s], tag_of(TAG_BC, c, s));
+                        if !root {
+                            steps.push(Step::RecvCopy { from: tree.parent(me), range: range.clone(), tag });
+                        }
+                        for &to in tree.children(me) {
+                            steps.push(Step::Send { to, range: range.clone(), tag });
+                        }
                     }
                 }
             }
@@ -167,6 +196,120 @@ mod tests {
     #[test]
     fn more_colors_than_ranks_clamps() {
         check(2, 16, 8);
+    }
+
+    /// The plan as it was before the send-first rule: inside an iteration,
+    /// colors in index order, each color's receives before its sends.
+    fn index_order_plan(algo: &MultiColor, n: usize, me: usize, len: usize) -> Vec<Step> {
+        let k = algo.colors.clamp(1, n);
+        let trees = ColorTree::build_all(n, k);
+        let s_max = sub_chunks(algo, n, len);
+        let sub = |c: usize, s: usize| {
+            let cr = &even_ranges(len, k)[c];
+            let r = &even_ranges(cr.len(), s_max)[s];
+            cr.start + r.start..cr.start + r.end
+        };
+        let mut steps = Vec::new();
+        for i in 0..s_max + LOOKAHEAD {
+            for (c, tree) in trees.iter().enumerate().filter(|_| i < s_max) {
+                let (range, tag) = (sub(c, i), TAG_RED + (c * s_max + i) as u32);
+                for &from in tree.children(me) {
+                    steps.push(Step::RecvReduce { from, range: range.clone(), tag });
+                }
+                if tree.parent(me) != me {
+                    steps.push(Step::Send { to: tree.parent(me), range: range.clone(), tag });
+                }
+            }
+            for (c, tree) in trees.iter().enumerate().filter(|_| i >= LOOKAHEAD) {
+                let s = i - LOOKAHEAD;
+                let (range, tag) = (sub(c, s), TAG_BC + (c * s_max + s) as u32);
+                if tree.parent(me) != me {
+                    steps.push(Step::RecvCopy { from: tree.parent(me), range: range.clone(), tag });
+                }
+                for &to in tree.children(me) {
+                    steps.push(Step::Send { to, range: range.clone(), tag });
+                }
+            }
+        }
+        steps
+    }
+
+    fn sub_chunks(algo: &MultiColor, n: usize, len: usize) -> usize {
+        even_ranges(len, algo.colors.clamp(1, n))
+            .iter()
+            .map(|r| algo.pipeline.chunks_for(r.len() * 4))
+            .max()
+            .expect("k >= 1")
+    }
+
+    /// `(is a send, peer, tag)` — the key messages are matched in order by.
+    fn stream(step: &Step) -> (bool, usize, u32) {
+        match step {
+            Step::Send { to, tag, .. } => (true, *to, *tag),
+            Step::RecvReduce { from, tag, .. } | Step::RecvCopy { from, tag, .. } => (false, *from, *tag),
+        }
+    }
+
+    /// Every (world, colors, length) the structural tests walk; sub-chunks
+    /// of 16 elements, so the longer buffers pipeline (and 2000 elements
+    /// overlap the reduce and broadcast waves).
+    fn shapes() -> impl Iterator<Item = (MultiColor, usize, usize)> {
+        (2..=9).chain([16]).flat_map(|n| {
+            [1, 2, 4].into_iter().flat_map(move |k| {
+                [1, 5, 64, 257, 2000].into_iter().map(move |len| {
+                    let pipeline = Pipeline { target_bytes: 64, max_chunks: 8 };
+                    (MultiColor::with_pipeline(k, pipeline), n, len)
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn send_first_keeps_every_step_and_every_streams_order() {
+        for (algo, n, len) in shapes() {
+            for me in 0..n {
+                let (new, old) = (algo.plan(n, me, len), index_order_plan(&algo, n, me, len));
+                assert_eq!(new.len(), old.len(), "n={n} len={len} rank={me}");
+                // Stable sort by stream: equal vectors mean the same steps
+                // and, within each (direction, peer, tag), the same order.
+                let by_stream = |mut steps: Vec<Step>| {
+                    steps.sort_by_key(stream);
+                    steps
+                };
+                assert_eq!(by_stream(new), by_stream(old), "n={n} len={len} rank={me}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_send_that_waits_for_nothing_follows_a_receive_of_its_wave() {
+        for (algo, n, len) in shapes() {
+            let s_max = sub_chunks(&algo, n, len) as u32;
+            // A wave: one phase (reduce or broadcast) of one sub-chunk.
+            let wave = |step: &Step| {
+                let tag = stream(step).2;
+                (tag & 0xFF00_0000, (tag & 0x00FF_FFFF) % s_max)
+            };
+            for me in 0..n {
+                let plan = algo.plan(n, me, len);
+                for (at, step) in plan.iter().enumerate() {
+                    // Free: a send of a color this rank receives nothing
+                    // for in this wave (a reduce leaf, a broadcast root).
+                    let receives_its_color = |other: &Step| {
+                        !stream(other).0 && stream(other).2 == stream(step).2
+                    };
+                    if !stream(step).0 || plan.iter().any(receives_its_color) {
+                        continue;
+                    }
+                    let blocked_behind =
+                        plan[..at].iter().find(|p| !stream(p).0 && wave(p) == wave(step));
+                    assert_eq!(
+                        blocked_behind, None,
+                        "n={n} len={len} rank={me}: {step:?} waits behind a receive"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

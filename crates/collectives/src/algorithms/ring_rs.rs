@@ -9,7 +9,6 @@
 use super::{even_ranges, Allreduce};
 use crate::plan::Step;
 use crate::primitives::{ring_allgather_steps, ring_reduce_scatter_steps};
-use crate::runtime::Comm;
 
 /// Reduce-scatter + allgather ring.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,14 +28,17 @@ impl Allreduce for RingReduceScatter {
         steps
     }
 
-    fn reduce_scatter(&self, comm: &Comm, buf: &mut [f32], counts: &[usize]) {
-        // Native scatter phase: half the traffic of the full allreduce. The
-        // ring anchors each element's accumulation order at its owning rank
-        // regardless of chunk boundaries, so for a fixed global owner map
-        // the owned-chunk bits are independent of how the payload is
-        // bucketed — and, with even counts, identical to `run`'s.
-        let _phase = comm.phase(self.name());
-        comm.reduce_scatter(buf, counts);
+    /// The native scatter phase, not the default's pruned allreduce. At even
+    /// `counts` the two move the same messages; they differ when the owner map
+    /// is not the ring's own even chunking (a bucket of a larger gradient),
+    /// and there the contracts differ: the default reproduces `run` over
+    /// *this* buffer, while the ring anchors each element's accumulation
+    /// order at its owning rank wherever the chunk boundaries fall. That is
+    /// what makes the ring's sharded bits independent of how the gradient
+    /// is bucketed (the `ring-reduce-scatter/*/sharded` goldens pin it), so
+    /// the override stays.
+    fn scatter_plan(&self, rank: usize, counts: &[usize]) -> Vec<Step> {
+        ring_reduce_scatter_steps(rank, counts)
     }
 }
 

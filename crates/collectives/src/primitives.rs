@@ -9,9 +9,11 @@
 //! the binomial reduce / broadcast — are written as [`Step`] generators, so
 //! algorithms concatenate them into their plans (the ring allreduce, the
 //! hierarchical allreduce) and the wrappers here just execute them. The
-//! ring pair backs the sharded optimizer through [`Comm::reduce_scatter`] /
-//! [`Comm::allgather_f32`], which add the scatter/gather
-//! [`crate::CommStats`] accounting.
+//! ring pair backs the sharded optimizer: the scatter steps are
+//! [`crate::RingReduceScatter`]'s reduce-scatter plan, and the parameters
+//! come back through [`Comm::allgather_f32`]; called directly,
+//! [`Comm::reduce_scatter`] / [`Comm::allgather_f32`] add the scatter/gather
+//! [`crate::CommStats`] accounting themselves.
 
 use dcnn_simnet::CommSchedule;
 

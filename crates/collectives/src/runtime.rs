@@ -417,10 +417,11 @@ pub struct CommStats {
     /// Nanoseconds comm workers spent inside async collectives (inclusive
     /// wall time across buckets; overlapping buckets both count).
     pub async_comm_ns: u64,
-    /// Payload bytes fed through [`Comm::reduce_scatter`] (blocking calls
-    /// and the scatter halves of async launches alike).
+    /// Payload bytes fed through a reduce-scatter: every reduce-scatter
+    /// [`CollectiveOp`] (blocking or launched, whatever the algorithm) and
+    /// every direct [`Comm::reduce_scatter`] call.
     pub scatter_bytes: u64,
-    /// Nanoseconds spent inside [`Comm::reduce_scatter`].
+    /// Nanoseconds spent inside those reduce-scatters.
     pub scatter_wait_ns: u64,
     /// Payload bytes fed through [`Comm::allgather_f32`].
     pub gather_bytes: u64,
@@ -1204,7 +1205,8 @@ impl Comm {
     /// and the other chunks hold partial sums. The accumulation order of an
     /// element depends only on its owning rank, so for a fixed owner map the
     /// owned bits are independent of how a payload is bucketed. Adds to the
-    /// `scatter_*` counters in [`CommStats`]. Collective.
+    /// `scatter_*` counters in [`CommStats`], as a reduce-scatter
+    /// [`CollectiveOp`] does for whichever algorithm it runs. Collective.
     pub fn reduce_scatter(&self, buf: &mut [f32], counts: &[usize]) {
         let start = Instant::now();
         crate::primitives::ring_reduce_scatter(self, buf, counts);

@@ -7,19 +7,23 @@
 use std::cell::Cell;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use super::{BucketSpan, Comm, ConsumerId, RankLocal};
 use crate::algorithms::Allreduce;
+use crate::plan::{self, Step};
 use crate::trace::TraceEventKind;
 
 /// What a [`CollectiveOp`] does to its buffer.
 #[derive(Clone)]
 enum Kind {
     Allreduce(Arc<dyn Allreduce + Send + Sync>),
-    ReduceScatter(Arc<dyn Allreduce + Send + Sync>, Vec<usize>),
+    /// The algorithm, the owner map, and this rank's
+    /// [`Allreduce::scatter_plan`] under it — `(rank, steps)`, planned on
+    /// first run and shared by every clone of the op.
+    ReduceScatter(Arc<dyn Allreduce + Send + Sync>, Vec<usize>, Arc<OnceLock<(usize, Vec<Step>)>>),
     Allgather(Vec<usize>),
 }
 
@@ -41,11 +45,13 @@ impl CollectiveOp {
         CollectiveOp { kind: Kind::Allreduce(algo), label: None }
     }
 
-    /// `algo`'s reduce-scatter seam ([`Allreduce::reduce_scatter`]): only
-    /// the chunk this rank owns per `counts` ends fully reduced; the other
-    /// chunks are unspecified.
+    /// `algo`'s reduce-scatter ([`Allreduce::reduce_scatter`]): only the
+    /// chunk this rank owns per `counts` ends fully reduced; the other
+    /// chunks are unspecified. The op plans once, on its first run, and its
+    /// clones share the plan: keep the op (one per rank) and clone it per
+    /// launch to exchange the same buffer shape every step.
     pub fn reduce_scatter(algo: Arc<dyn Allreduce + Send + Sync>, counts: Vec<usize>) -> Self {
-        CollectiveOp { kind: Kind::ReduceScatter(algo, counts), label: None }
+        CollectiveOp { kind: Kind::ReduceScatter(algo, counts, Arc::default()), label: None }
     }
 
     /// Counts-based `f32` allgather ([`Comm::allgather_f32`]).
@@ -66,7 +72,26 @@ impl CollectiveOp {
     pub fn run(&self, comm: &Comm, buf: &mut [f32]) {
         match &self.kind {
             Kind::Allreduce(algo) => algo.run(comm, buf),
-            Kind::ReduceScatter(algo, counts) => algo.reduce_scatter(comm, buf, counts),
+            Kind::ReduceScatter(algo, counts, planned) => {
+                assert_eq!(counts.len(), comm.size(), "reduce_scatter needs one count per rank");
+                assert_eq!(counts.iter().sum::<usize>(), buf.len(), "reduce_scatter counts must cover the buffer");
+                let start = Instant::now();
+                let (rank, steps) = planned.get_or_init(|| {
+                    // Its own phase, so `CommStats` shows how often and for
+                    // how long a rank planned.
+                    let _phase = comm.phase("scatter-plan");
+                    (comm.rank(), algo.scatter_plan(comm.rank(), counts))
+                });
+                assert_eq!(*rank, comm.rank(), "a reduce-scatter op is planned for one rank");
+                {
+                    let _phase = comm.phase(algo.name());
+                    plan::execute(comm, steps, buf);
+                }
+                // The one seam every sharded exchange passes, whatever the
+                // algorithm.
+                comm.local.scatter_bytes.fetch_add((buf.len() * 4) as u64, Relaxed);
+                comm.local.scatter_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+            }
             Kind::Allgather(counts) => comm.allgather_f32(buf, counts),
         }
     }

@@ -4,7 +4,7 @@
 //! (Figures 5–6) to the actual implementations.
 
 use dcnn_collectives::plan::{compile, Step};
-use dcnn_collectives::{run_cluster, AllreduceAlgo, CostModel};
+use dcnn_collectives::{run_cluster, AllreduceAlgo, ClusterBuilder, CollectiveOp, CostModel};
 use dcnn_simnet::OpKind;
 
 #[test]
@@ -121,4 +121,34 @@ fn message_counts_reflect_pipelining() {
     assert_eq!(rd, (n as u64) * 3); // log2(8) exchanges per rank
     let mc = msgs(AllreduceAlgo::MultiColor(4));
     assert!(mc > rd, "pipelined trees should send more, smaller messages");
+}
+
+/// The scatter counters are bumped where every sharded exchange passes —
+/// the reduce-scatter op — so they read the same for an algorithm with a
+/// native scatter phase (the ring) and one whose reduce-scatter is derived
+/// (multicolor), blocking or launched: the buffer's bytes, once.
+#[test]
+fn sharded_exchange_counts_its_scatter_bytes_once_whatever_the_algorithm() {
+    let (n, len) = (3usize, 4099usize);
+    let counts: Vec<usize> = dcnn_collectives::even_ranges(len, n).iter().map(|r| r.len()).collect();
+    for algo in [AllreduceAlgo::MultiColor(4), AllreduceAlgo::RingReduceScatter] {
+        for launched in [false, true] {
+            let (a, counts) = (algo.build(), counts.clone());
+            let run = ClusterBuilder::new(n).run(move |comm| {
+                let op = CollectiveOp::reduce_scatter(a.clone(), counts.clone());
+                let mut buf = vec![comm.rank() as f32; len];
+                if launched {
+                    comm.launch(op, buf).wait();
+                } else {
+                    op.run(comm, &mut buf);
+                }
+            });
+            for (rank, st) in run.stats.iter().enumerate() {
+                let ctx = format!("{} launched={launched} rank={rank}", algo.name());
+                assert_eq!(st.scatter_bytes, 4 * len as u64, "{ctx}");
+                assert!(st.scatter_wait_ns > 0, "{ctx}");
+                assert_eq!(st.gather_bytes, 0, "{ctx}");
+            }
+        }
+    }
 }

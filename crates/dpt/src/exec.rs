@@ -261,13 +261,19 @@ impl DptExecutor {
                         (out.loss, collect_grads(model.as_mut()), out.correct)
                     })
                     .collect();
-                let mut grad = vec![0.0f32; results[0].1.len()];
-                let mut loss = 0.0;
-                let mut correct = 0;
-                for (l, g, c) in &results {
+                // Average in place on replica 0's buffer. `0.0 + a / m` is
+                // the first term of the sum from zeros the streamed merge
+                // runs (so a `-0.0` gradient still comes out `+0.0`).
+                let mut results = results.into_iter();
+                let (l0, mut grad, mut correct) = results.next().expect("at least one replica");
+                let mut loss = 0.0 + l0 / m as f64;
+                for a in &mut grad {
+                    *a = 0.0 + *a / m as f32;
+                }
+                for (l, g, c) in results {
                     loss += l / m as f64;
                     correct += c;
-                    for (a, b) in grad.iter_mut().zip(g) {
+                    for (a, b) in grad.iter_mut().zip(&g) {
                         *a += b / m as f32;
                     }
                 }
@@ -483,6 +489,50 @@ mod tests {
             off += n;
         }
         assert_eq!(off, reference.grad.len());
+    }
+
+    /// `inner` plus one parameter whose gradient backward leaves at `-0.0`.
+    struct NegZeroGrad {
+        extra: dcnn_tensor::layers::Param,
+        inner: Box<dyn Module>,
+    }
+
+    impl Module for NegZeroGrad {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            self.inner.forward(x, train)
+        }
+        fn backward(&mut self, grad: &Tensor) -> Tensor {
+            self.extra.grad.data_mut().fill(-0.0);
+            self.inner.backward(grad)
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut dcnn_tensor::layers::Param)) {
+            f(&mut self.extra);
+            self.inner.visit_params(f);
+        }
+    }
+
+    #[test]
+    fn negative_zero_gradient_averages_to_positive_zero_like_the_streamed_merge() {
+        // The in-place average starts from replica 0's buffer, not from
+        // zeros: its first term must still be `0.0 + g / m`.
+        let factory = || -> Box<dyn Module> {
+            let extra = dcnn_tensor::layers::Param::new(Tensor::zeros(&[3]));
+            Box::new(NegZeroGrad { extra, inner: tiny_factory() })
+        };
+        let (x, labels) = batch(4, 23);
+        for m in [1, 2] {
+            let out = DptExecutor::new(m, factory).step(&x, &labels, DptStrategy::Optimized);
+            let mut streamed = vec![f32::NAN; out.grad.len()];
+            DptExecutor::new(m, factory).step_streamed(&x, &labels, |off, vals| {
+                streamed[off..off + vals.len()].copy_from_slice(vals);
+            });
+            for i in 0..3 {
+                assert_eq!(out.grad[i].to_bits(), 0.0f32.to_bits(), "m={m} grad[{i}]");
+            }
+            for (i, (a, b)) in out.grad.iter().zip(&streamed).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "m={m} grad[{i}]: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -166,8 +166,15 @@ pub fn zero_grads(m: &mut dyn Module) {
 /// Flatten all parameter gradients into one contiguous buffer — the payload
 /// the distributed allreduce operates on (93 MB for GoogLeNet-BN, §5.1).
 pub fn collect_grads(m: &mut dyn Module) -> Vec<f32> {
-    let mut out = Vec::new();
-    m.visit_params(&mut |p| out.extend_from_slice(p.grad.data()));
+    collect(m, |p| &p.grad)
+}
+
+/// One tensor of every parameter, flattened in [`Module::visit_params`]
+/// order into a buffer sized once (a first visit counts): growing from
+/// empty would copy a large model's vector a dozen times over.
+fn collect(m: &mut dyn Module, field: fn(&Param) -> &Tensor) -> Vec<f32> {
+    let mut out = Vec::with_capacity(param_count(m));
+    m.visit_params(&mut |p| out.extend_from_slice(field(p).data()));
     out
 }
 
@@ -187,16 +194,12 @@ pub fn set_grads(m: &mut dyn Module, flat: &[f32]) {
 
 /// Flatten all parameter values (for weight-synchronization checks).
 pub fn collect_params(m: &mut dyn Module) -> Vec<f32> {
-    let mut out = Vec::new();
-    m.visit_params(&mut |p| out.extend_from_slice(p.value.data()));
-    out
+    collect(m, |p| &p.value)
 }
 
 /// Flatten the optimizer momentum state (for exact checkpoint/resume).
 pub fn collect_momentum(m: &mut dyn Module) -> Vec<f32> {
-    let mut out = Vec::new();
-    m.visit_params(&mut |p| out.extend_from_slice(p.momentum.data()));
-    out
+    collect(m, |p| &p.momentum)
 }
 
 /// Restore flattened momentum state.

@@ -1391,7 +1391,10 @@ mod tests {
     /// threaded fabric, where byte and message counts are deterministic.
     /// The whole-run totals also cover the collectives between one epoch's
     /// closing snapshot and the next epoch's opening one (tuner agreement,
-    /// cluster maxima), which no epoch row counts.
+    /// cluster maxima), which no epoch row counts. The six
+    /// `multicolor/*/sharded` rows' byte and message fields were re-captured
+    /// when the default reduce-scatter stopped running the whole allreduce
+    /// (dead-step elimination); their loss bits did not move.
     #[rustfmt::skip]
     const TRAFFIC_GOLDEN: &[TrafficRow] = &[
         ("ring-reduce-scatter/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
@@ -1407,17 +1410,17 @@ mod tests {
         ("ring-reduce-scatter/w3/hooked/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181), (18848, 82, 20, 4607345403130227696)]),
         ("ring-reduce-scatter/w3/hooked/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144), (18848, 50, 20, 4607345403102038685)]),
         ("multicolor/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
-        ("multicolor/w2/fused/sharded", (63392, 46), [(31536, 19, 0, 4608632158400617731), (31536, 19, 0, 4607210913014694081)]),
+        ("multicolor/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
         ("multicolor/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
-        ("multicolor/w2/drain/sharded", (63392, 142), [(31536, 67, 30, 4608632158400617731), (31536, 67, 30, 4607210913014694081)]),
+        ("multicolor/w2/drain/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731), (25560, 55, 30, 4607210913014694081)]),
         ("multicolor/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
-        ("multicolor/w2/hooked/sharded", (63392, 142), [(31536, 67, 30, 4608632158400617731), (31536, 67, 30, 4607210913014694081)]),
+        ("multicolor/w2/hooked/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731), (25560, 55, 30, 4607210913014694081)]),
         ("multicolor/w3/fused/replicated", (38624, 52), [(18864, 18, 0, 4608845318705986953), (18864, 18, 0, 4607345403100759925)]),
-        ("multicolor/w3/fused/sharded", (57280, 68), [(28192, 26, 0, 4608845318705986953), (28192, 26, 0, 4607345403100759925)]),
+        ("multicolor/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318705986953), (18848, 18, 0, 4607345403100759925)]),
         ("multicolor/w3/drain/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549), (18864, 82, 20, 4607345403115794811)]),
-        ("multicolor/w3/drain/sharded", (57280, 196), [(28192, 90, 20, 4608845318743314549), (28192, 90, 20, 4607345403115794811)]),
+        ("multicolor/w3/drain/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549), (20864, 66, 20, 4607345403115794811)]),
         ("multicolor/w3/hooked/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549), (18864, 82, 20, 4607345403115794811)]),
-        ("multicolor/w3/hooked/sharded", (57280, 196), [(28192, 90, 20, 4608845318743314549), (28192, 90, 20, 4607345403115794811)]),
+        ("multicolor/w3/hooked/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549), (20864, 66, 20, 4607345403115794811)]),
         ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42416, 130), [(21048, 61, 30, 4608632138296352319), (21048, 61, 30, 4607211123083706365)]),
         ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84368, 250), [(42024, 121, 60, 4608663114122042792), (42024, 121, 60, 4606370365909963915)]),
     ];

@@ -38,12 +38,12 @@
 //! optimizer reads before it allgathers the stepped parameters.
 
 use std::cell::RefCell;
-use std::ops::Range;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dcnn_collectives::runtime::{BucketSpan, CollectiveOp, Comm, CommStats, PendingReduce};
-use dcnn_collectives::{quantize_f16, AlgoPolicy, Allreduce, Tuner};
+use dcnn_collectives::{quantize_f16, AlgoPolicy, Selection, Tuner};
 use dcnn_tensor::layers::ParamSegment;
 
 use crate::shard::ShardMap;
@@ -129,6 +129,10 @@ pub struct GradSync {
     bucket_bytes: usize,
     fp16: bool,
     shards: Option<ShardMap>,
+    /// The sharded strategy's reduce-scatter op per (bucket, tuner
+    /// candidate). An op plans on its first run and its clones share the
+    /// plan, so every step after the first launches without planning.
+    scatter_ops: RefCell<HashMap<(usize, usize), CollectiveOp>>,
 }
 
 impl GradSync {
@@ -151,6 +155,7 @@ impl GradSync {
             bucket_bytes,
             fp16,
             shards: None,
+            scatter_ops: RefCell::default(),
         }
     }
 
@@ -163,6 +168,7 @@ impl GradSync {
         let total: usize = self.segments.iter().map(|s| s.len).sum();
         assert_eq!(shards.total(), total, "shard map must cover the gradient");
         self.shards = Some(shards);
+        self.scatter_ops.get_mut().clear();
         self
     }
 
@@ -215,13 +221,21 @@ impl GradSync {
         &self.segments[i - 1].name
     }
 
-    /// The collective that exchanges `range` of the flattened gradient with
-    /// `algo`: an allreduce, or under the sharded strategy a reduce-scatter
-    /// over the owner map's cut of that range.
-    fn op(&self, algo: Arc<dyn Allreduce + Send + Sync>, range: Range<usize>) -> CollectiveOp {
+    /// The collective that exchanges bucket `i` with the selected algorithm:
+    /// an allreduce, or under the sharded strategy the kept reduce-scatter
+    /// over the owner map's cut of that bucket.
+    fn op(&self, sel: &Selection, i: usize) -> CollectiveOp {
+        let algo = Arc::clone(&sel.handle);
         match &self.shards {
             None => CollectiveOp::allreduce(algo),
-            Some(sm) => CollectiveOp::reduce_scatter(algo, sm.bucket_counts(range)),
+            Some(sm) => self
+                .scatter_ops
+                .borrow_mut()
+                .entry((i, sel.candidate))
+                .or_insert_with(|| {
+                    CollectiveOp::reduce_scatter(algo, sm.bucket_counts(self.buckets[i].range()))
+                })
+                .clone(),
         }
     }
 
@@ -305,8 +319,8 @@ impl<'a> GradStream<'a> {
         // Seal order is deterministic and identical on every rank, and the
         // tuner's choice depends only on the bucket's plan index — so every
         // rank launches the same algorithm for the same seq.
-        let algo = sync.tuner.borrow_mut().select(i, b.bytes() as u64, self.comm.size(), true).handle;
-        let op = sync.op(algo, b.range()).labeled(Arc::from(sync.segment_name_at(sealed_at)));
+        let sel = sync.tuner.borrow_mut().select(i, b.bytes() as u64, self.comm.size(), true);
+        let op = sync.op(&sel, i).labeled(Arc::from(sync.segment_name_at(sealed_at)));
         self.in_flight.push((i, self.comm.launch(op, payload)));
     }
 
@@ -336,7 +350,7 @@ impl<'a> GradStream<'a> {
             // here and report back to the tuner directly.
             let bytes = (grad.len() * 4) as u64;
             let sel = sync.tuner.borrow_mut().select(0, bytes, self.comm.size(), false);
-            let op = sync.op(Arc::clone(&sel.handle), 0..grad.len());
+            let op = sync.op(&sel, 0);
             let start = Instant::now();
             op.run(self.comm, grad);
             sync.tuner.borrow_mut().record(&sel, bytes, start.elapsed().as_nanos() as u64);
@@ -548,6 +562,34 @@ mod tests {
                     b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "{algo_kind:?} rank {rank}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_exchange_plans_each_bucket_once_not_each_step() {
+        // Pruning the allreduce down to its reduce-scatter plans all ranks;
+        // the sync keeps one op per bucket, so two steps plan as often as
+        // one. `scatter-plan` is the phase a reduce-scatter op plans under.
+        use dcnn_collectives::ClusterBuilder;
+        let total = 101usize;
+        for bucket_bytes in [0, 128] {
+            let s = segs(&[33, 5, 61, 2]);
+            let run = ClusterBuilder::new(3).run(move |comm| {
+                let gsync =
+                    GradSync::with_policy(AllreduceAlgo::MultiColor(4).into(), &s, bucket_bytes, false)
+                        .with_shards(ShardMap::new(total, comm.size()));
+                let step = || {
+                    let mut grad: Vec<f32> =
+                        (0..total).map(|i| (i + comm.rank()) as f32).collect();
+                    gsync.reduce(comm, &mut grad);
+                    comm.stats().phase_ns.iter().find(|p| p.0 == "scatter-plan").map(|p| p.2)
+                };
+                (step(), step(), gsync.buckets().len() as u64)
+            });
+            for (rank, (first, second, buckets)) in run.results.into_iter().enumerate() {
+                assert_eq!(first, Some(buckets), "bucket_bytes={bucket_bytes} rank {rank}");
+                assert_eq!(second, first, "bucket_bytes={bucket_bytes} rank {rank}: step 2 planned");
             }
         }
     }
