@@ -39,6 +39,10 @@ cargo_offline test -q --release -p dcnn-tensor
 # every algorithm up to 16 ranks and rests on elementwise float sums, so it
 # is checked against optimised code generation too.
 cargo_offline test -q --release -p dcnn-collectives --test plan_prune
+# The gradient path's "no block of 64 KiB or more per step after warm-up"
+# guard counts the allocations of the code that ships, so it runs against
+# the optimised build as well as the debug one above.
+cargo_offline test -q --release -p dcnn-trainer --test step_allocations
 # The process-level equivalences — TCP processes == threads, sharded ==
 # replicated, tuned == fixed, service-backed == in-process, and the SIGKILL,
 # fleet and storm cases — are asserted by tests/transport_process.rs and

@@ -81,16 +81,22 @@ pub fn embed(steps: Vec<Step>, group: &[usize]) -> impl Iterator<Item = Step> + 
     })
 }
 
-/// Run this rank's `steps` on `comm` over `buf`, in order.
+/// Run this rank's `steps` on `comm` over `buf`, in order. Each received
+/// message's buffer goes back to the transport's pool as soon as it is
+/// summed or copied, for the next send or receive to reuse.
 pub fn execute(comm: &Comm, steps: &[Step], buf: &mut [f32]) {
     for step in steps {
         match step {
             Step::Send { to, range, tag } => comm.send_f32(*to, *tag, &buf[range.clone()]),
             Step::RecvReduce { from, range, tag } => {
-                sum_into(&mut buf[range.clone()], &comm.recv_f32(*from, *tag));
+                let msg = comm.recv(*from, *tag);
+                sum_into(&mut buf[range.clone()], msg.as_f32());
+                comm.recycle(msg);
             }
             Step::RecvCopy { from, range, tag } => {
-                buf[range.clone()].copy_from_slice(&comm.recv_f32(*from, *tag));
+                let msg = comm.recv(*from, *tag);
+                buf[range.clone()].copy_from_slice(msg.as_f32());
+                comm.recycle(msg);
             }
         }
     }

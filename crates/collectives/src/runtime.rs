@@ -1151,9 +1151,17 @@ impl Comm {
             .1
     }
 
-    /// Convenience: send an `f32` slice (copies once into the message).
+    /// Send an `f32` slice, copied once into a buffer from the transport's
+    /// [`crate::transport::BufPool`].
     pub fn send_f32(&self, dst: usize, tag: u32, data: &[f32]) {
-        self.send(dst, tag, Payload::f32(data.to_vec()));
+        self.send(dst, tag, Payload::f32(self.transport.pool().copy_of(data)));
+    }
+
+    /// Hand a received payload's buffer back to the transport's pool once
+    /// its elements are used (nothing happens while another holder shares
+    /// it).
+    pub(crate) fn recycle(&self, payload: Payload) {
+        self.transport.pool().recycle(payload);
     }
 
     /// Send an already-shared `f32` buffer without copying it; the threaded

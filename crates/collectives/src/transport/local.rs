@@ -4,12 +4,14 @@
 //! Payload buffers are `Arc`-shared ([`Payload`]), so a send moves a pointer
 //! across the channel and the receiver that ends up sole owner takes the
 //! buffer without copying — the same-process stand-in for zero-copy RDMA.
+//! Because of that the whole fabric shares one [`BufPool`]: a buffer one
+//! rank sends is the one its receiver returns.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use super::{RecvPoll, Transport, WireMsg};
+use super::{BufPool, RecvPoll, Transport, WireMsg};
 
 /// One rank's endpoint on the in-process fabric.
 pub struct LocalTransport {
@@ -22,6 +24,8 @@ pub struct LocalTransport {
     /// guarantees one polling thread at a time, and the mutex makes the
     /// endpoint shareable between a rank's main thread and its comm worker.
     rx: Mutex<Receiver<WireMsg>>,
+    /// The fabric's one buffer pool.
+    pool: Arc<BufPool>,
 }
 
 /// Build the full in-process fabric for `n` ranks: one endpoint per rank,
@@ -34,9 +38,15 @@ pub fn local_fabric(n: usize) -> Vec<LocalTransport> {
         txs.push(tx);
         rxs.push(rx);
     }
+    let pool = Arc::new(BufPool::default());
     rxs.into_iter()
         .enumerate()
-        .map(|(rank, rx)| LocalTransport { rank, txs: txs.clone(), rx: Mutex::new(rx) })
+        .map(|(rank, rx)| LocalTransport {
+            rank,
+            txs: txs.clone(),
+            rx: Mutex::new(rx),
+            pool: Arc::clone(&pool),
+        })
         .collect()
 }
 
@@ -67,6 +77,10 @@ impl Transport for LocalTransport {
             Err(RecvTimeoutError::Timeout) => RecvPoll::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvPoll::Closed,
         }
+    }
+
+    fn pool(&self) -> &BufPool {
+        &self.pool
     }
 
     fn shutdown(&self) {

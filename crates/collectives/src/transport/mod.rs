@@ -34,12 +34,14 @@
 
 pub mod crc;
 pub mod local;
+pub mod pool;
 pub mod tcp;
 pub mod wire;
 
 pub use crc::{
     crc32, crc32_bytewise, crc32_clmul_selected, crc32_f32, crc32_update, crc32_update_portable,
 };
+pub use pool::BufPool;
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -184,6 +186,11 @@ pub trait Transport: Send + Sync {
 
     /// Wait up to `timeout` for the next inbound message (any source).
     fn recv_timeout(&self, timeout: Duration) -> RecvPoll;
+
+    /// The [`BufPool`] this endpoint's `f32` messages cycle through: sends
+    /// copy into its buffers, and a consumer done with a received payload
+    /// returns the buffer to it.
+    fn pool(&self) -> &BufPool;
 
     /// Flush queued sends and tear the fabric down. Called once, after the
     /// rank's work has returned; must leave already-sent data deliverable

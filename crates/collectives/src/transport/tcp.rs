@@ -38,6 +38,11 @@
 //! already queued first, so bursts of small frames (the collectives' control
 //! traffic) leave in a single syscall instead of one per frame.
 //!
+//! `f32` buffers cycle through the endpoint's [`BufPool`]: the writer
+//! returns each payload it has written, the reader takes the buffer it reads
+//! the next `f32` body into, and the rank returns a received payload once it
+//! has summed or copied it.
+//!
 //! ## Failure semantics
 //!
 //! A connection that ends **without** a BYE frame is an abnormal death: a
@@ -53,12 +58,12 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use super::wire::{self, encode_bye, read_frame, FrameRead, FRAME_MAGIC};
-use super::{RecvPoll, Transport, WireMsg};
+use super::wire::{self, encode_bye, read_frame_with, FrameRead, FRAME_MAGIC};
+use super::{BufPool, RecvPoll, Transport, WireMsg};
 
 /// Writer-side batching caps: drain at most this many already-queued frames
 /// (or this many payload bytes) into one vectored write. Bounds both the
@@ -99,6 +104,9 @@ pub struct TcpTransport {
     links: Mutex<Vec<Option<TcpStream>>>,
     /// Reader + writer threads, joined on shutdown.
     threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The endpoint's `f32` buffers, shared with its reader and writer
+    /// threads.
+    pool: Arc<BufPool>,
 }
 
 /// Dial `addr`, retrying with exponential backoff until `timeout` elapses.
@@ -410,6 +418,7 @@ impl TcpTransport {
         let mut peers: Vec<Option<Sender<WriterCmd>>> = (0..world).map(|_| None).collect();
         let mut links: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
         let mut threads = Vec::new();
+        let pool = Arc::new(BufPool::default());
 
         if world > 1 {
             // Every rank accepts mesh connections on its own ephemeral
@@ -496,8 +505,15 @@ impl TcpTransport {
                 links[peer] = Some(stream.try_clone()?);
                 let (wtx, wrx) = channel::<WriterCmd>();
                 peers[peer] = Some(wtx);
-                threads.push(spawn_reader(reader, peer, inbox_tx.clone()));
-                threads.push(spawn_writer(stream, rank, peer, wrx, inbox_tx.clone()));
+                threads.push(spawn_reader(reader, peer, inbox_tx.clone(), Arc::clone(&pool)));
+                threads.push(spawn_writer(
+                    stream,
+                    rank,
+                    peer,
+                    wrx,
+                    inbox_tx.clone(),
+                    Arc::clone(&pool),
+                ));
             }
         }
 
@@ -509,6 +525,7 @@ impl TcpTransport {
             peers,
             links: Mutex::new(links),
             threads: Mutex::new(threads),
+            pool,
         })
     }
 
@@ -529,11 +546,16 @@ enum RendezvousRole {
     Peer(String),
 }
 
-fn spawn_reader(mut stream: TcpStream, peer: usize, inbox: Sender<Inbound>) -> JoinHandle<()> {
+fn spawn_reader(
+    mut stream: TcpStream,
+    peer: usize,
+    inbox: Sender<Inbound>,
+    pool: Arc<BufPool>,
+) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("dcnn-tcp-read-{peer}"))
         .spawn(move || loop {
-            match read_frame(&mut stream) {
+            match read_frame_with(&mut stream, Some(&pool)) {
                 Ok(FrameRead::Msg(msg)) => {
                     if inbox.send(Inbound::Msg(msg)).is_err() {
                         return; // local rank already tore its inbox down
@@ -577,6 +599,7 @@ fn spawn_writer(
     peer: usize,
     queue: Receiver<WriterCmd>,
     inbox: Sender<Inbound>,
+    pool: Arc<BufPool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("dcnn-tcp-write-{peer}"))
@@ -637,6 +660,9 @@ fn spawn_writer(
                         });
                         return;
                     }
+                    for msg in batch.drain(..) {
+                        pool.recycle(msg.payload);
+                    }
                 }
                 if graceful {
                     let _ = stream.write_all(&encode_bye(my_rank));
@@ -685,6 +711,10 @@ impl Transport for TcpTransport {
             Err(RecvTimeoutError::Timeout) => RecvPoll::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvPoll::Closed,
         }
+    }
+
+    fn pool(&self) -> &BufPool {
+        &self.pool
     }
 
     fn shutdown(&self) {

@@ -28,7 +28,9 @@
 //!
 //! Decoding is symmetric: an `f32` body is read directly into the final
 //! `Vec<f32>` allocation (no intermediate byte `Vec`, no per-element
-//! `from_le_bytes`), with the CRC checked over the same bytes.
+//! `from_le_bytes`), with the CRC checked over the same bytes. On the rank
+//! fabric that allocation is a recycled one from the endpoint's
+//! [`BufPool`], so it is not zero-filled before the socket overwrites it.
 //!
 //! ## The checksum pass
 //!
@@ -47,7 +49,7 @@
 use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
 
-use super::{Payload, WireMsg};
+use super::{BufPool, Payload, WireMsg};
 
 /// Leading magic of every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"DCTP";
@@ -334,6 +336,14 @@ fn read_f32_body(r: &mut impl Read, v: &mut [f32], crc: &mut Crc32) -> io::Resul
 /// a multiple of 4 is rejected with a structured error *before* any body
 /// byte is read — trailing bytes are never silently dropped.
 pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
+    read_frame_with(r, None)
+}
+
+/// [`read_frame`], reading an `f32` body into a buffer from `pool` when one
+/// is given — already initialised, so nothing is zero-filled first — and
+/// into a fresh zeroed `Vec` otherwise. Both checks on the claimed length
+/// run before a buffer is taken.
+pub(crate) fn read_frame_with(r: &mut impl Read, pool: Option<&BufPool>) -> io::Result<FrameRead> {
     // One read for magic and header together whenever the socket already
     // holds them. Only a stream that ends *exactly* at a frame boundary is
     // `Eof`; ending anywhere inside the head is a torn frame, the same as
@@ -382,7 +392,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
                     ),
                 ));
             }
-            let mut v = vec![0f32; (len / 4) as usize];
+            let n = (len / 4) as usize;
+            let mut v = pool.map_or_else(|| vec![0f32; n], |p| p.take(n));
             read_f32_body(r, &mut v, &mut crc)?;
             Some(Payload::f32(v))
         }
@@ -635,6 +646,48 @@ mod tests {
             }
         }
         assert!(matches!(read_frame(&mut frame.as_slice()).expect("whole"), FrameRead::Msg(_)));
+    }
+
+    #[test]
+    fn pooled_read_delivers_the_frames_length_and_bits_from_any_recycled_buffer() {
+        let vals: Vec<f32> =
+            (0..37).map(|i| (i as f32).sin() * 1e3).chain([f32::NAN, -0.0]).collect();
+        let n = vals.len();
+        let frame = encode_frame(1, 2, 3, &Payload::f32(vals.clone()));
+        // (length, capacity) of the one pooled buffer, holding garbage:
+        // shorter and longer than the frame, fitting and not.
+        let pooled = [(0, 2 * n), (3, n + 3), (n - 1, n - 1), (n, n), (2 * n, 2 * n), (n, 4 * n)];
+        for (len, cap) in pooled {
+            let pool = BufPool::default();
+            let mut old = Vec::with_capacity(cap);
+            old.resize(len, f32::from_bits(0x7fc0_dead));
+            pool.put(old);
+            let FrameRead::Msg(m) =
+                read_frame_with(&mut frame.as_slice(), Some(&pool)).expect("decode")
+            else {
+                panic!("expected a data frame");
+            };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(m.payload.as_f32()), bits(&vals), "pooled buffer {len}/{cap}");
+            let fits = cap >= n && cap / 2 <= n;
+            assert_eq!(pool.is_empty(), fits, "pooled buffer {len}/{cap} taken iff it fits");
+        }
+    }
+
+    #[test]
+    fn bad_lengths_are_rejected_before_a_pooled_buffer_is_taken() {
+        let pool = BufPool::default();
+        pool.put(vec![0.0; 8]);
+        let mut bomb = encode_frame(0, 0, 0, &Payload::f32(vec![1.0]));
+        bomb[21..29].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let body = [0x11u8; 6];
+        let parts = frame_parts(2, 7, 9, KIND_F32, &body);
+        let misaligned = [&parts.head[..], &body, &parts.crc].concat();
+        for frame in [bomb, misaligned] {
+            let err = read_frame_with(&mut frame.as_slice(), Some(&pool)).expect_err("must reject");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(pool.len(), 1, "rejected before a buffer was taken: {err}");
+        }
     }
 
     #[test]

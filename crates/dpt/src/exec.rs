@@ -61,6 +61,24 @@ impl IterOutput {
 pub struct DptExecutor {
     replicas: Vec<Box<dyn Module>>,
     segments: Arc<Vec<ParamSegment>>,
+    /// The node-averaged gradient [`DptExecutor::step_streamed`] merges into
+    /// and lends out range by range; allocated on the first streamed step.
+    merged: Vec<f32>,
+}
+
+/// First term of the replica average, `0.0 + g / m`: the sum from zeros,
+/// without the zeros (and a `-0.0` gradient still comes out `+0.0`).
+fn merge_first(dst: &mut [f32], g: &[f32], m: f32) {
+    for (a, &b) in dst.iter_mut().zip(g) {
+        *a = 0.0 + b / m;
+    }
+}
+
+/// Every later term of the replica average, in replica index order.
+fn merge_add(dst: &mut [f32], g: &[f32], m: f32) {
+    for (a, &b) in dst.iter_mut().zip(g) {
+        *a += b / m;
+    }
 }
 
 impl DptExecutor {
@@ -70,7 +88,7 @@ impl DptExecutor {
         assert!(m >= 1);
         let mut replicas: Vec<Box<dyn Module>> = (0..m).map(|_| factory()).collect();
         let segments = Arc::new(param_segments(replicas[0].as_mut()));
-        DptExecutor { replicas, segments }
+        DptExecutor { replicas, segments, merged: Vec::new() }
     }
 
     /// Number of replicas (simulated GPUs).
@@ -126,7 +144,11 @@ impl DptExecutor {
     /// The ranges tile `[0, param_count)` exactly, and both the reported
     /// values and the returned `(mean loss, correct)` pair are
     /// **bitwise identical** to what `step` produces: replicas are averaged
-    /// in replica index order with the same per-element operation sequence.
+    /// in replica index order with the same per-element operation sequence,
+    /// into one executor-owned buffer that `on_segment` borrows a range of.
+    /// One replica runs on the calling thread, its hook merging straight
+    /// from the parameter gradients; several run one thread each, sending
+    /// each finished range back to this thread to be merged.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas.
@@ -142,6 +164,23 @@ impl DptExecutor {
         assert_eq!(labels.len(), b);
         let shard = b / m;
         let sample = x.len() / b;
+        let total = self.segments.last().map_or(0, |s| s.offset + s.len);
+        if self.merged.len() != total {
+            self.merged = vec![0.0; total];
+        }
+        let merged = &mut self.merged;
+
+        if let [model] = &mut self.replicas[..] {
+            zero_grads(model.as_mut());
+            let logits = model.forward(x, true);
+            let out = SoftmaxCrossEntropy.forward(&logits, labels);
+            let _ = model.backward_hooked(&out.grad, 0, &mut |off, vals| {
+                let dst = &mut merged[off..off + vals.len()];
+                merge_first(dst, vals, 1.0);
+                on_segment(off, dst);
+            });
+            return (0.0 + out.loss, out.correct);
+        }
 
         let shards: Vec<Tensor> = (0..m)
             .map(|g| {
@@ -187,8 +226,8 @@ impl DptExecutor {
 
             // Fire `on_segment` the moment the last replica reports a range.
             // Every replica walks the same module tree, so ranges complete in
-            // backward order; averaging runs in replica *index* order from
-            // zeros — the exact per-element sequence of `step`'s merge.
+            // backward order; averaging runs in replica *index* order — the
+            // exact per-element sequence of `step`'s merge.
             let mut slots: HashMap<usize, Vec<Option<Vec<f32>>>> = HashMap::new();
             while let Ok((g, off, vals)) = rx.recv() {
                 let entry = slots.entry(off).or_insert_with(|| vec![None; m]);
@@ -196,13 +235,16 @@ impl DptExecutor {
                 if entry.iter().all(Option::is_some) {
                     let parts = slots.remove(&off).expect("slot just filled");
                     let n = parts[0].as_ref().expect("all parts present").len();
-                    let mut avg = vec![0.0f32; n];
-                    for p in &parts {
-                        for (a, b) in avg.iter_mut().zip(p.as_ref().expect("all parts present")) {
-                            *a += b / m as f32;
+                    let dst = &mut merged[off..off + n];
+                    for (g, p) in parts.iter().enumerate() {
+                        let p = p.as_ref().expect("all parts present");
+                        if g == 0 {
+                            merge_first(dst, p, m as f32);
+                        } else {
+                            merge_add(dst, p, m as f32);
                         }
                     }
-                    on_segment(off, &avg);
+                    on_segment(off, dst);
                 }
             }
             assert!(slots.is_empty(), "every replica must report every range");
@@ -273,9 +315,7 @@ impl DptExecutor {
                 for (l, g, c) in results {
                     loss += l / m as f64;
                     correct += c;
-                    for (a, b) in grad.iter_mut().zip(&g) {
-                        *a += b / m as f32;
-                    }
+                    merge_add(&mut grad, &g, m as f32);
                 }
                 IterOutput { loss, grad, correct, segments: Arc::clone(&self.segments) }
             }
@@ -463,32 +503,45 @@ mod tests {
 
     #[test]
     fn step_streamed_matches_step_bitwise() {
-        let (x, labels) = batch(8, 19);
-        let mut plain = DptExecutor::new(2, tiny_factory);
-        let mut streamed = DptExecutor::new(2, tiny_factory);
-        let reference = plain.step(&x, &labels, DptStrategy::Optimized);
+        // m = 1 is the inline path (the calling thread, no channel), m = 2
+        // the threaded one; both merge into the executor's buffer. Two steps
+        // each, so the second reuses the buffer the first allocated.
+        for m in [1, 2] {
+            let (x, labels) = batch(8, 19);
+            let mut plain = DptExecutor::new(m, tiny_factory);
+            let mut streamed = DptExecutor::new(m, tiny_factory);
+            for step in 0..2 {
+                let reference = plain.step(&x, &labels, DptStrategy::Optimized);
 
-        let mut grad = vec![f32::NAN; reference.grad.len()];
-        let mut fired: Vec<(usize, usize)> = Vec::new();
-        let (loss, correct) = streamed.step_streamed(&x, &labels, |off, vals| {
-            grad[off..off + vals.len()].copy_from_slice(vals);
-            fired.push((off, vals.len()));
-        });
+                let mut grad = vec![f32::NAN; reference.grad.len()];
+                let mut fired: Vec<(usize, usize)> = Vec::new();
+                let (loss, correct) = streamed.step_streamed(&x, &labels, |off, vals| {
+                    grad[off..off + vals.len()].copy_from_slice(vals);
+                    fired.push((off, vals.len()));
+                });
 
-        assert_eq!(loss.to_bits(), reference.loss.to_bits());
-        assert_eq!(correct, reference.correct);
-        for (i, (a, b)) in grad.iter().zip(&reference.grad).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "grad[{i}]: {a} vs {b}");
+                let what = format!("m={m} step {step}");
+                assert_eq!(loss.to_bits(), reference.loss.to_bits(), "{what}");
+                assert_eq!(correct, reference.correct, "{what}");
+                for (i, (a, b)) in grad.iter().zip(&reference.grad).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what} grad[{i}]: {a} vs {b}");
+                }
+                // Ranges tile the gradient exactly and stream tail-first.
+                assert!(fired[0].0 > fired[fired.len() - 1].0, "{what}: tail layers first");
+                fired.sort_unstable();
+                let mut off = 0;
+                for (o, n) in fired {
+                    assert_eq!(o, off, "{what}: ranges must tile without gaps or overlap");
+                    off += n;
+                }
+                assert_eq!(off, reference.grad.len(), "{what}");
+                // Both executors step their replicas the same way, so the
+                // second step starts from equal parameters again.
+                let sgd = dcnn_tensor::optim::Sgd::default();
+                plain.visit_replicas(|r| sgd.step_flat(r, 0.1, &reference.grad, 1.0));
+                streamed.visit_replicas(|r| sgd.step_flat(r, 0.1, &grad, 1.0));
+            }
         }
-        // Ranges tile the gradient exactly and stream tail-first.
-        assert!(fired[0].0 > fired[fired.len() - 1].0, "backward reports tail layers first");
-        fired.sort_unstable();
-        let mut off = 0;
-        for (o, n) in fired {
-            assert_eq!(o, off, "ranges must tile without gaps or overlap");
-            off += n;
-        }
-        assert_eq!(off, reference.grad.len());
     }
 
     /// `inner` plus one parameter whose gradient backward leaves at `-0.0`.

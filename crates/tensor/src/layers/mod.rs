@@ -76,7 +76,8 @@ pub trait Module: Send {
     /// backprop instead of after it.
     ///
     /// The default covers any module: run the plain backward, then report
-    /// all of the module's own parameters as one range. Composite modules
+    /// each of the module's own non-empty parameters as its own range, in
+    /// visit order, lending the hook `p.grad` itself. Composite modules
     /// (`Sequential`, `Residual`, `Concat`) override this to recurse with
     /// per-child offsets, so leaves report the moment their own backward
     /// finishes. Hooks fire in backward traversal order, which is
@@ -89,11 +90,13 @@ pub trait Module: Send {
         hook: &mut dyn FnMut(usize, &[f32]),
     ) -> Tensor {
         let dx = self.backward(grad);
-        let mut own: Vec<f32> = Vec::new();
-        self.visit_params(&mut |p| own.extend_from_slice(p.grad.data()));
-        if !own.is_empty() {
-            hook(base, &own);
-        }
+        let mut off = base;
+        self.visit_params(&mut |p| {
+            if !p.is_empty() {
+                hook(off, p.grad.data());
+            }
+            off += p.len();
+        });
         dx
     }
 
@@ -197,6 +200,27 @@ pub fn collect_params(m: &mut dyn Module) -> Vec<f32> {
     collect(m, |p| &p.value)
 }
 
+/// Copy the parameter values at `range` of the flattened vector
+/// ([`collect_params`] layout) into `out` — one shard of it, without
+/// flattening the rest.
+///
+/// # Panics
+/// Panics if `out.len() != range.len()` or `range` ends past the vector.
+pub fn params_into(m: &mut dyn Module, range: std::ops::Range<usize>, out: &mut [f32]) {
+    assert_eq!(out.len(), range.len(), "output must be range-sized");
+    let mut off = 0;
+    m.visit_params(&mut |p| {
+        let n = p.len();
+        let (lo, hi) = (range.start.clamp(off, off + n), range.end.clamp(off, off + n));
+        if lo < hi {
+            out[lo - range.start..hi - range.start]
+                .copy_from_slice(&p.value.data()[lo - off..hi - off]);
+        }
+        off += n;
+    });
+    assert!(range.end <= off, "range {range:?} exceeds the {off}-element parameter vector");
+}
+
 /// Flatten the optimizer momentum state (for exact checkpoint/resume).
 pub fn collect_momentum(m: &mut dyn Module) -> Vec<f32> {
     collect(m, |p| &p.momentum)
@@ -290,5 +314,21 @@ pub(crate) fn check_input_gradient(
             (num - ana).abs() <= tol * (num.abs().max(ana.abs()).max(1.0)),
             "input grad mismatch at {i}: numeric {num} vs analytic {ana}"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn params_into_copies_exactly_the_range() {
+        let mut l = Linear::new(3, 4, 5); // 12 weights + 4 biases
+        let all = collect_params(&mut l);
+        for range in [0..16, 0..0, 3..12, 7..15, 12..16, 16..16] {
+            let mut out = vec![f32::NAN; range.len()];
+            params_into(&mut l, range.clone(), &mut out);
+            assert_eq!(out, all[range.clone()], "{range:?}");
+        }
     }
 }

@@ -494,10 +494,20 @@ mod tests {
         let _ = lin.backward_hooked(
             &Tensor::full(&[3, 2], 1.0),
             100,
-            &mut |off, data| fired.push((off, data.len())),
+            &mut |off, data| fired.push((off, data.len(), data.as_ptr())),
         );
-        assert_eq!(fired.len(), 1, "a leaf reports all its params as one range");
-        assert_eq!(fired[0], (100, param_count(&mut lin)));
+        // One range per parameter, in visit order, offsets counted from
+        // `base`, each the parameter's own gradient buffer (lent, not copied).
+        let mut params = Vec::new();
+        lin.visit_params(&mut |p| params.push((p.len(), p.grad.data().as_ptr())));
+        assert_eq!(fired.len(), params.len(), "a leaf reports each parameter once");
+        let mut off = 100;
+        for (&(at, len, ptr), &(plen, pptr)) in fired.iter().zip(&params) {
+            assert_eq!((at, len), (off, plen));
+            assert_eq!(ptr, pptr, "the hook must see p.grad itself");
+            off += plen;
+        }
+        assert_eq!(off, 100 + param_count(&mut lin));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is the total number of workers. We use a 90 epoch training regime with
 //! the learning rate dropped by a factor of 10 after every 30 epochs."
 
-use crate::layers::Module;
+use crate::layers::{Module, Param};
 
 /// Hyper-parameters for SGD (fb.resnet.torch defaults, which the paper uses).
 #[derive(Debug, Clone)]
@@ -40,18 +40,22 @@ impl Sgd {
     /// Apply one update at learning rate `lr` to every parameter of `m`,
     /// using the gradients currently stored in the parameters.
     pub fn step(&self, m: &mut dyn Module, lr: f32) {
-        let mu = self.cfg.momentum;
-        let wd = self.cfg.weight_decay;
-        m.visit_params(&mut |p| {
-            let decay = if p.weight_decay { wd } else { 0.0 };
-            let w = p.value.data_mut();
-            let g = p.grad.data();
-            let v = p.momentum.data_mut();
-            for i in 0..w.len() {
-                v[i] = mu * v[i] + g[i] + decay * w[i];
-                w[i] -= lr * v[i];
-            }
-        });
+        self.update(m, lr, None, Grad::Params);
+    }
+
+    /// [`Sgd::step`] reading the gradient from `flat` (the
+    /// [`crate::layers::collect_grads`] layout) times `k` instead of from
+    /// the parameters — the replicated trainer's summed gradient with the
+    /// `1/n` average folded in, so scaling, installing and applying it is one
+    /// pass. `g = flat[i] * k` is the f32 product `reduce::scale` would have
+    /// stored (Rust never fuses it into the add), so the update is bitwise
+    /// that of scaling `flat`, installing it and calling [`Sgd::step`].
+    ///
+    /// # Panics
+    /// Panics if `flat` is not exactly the flattened parameter vector's
+    /// length.
+    pub fn step_flat(&self, m: &mut dyn Module, lr: f32, flat: &[f32], k: f32) {
+        self.update(m, lr, None, Grad::Flat(flat, k));
     }
 
     /// Range-restricted step for the sharded optimizer: update only the
@@ -68,30 +72,87 @@ impl Sgd {
         owned: std::ops::Range<usize>,
         velocity: &mut [f32],
     ) {
-        assert_eq!(velocity.len(), owned.len(), "velocity buffer must be shard-sized");
-        let mu = self.cfg.momentum;
-        let wd = self.cfg.weight_decay;
+        self.update(m, lr, Some((owned, velocity)), Grad::Params);
+    }
+
+    /// [`Sgd::step_range`] reading `flat[owned] * k` as the gradient, the
+    /// sharded counterpart of [`Sgd::step_flat`].
+    pub fn step_range_flat(
+        &self,
+        m: &mut dyn Module,
+        lr: f32,
+        owned: std::ops::Range<usize>,
+        velocity: &mut [f32],
+        flat: &[f32],
+        k: f32,
+    ) {
+        self.update(m, lr, Some((owned, velocity)), Grad::Flat(flat, k));
+    }
+
+    /// The walk behind every entry point: each element of the flattened
+    /// parameter vector inside the shard's owned range (all of them without
+    /// a shard) goes through [`sgd_update`], its momentum taken from the
+    /// shard's velocity buffer or else the parameter's own tensor.
+    fn update(
+        &self,
+        m: &mut dyn Module,
+        lr: f32,
+        mut shard: Option<(std::ops::Range<usize>, &mut [f32])>,
+        grad: Grad<'_>,
+    ) {
+        if let Some((owned, velocity)) = &shard {
+            assert_eq!(velocity.len(), owned.len(), "velocity buffer must be shard-sized");
+        }
+        let (mu, wd) = (self.cfg.momentum, self.cfg.weight_decay);
         let mut off = 0usize;
         m.visit_params(&mut |p| {
             let n = p.len();
-            let lo = owned.start.max(off).min(off + n);
-            let hi = owned.end.max(off).min(off + n);
+            let (lo, hi) = match &shard {
+                Some((owned, _)) => (owned.start.clamp(off, off + n), owned.end.clamp(off, off + n)),
+                None => (off, off + n),
+            };
             if lo < hi {
                 let decay = if p.weight_decay { wd } else { 0.0 };
-                let w = p.value.data_mut();
-                let g = p.grad.data();
-                let v = &mut velocity[lo - owned.start..hi - owned.start];
-                for (k, i) in (lo - off..hi - off).enumerate() {
-                    v[k] = mu * v[k] + g[i] + decay * w[i];
-                    w[i] -= lr * v[k];
-                }
+                let Param { value, grad: own, momentum, .. } = p;
+                let (g, k) = match grad {
+                    Grad::Params => (&own.data()[lo - off..hi - off], 1.0),
+                    Grad::Flat(flat, k) => (&flat[lo..hi], k),
+                };
+                let v = match &mut shard {
+                    Some((owned, velocity)) => &mut velocity[lo - owned.start..hi - owned.start],
+                    None => &mut momentum.data_mut()[lo - off..hi - off],
+                };
+                sgd_update(&mut value.data_mut()[lo - off..hi - off], v, g, k, mu, decay, lr);
             }
             off += n;
         });
-        assert!(
-            owned.end <= off,
-            "owned range {owned:?} exceeds the {off}-element parameter vector"
-        );
+        if let Some((owned, _)) = &shard {
+            assert!(
+                owned.end <= off,
+                "owned range {owned:?} exceeds the {off}-element parameter vector"
+            );
+        }
+        if let Grad::Flat(flat, _) = grad {
+            assert_eq!(flat.len(), off, "flattened gradient length mismatch");
+        }
+    }
+}
+
+/// Where an update reads its gradient: each parameter's own `p.grad`, or a
+/// flattened gradient times a scale.
+#[derive(Clone, Copy)]
+enum Grad<'a> {
+    Params,
+    Flat(&'a [f32], f32),
+}
+
+/// The one SGD update kernel: `v ← μ·v + g·k + λ·w`, `w ← w − lr·v`,
+/// elementwise. `k` is `1.0` for a gradient already at scale (`g · 1.0 == g`
+/// exactly), so the stored-gradient and folded-scale paths share it.
+fn sgd_update(w: &mut [f32], v: &mut [f32], g: &[f32], k: f32, mu: f32, decay: f32, lr: f32) {
+    for ((w, v), &g) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+        *v = mu * *v + g * k + decay * *w;
+        *w -= lr * *v;
     }
 }
 
@@ -376,6 +437,46 @@ mod tests {
         for i in 0..total {
             assert_eq!(mom[i].to_bits(), v[i].to_bits(), "velocity {i}");
         }
+    }
+
+    #[test]
+    fn folded_scale_steps_match_scale_install_step_bitwise() {
+        // `step_flat` / `step_range_flat` read `flat[i] * k` where the old
+        // trainer scaled `flat` in place, installed it with `set_grads` and
+        // stepped: same bits, including a -0.0, a subnormal and a shard cut
+        // through the weight tensor.
+        let total = crate::layers::param_count(&mut Linear::new(3, 4, 7));
+        let k = 1.0 / 3.0f32;
+        let sgd = Sgd::new(SgdConfig { momentum: 0.9, weight_decay: 1e-2 });
+        let (mut installed, mut folded) = (Linear::new(3, 4, 7), Linear::new(3, 4, 7));
+        let (mut shard_installed, mut shard_folded) = (Linear::new(3, 4, 7), Linear::new(3, 4, 7));
+        let (mut v_installed, mut v_folded) = (vec![0.0f32; 9], vec![0.0f32; 9]);
+        for step in 0..3 {
+            let mut flat: Vec<f32> =
+                (0..total).map(|i| ((i * 29 + step * 13) as f32).sin() * 7.0).collect();
+            flat[0] = -0.0;
+            flat[1] = f32::MIN_POSITIVE / 8.0;
+            let mut scaled = flat.clone();
+            scaled.iter_mut().for_each(|g| *g *= k);
+            crate::layers::set_grads(&mut installed, &scaled);
+            sgd.step(&mut installed, 0.05);
+            sgd.step_flat(&mut folded, 0.05, &flat, k);
+            crate::layers::set_grads(&mut shard_installed, &scaled);
+            sgd.step_range(&mut shard_installed, 0.05, 5..14, &mut v_installed);
+            sgd.step_range_flat(&mut shard_folded, 0.05, 5..14, &mut v_folded, &flat, k);
+        }
+        let bits = |m: &mut Linear| {
+            let mut out: Vec<u32> =
+                crate::layers::collect_params(m).iter().map(|x| x.to_bits()).collect();
+            out.extend(crate::layers::collect_momentum(m).iter().map(|x| x.to_bits()));
+            out
+        };
+        assert_eq!(bits(&mut installed), bits(&mut folded));
+        assert_eq!(bits(&mut shard_installed), bits(&mut shard_folded));
+        assert_eq!(
+            v_installed.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            v_folded.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -18,9 +18,7 @@ use dcnn_collectives::{
 use dcnn_dimd::shuffle::MPI_COUNT_LIMIT;
 use dcnn_dimd::{open_source, Dimd, Hello, SynthImageNet, ValSet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
-use dcnn_tensor::layers::{
-    collect_params, release_momentum, resident_bytes, set_grads, Module,
-};
+use dcnn_tensor::layers::{collect_params, params_into, release_momentum, resident_bytes, Module};
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::optim::{LrSchedule, Sgd, SgdConfig};
 use serde::Serialize;
@@ -609,7 +607,8 @@ fn train_epochs(st: TrainState<'_>) {
                     step_loss += out.loss / accum as f64;
                     step_correct += out.correct as u64;
                     if micro == 0 {
-                        grad.copy_from_slice(&out.grad);
+                        assert_eq!(out.grad.len(), grad.len(), "gradient length changed");
+                        *grad = out.grad;
                     } else {
                         reduce::sum_into(grad, &out.grad);
                     }
@@ -618,29 +617,31 @@ fn train_epochs(st: TrainState<'_>) {
             if !hooked && accum > 1 {
                 reduce::scale(grad, 1.0 / accum as f32);
             }
-            // Inter-node average: sum node-averages, divide by N.
+            // Inter-node average: sum node-averages; the optimizer divides
+            // by N as it reads them.
             progress.buckets_launched += stream.finish(&mut grad[..]) as u64;
-            reduce::scale(grad, 1.0 / n as f32);
+            let inv_n = 1.0 / n as f32;
             match shards {
                 // Replicated: every replica applies the full averaged
                 // gradient with full momentum, staying in sync implicitly.
-                None => exec.visit_replicas(|m| {
-                    set_grads(m, &grad[..]);
-                    sgd.step(m, lr);
-                }),
+                None => exec.visit_replicas(|m| sgd.step_flat(m, lr, &grad[..], inv_n)),
                 // Sharded: the reduce-scatter above fully reduced only this
                 // rank's owned range, so step exactly that range (replica 0
                 // stands in for the shard — the others resync from the
                 // allgather), then rebroadcast the stepped parameters.
                 // Per-element arithmetic is identical to the replicated
-                // step, so the gathered weights match it bitwise.
+                // step, so the gathered weights match it bitwise. The
+                // gradient is dead once stepped and the next step rewrites
+                // all of it, so its buffer carries the allgather: this rank
+                // fills its owned range from replica 0, the allgather the
+                // rest.
                 Some(sm) => {
+                    let owned = sm.owned(me);
                     let r0 = exec.replica(0);
-                    set_grads(r0, &grad[..]);
-                    sgd.step_range(r0, lr, sm.owned(me), velocity);
-                    let mut params = collect_params(exec.replica(0));
-                    comm.allgather_f32(&mut params, shard_counts.as_ref().expect("counts"));
-                    exec.set_params_all(&params);
+                    sgd.step_range_flat(r0, lr, owned.clone(), velocity, &grad[..], inv_n);
+                    params_into(r0, owned.clone(), &mut grad[owned]);
+                    comm.allgather_f32(grad, shard_counts.as_ref().expect("counts"));
+                    exec.set_params_all(grad);
                 }
             }
             progress.loss_sum += step_loss;

@@ -133,6 +133,10 @@ pub struct GradSync {
     /// candidate). An op plans on its first run and its clones share the
     /// plan, so every step after the first launches without planning.
     scatter_ops: RefCell<HashMap<(usize, usize), CollectiveOp>>,
+    /// One payload buffer per bucket: a seal copies the bucket into it and
+    /// hands it to the launch, `finish` puts it back after the copy-back,
+    /// so after the first exchange a seal allocates nothing.
+    payloads: RefCell<Vec<Vec<f32>>>,
 }
 
 impl GradSync {
@@ -148,10 +152,12 @@ impl GradSync {
         bucket_bytes: usize,
         fp16: bool,
     ) -> Self {
+        let buckets = plan_buckets(segments, bucket_bytes);
         GradSync {
             tuner: RefCell::new(policy.tuner()),
             segments: segments.to_vec(),
-            buckets: plan_buckets(segments, bucket_bytes),
+            payloads: RefCell::new(vec![Vec::new(); buckets.len()]),
+            buckets,
             bucket_bytes,
             fp16,
             shards: None,
@@ -307,12 +313,15 @@ impl<'a> GradStream<'a> {
         self.in_flight.len()
     }
 
-    /// Everything one bucket's launch takes: copy the payload out, quantize
-    /// it, pick the algorithm, build the op from the shard map, launch.
+    /// Everything one bucket's launch takes: copy the payload into the
+    /// bucket's buffer, quantize it, pick the algorithm, build the op from
+    /// the shard map, launch.
     fn seal(&mut self, i: usize, grad: &[f32], sealed_at: usize) {
         let sync = self.sync;
         let b = &sync.buckets[i];
-        let mut payload = grad[b.range()].to_vec();
+        let mut payload = std::mem::take(&mut sync.payloads.borrow_mut()[i]);
+        payload.clear();
+        payload.extend_from_slice(&grad[b.range()]);
         if sync.fp16 {
             quantize_f16(&mut payload);
         }
@@ -363,7 +372,9 @@ impl<'a> GradStream<'a> {
         }
         let launched = self.in_flight.len();
         for (i, p) in self.in_flight.into_iter().rev() {
-            grad[sync.buckets[i].range()].copy_from_slice(&p.wait());
+            let reduced = p.wait();
+            grad[sync.buckets[i].range()].copy_from_slice(&reduced);
+            sync.payloads.borrow_mut()[i] = reduced;
         }
         launched
     }
