@@ -1,9 +1,8 @@
 #![warn(missing_docs)]
 
-//! Shared rendering between the `repro` binary and the `figures` bench
-//! harness: turns each experiment's typed rows into the markdown tables the
-//! paper's figures/tables correspond to, with the paper's reported values
-//! alongside where the text states them.
+//! Rendering for the `repro` binary: turns each experiment's typed rows into
+//! the markdown tables the paper's figures/tables correspond to, with the
+//! paper's reported values alongside where the text states them.
 
 pub mod eval;
 pub mod perf;

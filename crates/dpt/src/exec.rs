@@ -8,6 +8,7 @@
 //! "none of the optimizations … have any impact on the final accuracy"
 //! claim (§5.4), made checkable.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -17,7 +18,6 @@ use dcnn_tensor::layers::{
 };
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::Tensor;
-use rayon::prelude::*;
 
 /// Scheduling strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,14 +141,14 @@ impl DptExecutor {
     /// engine seals and launches gradient buckets from this callback while
     /// earlier layers are still backpropagating.
     ///
-    /// The ranges tile `[0, param_count)` exactly, and both the reported
-    /// values and the returned `(mean loss, correct)` pair are
-    /// **bitwise identical** to what `step` produces: replicas are averaged
-    /// in replica index order with the same per-element operation sequence,
-    /// into one executor-owned buffer that `on_segment` borrows a range of.
-    /// One replica runs on the calling thread, its hook merging straight
-    /// from the parameter gradients; several run one thread each, sending
-    /// each finished range back to this thread to be merged.
+    /// The ranges tile `[0, param_count)` exactly. This is the one
+    /// Optimized body — `step` runs it with a hook that does nothing — so
+    /// the reported values and the returned `(mean loss, correct)` pair are
+    /// `step`'s: replicas are averaged in replica index order (`0.0 + g / m`,
+    /// then `+= g / m`) into one executor-owned buffer that `on_segment`
+    /// borrows a range of. One replica runs on the calling thread, its hook
+    /// merging straight from the parameter gradients; several run one thread
+    /// each, sending each finished range back to this thread to be merged.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas.
@@ -158,19 +158,15 @@ impl DptExecutor {
         labels: &[usize],
         mut on_segment: impl FnMut(usize, &[f32]),
     ) -> (f64, usize) {
-        let b = x.shape()[0];
         let m = self.replicas.len();
-        assert_eq!(b % m, 0, "batch {b} must divide across {m} GPUs");
-        assert_eq!(labels.len(), b);
-        let shard = b / m;
-        let sample = x.len() / b;
+        let shards = split_batch(x, labels, m);
         let total = self.segments.last().map_or(0, |s| s.offset + s.len);
         if self.merged.len() != total {
             self.merged = vec![0.0; total];
         }
         let merged = &mut self.merged;
 
-        if let [model] = &mut self.replicas[..] {
+        if let ([model], [(x, labels)]) = (&mut self.replicas[..], &shards[..]) {
             zero_grads(model.as_mut());
             let logits = model.forward(x, true);
             let out = SoftmaxCrossEntropy.forward(&logits, labels);
@@ -182,21 +178,8 @@ impl DptExecutor {
             return (0.0 + out.loss, out.correct);
         }
 
-        let shards: Vec<Tensor> = (0..m)
-            .map(|g| {
-                Tensor::from_vec(
-                    x.data()[g * shard * sample..(g + 1) * shard * sample].to_vec(),
-                    &{
-                        let mut s = x.shape().to_vec();
-                        s[0] = shard;
-                        s
-                    },
-                )
-            })
-            .collect();
-
-        // One thread per replica, like the Optimized rayon path, but with a
-        // channel back to this thread so ranges stream out as they finish.
+        // One thread per replica, with a channel back to this thread so
+        // ranges stream out as they finish.
         let (tx, rx) = mpsc::channel::<(usize, usize, Vec<f32>)>();
         let mut loss = 0.0f64;
         let mut correct = 0usize;
@@ -206,9 +189,8 @@ impl DptExecutor {
                 .iter_mut()
                 .zip(&shards)
                 .enumerate()
-                .map(|(g, (model, xs))| {
+                .map(|(g, (model, (xs, shard_labels)))| {
                     let tx = tx.clone();
-                    let shard_labels = &labels[g * shard..(g + 1) * shard];
                     s.spawn(move || {
                         zero_grads(model.as_mut());
                         let logits = model.forward(xs, true);
@@ -226,8 +208,7 @@ impl DptExecutor {
 
             // Fire `on_segment` the moment the last replica reports a range.
             // Every replica walks the same module tree, so ranges complete in
-            // backward order; averaging runs in replica *index* order — the
-            // exact per-element sequence of `step`'s merge.
+            // backward order; averaging runs in replica *index* order.
             let mut slots: HashMap<usize, Vec<Option<Vec<f32>>>> = HashMap::new();
             while let Ok((g, off, vals)) = rx.recv() {
                 let entry = slots.entry(off).or_insert_with(|| vec![None; m]);
@@ -259,119 +240,105 @@ impl DptExecutor {
     }
 
     /// Run one iteration on a node batch `x: [B, C, H, W]` under `strategy`.
+    /// [`DptStrategy::Optimized`] is [`DptExecutor::step_streamed`] with a
+    /// hook that does nothing; the merged gradient is moved out, so the next
+    /// step allocates a new one.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas.
     pub fn step(&mut self, x: &Tensor, labels: &[usize], strategy: DptStrategy) -> IterOutput {
+        if strategy == DptStrategy::Optimized {
+            let (loss, correct) = self.step_streamed(x, labels, |_, _| {});
+            let grad = std::mem::take(&mut self.merged);
+            return IterOutput { loss, grad, correct, segments: Arc::clone(&self.segments) };
+        }
         let b = x.shape()[0];
         let m = self.replicas.len();
-        assert_eq!(b % m, 0, "batch {b} must divide across {m} GPUs");
-        assert_eq!(labels.len(), b);
         let shard = b / m;
-        let sample = x.len() / b;
         let crit = SoftmaxCrossEntropy;
+        // In the baseline the input split passes through GPU1 (priced by the
+        // timeline model); mathematically the shards are identical, which is
+        // the point.
+        let shards = split_batch(x, labels, m);
 
-        // Partition inputs. In the baseline this data movement passes
-        // through GPU1 (priced by the timeline model); mathematically the
-        // shards are identical, which is the point.
-        let shards: Vec<Tensor> = (0..m)
-            .map(|g| {
-                Tensor::from_vec(
-                    x.data()[g * shard * sample..(g + 1) * shard * sample].to_vec(),
-                    &{
-                        let mut s = x.shape().to_vec();
-                        s[0] = shard;
-                        s
-                    },
-                )
-            })
-            .collect();
-
-        match strategy {
-            DptStrategy::Optimized => {
-                // Fully parallel: forward + criterion + backward per GPU.
-                let results: Vec<(f64, Vec<f32>, usize)> = self
-                    .replicas
-                    .par_iter_mut()
-                    .zip(shards.par_iter())
-                    .enumerate()
-                    .map(|(g, (model, xs))| {
-                        zero_grads(model.as_mut());
-                        let logits = model.forward(xs, true);
-                        let out = crit.forward(&logits, &labels[g * shard..(g + 1) * shard]);
-                        let _ = model.backward(&out.grad);
-                        (out.loss, collect_grads(model.as_mut()), out.correct)
-                    })
-                    .collect();
-                // Average in place on replica 0's buffer. `0.0 + a / m` is
-                // the first term of the sum from zeros the streamed merge
-                // runs (so a `-0.0` gradient still comes out `+0.0`).
-                let mut results = results.into_iter();
-                let (l0, mut grad, mut correct) = results.next().expect("at least one replica");
-                let mut loss = 0.0 + l0 / m as f64;
-                for a in &mut grad {
-                    *a = 0.0 + *a / m as f32;
+        // Forwards run per GPU, but logits are gathered and the criterion is
+        // evaluated once over the full batch ("GPU1"), then gradients are
+        // scattered back — all serialized.
+        let mut logits_all: Option<Tensor> = None;
+        for (g, (model, (xs, _))) in self.replicas.iter_mut().zip(&shards).enumerate() {
+            zero_grads(model.as_mut());
+            let logits = model.forward(xs, true);
+            let k = logits.shape()[1];
+            match &mut logits_all {
+                None => {
+                    let mut t = Tensor::zeros(&[b, k]);
+                    t.data_mut()[..shard * k].copy_from_slice(logits.data());
+                    logits_all = Some(t);
                 }
-                for (l, g, c) in results {
-                    loss += l / m as f64;
-                    correct += c;
-                    merge_add(&mut grad, &g, m as f32);
-                }
-                IterOutput { loss, grad, correct, segments: Arc::clone(&self.segments) }
-            }
-            DptStrategy::Baseline => {
-                // Forwards run per GPU, but logits are gathered and the
-                // criterion is evaluated once over the full batch ("GPU1"),
-                // then gradients are scattered back — all serialized.
-                let mut logits_all: Option<Tensor> = None;
-                for (g, (model, xs)) in self.replicas.iter_mut().zip(&shards).enumerate() {
-                    zero_grads(model.as_mut());
-                    let logits = model.forward(xs, true);
-                    let k = logits.shape()[1];
-                    match &mut logits_all {
-                        None => {
-                            let mut t = Tensor::zeros(&[b, k]);
-                            t.data_mut()[..shard * k].copy_from_slice(logits.data());
-                            logits_all = Some(t);
-                        }
-                        Some(t) => t.data_mut()[g * shard * k..(g + 1) * shard * k]
-                            .copy_from_slice(logits.data()),
-                    }
-                }
-                let logits_all = logits_all.expect("at least one replica");
-                let out = crit.forward(&logits_all, labels);
-                let k = logits_all.shape()[1];
-                // Scatter loss gradient shards and run backwards serially
-                // (the stock design's callback serialization).
-                let mut grad: Option<Vec<f32>> = None;
-                for (g, model) in self.replicas.iter_mut().enumerate() {
-                    // Full-batch criterion already divides by B; per-shard
-                    // backward therefore yields the batch-average directly
-                    // when summed.
-                    let gshard = Tensor::from_vec(
-                        out.grad.data()[g * shard * k..(g + 1) * shard * k].to_vec(),
-                        &[shard, k],
-                    );
-                    let _ = model.backward(&gshard);
-                    let local = collect_grads(model.as_mut());
-                    match &mut grad {
-                        None => grad = Some(local),
-                        Some(acc) => {
-                            for (a, b) in acc.iter_mut().zip(&local) {
-                                *a += b;
-                            }
-                        }
-                    }
-                }
-                IterOutput {
-                    loss: out.loss,
-                    grad: grad.expect("replicas"),
-                    correct: out.correct,
-                    segments: Arc::clone(&self.segments),
+                Some(t) => {
+                    t.data_mut()[g * shard * k..(g + 1) * shard * k].copy_from_slice(logits.data())
                 }
             }
         }
+        let logits_all = logits_all.expect("at least one replica");
+        let out = crit.forward(&logits_all, labels);
+        let k = logits_all.shape()[1];
+        // Scatter loss gradient shards and run backwards serially (the stock
+        // design's callback serialization).
+        let mut grad: Option<Vec<f32>> = None;
+        for (g, model) in self.replicas.iter_mut().enumerate() {
+            // Full-batch criterion already divides by B; per-shard backward
+            // therefore yields the batch-average directly when summed.
+            let gshard = Tensor::from_vec(
+                out.grad.data()[g * shard * k..(g + 1) * shard * k].to_vec(),
+                &[shard, k],
+            );
+            let _ = model.backward(&gshard);
+            let local = collect_grads(model.as_mut());
+            match &mut grad {
+                None => grad = Some(local),
+                Some(acc) => {
+                    for (a, b) in acc.iter_mut().zip(&local) {
+                        *a += b;
+                    }
+                }
+            }
+        }
+        IterOutput {
+            loss: out.loss,
+            grad: grad.expect("replicas"),
+            correct: out.correct,
+            segments: Arc::clone(&self.segments),
+        }
     }
+}
+
+/// Split a node batch into `m` equal per-GPU shards of inputs and labels.
+/// One GPU's shard is the batch itself, borrowed; more are copied out.
+///
+/// # Panics
+/// Panics unless the batch divides evenly across the `m` GPUs.
+fn split_batch<'a>(
+    x: &'a Tensor,
+    labels: &'a [usize],
+    m: usize,
+) -> Vec<(Cow<'a, Tensor>, &'a [usize])> {
+    let b = x.shape()[0];
+    assert_eq!(b % m, 0, "batch {b} must divide across {m} GPUs");
+    assert_eq!(labels.len(), b);
+    if m == 1 {
+        return vec![(Cow::Borrowed(x), labels)];
+    }
+    let shard = b / m;
+    let sample = x.len() / b;
+    let mut shape = x.shape().to_vec();
+    shape[0] = shard;
+    (0..m)
+        .map(|g| {
+            let xs = x.data()[g * shard * sample..(g + 1) * shard * sample].to_vec();
+            (Cow::Owned(Tensor::from_vec(xs, &shape)), &labels[g * shard..(g + 1) * shard])
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -501,31 +468,69 @@ mod tests {
         }
     }
 
+    /// The Optimized step as `step` computed it on its own before it ran
+    /// `step_streamed`'s body: forward, criterion and plain backward on each
+    /// replica, each replica's gradient flattened by `collect_grads`, then
+    /// the average from zeros, `0.0 + g / m` and `+= g / m`, in replica
+    /// index order. Returns `(loss, grad, correct)`.
+    fn reference_step(
+        replicas: &mut [Box<dyn Module>],
+        x: &Tensor,
+        labels: &[usize],
+    ) -> (f64, Vec<f32>, usize) {
+        let m = replicas.len();
+        let (mut loss, mut grad, mut correct) = (0.0f64, Vec::new(), 0usize);
+        for (model, (xs, ls)) in replicas.iter_mut().zip(split_batch(x, labels, m)) {
+            zero_grads(model.as_mut());
+            let logits = model.forward(&xs, true);
+            let out = SoftmaxCrossEntropy.forward(&logits, ls);
+            let _ = model.backward(&out.grad);
+            let local = collect_grads(model.as_mut());
+            grad.resize(local.len(), 0.0);
+            for (a, &b) in grad.iter_mut().zip(&local) {
+                *a += b / m as f32;
+            }
+            loss += out.loss / m as f64;
+            correct += out.correct;
+        }
+        (loss, grad, correct)
+    }
+
     #[test]
     fn step_streamed_matches_step_bitwise() {
-        // m = 1 is the inline path (the calling thread, no channel), m = 2
-        // the threaded one; both merge into the executor's buffer. Two steps
-        // each, so the second reuses the buffer the first allocated.
-        for m in [1, 2] {
+        // Both entry points against the reference: m = 1 is the inline path
+        // (the calling thread, no channel), m = 2 and 4 the threaded one;
+        // both merge into the executor's buffer. Two steps each, so the
+        // second reuses (streamed) or reallocates (`step`, which moves the
+        // buffer out) what the first left.
+        for m in [1, 2, 4] {
             let (x, labels) = batch(8, 19);
+            let mut replicas: Vec<Box<dyn Module>> = (0..m).map(|_| tiny_factory()).collect();
             let mut plain = DptExecutor::new(m, tiny_factory);
             let mut streamed = DptExecutor::new(m, tiny_factory);
             for step in 0..2 {
-                let reference = plain.step(&x, &labels, DptStrategy::Optimized);
+                let (ref_loss, ref_grad, ref_correct) = reference_step(&mut replicas, &x, &labels);
+                let out = plain.step(&x, &labels, DptStrategy::Optimized);
 
-                let mut grad = vec![f32::NAN; reference.grad.len()];
+                let mut grad = vec![f32::NAN; ref_grad.len()];
                 let mut fired: Vec<(usize, usize)> = Vec::new();
                 let (loss, correct) = streamed.step_streamed(&x, &labels, |off, vals| {
                     grad[off..off + vals.len()].copy_from_slice(vals);
                     fired.push((off, vals.len()));
                 });
 
-                let what = format!("m={m} step {step}");
-                assert_eq!(loss.to_bits(), reference.loss.to_bits(), "{what}");
-                assert_eq!(correct, reference.correct, "{what}");
-                for (i, (a, b)) in grad.iter().zip(&reference.grad).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{what} grad[{i}]: {a} vs {b}");
+                for (what, loss, got, correct) in
+                    [("step", out.loss, &out.grad, out.correct), ("streamed", loss, &grad, correct)]
+                {
+                    let what = format!("m={m} step {step} {what}");
+                    assert_eq!(loss.to_bits(), ref_loss.to_bits(), "{what}");
+                    assert_eq!(correct, ref_correct, "{what}");
+                    assert_eq!(got.len(), ref_grad.len(), "{what}");
+                    for (i, (a, b)) in got.iter().zip(&ref_grad).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what} grad[{i}]: {a} vs {b}");
+                    }
                 }
+                let what = format!("m={m} step {step}");
                 // Ranges tile the gradient exactly and stream tail-first.
                 assert!(fired[0].0 > fired[fired.len() - 1].0, "{what}: tail layers first");
                 fired.sort_unstable();
@@ -534,11 +539,14 @@ mod tests {
                     assert_eq!(o, off, "{what}: ranges must tile without gaps or overlap");
                     off += n;
                 }
-                assert_eq!(off, reference.grad.len(), "{what}");
-                // Both executors step their replicas the same way, so the
-                // second step starts from equal parameters again.
+                assert_eq!(off, ref_grad.len(), "{what}");
+                // All three step their replicas the same way, so the second
+                // step starts from equal parameters again.
                 let sgd = dcnn_tensor::optim::Sgd::default();
-                plain.visit_replicas(|r| sgd.step_flat(r, 0.1, &reference.grad, 1.0));
+                for r in &mut replicas {
+                    sgd.step_flat(r.as_mut(), 0.1, &ref_grad, 1.0);
+                }
+                plain.visit_replicas(|r| sgd.step_flat(r, 0.1, &out.grad, 1.0));
                 streamed.visit_replicas(|r| sgd.step_flat(r, 0.1, &grad, 1.0));
             }
         }

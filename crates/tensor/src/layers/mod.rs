@@ -22,6 +22,8 @@ pub use linear::Linear;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use relu::ReLU;
 
+use std::ops::Range;
+
 use crate::tensor::Tensor;
 
 /// A trainable parameter: value, gradient and momentum buffer.
@@ -186,13 +188,47 @@ fn collect(m: &mut dyn Module, field: fn(&Param) -> &Tensor) -> Vec<f32> {
 /// # Panics
 /// Panics if `flat` has the wrong total length.
 pub fn set_grads(m: &mut dyn Module, flat: &[f32]) {
+    set(m, flat, |p| &mut p.grad, "gradient");
+}
+
+/// Overwrite one tensor of every parameter from a flattened buffer, the
+/// inverse of [`collect`].
+fn set(m: &mut dyn Module, flat: &[f32], field: fn(&mut Param) -> &mut Tensor, what: &str) {
+    let total = visit_range(m, ALL, |p, local, at| {
+        field(p).data_mut()[local].copy_from_slice(&flat[at]);
+    });
+    assert_eq!(total, flat.len(), "flattened {what} length mismatch");
+}
+
+/// The whole flattened vector, as a range for [`visit_range`].
+pub(crate) const ALL: Range<usize> = 0..usize::MAX;
+
+/// The flattened-vector layout, walked once: `f(p, local, at)` for every
+/// parameter `p` that overlaps `range`, in [`Module::visit_params`] order,
+/// where `local` indexes the overlap in `p`'s own tensors and `at` the same
+/// elements in the flattened vector. Returns the vector's length.
+///
+/// # Panics
+/// Panics if `range` (other than [`ALL`]) ends past the vector.
+pub(crate) fn visit_range(
+    m: &mut dyn Module,
+    range: Range<usize>,
+    mut f: impl FnMut(&mut Param, Range<usize>, Range<usize>),
+) -> usize {
     let mut off = 0;
     m.visit_params(&mut |p| {
         let n = p.len();
-        p.grad.data_mut().copy_from_slice(&flat[off..off + n]);
+        let (lo, hi) = (range.start.clamp(off, off + n), range.end.clamp(off, off + n));
+        if lo < hi {
+            f(p, lo - off..hi - off, lo..hi);
+        }
         off += n;
     });
-    assert_eq!(off, flat.len(), "flattened gradient length mismatch");
+    assert!(
+        range == ALL || range.end <= off,
+        "range {range:?} exceeds the {off}-element parameter vector"
+    );
+    off
 }
 
 /// Flatten all parameter values (for weight-synchronization checks).
@@ -206,19 +242,12 @@ pub fn collect_params(m: &mut dyn Module) -> Vec<f32> {
 ///
 /// # Panics
 /// Panics if `out.len() != range.len()` or `range` ends past the vector.
-pub fn params_into(m: &mut dyn Module, range: std::ops::Range<usize>, out: &mut [f32]) {
+pub fn params_into(m: &mut dyn Module, range: Range<usize>, out: &mut [f32]) {
     assert_eq!(out.len(), range.len(), "output must be range-sized");
-    let mut off = 0;
-    m.visit_params(&mut |p| {
-        let n = p.len();
-        let (lo, hi) = (range.start.clamp(off, off + n), range.end.clamp(off, off + n));
-        if lo < hi {
-            out[lo - range.start..hi - range.start]
-                .copy_from_slice(&p.value.data()[lo - off..hi - off]);
-        }
-        off += n;
+    let start = range.start;
+    visit_range(m, range, |p, local, at| {
+        out[at.start - start..at.end - start].copy_from_slice(&p.value.data()[local]);
     });
-    assert!(range.end <= off, "range {range:?} exceeds the {off}-element parameter vector");
 }
 
 /// Flatten the optimizer momentum state (for exact checkpoint/resume).
@@ -228,13 +257,7 @@ pub fn collect_momentum(m: &mut dyn Module) -> Vec<f32> {
 
 /// Restore flattened momentum state.
 pub fn set_momentum(m: &mut dyn Module, flat: &[f32]) {
-    let mut off = 0;
-    m.visit_params(&mut |p| {
-        let n = p.len();
-        p.momentum.data_mut().copy_from_slice(&flat[off..off + n]);
-        off += n;
-    });
-    assert_eq!(off, flat.len(), "flattened momentum length mismatch");
+    set(m, flat, |p| &mut p.momentum, "momentum");
 }
 
 /// Free every per-parameter momentum buffer (shrink to zero elements). The
@@ -278,13 +301,7 @@ pub fn resident_bytes(m: &mut dyn Module) -> (usize, usize) {
 
 /// Overwrite parameter values from a flattened buffer.
 pub fn set_params(m: &mut dyn Module, flat: &[f32]) {
-    let mut off = 0;
-    m.visit_params(&mut |p| {
-        let n = p.len();
-        p.value.data_mut().copy_from_slice(&flat[off..off + n]);
-        off += n;
-    });
-    assert_eq!(off, flat.len(), "flattened parameter length mismatch");
+    set(m, flat, |p| &mut p.value, "parameter");
 }
 
 /// Central-difference numeric gradient checker used by layer tests: compares

@@ -6,7 +6,10 @@
 //! is the total number of workers. We use a 90 epoch training regime with
 //! the learning rate dropped by a factor of 10 after every 30 epochs."
 
-use crate::layers::{Module, Param};
+use std::ops::Range;
+
+use crate::layers::{visit_range, Module, Param, ALL};
+use crate::tensor::Tensor;
 
 /// Hyper-parameters for SGD (fb.resnet.torch defaults, which the paper uses).
 #[derive(Debug, Clone)]
@@ -69,7 +72,7 @@ impl Sgd {
         &self,
         m: &mut dyn Module,
         lr: f32,
-        owned: std::ops::Range<usize>,
+        owned: Range<usize>,
         velocity: &mut [f32],
     ) {
         self.update(m, lr, Some((owned, velocity)), Grad::Params);
@@ -81,7 +84,7 @@ impl Sgd {
         &self,
         m: &mut dyn Module,
         lr: f32,
-        owned: std::ops::Range<usize>,
+        owned: Range<usize>,
         velocity: &mut [f32],
         flat: &[f32],
         k: f32,
@@ -97,44 +100,50 @@ impl Sgd {
         &self,
         m: &mut dyn Module,
         lr: f32,
-        mut shard: Option<(std::ops::Range<usize>, &mut [f32])>,
+        mut shard: Option<(Range<usize>, &mut [f32])>,
         grad: Grad<'_>,
     ) {
-        if let Some((owned, velocity)) = &shard {
-            assert_eq!(velocity.len(), owned.len(), "velocity buffer must be shard-sized");
-        }
         let (mu, wd) = (self.cfg.momentum, self.cfg.weight_decay);
-        let mut off = 0usize;
-        m.visit_params(&mut |p| {
-            let n = p.len();
-            let (lo, hi) = match &shard {
-                Some((owned, _)) => (owned.start.clamp(off, off + n), owned.end.clamp(off, off + n)),
-                None => (off, off + n),
+        let total = visit_range(m, shard_range(&shard), |p, local, at| {
+            let decay = if p.weight_decay { wd } else { 0.0 };
+            let Param { value, grad: own, momentum, .. } = p;
+            let (g, k) = match grad {
+                Grad::Params => (&own.data()[local.clone()], 1.0),
+                Grad::Flat(flat, k) => (&flat[at.clone()], k),
             };
-            if lo < hi {
-                let decay = if p.weight_decay { wd } else { 0.0 };
-                let Param { value, grad: own, momentum, .. } = p;
-                let (g, k) = match grad {
-                    Grad::Params => (&own.data()[lo - off..hi - off], 1.0),
-                    Grad::Flat(flat, k) => (&flat[lo..hi], k),
-                };
-                let v = match &mut shard {
-                    Some((owned, velocity)) => &mut velocity[lo - owned.start..hi - owned.start],
-                    None => &mut momentum.data_mut()[lo - off..hi - off],
-                };
-                sgd_update(&mut value.data_mut()[lo - off..hi - off], v, g, k, mu, decay, lr);
-            }
-            off += n;
+            let v = velocity(&mut shard, momentum, local.clone(), at);
+            sgd_update(&mut value.data_mut()[local], v, g, k, mu, decay, lr);
         });
-        if let Some((owned, _)) = &shard {
-            assert!(
-                owned.end <= off,
-                "owned range {owned:?} exceeds the {off}-element parameter vector"
-            );
-        }
         if let Grad::Flat(flat, _) = grad {
-            assert_eq!(flat.len(), off, "flattened gradient length mismatch");
+            assert_eq!(flat.len(), total, "flattened gradient length mismatch");
         }
+    }
+}
+
+/// The flattened range a step walks: the shard's owned range, checked
+/// against its velocity buffer, or [`ALL`] without a shard.
+fn shard_range(shard: &Option<(Range<usize>, &mut [f32])>) -> Range<usize> {
+    match shard {
+        Some((owned, velocity)) => {
+            assert_eq!(velocity.len(), owned.len(), "velocity buffer must be shard-sized");
+            owned.clone()
+        }
+        None => ALL,
+    }
+}
+
+/// The momentum for one overlap the walk yields: the shard's velocity
+/// buffer at `at` (counted from the owned range's start), or else the
+/// parameter's own `momentum` tensor at `local`.
+fn velocity<'a>(
+    shard: &'a mut Option<(Range<usize>, &mut [f32])>,
+    momentum: &'a mut Tensor,
+    local: Range<usize>,
+    at: Range<usize>,
+) -> &'a mut [f32] {
+    match shard {
+        Some((owned, velocity)) => &mut velocity[at.start - owned.start..at.end - owned.start],
+        None => &mut momentum.data_mut()[local],
     }
 }
 
@@ -182,24 +191,7 @@ impl Default for Lars {
 impl Lars {
     /// Apply one LARS update at global learning rate `lr`.
     pub fn step(&self, m: &mut dyn Module, lr: f32) {
-        let (mu, wd, trust, eps) = (self.momentum, self.weight_decay, self.trust, self.eps);
-        m.visit_params(&mut |p| {
-            let wn = norm(p.value.data());
-            let gn = norm(p.grad.data());
-            let decay = if p.weight_decay { wd } else { 0.0 };
-            let local = if wn > 0.0 && gn > 0.0 {
-                trust * wn / (gn + decay * wn + eps)
-            } else {
-                1.0
-            };
-            let w = p.value.data_mut();
-            let g = p.grad.data();
-            let v = p.momentum.data_mut();
-            for i in 0..w.len() {
-                v[i] = mu * v[i] + local * lr * (g[i] + decay * w[i]);
-                w[i] -= v[i];
-            }
-        });
+        self.update(m, lr, None);
     }
 
     /// Range-restricted LARS step, the analog of [`Sgd::step_range`].
@@ -215,39 +207,33 @@ impl Lars {
         &self,
         m: &mut dyn Module,
         lr: f32,
-        owned: std::ops::Range<usize>,
+        owned: Range<usize>,
         velocity: &mut [f32],
     ) {
-        assert_eq!(velocity.len(), owned.len(), "velocity buffer must be shard-sized");
+        self.update(m, lr, Some((owned, velocity)));
+    }
+
+    /// The walk behind both entry points, as [`Sgd`]'s: momentum from the
+    /// shard's velocity buffer or else the parameter's own tensor.
+    fn update(&self, m: &mut dyn Module, lr: f32, mut shard: Option<(Range<usize>, &mut [f32])>) {
         let (mu, wd, trust, eps) = (self.momentum, self.weight_decay, self.trust, self.eps);
-        let mut off = 0usize;
-        m.visit_params(&mut |p| {
-            let n = p.len();
-            let lo = owned.start.max(off).min(off + n);
-            let hi = owned.end.max(off).min(off + n);
-            if lo < hi {
-                let wn = norm(p.value.data());
-                let gn = norm(p.grad.data());
-                let decay = if p.weight_decay { wd } else { 0.0 };
-                let local = if wn > 0.0 && gn > 0.0 {
-                    trust * wn / (gn + decay * wn + eps)
-                } else {
-                    1.0
-                };
-                let w = p.value.data_mut();
-                let g = p.grad.data();
-                let v = &mut velocity[lo - owned.start..hi - owned.start];
-                for (k, i) in (lo - off..hi - off).enumerate() {
-                    v[k] = mu * v[k] + local * lr * (g[i] + decay * w[i]);
-                    w[i] -= v[k];
-                }
+        visit_range(m, shard_range(&shard), |p, local, at| {
+            let wn = norm(p.value.data());
+            let gn = norm(p.grad.data());
+            let decay = if p.weight_decay { wd } else { 0.0 };
+            let local_lr = if wn > 0.0 && gn > 0.0 {
+                trust * wn / (gn + decay * wn + eps)
+            } else {
+                1.0
+            };
+            let Param { value, grad, momentum, .. } = p;
+            let v = velocity(&mut shard, momentum, local.clone(), at);
+            let (w, g) = (&mut value.data_mut()[local.clone()], &grad.data()[local]);
+            for ((w, v), &g) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+                *v = mu * *v + local_lr * lr * (g + decay * *w);
+                *w -= *v;
             }
-            off += n;
         });
-        assert!(
-            owned.end <= off,
-            "owned range {owned:?} exceeds the {off}-element parameter vector"
-        );
     }
 }
 

@@ -487,7 +487,7 @@ struct TrainState<'a> {
     val: &'a Option<ValSet>,
     exec: &'a mut DptExecutor,
     gsync: &'a mut GradSync,
-    grad: &'a mut Vec<f32>,
+    grad: &'a mut [f32],
     shards: &'a Option<ShardMap>,
     velocity: &'a mut Vec<f32>,
     stats: &'a mut Vec<EpochStats>,
@@ -571,9 +571,13 @@ fn train_epochs(st: TrainState<'_>) {
             let frac_epoch = epoch as f32 + it as f32 / iterations as f32;
             let lr = cfg.lr.lr_at(frac_epoch);
             // Gradient accumulation: average `accum_steps` micro-batches
-            // before the exchange, reusing the pre-sized buffer (the first
-            // micro-step overwrites, the rest add in place).
+            // before the exchange in the pre-sized buffer, range by range as
+            // each micro-batch reports them: the first copies, the rest add,
+            // the last scales by 1/accum and, hooked, hands the range to the
+            // bucket scheduler — a bucket's allreduce launches the instant
+            // its last range lands.
             let accum = cfg.accum_steps.max(1);
+            let inv_accum = 1.0 / accum as f32;
             let mut step_loss = 0.0;
             let mut step_correct = 0u64;
             // One exchange per step, whatever the schedule: the hooked path
@@ -582,40 +586,31 @@ fn train_epochs(st: TrainState<'_>) {
             let mut stream = gsync.begin(comm);
             for micro in 0..accum {
                 let (x, labels) = source.next_batch();
-                if hooked && micro + 1 == accum {
-                    // Final micro-batch: stream parameter ranges out of the
-                    // backward pass, finalizing each range in place (add the
-                    // micro-gradient, scale by 1/accum) with exactly the
-                    // per-element operation sequence of the buffered path,
-                    // then hand it to the bucket scheduler — a bucket's
-                    // allreduce launches the instant its last range lands.
-                    let inv_accum = 1.0 / accum as f32;
-                    let (l, c) = exec.step_streamed(&x, &labels, |off, vals| {
-                        let seg = &mut grad[off..off + vals.len()];
-                        if accum == 1 {
-                            seg.copy_from_slice(vals);
-                        } else {
-                            reduce::sum_into(seg, vals);
-                            reduce::scale(seg, inv_accum);
-                        }
-                        stream.segment_ready(&grad[..], off, vals.len());
-                    });
-                    step_loss += l / accum as f64;
-                    step_correct += c as u64;
-                } else {
-                    let out = exec.step(&x, &labels, cfg.strategy);
-                    step_loss += out.loss / accum as f64;
-                    step_correct += out.correct as u64;
+                let last = micro + 1 == accum;
+                let mut take = |off: usize, vals: &[f32]| {
+                    let seg = &mut grad[off..off + vals.len()];
                     if micro == 0 {
-                        assert_eq!(out.grad.len(), grad.len(), "gradient length changed");
-                        *grad = out.grad;
+                        seg.copy_from_slice(vals);
                     } else {
-                        reduce::sum_into(grad, &out.grad);
+                        reduce::sum_into(seg, vals);
                     }
-                }
-            }
-            if !hooked && accum > 1 {
-                reduce::scale(grad, 1.0 / accum as f32);
+                    if last && accum > 1 {
+                        reduce::scale(seg, inv_accum);
+                    }
+                    if last && hooked {
+                        stream.segment_ready(&grad[..], off, vals.len());
+                    }
+                };
+                let (l, c) = match cfg.strategy {
+                    DptStrategy::Optimized => exec.step_streamed(&x, &labels, &mut take),
+                    DptStrategy::Baseline => {
+                        let out = exec.step(&x, &labels, DptStrategy::Baseline);
+                        take(0, &out.grad);
+                        (out.loss, out.correct)
+                    }
+                };
+                step_loss += l / accum as f64;
+                step_correct += c as u64;
             }
             // Inter-node average: sum node-averages; the optimizer divides
             // by N as it reads them.

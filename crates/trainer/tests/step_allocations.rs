@@ -4,8 +4,9 @@
 //! merge buffer, the per-bucket payloads, the transports' message pools, the
 //! trainer's gradient buffer the sharded allgather reuses — a training step
 //! of the FC model (6.3 MB of gradient) allocates no block of 64 KiB or
-//! more, bar the site each test names (the parent commit allocated 22 such
-//! blocks per rank and step on the TCP run, 11 on the sharded one).
+//! more, bar the site a test names (before those copies went, 22 such
+//! blocks per rank and step on the TCP run and 11 on the sharded one; the
+//! sharded run now allocates none).
 //!
 //! A counting global allocator notes every allocation (or growing
 //! reallocation) of at least [`BIG`] bytes while armed. The model sits in a
@@ -20,7 +21,7 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use dcnn_collectives::{ClusterBuilder, OverlapMode, RuntimeConfig, TransportKind};
 use dcnn_dimd::{SynthConfig, SynthImageNet};
-use dcnn_tensor::layers::{param_count, Conv2d, Flatten, Linear, Module, Param, ReLU};
+use dcnn_tensor::layers::{Conv2d, Flatten, Linear, Module, Param, ReLU};
 use dcnn_tensor::{LrSchedule, Sequential, Tensor};
 use dcnn_trainer::{train_on_comm, TrainConfig};
 
@@ -236,18 +237,16 @@ fn hooked_tcp_step_allocates_nothing_but_pool_growth() {
 #[test]
 fn sharded_threads_step_allocates_only_the_iteration_gradient() {
     // The `fcnet-sharded` exchange: one fused reduce-scatter, `step_range`,
-    // the parameter allgather, over the threaded fabric. One site remains:
-    // `DptExecutor::step` returns its gradient as an owned vector
-    // (`IterOutput::grad`, flattened from replica 0 by `collect_grads`),
-    // which the trainer moves into its buffer — one block of the gradient's
-    // size per rank and step, and nothing else.
+    // the parameter allgather, over the threaded fabric. Nothing remains:
+    // the replica's ranges merge into the executor's buffer and stream into
+    // the trainer's (no `IterOutput::grad` per step any more), and that
+    // buffer carries the allgather.
     let mut cfg = fc_config();
     cfg.shard_optim = true;
-    let grad_bytes = param_count(fcnet().as_mut()) * 4;
     let (counted, sizes) = big_allocations_per_window(&cfg, TransportKind::Threads);
     assert_eq!(
         (counted, sizes),
-        (MEASURED * RANKS, vec![grad_bytes; MEASURED * RANKS]),
-        "expected only IterOutput::grad ({grad_bytes} bytes) once per rank and step"
+        (0, vec![]),
+        "expected no allocation of >= {BIG} bytes in {MEASURED} steps x {RANKS} ranks"
     );
 }
