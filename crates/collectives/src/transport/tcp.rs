@@ -25,6 +25,12 @@
 //! every rank above it, each connection starting with a HELLO frame naming
 //! the dialer's rank.
 //!
+//! Every step is bounded by the timeout. Each retry — a dial, and a
+//! registration or mesh HELLO whose connection tore — runs one backoff loop
+//! ([`with_backoff`]), shared with the data plane's blob-server dial; both
+//! accept phases run one polling loop ([`accept_until`]) that fails naming
+//! the ranks that never arrived.
+//!
 //! ## Data plane
 //!
 //! Each established connection gets a reader thread (parses frames, checks
@@ -34,9 +40,10 @@
 //! peer, preserving the eager-protocol guarantee the collectives rely on).
 //! The writer never stages a frame: it computes the head and CRC trailer,
 //! then hands head/payload/trailer to one vectored write
-//! ([`wire::write_frames_vectored`]) — and it drains whatever else is
-//! already queued first, so bursts of small frames (the collectives' control
-//! traffic) leave in a single syscall instead of one per frame.
+//! ([`wire::write_service_frames_vectored`]) — and it drains whatever else
+//! is already queued first, so bursts of small frames (the collectives'
+//! control traffic) leave in a single syscall instead of one per frame. The
+//! DIMD blob server runs the same writer ([`spawn_writer`]) per client.
 //!
 //! `f32` buffers cycle through the endpoint's [`BufPool`]: the writer
 //! returns each payload it has written, the reader takes the buffer it reads
@@ -71,9 +78,17 @@ use super::{BufPool, RecvPoll, Transport, WireMsg};
 const BATCH_MAX_FRAMES: usize = 64;
 const BATCH_MAX_BYTES: usize = 256 * 1024;
 
-/// Commands for a per-peer writer thread.
-enum WriterCmd {
-    Frame(WireMsg),
+/// How long [`accept_until`] sleeps between polls of its listener. Picked
+/// by measurement: a two-rank loopback bootstrap takes ~0.6 ms at 200 µs,
+/// ~2.2 ms at 1 ms and ~10 ms at 5 ms (2-core x86_64), while waiting out a
+/// missing rank costs only ~5 000 wake-ups a second.
+const ACCEPT_POLL: Duration = Duration::from_micros(200);
+
+/// Commands for a connection's writer thread ([`spawn_writer`]).
+pub enum WriterCmd {
+    /// Send one frame of the given wire `kind` (see [`wire`]).
+    Frame(u8, WireMsg),
+    /// Flush everything queued, then send BYE and close the write half.
     Bye,
 }
 
@@ -109,31 +124,44 @@ pub struct TcpTransport {
     pool: Arc<BufPool>,
 }
 
+/// Run `attempt` until it succeeds, fails with an error `retry` declines, or
+/// `timeout` elapses, sleeping with exponential backoff in between. Each
+/// attempt is handed the budget left. The bootstrap's one retry loop: a
+/// dial retries any error, a handshake only a torn connection.
+fn with_backoff<T>(
+    timeout: Duration,
+    retry: impl Fn(&io::Error) -> bool,
+    mut attempt: impl FnMut(Duration) -> io::Result<T>,
+) -> io::Result<T> {
+    let deadline = Instant::now() + timeout;
+    let mut delay = Duration::from_millis(5);
+    loop {
+        let err = match attempt(deadline.saturating_duration_since(Instant::now())) {
+            Ok(v) => return Ok(v),
+            Err(e) => e,
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || !retry(&err) {
+            return Err(err);
+        }
+        // Clamp the sleep to the remaining budget: the last allowed attempt
+        // must actually happen, not be forfeited because a full backoff
+        // step would overshoot the deadline.
+        std::thread::sleep(delay.min(left));
+        delay = (delay * 2).min(Duration::from_millis(200));
+    }
+}
+
 /// Dial `addr`, retrying with exponential backoff until `timeout` elapses.
 /// Needed because peer processes (and rank 0's rendezvous listener, and a
 /// data server) come up at different times.
 pub fn connect_with_backoff(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + timeout;
-    let mut delay = Duration::from_millis(5);
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    return Err(io::Error::new(
-                        e.kind(),
-                        format!("connect to {addr} failed after {timeout:?} of retries: {e}"),
-                    ));
-                }
-                // Clamp the sleep to the remaining budget: the last allowed
-                // attempt must actually happen, not be forfeited because a
-                // full backoff step would overshoot the deadline.
-                std::thread::sleep(delay.min(remaining));
-                delay = (delay * 2).min(Duration::from_millis(200));
-            }
-        }
-    }
+    with_backoff(timeout, |_| true, |_| TcpStream::connect(addr)).map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("connect to {addr} failed after {timeout:?} of retries: {e}"),
+        )
+    })
 }
 
 fn write_len_prefixed(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
@@ -160,6 +188,40 @@ fn read_len_prefixed(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
+/// Accept one connection on `listener`, polling it until `deadline`. On
+/// timeout, fail with `TimedOut` and `missing()`'s account of who never
+/// connected. The bootstrap's one accept loop: the rendezvous host waits
+/// for registrations through it, every rank for its mesh dialers.
+fn accept_until(
+    listener: &TcpListener,
+    deadline: Instant,
+    missing: impl Fn() -> String,
+) -> io::Result<TcpStream> {
+    listener.set_nonblocking(true)?;
+    loop {
+        match listener.accept() {
+            Ok((s, _)) => {
+                s.set_nonblocking(false)?;
+                return Ok(s);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if Instant::now() >= deadline {
+                    return Err(io::Error::new(io::ErrorKind::TimedOut, missing()));
+                }
+                std::thread::sleep(ACCEPT_POLL);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// The comma-separated ranks from `first` on whose slot is still empty.
+fn empty_slots<T>(slots: &[Option<T>], first: usize) -> String {
+    let ranks: Vec<String> =
+        (first..slots.len()).filter(|&r| slots[r].is_none()).map(|r| r.to_string()).collect();
+    ranks.join(", ")
+}
+
 /// Rank 0's side of the rendezvous: accept `n-1` registrations of
 /// `(rank, data_addr)` within `timeout`, then send everyone the full table.
 ///
@@ -176,36 +238,16 @@ fn rendezvous_host(
     timeout: Duration,
 ) -> io::Result<Vec<String>> {
     let deadline = Instant::now() + timeout;
-    listener.set_nonblocking(true)?;
     let mut table: Vec<Option<String>> = vec![None; n];
     table[0] = Some(my_data_addr.to_string());
     let mut regs: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
     while table.iter().any(|t| t.is_none()) {
-        let mut s = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    let missing: Vec<String> = table
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.is_none())
-                        .map(|(r, _)| r.to_string())
-                        .collect();
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!(
-                            "rendezvous timed out after {timeout:?}: rank(s) {} never \
-                             registered (world {n})",
-                            missing.join(", ")
-                        ),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        s.set_nonblocking(false)?;
+        let mut s = accept_until(listener, deadline, || {
+            format!(
+                "rendezvous timed out after {timeout:?}: rank(s) {} never registered (world {n})",
+                empty_slots(&table, 1)
+            )
+        })?;
         let from = peer_addr_of(&s);
         let mut rank_buf = [0u8; 4];
         s.read_exact(&mut rank_buf)?;
@@ -237,7 +279,6 @@ fn rendezvous_host(
         table[r] = Some(addr);
         regs[r] = Some(s);
     }
-    listener.set_nonblocking(false)?;
     let full: Vec<String> = table.into_iter().map(|t| t.expect("filled")).collect();
     for s in regs.iter_mut().flatten() {
         s.write_all(&(n as u32).to_le_bytes())?;
@@ -247,40 +288,6 @@ fn rendezvous_host(
         s.flush()?;
     }
     Ok(full)
-}
-
-/// A non-zero rank's side of the rendezvous: register and read the table
-/// back. One attempt; [`rendezvous_register`] wraps this in a bounded
-/// retry loop so a registration connection that tears mid-handshake (rank
-/// 0 restarting, a flaky first SYN) is re-dialed instead of fatal.
-fn rendezvous_register_once(
-    addr: &str,
-    rank: usize,
-    n: usize,
-    my_data_addr: &str,
-    timeout: Duration,
-) -> io::Result<Vec<String>> {
-    let mut s = connect_with_backoff(addr, timeout)?;
-    s.write_all(&(rank as u32).to_le_bytes())?;
-    write_len_prefixed(&mut s, my_data_addr.as_bytes())?;
-    s.flush()?;
-    let mut n_buf = [0u8; 4];
-    s.read_exact(&mut n_buf)?;
-    let got_n = u32::from_le_bytes(n_buf) as usize;
-    if got_n != n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("rendezvous world size mismatch: host says {got_n}, we say {n}"),
-        ));
-    }
-    let mut table = Vec::with_capacity(n);
-    for _ in 0..n {
-        table.push(
-            String::from_utf8(read_len_prefixed(&mut s)?)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-        );
-    }
-    Ok(table)
 }
 
 /// Whether a bootstrap-time I/O failure is a torn connection worth
@@ -325,8 +332,9 @@ fn peer_addr_of(s: &TcpStream) -> String {
     s.peer_addr().map_or_else(|_| "<unknown peer>".to_string(), |a| a.to_string())
 }
 
-/// Register with the rendezvous, retrying torn connections with backoff
-/// until `timeout` elapses.
+/// A non-zero rank's side of the rendezvous: register and read the table
+/// back, re-dialing a registration connection that tears mid-handshake
+/// (rank 0 restarting, a flaky first SYN) until `timeout` elapses.
 fn rendezvous_register(
     addr: &str,
     rank: usize,
@@ -334,53 +342,48 @@ fn rendezvous_register(
     my_data_addr: &str,
     timeout: Duration,
 ) -> io::Result<Vec<String>> {
-    let deadline = Instant::now() + timeout;
-    let mut delay = Duration::from_millis(5);
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        match rendezvous_register_once(addr, rank, n, my_data_addr, left.max(delay)) {
-            Ok(table) => return Ok(table),
-            Err(e) if is_torn(&e) && Instant::now() + delay < deadline => {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(200));
-            }
-            Err(e) => {
-                return Err(io::Error::new(
-                    e.kind(),
-                    format!("rank {rank}: rendezvous registration with {addr} failed: {e}"),
-                ))
-            }
+    with_backoff(timeout, is_torn, |left| {
+        let mut s = connect_with_backoff(addr, left)?;
+        s.write_all(&(rank as u32).to_le_bytes())?;
+        write_len_prefixed(&mut s, my_data_addr.as_bytes())?;
+        s.flush()?;
+        let mut n_buf = [0u8; 4];
+        s.read_exact(&mut n_buf)?;
+        let got_n = u32::from_le_bytes(n_buf) as usize;
+        if got_n != n {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("rendezvous world size mismatch: host says {got_n}, we say {n}"),
+            ));
         }
-    }
+        (0..n)
+            .map(|_| {
+                String::from_utf8(read_len_prefixed(&mut s)?)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+            })
+            .collect()
+    })
+    .map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("rank {rank}: rendezvous registration with {addr} failed: {e}"),
+        )
+    })
 }
 
 /// Dial a mesh peer and complete the HELLO handshake, retrying torn
 /// connections with backoff until `timeout` elapses.
 fn mesh_dial(addr: &str, my_rank: usize, timeout: Duration) -> io::Result<TcpStream> {
-    let deadline = Instant::now() + timeout;
-    let mut delay = Duration::from_millis(5);
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        let attempt = connect_with_backoff(addr, left.max(delay)).and_then(|mut s| {
-            s.write_all(&FRAME_MAGIC)?;
-            s.write_all(&(my_rank as u32).to_le_bytes())?;
-            s.flush()?;
-            Ok(s)
-        });
-        match attempt {
-            Ok(s) => return Ok(s),
-            Err(e) if is_torn(&e) && Instant::now() + delay < deadline => {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(200));
-            }
-            Err(e) => {
-                return Err(io::Error::new(
-                    e.kind(),
-                    format!("rank {my_rank}: mesh dial of {addr} failed: {e}"),
-                ))
-            }
-        }
-    }
+    with_backoff(timeout, is_torn, |left| {
+        let mut s = connect_with_backoff(addr, left)?;
+        s.write_all(&FRAME_MAGIC)?;
+        s.write_all(&(my_rank as u32).to_le_bytes())?;
+        s.flush()?;
+        Ok(s)
+    })
+    .map_err(|e| {
+        io::Error::new(e.kind(), format!("rank {my_rank}: mesh dial of {addr} failed: {e}"))
+    })
 }
 
 impl TcpTransport {
@@ -439,9 +442,18 @@ impl TcpTransport {
             for peer in 0..rank {
                 streams[peer] = Some(mesh_dial(&table[peer], rank, timeout)?);
             }
-            let mut missing = world - rank - 1;
-            while missing > 0 {
-                let (mut s, _) = data_listener.accept()?;
+            // Accept from above, bounded like the rendezvous: a rank that
+            // registered and then died before dialing fails the bootstrap
+            // by name instead of hanging every rank below it.
+            let deadline = Instant::now() + timeout;
+            while streams[rank + 1..].iter().any(Option::is_none) {
+                let mut s = accept_until(&data_listener, deadline, || {
+                    format!(
+                        "rank {rank}: mesh accept timed out after {timeout:?}: rank(s) {} never \
+                         dialed (world {world})",
+                        empty_slots(&streams, rank + 1)
+                    )
+                })?;
                 let mut hello = [0u8; 8];
                 // A dialer that died between connect and HELLO delivers a
                 // short read here; skip the husk and keep accepting (the
@@ -486,13 +498,9 @@ impl TcpTransport {
                             ),
                         ));
                     }
-                    // The dialer's first attempt tore after the handshake
-                    // bytes left its socket; the retry supersedes the husk.
-                    Some(_) => streams[peer] = Some(s),
-                    None => {
-                        streams[peer] = Some(s);
-                        missing -= 1;
-                    }
+                    // A first HELLO, or a retry superseding the husk of an
+                    // attempt that tore after its handshake bytes left.
+                    _ => streams[peer] = Some(s),
                 }
             }
 
@@ -506,13 +514,19 @@ impl TcpTransport {
                 let (wtx, wrx) = channel::<WriterCmd>();
                 peers[peer] = Some(wtx);
                 threads.push(spawn_reader(reader, peer, inbox_tx.clone(), Arc::clone(&pool)));
+                // The send side sees a dead peer first when we talk more
+                // than we listen; report it on the reader's in-band path.
+                let inbox = inbox_tx.clone();
                 threads.push(spawn_writer(
                     stream,
+                    format!("dcnn-tcp-write-{peer}"),
                     rank,
-                    peer,
                     wrx,
-                    inbox_tx.clone(),
                     Arc::clone(&pool),
+                    move |e| {
+                        let cause = format!("write failed: {e}");
+                        let _ = inbox.send(Inbound::LinkDown { peer, cause });
+                    },
                 ));
             }
         }
@@ -593,89 +607,86 @@ fn spawn_reader(
         .expect("spawn reader thread")
 }
 
-fn spawn_writer(
+/// Spawn the writer thread of one connection — each rank-fabric link has
+/// one, and so does each client of a data-plane blob server. It drains
+/// `queue` into vectored writes of at most 64 frames or 256 KiB of payload,
+/// never waiting to fill a batch, and returns each written payload's buffer
+/// to `pool`. Only an explicit [`WriterCmd::Bye`] ends with a BYE frame
+/// (from `bye_src`); any other exit — the queue dropped, or a failed write,
+/// which is handed to `on_error` first — shuts the socket down without one,
+/// so the peer sees a dead link.
+pub fn spawn_writer(
     mut stream: TcpStream,
-    my_rank: usize,
-    peer: usize,
+    name: String,
+    bye_src: usize,
     queue: Receiver<WriterCmd>,
-    inbox: Sender<Inbound>,
     pool: Arc<BufPool>,
+    on_error: impl FnOnce(io::Error) + Send + 'static,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
-        .name(format!("dcnn-tcp-write-{peer}"))
+        .name(name)
         .spawn(move || {
-            let mut batch: Vec<WireMsg> = Vec::new();
-            loop {
-                batch.clear();
-                let mut graceful = false;
-                let mut torn_down = false;
-                match queue.recv() {
-                    Ok(WriterCmd::Frame(msg)) => batch.push(msg),
-                    Ok(WriterCmd::Bye) => graceful = true,
-                    // Queue disconnected: the transport was dropped without
-                    // shutdown(), i.e. this rank is unwinding from a
-                    // failure. Close abruptly — no BYE — so the peer's
-                    // reader reports LinkDown and the failure cascades,
-                    // instead of masquerading as a graceful leave. Only an
-                    // explicit Bye command may produce the graceful close.
-                    Err(_) => return,
-                }
-                // Send-side batching: drain whatever else is already queued
-                // (bounded) so bursts of small frames leave in one vectored
-                // write instead of one syscall each. Never waits — a lone
-                // frame goes out immediately.
-                if !graceful {
-                    let mut bytes = batch[0].payload.len_bytes();
-                    while batch.len() < BATCH_MAX_FRAMES && bytes < BATCH_MAX_BYTES {
-                        match queue.try_recv() {
-                            Ok(WriterCmd::Frame(msg)) => {
-                                bytes += msg.payload.len_bytes();
-                                batch.push(msg);
-                            }
-                            Ok(WriterCmd::Bye) => {
-                                graceful = true;
-                                break;
-                            }
-                            Err(TryRecvError::Empty) => break,
-                            // Flush what was queued before the teardown,
-                            // then close abruptly (no BYE) as above.
-                            Err(TryRecvError::Disconnected) => {
-                                torn_down = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if !batch.is_empty() {
-                    // Head, payload bytes and CRC trailer of every frame go
-                    // to the socket straight from their owning buffers — no
-                    // staging Vec per message.
-                    if let Err(e) = wire::write_frames_vectored(&mut stream, &batch) {
-                        // The send side sees a dead peer first when we talk
-                        // more than we listen; report it on the same
-                        // in-band path the reader uses.
-                        let _ = inbox.send(Inbound::LinkDown {
-                            peer,
-                            cause: format!("write failed: {e}"),
-                        });
-                        return;
-                    }
-                    for msg in batch.drain(..) {
-                        pool.recycle(msg.payload);
-                    }
-                }
-                if graceful {
-                    let _ = stream.write_all(&encode_bye(my_rank));
-                    let _ = stream.flush();
-                    let _ = stream.shutdown(std::net::Shutdown::Write);
-                    return;
-                }
-                if torn_down {
-                    return;
-                }
+            let graceful = write_queued(&mut stream, &queue, &pool).unwrap_or_else(|e| {
+                on_error(e);
+                false
+            });
+            if graceful {
+                let _ = stream.write_all(&encode_bye(bye_src));
+                let _ = stream.flush();
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+            } else {
+                // The reader holds a clone of this socket; dropping ours
+                // would leave the connection open under a dead writer.
+                let _ = stream.shutdown(std::net::Shutdown::Both);
             }
         })
         .expect("spawn writer thread")
+}
+
+/// The writer thread's loop: `Ok(true)` once everything queued ahead of a
+/// `Bye` is written, `Ok(false)` once the queue is dropped — its owner is
+/// unwinding from a failure, which must not masquerade as a graceful leave.
+fn write_queued(
+    stream: &mut TcpStream,
+    queue: &Receiver<WriterCmd>,
+    pool: &BufPool,
+) -> io::Result<bool> {
+    let mut batch: Vec<(u8, WireMsg)> = Vec::new();
+    loop {
+        let mut end = None;
+        match queue.recv() {
+            Ok(WriterCmd::Frame(kind, msg)) => batch.push((kind, msg)),
+            Ok(WriterCmd::Bye) => end = Some(true),
+            Err(_) => return Ok(false),
+        }
+        // Send-side batching: drain whatever else is already queued
+        // (bounded) so bursts of small frames leave in one vectored write
+        // instead of one syscall each. Never waits — a lone frame goes out
+        // immediately. A teardown behind the frames still flushes them.
+        let mut bytes = batch.first().map_or(0, |(_, m)| m.payload.len_bytes());
+        while end.is_none() && batch.len() < BATCH_MAX_FRAMES && bytes < BATCH_MAX_BYTES {
+            match queue.try_recv() {
+                Ok(WriterCmd::Frame(kind, msg)) => {
+                    bytes += msg.payload.len_bytes();
+                    batch.push((kind, msg));
+                }
+                Ok(WriterCmd::Bye) => end = Some(true),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => end = Some(false),
+            }
+        }
+        if !batch.is_empty() {
+            // Head, payload bytes and CRC trailer of every frame go to the
+            // socket straight from their owning buffers — no staging Vec.
+            wire::write_service_frames_vectored(stream, &batch)?;
+            for (_, msg) in batch.drain(..) {
+                pool.recycle(msg.payload);
+            }
+        }
+        if let Some(graceful) = end {
+            return Ok(graceful);
+        }
+    }
 }
 
 impl Transport for TcpTransport {
@@ -700,7 +711,7 @@ impl Transport for TcpTransport {
         // already delivered a LinkDown event into the inbox, and the next
         // receive touching that peer turns it into a structured failure.
         if let Some(q) = self.peers[dst].as_ref() {
-            let _ = q.send(WriterCmd::Frame(msg));
+            let _ = q.send(WriterCmd::Frame(wire::payload_kind(&msg.payload), msg));
         }
     }
 
@@ -892,6 +903,34 @@ mod tests {
             .map(|_| String::from_utf8(read_len_prefixed(&mut s).expect("entry")).expect("utf8"))
             .collect();
         (s, table)
+    }
+
+    #[test]
+    fn mesh_accept_names_a_rank_that_registered_and_never_dialed() {
+        // World of 3: rank 2 registers, then never dials. Rank 1 dials rank
+        // 0 and must then fail its accept within the bound, naming rank 2.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let timeout = Duration::from_millis(500);
+        let host = std::thread::spawn(move || TcpTransport::host(listener, 3, timeout).err());
+        let rank1 = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                let err = TcpTransport::connect(&addr, 1, 3, timeout).err();
+                (err, start.elapsed())
+            })
+        };
+        let (_reg, _table) = register_fake(&addr, 2, 3);
+        let (err, elapsed) = rank1.join().expect("rank 1 thread");
+        let err = err.expect("rank 1 must not complete a mesh missing rank 2");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        let text = err.to_string();
+        assert!(text.contains("rank(s) 2 never dialed"), "{text}");
+        // Rendezvous, dial and accept: each phase bounded by the timeout.
+        assert!(elapsed < 3 * timeout, "rank 1 gave up after {elapsed:?}");
+        let host_err = host.join().expect("rank 0 thread").expect("rank 0 is missing rank 2 too");
+        assert!(host_err.to_string().contains("rank(s) 2 never dialed"), "{host_err}");
     }
 
     #[test]

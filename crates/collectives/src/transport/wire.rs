@@ -243,19 +243,38 @@ pub fn write_all_vectored(w: &mut impl Write, bufs: &[&[u8]]) -> io::Result<()> 
 /// Send a batch of frames through one vectored write: head, payload bytes
 /// and CRC trailer of every frame go straight from their owning buffers to
 /// `w`, with no staging copy of any payload. Byte-identical on the wire to
-/// writing each frame's [`encode_frame`] output back to back.
+/// writing each frame's [`encode_frame`] output back to back. Each frame's
+/// kind is derived from its payload type.
 pub fn write_frames_vectored(w: &mut impl Write, msgs: &[WireMsg]) -> io::Result<()> {
-    let bodies: Vec<Cow<'_, [u8]>> =
-        msgs.iter().map(|m| payload_wire_bytes(&m.payload)).collect();
-    let parts: Vec<FrameParts> = msgs
-        .iter()
-        .zip(&bodies)
-        .map(|(m, b)| frame_parts(m.src, m.comm_id, m.tag, payload_kind(&m.payload), b))
+    write_frames(w, msgs.iter().map(|m| (payload_kind(&m.payload), m)))
+}
+
+/// [`write_frames_vectored`] with each frame's kind given explicitly: the
+/// data plane's frames, and every frame the shared writer thread
+/// ([`super::tcp::spawn_writer`]) sends on either kind of connection.
+pub fn write_service_frames_vectored(
+    w: &mut impl Write,
+    frames: &[(u8, WireMsg)],
+) -> io::Result<()> {
+    write_frames(w, frames.iter().map(|(kind, m)| (*kind, m)))
+}
+
+/// The one frame encoder behind both entry points: head, body slice and
+/// trailer of each `(kind, message)`, then one [`write_all_vectored`].
+fn write_frames<'a>(
+    w: &mut impl Write,
+    frames: impl Iterator<Item = (u8, &'a WireMsg)>,
+) -> io::Result<()> {
+    let framed: Vec<(FrameParts, Cow<'a, [u8]>)> = frames
+        .map(|(kind, m)| {
+            let body = payload_wire_bytes(&m.payload);
+            (frame_parts(m.src, m.comm_id, m.tag, kind, &body), body)
+        })
         .collect();
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(3 * msgs.len());
-    for (p, b) in parts.iter().zip(&bodies) {
+    let mut bufs: Vec<&[u8]> = Vec::with_capacity(3 * framed.len());
+    for (p, body) in &framed {
         bufs.push(&p.head);
-        bufs.push(b);
+        bufs.push(body);
         bufs.push(&p.crc);
     }
     write_all_vectored(w, &bufs)
@@ -280,27 +299,6 @@ pub enum FrameRead {
     Bye,
     /// The stream ended with no BYE: the peer died without shutting down.
     Eof,
-}
-
-/// Send a batch of explicit-kind service frames through one vectored write
-/// — the data-plane analogue of [`write_frames_vectored`] (which derives
-/// the kind from the payload type). Payloads must be bytes; the packed
-/// record lists the blob server ships are never typed `f32` on the wire.
-pub fn write_service_frames_vectored(
-    w: &mut impl Write,
-    frames: &[(u8, WireMsg)],
-) -> io::Result<()> {
-    let parts: Vec<FrameParts> = frames
-        .iter()
-        .map(|(kind, m)| frame_parts(m.src, m.comm_id, m.tag, *kind, m.payload.as_bytes()))
-        .collect();
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(3 * frames.len());
-    for (p, (_, m)) in parts.iter().zip(frames) {
-        bufs.push(&p.head);
-        bufs.push(m.payload.as_bytes());
-        bufs.push(&p.crc);
-    }
-    write_all_vectored(w, &bufs)
 }
 
 #[cfg(target_endian = "little")]

@@ -14,6 +14,9 @@
 //! in parallel. `depth` bounds the number of batches picked but not yet
 //! consumed to *exactly* `depth` (the old bounded-channel design allowed
 //! `depth + 1`: `depth` queued plus one blocked in `send`).
+//!
+//! The decode threads are *decode lanes* (`decode_lanes`), the pool the
+//! data-plane service client decodes on too, fed by its socket reader.
 
 use dcnn_tensor::Tensor;
 use std::cell::Cell;
@@ -22,7 +25,80 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::shuffle::Record;
-use crate::store::{decode_augmented_batch, Dimd};
+use crate::store::{try_decode_augmented_batch, Dimd};
+
+/// What a decode lane delivers: a batch, or why there is none — a record
+/// the codec refused, or a death notice the producer queued as a job.
+pub(crate) type Decoded = Result<(Tensor, Vec<usize>), String>;
+
+/// The producer's end of a pool of decode lanes, each one decode thread
+/// with a job channel in and a result channel out: the `k`-th job goes to
+/// lane `k % lanes`.
+pub(crate) struct LaneJobs<J>(Vec<Sender<J>>, usize);
+
+/// The consumer's end: the `k`-th result comes from lane `k % lanes`, so
+/// results arrive in job order for any lane count.
+pub(crate) struct LaneOuts {
+    outs: Vec<Receiver<Decoded>>,
+    next: Cell<usize>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// Spawn `lanes` decode threads, each running `decode` on its jobs.
+pub(crate) fn decode_lanes<J: Send + 'static>(
+    lanes: usize,
+    decode: impl Fn(J) -> Decoded + Clone + Send + 'static,
+) -> (LaneJobs<J>, LaneOuts) {
+    assert!(lanes >= 1, "need at least one decode worker");
+    let mut jobs = Vec::with_capacity(lanes);
+    let mut outs = LaneOuts { outs: Vec::new(), next: Cell::new(0), threads: Vec::new() };
+    for _ in 0..lanes {
+        let (job_tx, job_rx) = channel::<J>();
+        let (out_tx, out_rx) = channel();
+        jobs.push(job_tx);
+        outs.outs.push(out_rx);
+        let decode = decode.clone();
+        outs.threads.push(std::thread::spawn(move || {
+            // A lane stops after delivering an `Err`, or once either end
+            // hangs up.
+            for job in job_rx {
+                let decoded = decode(job);
+                let failed = decoded.is_err();
+                if out_tx.send(decoded).is_err() || failed {
+                    return;
+                }
+            }
+        }));
+    }
+    (LaneJobs(jobs, 0), outs)
+}
+
+impl<J> LaneJobs<J> {
+    /// Queue the next job on its lane; `false` once that lane has stopped.
+    pub(crate) fn send(&mut self, job: J) -> bool {
+        let lane = self.1 % self.0.len();
+        self.1 += 1;
+        self.0[lane].send(job).is_ok()
+    }
+}
+
+impl LaneOuts {
+    /// The next result in job order; `None` once its lane and every
+    /// producer are gone with nothing left to deliver.
+    pub(crate) fn recv(&self) -> Option<Decoded> {
+        let lane = self.next.get();
+        self.next.set((lane + 1) % self.outs.len());
+        self.outs[lane].recv().ok()
+    }
+
+    /// Drop the result channels, then join the decode threads.
+    pub(crate) fn join(self) {
+        drop(self.outs);
+        for t in self.threads {
+            let _ = t.join();
+        }
+    }
+}
 
 /// A counting gate: `acquire` blocks until a permit is free (or the gate
 /// closes), `release` returns one. Bounds in-flight batches to the permit
@@ -67,12 +143,10 @@ impl Permits {
 
 /// A running prefetch pipeline for one epoch.
 pub struct Prefetcher {
-    outs: Vec<Receiver<(Tensor, Vec<usize>)>>,
-    next: Cell<usize>,
+    lanes: LaneOuts,
     permits: Arc<Permits>,
     produced: Arc<AtomicUsize>,
     picker: std::thread::JoinHandle<Dimd>,
-    decoders: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Prefetcher {
@@ -101,45 +175,32 @@ impl Prefetcher {
         workers: usize,
     ) -> Prefetcher {
         assert!(depth >= 1, "queue depth must be at least 1");
-        assert!(workers >= 1, "need at least one decode worker");
         let permits = Arc::new(Permits::new(depth));
         let produced = Arc::new(AtomicUsize::new(0));
-
-        let mut job_txs: Vec<Sender<(u64, Vec<Record>)>> = Vec::with_capacity(workers);
-        let mut outs = Vec::with_capacity(workers);
-        let mut decoders = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (job_tx, job_rx) = channel::<(u64, Vec<Record>)>();
-            let (out_tx, out_rx) = channel();
-            job_txs.push(job_tx);
-            outs.push(out_rx);
-            decoders.push(std::thread::spawn(move || {
-                while let Ok((salt, records)) = job_rx.recv() {
-                    if out_tx.send(decode_augmented_batch(&records, crop, salt)).is_err() {
-                        break; // consumer dropped early
-                    }
-                }
-            }));
-        }
+        let (mut jobs, lanes) =
+            decode_lanes(workers, move |(salt, records): (u64, Vec<Record>)| {
+                try_decode_augmented_batch(&records, crop, salt)
+                    .map_err(|e| format!("malformed DCC1 record: {e}"))
+            });
 
         let picker_permits = Arc::clone(&permits);
         let picker_produced = Arc::clone(&produced);
         let picker = std::thread::spawn(move || {
             let mut dimd = dimd;
-            for i in 0..iterations {
+            for _ in 0..iterations {
                 if !picker_permits.acquire() {
                     break; // consumer finished early
                 }
                 let job = dimd.sample_batch_records(batch);
                 picker_produced.fetch_add(1, Ordering::SeqCst);
-                if job_txs[i % job_txs.len()].send(job).is_err() {
+                if !jobs.send(job) {
                     break;
                 }
             }
             dimd
         });
 
-        Prefetcher { outs, next: Cell::new(0), permits, produced, picker, decoders }
+        Prefetcher { lanes, permits, produced, picker }
     }
 
     /// Receive the next batch (blocks until the pipeline catches up).
@@ -147,11 +208,11 @@ impl Prefetcher {
     /// # Panics
     /// Panics if more than `iterations` batches are requested.
     pub fn next_batch(&self) -> (Tensor, Vec<usize>) {
-        let w = self.next.get();
-        self.next.set((w + 1) % self.outs.len());
-        let b = self.outs[w]
-            .recv()
-            .expect("prefetcher exhausted: more batches requested than produced");
+        let b = match self.lanes.recv() {
+            Some(Ok(b)) => b,
+            Some(Err(cause)) => panic!("prefetch decode failed: {cause}"),
+            None => panic!("prefetcher exhausted: more batches requested than produced"),
+        };
         self.permits.release();
         b
     }
@@ -165,12 +226,8 @@ impl Prefetcher {
     /// Join the pipeline and recover the partition.
     pub fn finish(self) -> Dimd {
         self.permits.close();
-        drop(self.outs);
-        let dimd = self.picker.join().expect("prefetch picker panicked");
-        for d in self.decoders {
-            d.join().expect("prefetch decoder panicked");
-        }
-        dimd
+        self.lanes.join();
+        self.picker.join().expect("prefetch picker panicked")
     }
 }
 

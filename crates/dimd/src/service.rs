@@ -32,23 +32,31 @@
 //! * server → client BYE: once, after the ack of the job's last epoch. A
 //!   connection that ends any other way — EOF, an error, a BYE before that
 //!   ack — is a dead server, reported as [`CommError::PeerDead`].
+//!
+//! The connection code is the rank fabric's: the server writes to each
+//! client on its writer thread ([`spawn_writer`]), the client dials through
+//! its backoff loop ([`connect_with_backoff`]) and decodes on the
+//! [`Prefetcher`]'s decode lanes. Whatever a client sends, [`serve_blocking`]
+//! answers a violation with an `InvalidData` error naming the rank and its
+//! address, never a panic.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dcnn_collectives::runtime::{Comm, CommError};
-use dcnn_collectives::transport::tcp::connect_with_backoff;
+use dcnn_collectives::transport::tcp::{connect_with_backoff, spawn_writer, WriterCmd};
 use dcnn_collectives::transport::wire::{
     encode_bye, read_frame, write_service_frames_vectored, FrameRead, KIND_DATA_BATCH,
     KIND_DATA_EOE, KIND_DATA_REQ,
 };
-use dcnn_collectives::transport::{Payload, WireMsg};
+use dcnn_collectives::transport::{BufPool, Payload, WireMsg};
 use dcnn_tensor::Tensor;
 
-use crate::prefetch::Prefetcher;
+use crate::prefetch::{decode_lanes, Decoded, LaneJobs, LaneOuts, Prefetcher};
 use crate::shuffle::{pack, try_shuffle_hosted, unpack, HostedPartition};
 use crate::store::{try_decode_augmented_batch, Dimd};
 
@@ -58,10 +66,6 @@ pub const HELLO_TAG: u32 = 0xFFFF_FFFF;
 
 const HELLO_MAGIC: [u8; 4] = *b"DIMD";
 const HELLO_VERSION: u32 = 1;
-
-/// How many queued frames a server writer folds into one vectored write
-/// (mirrors the rank fabric's writer batching).
-const WRITE_BATCH_MAX: usize = 64;
 
 /// The client handshake: identifies the trainer rank and carries the job
 /// shape every participant must agree on. The server cross-checks all its
@@ -157,21 +161,17 @@ pub struct ServeReport {
 /// client's events arrive in its socket order, so per-partition request
 /// order — and therefore the sampling rng stream — is preserved.
 enum Event {
-    Hello { hello: Hello, stream: TcpStream },
+    Hello { hello: Hello, stream: TcpStream, peer: String },
     Req { rank: usize, epoch: u64, seq: u32 },
     Eoe { rank: usize, epoch: u64 },
-    Gone { rank: usize, cause: String },
-}
-
-/// Commands for a per-client writer thread.
-enum WriterCmd {
-    Frame(u8, WireMsg),
-    Bye,
+    Gone { who: String, cause: String },
 }
 
 /// Per-connected-client server state.
 struct Client {
     hello: Hello,
+    /// The client's socket address, for errors about what it sent.
+    peer: String,
     writer: Sender<WriterCmd>,
     /// The writer thread, joined on clean shutdown so the final EOE ack
     /// and BYE reach the wire before the server process can exit.
@@ -180,120 +180,56 @@ struct Client {
     eoe_epoch: Option<u64>,
 }
 
-/// Read frames from one client socket and translate them into [`Event`]s.
-/// `rank` is `None` until the handshake names the peer.
+/// Read frames from one client socket and translate them into [`Event`]s,
+/// ending with one `Gone`. `rank` is `None` until the handshake names the
+/// peer.
 fn spawn_client_reader(stream: TcpStream, events: Sender<Event>) {
     std::thread::spawn(move || {
         let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
         let mut reader = BufReader::new(stream.try_clone().expect("clone client socket"));
         let mut stream = Some(stream);
         let mut rank: Option<usize> = None;
-        loop {
-            match read_frame(&mut reader) {
-                Ok(FrameRead::Service { kind: KIND_DATA_REQ, msg }) if msg.tag == HELLO_TAG => {
+        let cause = loop {
+            let event = match (read_frame(&mut reader), rank) {
+                (Ok(FrameRead::Service { kind: KIND_DATA_REQ, msg }), _)
+                    if msg.tag == HELLO_TAG =>
+                {
+                    let Some(stream) = stream.take() else { break "a second handshake".into() };
                     match Hello::decode(msg.payload.as_bytes()) {
                         Ok(hello) => {
                             rank = Some(hello.rank);
-                            let Some(stream) = stream.take() else {
-                                eprintln!("dcnn-data-server: duplicate handshake from {peer}");
-                                return;
-                            };
-                            if events.send(Event::Hello { hello, stream }).is_err() {
-                                return;
-                            }
+                            Event::Hello { hello, stream, peer: peer.clone() }
                         }
-                        Err(e) => {
-                            eprintln!("dcnn-data-server: bad handshake from {peer}: {e}");
-                            return;
-                        }
+                        Err(e) => break format!("bad handshake: {e}"),
                     }
                 }
-                Ok(FrameRead::Service { kind: KIND_DATA_REQ, msg }) => {
-                    let Some(rank) = rank else { return };
-                    if events
-                        .send(Event::Req { rank, epoch: msg.comm_id, seq: msg.tag })
-                        .is_err()
-                    {
-                        return;
-                    }
+                (Ok(FrameRead::Service { kind: KIND_DATA_REQ, msg }), Some(rank)) => {
+                    Event::Req { rank, epoch: msg.comm_id, seq: msg.tag }
                 }
-                Ok(FrameRead::Service { kind: KIND_DATA_EOE, msg }) => {
-                    let Some(rank) = rank else { return };
-                    if events.send(Event::Eoe { rank, epoch: msg.comm_id }).is_err() {
-                        return;
-                    }
+                (Ok(FrameRead::Service { kind: KIND_DATA_EOE, msg }), Some(rank)) => {
+                    Event::Eoe { rank, epoch: msg.comm_id }
                 }
-                Ok(FrameRead::Bye) => {
-                    if let Some(rank) = rank {
-                        let _ = events.send(Event::Gone {
-                            rank,
-                            cause: "client sent BYE".into(),
-                        });
-                    }
-                    return;
-                }
-                Ok(FrameRead::Eof) | Ok(FrameRead::Msg(_)) | Ok(FrameRead::Service { .. }) => {
-                    if let Some(rank) = rank {
-                        let _ = events.send(Event::Gone {
-                            rank,
-                            cause: "connection closed without BYE".into(),
-                        });
-                    }
-                    return;
-                }
-                Err(e) => {
-                    if let Some(rank) = rank {
-                        let _ = events.send(Event::Gone {
-                            rank,
-                            cause: e.to_string(),
-                        });
-                    }
-                    return;
-                }
+                (Ok(FrameRead::Bye), _) => break "client sent BYE".into(),
+                (Ok(FrameRead::Eof), _) => break "connection closed without BYE".into(),
+                (Ok(_), _) => break "a frame outside the data-plane protocol".into(),
+                (Err(e), _) => break e.to_string(),
+            };
+            if events.send(event).is_err() {
+                return;
             }
-        }
+        };
+        let who = match rank {
+            Some(r) => format!("client rank {r} at {peer}"),
+            None => format!("client at {peer}"),
+        };
+        let _ = events.send(Event::Gone { who, cause });
     });
 }
 
-/// Batch queued frames into vectored writes on one client socket — the same
-/// drain + `try_recv` batching the rank fabric's writer thread uses, and the
-/// same rule for the close: only an explicit [`WriterCmd::Bye`] says
-/// goodbye. A queue that is dropped instead — the server is returning an
-/// error, or the injected crash — cuts the socket with no BYE, so the
-/// client reports a dead link rather than a graceful leave.
-fn spawn_client_writer(
-    mut stream: TcpStream,
-    rx: Receiver<WriterCmd>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Ok(mut cmd) = rx.recv() {
-            let mut frames = Vec::new();
-            let bye = loop {
-                match cmd {
-                    WriterCmd::Frame(kind, msg) => frames.push((kind, msg)),
-                    WriterCmd::Bye => break true,
-                }
-                if frames.len() == WRITE_BATCH_MAX {
-                    break false;
-                }
-                match rx.try_recv() {
-                    Ok(next) => cmd = next,
-                    Err(_) => break false,
-                }
-            };
-            if write_service_frames_vectored(&mut stream, &frames).is_err() {
-                break;
-            }
-            if bye {
-                let _ = stream.write_all(&encode_bye(0));
-                let _ = stream.flush();
-                return;
-            }
-        }
-        // The reader thread holds a clone of this socket; dropping ours
-        // would leave the connection open under a server that is gone.
-        let _ = stream.shutdown(Shutdown::Both);
-    })
+/// A client sent something the job cannot accept: an `InvalidData` error
+/// naming what, for the caller to return instead of panicking the server.
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 /// Run one blob server: accept the expected clients on `listener`, serve
@@ -344,39 +280,51 @@ pub fn serve_blocking(
         // accepting more — the handshake is the first frame on its socket.
         loop {
             match events.recv() {
-                Ok(Event::Hello { hello, stream }) => {
-                    assert!(
-                        hosted.contains(&hello.rank),
-                        "client rank {} is not hosted by server {me} of {servers}",
-                        hello.rank
-                    );
-                    assert_eq!(
-                        hello.world, trainer_world,
-                        "client rank {} disagrees on trainer world",
-                        hello.rank
-                    );
-                    if let Some(first) = &job {
-                        assert_eq!(
-                            first.job_shape(),
-                            hello.job_shape(),
-                            "client rank {} disagrees on the job shape",
-                            hello.rank
-                        );
-                    } else {
-                        job = Some(hello);
+                Ok(Event::Hello { hello, stream, peer }) => {
+                    let rank = hello.rank;
+                    if !hosted.contains(&rank) {
+                        return Err(invalid(format!(
+                            "client rank {rank} at {peer} is not hosted by server {me} of {servers}"
+                        )));
                     }
-                    let (tx, rx) = channel();
-                    let writer_thread = spawn_client_writer(stream, rx);
+                    if hello.world != trainer_world {
+                        return Err(invalid(format!(
+                            "client rank {rank} at {peer} says trainer world {}, the server \
+                             hosts world {trainer_world}",
+                            hello.world
+                        )));
+                    }
+                    if job.get_or_insert(hello).job_shape() != hello.job_shape() {
+                        return Err(invalid(format!(
+                            "client rank {rank} at {peer} disagrees on the job shape"
+                        )));
+                    }
+                    if let Some(live) = clients.get(&rank) {
+                        return Err(invalid(format!(
+                            "duplicate handshake for rank {rank} from {peer}: rank {rank} is \
+                             already connected from {}",
+                            live.peer
+                        )));
+                    }
+                    let (writer, rx) = channel();
+                    let writer_thread = spawn_writer(
+                        stream,
+                        format!("dcnn-data-write-{rank}"),
+                        0,
+                        rx,
+                        Arc::new(BufPool::default()),
+                        // Nothing to report: this client's reader sees the
+                        // dead socket and sends `Gone`.
+                        |_| {},
+                    );
                     clients.insert(
-                        hello.rank,
-                        Client { hello, writer: tx, writer_thread, next_seq: 0, eoe_epoch: None },
+                        rank,
+                        Client { hello, peer, writer, writer_thread, next_seq: 0, eoe_epoch: None },
                     );
                     break;
                 }
-                Ok(Event::Gone { rank, cause, .. }) => {
-                    return Err(io::Error::other(format!(
-                        "client rank {rank} failed during handshake: {cause}"
-                    )));
+                Ok(Event::Gone { who, cause }) => {
+                    return Err(io::Error::other(format!("{who} failed during handshake: {cause}")));
                 }
                 Ok(ev) => pending.push_back(ev),
                 Err(_) => return Err(io::Error::other("reader threads gone")),
@@ -401,9 +349,14 @@ pub fn serve_blocking(
         match ev {
             Event::Hello { .. } => return Err(io::Error::other("duplicate handshake")),
             Event::Req { rank, epoch: e, seq } => {
-                assert_eq!(e, epoch, "rank {rank} requested epoch {e} during epoch {epoch}");
                 let client = clients.get_mut(&rank).expect("known client");
-                assert_eq!(seq, client.next_seq, "rank {rank} request out of order");
+                if e != epoch || seq != client.next_seq {
+                    return Err(invalid(format!(
+                        "client rank {rank} at {} requested batch {seq} of epoch {e}, \
+                         expected batch {} of epoch {epoch}",
+                        client.peer, client.next_seq
+                    )));
+                }
                 client.next_seq += 1;
                 let batch = client.hello.batch;
                 let dimd = &mut partitions
@@ -433,8 +386,13 @@ pub fn serve_blocking(
                 }
             }
             Event::Eoe { rank, epoch: e } => {
-                assert_eq!(e, epoch, "rank {rank} ended epoch {e} during epoch {epoch}");
                 let client = clients.get_mut(&rank).expect("known client");
+                if e != epoch {
+                    return Err(invalid(format!(
+                        "client rank {rank} at {} ended epoch {e} during epoch {epoch}",
+                        client.peer
+                    )));
+                }
                 client.eoe_epoch = Some(e);
                 if !clients.values().all(|c| c.eoe_epoch == Some(epoch)) {
                     continue;
@@ -502,10 +460,8 @@ pub fn serve_blocking(
             }
             // A clean BYE only makes sense once the job is over; the store
             // loop is still running, so either way the client is gone early.
-            Event::Gone { rank, cause } => {
-                return Err(io::Error::other(format!(
-                    "client rank {rank} died mid-job ({cause})"
-                )));
+            Event::Gone { who, cause } => {
+                return Err(io::Error::other(format!("{who} died mid-job ({cause})")));
             }
         }
     }
@@ -515,31 +471,52 @@ pub fn serve_blocking(
 // Client
 // ---------------------------------------------------------------------------
 
-/// A still-compressed batch on its way to a decode worker: augmentation
-/// salt + packed record bytes.
-type DecodeJob = (u64, Vec<u8>);
-/// One decode lane: where the reader enqueues jobs, plus a handle on that
-/// lane's output for delivering death notices in-band.
-type DecodeLane = (Sender<DecodeJob>, Sender<Decoded>);
-
-/// What the decode workers hand the consumer: a decoded batch, or the
-/// reader thread's report that the server link died.
-enum Decoded {
-    Batch(Tensor, Vec<usize>),
-    Dead(String),
-}
-
-/// One decode worker's job: a `KIND_DATA_BATCH` body and its salt into a
+/// One decode lane's job: a `KIND_DATA_BATCH` body and its salt into a
 /// batch. The bytes came off a socket, so a payload that does not unpack
 /// or a record the codec refuses is a dead link, not a panic.
 fn decode_job(salt: u64, body: &[u8], crop: usize) -> Decoded {
     let mut records = Vec::new();
     if let Err((off, kind)) = unpack(body, &mut records) {
-        return Decoded::Dead(format!("malformed batch payload at byte {off}: {kind:?}"));
+        return Err(format!("malformed batch payload at byte {off}: {kind:?}"));
     }
-    match try_decode_augmented_batch(&records, crop, salt) {
-        Ok((x, labels)) => Decoded::Batch(x, labels),
-        Err(e) => Decoded::Dead(format!("malformed record: {e}")),
+    try_decode_augmented_batch(&records, crop, salt).map_err(|e| format!("malformed record: {e}"))
+}
+
+/// A client's reader thread: hand each batch body to the decode lanes
+/// (moved, not copied) and each epoch ack to `eoe`, until the server's BYE
+/// after the job's last epoch (`Ok`) or a consumer hangs up; `Err` says why
+/// the link died.
+fn read_server(
+    stream: TcpStream,
+    jobs: &mut LaneJobs<Result<(u64, Vec<u8>), String>>,
+    eoe: &Sender<u64>,
+    epochs: usize,
+) -> Result<(), String> {
+    let mut r = BufReader::new(stream);
+    let mut acked = 0usize;
+    loop {
+        match read_frame(&mut r) {
+            Ok(FrameRead::Service { kind: KIND_DATA_BATCH, msg }) => {
+                if !jobs.send(Ok((msg.comm_id, msg.payload.into_bytes()))) {
+                    return Ok(());
+                }
+            }
+            Ok(FrameRead::Service { kind: KIND_DATA_EOE, msg }) => {
+                acked += 1;
+                if eoe.send(msg.comm_id).is_err() {
+                    return Ok(());
+                }
+            }
+            // The server says goodbye once, after acking the job's last
+            // epoch. Earlier, it is a server that gave up on the job.
+            Ok(FrameRead::Bye) if acked < epochs => {
+                return Err(format!("server sent BYE after acking {acked} of {epochs} epochs"))
+            }
+            Ok(FrameRead::Bye) => return Ok(()),
+            Ok(FrameRead::Eof) => return Err("server closed the connection without BYE".into()),
+            Ok(_) => return Err("unexpected rank-fabric frame on the data plane".into()),
+            Err(e) => return Err(format!("server link failed without BYE: {e}")),
+        }
     }
 }
 
@@ -552,13 +529,12 @@ pub struct ServiceClient {
     server_index: usize,
     addr: String,
     depth: usize,
-    outs: Vec<Receiver<Decoded>>,
+    lanes: LaneOuts,
     eoe: Receiver<u64>,
     epoch: u64,
     sent: usize,
     consumed: usize,
-    reader: Option<std::thread::JoinHandle<()>>,
-    decoders: Vec<std::thread::JoinHandle<()>>,
+    reader: std::thread::JoinHandle<()>,
 }
 
 impl ServiceClient {
@@ -574,97 +550,27 @@ impl ServiceClient {
         workers: usize,
         timeout: Duration,
     ) -> io::Result<ServiceClient> {
-        assert!(workers >= 1, "need at least one decode worker");
         let stream = connect_with_backoff(addr, timeout)?;
         stream.set_nodelay(true).ok();
 
-        let mut tx_stream = stream.try_clone()?;
         let handshake = WireMsg {
             src: hello.rank,
             comm_id: 0,
             tag: HELLO_TAG,
             payload: Payload::bytes(hello.encode()),
         };
-        write_service_frames_vectored(&mut tx_stream, &[(KIND_DATA_REQ, handshake)])?;
+        write_service_frames_vectored(&mut &stream, &[(KIND_DATA_REQ, handshake)])?;
 
-        // Decode workers: jobs arrive round-robin by request seq and leave
-        // on per-worker FIFO channels, so consuming round-robin preserves
-        // request order for any worker count.
-        let mut job_txs: Vec<DecodeLane> = Vec::with_capacity(workers);
-        let mut outs = Vec::with_capacity(workers);
-        let mut decoders = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (job_tx, job_rx) = channel::<DecodeJob>();
-            let (out_tx, out_rx) = channel::<Decoded>();
-            job_txs.push((job_tx, out_tx.clone()));
-            outs.push(out_rx);
-            decoders.push(std::thread::spawn(move || {
-                while let Ok((salt, body)) = job_rx.recv() {
-                    let decoded = decode_job(salt, &body, crop);
-                    let dead = matches!(decoded, Decoded::Dead(_));
-                    if out_tx.send(decoded).is_err() || dead {
-                        return;
-                    }
-                }
-            }));
-        }
-
+        // A job is a batch body and its salt, or the reader's death notice.
+        let (mut jobs, lanes) =
+            decode_lanes(workers, move |job: Result<(u64, Vec<u8>), String>| {
+                job.and_then(|(salt, body)| decode_job(salt, &body, crop))
+            });
         let (eoe_tx, eoe) = channel::<u64>();
         let reader_stream = stream.try_clone()?;
         let reader = std::thread::spawn(move || {
-            let mut r = BufReader::new(reader_stream);
-            let mut seq = 0usize;
-            let mut acked = 0usize;
-            let die = |job_txs: &[DecodeLane], cause: String| {
-                for (_, out_tx) in job_txs {
-                    let _ = out_tx.send(Decoded::Dead(cause.clone()));
-                }
-            };
-            loop {
-                match read_frame(&mut r) {
-                    Ok(FrameRead::Service { kind: KIND_DATA_BATCH, msg }) => {
-                        let body = msg.payload.as_bytes().to_vec();
-                        let w = seq % job_txs.len();
-                        seq += 1;
-                        if job_txs[w].0.send((msg.comm_id, body)).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(FrameRead::Service { kind: KIND_DATA_EOE, msg }) => {
-                        seq = 0;
-                        acked += 1;
-                        if eoe_tx.send(msg.comm_id).is_err() {
-                            return;
-                        }
-                    }
-                    Ok(FrameRead::Bye) => {
-                        // The server says goodbye once, after acking the
-                        // job's last epoch. Earlier, it is a server that
-                        // gave up on the job.
-                        if acked < hello.epochs {
-                            die(
-                                &job_txs,
-                                format!(
-                                    "server sent BYE after acking {acked} of {} epochs",
-                                    hello.epochs
-                                ),
-                            );
-                        }
-                        return;
-                    }
-                    Ok(FrameRead::Eof) => {
-                        die(&job_txs, "server closed the connection without BYE".into());
-                        return;
-                    }
-                    Ok(FrameRead::Msg(_)) | Ok(FrameRead::Service { .. }) => {
-                        die(&job_txs, "unexpected rank-fabric frame on the data plane".into());
-                        return;
-                    }
-                    Err(e) => {
-                        die(&job_txs, format!("server link failed without BYE: {e}"));
-                        return;
-                    }
-                }
+            if let Err(cause) = read_server(reader_stream, &mut jobs, &eoe_tx, hello.epochs) {
+                jobs.send(Err(cause));
             }
         });
 
@@ -674,13 +580,12 @@ impl ServiceClient {
             server_index,
             addr: addr.to_string(),
             depth,
-            outs,
+            lanes,
             eoe,
             epoch: 0,
             sent: 0,
             consumed: 0,
-            reader: Some(reader),
-            decoders,
+            reader,
         })
     }
 
@@ -699,15 +604,11 @@ impl ServiceClient {
         })
     }
 
-    fn send_req(&mut self, seq: usize) {
-        let req = WireMsg {
-            src: self.hello.rank,
-            comm_id: self.epoch,
-            tag: seq as u32,
-            payload: Payload::bytes(Vec::new()),
-        };
-        let mut stream = &self.stream;
-        if let Err(e) = write_service_frames_vectored(&mut stream, &[(KIND_DATA_REQ, req)]) {
+    /// Send an empty-bodied request or end-of-epoch frame to the server.
+    fn send(&self, kind: u8, comm_id: u64, tag: usize) {
+        let payload = Payload::bytes(Vec::new());
+        let msg = WireMsg { src: self.hello.rank, comm_id, tag: tag as u32, payload };
+        if let Err(e) = write_service_frames_vectored(&mut &self.stream, &[(kind, msg)]) {
             self.die(e.to_string());
         }
     }
@@ -720,7 +621,7 @@ impl ServiceClient {
         self.consumed = 0;
         let window = self.depth.min(self.hello.requests_per_epoch);
         for seq in 0..window {
-            self.send_req(seq);
+            self.send(KIND_DATA_REQ, epoch, seq);
         }
         self.sent = window;
     }
@@ -734,19 +635,17 @@ impl ServiceClient {
             self.hello.requests_per_epoch
         );
         if self.depth == 0 {
-            self.send_req(self.sent);
+            self.send(KIND_DATA_REQ, self.epoch, self.sent);
             self.sent += 1;
         }
-        let w = self.consumed % self.outs.len();
-        let out = match self.outs[w].recv() {
-            Ok(Decoded::Batch(x, labels)) => (x, labels),
-            Ok(Decoded::Dead(cause)) => self.die(cause),
-            Err(_) => self.die("decode pipeline exited".into()),
+        let out = match self.lanes.recv() {
+            Some(Ok(batch)) => batch,
+            Some(Err(cause)) => self.die(cause),
+            None => self.die("decode pipeline exited".into()),
         };
         self.consumed += 1;
         if self.depth > 0 && self.sent < self.hello.requests_per_epoch {
-            let seq = self.sent;
-            self.send_req(seq);
+            self.send(KIND_DATA_REQ, self.epoch, self.sent);
             self.sent += 1;
         }
         out
@@ -761,24 +660,13 @@ impl ServiceClient {
             "epoch ended early: {} of {} batches consumed",
             self.consumed, self.hello.requests_per_epoch
         );
-        let eoe = WireMsg {
-            src: self.hello.rank,
-            comm_id: epoch,
-            tag: 0,
-            payload: Payload::bytes(Vec::new()),
-        };
-        let mut stream = &self.stream;
-        if let Err(e) = write_service_frames_vectored(&mut stream, &[(KIND_DATA_EOE, eoe)]) {
-            self.die(e.to_string());
-        }
+        self.send(KIND_DATA_EOE, epoch, 0);
         match self.eoe.recv() {
             Ok(e) => assert_eq!(e, epoch, "out-of-order epoch ack"),
             Err(_) => {
-                // The reader died; the cause sentinel is waiting in the
-                // decode channels.
-                let w = self.consumed % self.outs.len();
-                match self.outs[w].try_recv() {
-                    Ok(Decoded::Dead(cause)) => self.die(cause),
+                // The reader died; its cause is waiting on the decode lanes.
+                match self.lanes.recv() {
+                    Some(Err(cause)) => self.die(cause),
                     _ => self.die("server vanished at end of epoch".into()),
                 }
             }
@@ -786,16 +674,11 @@ impl ServiceClient {
     }
 
     /// Graceful teardown: BYE the server, close the socket, join threads.
-    pub fn finish(mut self) {
+    pub fn finish(self) {
         let _ = (&self.stream).write_all(&encode_bye(self.hello.rank));
         let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(r) = self.reader.take() {
-            let _ = r.join();
-        }
-        drop(self.outs);
-        for d in self.decoders.drain(..) {
-            let _ = d.join();
-        }
+        let _ = self.reader.join();
+        self.lanes.join();
     }
 }
 
@@ -1119,18 +1002,18 @@ mod tests {
     fn a_record_the_codec_refuses_is_a_dead_link_not_a_panic() {
         let ds = ds();
         let (salt, mut records) = partition(&ds, 0).sample_batch_records(BATCH);
-        let Decoded::Batch(x, labels) = decode_job(salt, &pack(&records), CROP) else {
+        let Ok(batch) = decode_job(salt, &pack(&records), CROP) else {
             panic!("a well-formed batch was refused");
         };
-        assert_eq!((x, labels), decode_augmented_batch(&records, CROP, salt));
+        assert_eq!(batch, decode_augmented_batch(&records, CROP, salt));
 
         records[2].0.truncate(40);
-        let Decoded::Dead(cause) = decode_job(salt, &pack(&records), CROP) else {
+        let Err(cause) = decode_job(salt, &pack(&records), CROP) else {
             panic!("a truncated record decoded");
         };
         assert_eq!(cause, "malformed record: truncated at byte 40");
 
-        let Decoded::Dead(cause) = decode_job(salt, &[1, 2, 3], CROP) else {
+        let Err(cause) = decode_job(salt, &[1, 2, 3], CROP) else {
             panic!("a three-byte payload unpacked");
         };
         assert!(cause.starts_with("malformed batch payload"), "{cause}");
@@ -1223,5 +1106,84 @@ mod tests {
         }
         let report = server.join().expect("server thread");
         assert!(report[0].is_err(), "server should report the injected fault");
+    }
+
+    /// A world-1 server fabric hosting partition 0 (and 1 when
+    /// `trainer_world` is 2) on a thread; `serve_blocking`'s result arrives
+    /// on the receiver, which disconnects instead if the server panicked.
+    fn hostile_server(trainer_world: usize) -> (String, Receiver<io::Result<ServeReport>>) {
+        let ds = ds();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let parts: Vec<(usize, Dimd)> =
+                (0..trainer_world).map(|v| (v, partition(&ds, v))).collect();
+            let parts = std::sync::Mutex::new(Some(parts));
+            let listener = std::sync::Mutex::new(Some(listener));
+            run_cluster(1, move |c| {
+                let parts = parts.lock().expect("parts").take().expect("one server rank");
+                let listener = listener.lock().expect("listener").take().expect("one server rank");
+                let _ = tx.send(serve_blocking(listener, c, parts, trainer_world, None));
+            });
+        });
+        (addr, rx)
+    }
+
+    /// Dial `addr` and send `frames` as a client would; the socket stays
+    /// open for as long as the caller holds it.
+    fn raw_client(addr: &str, frames: &[(u8, WireMsg)]) -> TcpStream {
+        let mut s = connect_with_backoff(addr, Duration::from_secs(10)).expect("dial");
+        write_service_frames_vectored(&mut s, frames).expect("send");
+        s
+    }
+
+    fn hello_frame(hello: Hello) -> (u8, WireMsg) {
+        let payload = Payload::bytes(hello.encode());
+        (KIND_DATA_REQ, WireMsg { src: hello.rank, comm_id: 0, tag: HELLO_TAG, payload })
+    }
+
+    /// `serve_blocking` must return an `InvalidData` error naming `want`
+    /// and the client's address within a bound, without panicking.
+    fn expect_refusal(rx: &Receiver<io::Result<ServeReport>>, want: &str) {
+        let err = match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(e)) => e,
+            Ok(Ok(report)) => panic!("served a hostile client: {report:?}"),
+            Err(e) => panic!("server panicked or hung: {e}"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let text = err.to_string();
+        assert!(text.contains(want) && text.contains("127.0.0.1"), "{text}");
+    }
+
+    #[test]
+    fn forged_hello_for_a_rank_the_server_does_not_host_is_refused() {
+        let (addr, rx) = hostile_server(1);
+        let _c = raw_client(&addr, &[hello_frame(Hello { world: 1, ..hello(1) })]);
+        expect_refusal(&rx, "client rank 1 at");
+    }
+
+    #[test]
+    fn hello_with_the_wrong_world_is_refused() {
+        let (addr, rx) = hostile_server(1);
+        let _c = raw_client(&addr, &[hello_frame(hello(0))]);
+        expect_refusal(&rx, "trainer world 2");
+    }
+
+    #[test]
+    fn a_second_live_connection_for_a_rank_is_refused() {
+        let (addr, rx) = hostile_server(2);
+        let _first = raw_client(&addr, &[hello_frame(hello(0))]);
+        let _second = raw_client(&addr, &[hello_frame(hello(0))]);
+        expect_refusal(&rx, "duplicate handshake for rank 0");
+    }
+
+    #[test]
+    fn an_out_of_order_request_is_refused() {
+        let (addr, rx) = hostile_server(1);
+        let req = WireMsg { src: 0, comm_id: 0, tag: 3, payload: Payload::bytes(Vec::new()) };
+        let hello = Hello { world: 1, ..hello(0) };
+        let _c = raw_client(&addr, &[hello_frame(hello), (KIND_DATA_REQ, req)]);
+        expect_refusal(&rx, "requested batch 3 of epoch 0, expected batch 0");
     }
 }
