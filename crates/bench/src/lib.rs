@@ -345,7 +345,7 @@ pub struct CommRow {
     pub msgs_sent: u64,
     /// Milliseconds this rank's receives spent blocked.
     pub recv_wait_ms: f64,
-    /// High-water mark of the out-of-order message stash.
+    /// Most messages delivered to this rank but not yet received, at once.
     pub stash_hwm: u64,
     /// Milliseconds inside the allreduce phase.
     pub allreduce_ms: f64,

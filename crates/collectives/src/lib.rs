@@ -15,8 +15,9 @@
 //!
 //! * [`runtime`] — a threaded, in-process message-passing runtime standing in
 //!   for MPI over InfiniBand verbs: one OS thread per rank, eager typed
-//!   sends over lock-free channels, tag matching, communicator `split`
-//!   (used by DIMD's group-based shuffle), and message-based barriers.
+//!   sends delivered straight into the receiver's mailbox, tag matching,
+//!   communicator `split` (used by DIMD's group-based shuffle), and
+//!   message-based barriers.
 //! * [`tree`] — construction of the paper's **multi-color k-ary BFS spanning
 //!   trees** (Figure 2): the payload is split into `k` chunks and each chunk
 //!   is reduced along its own tree whose *interior (non-leaf) nodes are

@@ -4,12 +4,14 @@
 //! for the world communicator. Point-to-point messages travel over a
 //! [`Transport`] backend (an *eager* protocol: sends never block, so
 //! collectives written against this runtime are deadlock-free as long as
-//! every posted receive is eventually matched). Tag matching follows MPI
-//! semantics: a receive names `(source, communicator, tag)` and out-of-order
-//! arrivals are stashed.
+//! every posted receive is eventually matched). The backend delivers each
+//! message into the destination rank's mailbox, where it waits until a
+//! receive takes it. Tag matching follows MPI semantics: a receive names
+//! `(source, communicator, tag)`, whatever order messages arrive in.
 //!
-//! Two backends exist (see [`crate::transport`]): in-process `mpsc` inboxes
-//! with `Arc`-shared zero-copy payloads (the default), and real TCP sockets
+//! Two backends exist (see [`crate::transport`]): in-process threads that
+//! deliver into each other's mailboxes with `Arc`-shared zero-copy payloads
+//! (the default), and real TCP sockets
 //! ([`ClusterBuilder::transport`] or `DCNN_TRANSPORT=tcp`). For ranks as
 //! separate OS processes, [`run_tcp_rank`] is the per-process entry point
 //! (driven by the `dcnn-launch` binary via `DCNN_RANK` / `DCNN_WORLD` /
@@ -25,11 +27,9 @@
 //! lazily-spawned thread pool (`DCNN_COMM_WORKERS`, default 2) — and returns
 //! a [`PendingReduce`] handle. Each launch runs on its own derived bucket
 //! communicator, so several reductions can be in flight without their
-//! messages cross-matching; the rank's single transport inbox is shared
-//! between the main thread and the workers through the receive router (a
-//! leader/follower protocol: exactly one thread polls the transport at a
-//! time, parking non-matching arrivals in the stash for the others). The
-//! bucketed overlap-aware trainer loop is built on this.
+//! messages cross-matching; the main thread and the workers receive from
+//! the rank's one mailbox side by side (`runtime/router.rs`). The bucketed
+//! overlap-aware trainer loop is built on this.
 //!
 //! ## Deadlock watchdog
 //!
@@ -39,7 +39,8 @@
 //! timeout panic. Instead, every blocked consumer (a rank's main thread, or
 //! one of its in-flight async buckets) publishes its blocked-receive
 //! descriptor `(rank, sources, comm, tag)` and a snapshot of its stash keys
-//! into a shared diagnostics registry; the first rank to time out assembles
+//! (what waits in its mailbox) into a shared diagnostics registry
+//! (`runtime/watchdog.rs`); the first rank to time out assembles
 //! the cross-rank wait-for graph, runs cycle detection, and panics with a
 //! readable report naming every blocked rank (bucket reduces labelled with
 //! their bucket number), what it waits for, what it has stashed, and the
@@ -57,25 +58,27 @@
 //! and queryable mid-run with [`Comm::stats`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::config::RuntimeConfig;
 use crate::trace::{write_trace_json, TraceEvent, TraceEventKind};
 use crate::transport::local::local_fabric;
 use crate::transport::tcp::TcpTransport;
-use crate::transport::{RecvPoll, Transport, TransportKind, WireMsg};
+use crate::transport::{Transport, TransportKind, WireMsg};
 
 pub use crate::transport::Payload;
 
 mod launch;
+mod router;
+mod watchdog;
 
 use launch::CommWorker;
 pub use launch::{CollectiveOp, PendingReduce};
+use watchdog::RankDiag;
 
-/// Which consumer of a rank's inbox a receive belongs to: the rank's main
+/// Which consumer of a rank's mailbox a receive belongs to: the rank's main
 /// thread, or the comm worker running one async bucket reduce. Ordered so
 /// `Main` sorts before buckets in watchdog reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -173,35 +176,6 @@ fn current_phase() -> Option<String> {
     PHASE_STACK.with(|s| s.borrow().last().map(|l| l.to_string()))
 }
 
-/// A blocked-receive descriptor, published to the diagnostics registry while
-/// a consumer waits in a receive past the first poll interval.
-#[derive(Debug, Clone)]
-struct BlockedRecv {
-    /// Global ranks the receive can match (one entry for a plain `recv`,
-    /// the whole group for `recv_any`).
-    sources: Vec<usize>,
-    /// True for an any-source receive.
-    any_source: bool,
-    comm_id: u64,
-    tag: u32,
-    /// Nanoseconds since cluster start when the consumer blocked.
-    since_ns: u64,
-    /// For bucket consumers: the gradient segment that sealed the bucket
-    /// (set by the trainer's streaming scheduler), so watchdog reports can
-    /// name the layer instead of just a launch sequence number.
-    label: Option<Arc<str>>,
-}
-
-/// Per-rank slot in the shared diagnostics registry.
-#[derive(Default)]
-struct RankDiag {
-    /// Blocked-receive descriptors, one per blocked consumer of the rank's
-    /// inbox (main thread and/or in-flight async buckets).
-    blocked: Vec<(ConsumerId, BlockedRecv)>,
-    /// Stash keys `(src, comm_id, tag, queued)` snapshotted at block time.
-    stash_keys: Vec<(usize, u64, u32, usize)>,
-}
-
 /// State shared by every rank of one cluster run: configuration, the
 /// diagnostics registry, and the sinks results are flushed into.
 struct ClusterShared {
@@ -228,19 +202,22 @@ impl ClusterShared {
     }
 }
 
-/// Per-rank counters and trace buffer, shared by every [`Comm`] handle of
-/// the rank (world, splits and async buckets) across the rank's main thread
-/// and its comm workers, like an MPI profiling layer.
+/// The rank's transport endpoint, counters and trace buffer, shared by
+/// every [`Comm`] handle of the rank (world, splits and async buckets)
+/// across the rank's main thread and its comm workers, like an MPI
+/// profiling layer.
 struct RankLocal {
     rank: usize,
     shared: Arc<ClusterShared>,
+    /// The message fabric (threads or TCP), addressed by global rank; its
+    /// mailbox is where every receive of the rank waits.
+    transport: Arc<dyn Transport>,
     bytes_sent: AtomicU64,
     msgs_sent: AtomicU64,
     bytes_recvd: AtomicU64,
     msgs_recvd: AtomicU64,
     recv_wait_ns: AtomicU64,
     recv_blocks: AtomicU64,
-    stash_hwm: AtomicU64,
     /// Async collectives launched via [`Comm::launch`].
     async_launched: AtomicU64,
     /// Async reduces launched but not yet completed, right now.
@@ -272,18 +249,18 @@ struct RankLocal {
 }
 
 impl RankLocal {
-    fn new(rank: usize, shared: Arc<ClusterShared>) -> Self {
+    fn new(transport: Arc<dyn Transport>, shared: Arc<ClusterShared>) -> Self {
         let world = shared.diags.len();
         RankLocal {
-            rank,
+            rank: transport.rank(),
             shared,
+            transport,
             bytes_sent: AtomicU64::new(0),
             msgs_sent: AtomicU64::new(0),
             bytes_recvd: AtomicU64::new(0),
             msgs_recvd: AtomicU64::new(0),
             recv_wait_ns: AtomicU64::new(0),
             recv_blocks: AtomicU64::new(0),
-            stash_hwm: AtomicU64::new(0),
             async_launched: AtomicU64::new(0),
             async_inflight: AtomicU64::new(0),
             async_inflight_hwm: AtomicU64::new(0),
@@ -334,7 +311,7 @@ impl RankLocal {
             msgs_recvd: self.msgs_recvd.load(Relaxed),
             recv_wait_ns: self.recv_wait_ns.load(Relaxed),
             recv_blocks: self.recv_blocks.load(Relaxed),
-            stash_hwm: self.stash_hwm.load(Relaxed),
+            stash_hwm: self.transport.mailbox().high_water_mark(),
             async_launched: self.async_launched.load(Relaxed),
             async_inflight_hwm: self.async_inflight_hwm.load(Relaxed),
             bucket_wait_ns: self.bucket_wait_ns.load(Relaxed),
@@ -404,7 +381,8 @@ pub struct CommStats {
     pub recv_wait_ns: u64,
     /// Receives that stalled at least one poll interval without data.
     pub recv_blocks: u64,
-    /// High-water mark of messages parked in the out-of-order stash.
+    /// Most messages delivered to this rank but not yet received, at once
+    /// — every early arrival counts, whatever order it is received in.
     pub stash_hwm: u64,
     /// Async collectives launched via [`Comm::launch`].
     pub async_launched: u64,
@@ -519,495 +497,11 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// The part of the receive router that lives under its mutex: the
-/// out-of-order stash plus the leader/follower flag.
-struct RouterState {
-    stash: HashMap<(usize, u64, u32), VecDeque<Payload>>,
-    stash_len: u64,
-    /// True while some consumer is polling the transport with the lock
-    /// released; everyone else waits on the condvar instead of polling.
-    pumping: bool,
-    /// Peers whose links died abnormally (`peer` → failure cause). A
-    /// receive that can only be satisfied by a dead peer fails fast with
-    /// [`CommError::PeerDead`] instead of waiting out the watchdog.
-    dead: HashMap<usize, String>,
-}
-
-/// Per-rank receive router: the rank's single transport inbox plus an
-/// out-of-order stash, shared by every consumer of the rank (the main
-/// thread and the comm workers running async bucket reduces). One inbox per
-/// rank preserves per-sender FIFO order (all MPI guarantees); the router's
-/// leader/follower protocol lets many consumers block on it concurrently —
-/// exactly one polls the transport at a time, parking arrivals that match
-/// someone else's receive in the stash and waking the waiters.
-struct Router {
-    transport: Arc<dyn Transport>,
-    local: Arc<RankLocal>,
-    state: Mutex<RouterState>,
-    cv: Condvar,
-}
-
-impl Router {
-    fn new(transport: Arc<dyn Transport>, local: Arc<RankLocal>) -> Self {
-        Router {
-            transport,
-            local,
-            state: Mutex::new(RouterState {
-                stash: HashMap::new(),
-                stash_len: 0,
-                pumping: false,
-                dead: HashMap::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn take_stashed(&self, state: &mut RouterState, key: (usize, u64, u32)) -> Option<Payload> {
-        let q = state.stash.get_mut(&key)?;
-        let p = q.pop_front()?;
-        if q.is_empty() {
-            state.stash.remove(&key);
-        }
-        state.stash_len -= 1;
-        self.local.trace(TraceEventKind::Unstash, key.1, key.2, Some(key.0), p.len_bytes());
-        Some(p)
-    }
-
-    fn stash_msg(&self, state: &mut RouterState, msg: WireMsg) {
-        self.local.trace(
-            TraceEventKind::Stash,
-            msg.comm_id,
-            msg.tag,
-            Some(msg.src),
-            msg.payload.len_bytes(),
-        );
-        state.stash.entry((msg.src, msg.comm_id, msg.tag)).or_default().push_back(msg.payload);
-        state.stash_len += 1;
-        self.local.stash_hwm.fetch_max(state.stash_len, Relaxed);
-    }
-
-    fn delivered(&self, src: usize, comm_id: u64, tag: u32, payload: Payload) -> Payload {
-        self.local.bytes_recvd.fetch_add(payload.len_bytes() as u64, Relaxed);
-        self.local.msgs_recvd.fetch_add(1, Relaxed);
-        self.local.trace(TraceEventKind::Recv, comm_id, tag, Some(src), payload.len_bytes());
-        payload
-    }
-
-    /// Bookkeeping for a satisfied receive: retract the blocked-receive
-    /// descriptor if one was published and account the blocked time.
-    fn finish_wait(
-        &self,
-        published: bool,
-        wait_start: Option<Instant>,
-        consumer: ConsumerId,
-        comm_id: u64,
-        tag: u32,
-    ) {
-        if published {
-            self.unpublish_blocked(consumer, comm_id, tag);
-        }
-        if let Some(t0) = wait_start {
-            self.local.recv_wait_ns.fetch_add(t0.elapsed().as_nanos() as u64, Relaxed);
-        }
-    }
-
-    /// Blocking receive matching `(any of sources, comm_id, tag)` on behalf
-    /// of `consumer`. Returns `(global_src, payload)`. On timeout, panics
-    /// with the watchdog's cross-rank deadlock report.
-    fn recv_from_sources(
-        &self,
-        sources: &[usize],
-        any_source: bool,
-        comm_id: u64,
-        tag: u32,
-        consumer: ConsumerId,
-        label: Option<&Arc<str>>,
-    ) -> (usize, Payload) {
-        let timeout = self.local.shared.recv_timeout;
-        // Poll in slices so blocked consumers publish diagnostics long
-        // before any rank's deadline expires; the fast path (data already
-        // stashed) never touches the registry.
-        let poll = (timeout / 4).min(Duration::from_millis(100)).max(Duration::from_millis(1));
-        let mut state = self.state.lock().expect("router state");
-        let mut wait_start: Option<Instant> = None;
-        let mut published = false;
-        loop {
-            // Check the stash first: the fast path on entry, and afterwards
-            // whatever another consumer's poll may have parked for us.
-            for &src in sources {
-                if let Some(p) = self.take_stashed(&mut state, (src, comm_id, tag)) {
-                    drop(state);
-                    self.finish_wait(published, wait_start, consumer, comm_id, tag);
-                    return (src, self.delivered(src, comm_id, tag, p));
-                }
-            }
-            // Nothing stashed: if every source that could still satisfy this
-            // receive is dead, no message will ever arrive — fail fast with
-            // a structured error instead of waiting out the watchdog.
-            // (Messages that arrived before the link died were already
-            // checked above, so nothing deliverable is lost.)
-            if !state.dead.is_empty() {
-                let me = self.local.rank;
-                let fatal = if any_source {
-                    // An any-source receive is doomed only once every
-                    // non-self source is dead (self-sends bypass the wire).
-                    sources
-                        .iter()
-                        .filter(|&&s| s != me)
-                        .all(|s| state.dead.contains_key(s))
-                        .then(|| sources.iter().find(|&&s| s != me && state.dead.contains_key(&s)))
-                        .flatten()
-                } else {
-                    sources.first().filter(|&&s| s != me && state.dead.contains_key(&s))
-                };
-                if let Some(&peer) = fatal {
-                    let cause = state.dead.get(&peer).cloned().unwrap_or_default();
-                    // Release the lock before unwinding so sibling
-                    // consumers see a clean (unpoisoned) router.
-                    drop(state);
-                    self.fail_peer_dead(peer, cause, consumer, label);
-                }
-            }
-            let started = *wait_start.get_or_insert_with(Instant::now);
-            if !state.pumping {
-                // Become the pumper: poll the transport with the lock
-                // released so other consumers can keep checking the stash.
-                state.pumping = true;
-                drop(state);
-                let polled = self.transport.recv_timeout(poll);
-                state = self.state.lock().expect("router state");
-                state.pumping = false;
-                self.cv.notify_all();
-                match polled {
-                    RecvPoll::Msg(msg) => {
-                        let matches =
-                            msg.comm_id == comm_id && msg.tag == tag && sources.contains(&msg.src);
-                        if matches {
-                            drop(state);
-                            self.finish_wait(published, wait_start, consumer, comm_id, tag);
-                            let src = msg.src;
-                            return (src, self.delivered(src, comm_id, tag, msg.payload));
-                        }
-                        self.stash_msg(&mut state, msg);
-                    }
-                    RecvPoll::TimedOut => {
-                        if !published {
-                            self.publish_blocked(
-                                &state, sources, any_source, comm_id, tag, consumer, label,
-                            );
-                            published = true;
-                        }
-                        if started.elapsed() >= timeout {
-                            drop(state);
-                            let report = deadlock_report(&self.local.shared, self.local.rank);
-                            panic!("{report}");
-                        }
-                    }
-                    RecvPoll::LinkDown { peer, cause } => {
-                        // A link died. Record it and loop: the dead-source
-                        // check at the top decides whether *this* receive is
-                        // doomed; followers woken by the notify above re-run
-                        // the same check for theirs.
-                        self.local.trace(
-                            TraceEventKind::LinkDown,
-                            comm_id,
-                            tag,
-                            Some(peer),
-                            0,
-                        );
-                        state.dead.entry(peer).or_insert(cause);
-                        self.cv.notify_all();
-                    }
-                    RecvPoll::Closed => {
-                        // Unreachable on the threaded backend while this rank
-                        // lives (it holds a sender to itself); on TCP it means
-                        // every peer link died. Fail loudly rather than spin.
-                        drop(state);
-                        panic!(
-                            "rank {}: inbox disconnected (every peer hung up)",
-                            self.local.rank
-                        );
-                    }
-                }
-            } else {
-                // Another consumer is polling the transport; sleep until it
-                // stashes or delivers something, then re-check.
-                let (guard, _timed_out) =
-                    self.cv.wait_timeout(state, poll).expect("router state");
-                state = guard;
-                if !published && started.elapsed() >= poll {
-                    self.publish_blocked(
-                        &state, sources, any_source, comm_id, tag, consumer, label,
-                    );
-                    published = true;
-                }
-                if started.elapsed() >= timeout {
-                    drop(state);
-                    let report = deadlock_report(&self.local.shared, self.local.rank);
-                    panic!("{report}");
-                }
-            }
-        }
-    }
-
-    /// Abort a doomed receive with a structured [`CommError::PeerDead`]
-    /// panic payload, attributed with the thread's current algorithm phase
-    /// and (for bucket consumers) the bucket number and sealing segment —
-    /// the same descriptors the deadlock watchdog reports.
-    fn fail_peer_dead(
-        &self,
-        peer: usize,
-        cause: String,
-        consumer: ConsumerId,
-        label: Option<&Arc<str>>,
-    ) -> ! {
-        let (bucket, seg) = match consumer {
-            ConsumerId::Main => (None, None),
-            ConsumerId::Bucket(k) => (Some(k), label.map(|l| l.to_string())),
-        };
-        let err = CommError::PeerDead {
-            rank: self.local.rank,
-            peer,
-            cause,
-            phase: current_phase(),
-            bucket,
-            label: seg,
-        };
-        install_comm_error_hook();
-        std::panic::panic_any(err);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn publish_blocked(
-        &self,
-        state: &RouterState,
-        sources: &[usize],
-        any_source: bool,
-        comm_id: u64,
-        tag: u32,
-        consumer: ConsumerId,
-        label: Option<&Arc<str>>,
-    ) {
-        let shared = &self.local.shared;
-        let me = self.local.rank;
-        self.local.recv_blocks.fetch_add(1, Relaxed);
-        self.local.trace(
-            TraceEventKind::BlockEnter,
-            comm_id,
-            tag,
-            if any_source { None } else { sources.first().copied() },
-            0,
-        );
-        let desc = BlockedRecv {
-            sources: sources.to_vec(),
-            any_source,
-            comm_id,
-            tag,
-            since_ns: shared.now_ns(),
-            label: label.cloned(),
-        };
-        let mut slot = shared.diags[me].lock().expect("diag slot");
-        if let Some(e) = slot.blocked.iter_mut().find(|(c, _)| *c == consumer) {
-            e.1 = desc;
-        } else {
-            slot.blocked.push((consumer, desc));
-        }
-        slot.stash_keys = state
-            .stash
-            .iter()
-            .map(|(&(src, cid, t), q)| (src, cid, t, q.len()))
-            .collect();
-        slot.stash_keys.sort_unstable();
-    }
-
-    fn unpublish_blocked(&self, consumer: ConsumerId, comm_id: u64, tag: u32) {
-        let shared = &self.local.shared;
-        let mut slot = shared.diags[self.local.rank].lock().expect("diag slot");
-        slot.blocked.retain(|(c, _)| *c != consumer);
-        if slot.blocked.is_empty() {
-            slot.stash_keys.clear();
-        }
-        drop(slot);
-        self.local.trace(TraceEventKind::BlockExit, comm_id, tag, None, 0);
-    }
-}
-
-/// One rank's diagnostics snapshot: its blocked-receive descriptors (one per
-/// blocked consumer) and its stash keys `(src, comm_id, tag, queued)`.
-type DiagSnapshot = (Vec<(ConsumerId, BlockedRecv)>, Vec<(usize, u64, u32, usize)>);
-
-/// The rank's main-thread blocked descriptor, if any. The wait-for graph is
-/// built over main threads only: a rank whose main thread still runs can
-/// always make progress toward the send a peer waits on, while async bucket
-/// workers reduce independently and are reported but not graphed.
-fn main_blocked(entry: &DiagSnapshot) -> Option<&BlockedRecv> {
-    entry.0.iter().find(|(c, _)| *c == ConsumerId::Main).map(|(_, b)| b)
-}
-
-/// Build (once) the cross-rank deadlock report: every blocked consumer's
-/// receive descriptor and stash snapshot, the wait-for graph, and any cycle
-/// in it.
-fn deadlock_report(shared: &Arc<ClusterShared>, me: usize) -> Arc<String> {
-    let mut memo = shared.report.lock().expect("report memo");
-    if let Some(r) = memo.as_ref() {
-        return Arc::clone(r);
-    }
-    let snap: Vec<DiagSnapshot> = shared
-        .diags
-        .iter()
-        .map(|m| {
-            let d = m.lock().expect("diag slot");
-            (d.blocked.clone(), d.stash_keys.clone())
-        })
-        .collect();
-
-    let timeout = shared.recv_timeout;
-    let mut out = format!(
-        "deadlock suspected: rank {me} blocked in recv past the {timeout:?} watchdog timeout \
-         (set via ClusterBuilder::recv_timeout or DCNN_RECV_TIMEOUT_MS)\n\
-         blocked receives:\n"
-    );
-    for (rank, (blocked, stash)) in snap.iter().enumerate() {
-        if blocked.is_empty() {
-            if shared.cross_process {
-                out.push_str(&format!(
-                    "  rank {rank}: no visibility (remote process; re-run that rank with \
-                     DCNN_TRACE=1 for its side)\n"
-                ));
-            } else {
-                out.push_str(&format!("  rank {rank}: not blocked (running or finished)\n"));
-            }
-            continue;
-        }
-        let mut entries = blocked.clone();
-        entries.sort_by_key(|&(c, _)| c);
-        for (consumer, b) in &entries {
-            let who = match (consumer, b.label.as_deref()) {
-                (ConsumerId::Main, _) => format!("rank {rank}"),
-                (ConsumerId::Bucket(k), Some(l)) => {
-                    format!("rank {rank} [bucket {k}, sealed by {l}]")
-                }
-                (ConsumerId::Bucket(k), None) => format!("rank {rank} [bucket {k}]"),
-            };
-            let src = if b.any_source {
-                format!("any of {:?}", b.sources)
-            } else {
-                format!("src {}", b.sources[0])
-            };
-            let waited = (shared.now_ns().saturating_sub(b.since_ns)) as f64 / 1e9;
-            out.push_str(&format!(
-                "  {who}: waiting on {src} (comm {:#x}, tag {}), blocked {waited:.1}s\n",
-                b.comm_id, b.tag
-            ));
-        }
-        if stash.is_empty() {
-            out.push_str("          stash: empty\n");
-        } else {
-            out.push_str("          stash:");
-            for &(s, cid, t, n) in stash {
-                out.push_str(&format!(" (src {s}, comm {cid:#x}, tag {t}) x{n}"));
-            }
-            out.push('\n');
-        }
-    }
-
-    // Wait-for graph: r -> s when blocked rank r can only be satisfied by a
-    // send from s. Edges into non-blocked ranks cannot close a cycle.
-    if let Some(cycle) = find_wait_cycle(&snap) {
-        out.push_str("wait-for cycle: ");
-        for r in &cycle {
-            out.push_str(&format!("rank {r} -> "));
-        }
-        out.push_str(&format!(
-            "rank {} (each rank waits on a send the next never posts)\n",
-            cycle[0]
-        ));
-        out.push_str(
-            "hint: ranks disagree on collective order or tags — compare each rank's \
-             blocked (comm, tag) above, and re-run with DCNN_TRACE=1 for the full event log\n",
-        );
-    } else {
-        let waiting_on_live: Vec<usize> = snap
-            .iter()
-            .enumerate()
-            .filter_map(|(r, entry)| {
-                main_blocked(entry)
-                    .filter(|b| b.sources.iter().any(|&s| main_blocked(&snap[s]).is_none()))
-                    .map(|_| r)
-            })
-            .collect();
-        out.push_str(&format!(
-            "no wait-for cycle: blocked ranks {waiting_on_live:?} wait on ranks that are not \
-             blocked — the expected sender likely exited or never reached the matching send\n"
-        ));
-    }
-
-    let report = Arc::new(out);
-    *memo = Some(Arc::clone(&report));
-    report
-}
-
-/// Find a cycle in the blocked-rank wait-for graph, as the rank sequence
-/// around the cycle (each waits on the next; last waits on first).
-fn find_wait_cycle(snap: &[DiagSnapshot]) -> Option<Vec<usize>> {
-    let n = snap.len();
-    // 0 = unvisited, 1 = on the current DFS path, 2 = done.
-    let mut state = vec![0u8; n];
-    let mut stack: Vec<usize> = Vec::new();
-
-    fn dfs(
-        r: usize,
-        snap: &[DiagSnapshot],
-        state: &mut [u8],
-        stack: &mut Vec<usize>,
-    ) -> Option<Vec<usize>> {
-        state[r] = 1;
-        stack.push(r);
-        if let Some(b) = main_blocked(&snap[r]) {
-            // An any-source receive is stuck only if every possible sender
-            // is; while one source still runs, draw no edges (it may send).
-            let live_source = b.any_source
-                && b.sources.iter().any(|&s| s != r && main_blocked(&snap[s]).is_none());
-            for &s in &b.sources {
-                if live_source || (b.any_source && s == r) {
-                    continue; // a blocked rank cannot send to itself
-                }
-                if main_blocked(&snap[s]).is_none() {
-                    continue; // a running rank can still satisfy the recv
-                }
-                match state[s] {
-                    0 => {
-                        if let Some(c) = dfs(s, snap, state, stack) {
-                            return Some(c);
-                        }
-                    }
-                    1 => {
-                        let start = stack.iter().position(|&x| x == s).expect("on path");
-                        return Some(stack[start..].to_vec());
-                    }
-                    _ => {}
-                }
-            }
-        }
-        stack.pop();
-        state[r] = 2;
-        None
-    }
-
-    (0..n).find_map(|r| {
-        if state[r] == 0 {
-            dfs(r, snap, &mut state, &mut stack)
-        } else {
-            None
-        }
-    })
-}
-
 /// A communicator handle: a group of ranks that can exchange messages and
 /// run collectives. Cheap to clone-like via [`Comm::split`]. A `Comm` is
 /// owned by one rank; it is `Send` (async bucket reduces move a derived
 /// handle onto the rank's comm worker) but not `Sync` — concurrent
-/// consumers of a rank's inbox each get their own handle, as MPI
+/// consumers of a rank's mailbox each get their own handle, as MPI
 /// communicators work.
 pub struct Comm {
     global_rank: usize,
@@ -1020,16 +514,13 @@ pub struct Comm {
     /// Async launches on this communicator, numbering derived bucket
     /// communicators (symmetric across ranks by collective-call order).
     async_seq: Cell<u64>,
-    /// The message fabric (threads or TCP), addressed by global rank.
-    transport: Arc<dyn Transport>,
-    /// The rank's shared receive router (stash + leader/follower polling).
-    router: Arc<Router>,
-    /// Counters and trace buffer, shared across all communicator handles on
-    /// the rank (parent, splits and buckets), like an MPI profiling layer.
+    /// The rank's transport endpoint, counters and trace buffer, shared
+    /// across all communicator handles on the rank (parent, splits and
+    /// buckets).
     local: Arc<RankLocal>,
     /// The rank's comm worker pool for async reduces.
     worker: Arc<CommWorker>,
-    /// Which inbox consumer this handle's receives belong to.
+    /// Which mailbox consumer this handle's receives belong to.
     consumer: ConsumerId,
     /// Human-readable attribution for bucket communicators (the gradient
     /// segment that sealed the bucket); shown by the deadlock watchdog.
@@ -1063,7 +554,7 @@ impl Comm {
     /// Name of the transport backend carrying this communicator's messages
     /// ("threads", "tcp") — for diagnostics and smoke tests.
     pub fn transport_backend(&self) -> &'static str {
-        self.transport.backend()
+        self.local.transport.backend()
     }
 
     /// Total bytes this rank has sent (across all communicator handles).
@@ -1111,7 +602,7 @@ impl Comm {
         self.local.link_sent[gdst].fetch_add(payload.len_bytes() as u64, Relaxed);
         self.local.msgs_sent.fetch_add(1, Relaxed);
         self.local.trace(TraceEventKind::Send, self.comm_id, tag, Some(gdst), payload.len_bytes());
-        self.transport.send(
+        self.local.transport.send(
             gdst,
             WireMsg { src: self.global_rank, comm_id: self.comm_id, tag, payload },
         );
@@ -1128,14 +619,7 @@ impl Comm {
     /// server, which serves whichever worker finishes first.
     pub fn recv_any(&self, tag: u32) -> (usize, Payload) {
         assert!(tag < TAG_INTERNAL, "tag {tag:#x} is reserved for the runtime");
-        let (gsrc, payload) = self.router.recv_from_sources(
-            &self.group,
-            true,
-            self.comm_id,
-            tag,
-            self.consumer,
-            self.label.as_ref(),
-        );
+        let (gsrc, payload) = self.recv_from_sources(&self.group, true, tag);
         let grank = self
             .group
             .iter()
@@ -1145,23 +629,20 @@ impl Comm {
     }
 
     fn recv_raw(&self, src: usize, tag: u32) -> Payload {
-        let gsrc = self.group[src];
-        self.router
-            .recv_from_sources(&[gsrc], false, self.comm_id, tag, self.consumer, self.label.as_ref())
-            .1
+        self.recv_from_sources(&[self.group[src]], false, tag).1
     }
 
     /// Send an `f32` slice, copied once into a buffer from the transport's
     /// [`crate::transport::BufPool`].
     pub fn send_f32(&self, dst: usize, tag: u32, data: &[f32]) {
-        self.send(dst, tag, Payload::f32(self.transport.pool().copy_of(data)));
+        self.send(dst, tag, Payload::f32(self.local.transport.pool().copy_of(data)));
     }
 
     /// Hand a received payload's buffer back to the transport's pool once
     /// its elements are used (nothing happens while another holder shares
     /// it).
     pub(crate) fn recycle(&self, payload: Payload) {
-        self.transport.pool().recycle(payload);
+        self.local.transport.pool().recycle(payload);
     }
 
     /// Send an already-shared `f32` buffer without copying it; the threaded
@@ -1317,8 +798,6 @@ impl Comm {
             comm_id: h,
             split_count: Cell::new(0),
             async_seq: Cell::new(0),
-            transport: Arc::clone(&self.transport),
-            router: Arc::clone(&self.router),
             local: Arc::clone(&self.local),
             worker: Arc::clone(&self.worker),
             consumer: self.consumer,
@@ -1364,8 +843,7 @@ fn rank_main<R>(
     let rank = transport.rank();
     let n = transport.world_size();
     let comm_workers = shared.comm_workers;
-    let local = Arc::new(RankLocal::new(rank, shared));
-    let router = Arc::new(Router::new(Arc::clone(&transport), Arc::clone(&local)));
+    let local = Arc::new(RankLocal::new(Arc::clone(&transport), shared));
     let worker = Arc::new(CommWorker::new(rank, comm_workers));
     let comm = Comm {
         global_rank: rank,
@@ -1374,8 +852,6 @@ fn rank_main<R>(
         comm_id: 0,
         split_count: Cell::new(0),
         async_seq: Cell::new(0),
-        transport: Arc::clone(&transport),
-        router,
         local: Arc::clone(&local),
         worker: Arc::clone(&worker),
         consumer: ConsumerId::Main,
@@ -1880,6 +1356,34 @@ mod tests {
     }
 
     #[test]
+    fn recv_any_serves_queued_messages_in_arrival_order() {
+        // On threads a send has delivered before it returns, so the token
+        // chain 3 -> 2 -> 1 fixes the arrival order at rank 0, and rank 1's
+        // go (after its own send) means all three are queued before rank 0
+        // takes any: it must pick by arrival, not by group rank.
+        let go = std::sync::Barrier::new(2);
+        let out = run_cluster(4, |c| match c.rank() {
+            0 => {
+                go.wait();
+                (0..3).map(|_| c.recv_any(9).0).collect()
+            }
+            r => {
+                if r < 3 {
+                    let _ = c.recv_bytes(r + 1, 10);
+                }
+                c.send_bytes(0, 9, vec![r as u8]);
+                if r > 1 {
+                    c.send_bytes(r - 1, 10, Vec::new());
+                } else {
+                    go.wait();
+                }
+                Vec::new()
+            }
+        });
+        assert_eq!(out[0], vec![3, 2, 1]);
+    }
+
+    #[test]
     fn recv_any_stashes_unrelated_tags() {
         let out = run_cluster(2, |c| {
             if c.rank() == 0 {
@@ -1946,13 +1450,14 @@ mod tests {
                     c.send_bytes(1, t, vec![t as u8]);
                 }
             } else {
-                // Receive in reverse tag order: three arrivals stash first.
+                // Receive in reverse tag order: all four arrivals wait in the
+                // mailbox before tag 3, the last sent, can be taken.
                 for t in (0..4u32).rev() {
                     let _ = c.recv_bytes(0, t);
                 }
             }
         });
-        assert_eq!(run.stats[1].stash_hwm, 3);
+        assert_eq!(run.stats[1].stash_hwm, 4);
         assert_eq!(run.stats[0].stash_hwm, 0);
     }
 
@@ -2102,8 +1607,8 @@ mod tests {
     fn async_overlaps_with_main_thread_traffic() {
         use crate::algorithms::RecursiveDoubling;
         // The main thread keeps exchanging point-to-point messages while a
-        // bucket reduces on the comm worker — both share the inbox through
-        // the router and neither may steal the other's messages.
+        // bucket reduces on the comm worker — both receive from the rank's
+        // mailbox and neither may steal the other's messages.
         let out = run_cluster(2, |c| {
             let op = CollectiveOp::allreduce(Arc::new(RecursiveDoubling));
             let pending = c.launch(op, vec![c.rank() as f32 + 1.0; 4096]);

@@ -267,8 +267,6 @@ impl Comm {
             comm_id: h,
             split_count: Cell::new(0),
             async_seq: Cell::new(0),
-            transport: Arc::clone(&self.transport),
-            router: Arc::clone(&self.router),
             local: Arc::clone(&self.local),
             worker: Arc::clone(&self.worker),
             consumer: ConsumerId::Bucket(seq),

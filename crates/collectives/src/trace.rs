@@ -2,8 +2,8 @@
 //!
 //! When enabled (builder option [`crate::runtime::ClusterBuilder::trace`] or
 //! the `DCNN_TRACE` environment variable), every rank records one
-//! [`TraceEvent`] per point-to-point operation — sends, deliveries, stash
-//! traffic and blocked-receive enter/exit — with monotonic timestamps taken
+//! [`TraceEvent`] per point-to-point operation — sends, deliveries and
+//! blocked-receive enter/exit — with monotonic timestamps taken
 //! against the cluster's start instant. Recording appends to a plain
 //! per-rank `Vec` on the rank's own thread, so the toggle costs one branch
 //! per operation when off and no synchronization when on.
@@ -19,14 +19,11 @@ use serde::Serialize;
 /// What happened (one variant per traced runtime operation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TraceEventKind {
-    /// A message was pushed to a peer's inbox (eager send — never blocks).
+    /// A message was handed to the transport for a peer (eager send —
+    /// never blocks).
     Send,
     /// A matching message was delivered to a receive call.
     Recv,
-    /// An out-of-order arrival was parked in the stash.
-    Stash,
-    /// A previously stashed message satisfied a receive.
-    Unstash,
     /// A receive ran out of immediately available messages and blocked.
     BlockEnter,
     /// A blocked receive was satisfied and resumed.
@@ -36,9 +33,8 @@ pub enum TraceEventKind {
     AsyncLaunch,
     /// A nonblocking allreduce finished on the comm worker.
     AsyncDone,
-    /// The link to `peer` died abnormally (no BYE): the receive that
-    /// observed the death records it before failing over to the structured
-    /// `CommError::PeerDead` path.
+    /// The link to `peer` died abnormally (no BYE): recorded by the receive
+    /// the death dooms, as it fails with `CommError::PeerDead`.
     LinkDown,
 }
 
@@ -48,8 +44,6 @@ impl TraceEventKind {
         match self {
             TraceEventKind::Send => "send",
             TraceEventKind::Recv => "recv",
-            TraceEventKind::Stash => "stash",
-            TraceEventKind::Unstash => "unstash",
             TraceEventKind::BlockEnter => "block",
             TraceEventKind::BlockExit => "resume",
             TraceEventKind::AsyncLaunch => "launch",
@@ -73,8 +67,8 @@ pub struct TraceEvent {
     pub comm_id: u64,
     /// MPI-style message tag.
     pub tag: u32,
-    /// The peer global rank: destination for sends, source for receives and
-    /// stash traffic. `None` for an any-source blocked receive.
+    /// The peer global rank: destination for sends, source for receives.
+    /// `None` for an any-source blocked receive.
     pub peer: Option<usize>,
     /// Payload size in bytes (0 for block enter/exit markers).
     pub bytes: usize,

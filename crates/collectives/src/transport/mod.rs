@@ -1,19 +1,21 @@
 //! Pluggable point-to-point transports behind the rank runtime.
 //!
 //! The runtime in [`crate::runtime`] is written against one small trait,
-//! [`Transport`]: an eager, tagged, rank-addressed message fabric. Two
-//! backends implement it:
+//! [`Transport`]: an eager, tagged, rank-addressed message fabric whose
+//! endpoints each own one [`Mailbox`]. A backend's only job on the receive
+//! side is to deliver into the destination's mailbox; the runtime's
+//! receives match against it and wait on it. Two backends implement it:
 //!
-//! * [`local::LocalTransport`] — the in-process backend: one `mpsc` inbox
-//!   per rank thread. Payloads travel as [`Payload`] values whose buffers
-//!   are `Arc`-shared, so a same-process send moves a pointer, never the
-//!   data (the zero-copy path RDMA would give between nodes).
+//! * [`local::LocalTransport`] — the in-process backend: a send delivers
+//!   into the destination rank's mailbox on the sending thread. Payloads
+//!   travel as [`Payload`] values whose buffers are `Arc`-shared, so a
+//!   same-process send moves a pointer, never the data (the zero-copy path
+//!   RDMA would give between nodes).
 //! * [`tcp::TcpTransport`] — real sockets: every rank is its own OS process
 //!   (or thread) and messages cross a TCP wire as length-prefixed frames
 //!   with a CRC-32 trailer. A rank-0 rendezvous bootstraps the full mesh
-//!   (`DCNN_RENDEZVOUS`), connects retry with backoff, and per-peer
-//!   send/recv threads feed the same single-inbox receive path the local
-//!   backend uses.
+//!   (`DCNN_RENDEZVOUS`), connects retry with backoff, and each peer's
+//!   reader thread delivers into the rank's mailbox.
 //!
 //! Collectives, the trainer and the examples are all written against
 //! [`crate::runtime::Comm`] and run unchanged on either backend; select one
@@ -43,7 +45,8 @@ pub use crc::{
 };
 pub use pool::BufPool;
 
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Payload of a message. Buffers are `Arc`-shared so cloning a payload (a
@@ -143,34 +146,95 @@ pub struct WireMsg {
     pub payload: Payload,
 }
 
-/// Outcome of a bounded wait for the next inbound message.
-#[derive(Debug)]
-pub enum RecvPoll {
-    /// A message arrived.
-    Msg(WireMsg),
-    /// Nothing arrived within the timeout.
-    TimedOut,
-    /// The link to `peer` died abnormally (torn socket, CRC corruption, a
-    /// killed process — anything but a clean BYE). Messages from `peer`
-    /// received before the failure remain deliverable; nothing further will
-    /// arrive from it. Delivered in-band so a blocked receive fails fast
-    /// instead of waiting for a watchdog timeout.
-    LinkDown {
-        /// Global rank whose link failed.
-        peer: usize,
-        /// Human-readable failure cause (the underlying I/O error).
-        cause: String,
-    },
-    /// The fabric is gone (every peer hung up); no message can ever arrive.
-    Closed,
+/// One rank endpoint's receive side: every message delivered to the rank
+/// waits here until a receive takes it, and every peer whose link died is
+/// recorded here. Transports write into it from whichever thread a message
+/// arrives on — the sender's for the local backend, a connection's reader
+/// for TCP — and wake every waiting receive; the runtime's router
+/// (`runtime/router.rs`) matches and waits under the same lock, so no
+/// thread stands between an arrival and the receive it satisfies.
+#[derive(Default)]
+pub struct Mailbox {
+    state: Mutex<MailboxState>,
+    arrived: Condvar,
+}
+
+/// What a [`Mailbox`] holds under its lock.
+#[derive(Default)]
+pub(crate) struct MailboxState {
+    /// Queued payloads per `(src, comm_id, tag)`, oldest first, each with
+    /// its arrival number — per-sender FIFO within a key, and arrival order
+    /// across keys for an any-source match.
+    pub(crate) queues: HashMap<(usize, u64, u32), VecDeque<(u64, Payload)>>,
+    /// Peers whose links died abnormally (torn socket, CRC corruption, a
+    /// killed process — anything but a clean BYE), with the failure cause.
+    /// Their messages queued before the failure stay deliverable.
+    pub(crate) dead: HashMap<usize, String>,
+    /// Messages queued right now, and the most ever queued at once.
+    queued: u64,
+    queued_hwm: u64,
+    arrivals: u64,
+}
+
+impl MailboxState {
+    /// Take the oldest payload queued under `key`.
+    pub(crate) fn pop(&mut self, key: (usize, u64, u32)) -> Option<Payload> {
+        let q = self.queues.get_mut(&key)?;
+        let (_, payload) = q.pop_front()?;
+        if q.is_empty() {
+            self.queues.remove(&key);
+        }
+        self.queued -= 1;
+        Some(payload)
+    }
+}
+
+impl Mailbox {
+    /// Queue `msg` for the receive that matches it and wake the waiters.
+    pub fn deliver(&self, msg: WireMsg) {
+        let mut s = self.lock();
+        let seq = s.arrivals;
+        s.arrivals += 1;
+        s.queues.entry((msg.src, msg.comm_id, msg.tag)).or_default().push_back((seq, msg.payload));
+        s.queued += 1;
+        s.queued_hwm = s.queued_hwm.max(s.queued);
+        drop(s);
+        self.arrived.notify_all();
+    }
+
+    /// Record that the link to `peer` died (the first cause sticks) and
+    /// wake the waiters, so a receive only `peer` could satisfy fails fast
+    /// instead of waiting out the watchdog.
+    pub fn link_down(&self, peer: usize, cause: String) {
+        self.lock().dead.entry(peer).or_insert(cause);
+        self.arrived.notify_all();
+    }
+
+    /// The most messages delivered but not yet received at once.
+    pub(crate) fn high_water_mark(&self) -> u64 {
+        self.lock().queued_hwm
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, MailboxState> {
+        self.state.lock().expect("mailbox poisoned")
+    }
+
+    /// Release `state`, sleep until the next delivery or link death (or
+    /// `timeout`), and take the lock back.
+    pub(crate) fn wait<'a>(
+        &self,
+        state: MutexGuard<'a, MailboxState>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, MailboxState> {
+        self.arrived.wait_timeout(state, timeout).expect("mailbox poisoned").0
+    }
 }
 
 /// An eager, tagged, rank-addressed message fabric — what the rank runtime
 /// needs from MPI. Sends never block (buffering happens behind the trait);
-/// receives deliver in per-sender FIFO order. One `Transport` instance
-/// belongs to one rank, shared between the rank's main thread and its comm
-/// worker (hence `Send + Sync`); the runtime's receive router guarantees at
-/// most one thread polls `recv_timeout` at a time.
+/// each endpoint's [`Mailbox`] receives in per-sender FIFO order. One
+/// `Transport` instance belongs to one rank, shared between the rank's main
+/// thread and its comm workers (hence `Send + Sync`).
 pub trait Transport: Send + Sync {
     /// This endpoint's global rank.
     fn rank(&self) -> usize;
@@ -184,8 +248,10 @@ pub trait Transport: Send + Sync {
     /// Send `msg` to global rank `dst`. Must not block on the receiver.
     fn send(&self, dst: usize, msg: WireMsg);
 
-    /// Wait up to `timeout` for the next inbound message (any source).
-    fn recv_timeout(&self, timeout: Duration) -> RecvPoll;
+    /// The mailbox this endpoint's receives wait on: the backend delivers
+    /// every inbound message into it ([`Mailbox::deliver`]) and records
+    /// every abnormal link death there ([`Mailbox::link_down`]).
+    fn mailbox(&self) -> &Mailbox;
 
     /// The [`BufPool`] this endpoint's `f32` messages cycle through: sends
     /// copy into its buffers, and a consumer done with a received payload
@@ -201,7 +267,8 @@ pub trait Transport: Send + Sync {
 /// Which [`Transport`] backend a cluster run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process rank threads over `mpsc` channels (the default).
+    /// In-process rank threads delivering into each other's mailboxes (the
+    /// default).
     Threads,
     /// Real TCP sockets between ranks (threads or separate processes).
     Tcp,
@@ -210,6 +277,59 @@ pub enum TransportKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    /// Wait up to `timeout` for `ready` to find something in `mb`.
+    fn wait_for<T>(
+        mb: &Mailbox,
+        timeout: Duration,
+        mut ready: impl FnMut(&mut MailboxState) -> Option<T>,
+    ) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        let mut s = mb.lock();
+        loop {
+            if let Some(v) = ready(&mut s) {
+                return Some(v);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            s = mb.wait(s, left);
+        }
+    }
+
+    /// The earliest-arrived message in `mb`, waiting up to `timeout` for one.
+    pub(crate) fn next_arrival(mb: &Mailbox, timeout: Duration) -> Option<WireMsg> {
+        wait_for(mb, timeout, |s| {
+            let (_, key) = s.queues.iter().filter_map(|(&k, q)| Some((q.front()?.0, k))).min()?;
+            let payload = s.pop(key)?;
+            Some(WireMsg { src: key.0, comm_id: key.1, tag: key.2, payload })
+        })
+    }
+
+    /// The cause recorded for the death of `peer`'s link, waiting up to
+    /// `timeout` for one.
+    pub(crate) fn link_down_cause(mb: &Mailbox, peer: usize, timeout: Duration) -> Option<String> {
+        wait_for(mb, timeout, |s| s.dead.get(&peer).cloned())
+    }
+
+    #[test]
+    fn mailbox_counts_what_waits_and_keeps_arrival_order_across_keys() {
+        let mb = Mailbox::default();
+        for (src, tag) in [(2, 1), (1, 1), (2, 1), (1, 3)] {
+            mb.deliver(WireMsg { src, comm_id: 0, tag, payload: Payload::bytes(vec![src as u8]) });
+        }
+        let order: Vec<(usize, u32)> = (0..4)
+            .map(|_| next_arrival(&mb, Duration::ZERO).map(|m| (m.src, m.tag)).expect("queued"))
+            .collect();
+        assert_eq!(order, [(2, 1), (1, 1), (2, 1), (1, 3)]);
+        assert!(next_arrival(&mb, Duration::from_millis(5)).is_none());
+        assert_eq!(mb.high_water_mark(), 4);
+        mb.link_down(1, "first".into());
+        mb.link_down(1, "second".into());
+        assert_eq!(link_down_cause(&mb, 1, Duration::ZERO).as_deref(), Some("first"));
+    }
 
     #[test]
     fn payload_into_bytes_is_zero_copy_when_unique() {

@@ -34,8 +34,9 @@
 //! ## Data plane
 //!
 //! Each established connection gets a reader thread (parses frames, checks
-//! the CRC, pushes [`WireMsg`]s into the rank's single inbox — the same
-//! receive path the threaded backend uses) and a writer thread (drains a
+//! the CRC, delivers each [`WireMsg`] into the rank's [`Mailbox`], where the
+//! waiting receive takes it — the same mailbox the threaded backend's
+//! senders deliver into) and a writer thread (drains a
 //! queue of outbound messages so [`Transport::send`] never blocks on a slow
 //! peer, preserving the eager-protocol guarantee the collectives rely on).
 //! The writer never stages a frame: it computes the head and CRC trailer,
@@ -55,22 +56,22 @@
 //! A connection that ends **without** a BYE frame is an abnormal death: a
 //! SIGKILLed peer's kernel closes the socket, a torn link resets it, a
 //! corrupted frame fails its CRC. In every such case the reader/writer
-//! thread delivers a [`RecvPoll::LinkDown`] event into the same inbox the
-//! data frames use, so a receive blocked on that peer fails fast — no
-//! timeout required. Messages that arrived before the failure stay
+//! thread records the death in the mailbox the data frames land in
+//! ([`Mailbox::link_down`]), so a receive blocked on that peer fails fast —
+//! no timeout required. Messages that arrived before the failure stay
 //! deliverable (per-sender FIFO holds right up to the cut). A clean
 //! shutdown always sends BYE first, which is what lets bare EOF be treated
 //! as a peer death rather than a graceful close.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::wire::{self, encode_bye, read_frame_with, FrameRead, FRAME_MAGIC};
-use super::{BufPool, RecvPoll, Transport, WireMsg};
+use super::{BufPool, Mailbox, Transport, WireMsg};
 
 /// Writer-side batching caps: drain at most this many already-queued frames
 /// (or this many payload bytes) into one vectored write. Bounds both the
@@ -92,25 +93,15 @@ pub enum WriterCmd {
     Bye,
 }
 
-/// What the reader/writer threads push into the rank's single inbox: data
-/// frames, or the structured death notice of a link.
-enum Inbound {
-    Msg(WireMsg),
-    LinkDown { peer: usize, cause: String },
-}
-
 /// One rank's endpoint on the TCP fabric. See the module docs for the
 /// protocol; from the runtime's point of view this behaves exactly like
 /// [`crate::transport::local::LocalTransport`].
 pub struct TcpTransport {
     rank: usize,
     world: usize,
-    /// The single inbox all reader threads feed. Mutex-wrapped so the
-    /// endpoint is shareable between a rank's main thread and its comm
-    /// worker (the runtime's router serializes actual polling).
-    inbox_rx: Mutex<Receiver<Inbound>>,
-    /// Loopback for self-sends (no socket, no serialization).
-    inbox_tx: Sender<Inbound>,
+    /// Where every reader thread and every self-send (no socket, no
+    /// serialization) delivers, and every link death is recorded.
+    mailbox: Arc<Mailbox>,
     /// Outbound queues, indexed by peer global rank (`None` at `rank`).
     peers: Vec<Option<Sender<WriterCmd>>>,
     /// Raw socket per peer (clone of the reader/writer streams), kept so
@@ -417,7 +408,7 @@ impl TcpTransport {
 
     fn build(rank: usize, world: usize, role: RendezvousRole, timeout: Duration) -> io::Result<Self> {
         assert!(world >= 1, "world needs at least one rank");
-        let (inbox_tx, inbox_rx) = channel::<Inbound>();
+        let mailbox = Arc::new(Mailbox::default());
         let mut peers: Vec<Option<Sender<WriterCmd>>> = (0..world).map(|_| None).collect();
         let mut links: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
         let mut threads = Vec::new();
@@ -513,20 +504,17 @@ impl TcpTransport {
                 links[peer] = Some(stream.try_clone()?);
                 let (wtx, wrx) = channel::<WriterCmd>();
                 peers[peer] = Some(wtx);
-                threads.push(spawn_reader(reader, peer, inbox_tx.clone(), Arc::clone(&pool)));
+                threads.push(spawn_reader(reader, peer, Arc::clone(&mailbox), Arc::clone(&pool)));
                 // The send side sees a dead peer first when we talk more
-                // than we listen; report it on the reader's in-band path.
-                let inbox = inbox_tx.clone();
+                // than we listen; record it where the reader would.
+                let dead = Arc::clone(&mailbox);
                 threads.push(spawn_writer(
                     stream,
                     format!("dcnn-tcp-write-{peer}"),
                     rank,
                     wrx,
                     Arc::clone(&pool),
-                    move |e| {
-                        let cause = format!("write failed: {e}");
-                        let _ = inbox.send(Inbound::LinkDown { peer, cause });
-                    },
+                    move |e| dead.link_down(peer, format!("write failed: {e}")),
                 ));
             }
         }
@@ -534,8 +522,7 @@ impl TcpTransport {
         Ok(TcpTransport {
             rank,
             world,
-            inbox_rx: Mutex::new(inbox_rx),
-            inbox_tx,
+            mailbox,
             peers,
             links: Mutex::new(links),
             threads: Mutex::new(threads),
@@ -563,46 +550,33 @@ enum RendezvousRole {
 fn spawn_reader(
     mut stream: TcpStream,
     peer: usize,
-    inbox: Sender<Inbound>,
+    mailbox: Arc<Mailbox>,
     pool: Arc<BufPool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("dcnn-tcp-read-{peer}"))
-        .spawn(move || loop {
-            match read_frame_with(&mut stream, Some(&pool)) {
-                Ok(FrameRead::Msg(msg)) => {
-                    if inbox.send(Inbound::Msg(msg)).is_err() {
-                        return; // local rank already tore its inbox down
-                    }
-                }
-                Ok(FrameRead::Bye) => return, // graceful close
-                Ok(FrameRead::Service { kind, .. }) => {
+        .spawn(move || {
+            let cause = loop {
+                match read_frame_with(&mut stream, Some(&pool)) {
+                    Ok(FrameRead::Msg(msg)) => mailbox.deliver(msg),
+                    Ok(FrameRead::Bye) => return, // graceful close
                     // Data-plane frames belong on blob-server connections,
                     // never on the rank fabric: treat one as corruption.
-                    let _ = inbox.send(Inbound::LinkDown {
-                        peer,
-                        cause: format!("unexpected data-plane frame (kind {kind}) on the rank fabric"),
-                    });
-                    return;
-                }
-                Ok(FrameRead::Eof) => {
+                    Ok(FrameRead::Service { kind, .. }) => {
+                        break format!("unexpected data-plane frame (kind {kind}) on the rank fabric")
+                    }
                     // EOF with no BYE: the peer's process died and its
-                    // kernel closed the socket. Surface it in-band so a
-                    // blocked receive fails fast instead of hanging.
-                    let _ = inbox.send(Inbound::LinkDown {
-                        peer,
-                        cause: "connection closed without BYE (peer process died?)".into(),
-                    });
-                    return;
+                    // kernel closed the socket.
+                    Ok(FrameRead::Eof) => {
+                        break "connection closed without BYE (peer process died?)".into()
+                    }
+                    // Corruption or a torn connection: record the death
+                    // rather than deliver bad data (or silence).
+                    Err(e) => break format!("read failed: {e}"),
                 }
-                Err(e) => {
-                    // Corruption or a torn connection: deliver the death
-                    // notice rather than bad data (or silence).
-                    let _ = inbox
-                        .send(Inbound::LinkDown { peer, cause: format!("read failed: {e}") });
-                    return;
-                }
-            }
+            };
+            // A receive blocked on this peer fails fast instead of hanging.
+            mailbox.link_down(peer, cause);
         })
         .expect("spawn reader thread")
 }
@@ -704,24 +678,19 @@ impl Transport for TcpTransport {
 
     fn send(&self, dst: usize, msg: WireMsg) {
         if dst == self.rank {
-            let _ = self.inbox_tx.send(Inbound::Msg(msg));
+            self.mailbox.deliver(msg);
             return;
         }
         // A send to a dead peer is dropped, not a panic: the writer thread
-        // already delivered a LinkDown event into the inbox, and the next
+        // already recorded the link's death in the mailbox, and the next
         // receive touching that peer turns it into a structured failure.
         if let Some(q) = self.peers[dst].as_ref() {
             let _ = q.send(WriterCmd::Frame(wire::payload_kind(&msg.payload), msg));
         }
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> RecvPoll {
-        match self.inbox_rx.lock().expect("inbox receiver").recv_timeout(timeout) {
-            Ok(Inbound::Msg(msg)) => RecvPoll::Msg(msg),
-            Ok(Inbound::LinkDown { peer, cause }) => RecvPoll::LinkDown { peer, cause },
-            Err(RecvTimeoutError::Timeout) => RecvPoll::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => RecvPoll::Closed,
-        }
+    fn mailbox(&self) -> &Mailbox {
+        &self.mailbox
     }
 
     fn pool(&self) -> &BufPool {
@@ -744,6 +713,7 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::{link_down_cause, next_arrival};
     use crate::transport::Payload;
     use std::sync::Arc;
 
@@ -817,13 +787,10 @@ mod tests {
         });
         let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
         for i in 0..n {
-            match t0.recv_timeout(Duration::from_secs(10)) {
-                RecvPoll::Msg(m) => {
-                    assert_eq!(m.tag, i as u32, "frames must arrive in FIFO order");
-                    assert_eq!(m.payload.as_f32(), &[i as f32, -(i as f32)]);
-                }
-                other => panic!("expected frame {i}, got {other:?}"),
-            }
+            let m = next_arrival(t0.mailbox(), Duration::from_secs(10))
+                .unwrap_or_else(|| panic!("expected frame {i}"));
+            assert_eq!(m.tag, i as u32, "frames must arrive in FIFO order");
+            assert_eq!(m.payload.as_f32(), &[i as f32, -(i as f32)]);
         }
         t0.shutdown();
         t.join().expect("rank 1 thread");
@@ -836,23 +803,19 @@ mod tests {
         let t = std::thread::spawn(move || {
             let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
             // The remote end of a cut link sees an EOF/reset with no BYE.
-            match t1.recv_timeout(Duration::from_secs(10)) {
-                RecvPoll::LinkDown { peer, cause } => {
-                    assert_eq!(peer, 0);
-                    assert!(!cause.is_empty());
-                }
-                other => panic!("rank 1 expected LinkDown, got {other:?}"),
-            }
+            let cause = link_down_cause(t1.mailbox(), 0, Duration::from_secs(10))
+                .expect("rank 1 expected rank 0's link down");
+            assert!(!cause.is_empty());
             // Sends to the dead peer are dropped, not panics.
             t1.send(0, msg(1, 9, Payload::bytes(vec![1])));
             t1.shutdown();
         });
         let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
         t0.sever_link(1);
-        match t0.recv_timeout(Duration::from_secs(10)) {
-            RecvPoll::LinkDown { peer, .. } => assert_eq!(peer, 1),
-            other => panic!("rank 0 expected LinkDown, got {other:?}"),
-        }
+        assert!(
+            link_down_cause(t0.mailbox(), 1, Duration::from_secs(10)).is_some(),
+            "rank 0 expected rank 1's link down"
+        );
         t0.shutdown();
         t.join().expect("rank 1 thread");
     }
@@ -1094,20 +1057,14 @@ mod tests {
         let t = std::thread::spawn(move || {
             let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
             t1.send(0, msg(1, 4, Payload::f32(vec![2.5; 8])));
-            match t1.recv_timeout(Duration::from_secs(10)) {
-                RecvPoll::Msg(m) => assert_eq!(m.payload.into_bytes(), vec![7, 8]),
-                other => panic!("rank 1 expected reply, got {other:?}"),
-            }
+            let m = next_arrival(t1.mailbox(), Duration::from_secs(10)).expect("rank 1 reply");
+            assert_eq!(m.payload.into_bytes(), vec![7, 8]);
             t1.shutdown();
         });
         let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
-        match t0.recv_timeout(Duration::from_secs(10)) {
-            RecvPoll::Msg(m) => {
-                assert_eq!((m.src, m.tag), (1, 4));
-                assert_eq!(m.payload.as_f32(), &[2.5; 8]);
-            }
-            other => panic!("rank 0 expected message, got {other:?}"),
-        }
+        let m = next_arrival(t0.mailbox(), Duration::from_secs(10)).expect("rank 0 message");
+        assert_eq!((m.src, m.tag), (1, 4));
+        assert_eq!(m.payload.as_f32(), &[2.5; 8]);
         t0.send(1, msg(0, 5, Payload::bytes(vec![7, 8])));
         t0.shutdown();
         t.join().expect("rank 1 thread");
@@ -1120,12 +1077,8 @@ mod tests {
         let data = Arc::new(vec![1.0f32; 4]);
         let ptr = Arc::as_ptr(&data) as usize;
         t0.send(0, msg(0, 1, Payload::shared_f32(data)));
-        match t0.recv_timeout(Duration::from_secs(1)) {
-            RecvPoll::Msg(m) => {
-                assert_eq!(Arc::as_ptr(&m.payload.into_shared_f32()) as usize, ptr);
-            }
-            other => panic!("expected loopback message, got {other:?}"),
-        }
+        let m = next_arrival(t0.mailbox(), Duration::from_secs(1)).expect("loopback message");
+        assert_eq!(Arc::as_ptr(&m.payload.into_shared_f32()) as usize, ptr);
         t0.shutdown();
     }
 }

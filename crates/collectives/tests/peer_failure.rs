@@ -3,11 +3,16 @@
 //! collective fails fast with an error naming the dead peer — with no
 //! `DCNN_RECV_TIMEOUT_MS` involved, on the real socket transport.
 
+use std::net::TcpListener;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use dcnn_collectives::runtime::ClusterBuilder;
+use dcnn_collectives::transport::tcp::TcpTransport;
+use dcnn_collectives::transport::WireMsg;
 use dcnn_collectives::{
-    Allreduce, CommError, FaultSpec, MultiColor, RuntimeConfig, TransportKind,
+    try_run_tcp_rank_with, Allreduce, Comm, CommError, FaultSpec, MultiColor, Payload, RuntimeConfig,
+    Transport, TransportKind,
 };
 
 fn peer_dead_from(payload: Box<dyn std::any::Any + Send>) -> CommError {
@@ -59,6 +64,56 @@ fn severed_link_fails_collective_with_structured_error() {
         elapsed < Duration::from_secs(10),
         "failure took {elapsed:?}; LinkDown should fail fast, not wait out a timeout"
     );
+}
+
+#[test]
+fn messages_sent_before_the_link_died_stay_deliverable_in_order() {
+    // Rank 1 is a bare TCP endpoint: it sends three tagged messages and a
+    // marker, and cuts the link once rank 0 has the marker — so the three
+    // sit in rank 0's receive queue, unreceived, when the link dies. Rank 0
+    // first waits out the death on a tag rank 1 never sent (that receive
+    // fails), then must still get all three in order; only the receive
+    // after them fails, naming rank 1.
+    let addr = {
+        let probe = TcpListener::bind("127.0.0.1:0").expect("probe bind");
+        probe.local_addr().expect("addr").to_string()
+    };
+    let timeout = Duration::from_secs(20);
+    let marked = Barrier::new(2);
+    let got = Mutex::new(Vec::new());
+    let recv = |comm: &Comm, tag| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| comm.recv_bytes(1, tag)))
+            .map_err(peer_dead_from)
+    };
+    let (death, fourth, elapsed) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let t1 = TcpTransport::connect(&addr, 1, 2, timeout).expect("rank 1 joins");
+            for (i, tag) in [5u32, 6, 5, 7].into_iter().enumerate() {
+                t1.send(0, WireMsg { src: 1, comm_id: 0, tag, payload: Payload::bytes(vec![i as u8]) });
+            }
+            marked.wait();
+            t1.sever_link(0);
+            t1.shutdown();
+        });
+        let cfg = RuntimeConfig::default().with_rendezvous(addr.clone()).with_rank_world(0, 2);
+        let rank0 = try_run_tcp_rank_with(&cfg, |comm| {
+            let _ = comm.recv_bytes(1, 7);
+            marked.wait();
+            let started = Instant::now();
+            let death = recv(comm, 8);
+            for tag in [5, 6, 5] {
+                got.lock().expect("got").push(comm.recv_bytes(1, tag)[0]);
+            }
+            (death, recv(comm, 5), started.elapsed())
+        });
+        rank0.expect("rank 0 itself returns").result
+    });
+    assert!(death.is_err(), "a receive only the dead peer could satisfy must fail");
+    assert_eq!(*got.lock().expect("got"), vec![0, 1, 2], "queued messages lost or reordered");
+    let err = fourth.expect_err("a fourth receive from a dead peer must fail");
+    let CommError::PeerDead { rank, peer, .. } = &err;
+    assert_eq!((*rank, *peer), (0, 1), "wrong endpoints in {err}");
+    assert!(elapsed < Duration::from_secs(10), "failure took {elapsed:?}");
 }
 
 #[test]

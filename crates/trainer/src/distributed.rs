@@ -227,8 +227,9 @@ pub struct EpochStats {
     pub comm_wait_secs: f64,
     /// Seconds rank 0 spent inside the allreduce during the epoch.
     pub allreduce_secs: f64,
-    /// High-water mark of rank 0's out-of-order message stash (whole run up
-    /// to this epoch; a growing value means receives chronically lag sends).
+    /// Most messages delivered to rank 0 but not yet received, at once —
+    /// every early arrival counts, in order or not (whole run up to this
+    /// epoch; a growing value means receives chronically lag sends).
     pub stash_hwm: u64,
     /// Seconds rank 0 spent blocked draining bucket handles this epoch
     /// (zero in fused blocking mode).
