@@ -1,7 +1,8 @@
 //! The in-CI kernel tripwire: every hot-path kernel that replaced simpler
 //! code — the frame encoder under every TCP send, the CRC-32 under every
 //! frame and blob record, the windowed decode under every training batch,
-//! the GEMM kernels under every layer — timed against the code it replaced
+//! the GEMM kernels under every layer, the convolution that reads its image
+//! without unrolling it — timed against the code it replaced
 //! (or, for a kernel picked by the CPU, its portable arm) **in the same run,
 //! in alternating turns**, and emitted as one `BENCH_<date>.json` row per kernel × size.
 //!
@@ -374,6 +375,73 @@ fn bench_gemm(suite: &mut Suite) {
     pair("nn-fc", (2, 1024, 1024), None, gemm::gemm_acc, portable::gemm_acc);
 }
 
+/// `Conv2d` at `resnet-compute`'s stage-1 convolution (8 images, 8 → 8
+/// channels, 3x3, pad 1, 32x32) against the lowered convolution it
+/// replaced, composed from the public `im2col`, GEMM kernels and `col2im`
+/// with a reused `col` buffer: the same bits, the unrolled matrix built and
+/// read back. Held to "no slower", so a kernel change that brings the copy
+/// back has a gate. The layer's backward needs its own forward first, so
+/// both sides of `conv/bwd` run the layer's forward and then their
+/// backward: the ratio is diluted by the shared forward, never flattered.
+fn bench_conv(suite: &mut Suite) {
+    use dcnn_core::tensor::gemm::{gemm_acc, gemm_nt_acc, gemm_tn_acc};
+    use dcnn_core::tensor::im2col::{col2im, im2col};
+    use dcnn_core::tensor::{Conv2d, Module, Tensor};
+
+    let (n, c, hw) = (8, 8, 32);
+    let (k2, cols, img) = (c * 9, hw * hw, c * hw * hw);
+    let shape = [n, c, hw, hw];
+    let x = Tensor::from_vec(fill(n * img, 23), &shape);
+    let g = Tensor::from_vec(fill(n * img, 29), &shape);
+    let mut conv = Conv2d::new(c, c, 3, 1, 1, false, 31);
+    let w = conv.weight.value.data().to_vec();
+    let mut col = vec![0.0f32; k2 * cols];
+    let size = format!("{n}x{c}x{hw}x{hw}");
+    let bytes = (2 * n * img * 4) as u64;
+
+    suite.pair(
+        (format!("conv/fwd/{size}"), format!("conv/fwd_lowered/{size}")),
+        bytes,
+        Some(NO_SLOWER),
+        &mut (&mut conv, &mut col),
+        |(conv, _)| {
+            black_box(conv.forward(black_box(&x), false));
+        },
+        |(_, col)| {
+            let mut y = vec![0.0f32; n * img];
+            for (yo, xo) in y.chunks_mut(img).zip(black_box(&x).data().chunks(img)) {
+                im2col(xo, col, c, hw, hw, 3, 3, 1, 1);
+                gemm_acc(yo, &w, col, c, k2, cols);
+            }
+            black_box(y);
+        },
+    );
+    let mut gcol = vec![0.0f32; k2 * cols];
+    suite.pair(
+        (format!("conv/bwd/{size}"), format!("conv/bwd_lowered/{size}")),
+        bytes,
+        Some(NO_SLOWER),
+        &mut (&mut conv, &mut col, &mut gcol),
+        |(conv, _, _)| {
+            conv.forward(&x, true);
+            black_box(conv.backward(black_box(&g)));
+        },
+        |(conv, col, gcol)| {
+            conv.forward(&x, true);
+            let (mut dx, mut gw) = (vec![0.0f32; n * img], vec![0.0f32; c * k2]);
+            let images = dx.chunks_mut(img).zip(x.data().chunks(img));
+            for ((dxo, xo), go) in images.zip(black_box(&g).data().chunks(img)) {
+                im2col(xo, col, c, hw, hw, 3, 3, 1, 1);
+                gemm_nt_acc(&mut gw, go, col, c, cols, k2);
+                gcol.fill(0.0);
+                gemm_tn_acc(gcol, &w, go, k2, c, cols);
+                col2im(gcol, dxo, c, hw, hw, 3, 3, 1, 1);
+            }
+            black_box((dx, gw));
+        },
+    );
+}
+
 /// The collective-tuner decision path: freezing the decision table from a
 /// cluster-agreed score table, and the per-bucket `select` that runs on
 /// every bucket launch once the table is frozen. Bookkeeping with nothing
@@ -460,6 +528,7 @@ pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     bench_crc(&mut suite);
     bench_decode(&mut suite);
     bench_gemm(&mut suite);
+    bench_conv(&mut suite);
     bench_tuner(quick, &mut suite);
     bench_plan(quick, &mut suite);
     bench_sim(quick, &mut suite);

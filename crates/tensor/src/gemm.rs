@@ -1,8 +1,9 @@
 //! Blocked matrix multiplication.
 //!
-//! Convolutions lower to GEMM (see [`crate::im2col`]); the linear layer and
-//! every backward pass do too, so these kernels carry nearly all of the
-//! training FLOPs — the CPU analogue of the cuDNN kernels the paper drives.
+//! Convolutions run as GEMMs against the image (see [`crate::im2col`]); the
+//! linear layer and every backward pass are GEMMs too, so these kernels carry
+//! nearly all of the training FLOPs — the CPU analogue of the cuDNN kernels
+//! the paper drives.
 //!
 //! Two kernel shapes, both register tiles. [`gemm_acc`] and [`gemm_tn_acc`]
 //! are AXPY-shaped (`C[i,·] += a · B[l,·]`, independent per element): a tile
@@ -11,11 +12,16 @@
 //! shared by the tile's rows — and is stored back once, so `C` costs a load
 //! and a store per panel instead of per multiply-add. The two differ only in
 //! the strides they read `A` by; rows and columns a whole tile does not cover
-//! go through narrower instances of the same tile. [`gemm_nt_acc`] has no
-//! independent inner loop — `C[i,j]` is a dot product of two rows, one
-//! dependent chain that may not be reassociated — so it splits each dot
-//! product over `LANES` interleaved partial sums, folds them in a fixed
-//! order, and keeps a 2×2 tile of them in registers.
+//! go through narrower instances of the same tile. The tile reads `B` through
+//! a [`Strips`] source, each row from its own start: a dense matrix, or a
+//! convolution's padded image, in which every row of the unrolled image is
+//! contiguous (`crate::im2col::ConvGeom::strips`).
+//! [`gemm_nt_acc`] has no independent inner loop — `C[i,j]` is a dot product
+//! of two rows, one dependent chain that may not be reassociated — so it
+//! splits each dot product over `LANES` interleaved partial sums, folds them
+//! in a fixed order, and keeps a 2×2 tile of them in registers. It takes its
+//! `B` rows a pair at a time from a [`RowSource`], which for a convolution
+//! copies the pair out of the padded image just before it is used.
 //!
 //! Every kernel's result is a pure function of its operands: `C[i,j]` comes
 //! from one operation sequence set by `k` (and, for the AXPY kernels, by
@@ -35,12 +41,14 @@
 //! never contracts `a * b + c` into a fused multiply-add, and no arm enables
 //! `fma` — and an IEEE multiply or add rounds a lane the same at any vector
 //! width, so the arms agree to the bit and no golden value depends on the
-//! CPU. (A 512-bit arm is deliberately absent; ROADMAP.md item 2 has what
+//! CPU. (A 512-bit arm is deliberately absent; ROADMAP.md item 3 has what
 //! the trials of one read.)
 //!
 //! Row blocks go through `rayon`'s `par_chunks` API. The vendored shim runs
 //! them in order on the calling thread; with the real crate they would be
 //! distributed over its pool, with the same bits.
+
+use std::ops::Range;
 
 use rayon::prelude::*;
 
@@ -71,13 +79,23 @@ pub fn avx2_selected() -> bool {
     false
 }
 
+/// The strides `(rs, ls)` an AXPY kernel reads `A[i, l]` by: `a[i·rs + l·ls]`.
+type Strides = (usize, usize);
+
 /// The instruction set a kernel body is compiled for. The bodies are written
 /// once; an `Isa` supplies the two leaf functions that must exist per
 /// instruction set — everything above them is generic and everything below
 /// them is `#[inline(always)]`.
 trait Isa: Copy + Send + Sync {
     /// [`axpy_block`] compiled for this instruction set.
-    fn axpy_block(self, cb: &mut [f32], a: &[f32], strides: (usize, usize), b: &[f32], n: usize);
+    fn axpy_block<S: RowStarts>(
+        self,
+        cb: &mut [f32],
+        a: &[f32],
+        strides: Strides,
+        b: &Strips<S>,
+        dest: Dest,
+    );
 
     /// [`dot_tile`] compiled for this instruction set.
     fn dot_tile<const R: usize, const W: usize>(
@@ -92,8 +110,15 @@ trait Isa: Copy + Send + Sync {
 struct Baseline;
 
 impl Isa for Baseline {
-    fn axpy_block(self, cb: &mut [f32], a: &[f32], strides: (usize, usize), b: &[f32], n: usize) {
-        axpy_block(cb, a, strides, b, n)
+    fn axpy_block<S: RowStarts>(
+        self,
+        cb: &mut [f32],
+        a: &[f32],
+        strides: Strides,
+        b: &Strips<S>,
+        dest: Dest,
+    ) {
+        axpy_block(cb, a, strides, b, dest)
     }
 
     // Compiled on its own LLVM keeps the accumulators in vector registers;
@@ -123,10 +148,17 @@ impl Avx2 {
 #[cfg(target_arch = "x86_64")]
 impl Isa for Avx2 {
     #[inline(always)]
-    fn axpy_block(self, cb: &mut [f32], a: &[f32], strides: (usize, usize), b: &[f32], n: usize) {
+    fn axpy_block<S: RowStarts>(
+        self,
+        cb: &mut [f32],
+        a: &[f32],
+        strides: Strides,
+        b: &Strips<S>,
+        dest: Dest,
+    ) {
         // SAFETY: `axpy_block_avx2`'s only requirement is a CPU with AVX2,
         // and a value of `Avx2` exists only where `avx2_selected()` said so.
-        unsafe { axpy_block_avx2(cb, a, strides, b, n) }
+        unsafe { axpy_block_avx2(cb, a, strides, b, dest) }
     }
 
     #[inline(always)]
@@ -143,8 +175,14 @@ impl Isa for Avx2 {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn axpy_block_avx2(cb: &mut [f32], a: &[f32], strides: (usize, usize), b: &[f32], n: usize) {
-    axpy_block(cb, a, strides, b, n)
+fn axpy_block_avx2<S: RowStarts>(
+    cb: &mut [f32],
+    a: &[f32],
+    strides: Strides,
+    b: &Strips<S>,
+    dest: Dest,
+) {
+    axpy_block(cb, a, strides, b, dest)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -159,41 +197,97 @@ fn dot_tile_avx2<const R: usize, const W: usize>(a: [&[f32]; R], b: [&[f32]; W])
 /// CPUs without AVX2, and what tests and `dcnn-perf` compare the dispatching
 /// entry points against, bit for bit.
 pub mod portable {
-    use super::Baseline;
+    use super::{Baseline, Dest, Strips};
 
     /// [`crate::gemm::gemm_acc`] on the baseline arm.
     pub fn gemm_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-        super::gemm_acc_on(Baseline, c, a, b, m, k, n)
+        super::gemm_acc_on(Baseline, (c, Dest::Add), a, &Strips::dense(b, k, n), m)
     }
 
     /// [`crate::gemm::gemm_tn_acc`] on the baseline arm.
     pub fn gemm_tn_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-        super::gemm_tn_acc_on(Baseline, c, a, b, m, k, n)
+        super::gemm_tn_acc_on(Baseline, (c, Dest::Add), a, &Strips::dense(b, k, n), (0..m, m))
     }
 
     /// [`crate::gemm::gemm_nt_acc`] on the baseline arm.
     pub fn gemm_nt_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-        super::gemm_nt_acc_on(Baseline, c, a, b, m, k, n)
+        super::gemm_nt_acc_on(Baseline, c, a, &Strips::dense(b, n, k), (m, k, n))
     }
 }
 
-/// `C[i0.., j0..] += Aₚ · Bₚ[·, j0..]` for one `R × W` register tile over
-/// one `k` panel: the accumulators are loaded from `C`, take `l` in ascending
-/// order — the `B` strip loaded once per `l`, the term skipped where `A` is
-/// zero — and are stored back. `a_panel[l]` is the tile's column `l` of `A`,
-/// `b_panel` the matching rows of `B`.
+/// Where each row of a [`Strips`] source starts in its data.
+pub(crate) trait RowStarts: Copy + Send + Sync {
+    /// The offset of row `l`'s first element.
+    fn at(self, l: usize) -> usize;
+}
+
+/// Rows a fixed distance apart: a dense row-major matrix.
+#[derive(Clone, Copy)]
+pub(crate) struct Pitch(usize);
+
+impl RowStarts for Pitch {
+    #[inline(always)]
+    fn at(self, l: usize) -> usize {
+        l * self.0
+    }
+}
+
+/// Each row's start looked up: a convolution's taps, one per `(c, ki, kj)`.
+impl RowStarts for &[usize] {
+    #[inline(always)]
+    fn at(self, l: usize) -> usize {
+        self[l]
+    }
+}
+
+/// The `B` of an AXPY kernel (`depth × n`) as its tile reads it: row `l`
+/// is the `n` values of `data` from `starts.at(l)` on. A dense matrix's rows
+/// are `n` apart; a convolution's are its taps' offsets into the padded
+/// image, each of whose rows of `B` is contiguous there
+/// (`crate::im2col::ConvGeom::strips`), so the tile loads the values the
+/// unrolled matrix would hold without that matrix existing.
+#[derive(Clone, Copy)]
+pub(crate) struct Strips<'a, S> {
+    pub data: &'a [f32],
+    pub starts: S,
+    pub depth: usize,
+    pub n: usize,
+}
+
+impl<'a> Strips<'a, Pitch> {
+    /// A dense row-major `rows × n` matrix.
+    pub(crate) fn dense(b: &'a [f32], rows: usize, n: usize) -> Self {
+        assert_eq!(b.len(), rows * n, "B size");
+        Strips { data: b, starts: Pitch(n), depth: rows, n }
+    }
+}
+
+/// The `W` values of `data` from `at` on.
 #[inline(always)]
-fn axpy_tile<const R: usize, const W: usize>(
-    c: &mut [f32],
+fn load<const W: usize>(data: &[f32], at: usize) -> [f32; W] {
+    data[at..at + W].try_into().expect("W-wide strip")
+}
+
+/// `C[i0.., j0..] += Aₚ · Bₚ[·, j0..]` for one `R × W` register tile over
+/// the `k` panel that starts at row `l0` of `b`: the accumulators are loaded
+/// from `C` (or start at `+0.0` for a [`Dest::Write`] `C`'s first panel),
+/// take `l` in ascending order — the `B` strip loaded once per `l`, the term
+/// skipped where `A` is zero — and are stored back. `a_panel[l]` is the
+/// tile's column `l` of `A`.
+#[inline(always)]
+fn axpy_tile<const R: usize, const W: usize, S: RowStarts>(
+    (c, dest): (&mut [f32], Dest),
     (i0, j0): (usize, usize),
     a_panel: &[[f32; R]],
-    b_panel: &[f32],
-    n: usize,
+    (l0, b): (usize, &Strips<S>),
 ) {
-    let strip = |row: &[f32]| -> [f32; W] { row[j0..j0 + W].try_into().expect("W-wide strip") };
-    let mut acc: [[f32; W]; R] = std::array::from_fn(|r| strip(&c[(i0 + r) * n..(i0 + r + 1) * n]));
-    for (av, b_row) in a_panel.iter().zip(b_panel.chunks_exact(n)) {
-        let bv = strip(b_row);
+    let n = b.n;
+    let mut acc: [[f32; W]; R] = match dest {
+        Dest::Write if l0 == 0 => [[0.0; W]; R],
+        _ => std::array::from_fn(|r| load(c, (i0 + r) * n + j0)),
+    };
+    for (l, av) in (l0..).zip(a_panel) {
+        let bv = load::<W>(b.data, b.starts.at(l) + j0);
         for r in 0..R {
             if av[r] != 0.0 {
                 for t in 0..W {
@@ -211,45 +305,46 @@ fn axpy_tile<const R: usize, const W: usize>(
 /// tile, laid along the row.
 const NR_ROW: usize = MR * NR;
 
-/// Rows `i0..i0 + R` of a block over one `k` panel, in tiles `W0` wide and
-/// then — past the last whole one — `NR`, 4 and 1 wide: the same generic
-/// tile, so an element sees the same operations wherever it falls.
+/// Rows `i0..i0 + R` of a block over the `k` panel of `depth` rows from
+/// `l0` on, in tiles `W0` wide and then — past the last whole one — `NR`, 4
+/// and 1 wide: the same generic tile, so an element sees the same
+/// operations wherever it falls.
 ///
 /// The rows' panel of `A` is gathered once (`a[(i0 + r)·rs + l·ls]`), so the
 /// tile loop reads it unit-stride whichever way `A` is stored.
 #[inline(always)]
-fn axpy_rows<const R: usize, const W0: usize>(
-    cb: &mut [f32],
+fn axpy_rows<const R: usize, const W0: usize, S: RowStarts>(
+    (cb, dest): (&mut [f32], Dest),
     i0: usize,
     a: &[f32],
     (rs, ls): (usize, usize),
-    (l0, b_panel): (usize, &[f32]),
-    n: usize,
+    (l0, depth): (usize, usize),
+    b: &Strips<S>,
 ) {
     let mut a_panel = [[0.0f32; R]; K_PANEL];
-    let a_panel = &mut a_panel[..b_panel.len() / n];
+    let a_panel = &mut a_panel[..depth];
     for (l, av) in a_panel.iter_mut().enumerate() {
         *av = std::array::from_fn(|r| a[(i0 + r) * rs + (l0 + l) * ls]);
     }
+    let panel = (l0, b);
     // (Where `W0 == NR` the second sweep finds no whole tile left.)
-    let j = axpy_strips::<R, W0>(cb, (i0, 0), a_panel, b_panel, n);
-    let j = axpy_strips::<R, NR>(cb, (i0, j), a_panel, b_panel, n);
-    let j = axpy_strips::<R, 4>(cb, (i0, j), a_panel, b_panel, n);
-    axpy_strips::<R, 1>(cb, (i0, j), a_panel, b_panel, n);
+    let j = axpy_strips::<R, W0, S>((cb, dest), (i0, 0), a_panel, panel);
+    let j = axpy_strips::<R, NR, S>((cb, dest), (i0, j), a_panel, panel);
+    let j = axpy_strips::<R, 4, S>((cb, dest), (i0, j), a_panel, panel);
+    axpy_strips::<R, 1, S>((cb, dest), (i0, j), a_panel, panel);
 }
 
 /// `R × W` tiles from column `j` on while a whole one fits; returns the
 /// first column left uncovered.
 #[inline(always)]
-fn axpy_strips<const R: usize, const W: usize>(
-    cb: &mut [f32],
+fn axpy_strips<const R: usize, const W: usize, S: RowStarts>(
+    (cb, dest): (&mut [f32], Dest),
     (i0, mut j): (usize, usize),
     a_panel: &[[f32; R]],
-    b_panel: &[f32],
-    n: usize,
+    panel: (usize, &Strips<S>),
 ) -> usize {
-    while j + W <= n {
-        axpy_tile::<R, W>(cb, (i0, j), a_panel, b_panel, n);
+    while j + W <= panel.1.n {
+        axpy_tile::<R, W, S>((&mut *cb, dest), (i0, j), a_panel, panel);
         j += W;
     }
     j
@@ -263,51 +358,80 @@ fn axpy_strips<const R: usize, const W: usize>(
 /// tiles; the rows past the last whole tile (all of them when `m < MR`) go
 /// one at a time in `NR_ROW`-wide tiles.
 #[inline(always)]
-fn axpy_block(cb: &mut [f32], a: &[f32], strides: (usize, usize), b: &[f32], n: usize) {
-    let rows = cb.len() / n;
+fn axpy_block<S: RowStarts>(
+    cb: &mut [f32],
+    a: &[f32],
+    strides: Strides,
+    b: &Strips<S>,
+    dest: Dest,
+) {
+    let rows = cb.len() / b.n;
     let whole = rows - rows % MR;
-    for (p, b_panel) in b.chunks(K_PANEL * n).enumerate() {
-        let panel = (p * K_PANEL, b_panel);
+    for l0 in (0..b.depth).step_by(K_PANEL) {
+        let panel = (l0, K_PANEL.min(b.depth - l0));
         for i in (0..whole).step_by(MR) {
-            axpy_rows::<MR, NR>(cb, i, a, strides, panel, n);
+            axpy_rows::<MR, NR, S>((&mut *cb, dest), i, a, strides, panel, b);
         }
         for i in whole..rows {
-            axpy_rows::<1, NR_ROW>(cb, i, a, strides, panel, n);
+            axpy_rows::<1, NR_ROW, S>((&mut *cb, dest), i, a, strides, panel, b);
         }
     }
 }
 
-fn gemm_acc_on<I: Isa>(isa: I, c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+/// What an AXPY kernel does to `C`: add the product to it, or write the
+/// product into it — the bits of zeroing `C` and adding, without the
+/// zeroing pass or the loads of the zeros.
+#[derive(Clone, Copy)]
+enum Dest {
+    Add,
+    Write,
+}
+
+/// `C[m×n] (+)= A[m×k] · B` for `B` read through `b` (`k × n`).
+fn gemm_acc_on<I: Isa, S: RowStarts>(
+    isa: I,
+    (c, dest): (&mut [f32], Dest),
+    a: &[f32],
+    b: &Strips<S>,
+    m: usize,
+) {
+    let (k, n) = (b.depth, b.n);
     assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), k * n, "B size");
     assert_eq!(c.len(), m * n, "C size");
     if m == 0 || n == 0 || k == 0 {
+        if let Dest::Write = dest {
+            c.fill(0.0);
+        }
         return;
     }
     c.par_chunks_mut(M_BLOCK * n)
         .zip(a.par_chunks(M_BLOCK * k))
-        .for_each(|(cb, ab)| isa.axpy_block(cb, ab, (k, 1), b, n));
+        .for_each(|(cb, ab)| isa.axpy_block(cb, ab, (k, 1), b, dest));
 }
 
+/// Rows `rows` of `Aᵀ · B` added or written into `c` (`rows.len() × n`),
+/// where `A` is stored `k × m`.
 fn gemm_tn_acc_on<I: Isa>(
     isa: I,
-    c: &mut [f32],
+    (c, dest): (&mut [f32], Dest),
     a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    b: &Strips<Pitch>,
+    (rows, m): (Range<usize>, usize),
 ) {
+    let (k, n) = (b.depth, b.n);
     assert_eq!(a.len(), k * m, "A size (stored k×m)");
-    assert_eq!(b.len(), k * n, "B size");
-    assert_eq!(c.len(), m * n, "C size");
-    if m == 0 || n == 0 || k == 0 {
+    assert!(rows.end <= m, "rows {rows:?} of a {m}-row product");
+    assert_eq!(c.len(), rows.len() * n, "C size");
+    if rows.is_empty() || n == 0 || k == 0 {
+        if let Dest::Write = dest {
+            c.fill(0.0);
+        }
         return;
     }
-    // Row `i` of the block that starts at row `i0` reads `A[l, i0 + i]`.
-    c.par_chunks_mut(M_BLOCK * n)
-        .enumerate()
-        .for_each(|(blk, cb)| isa.axpy_block(cb, &a[blk * M_BLOCK..], (1, m), b, n));
+    // Row `i` of the block that starts at row `i0` reads `A[l, rows.start + i0 + i]`.
+    c.par_chunks_mut(M_BLOCK * n).enumerate().for_each(|(blk, cb)| {
+        isa.axpy_block(cb, &a[rows.start + blk * M_BLOCK..], (1, m), b, dest)
+    });
 }
 
 /// Lanes of a split accumulator: a sum that would be one dependent chain is
@@ -326,6 +450,22 @@ pub(crate) fn fold_lanes<T: Copy + std::ops::Add<Output = T>>(s: [T; LANES]) -> 
 /// chunk feeds two of the four `LANES`-wide accumulators (one 256-bit
 /// register each on the AVX2 arm, two 128-bit ones on the baseline).
 const NT_TILE: usize = 2;
+
+/// The `B` of [`gemm_nt_acc`] (`n × k`, stored by rows) as its outer loop
+/// reads it: `NT_TILE` rows at a time, each group met by every row of `A` in
+/// the block before the next group is asked for.
+pub(crate) trait RowSource: Sync {
+    /// Rows `rows` of `B`, back to back. A source that has to build them
+    /// writes them into `scratch` and returns that.
+    fn rows<'a>(&'a self, rows: Range<usize>, scratch: &'a mut Vec<f32>) -> &'a [f32];
+}
+
+/// A dense matrix hands out its rows where they lie.
+impl RowSource for Strips<'_, Pitch> {
+    fn rows<'a>(&'a self, rows: Range<usize>, _: &'a mut Vec<f32>) -> &'a [f32] {
+        &self.data[rows.start * self.n..rows.end * self.n]
+    }
+}
 
 /// Dot products of `R` rows of `A` with `W` rows of `B` (all of one length),
 /// each as `LANES` interleaved partial sums folded in a fixed order.
@@ -363,19 +503,20 @@ fn dot_tile<const R: usize, const W: usize>(a: [&[f32]; R], b: [&[f32]; W]) -> [
     acc.map(|row| row.map(fold_lanes))
 }
 
-/// `C[i0.., j0..] += A[i0..][..R] · B[j0..][..W]ᵀ` for one register tile.
+/// `C[i0.., j0..] += A[i0..][..R] · B[j0..][..W]ᵀ` for one register tile;
+/// `bj` holds rows `j0..j0 + W` of `B`, back to back.
 #[inline(always)]
 fn nt_tile<I: Isa, const R: usize, const W: usize>(
     isa: I,
     c: &mut [f32],
     a: &[f32],
-    b: &[f32],
+    bj: &[f32],
     (i0, j0): (usize, usize),
     (k, n): (usize, usize),
 ) {
     let d = isa.dot_tile::<R, W>(
         std::array::from_fn(|i| &a[(i0 + i) * k..(i0 + i + 1) * k]),
-        std::array::from_fn(|j| &b[(j0 + j) * k..(j0 + j + 1) * k]),
+        std::array::from_fn(|j| &bj[j * k..(j + 1) * k]),
     );
     for (i, di) in d.iter().enumerate() {
         let ct = &mut c[(i0 + i) * n + j0..][..W];
@@ -383,33 +524,33 @@ fn nt_tile<I: Isa, const R: usize, const W: usize>(
     }
 }
 
-fn gemm_nt_acc_on<I: Isa>(
+fn gemm_nt_acc_on<I: Isa, B: RowSource>(
     isa: I,
     c: &mut [f32],
     a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
+    b: &B,
+    (m, k, n): (usize, usize, usize),
 ) {
     assert_eq!(a.len(), m * k, "A size");
-    assert_eq!(b.len(), n * k, "B size (stored n×k)");
     assert_eq!(c.len(), m * n, "C size");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
     // One block of `A` rows: each pair of `B` rows meets all of them before
-    // the next pair is loaded, so a batch-2 `Linear::forward` streams its
-    // weight matrix once.
+    // the next pair is read, so a batch-2 `Linear::forward` streams its
+    // weight matrix once and a convolution copies each pair of its `col`
+    // rows once per block.
     let block = |cb: &mut [f32], ab: &[f32]| {
         let rows = cb.len() / n;
+        let mut scratch = Vec::new();
         for j in (0..n).step_by(NT_TILE) {
+            let bj = b.rows(j..n.min(j + NT_TILE), &mut scratch);
             for i in (0..rows).step_by(NT_TILE) {
                 match (NT_TILE.min(rows - i), NT_TILE.min(n - j)) {
-                    (2, 2) => nt_tile::<I, 2, 2>(isa, cb, ab, b, (i, j), (k, n)),
-                    (2, 1) => nt_tile::<I, 2, 1>(isa, cb, ab, b, (i, j), (k, n)),
-                    (1, 2) => nt_tile::<I, 1, 2>(isa, cb, ab, b, (i, j), (k, n)),
-                    _ => nt_tile::<I, 1, 1>(isa, cb, ab, b, (i, j), (k, n)),
+                    (2, 2) => nt_tile::<I, 2, 2>(isa, cb, ab, bj, (i, j), (k, n)),
+                    (2, 1) => nt_tile::<I, 2, 1>(isa, cb, ab, bj, (i, j), (k, n)),
+                    (1, 2) => nt_tile::<I, 1, 2>(isa, cb, ab, bj, (i, j), (k, n)),
+                    _ => nt_tile::<I, 1, 1>(isa, cb, ab, bj, (i, j), (k, n)),
                 }
             }
         }
@@ -434,7 +575,14 @@ macro_rules! dispatch {
 /// # Panics
 /// Panics if the slice lengths don't match the dimensions.
 pub fn gemm_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    dispatch!(gemm_acc_on(c, a, b, m, k, n))
+    dispatch!(gemm_acc_on((c, Dest::Add), a, &Strips::dense(b, k, n), m))
+}
+
+/// `C = A · B` with `B` read through a [`Strips`] source: a convolution's
+/// forward, straight from its padded image. `C` is written, with the bits
+/// [`gemm_acc`] gives a zeroed `C`.
+pub(crate) fn gemm_strips<S: RowStarts>(c: &mut [f32], a: &[f32], b: &Strips<S>, m: usize) {
+    dispatch!(gemm_acc_on((c, Dest::Write), a, b, m))
 }
 
 /// `C[m×n] = A[m×k] · B[k×n]` (overwrites C).
@@ -446,7 +594,19 @@ pub fn gemm(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
 /// `C[m×n] += Aᵀ · B` where `A` is `k×m` row-major (i.e. multiply by the
 /// transpose of a stored matrix without materializing it).
 pub fn gemm_tn_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    dispatch!(gemm_tn_acc_on(c, a, b, m, k, n))
+    dispatch!(gemm_tn_acc_on((c, Dest::Add), a, &Strips::dense(b, k, n), (0..m, m)))
+}
+
+/// Rows `rows` of `Aᵀ · B` written into `c` (`rows.len() × n`): the bits
+/// those rows get from [`gemm_tn_acc`] into a zeroed `C`.
+pub(crate) fn gemm_tn_rows(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    rows: Range<usize>,
+    (m, k, n): (usize, usize, usize),
+) {
+    dispatch!(gemm_tn_acc_on((c, Dest::Write), a, &Strips::dense(b, k, n), (rows, m)))
 }
 
 /// `C[m×n] += A[m×k] · Bᵀ` where `B` is `n×k` row-major.
@@ -454,7 +614,19 @@ pub fn gemm_tn_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: u
 /// Every `C[i,j]` is one [`dot_tile`] dot product added to its old value, so
 /// a row or column subset computed in a separate call has the same bits.
 pub fn gemm_nt_acc(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    dispatch!(gemm_nt_acc_on(c, a, b, m, k, n))
+    dispatch!(gemm_nt_acc_on(c, a, &Strips::dense(b, n, k), (m, k, n)))
+}
+
+/// [`gemm_nt_acc`] with the rows of `B` (`n × k`) read through a
+/// [`RowSource`]: a convolution's weight gradient, its unrolled rows copied
+/// out of the padded image a pair at a time.
+pub(crate) fn gemm_nt_rows_acc<B: RowSource>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &B,
+    (m, k, n): (usize, usize, usize),
+) {
+    dispatch!(gemm_nt_acc_on(c, a, b, (m, k, n)))
 }
 
 #[cfg(test)]

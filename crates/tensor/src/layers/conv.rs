@@ -1,24 +1,44 @@
-//! 2-D convolution, lowered to GEMM via im2col (the same strategy as
-//! cuDNN's implicit-GEMM kernels the paper's Torch stack uses).
+//! 2-D convolution as three GEMMs that read the image itself, the way the
+//! cuDNN implicit-GEMM kernels of the paper's Torch stack never build the
+//! unrolled image (`col`, see [`crate::im2col`]). The forward pads each
+//! image once ([`ConvGeom::pad_image`]) and training keeps the padded batch
+//! for the backward:
+//!
+//! - forward `y = W · col`: the GEMM tile loads each row of `col` from the
+//!   padded image at that tap's start, over an extended grid whose output
+//!   rows are a plane row wide; the extra columns are dropped;
+//! - weight gradient `gW += g · colᵀ`: the dot-product kernel asks for two
+//!   rows of `col` at a time, copied out of the padded image just before use;
+//! - input gradient `dx += col2im(Wᵀ · g)`: the product is computed a slab
+//!   of rows at a time ([`slab_rows`]) and each slab is added into a padded
+//!   gradient image while it is still in L1, slabs in ascending row order —
+//!   the order of one whole `col2im` — before that image is copied into `dx`.
+//!
+//! Every value the kernels read or add is the one the unrolled matrix would
+//! hold, in the same order, so each output has the bits of `im2col` →
+//! GEMM → `col2im`.
 
 use std::cell::RefCell;
 
 use rayon::prelude::*;
 
 use super::{Module, Param};
-use crate::gemm::{gemm_acc, gemm_nt_acc, gemm_tn_acc};
-use crate::im2col::{col2im, im2col, out_dim};
+use crate::gemm::{
+    gemm_acc, gemm_nt_acc, gemm_nt_rows_acc, gemm_strips, gemm_tn_acc, gemm_tn_rows, MR,
+};
+use crate::im2col::{out_dim, ConvGeom};
 use crate::init::he_conv;
 use crate::tensor::Tensor;
 
 thread_local! {
-    /// Reusable im2col scratch per thread (one per rank thread under the
-    /// sequential rayon shim) — conv layers are called every iteration, and
-    /// the unrolled column matrix is the single largest transient allocation
-    /// in training.
-    static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Scratch for the backward pass's gradient columns.
-    static GCOL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The forward's product over the extended grid, before it is compacted
+    /// (one per rank thread under the sequential rayon shim: conv layers are
+    /// called every iteration).
+    static WIDE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// The input gradient of one image, padded like the image.
+    static GRAD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// One slab of the input gradient's column matrix ([`slab_rows`]).
+    static SLAB_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 fn with_scratch<R>(
@@ -35,6 +55,16 @@ fn with_scratch<R>(
     })
 }
 
+/// Values of the input gradient's column matrix computed and scattered at
+/// a time: a slab stays in L1 between the two.
+const SLAB: usize = 4096;
+
+/// Rows of `col` per slab at `cols` columns: whole `MR`-row register tiles,
+/// at least one.
+fn slab_rows(cols: usize) -> usize {
+    MR * (SLAB / (MR * cols)).max(1)
+}
+
 /// 2-D convolution with square-independent kernel, stride and padding.
 pub struct Conv2d {
     /// Filter bank `[out_c, in_c, kh, kw]`.
@@ -48,7 +78,16 @@ pub struct Conv2d {
     kw: usize,
     stride: usize,
     pad: usize,
-    saved_x: Option<Tensor>,
+    saved: Option<Saved>,
+}
+
+/// What `backward` reads of the forward's input.
+struct Saved {
+    shape: Vec<usize>,
+    /// Each image as the weight gradient reads it: zero-padded
+    /// ([`ConvGeom::pad_image`]) by the forward, which needed it so too —
+    /// or, for a pointwise convolution, as given.
+    images: Vec<f32>,
 }
 
 impl Conv2d {
@@ -64,7 +103,7 @@ impl Conv2d {
     ) -> Self {
         let weight = Param::new(he_conv(out_c, in_c, kernel, kernel, seed));
         let bias = bias.then(|| Param::new(Tensor::zeros(&[out_c])));
-        Conv2d { weight, bias, in_c, out_c, kh: kernel, kw: kernel, stride, pad, saved_x: None }
+        Conv2d { weight, bias, in_c, out_c, kh: kernel, kw: kernel, stride, pad, saved: None }
     }
 
     /// Output shape for an input `[n, in_c, h, w]`.
@@ -79,17 +118,49 @@ impl Conv2d {
         ]
     }
 
-    fn dims(&self, x: &Tensor) -> (usize, usize, usize, usize, usize) {
-        let s = x.shape();
-        let (n, h, w) = (s[0], s[2], s[3]);
-        let oh = out_dim(h, self.kh, self.stride, self.pad);
-        let ow = out_dim(w, self.kw, self.stride, self.pad);
-        (n, h, w, oh, ow)
+    /// The geometry of one image of an input of shape `s`.
+    fn geom(&self, s: &[usize]) -> ConvGeom {
+        ConvGeom::new(self.in_c, (s[2], s[3]), (self.kh, self.kw), self.stride, self.pad)
+    }
+
+    /// `y = W · col` for one image from its padded image `xp`: over the
+    /// extended grid, compacted — or straight into `y` where a plane row is
+    /// an output row wide.
+    fn forward_padded(&self, geom: &ConvGeom, xp: &[f32], y: &mut [f32]) {
+        let (w, strips) = (self.weight.value.data(), geom.strips(xp));
+        if strips.n == geom.cols() {
+            gemm_strips(y, w, &strips, self.out_c);
+        } else {
+            with_scratch(&WIDE_SCRATCH, self.out_c * strips.n, |wide| {
+                gemm_strips(wide, w, &strips, self.out_c);
+                geom.compact(wide, y);
+            });
+        }
+    }
+
+    /// `dx += col2im(Wᵀ · g)` for one image: one slab of rows of `Wᵀ · g` at
+    /// a time, added into a padded gradient image while the slab is in L1,
+    /// then the padded image copied into `dx` (still zeros).
+    fn input_gradient(&self, geom: &ConvGeom, g: &[f32], dx: &mut [f32]) {
+        let (k2, cols, w) = (geom.taps(), geom.cols(), self.weight.value.data());
+        let rows_per_slab = slab_rows(cols);
+        with_scratch(&SLAB_SCRATCH, rows_per_slab * cols, |slab| {
+            with_scratch(&GRAD_SCRATCH, geom.padded_len(), |dxp| {
+                dxp.fill(0.0);
+                for l in (0..k2).step_by(rows_per_slab) {
+                    let rows = l..k2.min(l + rows_per_slab);
+                    let slab = &mut slab[..rows.len() * cols];
+                    gemm_tn_rows(slab, w, g, rows.clone(), (k2, self.out_c, cols));
+                    geom.scatter_rows(slab, rows, dxp);
+                }
+                geom.unpad_image(dxp, dx);
+            });
+        });
     }
 
     /// 1×1/stride-1/pad-0 convolutions are plain channel-mixing GEMMs over
-    /// `[C, H·W]` — no im2col buffer needed. ResNet-50's bottlenecks and the
-    /// inception reduce layers make this the most common conv shape.
+    /// `[C, H·W]`: the image already *is* `col`. ResNet-50's bottlenecks and
+    /// the inception reduce layers make this the most common conv shape.
     fn is_pointwise(&self) -> bool {
         self.kh == 1 && self.kw == 1 && self.stride == 1 && self.pad == 0
     }
@@ -97,51 +168,50 @@ impl Conv2d {
 
 impl Module for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (n, h, w, oh, ow) = self.dims(x);
-        let k2 = self.in_c * self.kh * self.kw;
-        let mut out = Tensor::zeros(&[n, self.out_c, oh, ow]);
-        let img = self.in_c * h * w;
-        let oimg = self.out_c * oh * ow;
+        let geom = self.geom(x.shape());
+        let (img, cols) = (geom.image_len(), geom.cols());
+        let mut out = Tensor::zeros(&self.out_shape(x.shape()));
         let wdata = self.weight.value.data();
-        let bias = self.bias.as_ref().map(|b| b.value.data());
-        let pointwise = self.is_pointwise();
-        out.data_mut()
-            .par_chunks_mut(oimg)
-            .zip(x.data().par_chunks(img))
-            .for_each(|(yo, xo)| {
-                // `yo` is still the zeros it was allocated as.
-                if pointwise {
-                    // y[oc, hw] = W[oc, ic] · x[ic, hw] — the image already
-                    // *is* the im2col matrix.
-                    gemm_acc(yo, wdata, xo, self.out_c, self.in_c, oh * ow);
-                } else {
-                    with_scratch(&COL_SCRATCH, k2 * oh * ow, |col| {
-                        im2col(xo, col, self.in_c, h, w, self.kh, self.kw, self.stride, self.pad);
-                        gemm_acc(yo, wdata, col, self.out_c, k2, oh * ow);
-                    });
-                }
-                if let Some(b) = bias {
-                    for (c, yc) in yo.chunks_mut(oh * ow).enumerate() {
-                        let bv = b[c];
-                        yc.iter_mut().for_each(|v| *v += bv);
-                    }
-                }
+        let images = out.data_mut().par_chunks_mut(self.out_c * cols).zip(x.data().par_chunks(img));
+        let saved = if self.is_pointwise() {
+            // y[oc, hw] = W[oc, ic] · x[ic, hw]
+            images.for_each(|(yo, xo)| gemm_acc(yo, wdata, xo, self.out_c, self.in_c, cols));
+            if train {
+                x.data().to_vec()
+            } else {
+                Vec::new()
+            }
+        } else {
+            let mut padded = vec![0.0f32; x.shape()[0] * geom.padded_len()];
+            images.zip(padded.par_chunks_mut(geom.padded_len())).for_each(|((yo, xo), xp)| {
+                geom.pad_image(xo, xp);
+                self.forward_padded(&geom, xp, yo);
             });
+            padded
+        };
+        if let Some(b) = &self.bias {
+            for yo in out.data_mut().chunks_mut(self.out_c * cols) {
+                for (yc, &bv) in yo.chunks_mut(cols).zip(b.value.data()) {
+                    yc.iter_mut().for_each(|v| *v += bv);
+                }
+            }
+        }
         if train {
-            self.saved_x = Some(x.clone());
+            self.saved = Some(Saved { shape: x.shape().to_vec(), images: saved });
         }
         out
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.saved_x.take().expect("forward(train=true) before backward");
-        let (n, h, w, oh, ow) = self.dims(&x);
-        assert_eq!(grad.shape(), &[n, self.out_c, oh, ow], "grad shape");
-        let k2 = self.in_c * self.kh * self.kw;
-        let img = self.in_c * h * w;
-        let oimg = self.out_c * oh * ow;
-        let mut dx = Tensor::zeros(x.shape());
+        let Saved { shape, images } =
+            self.saved.take().expect("forward(train=true) before backward");
+        let geom = self.geom(&shape);
+        assert_eq!(grad.shape(), &self.out_shape(&shape)[..], "grad shape");
+        let (k2, img, cols) = (geom.taps(), geom.image_len(), geom.cols());
+        let oimg = self.out_c * cols;
+        let mut dx = Tensor::zeros(&shape);
         let wdata = self.weight.value.data();
+        let per_image = if self.is_pointwise() { img } else { geom.padded_len() };
         // A conv feeding a BatchNorm has no bias gradient to sum.
         let gb_len = if self.bias.is_some() { self.out_c } else { 0 };
 
@@ -150,29 +220,22 @@ impl Module for Conv2d {
         let (gw, gb) = dx
             .data_mut()
             .par_chunks_mut(img)
-            .zip(x.data().par_chunks(img))
+            .zip(images.par_chunks(per_image))
             .zip(grad.data().par_chunks(oimg))
             .fold(
                 || (vec![0.0f32; self.out_c * k2], vec![0.0f32; gb_len]),
                 |(mut gw, mut gb), ((dxo, xo), go)| {
                     if self.is_pointwise() {
                         // gW[oc, ic] += g[oc, hw] · xᵀ; dx[ic, hw] = Wᵀ · g.
-                        gemm_nt_acc(&mut gw, go, xo, self.out_c, oh * ow, k2);
-                        gemm_tn_acc(dxo, wdata, go, k2, self.out_c, oh * ow);
+                        gemm_nt_acc(&mut gw, go, xo, self.out_c, cols, k2);
+                        gemm_tn_acc(dxo, wdata, go, k2, self.out_c, cols);
                     } else {
-                        with_scratch(&COL_SCRATCH, k2 * oh * ow, |col| {
-                            im2col(xo, col, self.in_c, h, w, self.kh, self.kw, self.stride, self.pad);
-                            // gW[oc, k2] += g[oc, ohow] · colᵀ
-                            gemm_nt_acc(&mut gw, go, col, self.out_c, oh * ow, k2);
-                        });
-                        with_scratch(&GCOL_SCRATCH, k2 * oh * ow, |gcol| {
-                            // grad_col[k2, ohow] = Wᵀ · g
-                            gcol.fill(0.0);
-                            gemm_tn_acc(gcol, wdata, go, k2, self.out_c, oh * ow);
-                            col2im(gcol, dxo, self.in_c, h, w, self.kh, self.kw, self.stride, self.pad);
-                        });
+                        // gW[oc, k2] += g[oc, ohow] · colᵀ, two rows of col at a
+                        // time, copied out of the padded image.
+                        gemm_nt_rows_acc(&mut gw, go, &geom.col_rows(xo), (self.out_c, cols, k2));
+                        self.input_gradient(&geom, go, dxo);
                     }
-                    for (b, gc) in gb.iter_mut().zip(go.chunks(oh * ow)) {
+                    for (b, gc) in gb.iter_mut().zip(go.chunks(cols)) {
                         *b += gc.iter().sum::<f32>();
                     }
                     (gw, gb)

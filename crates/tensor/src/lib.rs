@@ -16,8 +16,9 @@
 //!
 //! * [`Tensor`] — dense row-major `f32` tensors with shape tracking.
 //! * [`gemm`] — register-tiled matrix multiplication (the workhorse:
-//!   convolutions lower to GEMM via [`im2col`], as cuDNN's implicit-GEMM
-//!   kernels do). Each kernel is one safe body compiled for the baseline
+//!   convolutions are GEMMs that read the image's rows of `col` from a
+//!   padded copy laid out by [`im2col`], as cuDNN's implicit-GEMM kernels
+//!   never unroll it). Each kernel is one safe body compiled for the baseline
 //!   target and, on x86_64, for AVX2; the CPU picks the arm and the bits do
 //!   not depend on which ran. Its two calls of the `#[target_feature]` arm
 //!   are the crate's only `unsafe`.
