@@ -5,8 +5,9 @@
 //! {optional fault script} over the *real* runtime — in-process rank
 //! threads, or genuine TCP processes re-launched through `dcnn-launch`'s
 //! `eval-cell` workload — and feeds the identical
-//! [`CellSpec`](dcnn_core::collectives::CellSpec) matrix through
-//! `dcnn-simnet`. Three artifacts land in the results directory:
+//! [`CellSpec`](dcnn_core::trainer::CellSpec) matrix through
+//! `dcnn-simnet`. Every cell runs the trainer's own gradient exchange
+//! (`GradSync`). Three artifacts land in the results directory:
 //!
 //! * one schema-versioned JSON row per cell (`cell-NNN.json`),
 //! * `report.md` — the per-size winner table (our Figure 5/6 analog) plus
@@ -15,14 +16,17 @@
 //!   the relative error, sorted by |relative error| descending (the
 //!   simulator honesty trajectory later perf PRs regress against).
 
+use std::ffi::OsString;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use dcnn_core::collectives::cell::{json_f64, json_str, json_u64, json_u64_array};
+use dcnn_core::collectives::measurement::{json_f64, json_str, json_u64, json_u64_array};
 use dcnn_core::collectives::{
-    CellMeasurement, CellSpec, ClusterBuilder, CommStats, CostModel, RuntimeConfig,
+    CellMeasurement, ClusterBuilder, CommStats, CostModel, RuntimeConfig,
 };
+use dcnn_core::trainer::cell::CELL_ENV;
+use dcnn_core::trainer::CellSpec;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -212,17 +216,37 @@ pub fn run_threads_cell(cell: &CellSpec) -> Result<CellMeasurement, String> {
     Ok(measurements[0].clone())
 }
 
+/// The environment a `tcp` cell's `dcnn-launch` runs under: `inherited`
+/// (the harness's own) minus every `DCNN_*` variable, plus the cell in the
+/// [`CELL_ENV`] handshake and, for a faulted cell only, its `DCNN_FAULT`.
+/// An ambient `DCNN_FAULT` or `DCNN_BUCKET_BYTES` therefore never reaches a
+/// cell, just as `threads` cells run [`RuntimeConfig::default`].
+fn tcp_cell_env(
+    cell: &CellSpec,
+    inherited: impl IntoIterator<Item = (OsString, OsString)>,
+) -> Vec<(OsString, OsString)> {
+    let mut env: Vec<(OsString, OsString)> = inherited
+        .into_iter()
+        .filter(|(k, _)| !k.to_string_lossy().starts_with("DCNN_"))
+        .collect();
+    env.push((CELL_ENV.into(), cell.to_handshake().into()));
+    if let Some(f) = &cell.fault {
+        env.push(("DCNN_FAULT".into(), f.into()));
+    }
+    env
+}
+
 /// Execute a `tcp` cell as real OS processes: re-launch through
-/// `dcnn-launch --workload eval-cell` with the cell exported as `DCNN_*`
-/// variables, and harvest rank 0's JSON measurement line from stdout.
+/// `dcnn-launch --workload eval-cell` under [`tcp_cell_env`], and harvest
+/// rank 0's JSON measurement line from stdout.
 pub fn run_tcp_cell(cell: &CellSpec, launch: &Path) -> Result<CellMeasurement, String> {
     let out = Command::new(launch)
         .arg("--ranks")
         .arg(cell.world.to_string())
         .arg("--workload")
         .arg("eval-cell")
-        .envs(cell.to_env())
-        .env("DCNN_TRANSPORT", "tcp")
+        .env_clear()
+        .envs(tcp_cell_env(cell, std::env::vars_os()))
         .output()
         .map_err(|e| format!("cell {}: spawning {}: {e}", cell.id(), launch.display()))?;
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -539,6 +563,45 @@ mod tests {
         assert_eq!(back.cell, row.cell);
         assert_eq!(back.wall_ns, row.wall_ns);
         assert!(back.error.is_none());
+    }
+
+    #[test]
+    fn tcp_cell_env_replaces_every_inherited_dcnn_variable() {
+        let os = |k: &str, v: &str| (OsString::from(k), OsString::from(v));
+        let inherited = vec![
+            os("PATH", "/usr/bin"),
+            os("DCNN_FAULT", "drop-link=0:1"),
+            os("DCNN_BUCKET_BYTES", "4096"),
+            os("DCNN_LAUNCH_CELL", "{}"),
+            os("HOME", "/home/user"),
+        ];
+        let mut cell = CellSpec {
+            algo: "ring".into(),
+            world: 2,
+            payload_bytes: 4096,
+            bucket_bytes: 0,
+            overlap: "fused".into(),
+            transport: "tcp".into(),
+            iters: 1,
+            fault: None,
+        };
+        let handshake = os(CELL_ENV, &cell.to_handshake());
+        assert_eq!(
+            tcp_cell_env(&cell, inherited.clone()),
+            vec![os("PATH", "/usr/bin"), os("HOME", "/home/user"), handshake]
+        );
+
+        cell.fault = Some("drop-link=1:0".into());
+        let handshake = os(CELL_ENV, &cell.to_handshake());
+        assert_eq!(
+            tcp_cell_env(&cell, inherited),
+            vec![
+                os("PATH", "/usr/bin"),
+                os("HOME", "/home/user"),
+                handshake,
+                os("DCNN_FAULT", "drop-link=1:0"),
+            ]
+        );
     }
 
     #[test]

@@ -248,9 +248,7 @@ pub fn render_table2() -> String {
 /// design choices DESIGN.md calls out, plus post-paper techniques built on
 /// the same substrate.
 pub fn render_extensions() -> String {
-    use dcnn_core::collectives::{
-        Allreduce, CostModel, Fp16Allreduce, Hierarchical, MultiColor,
-    };
+    use dcnn_core::collectives::{Allreduce, CostModel, Hierarchical, MultiColor};
     use dcnn_core::gpusim::{DeviceModel, NodeModel};
     use dcnn_core::models::{alexnet, resnet50, vgg16};
     use dcnn_core::simnet::{FatTree, SimOptions};
@@ -281,16 +279,17 @@ pub fn render_extensions() -> String {
     let topo = FatTree::minsky(32);
     let cost = CostModel::default();
     let opts = SimOptions::default();
-    let t = |a: &dyn Allreduce| {
-        fmt_secs(a.schedule(32, 102e6, &cost).simulate(&topo, &opts).makespan)
+    let t = |a: &dyn Allreduce, bytes: f64| {
+        fmt_secs(a.schedule(32, bytes, &cost).simulate(&topo, &opts).makespan)
     };
     s.push_str("\n### Post-paper allreduce variants (32 nodes, 102 MB ResNet-50 payload)\n\n");
     s.push_str(&markdown_table(
         &["variant", "time"],
         &[
-            vec!["multicolor-4 (paper)".into(), t(&MultiColor::new(4))],
-            vec!["hierarchical 4-per-group".into(), t(&Hierarchical::new(4, 4))],
-            vec!["fp16 multicolor-4".into(), t(&Fp16Allreduce::new(MultiColor::new(4)))],
+            vec!["multicolor-4 (paper)".into(), t(&MultiColor::new(4), 102e6)],
+            vec!["hierarchical 4-per-group".into(), t(&Hierarchical::new(4, 4), 102e6)],
+            // fp16 (`GradSync` with `fp16`) halves the bytes on the wire.
+            vec!["fp16 multicolor-4".into(), t(&MultiColor::new(4), 102e6 / 2.0)],
         ],
     ));
 
@@ -362,28 +361,18 @@ pub struct CommRow {
 }
 
 /// Run the paper's multi-color allreduce for real across `nodes` rank
-/// threads on a `elems`-element buffer — as four overlap-engine buckets
-/// launched through the nonblocking API, the shape the bucketed trainer
-/// drives — and collect per-rank counters.
+/// threads on a `elems`-element buffer — through the trainer's
+/// [`GradSync`](dcnn_core::trainer::GradSync) as four buckets drained after
+/// backward, the exchange the bucketed trainer runs — and collect per-rank
+/// counters.
 pub fn comm_rows(nodes: usize, elems: usize, policy: &AlgoPolicy) -> Vec<CommRow> {
-    use dcnn_core::collectives::{ClusterBuilder, CollectiveOp, CommStats};
-    use std::sync::Arc;
-    let run = ClusterBuilder::new(nodes).run(move |c| {
-        let mut tuner = policy.tuner();
-        let bucket = (elems / 4).max(1);
-        let mut pending = Vec::new();
-        let mut off = 0;
-        while off < elems {
-            let len = bucket.min(elems - off);
-            let sel = tuner.select(pending.len(), (len * 4) as u64, c.size(), false);
-            let op = CollectiveOp::allreduce(sel.handle)
-                .labeled(Arc::from(format!("bucket.{}", pending.len())));
-            pending.push(c.launch(op, vec![c.rank() as f32 + 1.0; len]));
-            off += len;
-        }
-        for p in pending {
-            let _ = p.wait();
-        }
+    use dcnn_core::collectives::{ClusterBuilder, CommStats};
+    use dcnn_core::trainer::{cell::payload_segments, GradSync};
+    let bucket_bytes = (elems / 4).max(1) * 4;
+    let segments = payload_segments(elems, bucket_bytes);
+    let run = ClusterBuilder::new(nodes).run(|c| {
+        let mut grad = vec![c.rank() as f32 + 1.0; elems];
+        GradSync::with_policy(policy.clone(), &segments, bucket_bytes, false).reduce(c, &mut grad);
     });
     let tuner = policy.tuner();
     run.stats
@@ -442,7 +431,7 @@ pub fn render_comm() -> String {
     format!(
         "## Comm — runtime counters for a real multi-color allreduce (8 ranks, 256 KiB, 4 async buckets)\n\n\
          Per-rank counters from the threaded runtime's diagnostics layer; the payload travels \
-         through the nonblocking bucket engine, so the in-flight high-water mark, bucket wait \
+         through the trainer's bucketed exchange, so the in-flight high-water mark, bucket wait \
          and per-bucket launch/done spans (with their windowed average of in-flight bytes) \
          show real overlap. Set DCNN_TRACE=1 \
          for the full per-message event log.\n\n{table}"

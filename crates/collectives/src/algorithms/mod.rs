@@ -130,23 +130,12 @@ pub trait Allreduce {
     /// steps ([`plan::reduce_scatter`]): owned bits equal [`Allreduce::run`]'s
     /// by construction, and nothing is moved that no owned element needs.
     /// Plans all `counts.len()` ranks, so callers that repeat an exchange
-    /// keep the result ([`crate::runtime::CollectiveOp`] does).
+    /// keep the result ([`crate::runtime::CollectiveOp::reduce_scatter`],
+    /// the one runner, does).
     fn scatter_plan(&self, rank: usize, counts: &[usize]) -> Vec<Step> {
         let (n, len) = (counts.len(), counts.iter().sum());
         let plans: Vec<Vec<Step>> = (0..n).map(|r| self.plan(n, r, len)).collect();
         plan::reduce_scatter(&plans, counts).swap_remove(rank)
-    }
-
-    /// Reduce-scatter seam for the sharded optimizer: runs
-    /// [`Allreduce::scatter_plan`], so on return this rank's owned chunk
-    /// holds the full elementwise sum, bit-identical to the same chunk after
-    /// [`Allreduce::run`] — the invariant the trainer's sharded strategy
-    /// relies on for bitwise-equivalent loss. Other chunks are unspecified.
-    fn reduce_scatter(&self, comm: &Comm, buf: &mut [f32], counts: &[usize]) {
-        assert_eq!(counts.len(), comm.size(), "reduce_scatter needs one count per rank");
-        assert_eq!(counts.iter().sum::<usize>(), buf.len(), "reduce_scatter counts must cover the buffer");
-        let _phase = comm.phase(self.name());
-        plan::execute(comm, &self.scatter_plan(comm.rank(), counts), buf);
     }
 }
 

@@ -2,17 +2,12 @@
 //!
 //! Half-precision (IEEE 754 binary16) gradient exchange halves the allreduce
 //! payload; it became standard practice in the large-batch training line of
-//! work the paper competes in. We implement the conversion from scratch
-//! (round-to-nearest-even) and wrap any [`Allreduce`] so that local
-//! gradients are quantized before the exchange — modelling both the
-//! precision loss (in real execution) and the bandwidth saving (in the
-//! schedule).
-
-use dcnn_simnet::CommSchedule;
-
-use crate::algorithms::{Allreduce, CostModel};
-use crate::plan::Step;
-use crate::runtime::Comm;
+//! work the paper competes in. This module is the conversion, from scratch
+//! (round-to-nearest-even). Its one user is the trainer's exchange:
+//! `GradSync` built with `fp16` quantizes each bucket's payload through
+//! [`quantize_f16`] before it is reduced (the precision effect, in real
+//! execution); the bandwidth effect is a schedule at half the bytes (the
+//! `repro ext` table compiles one).
 
 /// Convert an `f32` to IEEE 754 binary16 bits, round-to-nearest-even.
 pub fn f32_to_f16_bits(x: f32) -> u16 {
@@ -98,45 +93,9 @@ pub fn quantize_f16(buf: &mut [f32]) {
     }
 }
 
-/// Wrap an allreduce with f16 gradient quantization: inputs are quantized
-/// before the exchange (precision effect), and the compiled schedule carries
-/// half the bytes (bandwidth effect).
-pub struct Fp16Allreduce<A: Allreduce> {
-    inner: A,
-}
-
-impl<A: Allreduce> Fp16Allreduce<A> {
-    /// Wrap `inner`.
-    pub fn new(inner: A) -> Self {
-        Fp16Allreduce { inner }
-    }
-}
-
-impl<A: Allreduce> Allreduce for Fp16Allreduce<A> {
-    fn name(&self) -> &'static str {
-        "fp16"
-    }
-
-    fn plan(&self, n: usize, rank: usize, len: usize) -> Vec<Step> {
-        self.inner.plan(n, rank, len)
-    }
-
-    fn run(&self, comm: &Comm, buf: &mut [f32]) {
-        let _phase = comm.phase(self.name());
-        quantize_f16(buf);
-        self.inner.run(comm, buf);
-    }
-
-    fn schedule(&self, n: usize, bytes: f64, cost: &CostModel) -> CommSchedule {
-        self.inner.schedule(n, bytes / 2.0, cost)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::MultiColor;
-    use crate::runtime::run_cluster;
 
     #[test]
     fn exact_values_roundtrip() {
@@ -199,30 +158,5 @@ mod tests {
         // Slightly above halfway rounds up.
         let above = 1.0 + 2.0f32.powi(-11) + 2.0f32.powi(-16);
         assert_eq!(f16_bits_to_f32(f32_to_f16_bits(above)), 1.0 + 2.0f32.powi(-10));
-    }
-
-    #[test]
-    fn fp16_allreduce_sums_quantized_inputs() {
-        let algo = Fp16Allreduce::new(MultiColor::new(2));
-        let out = run_cluster(4, |c| {
-            let mut buf = vec![0.1f32 + c.rank() as f32; 16];
-            algo.run(c, &mut buf);
-            buf[0]
-        });
-        // Sum of the f16-quantized per-rank values.
-        let expect: f32 = (0..4)
-            .map(|r| f16_bits_to_f32(f32_to_f16_bits(0.1 + r as f32)))
-            .sum();
-        for v in out {
-            assert!((v - expect).abs() < 1e-3, "{v} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn schedule_halves_bytes() {
-        let cost = CostModel::default();
-        let full = MultiColor::new(4).schedule(8, 8e6, &cost).total_bytes();
-        let half = Fp16Allreduce::new(MultiColor::new(4)).schedule(8, 8e6, &cost).total_bytes();
-        assert!((half * 2.0 - full).abs() < 1e-6 * full);
     }
 }

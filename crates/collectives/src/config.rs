@@ -188,13 +188,6 @@ pub struct RuntimeConfig {
     /// algorithm), or `auto:<c1>,<c2>,...` (self-tuning over the listed
     /// candidates).
     pub algo: Option<crate::tune::AlgoPolicy>,
-    /// Payload size in bytes for one `dcnn-eval` matrix cell
-    /// (`DCNN_EVAL_PAYLOAD`, ≥ 4 — at least one f32). The eval harness sets
-    /// this when it re-launches a cell as real TCP processes.
-    pub eval_payload: Option<usize>,
-    /// Timed iterations per `dcnn-eval` matrix cell (`DCNN_EVAL_ITERS`,
-    /// ≥ 1; the cell reports the fastest).
-    pub eval_iters: Option<usize>,
 }
 
 fn parse_usize(
@@ -231,9 +224,9 @@ impl RuntimeConfig {
     /// Every environment variable this struct parses — the full public
     /// `DCNN_*` surface. (The `dcnn-launch` binary additionally uses the
     /// internal `DCNN_LAUNCH_CHILD` / `DCNN_LAUNCH_WORKLOAD` handshake
-    /// variables, which are not configuration.) The README env table is
-    /// tested against this list.
-    pub const ENV_VARS: [&'static str; 20] = [
+    /// variables, and its `eval-cell` workload `DCNN_LAUNCH_CELL`, which are
+    /// not configuration.) The README env table is tested against this list.
+    pub const ENV_VARS: [&'static str; 18] = [
         "DCNN_TRANSPORT",
         "DCNN_RENDEZVOUS",
         "DCNN_RANK",
@@ -252,8 +245,6 @@ impl RuntimeConfig {
         "DCNN_DATA_SERVICE",
         "DCNN_SHARD_OPTIM",
         "DCNN_ALGO",
-        "DCNN_EVAL_PAYLOAD",
-        "DCNN_EVAL_ITERS",
     ];
 
     /// Parse the process environment. Unset (or empty) variables become
@@ -370,18 +361,6 @@ impl RuntimeConfig {
                            hierarchical[:group]), \"auto\", or \"auto:<c1>,<c2>,...\"",
             })?);
         }
-        if let Some(v) = get("DCNN_EVAL_PAYLOAD") {
-            cfg.eval_payload = Some(parse_at_least(
-                "DCNN_EVAL_PAYLOAD",
-                &v,
-                4,
-                "a payload size in bytes (integer ≥ 4)",
-            )?);
-        }
-        if let Some(v) = get("DCNN_EVAL_ITERS") {
-            cfg.eval_iters =
-                Some(parse_at_least("DCNN_EVAL_ITERS", &v, 1, "an iteration count (integer ≥ 1)")?);
-        }
         Ok(cfg)
     }
 
@@ -441,16 +420,6 @@ impl RuntimeConfig {
             .unwrap_or(crate::tune::AlgoPolicy::Fixed(crate::algorithms::AllreduceAlgo::MultiColor(4)))
     }
 
-    /// Eval-cell payload size in bytes (default 1 MiB, minimum 4).
-    pub fn eval_payload_or_default(&self) -> usize {
-        self.eval_payload.unwrap_or(1 << 20).max(4)
-    }
-
-    /// Timed iterations per eval cell (default 3, minimum 1).
-    pub fn eval_iters_or_default(&self) -> usize {
-        self.eval_iters.unwrap_or(3).max(1)
-    }
-
     // ---- builder-style programmatic overrides ----
 
     /// Override the rendezvous address.
@@ -489,18 +458,6 @@ impl RuntimeConfig {
         self.algo = Some(policy);
         self
     }
-
-    /// Override the eval-cell payload size (bytes).
-    pub fn with_eval_payload(mut self, bytes: usize) -> Self {
-        self.eval_payload = Some(bytes);
-        self
-    }
-
-    /// Override the eval-cell iteration count.
-    pub fn with_eval_iters(mut self, n: usize) -> Self {
-        self.eval_iters = Some(n);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -531,8 +488,6 @@ mod tests {
             cfg.algo_or_default(),
             crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::MultiColor(4))
         );
-        assert_eq!(cfg.eval_payload_or_default(), 1 << 20);
-        assert_eq!(cfg.eval_iters_or_default(), 3);
     }
 
     #[test]
@@ -564,8 +519,6 @@ mod tests {
             ("DCNN_DATA_SERVICE", "127.0.0.1:7500,127.0.0.1:7501"),
             ("DCNN_SHARD_OPTIM", "1"),
             ("DCNN_ALGO", "auto:multicolor:2,ring"),
-            ("DCNN_EVAL_PAYLOAD", "262144"),
-            ("DCNN_EVAL_ITERS", "5"),
         ])
         .expect("full env parses");
         assert_eq!(cfg.transport, Some(TransportKind::Tcp));
@@ -591,8 +544,6 @@ mod tests {
                 vec![crate::AllreduceAlgo::MultiColor(2), crate::AllreduceAlgo::PipelinedRing]
             )))
         );
-        assert_eq!(cfg.eval_payload, Some(262144));
-        assert_eq!(cfg.eval_iters, Some(5));
     }
 
     #[test]
@@ -651,8 +602,6 @@ mod tests {
             ("DCNN_DATA_DECODE_WORKERS", "0"),
             ("DCNN_SHARD_OPTIM", "maybe"),
             ("DCNN_ALGO", "warp-speed"),
-            ("DCNN_EVAL_PAYLOAD", "3"),
-            ("DCNN_EVAL_ITERS", "0"),
         ] {
             let err = from_map(&[(var, value)])
                 .expect_err(&format!("{var}={value} must be rejected"));
@@ -680,9 +629,7 @@ mod tests {
             .with_rank_world(2, 8)
             .with_rendezvous("10.0.0.1:9000")
             .with_fault(FaultSpec::DropLink { from: 0, to: 1 })
-            .with_algo(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing))
-            .with_eval_payload(1 << 16)
-            .with_eval_iters(7);
+            .with_algo(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing));
         assert_eq!(cfg.bucket_bytes, Some(8192));
         assert_eq!(cfg.overlap_mode, Some(OverlapMode::Drain));
         assert_eq!((cfg.rank, cfg.world), (Some(2), Some(8)));
@@ -692,8 +639,6 @@ mod tests {
             cfg.algo,
             Some(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing))
         );
-        assert_eq!(cfg.eval_payload, Some(1 << 16));
-        assert_eq!(cfg.eval_iters, Some(7));
     }
 
     #[test]

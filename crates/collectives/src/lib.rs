@@ -45,9 +45,9 @@
 //!   an unrolled, auto-vectorizable loop).
 
 pub mod algorithms;
-pub mod cell;
 pub mod compress;
 pub mod config;
+pub mod measurement;
 pub mod plan;
 pub mod primitives;
 pub mod reduce;
@@ -61,9 +61,9 @@ pub use algorithms::{
     even_ranges, Allreduce, AllreduceAlgo, CostModel, HalvingDoubling, Hierarchical, MultiColor,
     Pipeline, PipelinedRing, RecursiveDoubling, RingReduceScatter,
 };
-pub use cell::{cell_fill, CellMeasurement, CellSpec, SimEstimate};
-pub use compress::{quantize_f16, Fp16Allreduce};
+pub use compress::quantize_f16;
 pub use config::{ConfigError, FaultSpec, OverlapMode, RuntimeConfig};
+pub use measurement::CellMeasurement;
 pub use plan::Step;
 pub use runtime::{
     run_cluster, run_tcp_rank, run_tcp_rank_with, try_run_tcp_rank_with, BucketSpan,

@@ -10,10 +10,11 @@
 //! algorithms concatenate them into their plans (the ring allreduce, the
 //! hierarchical allreduce) and the wrappers here just execute them. The
 //! ring pair backs the sharded optimizer: the scatter steps are
-//! [`crate::RingReduceScatter`]'s reduce-scatter plan, and the parameters
-//! come back through [`Comm::allgather_f32`]; called directly,
-//! [`Comm::reduce_scatter`] / [`Comm::allgather_f32`] add the scatter/gather
-//! [`crate::CommStats`] accounting themselves.
+//! [`crate::RingReduceScatter`]'s reduce-scatter plan (what
+//! [`Comm::reduce_scatter`] runs, as a reduce-scatter
+//! [`crate::CollectiveOp`]), and the parameters come back through
+//! [`Comm::allgather_f32`], which adds the gather [`crate::CommStats`]
+//! accounting itself.
 
 use dcnn_simnet::CommSchedule;
 
@@ -84,14 +85,6 @@ pub(crate) fn ring_reduce_scatter_steps(r: usize, counts: &[usize]) -> Vec<Step>
 /// arithmetic, so it cannot perturb bits.
 pub(crate) fn ring_allgather_steps(r: usize, counts: &[usize]) -> Vec<Step> {
     ring_pass(r, counts, 1, TAG_AGC, |from, range, tag| Step::RecvCopy { from, range, tag })
-}
-
-/// [`Comm::reduce_scatter`]'s body: run the reduce-scatter steps on `comm`.
-pub(crate) fn ring_reduce_scatter(comm: &Comm, buf: &mut [f32], counts: &[usize]) {
-    let _phase = comm.phase("reduce-scatter");
-    assert_eq!(counts.len(), comm.size(), "reduce_scatter needs one count per rank");
-    assert_eq!(counts.iter().sum::<usize>(), buf.len(), "reduce_scatter counts must cover the buffer");
-    execute(comm, &ring_reduce_scatter_steps(comm.rank(), counts), buf);
 }
 
 /// [`Comm::allgather_f32`]'s body: run the allgather steps on `comm`.

@@ -693,14 +693,13 @@ impl Comm {
     /// on return this rank's chunk holds the elementwise sum over all ranks
     /// and the other chunks hold partial sums. The accumulation order of an
     /// element depends only on its owning rank, so for a fixed owner map the
-    /// owned bits are independent of how a payload is bucketed. Adds to the
-    /// `scatter_*` counters in [`CommStats`], as a reduce-scatter
-    /// [`CollectiveOp`] does for whichever algorithm it runs. Collective.
+    /// owned bits are independent of how a payload is bucketed. It is
+    /// [`RingReduceScatter`](crate::RingReduceScatter)'s reduce-scatter
+    /// [`CollectiveOp`], run once, so it moves the `scatter_*` counters in
+    /// [`CommStats`] where every reduce-scatter does. Collective.
     pub fn reduce_scatter(&self, buf: &mut [f32], counts: &[usize]) {
-        let start = Instant::now();
-        crate::primitives::ring_reduce_scatter(self, buf, counts);
-        self.local.scatter_bytes.fetch_add((buf.len() * 4) as u64, Relaxed);
-        self.local.scatter_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+        CollectiveOp::reduce_scatter(Arc::new(crate::RingReduceScatter), counts.to_vec())
+            .run(self, buf);
     }
 
     /// Blocking counts-based ring allgather of `f32` chunks: each rank

@@ -45,9 +45,11 @@ impl CollectiveOp {
         CollectiveOp { kind: Kind::Allreduce(algo), label: None }
     }
 
-    /// `algo`'s reduce-scatter ([`Allreduce::reduce_scatter`]): only the
-    /// chunk this rank owns per `counts` ends fully reduced; the other
-    /// chunks are unspecified. The op plans once, on its first run, and its
+    /// `algo`'s reduce-scatter ([`Allreduce::scatter_plan`]): only the
+    /// chunk this rank owns per `counts` ends fully reduced — bit-identical
+    /// to the same chunk after [`Allreduce::run`], the invariant the
+    /// trainer's sharded strategy relies on — and the other chunks are
+    /// unspecified. The op plans once, on its first run, and its
     /// clones share the plan: keep the op (one per rank) and clone it per
     /// launch to exchange the same buffer shape every step.
     pub fn reduce_scatter(algo: Arc<dyn Allreduce + Send + Sync>, counts: Vec<usize>) -> Self {

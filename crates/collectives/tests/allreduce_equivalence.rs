@@ -111,7 +111,8 @@ fn ring_reduce_scatter_seam_reproduces_the_golden_fingerprints() {
         let len: usize = counts.iter().sum();
         let owned = run_cluster(counts.len(), move |c| {
             let mut buf: Vec<f32> = (0..len).map(|i| contribution(c.rank(), i, 42)).collect();
-            RingReduceScatter.reduce_scatter(c, &mut buf, counts);
+            CollectiveOp::reduce_scatter(Arc::new(RingReduceScatter), counts.to_vec())
+                .run(c, &mut buf);
             let start: usize = counts[..c.rank()].iter().sum();
             !crc32_f32(!0, &buf[start..start + counts[c.rank()]])
         });
@@ -216,7 +217,7 @@ fn even_counts(len: usize, n: usize) -> Vec<usize> {
 }
 
 /// The sharded optimizer's contract on the reduce-scatter seam: for every
-/// algorithm, the chunk a rank owns after `reduce_scatter` is bit-identical
+/// algorithm, the chunk a rank owns after a reduce-scatter op is bit-identical
 /// to the same chunk after the full replicated `run`. For the five
 /// algorithms without a native scatter phase that is by construction (the
 /// default seam *is* `run`); for the reduce-scatter ring it holds because
@@ -234,7 +235,7 @@ fn reduce_scatter_seam_owned_chunk_matches_run_every_algorithm() {
             let scattered = run_cluster(n, move |c| {
                 let mut buf: Vec<f32> =
                     (0..len).map(|i| contribution(c.rank(), i, 7)).collect();
-                a.reduce_scatter(c, &mut buf, &cts);
+                CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()).run(c, &mut buf);
                 buf
             });
             let mut start = 0;
@@ -256,7 +257,7 @@ fn reduce_scatter_seam_owned_chunk_matches_run_every_algorithm() {
 }
 
 /// Async reduce-scatter launches resolve to the same owned bits as the
-/// blocking seam call, every algorithm, both transports.
+/// blocking run of the same op, every algorithm, both transports.
 #[test]
 fn async_reduce_scatter_bitwise_matches_blocking_every_algorithm() {
     let (n, len) = (4, 193);
@@ -270,7 +271,7 @@ fn async_reduce_scatter_bitwise_matches_blocking_every_algorithm() {
                 .run(move |c| {
                     let mut buf: Vec<f32> =
                         (0..len).map(|i| contribution(c.rank(), i, 9)).collect();
-                    a.reduce_scatter(c, &mut buf, &cts);
+                    CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()).run(c, &mut buf);
                     buf
                 })
                 .results;

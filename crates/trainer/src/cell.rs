@@ -9,29 +9,40 @@
 //!   configured reduction and capturing the per-link byte counters, so the
 //!   same code path produces the row whether the cell executes as
 //!   in-process threads or as real TCP processes (the `eval-cell` launch
-//!   workload re-parses the spec from `DCNN_*` variables via
-//!   [`CellSpec::from_runtime`]);
+//!   workload reads the spec from the [`CELL_ENV`] handshake). The
+//!   reduction is the trainer's own exchange, [`GradSync`]: the payload is
+//!   cut into synthetic parameter segments of `bucket_bytes` each
+//!   ([`payload_segments`]), so a fused cell is its blocking allreduce, a
+//!   drain cell its `finish` with nothing streamed, and a hooked cell the
+//!   backward hook's reports in reverse layer order;
 //! * **simulate** itself ([`CellSpec::simulate`]) by compiling the same
-//!   algorithm to a [`dcnn_simnet::CommSchedule`] and running it over the
-//!   modelled fat-tree — the basis of the real-vs-simnet discrepancy
-//!   report;
+//!   algorithm to a [`dcnn_simnet::CommSchedule`] per bucket of that cut
+//!   and running it over the modelled fat-tree — the basis of the
+//!   real-vs-simnet discrepancy report;
 //! * **serialize** itself (serde) into the schema-versioned JSON row the
 //!   sweep engine writes per cell.
 //!
 //! Keeping the descriptor here (rather than in the bench crate) lets the
 //! facade's launch registry and the sweep engine share one definition
-//! through `dcnn-core`, with [`RuntimeConfig`] as the common env carrier.
+//! through `dcnn-core`; it lives in the trainer because it runs
+//! [`GradSync`].
 
 use std::time::Instant;
 
+use dcnn_collectives::measurement::{json_str, json_u64};
+use dcnn_collectives::{crc32_f32, AlgoPolicy, AllreduceAlgo, CellMeasurement, Comm, CostModel};
+use dcnn_tensor::layers::ParamSegment;
 use serde::Serialize;
 use serde_json::Value;
 
-use crate::algorithms::{AllreduceAlgo, CostModel};
-use crate::config::{OverlapMode, RuntimeConfig};
-use crate::runtime::{CollectiveOp, Comm};
-use crate::transport::{crc32_f32, TransportKind};
-use crate::tune::{AlgoPolicy, Tuner};
+use crate::grad_sync::{plan_buckets, GradSync};
+
+/// The internal handshake variable `dcnn-eval` hands `dcnn-launch
+/// --workload eval-cell` beside `DCNN_LAUNCH_WORKLOAD`: the serialized
+/// [`CellSpec`] the launched ranks measure. Like the launcher's own
+/// handshake it is not configuration (`RuntimeConfig::ENV_VARS` does not
+/// list it).
+pub const CELL_ENV: &str = "DCNN_LAUNCH_CELL";
 
 /// One point in the evaluation matrix. String-typed where the value must
 /// round-trip through environment variables and JSON rows (`algo` holds
@@ -58,78 +69,6 @@ pub struct CellSpec {
     pub fault: Option<String>,
 }
 
-/// What one rank measured executing a [`CellSpec`] on a live fabric.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CellMeasurement {
-    /// Fastest single-iteration wall time, nanoseconds.
-    pub wall_ns: u64,
-    /// Payload bytes reduced per iteration.
-    pub bytes: u64,
-    /// Per-peer bytes this rank sent over the whole measurement, indexed
-    /// by global rank (see [`crate::CommStats::link_bytes_sent`]).
-    pub link_bytes_sent: Vec<u64>,
-    /// The decision table (`auto`) or fixed algorithm name that ran.
-    pub algo_choices: String,
-    /// CRC-32 of the final reduced buffer — identical on every rank, the
-    /// cell's own correctness check.
-    pub fingerprint: u32,
-}
-
-impl CellMeasurement {
-    /// One-line JSON encoding (what the `eval-cell` workload prints for
-    /// the sweep engine to harvest from the child's stdout).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("CellMeasurement serializes")
-    }
-
-    /// Parse [`Self::to_json`] output back. Typed deserialization is
-    /// spelled out over the untyped document because the vendored serde
-    /// shim only parses into [`Value`].
-    pub fn from_json(s: &str) -> Result<CellMeasurement, String> {
-        let v: Value =
-            serde_json::from_str(s).map_err(|e| format!("measurement JSON: {e:?}"))?;
-        CellMeasurement::from_value(&v)
-    }
-
-    /// Parse a measurement out of an already-parsed JSON document.
-    pub fn from_value(v: &Value) -> Result<CellMeasurement, String> {
-        Ok(CellMeasurement {
-            wall_ns: json_u64(v, "wall_ns", "measurement")?,
-            bytes: json_u64(v, "bytes", "measurement")?,
-            link_bytes_sent: json_u64_array(v, "link_bytes_sent", "measurement")?,
-            algo_choices: json_str(v, "algo_choices", "measurement")?,
-            fingerprint: json_u64(v, "fingerprint", "measurement")? as u32,
-        })
-    }
-}
-
-/// `v[k]` as an owned string, with a message naming the field (`what` says
-/// which document kind for the error).
-pub fn json_str(v: &Value, k: &str, what: &str) -> Result<String, String> {
-    v.get(k)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what}: missing string field {k:?}"))
-}
-
-/// `v[k]` as a non-negative integer.
-pub fn json_u64(v: &Value, k: &str, what: &str) -> Result<u64, String> {
-    v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("{what}: missing integer field {k:?}"))
-}
-
-/// `v[k]` as a float.
-pub fn json_f64(v: &Value, k: &str, what: &str) -> Result<f64, String> {
-    v.get(k).and_then(Value::as_f64).ok_or_else(|| format!("{what}: missing number field {k:?}"))
-}
-
-/// `v[k]` as an array of non-negative integers.
-pub fn json_u64_array(v: &Value, k: &str, what: &str) -> Result<Vec<u64>, String> {
-    v.get(k)
-        .and_then(Value::as_array)
-        .map(|a| a.iter().filter_map(Value::as_u64).collect::<Vec<u64>>())
-        .ok_or_else(|| format!("{what}: missing integer-array field {k:?}"))
-}
-
 /// What the simulator predicts for a [`CellSpec`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimEstimate {
@@ -144,6 +83,22 @@ pub struct SimEstimate {
 }
 
 impl CellSpec {
+    /// The cell the `eval-cell` workload measures when no handshake names
+    /// one: the paper's multicolor allreduce over 1 MiB, fused, 3
+    /// iterations, on `world` ranks.
+    fn default_cell(world: usize) -> CellSpec {
+        CellSpec {
+            algo: "multicolor".to_string(),
+            world,
+            payload_bytes: 1 << 20,
+            bucket_bytes: 0,
+            overlap: "fused".to_string(),
+            transport: "threads".to_string(),
+            iters: 3,
+            fault: None,
+        }
+    }
+
     /// Parse a spec out of a JSON document (the inverse of the `Serialize`
     /// impl; the vendored serde shim only parses untyped [`Value`]s).
     pub fn from_value(v: &Value) -> Result<CellSpec, String> {
@@ -167,52 +122,18 @@ impl CellSpec {
         })
     }
 
-    /// Rebuild the spec a TCP child process is being asked to run from its
-    /// parsed environment (`DCNN_ALGO`, `DCNN_BUCKET_BYTES`,
-    /// `DCNN_OVERLAP_MODE`, `DCNN_EVAL_PAYLOAD`, `DCNN_EVAL_ITERS`,
-    /// `DCNN_FAULT`), with `world` taken from the live communicator.
-    pub fn from_runtime(cfg: &RuntimeConfig, world: usize) -> CellSpec {
-        let bucket_bytes = cfg.bucket_bytes_or_default();
-        CellSpec {
-            algo: cfg.algo_or_default().to_string(),
-            world,
-            payload_bytes: cfg.eval_payload_or_default(),
-            bucket_bytes,
-            overlap: if bucket_bytes == 0 {
-                "fused".to_string()
-            } else {
-                match cfg.overlap_mode_or_default() {
-                    OverlapMode::Drain => "drain".to_string(),
-                    OverlapMode::Hooked => "hooked".to_string(),
-                }
-            },
-            transport: match cfg.transport_or_default() {
-                TransportKind::Threads => "threads".to_string(),
-                TransportKind::Tcp => "tcp".to_string(),
-            },
-            iters: cfg.eval_iters_or_default(),
-            fault: cfg.fault.map(|f| f.to_string()),
-        }
+    /// This cell as the value of the [`CELL_ENV`] handshake variable.
+    pub fn to_handshake(&self) -> String {
+        serde_json::to_string(self).expect("CellSpec serializes")
     }
 
-    /// The `DCNN_*` variables describing this cell to a re-launched child
-    /// process. Transport topology (`DCNN_TRANSPORT`, `DCNN_RANK`,
-    /// `DCNN_WORLD`, `DCNN_RENDEZVOUS`) is the launcher's job and is not
-    /// included.
-    pub fn to_env(&self) -> Vec<(&'static str, String)> {
-        let mut env = vec![
-            ("DCNN_ALGO", self.algo.clone()),
-            ("DCNN_BUCKET_BYTES", self.bucket_bytes.to_string()),
-            ("DCNN_EVAL_PAYLOAD", self.payload_bytes.to_string()),
-            ("DCNN_EVAL_ITERS", self.iters.to_string()),
-        ];
-        if self.bucket_bytes > 0 && self.overlap != "fused" {
-            env.push(("DCNN_OVERLAP_MODE", self.overlap.clone()));
-        }
-        if let Some(f) = &self.fault {
-            env.push(("DCNN_FAULT", f.clone()));
-        }
-        env
+    /// The cell a [`CELL_ENV`] value describes; `None` (the variable is
+    /// unset) is the default cell (multicolor, 1 MiB, fused, 3 iterations)
+    /// on `world` ranks.
+    pub fn from_handshake(value: Option<&str>, world: usize) -> Result<CellSpec, String> {
+        let Some(text) = value else { return Ok(CellSpec::default_cell(world)) };
+        let v: Value = serde_json::from_str(text).map_err(|e| format!("{CELL_ENV}: {e:?}"))?;
+        CellSpec::from_value(&v)
     }
 
     /// Stable cell identity: `algo/wN/pBYTES/bucketing/transport`, e.g.
@@ -244,26 +165,18 @@ impl CellSpec {
         (self.payload_bytes / 4).max(1)
     }
 
-    /// Cut `0..elems` into contiguous bucket ranges of at most
-    /// `bucket_bytes` (the whole payload when fused).
-    fn bucket_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        let elems = self.elems();
-        // Fused: one bucket spanning the whole payload.
-        let per = if self.bucket_bytes == 0 { elems } else { (self.bucket_bytes / 4).max(1) };
-        (0..elems.div_ceil(per)).map(|i| (i * per)..((i + 1) * per).min(elems)).collect()
-    }
-
     /// Execute this cell on a live communicator and time it. Collective:
-    /// every rank calls this with the identical spec. The returned
-    /// fingerprint is asserted identical across ranks by the caller (the
-    /// `eval-cell` workload allgathers it).
+    /// every rank calls this with the identical spec. One [`GradSync`]
+    /// runs every iteration, and each iteration ends at the tuner's epoch
+    /// boundary, so an `auto` cell probes and freezes exactly as training
+    /// does. The returned fingerprint is asserted identical across ranks
+    /// by the caller (the `eval-cell` workload allgathers it).
     pub fn measure_on_comm(&self, comm: &Comm) -> Result<CellMeasurement, String> {
-        let mut tuner = self.policy()?.tuner();
-        let n = comm.size();
         let elems = self.elems();
         let bytes = (elems * 4) as u64;
-        let ranges = self.bucket_ranges();
-        let hooked = self.overlap == "hooked";
+        let segments = payload_segments(elems, self.bucket_bytes);
+        let sync = GradSync::with_policy(self.policy()?, &segments, self.bucket_bytes, false);
+        let hooked = self.bucket_bytes > 0 && self.overlap == "hooked";
         let start_stats = comm.stats();
         // Spans from whatever ran on this rank before the cell are not the
         // tuner's to score.
@@ -274,34 +187,41 @@ impl CellSpec {
         for iter in 0..self.iters.max(1) {
             let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
             let t0 = Instant::now();
-            if self.bucket_bytes == 0 {
-                // Fused: one blocking allreduce in place, reported to the
-                // tuner directly (no bucket span records it).
-                let sel = tuner.select(0, bytes, n, false);
-                sel.handle.run(comm, &mut buf);
-                tuner.record(&sel, bytes, t0.elapsed().as_nanos() as u64);
-            } else {
-                run_bucketed(comm, &mut buf, &ranges, hooked, &mut tuner);
+            let mut stream = sync.begin(comm);
+            if hooked {
+                let mut sink = 0.0f32;
+                for seg in segments.iter().rev() {
+                    stream.segment_ready(&buf, seg.offset, seg.len);
+                    // A small fixed busywork quantum per report, like a
+                    // layer's backward pass running while the reduce is in
+                    // flight.
+                    for i in 0..2048u32 {
+                        sink += (i as f32).sqrt();
+                    }
+                }
+                std::hint::black_box(sink);
             }
+            stream.finish(&mut buf);
             let ns = t0.elapsed().as_nanos() as u64;
             best_ns = best_ns.min(ns);
             fingerprint = !crc32_f32(!0, &buf);
-            tuner.close_epoch(comm, &comm.take_bucket_spans());
+            sync.tune_epoch_end(comm, &comm.take_bucket_spans());
         }
 
         Ok(CellMeasurement {
             wall_ns: best_ns,
             bytes,
             link_bytes_sent: comm.stats().link_bytes_delta(&start_stats),
-            algo_choices: tuner.decision_table(),
+            algo_choices: sync.choices_string(),
             fingerprint,
         })
     }
 
     /// Predict this cell's single-iteration time by compiling the same
-    /// algorithm(s) to schedules over the modelled fat-tree. `auto` cells
-    /// are scored as their steady state: per bucket, the candidate with
-    /// the smallest simulated makespan.
+    /// algorithm(s) to schedules over the modelled fat-tree, one per bucket
+    /// of the cut [`CellSpec::measure_on_comm`] exchanges. `auto` cells are
+    /// scored as their steady state: per bucket, the candidate with the
+    /// smallest simulated makespan.
     pub fn simulate(&self, cost: &CostModel) -> Result<SimEstimate, String> {
         let tuner = self.policy()?.tuner();
         let topo = dcnn_simnet::FatTree::minsky(self.world);
@@ -312,12 +232,12 @@ impl CellSpec {
         };
         let mut sim_ns = 0.0;
         let mut max_util: f64 = 0.0;
-        for r in self.bucket_ranges() {
-            let bytes = (r.len() * 4) as f64;
+        let segments = payload_segments(self.elems(), self.bucket_bytes);
+        for b in plan_buckets(&segments, self.bucket_bytes) {
             let (secs, util) = tuner
                 .candidates()
                 .iter()
-                .map(|a| run_one(a, bytes))
+                .map(|a| run_one(a, b.bytes() as f64))
                 .min_by(|a, b| a.0.total_cmp(&b.0))
                 .expect("a tuner has at least one candidate");
             sim_ns += secs * 1e9;
@@ -327,43 +247,26 @@ impl CellSpec {
     }
 }
 
-/// Launch every bucket nonblocking, each with the algorithm `tuner` picks
-/// for its slot and size, and copy the reductions back. `hooked`
-/// interleaves a deterministic compute spin between launches (standing in
-/// for the backward pass the trainer would be running); `drain` launches
-/// back to back. Both wait in launch order, so results are bitwise
-/// identical to the fused reduction.
-fn run_bucketed(
-    comm: &Comm,
-    buf: &mut [f32],
-    ranges: &[std::ops::Range<usize>],
-    hooked: bool,
-    tuner: &mut Tuner,
-) {
-    let mut pending = Vec::with_capacity(ranges.len());
-    let mut sink = 0.0f32;
-    for (slot, r) in ranges.iter().enumerate() {
-        let algo = tuner.select(slot, (r.len() * 4) as u64, comm.size(), true).handle;
-        pending.push(comm.launch(CollectiveOp::allreduce(algo), buf[r.clone()].to_vec()));
-        if hooked {
-            // A small fixed busywork quantum per bucket, like a layer's
-            // backward pass running while the reduce is in flight.
-            for i in 0..2048u32 {
-                sink += (i as f32).sqrt();
-            }
-        }
-    }
-    std::hint::black_box(sink);
-    for (r, p) in ranges.iter().zip(pending) {
-        buf[r.clone()].copy_from_slice(&p.wait());
-    }
+/// Cut an `elems`-element payload into synthetic parameter segments of
+/// `bucket_bytes` each, in layout order (the last one may be shorter; one
+/// segment when `bucket_bytes == 0`). No two fit one bucket, so
+/// [`plan_buckets`] gives each segment a bucket of its own.
+pub fn payload_segments(elems: usize, bucket_bytes: usize) -> Vec<ParamSegment> {
+    let per = if bucket_bytes == 0 { elems } else { (bucket_bytes / 4).max(1) };
+    (0..elems.div_ceil(per))
+        .map(|i| ParamSegment {
+            name: format!("bucket.{i}"),
+            offset: i * per,
+            len: per.min(elems - i * per),
+        })
+        .collect()
 }
 
 /// Deterministic per-rank payload: every rank contributes different bits,
 /// varying by iteration, so the reduced fingerprint actually exercises the
 /// reduction (an all-zeros payload would fingerprint identically under a
 /// broken algorithm).
-pub fn cell_fill(rank: usize, elems: usize, iter: u64) -> Vec<f32> {
+fn cell_fill(rank: usize, elems: usize, iter: u64) -> Vec<f32> {
     let mut state = 0x9e37_79b9_u64
         .wrapping_mul(rank as u64 + 1)
         .wrapping_add(iter.wrapping_mul(0x85eb_ca6b));
@@ -379,7 +282,7 @@ pub fn cell_fill(rank: usize, elems: usize, iter: u64) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_cluster;
+    use dcnn_collectives::run_cluster;
 
     fn spec(algo: &str, bucket: usize, overlap: &str, world: usize) -> CellSpec {
         CellSpec {
@@ -407,23 +310,30 @@ mod tests {
     }
 
     #[test]
-    fn from_runtime_and_to_env_round_trip() {
-        let cfg = RuntimeConfig::default()
-            .with_algo(AlgoPolicy::Fixed(AllreduceAlgo::PipelinedRing))
-            .with_bucket_bytes(4096)
-            .with_overlap_mode(OverlapMode::Drain)
-            .with_eval_payload(32768)
-            .with_eval_iters(4);
-        let cell = CellSpec::from_runtime(&cfg, 4);
-        assert_eq!(cell.algo, "ring");
-        assert_eq!(cell.bucket_bytes, 4096);
-        assert_eq!(cell.overlap, "drain");
-        assert_eq!((cell.payload_bytes, cell.iters), (32768, 4));
+    fn handshake_round_trips_and_an_absent_variable_is_the_default_cell() {
+        let mut cell = spec("auto:ring,halving-doubling", 4096, "drain", 4);
+        cell.fault = Some("drop-link=0:1".to_string());
+        assert_eq!(CellSpec::from_handshake(Some(&cell.to_handshake()), 4), Ok(cell));
 
-        // Re-parsing the exported environment reproduces the cell.
-        let env: std::collections::HashMap<&str, String> = cell.to_env().into_iter().collect();
-        let back = RuntimeConfig::from_lookup(|var| env.get(var).cloned()).expect("parses");
-        assert_eq!(CellSpec::from_runtime(&back, 4), cell);
+        let default = CellSpec::from_handshake(None, 3).expect("default cell");
+        assert_eq!(default, CellSpec::default_cell(3));
+        assert_eq!(default.id(), "multicolor/w3/p1048576/fused/threads");
+        assert_eq!(default.iters, 3);
+        assert!(CellSpec::from_handshake(Some("{}"), 3).unwrap_err().contains("algo"));
+        assert!(CellSpec::from_handshake(Some("not json"), 3).is_err());
+    }
+
+    #[test]
+    fn payload_segments_get_one_bucket_each() {
+        for (elems, bucket_bytes) in [(4096, 0), (4096, 4096), (4097, 4096), (10, 6), (5, 1)] {
+            let segs = payload_segments(elems, bucket_bytes);
+            assert_eq!(segs.iter().map(|s| s.len).sum::<usize>(), elems);
+            let plan = plan_buckets(&segs, bucket_bytes);
+            assert_eq!(plan.len(), segs.len(), "elems={elems} bucket_bytes={bucket_bytes}");
+            for (b, s) in plan.iter().zip(segs.iter().rev()) {
+                assert_eq!(b.range(), s.offset..s.offset + s.len);
+            }
+        }
     }
 
     #[test]

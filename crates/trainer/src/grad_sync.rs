@@ -722,6 +722,27 @@ mod tests {
     }
 
     #[test]
+    fn fp16_exchange_sums_the_quantized_inputs() {
+        let s = segs(&[16]);
+        let out = run_cluster(4, move |comm| {
+            let mut grad = vec![0.1f32 + comm.rank() as f32; 16];
+            GradSync::with_policy(AllreduceAlgo::MultiColor(2).into(), &s, 0, true)
+                .reduce(comm, &mut grad);
+            grad[0]
+        });
+        let expect: f32 = (0..4)
+            .map(|r| {
+                let mut v = [0.1 + r as f32];
+                quantize_f16(&mut v);
+                v[0]
+            })
+            .sum();
+        for v in out {
+            assert!((v - expect).abs() < 1e-3, "{v} vs {expect}");
+        }
+    }
+
+    #[test]
     fn fp16_bucketing_equals_fp16_fused_at_two_ranks() {
         let s = segs(&[17, 48]);
         let out = run_cluster(2, move |comm| {

@@ -19,6 +19,7 @@
 //!   Figures 6 and 10–12 and tabulates in Tables 1–2.
 
 pub mod async_sgd;
+pub mod cell;
 pub mod checkpoint;
 pub mod distributed;
 pub mod epoch_model;
@@ -27,6 +28,7 @@ pub mod metrics;
 pub mod shard;
 
 pub use async_sgd::{train_async, AsyncConfig, AsyncStats};
+pub use cell::CellSpec;
 pub use checkpoint::{Checkpoint, CheckpointError, ShardCheckpoint, ShardMeta};
 pub use distributed::{train_distributed, train_on_comm, EpochStats, TrainConfig};
 pub use grad_sync::{plan_buckets, Bucket, GradStream, GradSync};

@@ -10,10 +10,11 @@
 
 use dcnn_collectives::primitives::allgather_bytes;
 use dcnn_collectives::transport::{crc32_f32, crc32_update};
-use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, CellSpec, Comm, RuntimeConfig, TunerConfig};
+use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, Comm, RuntimeConfig, TunerConfig};
 use dcnn_dimd::{open_source, Dimd, Hello, SynthConfig, SynthImageNet};
 use dcnn_tensor::optim::LrSchedule;
-use dcnn_trainer::{train_on_comm, EpochStats, TrainConfig};
+use dcnn_trainer::cell::CELL_ENV;
+use dcnn_trainer::{train_on_comm, CellSpec, EpochStats, TrainConfig};
 
 /// Names every registered workload, in registry order.
 pub fn workload_names() -> &'static [&'static str] {
@@ -361,14 +362,16 @@ pub fn autotune_epoch_workload(comm: &Comm) -> Vec<String> {
     lines
 }
 
-/// One `dcnn-eval` matrix cell on real OS processes: rebuild the
-/// [`CellSpec`] from the `DCNN_*` environment the harness exported
-/// (`CellSpec::to_env`), measure it on this communicator, cross-check the
+/// One `dcnn-eval` matrix cell on real OS processes: read the [`CellSpec`]
+/// the harness handed over in the [`CELL_ENV`] handshake (the default cell
+/// when it is unset), measure it on this communicator, cross-check the
 /// reduction fingerprint across every rank, and report rank 0's
 /// measurement as a single JSON line — the only stdout line, so the
 /// harness can parse it straight off `dcnn-launch`'s output.
 pub fn eval_cell_workload(comm: &Comm) -> Vec<String> {
-    let cell = CellSpec::from_runtime(&runtime(), comm.size());
+    let handshake = std::env::var(CELL_ENV).ok();
+    let cell = CellSpec::from_handshake(handshake.as_deref(), comm.size())
+        .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()));
     let m = cell
         .measure_on_comm(comm)
         .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()));
