@@ -1020,6 +1020,34 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_and_byte_flip_of_a_batch_is_ok_or_err_never_a_panic() {
+        // The decode lanes run `decode_job` on whatever bytes a socket
+        // delivered: a damaged body must come back `Ok` or `Err`.
+        let ds = ds();
+        let (salt, records) = partition(&ds, 0).sample_batch_records(2);
+        let body = pack(&records);
+        assert_eq!(decode_job(salt, &body, CROP), Ok(decode_augmented_batch(&records, CROP, salt)));
+        // A cut inside a record's header or bytes is an error; a cut at a
+        // record boundary is a shorter, well-formed batch.
+        let boundary = 8 + records[0].0.len();
+        for cut in 1..body.len() {
+            let got = decode_job(salt, &body[..cut], CROP);
+            assert_eq!(got.is_ok(), cut == boundary, "cut at {cut}: {got:?}");
+        }
+        let mut flipped_ok = 0;
+        let mut bad = body.clone();
+        for at in 0..body.len() {
+            for mask in 1..=255u8 {
+                bad[at] = body[at] ^ mask;
+                flipped_ok += usize::from(decode_job(salt, &bad, CROP).is_ok());
+            }
+            bad[at] = body[at];
+        }
+        // Most flips land in coefficient bytes and decode to other pixels.
+        assert!(flipped_ok > 0, "no flip decoded");
+    }
+
+    #[test]
     fn unreachable_server_fails_at_the_connect_timeout_naming_the_address() {
         // Bind, note the port, drop: nothing listens there now.
         let addr = TcpListener::bind("127.0.0.1:0")
