@@ -23,6 +23,14 @@ cargo_offline() {
     run cargo $offline "$@"
 }
 
+# No code outside vendor/ may use the rayon API: the parallelism inside a
+# node is one model replica per thread, and the vendored sequential shim
+# waits only for its manifest lines to go.
+if git grep -nE '\brayon::|\.par_[a-z_]+\(' -- '*.rs' ':!vendor/'; then
+    echo "ci.sh: .rs file(s) outside vendor/ name rayon:: or call a par_* method" >&2
+    exit 1
+fi
+
 cargo_offline build --release --workspace
 cargo_offline test -q --workspace
 # The DCC1 codec's exhaustive sweeps — the pixel conversion on all 2^32

@@ -249,7 +249,7 @@ pub fn render_table2() -> String {
 /// the same substrate.
 pub fn render_extensions() -> String {
     use dcnn_core::collectives::{Allreduce, CostModel, Hierarchical, MultiColor};
-    use dcnn_core::gpusim::{DeviceModel, NodeModel};
+    use dcnn_core::gpusim::DeviceModel;
     use dcnn_core::models::{alexnet, resnet50, vgg16};
     use dcnn_core::simnet::{FatTree, SimOptions};
     use dcnn_core::trainer::{EpochTimeModel, OptimizationFlags, Workload};
@@ -311,7 +311,6 @@ pub fn render_extensions() -> String {
 
     // Memory feasibility and classic-model throughput.
     let dev = DeviceModel::p100();
-    let node = NodeModel::minsky();
     s.push_str("\n### P100 memory feasibility & classic-model throughput\n\n");
     s.push_str(&markdown_table(
         &["model", "params M", "max batch / P100", "img/s / P100 (b=32)"],
@@ -327,7 +326,6 @@ pub fn render_extensions() -> String {
             })
             .collect::<Vec<_>>(),
     ));
-    let _ = node;
     s
 }
 

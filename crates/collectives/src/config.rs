@@ -129,7 +129,8 @@ impl std::error::Error for ConfigError {}
 /// `None` fields were unset (or empty) in the source; consumers apply their
 /// defaults through the `*_or_default` accessors. Construct with
 /// [`RuntimeConfig::from_env`] (strict parsing) or [`RuntimeConfig::default`]
-/// plus `with_*` overrides (programmatic, environment-free).
+/// plus struct-update syntax or the `with_*` overrides (programmatic,
+/// environment-free).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Message fabric (`DCNN_TRANSPORT`: `threads` or `tcp`).
@@ -387,16 +388,6 @@ impl RuntimeConfig {
         self.comm_workers.unwrap_or(2).max(1)
     }
 
-    /// Gradient bucket size target in bytes (default 0 = fused blocking).
-    pub fn bucket_bytes_or_default(&self) -> usize {
-        self.bucket_bytes.unwrap_or(0)
-    }
-
-    /// Bucket scheduling mode (default [`OverlapMode::Hooked`]).
-    pub fn overlap_mode_or_default(&self) -> OverlapMode {
-        self.overlap_mode.unwrap_or_default()
-    }
-
     /// TCP connect/rendezvous timeout (default 20 s).
     pub fn connect_timeout_or_default(&self) -> Duration {
         self.connect_timeout.unwrap_or(Duration::from_secs(20))
@@ -412,14 +403,6 @@ impl RuntimeConfig {
         self.data_decode_workers.unwrap_or(1).max(1)
     }
 
-    /// The allreduce selection policy (default: the paper's multicolor
-    /// algorithm with 4 colors, fixed).
-    pub fn algo_or_default(&self) -> crate::tune::AlgoPolicy {
-        self.algo
-            .clone()
-            .unwrap_or(crate::tune::AlgoPolicy::Fixed(crate::algorithms::AllreduceAlgo::MultiColor(4)))
-    }
-
     // ---- builder-style programmatic overrides ----
 
     /// Override the rendezvous address.
@@ -432,30 +415,6 @@ impl RuntimeConfig {
     pub fn with_rank_world(mut self, rank: usize, world: usize) -> Self {
         self.rank = Some(rank);
         self.world = Some(world);
-        self
-    }
-
-    /// Override the gradient bucket size target.
-    pub fn with_bucket_bytes(mut self, bytes: usize) -> Self {
-        self.bucket_bytes = Some(bytes);
-        self
-    }
-
-    /// Override the bucket scheduling mode.
-    pub fn with_overlap_mode(mut self, mode: OverlapMode) -> Self {
-        self.overlap_mode = Some(mode);
-        self
-    }
-
-    /// Inject a fault (see [`FaultSpec`]).
-    pub fn with_fault(mut self, fault: FaultSpec) -> Self {
-        self.fault = Some(fault);
-        self
-    }
-
-    /// Override the allreduce selection policy.
-    pub fn with_algo(mut self, policy: crate::tune::AlgoPolicy) -> Self {
-        self.algo = Some(policy);
         self
     }
 }
@@ -479,15 +438,9 @@ mod tests {
         assert!(!cfg.trace_or_default());
         assert_eq!(cfg.recv_timeout_or_default(), Duration::from_secs(60));
         assert_eq!(cfg.comm_workers_or_default(), 2);
-        assert_eq!(cfg.bucket_bytes_or_default(), 0);
-        assert_eq!(cfg.overlap_mode_or_default(), OverlapMode::Hooked);
         assert_eq!(cfg.data_prefetch_depth_or_default(), 0);
         assert_eq!(cfg.data_decode_workers_or_default(), 1);
         assert_eq!(cfg.data_service, None);
-        assert_eq!(
-            cfg.algo_or_default(),
-            crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::MultiColor(4))
-        );
     }
 
     #[test]
@@ -622,14 +575,16 @@ mod tests {
 
     #[test]
     fn builder_overrides_win() {
-        let cfg = from_map(&[("DCNN_BUCKET_BYTES", "4096")])
-            .expect("parses")
-            .with_bucket_bytes(8192)
-            .with_overlap_mode(OverlapMode::Drain)
-            .with_rank_world(2, 8)
-            .with_rendezvous("10.0.0.1:9000")
-            .with_fault(FaultSpec::DropLink { from: 0, to: 1 })
-            .with_algo(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing));
+        let parsed = from_map(&[("DCNN_BUCKET_BYTES", "4096")]).expect("parses");
+        let cfg = RuntimeConfig {
+            bucket_bytes: Some(8192),
+            overlap_mode: Some(OverlapMode::Drain),
+            fault: Some(FaultSpec::DropLink { from: 0, to: 1 }),
+            algo: Some(crate::tune::AlgoPolicy::Fixed(crate::AllreduceAlgo::PipelinedRing)),
+            ..parsed
+        }
+        .with_rank_world(2, 8)
+        .with_rendezvous("10.0.0.1:9000");
         assert_eq!(cfg.bucket_bytes, Some(8192));
         assert_eq!(cfg.overlap_mode, Some(OverlapMode::Drain));
         assert_eq!((cfg.rank, cfg.world), (Some(2), Some(8)));

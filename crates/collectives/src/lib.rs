@@ -66,9 +66,8 @@ pub use config::{ConfigError, FaultSpec, OverlapMode, RuntimeConfig};
 pub use measurement::CellMeasurement;
 pub use plan::Step;
 pub use runtime::{
-    run_cluster, run_tcp_rank, run_tcp_rank_with, try_run_tcp_rank_with, BucketSpan,
-    ClusterBuilder, ClusterRun, CollectiveOp, Comm, CommError, CommStats, PendingReduce,
-    ProcessRun,
+    run_cluster, try_run_tcp_rank_with, BucketSpan, ClusterBuilder, ClusterRun, CollectiveOp,
+    Comm, CommError, CommStats, PendingReduce, ProcessRun,
 };
 pub use trace::{render_trace, write_trace_json, TraceEvent, TraceEventKind};
 pub use transport::{crc32, crc32_f32, Payload, Transport, TransportKind};

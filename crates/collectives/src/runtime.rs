@@ -13,9 +13,9 @@
 //! deliver into each other's mailboxes with `Arc`-shared zero-copy payloads
 //! (the default), and real TCP sockets
 //! ([`ClusterBuilder::transport`] or `DCNN_TRANSPORT=tcp`). For ranks as
-//! separate OS processes, [`run_tcp_rank`] is the per-process entry point
-//! (driven by the `dcnn-launch` binary via `DCNN_RANK` / `DCNN_WORLD` /
-//! `DCNN_RENDEZVOUS`).
+//! separate OS processes, [`try_run_tcp_rank_with`] is the per-process
+//! entry point (driven by the `dcnn-launch` binary via `DCNN_RANK` /
+//! `DCNN_WORLD` / `DCNN_RENDEZVOUS`).
 //!
 //! [`Comm::split`] creates sub-communicators the way `MPI_Comm_split` does;
 //! DIMD's group-based shuffle (paper §4.1, Figure 9) is built on it.
@@ -1061,29 +1061,10 @@ pub struct ProcessRun<R> {
     pub events: Vec<TraceEvent>,
 }
 
-/// Per-process entry point for the multi-process TCP runtime: join the
-/// fabric described by the `DCNN_RANK`, `DCNN_WORLD` and `DCNN_RENDEZVOUS`
-/// environment variables, run `f` with this rank's world [`Comm`], and
-/// return the result with this rank's counters and trace events.
-///
-/// Rank 0 binds and hosts the rendezvous address; every other rank dials it
-/// (retrying with backoff, since sibling processes start at different
-/// times). The deadlock watchdog stays armed, but its report only has
-/// visibility into this process's rank. If `DCNN_TRACE_JSON=path` is set,
-/// this rank's events are written to `path.rank<N>` as JSON lines — one
-/// file per process, mergeable offline by sorting on `t_ns`.
-///
-/// The `dcnn-launch` binary spawns N local processes wired this way; see
-/// the README's transport section.
-pub fn run_tcp_rank<R>(f: impl FnOnce(&Comm) -> R) -> ProcessRun<R> {
-    run_tcp_rank_with(&runtime_config_from_env(), f)
-}
-
-/// [`run_tcp_rank`] with an explicit [`RuntimeConfig`] instead of the
-/// process environment. The config must carry `rank`, `world` and
-/// `rendezvous` (the `DCNN_RANK` / `DCNN_WORLD` / `DCNN_RENDEZVOUS`
-/// triple); everything else falls back to the runtime's defaults.
-pub fn run_tcp_rank_with<R>(cfg: &RuntimeConfig, f: impl FnOnce(&Comm) -> R) -> ProcessRun<R> {
+/// Join the TCP fabric `cfg` describes, run `f` with this rank's world
+/// [`Comm`], and return the result with this rank's counters and trace
+/// events. The body of [`try_run_tcp_rank_with`].
+fn run_tcp_rank_with<R>(cfg: &RuntimeConfig, f: impl FnOnce(&Comm) -> R) -> ProcessRun<R> {
     let need = |field: Option<usize>, var: &str| {
         field.unwrap_or_else(|| panic!("{var} must be set for the TCP process runtime"))
     };
@@ -1138,12 +1119,28 @@ fn apply_link_fault(t: &TcpTransport, rank: usize, fault: Option<crate::config::
     }
 }
 
-/// [`run_tcp_rank_with`], but a dead peer comes back as `Err(CommError)`
-/// instead of an unwinding panic. The structured report has already been
-/// printed to stderr by the panic hook at the point of failure; callers
-/// (the `dcnn-launch` child, bin entry points) just map the error to a
-/// nonzero exit. Panics that are *not* [`CommError`]s — setup failures,
-/// genuine bugs — keep unwinding unchanged.
+/// Per-process entry point for the multi-process TCP runtime: join the
+/// fabric `cfg` describes, run `f` with this rank's world [`Comm`], and
+/// return the result with this rank's counters and trace events. The
+/// config must carry `rank`, `world` and `rendezvous` (the `DCNN_RANK` /
+/// `DCNN_WORLD` / `DCNN_RENDEZVOUS` triple); everything else falls back to
+/// the runtime's defaults.
+///
+/// Rank 0 binds and hosts the rendezvous address; every other rank dials it
+/// (retrying with backoff, since sibling processes start at different
+/// times). The deadlock watchdog stays armed, but its report only has
+/// visibility into this process's rank. If `trace_json` (`DCNN_TRACE_JSON`)
+/// is `path`, this rank's events are written to `path.rank<N>` as JSON
+/// lines — one file per process, mergeable offline by sorting on `t_ns`.
+/// The `dcnn-launch` binary spawns N local processes wired this way; see
+/// the README's transport section.
+///
+/// A dead peer comes back as `Err(CommError)` instead of an unwinding
+/// panic. The structured report has already been printed to stderr by the
+/// panic hook at the point of failure; callers (the `dcnn-launch` child,
+/// bin entry points) just map the error to a nonzero exit. Panics that are
+/// *not* [`CommError`]s — setup failures, genuine bugs — keep unwinding
+/// unchanged.
 pub fn try_run_tcp_rank_with<R>(
     cfg: &RuntimeConfig,
     f: impl FnOnce(&Comm) -> R,

@@ -34,7 +34,10 @@ fn severed_link_fails_collective_with_structured_error() {
     // Rank 0 severs its socket to rank 1 the moment the fabric is up. The
     // first allreduce then blocks on the dead link; the LinkDown event must
     // fail it immediately — well inside the (default, 60 s) watchdog window.
-    let cfg = RuntimeConfig::default().with_fault(FaultSpec::DropLink { from: 0, to: 1 });
+    let cfg = RuntimeConfig {
+        fault: Some(FaultSpec::DropLink { from: 0, to: 1 }),
+        ..RuntimeConfig::default()
+    };
     let started = Instant::now();
     let run = std::panic::catch_unwind(|| {
         ClusterBuilder::new(2)
@@ -120,7 +123,10 @@ fn messages_sent_before_the_link_died_stay_deliverable_in_order() {
 fn point_to_point_recv_from_dead_peer_fails_with_phase_context() {
     // Same fault, but a bare recv inside a labeled phase: the error must
     // carry the phase attribution so the report says *where* training was.
-    let cfg = RuntimeConfig::default().with_fault(FaultSpec::DropLink { from: 0, to: 1 });
+    let cfg = RuntimeConfig {
+        fault: Some(FaultSpec::DropLink { from: 0, to: 1 }),
+        ..RuntimeConfig::default()
+    };
     let run = std::panic::catch_unwind(|| {
         ClusterBuilder::new(2)
             .transport(TransportKind::Tcp)

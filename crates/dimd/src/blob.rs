@@ -3,8 +3,6 @@
 //! for the training and validation data sets … \[and\] an index file which
 //! contains the start location of each image along with its label id" (§4.1).
 
-use rayon::prelude::*;
-
 use crate::codec::{decode_image, encode_image};
 use crate::crc::crc32;
 use crate::image::RawImage;
@@ -89,29 +87,22 @@ impl BlobStore {
     }
 
     /// Build the training blob from a synthetic dataset, compressing records
-    /// in parallel. `indices` selects which training records to include (a
-    /// node's partition); pass `0..ds.train_len()` for the full set.
+    /// in `indices` order. `indices` selects which training records to
+    /// include (a node's partition); pass `0..ds.train_len()` for the full set.
     pub fn build_train(
         ds: &SynthImageNet,
         indices: impl Iterator<Item = usize>,
         quality: u8,
         resize_shorter: Option<usize>,
     ) -> Self {
-        let idx: Vec<usize> = indices.collect();
-        let encoded: Vec<(Vec<u8>, u32)> = idx
-            .par_iter()
-            .map(|&i| {
-                let img = ds.train_image(i);
-                let img = match resize_shorter {
-                    Some(s) => img.resize_shorter_to(s),
-                    None => img,
-                };
-                (encode_image(&img, quality), ds.train_label(i) as u32)
-            })
-            .collect();
         let mut store = BlobStore::default();
-        for (bytes, label) in encoded {
-            store.push_record(&bytes, label);
+        for i in indices {
+            let img = ds.train_image(i);
+            let img = match resize_shorter {
+                Some(s) => img.resize_shorter_to(s),
+                None => img,
+            };
+            store.push_record(&encode_image(&img, quality), ds.train_label(i) as u32);
         }
         store
     }

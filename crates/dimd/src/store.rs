@@ -6,7 +6,6 @@ use dcnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 
 use crate::codec::{header, malformed, try_decode_window, CodecError};
 use crate::image::{IMAGENET_MEAN, IMAGENET_STD};
@@ -36,11 +35,9 @@ impl Dimd {
         seed: u64,
     ) -> Self {
         assert!(group_size >= 1 && group_rank < group_size);
-        let idx: Vec<usize> =
-            (0..ds.train_len()).filter(|i| i % group_size == group_rank).collect();
-        let records: Vec<Record> = idx
-            .par_iter()
-            .map(|&i| {
+        let records: Vec<Record> = (0..ds.train_len())
+            .filter(|i| i % group_size == group_rank)
+            .map(|i| {
                 (
                     crate::codec::encode_image(&ds.train_image(i), quality),
                     ds.train_label(i) as u32,
@@ -211,7 +208,8 @@ fn decode_sample(
 }
 
 /// Run `sample(j, out)` for each of the `n` slots of a `[n, 3, crop, crop]`
-/// tensor, in parallel ("donkey" threads), and gather the labels it returns.
+/// tensor, in slot order, and gather the labels it returns; the first
+/// refused record ends the batch.
 fn decode_batch(
     n: usize,
     crop: usize,
@@ -220,7 +218,7 @@ fn decode_batch(
     assert!(crop > 0, "crop must be positive");
     let mut data = vec![0.0f32; n * 3 * crop * crop];
     let labels = data
-        .par_chunks_mut(3 * crop * crop)
+        .chunks_mut(3 * crop * crop)
         .enumerate()
         .map(|(j, out)| sample(j, out))
         .collect::<Result<Vec<usize>, CodecError>>()?;
@@ -270,9 +268,7 @@ impl ValSet {
     /// Compress and load the full validation split.
     pub fn load(ds: &SynthImageNet, quality: u8) -> Self {
         let records: Vec<Record> = (0..ds.val_len())
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&i| {
+            .map(|i| {
                 (
                     crate::codec::encode_image(&ds.val_image(i), quality),
                     ds.val_label(i) as u32,

@@ -335,8 +335,7 @@ impl Engine<'_> {
 
     fn dispatch(&mut self, id: OpId) {
         match self.sched.ops()[id].kind {
-            OpKind::Transfer { src, dst, bytes } => {
-                let _ = bytes;
+            OpKind::Transfer { src, dst, .. } => {
                 if src == dst {
                     // Local handoff: no fabric involvement.
                     self.finish_op(id);

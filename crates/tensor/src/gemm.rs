@@ -44,16 +44,14 @@
 //! CPU. (A 512-bit arm is deliberately absent; ROADMAP.md item 3 has what
 //! the trials of one read.)
 //!
-//! Row blocks go through `rayon`'s `par_chunks` API. The vendored shim runs
-//! them in order on the calling thread; with the real crate they would be
-//! distributed over its pool, with the same bits.
+//! Row blocks run in order on the calling thread: the parallelism inside a
+//! node is one model replica per thread (`dcnn-dpt`), as in the paper's
+//! data-parallel table, not a split of one GEMM.
 
 use std::ops::Range;
 
-use rayon::prelude::*;
-
-/// Rows of `C` per `par_chunks` task (a block of `A` rows stays in L1
-/// while a `K_PANEL × n` slice of `B` streams through L2).
+/// Rows of `C` per cache block: a block of `A` rows stays in L1 while a
+/// `K_PANEL × n` slice of `B` streams through L2.
 const M_BLOCK: usize = 32;
 
 /// Depth of the `k` panel kept hot in cache per pass: a tile's accumulators
@@ -86,7 +84,7 @@ type Strides = (usize, usize);
 /// once; an `Isa` supplies the two leaf functions that must exist per
 /// instruction set — everything above them is generic and everything below
 /// them is `#[inline(always)]`.
-trait Isa: Copy + Send + Sync {
+trait Isa: Copy {
     /// [`axpy_block`] compiled for this instruction set.
     fn axpy_block<S: RowStarts>(
         self,
@@ -216,7 +214,7 @@ pub mod portable {
 }
 
 /// Where each row of a [`Strips`] source starts in its data.
-pub(crate) trait RowStarts: Copy + Send + Sync {
+pub(crate) trait RowStarts: Copy {
     /// The offset of row `l`'s first element.
     fn at(self, l: usize) -> usize;
 }
@@ -404,9 +402,9 @@ fn gemm_acc_on<I: Isa, S: RowStarts>(
         }
         return;
     }
-    c.par_chunks_mut(M_BLOCK * n)
-        .zip(a.par_chunks(M_BLOCK * k))
-        .for_each(|(cb, ab)| isa.axpy_block(cb, ab, (k, 1), b, dest));
+    for (cb, ab) in c.chunks_mut(M_BLOCK * n).zip(a.chunks(M_BLOCK * k)) {
+        isa.axpy_block(cb, ab, (k, 1), b, dest);
+    }
 }
 
 /// Rows `rows` of `Aᵀ · B` added or written into `c` (`rows.len() × n`),
@@ -429,9 +427,9 @@ fn gemm_tn_acc_on<I: Isa>(
         return;
     }
     // Row `i` of the block that starts at row `i0` reads `A[l, rows.start + i0 + i]`.
-    c.par_chunks_mut(M_BLOCK * n).enumerate().for_each(|(blk, cb)| {
-        isa.axpy_block(cb, &a[rows.start + blk * M_BLOCK..], (1, m), b, dest)
-    });
+    for (blk, cb) in c.chunks_mut(M_BLOCK * n).enumerate() {
+        isa.axpy_block(cb, &a[rows.start + blk * M_BLOCK..], (1, m), b, dest);
+    }
 }
 
 /// Lanes of a split accumulator: a sum that would be one dependent chain is
@@ -454,7 +452,7 @@ const NT_TILE: usize = 2;
 /// The `B` of [`gemm_nt_acc`] (`n × k`, stored by rows) as its outer loop
 /// reads it: `NT_TILE` rows at a time, each group met by every row of `A` in
 /// the block before the next group is asked for.
-pub(crate) trait RowSource: Sync {
+pub(crate) trait RowSource {
     /// Rows `rows` of `B`, back to back. A source that has to build them
     /// writes them into `scratch` and returns that.
     fn rows<'a>(&'a self, rows: Range<usize>, scratch: &'a mut Vec<f32>) -> &'a [f32];
@@ -540,9 +538,9 @@ fn gemm_nt_acc_on<I: Isa, B: RowSource>(
     // the next pair is read, so a batch-2 `Linear::forward` streams its
     // weight matrix once and a convolution copies each pair of its `col`
     // rows once per block.
-    let block = |cb: &mut [f32], ab: &[f32]| {
+    let mut scratch = Vec::new();
+    for (cb, ab) in c.chunks_mut(M_BLOCK * n).zip(a.chunks(M_BLOCK * k)) {
         let rows = cb.len() / n;
-        let mut scratch = Vec::new();
         for j in (0..n).step_by(NT_TILE) {
             let bj = b.rows(j..n.min(j + NT_TILE), &mut scratch);
             for i in (0..rows).step_by(NT_TILE) {
@@ -554,8 +552,7 @@ fn gemm_nt_acc_on<I: Isa, B: RowSource>(
                 }
             }
         }
-    };
-    c.par_chunks_mut(M_BLOCK * n).zip(a.par_chunks(M_BLOCK * k)).for_each(|(cb, ab)| block(cb, ab));
+    }
 }
 
 /// Run `$kernel` on the arm this CPU selects.

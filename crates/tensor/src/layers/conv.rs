@@ -20,8 +20,6 @@
 
 use std::cell::RefCell;
 
-use rayon::prelude::*;
-
 use super::{Module, Param};
 use crate::gemm::{
     gemm_acc, gemm_nt_acc, gemm_nt_rows_acc, gemm_strips, gemm_tn_acc, gemm_tn_rows, MR,
@@ -32,8 +30,8 @@ use crate::tensor::Tensor;
 
 thread_local! {
     /// The forward's product over the extended grid, before it is compacted
-    /// (one per rank thread under the sequential rayon shim: conv layers are
-    /// called every iteration).
+    /// (one per replica thread, reused: conv layers are called every
+    /// iteration).
     static WIDE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// The input gradient of one image, padded like the image.
     static GRAD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -172,7 +170,7 @@ impl Module for Conv2d {
         let (img, cols) = (geom.image_len(), geom.cols());
         let mut out = Tensor::zeros(&self.out_shape(x.shape()));
         let wdata = self.weight.value.data();
-        let images = out.data_mut().par_chunks_mut(self.out_c * cols).zip(x.data().par_chunks(img));
+        let images = out.data_mut().chunks_mut(self.out_c * cols).zip(x.data().chunks(img));
         let saved = if self.is_pointwise() {
             // y[oc, hw] = W[oc, ic] · x[ic, hw]
             images.for_each(|(yo, xo)| gemm_acc(yo, wdata, xo, self.out_c, self.in_c, cols));
@@ -183,10 +181,10 @@ impl Module for Conv2d {
             }
         } else {
             let mut padded = vec![0.0f32; x.shape()[0] * geom.padded_len()];
-            images.zip(padded.par_chunks_mut(geom.padded_len())).for_each(|((yo, xo), xp)| {
+            for ((yo, xo), xp) in images.zip(padded.chunks_mut(geom.padded_len())) {
                 geom.pad_image(xo, xp);
                 self.forward_padded(&geom, xp, yo);
-            });
+            }
             padded
         };
         if let Some(b) = &self.bias {
@@ -215,44 +213,27 @@ impl Module for Conv2d {
         // A conv feeding a BatchNorm has no bias gradient to sum.
         let gb_len = if self.bias.is_some() { self.out_c } else { 0 };
 
-        // Per-image work, folding the weight/bias gradients into one pair of
-        // buffers and adding it to the (batch-shared) grad buffers at the end.
-        let (gw, gb) = dx
-            .data_mut()
-            .par_chunks_mut(img)
-            .zip(images.par_chunks(per_image))
-            .zip(grad.data().par_chunks(oimg))
-            .fold(
-                || (vec![0.0f32; self.out_c * k2], vec![0.0f32; gb_len]),
-                |(mut gw, mut gb), ((dxo, xo), go)| {
-                    if self.is_pointwise() {
-                        // gW[oc, ic] += g[oc, hw] · xᵀ; dx[ic, hw] = Wᵀ · g.
-                        gemm_nt_acc(&mut gw, go, xo, self.out_c, cols, k2);
-                        gemm_tn_acc(dxo, wdata, go, k2, self.out_c, cols);
-                    } else {
-                        // gW[oc, k2] += g[oc, ohow] · colᵀ, two rows of col at a
-                        // time, copied out of the padded image.
-                        gemm_nt_rows_acc(&mut gw, go, &geom.col_rows(xo), (self.out_c, cols, k2));
-                        self.input_gradient(&geom, go, dxo);
-                    }
-                    for (b, gc) in gb.iter_mut().zip(go.chunks(cols)) {
-                        *b += gc.iter().sum::<f32>();
-                    }
-                    (gw, gb)
-                },
-            )
-            .reduce(
-                || (vec![0.0f32; self.out_c * k2], vec![0.0f32; gb_len]),
-                |(mut aw, mut ab), (bw, bb)| {
-                    for (a, b) in aw.iter_mut().zip(&bw) {
-                        *a += b;
-                    }
-                    for (a, b) in ab.iter_mut().zip(&bb) {
-                        *a += b;
-                    }
-                    (aw, ab)
-                },
-            );
+        // Per-image work, accumulating the weight/bias gradients into one
+        // pair of buffers that is added to the (batch-shared) grad buffers at
+        // the end.
+        let mut gw = vec![0.0f32; self.out_c * k2];
+        let mut gb = vec![0.0f32; gb_len];
+        let inputs = images.chunks(per_image).zip(grad.data().chunks(oimg));
+        for (dxo, (xo, go)) in dx.data_mut().chunks_mut(img).zip(inputs) {
+            if self.is_pointwise() {
+                // gW[oc, ic] += g[oc, hw] · xᵀ; dx[ic, hw] = Wᵀ · g.
+                gemm_nt_acc(&mut gw, go, xo, self.out_c, cols, k2);
+                gemm_tn_acc(dxo, wdata, go, k2, self.out_c, cols);
+            } else {
+                // gW[oc, k2] += g[oc, ohow] · colᵀ, two rows of col at a
+                // time, copied out of the padded image.
+                gemm_nt_rows_acc(&mut gw, go, &geom.col_rows(xo), (self.out_c, cols, k2));
+                self.input_gradient(&geom, go, dxo);
+            }
+            for (b, gc) in gb.iter_mut().zip(go.chunks(cols)) {
+                *b += gc.iter().sum::<f32>();
+            }
+        }
 
         for (g, v) in self.weight.grad.data_mut().iter_mut().zip(&gw) {
             *g += v;

@@ -9,9 +9,9 @@
 //! The compute substrate for reproducing *Kumar et al. (CLUSTER 2018)*. The
 //! paper trains ResNet-50 and GoogLeNet-BN with cuDNN kernels on P100 GPUs;
 //! we do not have those, so this crate implements the same mathematics on
-//! the CPU, exactly (forward *and* backward for every layer). The kernels
-//! hand their row blocks and images to `rayon`'s `par_*` API; the vendored
-//! shim runs those in order on the calling thread, so today each rank
+//! the CPU, exactly (forward *and* backward for every layer). Each kernel
+//! runs on the calling thread; the parallelism inside a node is one model
+//! replica per thread (`dcnn-dpt`'s data-parallel table), so each replica
 //! computes on one core:
 //!
 //! * [`Tensor`] — dense row-major `f32` tensors with shape tracking.

@@ -168,30 +168,34 @@ impl CellSpec {
     /// Execute this cell on a live communicator and time it. Collective:
     /// every rank calls this with the identical spec. One [`GradSync`]
     /// runs every iteration, and each iteration ends at the tuner's epoch
-    /// boundary, so an `auto` cell probes and freezes exactly as training
-    /// does. The returned fingerprint is asserted identical across ranks
-    /// by the caller (the `eval-cell` workload allgathers it).
+    /// boundary. An `auto` cell first runs its probe epochs untimed, so
+    /// the timed iterations — seeded like a fixed cell's — run the frozen
+    /// table, as training after its first epochs does. The returned
+    /// fingerprint is asserted identical across ranks by the caller (the
+    /// `eval-cell` workload allgathers it).
     pub fn measure_on_comm(&self, comm: &Comm) -> Result<CellMeasurement, String> {
         let elems = self.elems();
         let bytes = (elems * 4) as u64;
         let segments = payload_segments(elems, self.bucket_bytes);
-        let sync = GradSync::with_policy(self.policy()?, &segments, self.bucket_bytes, false);
+        let policy = self.policy()?;
+        let warmup = match &policy {
+            AlgoPolicy::Auto(cfg) => cfg.probe_epochs,
+            AlgoPolicy::Fixed(_) => 0,
+        };
+        let sync = GradSync::with_policy(policy, &segments, self.bucket_bytes, false);
         let hooked = self.bucket_bytes > 0 && self.overlap == "hooked";
-        let start_stats = comm.stats();
         // Spans from whatever ran on this rank before the cell are not the
         // tuner's to score.
         comm.take_bucket_spans();
-        let mut best_ns = u64::MAX;
-        let mut fingerprint = 0u32;
-
-        for iter in 0..self.iters.max(1) {
-            let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
+        // One exchange of `buf` and its epoch boundary; the exchange's
+        // wall time in ns.
+        let exchange = |buf: &mut [f32]| {
             let t0 = Instant::now();
             let mut stream = sync.begin(comm);
             if hooked {
                 let mut sink = 0.0f32;
                 for seg in segments.iter().rev() {
-                    stream.segment_ready(&buf, seg.offset, seg.len);
+                    stream.segment_ready(buf, seg.offset, seg.len);
                     // A small fixed busywork quantum per report, like a
                     // layer's backward pass running while the reduce is in
                     // flight.
@@ -201,11 +205,22 @@ impl CellSpec {
                 }
                 std::hint::black_box(sink);
             }
-            stream.finish(&mut buf);
+            stream.finish(buf);
             let ns = t0.elapsed().as_nanos() as u64;
-            best_ns = best_ns.min(ns);
-            fingerprint = !crc32_f32(!0, &buf);
             sync.tune_epoch_end(comm, &comm.take_bucket_spans());
+            ns
+        };
+
+        for iter in 0..warmup {
+            exchange(&mut cell_fill(comm.global_rank(), elems, iter as u64));
+        }
+        let start_stats = comm.stats();
+        let mut best_ns = u64::MAX;
+        let mut fingerprint = 0u32;
+        for iter in 0..self.iters.max(1) {
+            let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
+            best_ns = best_ns.min(exchange(&mut buf));
+            fingerprint = !crc32_f32(!0, &buf);
         }
 
         Ok(CellMeasurement {
@@ -390,6 +405,20 @@ mod tests {
             .expect("parses");
         assert_eq!(CellSpec::from_value(&doc), Ok(cell));
         assert!(CellMeasurement::from_json("{}").unwrap_err().contains("wall_ns"));
+    }
+
+    #[test]
+    fn auto_cell_times_its_frozen_table_not_its_probes() {
+        let cell = CellSpec { iters: 1, ..spec("auto:ring,halving-doubling", 0, "fused", 2) };
+        let runs = run_cluster(2, move |comm| cell.measure_on_comm(comm).expect("cell runs"));
+        for m in &runs {
+            assert!(m.algo_choices.contains("<="), "timed while probing: {:?}", m.algo_choices);
+            assert_eq!(m.fingerprint, runs[0].fingerprint, "ranks disagree");
+        }
+        // The timed iteration reduces the payload a fixed cell's does.
+        let fixed = CellSpec { iters: 1, ..spec("ring", 0, "fused", 2) };
+        let fixed = run_cluster(2, move |comm| fixed.measure_on_comm(comm).expect("cell runs"));
+        assert_eq!(runs[0].fingerprint, fixed[0].fingerprint);
     }
 
     #[test]

@@ -351,9 +351,10 @@ pub fn train_distributed(
 /// Run this rank's share of Algorithm 1 on an existing communicator — the
 /// entry point for multi-process runs, where [`crate::train_distributed`]'s
 /// own cluster spawning doesn't apply (each OS process joins the fabric via
-/// `dcnn_collectives::run_tcp_rank` and brings its own `Comm`). `cfg.nodes`
-/// must equal `comm.size()`; every rank must pass identical `cfg`, `ds` and
-/// `factory` seeds, exactly as the threaded path arranges implicitly.
+/// `dcnn_collectives::try_run_tcp_rank_with` and brings its own `Comm`).
+/// `cfg.nodes` must equal `comm.size()`; every rank must pass identical
+/// `cfg`, `ds` and `factory` seeds, exactly as the threaded path arranges
+/// implicitly.
 pub fn train_on_comm(
     comm: &Comm,
     cfg: &TrainConfig,
