@@ -31,6 +31,15 @@ if git grep -nE '\brayon::|\.par_[a-z_]+\(' -- '*.rs' ':!vendor/'; then
     exit 1
 fi
 
+# A dead peer travels as a `Result<_, CommError>` value from the receive
+# that sees it to the process edge. No product code may raise it as a panic
+# payload, print it from a panic hook or catch an unwind to get it back.
+if git grep -nE 'panic_any|set_hook|take_hook|catch_unwind|downcast(_ref)?::<CommError>' \
+    -- '*.rs' ':!vendor/' ':!benchmark/' ':!*/tests/*'; then
+    echo "ci.sh: .rs file(s) outside vendor/, benchmark/ and tests raise, hook or catch panics" >&2
+    exit 1
+fi
+
 cargo_offline build --release --workspace
 cargo_offline test -q --workspace
 # The DCC1 codec's exhaustive sweeps — the pixel conversion on all 2^32
@@ -133,8 +142,9 @@ fi
 # with rank 1 armed to abort() right after optimizer step 2 (mid-epoch 0).
 # No DCNN_RECV_TIMEOUT_MS is set: the survivor must fail fast on the bare
 # EOF alone, exit nonzero with a structured report naming the dead peer,
-# and never show a raw panic backtrace. `timeout` bounds the whole launch
-# so a propagation regression fails CI instead of wedging it.
+# and never panic: the failure comes back as a value, so neither a raw
+# backtrace nor a `panicked at` line may appear. `timeout` bounds the whole
+# launch so a propagation regression fails CI instead of wedging it.
 echo "+ fault-injection smoke (kill-after-step=2@1 over TCP processes)"
 fault_status=0
 fault_out=$(DCNN_FAULT=kill-after-step=2@1 timeout 30 \
@@ -154,6 +164,10 @@ if ! echo "$fault_out" | grep -q "peer rank 1 is dead"; then
 fi
 if echo "$fault_out" | grep -q "stack backtrace"; then
     echo "ci.sh: fault report contains a raw panic backtrace" >&2
+    exit 1
+fi
+if echo "$fault_out" | grep -q "panicked at"; then
+    echo "ci.sh: the survivor panicked instead of returning the peer failure" >&2
     exit 1
 fi
 

@@ -207,7 +207,8 @@ pub fn run_threads_cell(cell: &CellSpec) -> Result<CellMeasurement, String> {
     let run = ClusterBuilder::new(cell.world)
         .configure(RuntimeConfig::default())
         .run(move |comm| c.measure_on_comm(comm));
-    let measurements: Result<Vec<CellMeasurement>, String> = run.results.into_iter().collect();
+    let measurements: Result<Vec<CellMeasurement>, String> =
+        run.results.into_iter().map(|m| m?.map_err(|e| e.to_string())).collect();
     let measurements = measurements?;
     let fp0 = measurements[0].fingerprint;
     if measurements.iter().any(|m| m.fingerprint != fp0) {

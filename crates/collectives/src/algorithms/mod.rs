@@ -3,8 +3,8 @@
 //! Every algorithm implements [`Allreduce`] by writing one thing: its
 //! [`Allreduce::plan`], the per-rank list of [`Step`]s (send / receive-and-sum
 //! / receive-and-copy over element ranges). Both faces of the algorithm are
-//! derived from it. [`Allreduce::run`] hands the calling rank's plan to the
-//! interpreter ([`crate::plan::execute`]), which moves real `f32` buffers
+//! derived from it. [`Allreduce::try_run`] hands the calling rank's plan to
+//! the interpreter ([`crate::plan::execute`]), which moves real `f32` buffers
 //! over either transport — what the trainer, tests and benches use.
 //! [`Allreduce::schedule`] hands all `n` ranks' plans to the compiler
 //! ([`crate::plan::compile`]), which yields the [`dcnn_simnet::CommSchedule`]
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use dcnn_simnet::CommSchedule;
 
 use crate::plan::{self, Step};
-use crate::runtime::Comm;
+use crate::runtime::{Comm, CommError};
 
 /// Cost constants for compiling an algorithm to a schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,11 +108,16 @@ pub trait Allreduce {
     /// a `len`-element buffer. Empty when `n <= 1`.
     fn plan(&self, n: usize, rank: usize, len: usize) -> Vec<Step>;
 
-    /// Execute on the runtime: on return every rank's `buf` holds the
-    /// elementwise sum over all ranks.
+    /// [`Allreduce::try_run`], panicking with the report if a peer is dead.
     fn run(&self, comm: &Comm, buf: &mut [f32]) {
+        self.try_run(comm, buf).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Execute on the runtime: on return every rank's `buf` holds the
+    /// elementwise sum over all ranks, or a peer is dead.
+    fn try_run(&self, comm: &Comm, buf: &mut [f32]) -> Result<(), CommError> {
         let _phase = comm.phase(self.name());
-        plan::execute(comm, &self.plan(comm.size(), comm.rank(), buf.len()), buf);
+        plan::execute(comm, &self.plan(comm.size(), comm.rank(), buf.len()), buf)
     }
 
     /// Compile to a network schedule for `n` ranks and a `bytes` payload

@@ -18,7 +18,7 @@ use dcnn_simnet::{CommSchedule, OpId};
 
 use crate::algorithms::CostModel;
 use crate::reduce::sum_into;
-use crate::runtime::Comm;
+use crate::runtime::{Comm, CommError};
 
 /// One action of one rank on element `range` of its buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,25 +81,27 @@ pub fn embed(steps: Vec<Step>, group: &[usize]) -> impl Iterator<Item = Step> + 
     })
 }
 
-/// Run this rank's `steps` on `comm` over `buf`, in order. Each received
-/// message's buffer goes back to the transport's pool as soon as it is
-/// summed or copied, for the next send or receive to reuse.
-pub fn execute(comm: &Comm, steps: &[Step], buf: &mut [f32]) {
+/// Run this rank's `steps` on `comm` over `buf`, in order, stopping at the
+/// first receive whose peer is dead. Each received message's buffer goes
+/// back to the transport's pool as soon as it is summed or copied, for the
+/// next send or receive to reuse.
+pub fn execute(comm: &Comm, steps: &[Step], buf: &mut [f32]) -> Result<(), CommError> {
     for step in steps {
         match step {
             Step::Send { to, range, tag } => comm.send_f32(*to, *tag, &buf[range.clone()]),
             Step::RecvReduce { from, range, tag } => {
-                let msg = comm.recv(*from, *tag);
+                let msg = comm.recv(*from, *tag)?;
                 sum_into(&mut buf[range.clone()], msg.as_f32());
                 comm.recycle(msg);
             }
             Step::RecvCopy { from, range, tag } => {
-                let msg = comm.recv(*from, *tag);
+                let msg = comm.recv(*from, *tag)?;
                 buf[range.clone()].copy_from_slice(msg.as_f32());
                 comm.recycle(msg);
             }
         }
     }
+    Ok(())
 }
 
 /// Which op last wrote each element of one rank's buffer, as disjoint

@@ -19,7 +19,7 @@
 use dcnn_simnet::CommSchedule;
 
 use crate::plan::{execute, Step};
-use crate::runtime::Comm;
+use crate::runtime::{Comm, CommError};
 
 const TAG_BCAST: u32 = 0x0100_0000;
 const TAG_REDUCE: u32 = 0x0200_0000;
@@ -87,20 +87,24 @@ pub(crate) fn ring_allgather_steps(r: usize, counts: &[usize]) -> Vec<Step> {
     ring_pass(r, counts, 1, TAG_AGC, |from, range, tag| Step::RecvCopy { from, range, tag })
 }
 
-/// [`Comm::allgather_f32`]'s body: run the allgather steps on `comm`.
-pub(crate) fn ring_allgather(comm: &Comm, buf: &mut [f32], counts: &[usize]) {
+/// [`Comm::try_allgather_f32`]'s body: run the allgather steps on `comm`.
+pub(crate) fn ring_allgather(
+    comm: &Comm,
+    buf: &mut [f32],
+    counts: &[usize],
+) -> Result<(), CommError> {
     let _phase = comm.phase("allgather");
     assert_eq!(counts.len(), comm.size(), "allgather needs one count per rank");
     assert_eq!(counts.iter().sum::<usize>(), buf.len(), "allgather counts must cover the buffer");
-    execute(comm, &ring_allgather_steps(comm.rank(), counts), buf);
+    execute(comm, &ring_allgather_steps(comm.rank(), counts), buf)
 }
 
 /// Binomial-tree broadcast of a byte buffer from `root`.
-pub fn bcast_bytes(comm: &Comm, root: usize, buf: &mut Vec<u8>) {
+pub fn bcast_bytes(comm: &Comm, root: usize, buf: &mut Vec<u8>) -> Result<(), CommError> {
     let _phase = comm.phase("bcast");
     let n = comm.size();
     if n <= 1 {
-        return;
+        return Ok(());
     }
     let vrank = (comm.rank() + n - root) % n;
     // Receive from the parent (strip my lowest set bit), then forward to the
@@ -109,7 +113,7 @@ pub fn bcast_bytes(comm: &Comm, root: usize, buf: &mut Vec<u8>) {
     while mask < n {
         if vrank & mask != 0 {
             let parent = (vrank - mask + root) % n;
-            *buf = comm.recv_bytes(parent, TAG_BCAST);
+            *buf = comm.recv(parent, TAG_BCAST)?.into_bytes();
             break;
         }
         mask <<= 1;
@@ -122,6 +126,7 @@ pub fn bcast_bytes(comm: &Comm, root: usize, buf: &mut Vec<u8>) {
         }
         mask >>= 1;
     }
+    Ok(())
 }
 
 /// Binomial-tree broadcast of a `len`-element `f32` buffer from `root`, as
@@ -172,22 +177,26 @@ pub(crate) fn reduce_steps(n: usize, rank: usize, root: usize, len: usize) -> Ve
 }
 
 /// Binomial-tree broadcast of an `f32` buffer from `root`.
-pub fn bcast_f32(comm: &Comm, root: usize, buf: &mut [f32]) {
+pub fn bcast_f32(comm: &Comm, root: usize, buf: &mut [f32]) -> Result<(), CommError> {
     let _phase = comm.phase("bcast");
-    execute(comm, &bcast_steps(comm.size(), comm.rank(), root, buf.len()), buf);
+    execute(comm, &bcast_steps(comm.size(), comm.rank(), root, buf.len()), buf)
 }
 
 /// Binomial-tree sum-reduction of `buf` to `root`. On return, `root`'s `buf`
 /// holds the elementwise sum over all ranks; other ranks' buffers are
 /// unspecified (they hold partial sums).
-pub fn reduce_f32(comm: &Comm, root: usize, buf: &mut [f32]) {
+pub fn reduce_f32(comm: &Comm, root: usize, buf: &mut [f32]) -> Result<(), CommError> {
     let _phase = comm.phase("reduce");
-    execute(comm, &reduce_steps(comm.size(), comm.rank(), root, buf.len()), buf);
+    execute(comm, &reduce_steps(comm.size(), comm.rank(), root, buf.len()), buf)
 }
 
 /// Gather per-rank byte buffers at `root`. Returns `Some(all)` on the root
 /// (indexed by rank), `None` elsewhere.
-pub fn gather_bytes(comm: &Comm, root: usize, mine: Vec<u8>) -> Option<Vec<Vec<u8>>> {
+pub fn gather_bytes(
+    comm: &Comm,
+    root: usize,
+    mine: Vec<u8>,
+) -> Result<Option<Vec<Vec<u8>>>, CommError> {
     let _phase = comm.phase("gather");
     let n = comm.size();
     if comm.rank() == root {
@@ -196,22 +205,27 @@ pub fn gather_bytes(comm: &Comm, root: usize, mine: Vec<u8>) -> Option<Vec<Vec<u
             if r == root {
                 all[r] = mine.clone();
             } else {
-                all[r] = comm.recv_bytes(r, TAG_GATHER);
+                all[r] = comm.recv(r, TAG_GATHER)?.into_bytes();
             }
         }
-        Some(all)
+        Ok(Some(all))
     } else {
         comm.send_bytes(root, TAG_GATHER, mine);
-        None
+        Ok(None)
     }
+}
+
+/// [`try_allgather_bytes`], panicking with the report if a peer is dead.
+pub fn allgather_bytes(comm: &Comm, mine: Vec<u8>) -> Vec<Vec<u8>> {
+    try_allgather_bytes(comm, mine).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Allgather byte buffers: every rank receives all ranks' buffers, indexed
 /// by rank. Implemented as gather-to-0 + broadcast.
-pub fn allgather_bytes(comm: &Comm, mine: Vec<u8>) -> Vec<Vec<u8>> {
+pub fn try_allgather_bytes(comm: &Comm, mine: Vec<u8>) -> Result<Vec<Vec<u8>>, CommError> {
     let _phase = comm.phase("allgather");
     let n = comm.size();
-    let gathered = gather_bytes(comm, 0, mine);
+    let gathered = gather_bytes(comm, 0, mine)?;
     // Flatten with a length prefix table so one broadcast moves everything.
     let mut flat = Vec::new();
     if comm.rank() == 0 {
@@ -224,7 +238,7 @@ pub fn allgather_bytes(comm: &Comm, mine: Vec<u8>) -> Vec<Vec<u8>> {
             flat.extend_from_slice(b);
         }
     }
-    bcast_bytes(comm, 0, &mut flat);
+    bcast_bytes(comm, 0, &mut flat)?;
     let cnt = u64::from_le_bytes(flat[0..8].try_into().expect("8")) as usize;
     assert_eq!(cnt, n);
     let mut lens = Vec::with_capacity(n);
@@ -238,7 +252,12 @@ pub fn allgather_bytes(comm: &Comm, mine: Vec<u8>) -> Vec<Vec<u8>> {
         out.push(flat[pos..pos + l].to_vec());
         pos += l;
     }
-    out
+    Ok(out)
+}
+
+/// [`try_alltoallv_bytes`], panicking with the report if a peer is dead.
+pub fn alltoallv_bytes(comm: &Comm, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    try_alltoallv_bytes(comm, send).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Pairwise-exchange `MPI_Alltoallv` on byte buffers.
@@ -247,7 +266,10 @@ pub fn allgather_bytes(comm: &Comm, mine: Vec<u8>) -> Vec<Vec<u8>> {
 /// `recv` where `recv[s]` came from rank `s`. This is the collective DIMD's
 /// shuffle is built on (paper Algorithm 2); the pairwise schedule matches
 /// what MPI libraries use for large messages.
-pub fn alltoallv_bytes(comm: &Comm, mut send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+pub fn try_alltoallv_bytes(
+    comm: &Comm,
+    mut send: Vec<Vec<u8>>,
+) -> Result<Vec<Vec<u8>>, CommError> {
     let _phase = comm.phase("alltoallv");
     let n = comm.size();
     assert_eq!(send.len(), n, "alltoallv needs one buffer per rank");
@@ -258,9 +280,9 @@ pub fn alltoallv_bytes(comm: &Comm, mut send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let dst = (r + step) % n;
         let src = (r + n - step) % n;
         comm.send_bytes(dst, TAG_A2A, std::mem::take(&mut send[dst]));
-        recv[src] = comm.recv_bytes(src, TAG_A2A);
+        recv[src] = comm.recv(src, TAG_A2A)?.into_bytes();
     }
-    recv
+    Ok(recv)
 }
 
 /// Build the network schedule of an `alltoallv` with byte-count matrix
@@ -292,7 +314,7 @@ mod tests {
             for root in 0..n {
                 let out = run_cluster(n, |c| {
                     let mut buf = if c.rank() == root { vec![9, 9, 9] } else { Vec::new() };
-                    bcast_bytes(c, root, &mut buf);
+                    bcast_bytes(c, root, &mut buf).expect("no peer dies");
                     buf
                 });
                 for b in out {
@@ -311,7 +333,7 @@ mod tests {
                     *v = i as f32;
                 }
             }
-            bcast_f32(c, 2, &mut buf);
+            bcast_f32(c, 2, &mut buf).expect("no peer dies");
             buf
         });
         for b in out {
@@ -325,7 +347,7 @@ mod tests {
             for root in [0, n - 1] {
                 let out = run_cluster(n, |c| {
                     let mut buf = vec![c.rank() as f32 + 1.0; 8];
-                    reduce_f32(c, root, &mut buf);
+                    reduce_f32(c, root, &mut buf).expect("no peer dies");
                     buf
                 });
                 let expect = (n * (n + 1) / 2) as f32;
@@ -336,7 +358,9 @@ mod tests {
 
     #[test]
     fn gather_collects_in_rank_order() {
-        let out = run_cluster(4, |c| gather_bytes(c, 1, vec![c.rank() as u8; c.rank() + 1]));
+        let out = run_cluster(4, |c| {
+            gather_bytes(c, 1, vec![c.rank() as u8; c.rank() + 1]).expect("no peer dies")
+        });
         let all = out[1].as_ref().expect("root has data");
         for (r, b) in all.iter().enumerate() {
             assert_eq!(b, &vec![r as u8; r + 1]);

@@ -58,6 +58,7 @@
 //! and queryable mid-run with [`Comm::stats`].
 
 use std::cell::{Cell, RefCell};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -90,15 +91,13 @@ enum ConsumerId {
     Bucket(u64),
 }
 
-/// A structured communication failure. Raised as a panic *payload* (via
-/// `std::panic::panic_any`) so it rides the existing propagation machinery
-/// unchanged — comm workers re-raise it through
-/// `CommWorker::shutdown_and_propagate` / [`PendingReduce::wait`], rank
-/// threads through [`ClusterBuilder::run`]'s join — and is caught and
-/// returned as a value at the process boundary by [`try_run_tcp_rank_with`].
-/// A dedicated panic hook prints the structured message instead of the
-/// default panic banner, so a dying rank reports `rank 2: peer rank 1 is
-/// dead (...)`, not a raw backtrace.
+/// A structured communication failure, returned as a value: the receive
+/// that finds its peer dead returns it, and every collective, launch and
+/// wait above that receive hands it up with `?` — through
+/// [`PendingReduce::wait`] for a bucket reduced on a comm worker — to the
+/// process edge, where [`try_run_tcp_rank_with`] returns it. Its
+/// `Display` is the one-line report a dying rank prints: `rank 2: peer
+/// rank 1 is dead (...)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A receive could never complete because the link to the peer it
@@ -143,24 +142,6 @@ impl std::fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
-
-/// Replace the default panic hook with one that prints a single structured
-/// line for [`CommError`] payloads and defers to the previous hook for
-/// everything else. Installed lazily, right before the first structured
-/// panic, so ordinary runs never touch the global hook.
-fn install_comm_error_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if let Some(e) = info.payload().downcast_ref::<CommError>() {
-                eprintln!("dcnn: {e}");
-            } else {
-                prev(info);
-            }
-        }));
-    });
-}
 
 thread_local! {
     /// Innermost-to-outermost [`Comm::phase`] labels active on this thread.
@@ -608,8 +589,9 @@ impl Comm {
         );
     }
 
-    /// Receive the next message from group rank `src` with `tag`.
-    pub fn recv(&self, src: usize, tag: u32) -> Payload {
+    /// Receive the next message from group rank `src` with `tag`, or the
+    /// [`CommError`] naming `src` once it is dead with nothing left queued.
+    pub fn recv(&self, src: usize, tag: u32) -> Result<Payload, CommError> {
         assert!(tag < TAG_INTERNAL, "tag {tag:#x} is reserved for the runtime");
         self.recv_raw(src, tag)
     }
@@ -617,19 +599,19 @@ impl Comm {
     /// Receive from any group member (`MPI_ANY_SOURCE`). Returns the sender's
     /// group rank and the payload. Used by asynchronous SGD's parameter
     /// server, which serves whichever worker finishes first.
-    pub fn recv_any(&self, tag: u32) -> (usize, Payload) {
+    pub fn recv_any(&self, tag: u32) -> Result<(usize, Payload), CommError> {
         assert!(tag < TAG_INTERNAL, "tag {tag:#x} is reserved for the runtime");
-        let (gsrc, payload) = self.recv_from_sources(&self.group, true, tag);
+        let (gsrc, payload) = self.recv_from_sources(&self.group, true, tag)?;
         let grank = self
             .group
             .iter()
             .position(|&g| g == gsrc)
             .expect("source is a group member");
-        (grank, payload)
+        Ok((grank, payload))
     }
 
-    fn recv_raw(&self, src: usize, tag: u32) -> Payload {
-        self.recv_from_sources(&[self.group[src]], false, tag).1
+    fn recv_raw(&self, src: usize, tag: u32) -> Result<Payload, CommError> {
+        Ok(self.recv_from_sources(&[self.group[src]], false, tag)?.1)
     }
 
     /// Send an `f32` slice, copied once into a buffer from the transport's
@@ -652,9 +634,10 @@ impl Comm {
         self.send(dst, tag, Payload::shared_f32(data));
     }
 
-    /// Convenience: receive an `f32` vector.
+    /// Convenience: receive an `f32` vector, panicking with the report if
+    /// `src` is dead. Product code receives with [`Comm::recv`].
     pub fn recv_f32(&self, src: usize, tag: u32) -> Vec<f32> {
-        self.recv(src, tag).into_f32()
+        self.recv(src, tag).unwrap_or_else(|e| panic!("{e}")).into_f32()
     }
 
     /// Convenience: send bytes.
@@ -662,12 +645,14 @@ impl Comm {
         self.send(dst, tag, Payload::bytes(data));
     }
 
-    /// Convenience: receive bytes.
+    /// Convenience: receive bytes, panicking with the report if `src` is
+    /// dead. Product code receives with [`Comm::recv`].
     pub fn recv_bytes(&self, src: usize, tag: u32) -> Vec<u8> {
-        self.recv(src, tag).into_bytes()
+        self.recv(src, tag).unwrap_or_else(|e| panic!("{e}")).into_bytes()
     }
 
-    /// Dissemination barrier over this communicator (⌈log₂ n⌉ rounds).
+    /// Dissemination barrier over this communicator (⌈log₂ n⌉ rounds),
+    /// panicking with the report if a peer is dead.
     pub fn barrier(&self) {
         let n = self.size();
         if n <= 1 {
@@ -682,7 +667,7 @@ impl Comm {
             // needed before the subtraction.
             let from = (self.my_index + n - step) % n;
             self.send_raw(to, TAG_INTERNAL + 1 + round, Payload::bytes(Vec::new()));
-            let _ = self.recv_raw(from, TAG_INTERNAL + 1 + round);
+            self.recv_raw(from, TAG_INTERNAL + 1 + round).unwrap_or_else(|e| panic!("{e}"));
             step <<= 1;
             round += 1;
         }
@@ -696,10 +681,18 @@ impl Comm {
     /// owned bits are independent of how a payload is bucketed. It is
     /// [`RingReduceScatter`](crate::RingReduceScatter)'s reduce-scatter
     /// [`CollectiveOp`], run once, so it moves the `scatter_*` counters in
-    /// [`CommStats`] where every reduce-scatter does. Collective.
+    /// [`CommStats`] where every reduce-scatter does. Collective; panics
+    /// with the report if a peer is dead.
     pub fn reduce_scatter(&self, buf: &mut [f32], counts: &[usize]) {
         CollectiveOp::reduce_scatter(Arc::new(crate::RingReduceScatter), counts.to_vec())
-            .run(self, buf);
+            .run(self, buf)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Comm::try_allgather_f32`], panicking with the report if a peer is
+    /// dead.
+    pub fn allgather_f32(&self, buf: &mut [f32], counts: &[usize]) {
+        self.try_allgather_f32(buf, counts).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Blocking counts-based ring allgather of `f32` chunks: each rank
@@ -707,16 +700,18 @@ impl Comm {
     /// on return every rank holds the full buffer. Pure forwarding, no
     /// arithmetic. Adds to the `gather_*` counters in [`CommStats`].
     /// Collective.
-    pub fn allgather_f32(&self, buf: &mut [f32], counts: &[usize]) {
+    pub fn try_allgather_f32(&self, buf: &mut [f32], counts: &[usize]) -> Result<(), CommError> {
         let start = Instant::now();
-        crate::primitives::ring_allgather(self, buf, counts);
+        crate::primitives::ring_allgather(self, buf, counts)?;
         self.local.gather_bytes.fetch_add((buf.len() * 4) as u64, Relaxed);
         self.local.gather_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+        Ok(())
     }
 
     /// Split into sub-communicators, like `MPI_Comm_split`: ranks passing the
     /// same `color` form a group, ordered by `(key, rank)`. Must be called by
-    /// every member of this communicator.
+    /// every member of this communicator; panics with the report if a peer
+    /// is dead.
     pub fn split(&self, color: u64, key: i64) -> Comm {
         let n = self.size();
         let me = self.my_index;
@@ -731,7 +726,7 @@ impl Comm {
             let mut t = vec![(0, 0); n];
             t[0] = (color, key);
             for (src, slot) in t.iter_mut().enumerate().skip(1) {
-                let p = self.recv_raw(src, tag_up);
+                let p = self.recv_raw(src, tag_up).unwrap_or_else(|e| panic!("{e}"));
                 let b = p.as_bytes();
                 let c = u64::from_le_bytes(b[0..8].try_into().expect("8 bytes"));
                 let k = i64::from_le_bytes(b[8..16].try_into().expect("8 bytes"));
@@ -754,7 +749,7 @@ impl Comm {
             b.extend_from_slice(&color.to_le_bytes());
             b.extend_from_slice(&key.to_le_bytes());
             self.send_raw(0, tag_up, Payload::bytes(b));
-            let p = self.recv_raw(0, tag_down);
+            let p = self.recv_raw(0, tag_down).unwrap_or_else(|e| panic!("{e}"));
             table = p
                 .as_bytes()
                 .chunks_exact(16)
@@ -834,11 +829,16 @@ pub struct ClusterBuilder {
 /// and the per-process TCP runtime. Comm workers (async bucket reduces)
 /// are joined — re-raising any worker panic — before the counters flush,
 /// so stats include every bucket and the transport outlives its users.
-fn rank_main<R>(
+///
+/// When `f` fails the rank returns at once, with no teardown: its comm
+/// workers may still wait on peers, and a shutdown would say BYE, which a
+/// peer's reader takes for a graceful close — a peer blocked on this rank
+/// would then wait out the watchdog instead of seeing the link die.
+fn rank_main<R, E>(
     transport: Arc<dyn Transport>,
     shared: Arc<ClusterShared>,
-    f: impl FnOnce(&Comm) -> R,
-) -> R {
+    f: impl FnOnce(&Comm) -> Result<R, E>,
+) -> Result<R, E> {
     let rank = transport.rank();
     let n = transport.world_size();
     let comm_workers = shared.comm_workers;
@@ -856,12 +856,12 @@ fn rank_main<R>(
         consumer: ConsumerId::Main,
         label: None,
     };
-    let r = f(&comm);
+    let r = f(&comm)?;
     worker.shutdown_and_propagate();
     local.flush();
     drop(comm);
     transport.shutdown();
-    r
+    Ok(r)
 }
 
 /// Parse the `DCNN_*` environment, panicking with the parser's readable
@@ -1014,7 +1014,8 @@ impl ClusterBuilder {
                             Arc::new(t)
                         }
                     };
-                    rank_main(transport, shared, |c| f(c))
+                    let Ok(r) = rank_main(transport, shared, |c| Ok::<_, Infallible>(f(c)));
+                    r
                 }));
             }
             // Join everything before propagating any panic (so a deadlock
@@ -1061,51 +1062,6 @@ pub struct ProcessRun<R> {
     pub events: Vec<TraceEvent>,
 }
 
-/// Join the TCP fabric `cfg` describes, run `f` with this rank's world
-/// [`Comm`], and return the result with this rank's counters and trace
-/// events. The body of [`try_run_tcp_rank_with`].
-fn run_tcp_rank_with<R>(cfg: &RuntimeConfig, f: impl FnOnce(&Comm) -> R) -> ProcessRun<R> {
-    let need = |field: Option<usize>, var: &str| {
-        field.unwrap_or_else(|| panic!("{var} must be set for the TCP process runtime"))
-    };
-    let rank = need(cfg.rank, "DCNN_RANK");
-    let world = need(cfg.world, "DCNN_WORLD");
-    let rendezvous = cfg
-        .rendezvous
-        .clone()
-        .unwrap_or_else(|| panic!("DCNN_RENDEZVOUS must be set for the TCP process runtime"));
-    assert!(world > 0 && rank < world, "rank {rank} out of range for world {world}");
-
-    let json_path = cfg.trace_json.clone();
-    let trace_on = cfg.trace_or_default();
-    let recv_timeout = cfg.recv_timeout_or_default();
-    let shared = new_cluster_shared(
-        world,
-        trace_on,
-        recv_timeout,
-        true,
-        cfg.comm_workers_or_default(),
-    );
-
-    let transport =
-        TcpTransport::establish(rank, world, &rendezvous, cfg.connect_timeout_or_default())
-        .unwrap_or_else(|e| panic!("rank {rank}: tcp fabric setup failed: {e}"));
-    apply_link_fault(&transport, rank, cfg.fault);
-    let result = rank_main(Arc::new(transport), Arc::clone(&shared), f);
-
-    let stats =
-        std::mem::take(&mut shared.stats_sink.lock().expect("stats sink")[rank]);
-    let mut events = std::mem::take(&mut *shared.trace_sink.lock().expect("trace sink"));
-    events.sort_by_key(|e| e.t_ns);
-    if let Some(path) = &json_path {
-        let per_rank = format!("{path}.rank{rank}");
-        if let Err(e) = write_trace_json(std::path::Path::new(&per_rank), &events) {
-            eprintln!("DCNN_TRACE_JSON: failed to write {per_rank}: {e}");
-        }
-    }
-    ProcessRun { result, stats, events }
-}
-
 /// Apply the link-severing half of a [`crate::config::FaultSpec`] right
 /// after the fabric comes up: `drop-link=from:to` makes rank `from` shut
 /// down its socket to rank `to`, so both ends observe a bare EOF (the same
@@ -1135,23 +1091,55 @@ fn apply_link_fault(t: &TcpTransport, rank: usize, fault: Option<crate::config::
 /// The `dcnn-launch` binary spawns N local processes wired this way; see
 /// the README's transport section.
 ///
-/// A dead peer comes back as `Err(CommError)` instead of an unwinding
-/// panic. The structured report has already been printed to stderr by the
-/// panic hook at the point of failure; callers (the `dcnn-launch` child,
-/// bin entry points) just map the error to a nonzero exit. Panics that are
-/// *not* [`CommError`]s — setup failures, genuine bugs — keep unwinding
-/// unchanged.
+/// A dead peer comes back as the `Err(CommError)` that `f` returned, after
+/// `f` has printed or recorded what it needs to; callers (the `dcnn-launch`
+/// child, bin entry points) report it and map it to a nonzero exit. The
+/// rank skips its teardown then (see `rank_main`), so peers blocked on it
+/// see its link die rather than close. Setup failures and genuine bugs
+/// panic.
 pub fn try_run_tcp_rank_with<R>(
     cfg: &RuntimeConfig,
-    f: impl FnOnce(&Comm) -> R,
+    f: impl FnOnce(&Comm) -> Result<R, CommError>,
 ) -> Result<ProcessRun<R>, CommError> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_tcp_rank_with(cfg, f))) {
-        Ok(run) => Ok(run),
-        Err(payload) => match payload.downcast::<CommError>() {
-            Ok(e) => Err(*e),
-            Err(other) => std::panic::resume_unwind(other),
-        },
+    let need = |field: Option<usize>, var: &str| {
+        field.unwrap_or_else(|| panic!("{var} must be set for the TCP process runtime"))
+    };
+    let rank = need(cfg.rank, "DCNN_RANK");
+    let world = need(cfg.world, "DCNN_WORLD");
+    let rendezvous = cfg
+        .rendezvous
+        .clone()
+        .unwrap_or_else(|| panic!("DCNN_RENDEZVOUS must be set for the TCP process runtime"));
+    assert!(world > 0 && rank < world, "rank {rank} out of range for world {world}");
+
+    let json_path = cfg.trace_json.clone();
+    let trace_on = cfg.trace_or_default();
+    let recv_timeout = cfg.recv_timeout_or_default();
+    let shared = new_cluster_shared(
+        world,
+        trace_on,
+        recv_timeout,
+        true,
+        cfg.comm_workers_or_default(),
+    );
+
+    let transport =
+        TcpTransport::establish(rank, world, &rendezvous, cfg.connect_timeout_or_default())
+        .unwrap_or_else(|e| panic!("rank {rank}: tcp fabric setup failed: {e}"));
+    apply_link_fault(&transport, rank, cfg.fault);
+    let result = rank_main(Arc::new(transport), Arc::clone(&shared), f)?;
+
+    let stats =
+        std::mem::take(&mut shared.stats_sink.lock().expect("stats sink")[rank]);
+    let mut events = std::mem::take(&mut *shared.trace_sink.lock().expect("trace sink"));
+    events.sort_by_key(|e| e.t_ns);
+    if let Some(path) = &json_path {
+        let per_rank = format!("{path}.rank{rank}");
+        if let Err(e) = write_trace_json(std::path::Path::new(&per_rank), &events) {
+            eprintln!("DCNN_TRACE_JSON: failed to write {per_rank}: {e}");
+        }
     }
+    Ok(ProcessRun { result, stats, events })
 }
 
 /// Spawn `n` rank threads, run `f` on each with its world [`Comm`], and
@@ -1338,7 +1326,7 @@ mod tests {
             if c.rank() == 0 {
                 let mut seen = Vec::new();
                 for _ in 0..3 {
-                    let (src, p) = c.recv_any(9);
+                    let (src, p) = c.recv_any(9).expect("no peer dies");
                     seen.push((src, p.into_bytes()[0]));
                 }
                 seen.sort_unstable();
@@ -1361,7 +1349,7 @@ mod tests {
         let out = run_cluster(4, |c| match c.rank() {
             0 => {
                 go.wait();
-                (0..3).map(|_| c.recv_any(9).0).collect()
+                (0..3).map(|_| c.recv_any(9).expect("no peer dies").0).collect()
             }
             r => {
                 if r < 3 {
@@ -1385,7 +1373,7 @@ mod tests {
             if c.rank() == 0 {
                 // First a message with a different tag arrives; recv_any for
                 // tag 5 must skip over it without losing it.
-                let (src, p) = c.recv_any(5);
+                let (src, p) = c.recv_any(5).expect("no peer dies");
                 let other = c.recv_bytes(1, 6);
                 (src, p.into_bytes()[0], other[0])
             } else {
@@ -1402,7 +1390,7 @@ mod tests {
         let out = run_cluster(4, |c| {
             let sub = c.split((c.rank() % 2) as u64, c.rank() as i64);
             if sub.rank() == 0 {
-                let (src, p) = sub.recv_any(3);
+                let (src, p) = sub.recv_any(3).expect("no peer dies");
                 (src, p.into_bytes()[0])
             } else {
                 sub.send_bytes(0, 3, vec![c.rank() as u8]);
@@ -1529,7 +1517,8 @@ mod tests {
             buf
         });
         let nonblocking = run_cluster(4, |c| {
-            c.launch(CollectiveOp::allreduce(Arc::new(RecursiveDoubling)), seed(c.rank())).wait()
+            let op = CollectiveOp::allreduce(Arc::new(RecursiveDoubling));
+            c.launch(op, seed(c.rank())).wait().expect("no peer dies")
         });
         for (b, nb) in blocking.iter().zip(&nonblocking) {
             let b_bits: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
@@ -1553,7 +1542,7 @@ mod tests {
                     c.launch(CollectiveOp::allreduce(Arc::clone(&algo)), buf)
                 })
                 .collect();
-            pending.into_iter().map(PendingReduce::wait).collect::<Vec<_>>()
+            pending.into_iter().map(|p| p.wait().expect("no peer dies")).collect::<Vec<_>>()
         });
         for out in &run.results {
             for (b, buf) in out.iter().enumerate() {
@@ -1582,7 +1571,7 @@ mod tests {
             while !p.try_complete() {
                 std::thread::yield_now();
             }
-            p.wait()
+            p.wait().expect("no peer dies")
         });
         assert!(out.iter().all(|b| b.iter().all(|&x| x == 3.0)));
     }
@@ -1594,6 +1583,7 @@ mod tests {
             let sub = c.split((c.rank() % 2) as u64, c.rank() as i64);
             sub.launch(CollectiveOp::allreduce(Arc::new(RecursiveDoubling)), vec![c.rank() as f32; 4])
                 .wait()
+                .expect("no peer dies")
         });
         assert_eq!(out[0][0], 2.0); // ranks 0 + 2
         assert_eq!(out[1][0], 4.0); // ranks 1 + 3
@@ -1614,7 +1604,7 @@ mod tests {
                 c.send_bytes(peer, 11, vec![i]);
                 acc += u64::from(c.recv_bytes(peer, 11)[0]);
             }
-            (acc, pending.wait())
+            (acc, pending.wait().expect("no peer dies"))
         });
         for (acc, buf) in &out {
             assert_eq!(*acc, (0..50u64).sum::<u64>());

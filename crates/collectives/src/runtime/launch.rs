@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use super::{BucketSpan, Comm, ConsumerId, RankLocal};
+use super::{BucketSpan, Comm, CommError, ConsumerId, RankLocal};
 use crate::algorithms::Allreduce;
 use crate::plan::{self, Step};
 use crate::trace::TraceEventKind;
@@ -70,10 +70,11 @@ impl CollectiveOp {
         self
     }
 
-    /// Run the collective on `comm`, blocking, in place on `buf`.
-    pub fn run(&self, comm: &Comm, buf: &mut [f32]) {
+    /// Run the collective on `comm`, blocking, in place on `buf`. A dead
+    /// peer leaves `buf` partly reduced and comes back as the error.
+    pub fn run(&self, comm: &Comm, buf: &mut [f32]) -> Result<(), CommError> {
         match &self.kind {
-            Kind::Allreduce(algo) => algo.run(comm, buf),
+            Kind::Allreduce(algo) => algo.try_run(comm, buf),
             Kind::ReduceScatter(algo, counts, planned) => {
                 assert_eq!(counts.len(), comm.size(), "reduce_scatter needs one count per rank");
                 assert_eq!(counts.iter().sum::<usize>(), buf.len(), "reduce_scatter counts must cover the buffer");
@@ -87,14 +88,15 @@ impl CollectiveOp {
                 assert_eq!(*rank, comm.rank(), "a reduce-scatter op is planned for one rank");
                 {
                     let _phase = comm.phase(algo.name());
-                    plan::execute(comm, steps, buf);
+                    plan::execute(comm, steps, buf)?;
                 }
                 // The one seam every sharded exchange passes, whatever the
                 // algorithm.
                 comm.local.scatter_bytes.fetch_add((buf.len() * 4) as u64, Relaxed);
                 comm.local.scatter_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+                Ok(())
             }
-            Kind::Allgather(counts) => comm.allgather_f32(buf, counts),
+            Kind::Allgather(counts) => comm.try_allgather_f32(buf, counts),
         }
     }
 }
@@ -111,7 +113,9 @@ struct WorkerState {
 /// async bucket reduce off the rank's main thread. Threads spawn lazily on
 /// the first launch (purely blocking runs pay nothing) and are joined — with
 /// any panic payload re-raised, so a watchdog deadlock report survives to
-/// the rank thread — when the rank's closure returns.
+/// the rank thread — when the rank's closure returns. A dead peer does not
+/// end a worker: the bucket's job returns the error and the worker takes
+/// the next job.
 pub(super) struct CommWorker {
     rank: usize,
     /// Pool size (from [`RuntimeConfig::comm_workers_or_default`], i.e.
@@ -193,23 +197,25 @@ impl CommWorker {
 /// [`Comm::launch`]. Resolve it with [`wait`](PendingReduce::wait) (blocking) or poll it with
 /// [`try_complete`](PendingReduce::try_complete).
 pub struct PendingReduce {
-    rx: Receiver<Vec<f32>>,
-    done: Option<Vec<f32>>,
+    /// The bucket's job sends the reduced buffer, or the dead peer.
+    rx: Receiver<Result<Vec<f32>, CommError>>,
+    done: Option<Result<Vec<f32>, CommError>>,
     seq: u64,
     local: Arc<RankLocal>,
     worker: Arc<CommWorker>,
 }
 
 impl PendingReduce {
-    /// True once the reduced buffer is ready; never blocks. After `true`,
+    /// True once the collective has finished — reduced, or failed on a
+    /// dead peer; never blocks. After `true`,
     /// [`wait`](PendingReduce::wait) returns immediately.
     pub fn try_complete(&mut self) -> bool {
         if self.done.is_some() {
             return true;
         }
         match self.rx.try_recv() {
-            Ok(buf) => {
-                self.done = Some(buf);
+            Ok(res) => {
+                self.done = Some(res);
                 true
             }
             Err(TryRecvError::Empty) => false,
@@ -218,17 +224,18 @@ impl PendingReduce {
     }
 
     /// Block until the reduction finishes and return the reduced buffer
-    /// (every rank's elementwise sum). Blocked time is accounted to
-    /// [`CommStats::bucket_wait_ns`].
-    pub fn wait(mut self) -> Vec<f32> {
-        if let Some(buf) = self.done.take() {
-            return buf;
+    /// (every rank's elementwise sum), or the [`CommError`] its collective
+    /// hit — attributed with this bucket's number and label. Blocked time
+    /// is accounted to [`CommStats::bucket_wait_ns`].
+    pub fn wait(mut self) -> Result<Vec<f32>, CommError> {
+        if let Some(res) = self.done.take() {
+            return res;
         }
         let start = Instant::now();
         let res = self.rx.recv();
         self.local.bucket_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
         match res {
-            Ok(buf) => buf,
+            Ok(res) => res,
             Err(_) => self.worker_died(),
         }
     }
@@ -285,7 +292,7 @@ impl Comm {
         self.worker.submit(Box::new(move || {
             let mut bucket = bucket;
             let start = Instant::now();
-            op.run(&sub, &mut bucket);
+            let res = op.run(&sub, &mut bucket);
             job_local.async_comm_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
             job_local.async_inflight.fetch_sub(1, Relaxed);
             job_local.trace(TraceEventKind::AsyncDone, sub.comm_id, seq as u32, None, bucket.len() * 4);
@@ -296,7 +303,7 @@ impl Comm {
                 done_ns: job_local.shared.now_ns(),
                 label: op.label.as_deref().unwrap_or("").to_string(),
             });
-            let _ = done_tx.send(bucket);
+            let _ = done_tx.send(res.map(|()| bucket));
         }));
         PendingReduce {
             rx: done_rx,

@@ -4,7 +4,7 @@
 //! own threads (the sender's, or a connection reader's). The loop:
 //!
 //! 1. takes a matching message if one is queued;
-//! 2. fails with [`CommError::PeerDead`] if none is and every source that
+//! 2. returns [`CommError::PeerDead`] if none is and every source that
 //!    could still send is dead;
 //! 3. otherwise waits on the mailbox for one poll slice, publishing its
 //!    blocked-receive descriptor to the watchdog after the first slice and
@@ -20,7 +20,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 use super::watchdog::{deadlock_report, BlockedRecv};
-use super::{current_phase, install_comm_error_hook, Comm, CommError, ConsumerId};
+use super::{current_phase, Comm, CommError, ConsumerId};
 use crate::trace::TraceEventKind;
 use crate::transport::{MailboxState, Payload};
 
@@ -58,13 +58,14 @@ fn doomed_by(
 
 impl Comm {
     /// Blocking receive matching `(any of sources, this communicator, tag)`
-    /// on behalf of this handle's consumer. Returns `(global_src, payload)`.
+    /// on behalf of this handle's consumer. Returns `(global_src, payload)`,
+    /// or the dead peer that means no message will ever match.
     pub(super) fn recv_from_sources(
         &self,
         sources: &[usize],
         any_source: bool,
         tag: u32,
-    ) -> (usize, Payload) {
+    ) -> Result<(usize, Payload), CommError> {
         let local = &self.local;
         let timeout = local.shared.recv_timeout;
         // Wait in slices so blocked consumers publish diagnostics long
@@ -87,7 +88,7 @@ impl Comm {
                 local.bytes_recvd.fetch_add(payload.len_bytes() as u64, Relaxed);
                 local.msgs_recvd.fetch_add(1, Relaxed);
                 local.trace(TraceEventKind::Recv, self.comm_id, tag, Some(src), payload.len_bytes());
-                return (src, payload);
+                return Ok((src, payload));
             }
             // Nothing queued: if every source that could still satisfy this
             // receive is dead, no message will ever arrive — fail fast with a
@@ -95,11 +96,12 @@ impl Comm {
             // peer sent before dying was queued, and checked above.)
             if let Some(peer) = doomed_by(&state.dead, sources, any_source, local.rank) {
                 let cause = state.dead[&peer].clone();
-                // Release the lock before unwinding so sibling consumers see
-                // an unpoisoned mailbox.
                 drop(state);
+                if published {
+                    self.unpublish_blocked(tag);
+                }
                 local.trace(TraceEventKind::LinkDown, self.comm_id, tag, Some(peer), 0);
-                self.fail_peer_dead(peer, cause);
+                return Err(self.peer_dead(peer, cause));
             }
             let waited = wait_start.get_or_insert_with(Instant::now).elapsed();
             if !published && waited >= poll {
@@ -115,25 +117,17 @@ impl Comm {
         }
     }
 
-    /// Abort a doomed receive with a structured [`CommError::PeerDead`]
-    /// panic payload, attributed with the thread's current algorithm phase
-    /// and (for bucket consumers) the bucket number and sealing segment —
-    /// the same descriptors the deadlock watchdog reports.
-    fn fail_peer_dead(&self, peer: usize, cause: String) -> ! {
+    /// The [`CommError::PeerDead`] a doomed receive returns, attributed with
+    /// the thread's current algorithm phase and (for bucket consumers) the
+    /// bucket number and sealing segment — the same descriptors the
+    /// deadlock watchdog reports.
+    fn peer_dead(&self, peer: usize, cause: String) -> CommError {
         let (bucket, seg) = match self.consumer {
             ConsumerId::Main => (None, None),
             ConsumerId::Bucket(k) => (Some(k), self.label.as_ref().map(|l| l.to_string())),
         };
-        let err = CommError::PeerDead {
-            rank: self.local.rank,
-            peer,
-            cause,
-            phase: current_phase(),
-            bucket,
-            label: seg,
-        };
-        install_comm_error_hook();
-        std::panic::panic_any(err);
+        let rank = self.local.rank;
+        CommError::PeerDead { rank, peer, cause, phase: current_phase(), bucket, label: seg }
     }
 
     fn publish_blocked(&self, state: &MailboxState, sources: &[usize], any_source: bool, tag: u32) {

@@ -33,8 +33,8 @@ use std::sync::Arc;
 use dcnn_simnet::{FatTree, SimOptions};
 
 use crate::algorithms::{Allreduce, AllreduceAlgo, CostModel};
-use crate::primitives::allgather_bytes;
-use crate::runtime::{BucketSpan, Comm, CommStats};
+use crate::primitives::try_allgather_bytes;
+use crate::runtime::{BucketSpan, Comm, CommError, CommStats};
 
 /// How the trainer chooses an allreduce algorithm for each gradient bucket.
 ///
@@ -392,12 +392,12 @@ impl Tuner {
     /// on that epoch** — every rank reaches it with the same tuner state,
     /// so the embedded allgather is matched; a pinned tuner never
     /// communicates. Returns the rendered decision table.
-    pub fn close_epoch(&mut self, comm: &Comm, spans: &[BucketSpan]) -> String {
+    pub fn close_epoch(&mut self, comm: &Comm, spans: &[BucketSpan]) -> Result<String, CommError> {
         if self.end_epoch(spans) {
-            let merged = agree_scores(comm, &self.score_table());
+            let merged = agree_scores(comm, &self.score_table())?;
             self.apply_agreed(&merged);
         }
-        self.decision_table()
+        Ok(self.decision_table())
     }
 
     /// Total nanoseconds `stats` attributes to the candidates' allreduce
@@ -473,7 +473,7 @@ fn simulated_ns_per_byte(algo: AllreduceAlgo, class: u32, world: usize, cost: &C
 /// present on one rank but not another survive with the values they have.
 ///
 /// Collective: every rank must call this at the same point.
-pub fn agree_scores(comm: &Comm, local: &[ScoreEntry]) -> Vec<ScoreEntry> {
+pub fn agree_scores(comm: &Comm, local: &[ScoreEntry]) -> Result<Vec<ScoreEntry>, CommError> {
     let mut mine = Vec::with_capacity(local.len() * 16);
     for &(class, cand, score) in local {
         mine.extend_from_slice(&class.to_le_bytes());
@@ -481,7 +481,7 @@ pub fn agree_scores(comm: &Comm, local: &[ScoreEntry]) -> Vec<ScoreEntry> {
         mine.extend_from_slice(&score.to_le_bytes());
     }
     let mut merged: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-    for theirs in allgather_bytes(comm, mine) {
+    for theirs in try_allgather_bytes(comm, mine)? {
         assert_eq!(theirs.len() % 16, 0, "malformed score table");
         for chunk in theirs.chunks_exact(16) {
             let class = u32::from_le_bytes(chunk[0..4].try_into().expect("4"));
@@ -493,7 +493,7 @@ pub fn agree_scores(comm: &Comm, local: &[ScoreEntry]) -> Vec<ScoreEntry> {
             }
         }
     }
-    merged.into_iter().map(|((class, cand), score)| (class, cand, score)).collect()
+    Ok(merged.into_iter().map(|((class, cand), score)| (class, cand, score)).collect())
 }
 
 #[cfg(test)]
@@ -707,7 +707,8 @@ mod tests {
                 } else {
                     (900 * skew, 9_000 * skew) // halving-doubling's epoch
                 };
-                t.close_epoch(comm, &[span(0, 1 << 10, small_ns), span(1, 1 << 14, large_ns)]);
+                let spans = [span(0, 1 << 10, small_ns), span(1, 1 << 14, large_ns)];
+                t.close_epoch(comm, &spans).expect("no peer dies");
             }
             assert!(t.agreed());
             // A 2^12-byte bucket arrives after the window: class 12 is
@@ -731,7 +732,7 @@ mod tests {
             if comm.rank() == 2 {
                 local.push((11, 1, 0.5));
             }
-            agree_scores(comm, &local)
+            agree_scores(comm, &local).expect("no peer dies")
         });
         for r in &runs {
             assert_eq!(*r, vec![(10, 0, 3.0), (11, 1, 0.5)]);

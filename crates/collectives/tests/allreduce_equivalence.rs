@@ -112,7 +112,8 @@ fn ring_reduce_scatter_seam_reproduces_the_golden_fingerprints() {
         let owned = run_cluster(counts.len(), move |c| {
             let mut buf: Vec<f32> = (0..len).map(|i| contribution(c.rank(), i, 42)).collect();
             CollectiveOp::reduce_scatter(Arc::new(RingReduceScatter), counts.to_vec())
-                .run(c, &mut buf);
+                .run(c, &mut buf)
+                .expect("no peer dies");
             let start: usize = counts[..c.rank()].iter().sum();
             !crc32_f32(!0, &buf[start..start + counts[c.rank()]])
         });
@@ -159,7 +160,7 @@ fn run_async_bucketed(
             }
             let mut out = vec![0.0f32; len];
             for (span, p) in spans.into_iter().zip(pending) {
-                out[span].copy_from_slice(&p.wait());
+                out[span].copy_from_slice(&p.wait().expect("no peer dies"));
             }
             out
         })
@@ -235,7 +236,7 @@ fn reduce_scatter_seam_owned_chunk_matches_run_every_algorithm() {
             let scattered = run_cluster(n, move |c| {
                 let mut buf: Vec<f32> =
                     (0..len).map(|i| contribution(c.rank(), i, 7)).collect();
-                CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()).run(c, &mut buf);
+                CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()).run(c, &mut buf).expect("no peer dies");
                 buf
             });
             let mut start = 0;
@@ -271,7 +272,7 @@ fn async_reduce_scatter_bitwise_matches_blocking_every_algorithm() {
                 .run(move |c| {
                     let mut buf: Vec<f32> =
                         (0..len).map(|i| contribution(c.rank(), i, 9)).collect();
-                    CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()).run(c, &mut buf);
+                    CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()).run(c, &mut buf).expect("no peer dies");
                     buf
                 })
                 .results;
@@ -282,7 +283,9 @@ fn async_reduce_scatter_bitwise_matches_blocking_every_algorithm() {
                 .run(move |c| {
                     let buf: Vec<f32> =
                         (0..len).map(|i| contribution(c.rank(), i, 9)).collect();
-                    c.launch(CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()), buf).wait()
+                    c.launch(CollectiveOp::reduce_scatter(Arc::clone(&a), cts.clone()), buf)
+                        .wait()
+                        .expect("no peer dies")
                 })
                 .results;
             // Only owned chunks are specified; compare those.
@@ -324,7 +327,7 @@ fn allgather_f32_async_matches_blocking_and_counts() {
                 c.allgather_f32(&mut b, &cts);
                 b
             };
-            let asynced = c.launch(CollectiveOp::allgather(cts.clone()), buf).wait();
+            let asynced = c.launch(CollectiveOp::allgather(cts.clone()), buf).wait().expect("no peer dies");
             (blocking, asynced)
         });
         for (rank, (blocking, asynced)) in run.results.iter().enumerate() {

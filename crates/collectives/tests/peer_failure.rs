@@ -1,32 +1,23 @@
-//! Peer failure propagates as a structured [`CommError`] instead of a hang:
-//! sever a live TCP link via the `drop-link` fault and check that a blocked
-//! collective fails fast with an error naming the dead peer — with no
-//! `DCNN_RECV_TIMEOUT_MS` involved, on the real socket transport.
+//! Peer failure propagates as a structured [`CommError`] value instead of a
+//! hang: sever a live TCP link via the `drop-link` fault and check that a
+//! blocked collective fails fast with an error naming the dead peer — with
+//! no `DCNN_RECV_TIMEOUT_MS` involved, on the real socket transport.
 
 use std::net::TcpListener;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use dcnn_collectives::runtime::ClusterBuilder;
+use dcnn_collectives::runtime::{ClusterBuilder, ClusterRun};
 use dcnn_collectives::transport::tcp::TcpTransport;
 use dcnn_collectives::transport::WireMsg;
 use dcnn_collectives::{
-    try_run_tcp_rank_with, Allreduce, Comm, CommError, FaultSpec, MultiColor, Payload, RuntimeConfig,
-    Transport, TransportKind,
+    try_run_tcp_rank_with, Allreduce, CollectiveOp, Comm, CommError, FaultSpec, MultiColor,
+    Payload, RuntimeConfig, Transport, TransportKind,
 };
 
-fn peer_dead_from(payload: Box<dyn std::any::Any + Send>) -> CommError {
-    match payload.downcast::<CommError>() {
-        Ok(e) => *e,
-        Err(other) => {
-            let msg = other
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| other.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "<non-string payload>".to_string());
-            panic!("expected a CommError panic payload, got: {msg}");
-        }
-    }
+/// The first rank's error in `run`, which must have one.
+fn first_error<T>(run: ClusterRun<Result<T, CommError>>, what: &str) -> CommError {
+    run.results.into_iter().find_map(Result::err).unwrap_or_else(|| panic!("{what}"))
 }
 
 #[test]
@@ -39,22 +30,13 @@ fn severed_link_fails_collective_with_structured_error() {
         ..RuntimeConfig::default()
     };
     let started = Instant::now();
-    let run = std::panic::catch_unwind(|| {
-        ClusterBuilder::new(2)
-            .transport(TransportKind::Tcp)
-            .configure(cfg)
-            .run(|comm| {
-                let mut buf = vec![comm.rank() as f32; 64];
-                MultiColor::new(2).run(comm, &mut buf);
-                buf
-            })
+    let run = ClusterBuilder::new(2).transport(TransportKind::Tcp).configure(cfg).run(|comm| {
+        let mut buf = vec![comm.rank() as f32; 64];
+        MultiColor::new(2).try_run(comm, &mut buf).map(|()| buf)
     });
     let elapsed = started.elapsed();
 
-    let Err(payload) = run else {
-        panic!("collective over a severed link must fail")
-    };
-    let err = peer_dead_from(payload);
+    let err = first_error(run, "collective over a severed link must fail");
     let CommError::PeerDead { rank, peer, cause, .. } = &err;
     assert!(
         (*rank == 0 && *peer == 1) || (*rank == 1 && *peer == 0),
@@ -84,10 +66,7 @@ fn messages_sent_before_the_link_died_stay_deliverable_in_order() {
     let timeout = Duration::from_secs(20);
     let marked = Barrier::new(2);
     let got = Mutex::new(Vec::new());
-    let recv = |comm: &Comm, tag| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| comm.recv_bytes(1, tag)))
-            .map_err(peer_dead_from)
-    };
+    let recv = |comm: &Comm, tag| comm.recv(1, tag).map(Payload::into_bytes);
     let (death, fourth, elapsed) = std::thread::scope(|s| {
         s.spawn(|| {
             let t1 = TcpTransport::connect(&addr, 1, 2, timeout).expect("rank 1 joins");
@@ -105,9 +84,9 @@ fn messages_sent_before_the_link_died_stay_deliverable_in_order() {
             let started = Instant::now();
             let death = recv(comm, 8);
             for tag in [5, 6, 5] {
-                got.lock().expect("got").push(comm.recv_bytes(1, tag)[0]);
+                got.lock().expect("got").push(recv(comm, tag)?[0]);
             }
-            (death, recv(comm, 5), started.elapsed())
+            Ok((death, recv(comm, 5), started.elapsed()))
         });
         rank0.expect("rank 0 itself returns").result
     });
@@ -127,21 +106,40 @@ fn point_to_point_recv_from_dead_peer_fails_with_phase_context() {
         fault: Some(FaultSpec::DropLink { from: 0, to: 1 }),
         ..RuntimeConfig::default()
     };
-    let run = std::panic::catch_unwind(|| {
-        ClusterBuilder::new(2)
-            .transport(TransportKind::Tcp)
-            .configure(cfg)
-            .run(|comm| {
-                let _g = comm.phase("shuffle");
-                if comm.rank() == 0 {
-                    comm.recv_f32(1, 7)
-                } else {
-                    comm.recv_f32(0, 7)
-                }
-            })
+    let run = ClusterBuilder::new(2).transport(TransportKind::Tcp).configure(cfg).run(|comm| {
+        let _g = comm.phase("shuffle");
+        comm.recv(1 - comm.rank(), 7).map(Payload::into_f32)
     });
-    let Err(payload) = run else { panic!("recv from a dead peer must fail") };
-    let err = peer_dead_from(payload);
+    let err = first_error(run, "recv from a dead peer must fail");
     let CommError::PeerDead { phase, .. } = &err;
     assert_eq!(phase.as_deref(), Some("shuffle"), "missing phase in {err}");
+}
+
+#[test]
+fn launched_bucket_names_itself_and_its_worker_takes_the_next_launch() {
+    // Both ranks launch a labelled bucket reduce over the severed link. The
+    // failure comes back through the bucket's handle, naming the bucket and
+    // the label it was launched with. The comm worker that ran it survives:
+    // it runs the next launch (which fails the same way, as bucket 1), and
+    // the cluster's teardown joins it without a panic.
+    let cfg = RuntimeConfig {
+        fault: Some(FaultSpec::DropLink { from: 0, to: 1 }),
+        ..RuntimeConfig::default()
+    };
+    let run = ClusterBuilder::new(2).transport(TransportKind::Tcp).configure(cfg).run(|comm| {
+        let launch = |label: &str| {
+            let op = CollectiveOp::allreduce(Arc::new(MultiColor::new(2))).labeled(Arc::from(label));
+            comm.launch(op, vec![comm.rank() as f32; 64]).wait()
+        };
+        (launch("fc.weight"), launch("fc.bias"))
+    });
+    for (rank, (first, second)) in run.results.into_iter().enumerate() {
+        for (res, seq, name) in [(first, 0, "fc.weight"), (second, 1, "fc.bias")] {
+            let err = res.expect_err("a bucket over a severed link must fail");
+            let CommError::PeerDead { rank: r, peer, bucket, label, .. } = &err;
+            assert_eq!((*r, *peer), (rank, 1 - rank), "wrong endpoints in {err}");
+            assert_eq!(*bucket, Some(seq), "wrong bucket in {err}");
+            assert_eq!(label.as_deref(), Some(name), "wrong label in {err}");
+        }
+    }
 }

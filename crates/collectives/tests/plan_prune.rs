@@ -97,7 +97,7 @@ fn pruned_plan_keeps_owned_bits_and_stays_well_formed() {
                         .iter()
                         .map(|p| {
                             let mut buf = mine();
-                            plan::execute(comm, &p[comm.rank()], &mut buf);
+                            plan::execute(comm, &p[comm.rank()], &mut buf).expect("no peer dies");
                             buf
                         })
                         .collect();
@@ -183,9 +183,9 @@ fn reduce_scatter_op_plans_once_however_often_it_runs() {
         for step in 0..4 {
             let mut buf: Vec<f32> = (0..len).map(|i| contribution(comm.rank(), i + step)).collect();
             if step % 2 == 0 {
-                op.clone().run(comm, &mut buf);
+                op.clone().run(comm, &mut buf).expect("no peer dies");
             } else {
-                comm.launch(op.clone(), buf).wait();
+                comm.launch(op.clone(), buf).wait().expect("no peer dies");
             }
         }
     });

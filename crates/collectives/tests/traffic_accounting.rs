@@ -138,9 +138,9 @@ fn sharded_exchange_counts_its_scatter_bytes_once_whatever_the_algorithm() {
                 let op = CollectiveOp::reduce_scatter(a.clone(), counts.clone());
                 let mut buf = vec![comm.rank() as f32; len];
                 if launched {
-                    comm.launch(op, buf).wait();
+                    comm.launch(op, buf).wait().expect("no peer dies");
                 } else {
-                    op.run(comm, &mut buf);
+                    op.run(comm, &mut buf).expect("no peer dies");
                 }
             });
             for (rank, st) in run.stats.iter().enumerate() {

@@ -244,12 +244,44 @@ fn invalid(what: String) -> io::Error {
 /// `fault_after_batches` is the fault-injection hook: after serving that
 /// many batches the server drops every connection and returns an error —
 /// from the clients' point of view, a crashed data server.
+///
+/// Panics with the report if a peer server of `comm` dies; see
+/// [`try_serve_blocking`].
 pub fn serve_blocking(
+    listener: TcpListener,
+    comm: &Comm,
+    partitions: Vec<(usize, Dimd)>,
+    trainer_world: usize,
+    fault_after_batches: Option<usize>,
+) -> io::Result<ServeReport> {
+    try_serve_blocking(listener, comm, partitions, trainer_world, fault_after_batches)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`serve_blocking`], with the two ways it can fail kept apart: the
+/// outer error is a peer server of `comm` dying in the epoch shuffle,
+/// which ends this server's fabric; the inner one is what a client did.
+pub fn try_serve_blocking(
+    listener: TcpListener,
+    comm: &Comm,
+    partitions: Vec<(usize, Dimd)>,
+    trainer_world: usize,
+    fault_after_batches: Option<usize>,
+) -> Result<io::Result<ServeReport>, CommError> {
+    let mut fabric = None;
+    let served = serve(listener, comm, partitions, trainer_world, fault_after_batches, &mut fabric);
+    fabric.map_or(Ok(served), Err)
+}
+
+/// [`try_serve_blocking`]'s loop; a failed shuffle leaves its
+/// [`CommError`] in `fabric` and ends the loop with an I/O error.
+fn serve(
     listener: TcpListener,
     comm: &Comm,
     mut partitions: Vec<(usize, Dimd)>,
     trainer_world: usize,
     fault_after_batches: Option<usize>,
+    fabric: &mut Option<CommError>,
 ) -> io::Result<ServeReport> {
     let servers = comm.size();
     let me = comm.rank();
@@ -412,14 +444,21 @@ pub fn serve_blocking(
                             records: d.take_records(),
                         })
                         .collect();
-                    let out = try_shuffle_hosted(
+                    let shuffled = try_shuffle_hosted(
                         comm,
                         mine,
                         trainer_world,
                         |v| v % servers,
                         job.segment_bytes as usize,
-                    )
-                    .map_err(|e| io::Error::other(e.to_string()))?;
+                    );
+                    let out = match shuffled {
+                        Ok(out) => out,
+                        Err(e) => {
+                            let msg = e.to_string();
+                            *fabric = Some(e);
+                            return Err(io::Error::other(msg));
+                        }
+                    };
                     eprintln!(
                         "dcnn-data-server: rank {me}: shuffle epoch={epoch} rounds={}",
                         out.rounds
@@ -589,45 +628,44 @@ impl ServiceClient {
         })
     }
 
-    /// Raise the data-plane analogue of a torn fabric link: a structured
-    /// [`CommError::PeerDead`] naming the server, delivered through the
-    /// same panic channel the collectives use — so `dcnn-launch` prints
-    /// the one-line structured abort instead of a backtrace.
-    fn die(&self, cause: String) -> ! {
-        std::panic::panic_any(CommError::PeerDead {
+    /// The data-plane analogue of a torn fabric link: a structured
+    /// [`CommError::PeerDead`] naming the server — the error a collective
+    /// returns for a dead rank, so `dcnn-launch` reports both alike.
+    fn dead(&self, cause: String) -> CommError {
+        CommError::PeerDead {
             rank: self.hello.rank,
             peer: self.server_index,
             cause: format!("data server {}: {cause}", self.addr),
             phase: Some("data-plane".into()),
             bucket: None,
             label: None,
-        })
+        }
     }
 
     /// Send an empty-bodied request or end-of-epoch frame to the server.
-    fn send(&self, kind: u8, comm_id: u64, tag: usize) {
+    fn send(&self, kind: u8, comm_id: u64, tag: usize) -> Result<(), CommError> {
         let payload = Payload::bytes(Vec::new());
         let msg = WireMsg { src: self.hello.rank, comm_id, tag: tag as u32, payload };
-        if let Err(e) = write_service_frames_vectored(&mut &self.stream, &[(kind, msg)]) {
-            self.die(e.to_string());
-        }
+        write_service_frames_vectored(&mut &self.stream, &[(kind, msg)])
+            .map_err(|e| self.dead(e.to_string()))
     }
 
     /// Open an epoch: prime the request pipeline `depth` deep (depth 0 =
     /// fully synchronous request-then-wait).
-    pub fn begin_epoch(&mut self, epoch: u64) {
+    pub fn begin_epoch(&mut self, epoch: u64) -> Result<(), CommError> {
         self.epoch = epoch;
         self.sent = 0;
         self.consumed = 0;
         let window = self.depth.min(self.hello.requests_per_epoch);
         for seq in 0..window {
-            self.send(KIND_DATA_REQ, epoch, seq);
+            self.send(KIND_DATA_REQ, epoch, seq)?;
         }
         self.sent = window;
+        Ok(())
     }
 
     /// Receive the next decoded batch, keeping the request window full.
-    pub fn next_batch(&mut self) -> (Tensor, Vec<usize>) {
+    pub fn next_batch(&mut self) -> Result<(Tensor, Vec<usize>), CommError> {
         assert!(
             self.consumed < self.hello.requests_per_epoch,
             "epoch over-consumed: {} batches of {}",
@@ -635,41 +673,42 @@ impl ServiceClient {
             self.hello.requests_per_epoch
         );
         if self.depth == 0 {
-            self.send(KIND_DATA_REQ, self.epoch, self.sent);
+            self.send(KIND_DATA_REQ, self.epoch, self.sent)?;
             self.sent += 1;
         }
         let out = match self.lanes.recv() {
             Some(Ok(batch)) => batch,
-            Some(Err(cause)) => self.die(cause),
-            None => self.die("decode pipeline exited".into()),
+            Some(Err(cause)) => return Err(self.dead(cause)),
+            None => return Err(self.dead("decode pipeline exited".into())),
         };
         self.consumed += 1;
         if self.depth > 0 && self.sent < self.hello.requests_per_epoch {
-            self.send(KIND_DATA_REQ, self.epoch, self.sent);
+            self.send(KIND_DATA_REQ, self.epoch, self.sent)?;
             self.sent += 1;
         }
-        out
+        Ok(out)
     }
 
     /// Close an epoch: tell the server this rank is done and block until
     /// the fleet acks — which is also when the cross-node shuffle (if due
     /// this epoch) has completed on the servers.
-    pub fn end_epoch(&mut self, epoch: u64) {
+    pub fn end_epoch(&mut self, epoch: u64) -> Result<(), CommError> {
         assert_eq!(
             self.consumed, self.hello.requests_per_epoch,
             "epoch ended early: {} of {} batches consumed",
             self.consumed, self.hello.requests_per_epoch
         );
-        self.send(KIND_DATA_EOE, epoch, 0);
+        self.send(KIND_DATA_EOE, epoch, 0)?;
         match self.eoe.recv() {
-            Ok(e) => assert_eq!(e, epoch, "out-of-order epoch ack"),
-            Err(_) => {
-                // The reader died; its cause is waiting on the decode lanes.
-                match self.lanes.recv() {
-                    Some(Err(cause)) => self.die(cause),
-                    _ => self.die("server vanished at end of epoch".into()),
-                }
+            Ok(e) => {
+                assert_eq!(e, epoch, "out-of-order epoch ack");
+                Ok(())
             }
+            // The reader died; its cause is waiting on the decode lanes.
+            Err(_) => Err(self.dead(match self.lanes.recv() {
+                Some(Err(cause)) => cause,
+                _ => "server vanished at end of epoch".into(),
+            })),
         }
     }
 
@@ -688,18 +727,36 @@ impl ServiceClient {
 
 /// Where a trainer's mini-batches come from — the in-process [`Dimd`] +
 /// [`Prefetcher`] path or the remote blob-server service — behind one
-/// seam, so the training loop is identical either way.
+/// seam, so the training loop is identical either way. A dead peer — a
+/// shuffle partner or the blob server — comes back as a [`CommError`].
 pub trait BatchSource {
     /// Start an epoch (spins up the prefetch pipeline / request window).
-    fn begin_epoch(&mut self, epoch: usize);
+    fn try_begin_epoch(&mut self, epoch: usize) -> Result<(), CommError>;
     /// The next `([n, 3, crop, crop], labels)` batch, in epoch order.
-    fn next_batch(&mut self) -> (Tensor, Vec<usize>);
+    fn try_next_batch(&mut self) -> Result<(Tensor, Vec<usize>), CommError>;
     /// Finish the epoch; `shuffle` runs the cross-node reshuffle (locally
-    /// via [`Dimd::shuffle`], remotely by the server fleet — the service
-    /// decides from the handshake cadence, so the flag is advisory there).
-    fn end_epoch(&mut self, epoch: usize, shuffle: bool);
+    /// via [`Dimd::try_shuffle`], remotely by the server fleet — the
+    /// service decides from the handshake cadence, so the flag is advisory
+    /// there).
+    fn try_end_epoch(&mut self, epoch: usize, shuffle: bool) -> Result<(), CommError>;
     /// Tear down; in-process sources hand the partition back.
     fn finish(self: Box<Self>) -> Option<Dimd>;
+
+    /// [`BatchSource::try_begin_epoch`], panicking with the report if a
+    /// peer is dead.
+    fn begin_epoch(&mut self, epoch: usize) {
+        self.try_begin_epoch(epoch).unwrap_or_else(|e| panic!("{e}"))
+    }
+    /// [`BatchSource::try_next_batch`], panicking with the report if a peer
+    /// is dead.
+    fn next_batch(&mut self) -> (Tensor, Vec<usize>) {
+        self.try_next_batch().unwrap_or_else(|e| panic!("{e}"))
+    }
+    /// [`BatchSource::try_end_epoch`], panicking with the report if a peer
+    /// is dead.
+    fn end_epoch(&mut self, epoch: usize, shuffle: bool) {
+        self.try_end_epoch(epoch, shuffle).unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
 /// The in-process path: a [`Dimd`] partition, optionally fronted by the
@@ -747,7 +804,7 @@ impl<'a> LocalSource<'a> {
 }
 
 impl BatchSource for LocalSource<'_> {
-    fn begin_epoch(&mut self, epoch: usize) {
+    fn try_begin_epoch(&mut self, epoch: usize) -> Result<(), CommError> {
         self.epoch = epoch;
         if self.depth > 0 {
             self.pre = Some(Prefetcher::run_epoch_with(
@@ -759,29 +816,29 @@ impl BatchSource for LocalSource<'_> {
                 self.workers,
             ));
         }
+        Ok(())
     }
 
-    fn next_batch(&mut self) -> (Tensor, Vec<usize>) {
-        match &self.pre {
+    fn try_next_batch(&mut self) -> Result<(Tensor, Vec<usize>), CommError> {
+        Ok(match &self.pre {
             Some(p) => p.next_batch(),
             None => self
                 .dimd
                 .as_mut()
                 .expect("partition present")
                 .random_batch(self.batch, self.crop),
-        }
+        })
     }
 
-    fn end_epoch(&mut self, epoch: usize, shuffle: bool) {
+    fn try_end_epoch(&mut self, epoch: usize, shuffle: bool) -> Result<(), CommError> {
         if let Some(p) = self.pre.take() {
             self.dimd = Some(p.finish());
         }
         if shuffle {
-            self.dimd
-                .as_mut()
-                .expect("partition present")
-                .shuffle(self.comm, epoch as u64, self.segment_bytes);
+            let dimd = self.dimd.as_mut().expect("partition present");
+            dimd.try_shuffle(self.comm, epoch as u64, self.segment_bytes)?;
         }
+        Ok(())
     }
 
     fn finish(self: Box<Self>) -> Option<Dimd> {
@@ -819,16 +876,16 @@ impl ServiceSource {
 }
 
 impl BatchSource for ServiceSource {
-    fn begin_epoch(&mut self, epoch: usize) {
-        self.client.as_mut().expect("connected").begin_epoch(epoch as u64);
+    fn try_begin_epoch(&mut self, epoch: usize) -> Result<(), CommError> {
+        self.client.as_mut().expect("connected").begin_epoch(epoch as u64)
     }
 
-    fn next_batch(&mut self) -> (Tensor, Vec<usize>) {
+    fn try_next_batch(&mut self) -> Result<(Tensor, Vec<usize>), CommError> {
         self.client.as_mut().expect("connected").next_batch()
     }
 
-    fn end_epoch(&mut self, epoch: usize, _shuffle: bool) {
-        self.client.as_mut().expect("connected").end_epoch(epoch as u64);
+    fn try_end_epoch(&mut self, epoch: usize, _shuffle: bool) -> Result<(), CommError> {
+        self.client.as_mut().expect("connected").end_epoch(epoch as u64)
     }
 
     fn finish(mut self: Box<Self>) -> Option<Dimd> {
@@ -968,11 +1025,11 @@ mod tests {
                     .expect("connect");
                     let mut out = Vec::new();
                     for epoch in 0..EPOCHS {
-                        c.begin_epoch(epoch as u64);
+                        c.begin_epoch(epoch as u64).expect("server alive");
                         for _ in 0..ITERS {
-                            out.push(c.next_batch());
+                            out.push(c.next_batch().expect("server alive"));
                         }
-                        c.end_epoch(epoch as u64);
+                        c.end_epoch(epoch as u64).expect("server alive");
                     }
                     c.finish();
                     out
@@ -1102,22 +1159,17 @@ mod tests {
                         Duration::from_secs(10),
                     )
                     .expect("connect");
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut epochs = || -> Result<(), CommError> {
                         for epoch in 0..EPOCHS {
-                            c.begin_epoch(epoch as u64);
+                            c.begin_epoch(epoch as u64)?;
                             for _ in 0..ITERS {
-                                let _ = c.next_batch();
+                                c.next_batch()?;
                             }
-                            c.end_epoch(epoch as u64);
+                            c.end_epoch(epoch as u64)?;
                         }
-                    }));
-                    match caught {
-                        Ok(()) => panic!("client survived a dead server"),
-                        Err(p) => match p.downcast::<CommError>() {
-                            Ok(e) => *e,
-                            Err(_) => panic!("client died with a non-structured panic"),
-                        },
-                    }
+                        Ok(())
+                    };
+                    epochs().expect_err("client survived a dead server")
                 })
             })
             .collect();

@@ -9,8 +9,8 @@
 //! segments. After the exchange each node permutes its received records
 //! locally.
 
-use dcnn_collectives::primitives::alltoallv_bytes;
-use dcnn_collectives::runtime::Comm;
+use dcnn_collectives::primitives::{try_allgather_bytes, try_alltoallv_bytes};
+use dcnn_collectives::runtime::{Comm, CommError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -93,6 +93,16 @@ impl std::fmt::Display for ShuffleError {
 
 impl std::error::Error for ShuffleError {}
 
+impl From<ShuffleError> for CommError {
+    /// A malformed buffer ends the exchange as its sender's death does: the
+    /// job cannot go on with that peer, whether the bytes came from a
+    /// corrupt link or a peer running a different version.
+    fn from(e: ShuffleError) -> Self {
+        let (rank, peer, cause) = (e.rank, e.src, e.to_string());
+        CommError::PeerDead { rank, peer, cause, phase: None, bucket: None, label: None }
+    }
+}
+
 /// Parse a [`pack`]-encoded buffer, appending records to `out`. On a
 /// truncated record, returns the byte offset where parsing stopped plus
 /// what was missing; callers wrap that into a [`ShuffleError`] (or a
@@ -130,8 +140,9 @@ pub fn unpack(buf: &[u8], out: &mut Vec<Record>) -> Result<(), (usize, ShuffleEr
 /// Returns this rank's new partition, locally permuted.
 ///
 /// # Panics
-/// Panics with a rendered [`ShuffleError`] if a received buffer holds a
-/// truncated record; use [`try_shuffle_records`] to handle that as a value.
+/// Panics with the rendered error if a peer is dead or a received buffer
+/// holds a truncated [`ShuffleError`] record; use [`try_shuffle_records`]
+/// to handle either as a value.
 pub fn shuffle_records(
     comm: &Comm,
     records: Vec<Record>,
@@ -142,15 +153,15 @@ pub fn shuffle_records(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`shuffle_records`], but a malformed received buffer comes back as a
-/// typed [`ShuffleError`] naming the link and segment round instead of a
-/// panic.
+/// [`shuffle_records`], but a dead peer or a malformed received buffer
+/// comes back as a [`CommError`] naming the link (and, for a malformed
+/// buffer, the [`ShuffleError`] with its segment round) instead of a panic.
 pub fn try_shuffle_records(
     comm: &Comm,
     records: Vec<Record>,
     seed: u64,
     max_segment_bytes: usize,
-) -> Result<Vec<Record>, ShuffleError> {
+) -> Result<Vec<Record>, CommError> {
     let mine = vec![HostedPartition {
         virtual_rank: comm.rank(),
         rng_id: comm.global_rank() as u64,
@@ -209,7 +220,7 @@ pub fn try_shuffle_hosted(
     virtual_world: usize,
     host_of: impl Fn(usize) -> usize,
     max_segment_bytes: usize,
-) -> Result<HostedShuffle, ShuffleError> {
+) -> Result<HostedShuffle, CommError> {
     assert!(max_segment_bytes > 0);
     assert!(virtual_world >= 1, "virtual world must be non-empty");
     if virtual_world <= 1 {
@@ -274,10 +285,7 @@ pub fn try_shuffle_hosted(
         }
 
         // Do all fabric ranks agree there is nothing left?
-        let flags = dcnn_collectives::primitives::allgather_bytes(
-            comm,
-            my_remaining.to_le_bytes().to_vec(),
-        );
+        let flags = try_allgather_bytes(comm, my_remaining.to_le_bytes().to_vec())?;
         let global_remaining: u64 = flags
             .iter()
             .map(|b| u64::from_le_bytes(b.as_slice().try_into().expect("8")))
@@ -309,7 +317,7 @@ pub fn try_shuffle_hosted(
                 out.extend_from_slice(&body);
             }
         }
-        let recv = alltoallv_bytes(comm, send);
+        let recv = try_alltoallv_bytes(comm, send)?;
 
         // Gather sub-chunks keyed (virtual dst, virtual src); the BTreeMap
         // iteration then replays each partition's appends in virtual-source
@@ -326,7 +334,8 @@ pub fn try_shuffle_hosted(
                         segment: round,
                         offset: off,
                         kind: ShuffleErrorKind::Header { remaining: buf.len() - off },
-                    });
+                    }
+                    .into());
                 }
                 let u = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4")) as usize;
                 let v =
@@ -341,7 +350,8 @@ pub fn try_shuffle_hosted(
                         segment: round,
                         offset: off,
                         kind: ShuffleErrorKind::Payload { need: len, remaining: buf.len() - off },
-                    });
+                    }
+                    .into());
                 }
                 let slot = chunks.entry((v, u)).or_default();
                 unpack(&buf[off..off + len], slot).map_err(|(o, kind)| ShuffleError {

@@ -1,7 +1,7 @@
 //! The in-memory store a learner trains from: the three DIMD APIs of §4.1
 //! — *partitioned load*, *random in-memory batch load*, and *shuffle*.
 
-use dcnn_collectives::runtime::Comm;
+use dcnn_collectives::runtime::{Comm, CommError};
 use dcnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -9,7 +9,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::codec::{header, malformed, try_decode_window, CodecError};
 use crate::image::{IMAGENET_MEAN, IMAGENET_STD};
-use crate::shuffle::{shuffle_records, Record};
+use crate::shuffle::{try_shuffle_records, Record};
 use crate::synth::SynthImageNet;
 
 /// A learner's in-memory partition of the training set.
@@ -117,12 +117,24 @@ impl Dimd {
         decode_augmented_batch(&records, crop, salt)
     }
 
-    /// **Shuffle across learners** (API iii): Algorithm 2 over the ranks of
-    /// `comm` (pass a group sub-communicator for group-based shuffles).
+    /// [`Dimd::try_shuffle`], panicking with the report if a peer is dead.
     pub fn shuffle(&mut self, comm: &Comm, round: u64, max_segment_bytes: usize) {
+        self.try_shuffle(comm, round, max_segment_bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// **Shuffle across learners** (API iii): Algorithm 2 over the ranks of
+    /// `comm` (pass a group sub-communicator for group-based shuffles). On
+    /// a dead peer the partition is left empty: the run cannot go on.
+    pub fn try_shuffle(
+        &mut self,
+        comm: &Comm,
+        round: u64,
+        max_segment_bytes: usize,
+    ) -> Result<(), CommError> {
         let records = self.take_records();
-        let out = shuffle_records(comm, records, self.epoch_seed ^ round, max_segment_bytes);
+        let out = try_shuffle_records(comm, records, self.epoch_seed ^ round, max_segment_bytes)?;
         self.install_shuffled_records(out);
+        Ok(())
     }
 
     /// The base seed this partition's sampling and shuffle streams derive

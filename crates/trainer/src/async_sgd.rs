@@ -10,7 +10,7 @@
 //! and can damp stale gradients by `1/(1+staleness)` (the staleness-aware
 //! rule of Zhang et al., the paper's reference \[10\]).
 
-use dcnn_collectives::runtime::{Comm, Payload};
+use dcnn_collectives::runtime::{Comm, CommError, Payload};
 use dcnn_collectives::run_cluster;
 use dcnn_dimd::{Dimd, SynthImageNet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
@@ -108,7 +108,11 @@ fn send_params(comm: &Comm, dst: usize, version: u64, params: &[f32]) {
     comm.send_f32(dst, TAG_PARAMS, params);
 }
 
-fn server(comm: &Comm, cfg: &AsyncConfig, mut master: Box<dyn Module>) -> AsyncStats {
+fn server(
+    comm: &Comm,
+    cfg: &AsyncConfig,
+    mut master: Box<dyn Module>,
+) -> Result<AsyncStats, CommError> {
     let sgd = Sgd::new(cfg.sgd.clone());
     let mut version = 0u64;
     let params = collect_params(master.as_mut());
@@ -119,11 +123,11 @@ fn server(comm: &Comm, cfg: &AsyncConfig, mut master: Box<dyn Module>) -> AsyncS
     let mut staleness = Vec::with_capacity(cfg.steps);
     let mut active = comm.size() - 1;
     while losses.len() < cfg.steps || active > 0 {
-        let (src, meta) = comm.recv_any(TAG_META);
+        let (src, meta) = comm.recv_any(TAG_META)?;
         let meta = meta.into_bytes();
         let grad_version = u64::from_le_bytes(meta[0..8].try_into().expect("8"));
         let loss = f64::from_le_bytes(meta[8..16].try_into().expect("8"));
-        let grad = comm.recv_f32(src, TAG_GRAD);
+        let grad = comm.recv(src, TAG_GRAD)?.into_f32();
         if losses.len() < cfg.steps {
             let stale = version - grad_version;
             let damp = if cfg.staleness_damping { 1.0 / (1.0 + stale as f32) } else { 1.0 };
@@ -147,15 +151,20 @@ fn server(comm: &Comm, cfg: &AsyncConfig, mut master: Box<dyn Module>) -> AsyncS
     let mut correct = 0u64;
     let mut count = 0u64;
     for _ in 1..comm.size() {
-        let (_, meta) = comm.recv_any(TAG_VAL);
+        let (_, meta) = comm.recv_any(TAG_VAL)?;
         let meta = meta.into_bytes();
         correct += u64::from_le_bytes(meta[0..8].try_into().expect("8"));
         count += u64::from_le_bytes(meta[8..16].try_into().expect("8"));
     }
-    AsyncStats { losses, staleness, val_acc: correct as f64 / count.max(1) as f64 }
+    Ok(AsyncStats { losses, staleness, val_acc: correct as f64 / count.max(1) as f64 })
 }
 
-fn worker(comm: &Comm, cfg: &AsyncConfig, ds: &SynthImageNet, factory: &(impl Fn() -> Box<dyn Module> + Sync)) {
+fn worker(
+    comm: &Comm,
+    cfg: &AsyncConfig,
+    ds: &SynthImageNet,
+    factory: &(impl Fn() -> Box<dyn Module> + Sync),
+) -> Result<(), CommError> {
     let me = comm.rank();
     let mut dimd = Dimd::load_partition(
         ds,
@@ -167,9 +176,9 @@ fn worker(comm: &Comm, cfg: &AsyncConfig, ds: &SynthImageNet, factory: &(impl Fn
     let mut exec = DptExecutor::new(cfg.gpus_per_worker, factory);
     let batch_node = cfg.batch_per_gpu * cfg.gpus_per_worker;
     loop {
-        let vbytes = comm.recv_bytes(0, TAG_VERSION);
+        let vbytes = comm.recv(0, TAG_VERSION)?.into_bytes();
         let version = u64::from_le_bytes(vbytes.as_slice().try_into().expect("8"));
-        let params = comm.recv_f32(0, TAG_PARAMS);
+        let params = comm.recv(0, TAG_PARAMS)?.into_f32();
         exec.set_params_all(&params);
         if version == STOP {
             break;
@@ -210,6 +219,7 @@ fn worker(comm: &Comm, cfg: &AsyncConfig, ds: &SynthImageNet, factory: &(impl Fn
     meta.extend_from_slice(&correct.to_le_bytes());
     meta.extend_from_slice(&count.to_le_bytes());
     comm.send(0, TAG_VAL, Payload::bytes(meta));
+    Ok(())
 }
 
 /// Run asynchronous training; returns the server's statistics.
@@ -227,13 +237,13 @@ pub fn train_async(
             // canonical copy so momentum etc. start clean.
             let p = collect_params(master.as_mut());
             set_params(master.as_mut(), &p);
-            Some(server(comm, cfg, master))
+            server(comm, cfg, master).map(Some)
         } else {
-            worker(comm, cfg, ds, &factory);
-            None
+            worker(comm, cfg, ds, &factory).map(|()| None)
         }
     });
-    results.swap_remove(0).expect("server stats")
+    let stats = results.swap_remove(0).unwrap_or_else(|e| panic!("{e}"));
+    stats.expect("server stats")
 }
 
 #[cfg(test)]

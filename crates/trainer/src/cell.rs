@@ -30,7 +30,9 @@
 use std::time::Instant;
 
 use dcnn_collectives::measurement::{json_str, json_u64};
-use dcnn_collectives::{crc32_f32, AlgoPolicy, AllreduceAlgo, CellMeasurement, Comm, CostModel};
+use dcnn_collectives::{
+    crc32_f32, AlgoPolicy, AllreduceAlgo, CellMeasurement, Comm, CommError, CostModel,
+};
 use dcnn_tensor::layers::ParamSegment;
 use serde::Serialize;
 use serde_json::Value;
@@ -173,7 +175,13 @@ impl CellSpec {
     /// table, as training after its first epochs does. The returned
     /// fingerprint is asserted identical across ranks by the caller (the
     /// `eval-cell` workload allgathers it).
-    pub fn measure_on_comm(&self, comm: &Comm) -> Result<CellMeasurement, String> {
+    ///
+    /// The outer error is a spec that names no policy, found before any
+    /// communication; the inner one a peer that died mid-cell.
+    pub fn measure_on_comm(
+        &self,
+        comm: &Comm,
+    ) -> Result<Result<CellMeasurement, CommError>, String> {
         let elems = self.elems();
         let bytes = (elems * 4) as u64;
         let segments = payload_segments(elems, self.bucket_bytes);
@@ -189,7 +197,7 @@ impl CellSpec {
         comm.take_bucket_spans();
         // One exchange of `buf` and its epoch boundary; the exchange's
         // wall time in ns.
-        let exchange = |buf: &mut [f32]| {
+        let exchange = |buf: &mut [f32]| -> Result<u64, CommError> {
             let t0 = Instant::now();
             let mut stream = sync.begin(comm);
             if hooked {
@@ -205,31 +213,32 @@ impl CellSpec {
                 }
                 std::hint::black_box(sink);
             }
-            stream.finish(buf);
+            stream.try_finish(buf)?;
             let ns = t0.elapsed().as_nanos() as u64;
-            sync.tune_epoch_end(comm, &comm.take_bucket_spans());
-            ns
+            sync.tune_epoch_end(comm, &comm.take_bucket_spans())?;
+            Ok(ns)
         };
-
-        for iter in 0..warmup {
-            exchange(&mut cell_fill(comm.global_rank(), elems, iter as u64));
-        }
-        let start_stats = comm.stats();
-        let mut best_ns = u64::MAX;
-        let mut fingerprint = 0u32;
-        for iter in 0..self.iters.max(1) {
-            let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
-            best_ns = best_ns.min(exchange(&mut buf));
-            fingerprint = !crc32_f32(!0, &buf);
-        }
-
-        Ok(CellMeasurement {
-            wall_ns: best_ns,
-            bytes,
-            link_bytes_sent: comm.stats().link_bytes_delta(&start_stats),
-            algo_choices: sync.choices_string(),
-            fingerprint,
-        })
+        let measure = || -> Result<CellMeasurement, CommError> {
+            for iter in 0..warmup {
+                exchange(&mut cell_fill(comm.global_rank(), elems, iter as u64))?;
+            }
+            let start_stats = comm.stats();
+            let mut best_ns = u64::MAX;
+            let mut fingerprint = 0u32;
+            for iter in 0..self.iters.max(1) {
+                let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
+                best_ns = best_ns.min(exchange(&mut buf)?);
+                fingerprint = !crc32_f32(!0, &buf);
+            }
+            Ok(CellMeasurement {
+                wall_ns: best_ns,
+                bytes,
+                link_bytes_sent: comm.stats().link_bytes_delta(&start_stats),
+                algo_choices: sync.choices_string(),
+                fingerprint,
+            })
+        };
+        Ok(measure())
     }
 
     /// Predict this cell's single-iteration time by compiling the same
@@ -364,7 +373,7 @@ mod tests {
         let mut fingerprints = Vec::new();
         for cell in cells {
             let runs = run_cluster(3, move |comm| {
-                cell.measure_on_comm(comm).expect("cell runs").fingerprint
+                cell.measure_on_comm(comm).expect("cell runs").expect("no peer dies").fingerprint
             });
             assert!(runs.iter().all(|&f| f == runs[0]), "ranks disagree");
             fingerprints.push(runs[0]);
@@ -379,7 +388,7 @@ mod tests {
     fn measurement_reports_link_bytes_that_sum_to_traffic() {
         let cell = spec("ring", 0, "fused", 3);
         let runs = run_cluster(3, move |comm| {
-            let m = cell.measure_on_comm(comm).expect("cell runs");
+            let m = cell.measure_on_comm(comm).expect("cell runs").expect("no peer dies");
             (m.link_bytes_sent.clone(), m.bytes, m.wall_ns)
         });
         for (links, bytes, wall_ns) in &runs {
@@ -410,14 +419,19 @@ mod tests {
     #[test]
     fn auto_cell_times_its_frozen_table_not_its_probes() {
         let cell = CellSpec { iters: 1, ..spec("auto:ring,halving-doubling", 0, "fused", 2) };
-        let runs = run_cluster(2, move |comm| cell.measure_on_comm(comm).expect("cell runs"));
+        let measure = |cell: CellSpec| {
+            run_cluster(2, move |comm| {
+                cell.measure_on_comm(comm).expect("cell runs").expect("no peer dies")
+            })
+        };
+        let runs = measure(cell);
         for m in &runs {
             assert!(m.algo_choices.contains("<="), "timed while probing: {:?}", m.algo_choices);
             assert_eq!(m.fingerprint, runs[0].fingerprint, "ranks disagree");
         }
         // The timed iteration reduces the payload a fixed cell's does.
         let fixed = CellSpec { iters: 1, ..spec("ring", 0, "fused", 2) };
-        let fixed = run_cluster(2, move |comm| fixed.measure_on_comm(comm).expect("cell runs"));
+        let fixed = measure(fixed);
         assert_eq!(runs[0].fingerprint, fixed[0].fingerprint);
     }
 

@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use dcnn_collectives::primitives::allgather_bytes;
+use dcnn_collectives::primitives::try_allgather_bytes;
 use dcnn_collectives::reduce;
 use dcnn_collectives::runtime::{Comm, CommError, CommStats};
 use dcnn_collectives::{
@@ -279,30 +279,35 @@ pub struct EpochStats {
 }
 
 /// Cluster-wide maximum of a per-rank `u64` (for high-water-mark stats).
-fn allreduce_max_u64(comm: &Comm, v: u64) -> u64 {
-    allgather_bytes(comm, v.to_le_bytes().to_vec())
+fn allreduce_max_u64(comm: &Comm, v: u64) -> Result<u64, CommError> {
+    Ok(try_allgather_bytes(comm, v.to_le_bytes().to_vec())?
         .iter()
         .map(|b| u64::from_le_bytes(b[0..8].try_into().expect("8")))
         .max()
-        .unwrap_or(v)
+        .unwrap_or(v))
 }
 
 /// Cluster-wide maximum of a per-rank `f64` (every rank gets the same
 /// value, so derived decisions stay identical everywhere).
-fn allreduce_max_f64(comm: &Comm, v: f64) -> f64 {
-    allgather_bytes(comm, v.to_le_bytes().to_vec())
+fn allreduce_max_f64(comm: &Comm, v: f64) -> Result<f64, CommError> {
+    Ok(try_allgather_bytes(comm, v.to_le_bytes().to_vec())?
         .iter()
         .map(|b| f64::from_le_bytes(b[0..8].try_into().expect("8")))
-        .fold(v, f64::max)
+        .fold(v, f64::max))
 }
 
 /// Average a per-rank scalar triple `(loss_sum, correct, count)` cluster-wide.
-fn allreduce_stats(comm: &Comm, loss: f64, correct: u64, count: u64) -> (f64, u64, u64) {
+fn allreduce_stats(
+    comm: &Comm,
+    loss: f64,
+    correct: u64,
+    count: u64,
+) -> Result<(f64, u64, u64), CommError> {
     let mut buf = Vec::with_capacity(24);
     buf.extend_from_slice(&loss.to_le_bytes());
     buf.extend_from_slice(&correct.to_le_bytes());
     buf.extend_from_slice(&count.to_le_bytes());
-    let all = allgather_bytes(comm, buf);
+    let all = try_allgather_bytes(comm, buf)?;
     let mut l = 0.0;
     let mut c = 0u64;
     let mut n = 0u64;
@@ -311,10 +316,15 @@ fn allreduce_stats(comm: &Comm, loss: f64, correct: u64, count: u64) -> (f64, u6
         c += u64::from_le_bytes(b[8..16].try_into().expect("8"));
         n += u64::from_le_bytes(b[16..24].try_into().expect("8"));
     }
-    (l, c, n)
+    Ok((l, c, n))
 }
 
-fn validate(comm: &Comm, exec: &mut DptExecutor, vs: &ValSet, crop: usize) -> f64 {
+fn validate(
+    comm: &Comm,
+    exec: &mut DptExecutor,
+    vs: &ValSet,
+    crop: usize,
+) -> Result<f64, CommError> {
     let crit = SoftmaxCrossEntropy;
     let n = comm.size();
     let me = comm.rank();
@@ -328,12 +338,8 @@ fn validate(comm: &Comm, exec: &mut DptExecutor, vs: &ValSet, crop: usize) -> f6
         correct += out.correct as u64;
         count += chunk.len() as u64;
     }
-    let (_, c, n_total) = allreduce_stats(comm, 0.0, correct, count);
-    if n_total == 0 {
-        0.0
-    } else {
-        c as f64 / n_total as f64
-    }
+    let (_, c, n_total) = allreduce_stats(comm, 0.0, correct, count)?;
+    Ok(if n_total == 0 { 0.0 } else { c as f64 / n_total as f64 })
 }
 
 /// Run distributed training; returns the per-epoch statistics (identical on
@@ -348,6 +354,16 @@ pub fn train_distributed(
     out.swap_remove(0)
 }
 
+/// [`try_train_on_comm`], panicking with the report if a peer dies.
+pub fn train_on_comm(
+    comm: &Comm,
+    cfg: &TrainConfig,
+    ds: &SynthImageNet,
+    factory: &(impl Fn() -> Box<dyn Module> + Sync),
+) -> Vec<EpochStats> {
+    try_train_on_comm(comm, cfg, ds, factory).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Run this rank's share of Algorithm 1 on an existing communicator — the
 /// entry point for multi-process runs, where [`crate::train_distributed`]'s
 /// own cluster spawning doesn't apply (each OS process joins the fabric via
@@ -355,26 +371,21 @@ pub fn train_distributed(
 /// `cfg.nodes` must equal `comm.size()`; every rank must pass identical
 /// `cfg`, `ds` and `factory` seeds, exactly as the threaded path arranges
 /// implicitly.
-pub fn train_on_comm(
+///
+/// A dead peer — a rank or the blob server — ends the run with its
+/// [`CommError`], after this rank has reported the partial epoch and, with
+/// `cfg.checkpoint_dir` set, written its abort checkpoint.
+pub fn try_train_on_comm(
     comm: &Comm,
     cfg: &TrainConfig,
     ds: &SynthImageNet,
     factory: &(impl Fn() -> Box<dyn Module> + Sync),
-) -> Vec<EpochStats> {
+) -> Result<Vec<EpochStats>, CommError> {
     assert_eq!(
         cfg.nodes,
         comm.size(),
         "cfg.nodes must match the communicator's size"
     );
-    run_rank(comm, cfg, ds, factory)
-}
-
-fn run_rank(
-    comm: &Comm,
-    cfg: &TrainConfig,
-    ds: &SynthImageNet,
-    factory: &(impl Fn() -> Box<dyn Module> + Sync),
-) -> Vec<EpochStats> {
     let me = comm.rank();
     let n = comm.size();
     let batch_node = cfg.batch_per_gpu * cfg.gpus_per_node;
@@ -420,44 +431,35 @@ fn run_rank(
     let mut stats = Vec::with_capacity(cfg.epochs);
     let mut progress = PartialEpoch::default();
 
-    // The epoch loop runs under `catch_unwind` so a peer-death panic (a
-    // `CommError` unwound out of whichever blocked collective observed the
-    // dead link) can be intercepted: flush what this rank still knows — a
-    // partial EpochStats row and, with `DCNN_CHECKPOINT_DIR` set, an abort
-    // checkpoint — then let the unwind continue to the process boundary.
-    // Any other panic passes through untouched.
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        train_epochs(TrainState {
-            comm,
-            cfg,
-            iterations,
-            batch_node,
-            hooked,
-            sgd: &sgd,
-            dimd: &mut dimd,
-            val: &val,
-            exec: &mut exec,
-            gsync: &mut gsync,
-            grad: &mut grad,
-            shards: &shards,
-            velocity: &mut velocity,
-            stats: &mut stats,
-            progress: &mut progress,
-        })
-    }));
-    match run {
-        Ok(()) => stats,
-        Err(payload) => {
-            if let Some(e) = payload.downcast_ref::<CommError>() {
-                flush_abort_state(comm, cfg, &mut exec, &gsync, &shards, &velocity, &progress, e);
-            }
-            std::panic::resume_unwind(payload)
-        }
+    // A dead peer ends the epoch loop with whichever collective observed
+    // the dead link; flush what this rank still knows — a partial
+    // EpochStats row and, with `DCNN_CHECKPOINT_DIR` set, an abort
+    // checkpoint — before handing the error to the process edge.
+    let run = train_epochs(TrainState {
+        comm,
+        cfg,
+        iterations,
+        batch_node,
+        hooked,
+        sgd: &sgd,
+        dimd: &mut dimd,
+        val: &val,
+        exec: &mut exec,
+        gsync: &mut gsync,
+        grad: &mut grad,
+        shards: &shards,
+        velocity: &mut velocity,
+        stats: &mut stats,
+        progress: &mut progress,
+    });
+    if let Err(e) = &run {
+        flush_abort_state(comm, cfg, &mut exec, &gsync, &shards, &velocity, &progress, e);
     }
+    run.map(|()| stats)
 }
 
 /// Mid-epoch progress, owned outside the epoch loop so the peer-death
-/// abort path can still reach it after the loop unwinds: enough to emit a
+/// abort path can still reach it after the loop returns: enough to emit a
 /// partial [`EpochStats`] row for the epoch that never completed.
 #[derive(Default)]
 struct PartialEpoch {
@@ -476,8 +478,8 @@ impl PartialEpoch {
     }
 }
 
-/// Borrowed training state for the epoch loop, bundled so the unwind
-/// boundary in `run_rank` can reclaim the pieces after a failure.
+/// Borrowed training state for the epoch loop, bundled so
+/// `try_train_on_comm` can reclaim the pieces after a failure.
 struct TrainState<'a> {
     comm: &'a Comm,
     cfg: &'a TrainConfig,
@@ -496,7 +498,7 @@ struct TrainState<'a> {
     progress: &'a mut PartialEpoch,
 }
 
-fn train_epochs(st: TrainState<'_>) {
+fn train_epochs(st: TrainState<'_>) -> Result<(), CommError> {
     let TrainState {
         comm,
         cfg,
@@ -552,23 +554,23 @@ fn train_epochs(st: TrainState<'_>) {
         cfg.decode_workers,
         cfg.connect_timeout,
     )
-    .unwrap_or_else(|e| {
-        // Surface an unreachable server through the same structured
-        // channel a mid-run death uses.
+    .map_err(|e| {
+        // An unreachable server is the data plane's dead peer, reported
+        // like a mid-run death.
         let servers = cfg.data_service.as_ref().map_or(1, |s| s.split(',').count());
-        std::panic::panic_any(CommError::PeerDead {
+        CommError::PeerDead {
             rank: me,
             peer: me % servers,
             cause: format!("data service connect: {e}"),
             phase: Some("data-plane".into()),
             bucket: None,
             label: None,
-        })
-    });
+        }
+    })?;
 
     for epoch in 0..cfg.epochs {
         progress.begin(epoch, comm.stats());
-        source.begin_epoch(epoch);
+        source.try_begin_epoch(epoch)?;
         for it in 0..iterations {
             let frac_epoch = epoch as f32 + it as f32 / iterations as f32;
             let lr = cfg.lr.lr_at(frac_epoch);
@@ -587,7 +589,7 @@ fn train_epochs(st: TrainState<'_>) {
             // nothing and let `finish` do all of it.
             let mut stream = gsync.begin(comm);
             for micro in 0..accum {
-                let (x, labels) = source.next_batch();
+                let (x, labels) = source.try_next_batch()?;
                 let last = micro + 1 == accum;
                 let mut take = |off: usize, vals: &[f32]| {
                     let seg = &mut grad[off..off + vals.len()];
@@ -616,7 +618,7 @@ fn train_epochs(st: TrainState<'_>) {
             }
             // Inter-node average: sum node-averages; the optimizer divides
             // by N as it reads them.
-            progress.buckets_launched += stream.finish(&mut grad[..]) as u64;
+            progress.buckets_launched += stream.try_finish(&mut grad[..])? as u64;
             let inv_n = 1.0 / n as f32;
             match shards {
                 // Replicated: every replica applies the full averaged
@@ -637,7 +639,7 @@ fn train_epochs(st: TrainState<'_>) {
                     let r0 = exec.replica(0);
                     sgd.step_range_flat(r0, lr, owned.clone(), velocity, &grad[..], inv_n);
                     params_into(r0, owned.clone(), &mut grad[owned]);
-                    comm.allgather_f32(grad, shard_counts.as_ref().expect("counts"));
+                    comm.try_allgather_f32(grad, shard_counts.as_ref().expect("counts"))?;
                     exec.set_params_all(grad);
                 }
             }
@@ -655,9 +657,9 @@ fn train_epochs(st: TrainState<'_>) {
             global_step += 1;
         }
         let (l, c, cnt) =
-            allreduce_stats(comm, progress.loss_sum, progress.correct, progress.seen);
+            allreduce_stats(comm, progress.loss_sum, progress.correct, progress.seen)?;
         let val_acc = match val {
-            Some(vs) => validate(comm, exec, vs, cfg.crop),
+            Some(vs) => validate(comm, exec, vs, cfg.crop)?,
             None => 0.0,
         };
         let spans = comm.take_bucket_spans();
@@ -671,19 +673,20 @@ fn train_epochs(st: TrainState<'_>) {
         // run the cluster agreement round that freezes the decision table.
         // Every rank reaches this point on the same epoch with the same
         // tuner state, so the embedded collective is matched.
-        row.algo_choices = gsync.tune_epoch_end(comm, &spans);
+        row.algo_choices = gsync.tune_epoch_end(comm, &spans)?;
         // Cluster maxima: the leading rank is the one that gets to overlap
         // and the busiest link can sit on any rank.
-        row.overlap_frac = allreduce_max_f64(comm, row.overlap_frac);
-        row.async_inflight_hwm = allreduce_max_u64(comm, row.async_inflight_hwm);
-        row.link_bytes_max = allreduce_max_u64(comm, row.link_bytes_max);
-        row.link_imbalance = allreduce_max_f64(comm, row.link_imbalance);
+        row.overlap_frac = allreduce_max_f64(comm, row.overlap_frac)?;
+        row.async_inflight_hwm = allreduce_max_u64(comm, row.async_inflight_hwm)?;
+        row.link_bytes_max = allreduce_max_u64(comm, row.link_bytes_max)?;
+        row.link_imbalance = allreduce_max_f64(comm, row.link_imbalance)?;
         stats.push(row);
         let shuffle_due =
             cfg.shuffle_every_epochs > 0 && (epoch + 1) % cfg.shuffle_every_epochs == 0;
-        source.end_epoch(epoch, shuffle_due);
+        source.try_end_epoch(epoch, shuffle_due)?;
     }
     *dimd = source.finish();
+    Ok(())
 }
 
 /// The [`EpochStats`] row for `progress`'s epoch as this rank alone sees
@@ -752,8 +755,8 @@ fn measure_residency(exec: &mut DptExecutor, velocity: &[f32]) -> (u64, u64) {
     (res_param as u64, res_opt as u64)
 }
 
-/// A peer died mid-epoch: preserve what this rank can before the unwind
-/// continues — a partial [`EpochStats`] row (stderr, plus a JSON file next
+/// A peer died mid-epoch: preserve what this rank can before the error
+/// goes on to the process edge — a partial [`EpochStats`] row (stderr, plus a JSON file next
 /// to the checkpoint) telling the operator where training stood, and an
 /// abort checkpoint making the completed steps resumable. Deliberately
 /// avoids every collective call: peers are dead or dying, so only local
@@ -822,6 +825,7 @@ fn flush_abort_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcnn_collectives::{ClusterBuilder, TransportKind};
     use dcnn_dimd::SynthConfig;
     use dcnn_models::resnet::ResNetConfig;
 
@@ -1148,16 +1152,66 @@ mod tests {
         cfg.data_service = Some(addr.clone());
         cfg.connect_timeout = Duration::from_millis(200);
         let start = std::time::Instant::now();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            train_distributed(&cfg, &ds, tiny_factory)
-        }))
-        .expect_err("nothing listens there");
+        let err = run_cluster(1, |comm| try_train_on_comm(comm, &cfg, &ds, &tiny_factory))
+            .swap_remove(0)
+            .expect_err("nothing listens there");
         let elapsed = start.elapsed();
-        let err = payload.downcast::<CommError>().expect("a structured CommError");
-        let CommError::PeerDead { cause, phase, .. } = *err;
+        let CommError::PeerDead { cause, phase, .. } = err;
         assert!(cause.contains(&addr), "{cause}");
         assert_eq!(phase.as_deref(), Some("data-plane"));
         assert!(elapsed < Duration::from_secs(2), "gave up after {elapsed:?}");
+    }
+
+    #[test]
+    fn severed_link_leaves_abort_checkpoints_that_read_back() {
+        // Rank 0 severs its link to rank 1 as the fabric comes up, so both
+        // ranks lose the first gradient exchange, before any SGD step: the
+        // replicated and the sharded abort states hold the same parameters.
+        let ds = tiny_ds();
+        let abort = |strategy: &str, shard_optim: bool| {
+            let dir = std::env::temp_dir()
+                .join(format!("dcnn-abort-test-{}-{strategy}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut cfg = tiny_cfg(2, 1);
+            cfg.validate = false;
+            cfg.shard_optim = shard_optim;
+            cfg.checkpoint_dir = Some(dir.to_string_lossy().into_owned());
+            let rt = RuntimeConfig {
+                fault: Some(FaultSpec::DropLink { from: 0, to: 1 }),
+                ..RuntimeConfig::default()
+            };
+            let run = ClusterBuilder::new(2)
+                .transport(TransportKind::Tcp)
+                .configure(rt)
+                .run(|comm| try_train_on_comm(comm, &cfg, &ds, &tiny_factory));
+            for (rank, res) in run.results.into_iter().enumerate() {
+                let err = res.expect_err("training over a severed link must fail");
+                let CommError::PeerDead { rank: r, peer, .. } = &err;
+                assert_eq!((*r, *peer), (rank, 1 - rank), "{strategy}: wrong endpoints in {err}");
+                for suffix in ["ckpt", "partial.json"] {
+                    let path = dir.join(format!("abort-rank{rank}.{suffix}"));
+                    assert!(path.is_file(), "{strategy}: no {}", path.display());
+                }
+            }
+            dir
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let file = |rank: usize| format!("abort-rank{rank}.ckpt");
+
+        let dir = abort("replicated", false);
+        let replicated: Vec<Checkpoint> = (0..2)
+            .map(|r| Checkpoint::read_from(&dir.join(file(r))).expect("DCKP reads back"))
+            .collect();
+        assert_eq!(replicated[0], replicated[1], "replicated ranks disagree");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = abort("sharded", true);
+        let shards: Vec<ShardCheckpoint> = (0..2)
+            .map(|r| ShardCheckpoint::read_from(&dir.join(file(r))).expect("DCKS reads back"))
+            .collect();
+        let merged = Checkpoint::merge(&shards).expect("the two shards merge");
+        assert_eq!(bits(&merged.params), bits(&replicated[0].params));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

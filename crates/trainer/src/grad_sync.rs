@@ -42,7 +42,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dcnn_collectives::runtime::{BucketSpan, CollectiveOp, Comm, CommStats, PendingReduce};
+use dcnn_collectives::runtime::{
+    BucketSpan, CollectiveOp, Comm, CommError, CommStats, PendingReduce,
+};
 use dcnn_collectives::{quantize_f16, AlgoPolicy, Selection, Tuner};
 use dcnn_tensor::layers::ParamSegment;
 
@@ -205,7 +207,7 @@ impl GradSync {
     /// (every rank reaches this on the same epoch, so the collective is
     /// matched) and freezes the decision table. Returns the rendered
     /// decision table.
-    pub fn tune_epoch_end(&self, comm: &Comm, spans: &[BucketSpan]) -> String {
+    pub fn tune_epoch_end(&self, comm: &Comm, spans: &[BucketSpan]) -> Result<String, CommError> {
         self.tuner.borrow_mut().close_epoch(comm, spans)
     }
 
@@ -260,7 +262,8 @@ impl GradSync {
     /// Sum `grad` elementwise across all ranks of `comm`, in place: the
     /// exchange with nothing streamed. Blocking mode runs one fused
     /// allreduce on the calling thread; bucketed mode launches every
-    /// bucket's nonblocking reduce back to back and drains them.
+    /// bucket's nonblocking reduce back to back and drains them. Panics
+    /// with the report if a peer is dead.
     pub fn reduce(&self, comm: &Comm, grad: &mut [f32]) {
         self.begin(comm).finish(grad);
     }
@@ -349,7 +352,10 @@ impl<'a> GradStream<'a> {
     /// classic Algorithm 1 exchange instead: its one op runs blocking, in
     /// place, on the caller's communicator — no payload copy, no worker
     /// hop, and `0` launches reported.
-    pub fn finish(mut self, grad: &mut [f32]) -> usize {
+    ///
+    /// A dead peer ends the drain at the first bucket that reports it; the
+    /// error names that bucket and the segment that sealed it.
+    pub fn try_finish(mut self, grad: &mut [f32]) -> Result<usize, CommError> {
         let sync = self.sync;
         if !sync.is_bucketed() && self.in_flight.is_empty() {
             if sync.fp16 {
@@ -361,9 +367,9 @@ impl<'a> GradStream<'a> {
             let sel = sync.tuner.borrow_mut().select(0, bytes, self.comm.size(), false);
             let op = sync.op(&sel, 0);
             let start = Instant::now();
-            op.run(self.comm, grad);
+            op.run(self.comm, grad)?;
             sync.tuner.borrow_mut().record(&sel, bytes, start.elapsed().as_nanos() as u64);
-            return 0;
+            return Ok(0);
         }
         for i in (0..sync.buckets.len()).rev() {
             if self.remaining[i] > 0 {
@@ -372,11 +378,17 @@ impl<'a> GradStream<'a> {
         }
         let launched = self.in_flight.len();
         for (i, p) in self.in_flight.into_iter().rev() {
-            let reduced = p.wait();
+            let reduced = p.wait()?;
             grad[sync.buckets[i].range()].copy_from_slice(&reduced);
             sync.payloads.borrow_mut()[i] = reduced;
         }
-        launched
+        Ok(launched)
+    }
+
+    /// [`GradStream::try_finish`], panicking with the report if a peer is
+    /// dead.
+    pub fn finish(self, grad: &mut [f32]) -> usize {
+        self.try_finish(grad).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

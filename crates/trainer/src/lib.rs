@@ -30,7 +30,9 @@ pub mod shard;
 pub use async_sgd::{train_async, AsyncConfig, AsyncStats};
 pub use cell::CellSpec;
 pub use checkpoint::{Checkpoint, CheckpointError, ShardCheckpoint, ShardMeta};
-pub use distributed::{train_distributed, train_on_comm, EpochStats, TrainConfig};
+pub use distributed::{
+    train_distributed, train_on_comm, try_train_on_comm, EpochStats, TrainConfig,
+};
 pub use grad_sync::{plan_buckets, Bucket, GradStream, GradSync};
 pub use epoch_model::{ClusterSetup, EpochBreakdown, EpochTimeModel, OptimizationFlags, Workload};
 pub use shard::ShardMap;

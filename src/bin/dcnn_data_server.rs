@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use std::sync::Mutex;
 
 use dcnn_collectives::{run_cluster, FaultSpec, RuntimeConfig};
-use dcnn_dimd::{serve_blocking, Dimd, SynthImageNet};
+use dcnn_dimd::{try_serve_blocking, Dimd, SynthImageNet};
 use dist_cnn::launch::{data_plane_partition, data_plane_spec};
 
 fn usage() -> ! {
@@ -131,13 +131,13 @@ fn main() -> ExitCode {
     };
 
     let trainer_world = world;
-    let report = if servers == 1 {
+    let served = if servers == 1 {
         // Single server: the shuffle fabric is a 1-rank thread cluster (the
         // segmented alltoallv still runs — every exchange is a self-send).
         let cell = Mutex::new(Some((listener, partitions)));
         let mut out = run_cluster(1, |comm| {
             let (listener, partitions) = cell.lock().expect("state").take().expect("one rank");
-            serve_blocking(listener, comm, partitions, trainer_world, fault_after)
+            try_serve_blocking(listener, comm, partitions, trainer_world, fault_after)
         });
         out.swap_remove(0)
     } else {
@@ -145,14 +145,16 @@ fn main() -> ExitCode {
             .clone()
             .with_rank_world(rank, servers)
             .with_rendezvous(rendezvous.expect("checked above"));
-        match dcnn_collectives::try_run_tcp_rank_with(&cfg, move |comm| {
-            serve_blocking(listener, comm, partitions, trainer_world, fault_after)
-        }) {
-            Ok(run) => run.result,
-            Err(e) => {
-                eprintln!("dcnn-data-server: rank {rank}: shuffle fabric failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        dcnn_collectives::try_run_tcp_rank_with(&cfg, move |comm| {
+            try_serve_blocking(listener, comm, partitions, trainer_world, fault_after)
+        })
+        .map(|run| run.result)
+    };
+    let report = match served {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("dcnn-data-server: rank {rank}: shuffle fabric failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
 

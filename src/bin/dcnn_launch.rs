@@ -11,8 +11,8 @@
 //! `DCNN_RENDEZVOUS` set. Each child joins the TCP fabric through
 //! `try_run_tcp_rank_with`, runs the workload against its world `Comm`, and
 //! rank 0 prints the report lines. A communication failure (for example a
-//! peer dying mid-run) surfaces as a structured `CommError` report on stderr
-//! and a non-zero child exit instead of a raw panic backtrace. The parent
+//! peer dying mid-run) comes back from the workload as a `CommError`, which
+//! the child reports on stderr as one `aborted:` line and a non-zero exit. The parent
 //! exits non-zero if any rank fails, so the whole thing works as a CI smoke
 //! test and as the harness for fault-injection runs (`DCNN_FAULT`).
 
@@ -43,21 +43,19 @@ fn child_main() -> ExitCode {
         std::process::exit(2);
     });
     let run = dcnn_collectives::try_run_tcp_rank_with(&cfg, |comm| {
-        let lines = work(comm);
+        let lines = work(comm)?;
         if comm.rank() == 0 {
             for line in &lines {
                 println!("{line}");
             }
         }
+        Ok(())
     });
     match run {
-        Ok(run) => {
-            drop(run);
-            ExitCode::SUCCESS
-        }
+        Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
-            // The panic hook already printed the structured report when the
-            // failure unwound; this line ties it to the launcher's rank.
+            // The error is the structured report; this line ties it to
+            // the launcher's rank.
             let rank = cfg.rank.map_or_else(|| "?".to_string(), |r| r.to_string());
             eprintln!("dcnn-launch: rank {rank}: aborted: {e}");
             ExitCode::FAILURE

@@ -1,20 +1,24 @@
 //! Registered workloads for `dcnn-launch`, the multi-process runner.
 //!
-//! A workload is a plain `fn(&Comm) -> Vec<String>`: it runs on every rank
-//! of a cluster and returns report lines (rank 0's lines are what the
-//! launcher prints). Keeping workloads transport-agnostic is the point —
+//! A workload is a plain `fn(&Comm) -> Result<Vec<String>, CommError>`: it
+//! runs on every rank of a cluster and returns report lines (rank 0's lines
+//! are what the launcher prints), or the dead peer that ended it. Keeping workloads transport-agnostic is the point —
 //! the same function body runs on the threaded fabric inside one process
 //! and across N OS processes over TCP, and because every line is derived
 //! from deterministic math, the outputs must match byte-for-byte. The
 //! integration tests (`tests/transport_process.rs`) compare exactly that.
 
-use dcnn_collectives::primitives::allgather_bytes;
+use dcnn_collectives::primitives::try_allgather_bytes;
 use dcnn_collectives::transport::{crc32_f32, crc32_update};
-use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, Comm, RuntimeConfig, TunerConfig};
+use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, Comm, CommError, RuntimeConfig, TunerConfig};
 use dcnn_dimd::{open_source, Dimd, Hello, SynthConfig, SynthImageNet};
 use dcnn_tensor::optim::LrSchedule;
 use dcnn_trainer::cell::CELL_ENV;
-use dcnn_trainer::{train_on_comm, CellSpec, EpochStats, TrainConfig};
+use dcnn_trainer::{try_train_on_comm, CellSpec, EpochStats, TrainConfig};
+
+/// A workload's entry point: this rank's report lines, or the dead peer
+/// that ended its run.
+type Workload = fn(&Comm) -> Result<Vec<String>, CommError>;
 
 /// Names every registered workload, in registry order.
 pub fn workload_names() -> &'static [&'static str] {
@@ -33,7 +37,7 @@ pub fn workload_names() -> &'static [&'static str] {
 }
 
 /// Look a workload up by name.
-pub fn workload(name: &str) -> Option<fn(&Comm) -> Vec<String>> {
+pub fn workload(name: &str) -> Option<Workload> {
     match name {
         "allreduce" => Some(allreduce_workload),
         "quickstart-epoch" => Some(quickstart_epoch_workload),
@@ -74,7 +78,7 @@ pub fn contribution(rank: usize, i: usize, seed: u64) -> f32 {
 /// plus the per-rank `bytes_sent`/`msgs_sent` counters accumulated up to
 /// that point. Both the crc and the counters are backend-invariant, which
 /// is exactly what the thread-vs-TCP smoke comparison checks.
-pub fn allreduce_workload(comm: &Comm) -> Vec<String> {
+pub fn allreduce_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     const LEN: usize = 260;
     const SEED: u64 = 42;
     let mut lines = Vec::new();
@@ -82,11 +86,11 @@ pub fn allreduce_workload(comm: &Comm) -> Vec<String> {
         let a = algo.build();
         let mut buf: Vec<f32> =
             (0..LEN).map(|i| contribution(comm.rank(), i, SEED)).collect();
-        a.run(comm, &mut buf);
+        a.try_run(comm, &mut buf)?;
         // CRC-32 over the exact bit patterns: matches only when two
         // results are bitwise identical.
         let crc = !crc32_f32(!0, &buf);
-        let all = allgather_bytes(comm, crc.to_le_bytes().to_vec());
+        let all = try_allgather_bytes(comm, crc.to_le_bytes().to_vec())?;
         for (r, b) in all.iter().enumerate() {
             let theirs = u32::from_le_bytes(b.as_slice().try_into().expect("4"));
             assert_eq!(
@@ -105,12 +109,12 @@ pub fn allreduce_workload(comm: &Comm) -> Vec<String> {
     let mut mine = Vec::with_capacity(16);
     mine.extend_from_slice(&s.bytes_sent.to_le_bytes());
     mine.extend_from_slice(&s.msgs_sent.to_le_bytes());
-    for (r, b) in allgather_bytes(comm, mine).iter().enumerate() {
+    for (r, b) in try_allgather_bytes(comm, mine)?.iter().enumerate() {
         let bytes = u64::from_le_bytes(b[0..8].try_into().expect("8"));
         let msgs = u64::from_le_bytes(b[8..16].try_into().expect("8"));
         lines.push(format!("stats rank={r} bytes_sent={bytes} msgs_sent={msgs}"));
     }
-    lines
+    Ok(lines)
 }
 
 /// What sets one `*-epoch` workload's training run apart from the others;
@@ -154,7 +158,7 @@ fn train_epochs(
     comm: &Comm,
     spec: &EpochSpec,
     overrides: impl FnOnce(&mut TrainConfig, &RuntimeConfig),
-) -> Vec<EpochStats> {
+) -> Result<Vec<EpochStats>, CommError> {
     let ds = SynthImageNet::new(epoch_synth(spec.train_per_class, spec.val_per_class));
     let rt = runtime();
     let mut cfg = TrainConfig::from_runtime(comm.size(), 2, 4, spec.epochs, &rt);
@@ -170,7 +174,7 @@ fn train_epochs(
     };
     overrides(&mut cfg, &rt);
     let (base_width, seed) = spec.model;
-    train_on_comm(comm, &cfg, &ds, &|| {
+    try_train_on_comm(comm, &cfg, &ds, &|| {
         crate::models::resnet::ResNetConfig {
             blocks: vec![1],
             base_width,
@@ -196,7 +200,7 @@ fn epoch_lines(stats: &[EpochStats]) -> Vec<String> {
 /// One epoch of the quickstart training run (scaled ResNet, DIMD
 /// partitions with the cross-node shuffle on, multicolor allreduce) on
 /// however many ranks the cluster has.
-pub fn quickstart_epoch_workload(comm: &Comm) -> Vec<String> {
+pub fn quickstart_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let spec = EpochSpec {
         train_per_class: 24,
         val_per_class: 8,
@@ -204,7 +208,7 @@ pub fn quickstart_epoch_workload(comm: &Comm) -> Vec<String> {
         model: QUICKSTART_MODEL,
         shuffle_every: 1,
     };
-    epoch_lines(&train_epochs(comm, &spec, |_, _| {}))
+    Ok(epoch_lines(&train_epochs(comm, &spec, |_, _| {})?))
 }
 
 /// One epoch of overlap-aware training: a wider ResNet than the quickstart
@@ -219,7 +223,7 @@ pub fn quickstart_epoch_workload(comm: &Comm) -> Vec<String> {
 /// line reports the cluster-wide high-water mark of concurrently in-flight
 /// bucket reduces — the observable proof that the overlap engine actually
 /// overlapped.
-pub fn bucketed_epoch_workload(comm: &Comm) -> Vec<String> {
+pub fn bucketed_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let spec = EpochSpec {
         train_per_class: 12,
         val_per_class: 4,
@@ -227,11 +231,11 @@ pub fn bucketed_epoch_workload(comm: &Comm) -> Vec<String> {
         model: WIDE_MODEL,
         shuffle_every: 0,
     };
-    let stats = train_epochs(comm, &spec, |_, _| {});
+    let stats = train_epochs(comm, &spec, |_, _| {})?;
     let mut lines = epoch_lines(&stats);
     let hwm = stats.iter().map(|s| s.async_inflight_hwm).max().unwrap_or(0);
     lines.push(format!("inflight_hwm={hwm}"));
-    lines
+    Ok(lines)
 }
 
 /// Two epochs of backward-hook overlap training on the wide ResNet. Same
@@ -242,7 +246,7 @@ pub fn bucketed_epoch_workload(comm: &Comm) -> Vec<String> {
 /// `epoch` lines agree bitwise across all three, and asserts the hooked
 /// schedule hides strictly more reduce time than the end-of-backward drain
 /// schedule. The trailing `inflight_hwm=` line proves reduces overlapped.
-pub fn overlap_epoch_workload(comm: &Comm) -> Vec<String> {
+pub fn overlap_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let spec = EpochSpec {
         train_per_class: 12,
         val_per_class: 4,
@@ -250,13 +254,13 @@ pub fn overlap_epoch_workload(comm: &Comm) -> Vec<String> {
         model: WIDE_MODEL,
         shuffle_every: 0,
     };
-    let stats = train_epochs(comm, &spec, |_, _| {});
+    let stats = train_epochs(comm, &spec, |_, _| {})?;
     let mut lines = epoch_lines(&stats);
     let overlap = stats.iter().map(|s| s.overlap_frac).fold(0.0, f64::max);
     let hwm = stats.iter().map(|s| s.async_inflight_hwm).max().unwrap_or(0);
     lines.push(format!("overlap_frac={overlap:.6}"));
     lines.push(format!("inflight_hwm={hwm}"));
-    lines
+    Ok(lines)
 }
 
 /// Failure-path workload for the fault-injection harness: three epochs of
@@ -268,7 +272,7 @@ pub fn overlap_epoch_workload(comm: &Comm) -> Vec<String> {
 /// TCP run is expected to die — the victim via `abort()`, every survivor
 /// with a structured `PeerDead` report naming it — which is exactly what
 /// `tests/transport_process.rs` and the `ci.sh` fault smoke assert on.
-pub fn fault_epoch_workload(comm: &Comm) -> Vec<String> {
+pub fn fault_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let spec = EpochSpec {
         train_per_class: 24,
         val_per_class: 4,
@@ -276,7 +280,7 @@ pub fn fault_epoch_workload(comm: &Comm) -> Vec<String> {
         model: QUICKSTART_MODEL,
         shuffle_every: 0,
     };
-    epoch_lines(&train_epochs(comm, &spec, |_, _| {}))
+    Ok(epoch_lines(&train_epochs(comm, &spec, |_, _| {})?))
 }
 
 /// Two epochs of the wide ResNet on the ring-reduce-scatter algorithm,
@@ -291,7 +295,7 @@ pub fn fault_epoch_workload(comm: &Comm) -> Vec<String> {
 /// gather each rank's measured parameter and optimizer residency: the
 /// sharded run's `opt_bytes` must shrink by ~world-size ×, which is the
 /// strategy's memory win, measured.
-pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
+pub fn sharded_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let spec = EpochSpec {
         train_per_class: 24,
         val_per_class: 4,
@@ -301,7 +305,7 @@ pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
     };
     let stats = train_epochs(comm, &spec, |cfg, _| {
         cfg.algo = AllreduceAlgo::RingReduceScatter.into();
-    });
+    })?;
     let mut lines = epoch_lines(&stats);
     // Gather the last epoch's measured residency from every rank so rank
     // 0's report carries the whole cluster's memory picture.
@@ -309,12 +313,12 @@ pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
     let mut mine = Vec::with_capacity(16);
     mine.extend_from_slice(&last.resident_param_bytes.to_le_bytes());
     mine.extend_from_slice(&last.resident_opt_bytes.to_le_bytes());
-    for (r, b) in allgather_bytes(comm, mine).iter().enumerate() {
+    for (r, b) in try_allgather_bytes(comm, mine)?.iter().enumerate() {
         let param = u64::from_le_bytes(b[0..8].try_into().expect("8"));
         let opt = u64::from_le_bytes(b[8..16].try_into().expect("8"));
         lines.push(format!("resident rank={r} param_bytes={param} opt_bytes={opt}"));
     }
-    lines
+    Ok(lines)
 }
 
 /// Three epochs of the wide ResNet under the self-tuning collective
@@ -329,7 +333,7 @@ pub fn sharded_epoch_workload(comm: &Comm) -> Vec<String> {
 /// `four_process_autotune_epoch_agrees_and_matches_fixed_bitwise` asserts
 /// that, plus bitwise-equal losses against a fixed run when the candidate
 /// set is pinned to one algorithm.
-pub fn autotune_epoch_workload(comm: &Comm) -> Vec<String> {
+pub fn autotune_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let spec = EpochSpec {
         train_per_class: 12,
         val_per_class: 4,
@@ -347,19 +351,19 @@ pub fn autotune_epoch_workload(comm: &Comm) -> Vec<String> {
         if rt.bucket_bytes.is_none() {
             cfg.bucket_bytes = 4096;
         }
-    });
+    })?;
     let mut lines = epoch_lines(&stats);
     // Gather every rank's final decision table so rank 0's report proves
     // (or disproves) cluster-wide agreement.
     let last = stats.last().expect("at least one epoch");
-    for (r, b) in allgather_bytes(comm, last.algo_choices.clone().into_bytes())
+    for (r, b) in try_allgather_bytes(comm, last.algo_choices.clone().into_bytes())?
         .iter()
         .enumerate()
     {
         let table = String::from_utf8_lossy(b);
         lines.push(format!("decisions rank={r} {table}"));
     }
-    lines
+    Ok(lines)
 }
 
 /// One `dcnn-eval` matrix cell on real OS processes: read the [`CellSpec`]
@@ -368,14 +372,14 @@ pub fn autotune_epoch_workload(comm: &Comm) -> Vec<String> {
 /// reduction fingerprint across every rank, and report rank 0's
 /// measurement as a single JSON line — the only stdout line, so the
 /// harness can parse it straight off `dcnn-launch`'s output.
-pub fn eval_cell_workload(comm: &Comm) -> Vec<String> {
+pub fn eval_cell_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let handshake = std::env::var(CELL_ENV).ok();
     let cell = CellSpec::from_handshake(handshake.as_deref(), comm.size())
         .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()));
     let m = cell
         .measure_on_comm(comm)
-        .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()));
-    for (r, b) in allgather_bytes(comm, m.fingerprint.to_le_bytes().to_vec())
+        .unwrap_or_else(|e| panic!("rank {}: {e}", comm.rank()))?;
+    for (r, b) in try_allgather_bytes(comm, m.fingerprint.to_le_bytes().to_vec())?
         .iter()
         .enumerate()
     {
@@ -388,7 +392,7 @@ pub fn eval_cell_workload(comm: &Comm) -> Vec<String> {
             comm.rank()
         );
     }
-    vec![m.to_json()]
+    Ok(vec![m.to_json()])
 }
 
 /// The dataset and shuffle parameters shared by the data-plane workloads
@@ -444,7 +448,7 @@ pub fn data_plane_partition(spec: &DataPlaneSpec, ds: &SynthImageNet, v: usize, 
 /// blob-server fleet instead of loading a partition in-process — and must
 /// print byte-identical `epoch` lines, which is the data plane's
 /// correctness contract (`tests/data_plane_process.rs` diffs exactly that).
-pub fn data_epoch_workload(comm: &Comm) -> Vec<String> {
+pub fn data_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let plane = data_plane_spec();
     let spec = EpochSpec {
         train_per_class: plane.synth.train_per_class,
@@ -457,8 +461,8 @@ pub fn data_epoch_workload(comm: &Comm) -> Vec<String> {
         cfg.quality = plane.quality;
         cfg.seed = plane.seed;
         cfg.shuffle_segment_bytes = plane.segment_bytes;
-    });
-    epoch_lines(&stats)
+    })?;
+    Ok(epoch_lines(&stats))
 }
 
 /// Data-plane soak: every rank is a pure *consumer* — no model, no SGD —
@@ -468,7 +472,7 @@ pub fn data_epoch_workload(comm: &Comm) -> Vec<String> {
 /// rank serves itself in-process from the same partitions. Both modes must
 /// emit identical `storm rank=` lines — the service can't lose, duplicate
 /// or reorder a batch without changing a crc.
-pub fn data_storm_workload(comm: &Comm) -> Vec<String> {
+pub fn data_storm_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     let spec = data_plane_spec();
     let ds = SynthImageNet::new(spec.synth.clone());
     let rt = runtime();
@@ -500,9 +504,9 @@ pub fn data_storm_workload(comm: &Comm) -> Vec<String> {
     let mut crc = !0u32;
     let mut batches = 0usize;
     for epoch in 0..spec.epochs {
-        source.begin_epoch(epoch);
+        source.try_begin_epoch(epoch)?;
         for _ in 0..iterations {
-            let (x, labels) = source.next_batch();
+            let (x, labels) = source.try_next_batch()?;
             crc = crc32_f32(crc, x.data());
             for l in &labels {
                 crc = crc32_update(crc, &(*l as u64).to_le_bytes());
@@ -511,7 +515,7 @@ pub fn data_storm_workload(comm: &Comm) -> Vec<String> {
         }
         let shuffle_due =
             spec.shuffle_every > 0 && (epoch + 1) % spec.shuffle_every == 0;
-        source.end_epoch(epoch, shuffle_due);
+        source.try_end_epoch(epoch, shuffle_due)?;
     }
     source.finish();
     let crc = !crc;
@@ -520,7 +524,7 @@ pub fn data_storm_workload(comm: &Comm) -> Vec<String> {
     let mut mine = Vec::with_capacity(12);
     mine.extend_from_slice(&(batches as u64).to_le_bytes());
     mine.extend_from_slice(&crc.to_le_bytes());
-    allgather_bytes(comm, mine)
+    Ok(try_allgather_bytes(comm, mine)?
         .iter()
         .enumerate()
         .map(|(r, b)| {
@@ -528,12 +532,17 @@ pub fn data_storm_workload(comm: &Comm) -> Vec<String> {
             let c = u32::from_le_bytes(b[8..12].try_into().expect("4"));
             format!("storm rank={r} batches={n_batches} crc={c:08x}")
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `w`'s lines on each rank of a two-rank threaded cluster.
+    fn on_threads(w: Workload) -> Vec<Vec<String>> {
+        dcnn_collectives::run_cluster(2, |c| w(c).expect("no peer dies"))
+    }
 
     #[test]
     fn registry_resolves_every_name() {
@@ -545,7 +554,7 @@ mod tests {
 
     #[test]
     fn allreduce_workload_reports_on_threads() {
-        let out = dcnn_collectives::run_cluster(2, allreduce_workload);
+        let out = on_threads(allreduce_workload);
         let lines = &out[0];
         let algos = AllreduceAlgo::all().len();
         assert_eq!(lines.len(), algos + 2, "{lines:?}");
@@ -558,7 +567,7 @@ mod tests {
 
     #[test]
     fn overlap_epoch_workload_reports_on_threads() {
-        let out = dcnn_collectives::run_cluster(2, overlap_epoch_workload);
+        let out = on_threads(overlap_epoch_workload);
         let lines = &out[0];
         assert_eq!(lines.len(), 4, "{lines:?}"); // two epochs + overlap + hwm
         assert!(lines[0].starts_with("epoch 0 loss="), "{lines:?}");
@@ -569,7 +578,7 @@ mod tests {
 
     #[test]
     fn sharded_epoch_workload_reports_on_threads() {
-        let out = dcnn_collectives::run_cluster(2, sharded_epoch_workload);
+        let out = on_threads(sharded_epoch_workload);
         let lines = &out[0];
         assert_eq!(lines.len(), 4, "{lines:?}"); // two epochs + two resident lines
         assert!(lines[0].starts_with("epoch 0 loss="), "{lines:?}");
@@ -581,7 +590,7 @@ mod tests {
 
     #[test]
     fn autotune_epoch_workload_converges_and_agrees_on_threads() {
-        let out = dcnn_collectives::run_cluster(2, autotune_epoch_workload);
+        let out = on_threads(autotune_epoch_workload);
         let lines = &out[0];
         assert_eq!(lines.len(), 5, "{lines:?}"); // three epochs + two decisions lines
         assert!(lines[0].starts_with("epoch 0 loss="), "{lines:?}");
@@ -597,7 +606,7 @@ mod tests {
 
     #[test]
     fn eval_cell_workload_emits_one_json_measurement_per_rank() {
-        let out = dcnn_collectives::run_cluster(2, eval_cell_workload);
+        let out = on_threads(eval_cell_workload);
         for lines in &out {
             assert_eq!(lines.len(), 1, "{lines:?}");
         }
@@ -614,7 +623,7 @@ mod tests {
 
     #[test]
     fn bucketed_epoch_workload_reports_on_threads() {
-        let out = dcnn_collectives::run_cluster(2, bucketed_epoch_workload);
+        let out = on_threads(bucketed_epoch_workload);
         let lines = &out[0];
         assert_eq!(lines.len(), 2, "{lines:?}"); // one epoch + hwm line
         assert!(lines[0].starts_with("epoch 0 loss="), "{lines:?}");

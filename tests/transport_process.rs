@@ -41,7 +41,7 @@ fn four_process_allreduce_matches_threaded_run() {
         .map(str::to_string)
         .collect();
 
-    let threaded = dcnn_collectives::run_cluster(4, allreduce_workload);
+    let threaded = dcnn_collectives::run_cluster(4, |c| allreduce_workload(c).expect("no peer dies"));
     assert_eq!(
         tcp_lines, threaded[0],
         "spawned-process TCP report diverged from the threaded backend"
@@ -63,7 +63,7 @@ fn two_process_quickstart_epoch_matches_threaded_run() {
     let tcp_report = String::from_utf8(out.stdout).expect("utf8 report");
 
     let work = workload("quickstart-epoch").expect("registered");
-    let threaded = dcnn_collectives::run_cluster(2, work);
+    let threaded = dcnn_collectives::run_cluster(2, |c| work(c).expect("no peer dies"));
     let threaded_report: String =
         threaded[0].iter().map(|l| format!("{l}\n")).collect();
     assert_eq!(
@@ -90,7 +90,7 @@ fn two_process_overlap_epoch_matches_threaded_run() {
     }
 
     let work = workload("overlap-epoch").expect("registered");
-    let threaded = dcnn_collectives::run_cluster(2, work);
+    let threaded = dcnn_collectives::run_cluster(2, |c| work(c).expect("no peer dies"));
     let threaded_epochs: Vec<String> = threaded[0]
         .iter()
         .filter(|l| l.starts_with("epoch "))
