@@ -182,12 +182,13 @@ if ! ls target/bench-smoke/BENCH_*.json >/dev/null 2>&1; then
     exit 1
 fi
 
-# Scenario-matrix evaluation smoke: a tiny {ring, multicolor:2} × {4 KiB,
-# 256 KiB} × {fused, 64 KiB hooked, 64 KiB drain} matrix over both the
-# threaded fabric and real 2-rank TCP processes (dcnn-eval re-launches
+# Scenario-matrix evaluation smoke: a tiny {ring, multicolor:2, auto} ×
+# {4 KiB, 256 KiB} × {fused, 64 KiB hooked, 64 KiB drain} matrix over both
+# the threaded fabric and real 2-rank TCP processes (dcnn-eval re-launches
 # dcnn-launch per TCP cell), so the trainer's GradStream hooked and drain
-# paths run over sockets too. DCNN_FAULT is exported around the sweep: a
-# cell is described by its spec alone, so no clean cell may see it. Asserts
+# paths and auto's decision step run over sockets too. DCNN_FAULT is
+# exported around the sweep: a cell is described by its spec alone, so no
+# clean cell may see it. Asserts
 # every row carries the dcnn-eval-v1 schema, no cell failed, the fused,
 # hooked and drain rows of each (algo, payload, transport) reduced to the
 # same bits, the report names a winner for each of the four size classes,
@@ -195,14 +196,14 @@ fi
 echo "+ eval matrix smoke (dcnn-eval, threads + 2-rank tcp, ambient DCNN_FAULT)"
 rm -rf target/eval-smoke
 export DCNN_FAULT=drop-link=0:1
-run ./target/release/dcnn-eval --algos ring,multicolor:2 --worlds 2 \
+run ./target/release/dcnn-eval --algos ring,multicolor:2,auto --worlds 2 \
     --payloads 4096,262144 --bucketings fused,65536:hooked,65536:drain \
     --transports threads,tcp --iters 2 \
     --out target/eval-smoke --launch ./target/release/dcnn-launch
 unset DCNN_FAULT
 rows=$(ls target/eval-smoke/cell-*.json 2>/dev/null | wc -l)
-if [ "$rows" -ne 24 ]; then
-    echo "ci.sh: expected 24 eval rows in target/eval-smoke, found $rows" >&2
+if [ "$rows" -ne 36 ]; then
+    echo "ci.sh: expected 36 eval rows in target/eval-smoke, found $rows" >&2
     exit 1
 fi
 if grep -L '"schema": "dcnn-eval-v1"' target/eval-smoke/cell-*.json | grep -q .; then
@@ -216,14 +217,14 @@ if grep -q '"error": "' target/eval-smoke/cell-*.json; then
     exit 1
 fi
 # One "algo/wN/pBYTES/transport fingerprint" line per row, the bucketing
-# segment of the id dropped: 8 distinct lines means each group's fused,
+# segment of the id dropped: 12 distinct lines means each group's fused,
 # hooked and drain rows agree.
 fingerprints=$(for f in target/eval-smoke/cell-*.json; do
     id=$(sed -n 's/^  "id": "\(.*\)",$/\1/p' "$f")
     fp=$(sed -n 's/^  "fingerprint": \([0-9]*\),$/\1/p' "$f")
     echo "$(echo "$id" | awk -F/ '{ print $1 "/" $2 "/" $3 "/" $5 }') $fp"
 done | sort -u)
-if [ "$(echo "$fingerprints" | wc -l)" -ne 8 ]; then
+if [ "$(echo "$fingerprints" | wc -l)" -ne 12 ]; then
     echo "ci.sh: fused, hooked and drain eval cells disagree on the reduced bits:" >&2
     echo "$fingerprints" >&2
     exit 1

@@ -350,8 +350,8 @@ pub struct CommRow {
     pub async_inflight_hwm: u64,
     /// Milliseconds the rank spent blocked draining bucket handles.
     pub bucket_wait_ms: f64,
-    /// Nonblocking bucket reduces this rank completed (one timestamped
-    /// launch/done span each).
+    /// Nonblocking bucket reduces this rank completed (one launch-to-done
+    /// span each).
     pub bucket_spans: u64,
     /// Average bytes in flight across the rank's bucket-span window —
     /// what a bucket size target actually kept on the wire.
@@ -362,17 +362,18 @@ pub struct CommRow {
 /// threads on a `elems`-element buffer — through the trainer's
 /// [`GradSync`](dcnn_core::trainer::GradSync) as four buckets drained after
 /// backward, the exchange the bucketed trainer runs — and collect per-rank
-/// counters.
+/// counters (an `auto` policy's include its decision step).
 pub fn comm_rows(nodes: usize, elems: usize, policy: &AlgoPolicy) -> Vec<CommRow> {
-    use dcnn_core::collectives::{ClusterBuilder, CommStats};
+    use dcnn_core::collectives::ClusterBuilder;
     use dcnn_core::trainer::{cell::payload_segments, GradSync};
     let bucket_bytes = (elems / 4).max(1) * 4;
     let segments = payload_segments(elems, bucket_bytes);
     let run = ClusterBuilder::new(nodes).run(|c| {
         let mut grad = vec![c.rank() as f32 + 1.0; elems];
-        GradSync::with_policy(policy.clone(), &segments, bucket_bytes, false).reduce(c, &mut grad);
+        let mut sync = GradSync::with_policy(policy.clone(), &segments, bucket_bytes, false);
+        sync.decide(c).unwrap_or_else(|e| panic!("{e}"));
+        sync.reduce(c, &mut grad);
     });
-    let tuner = policy.tuner();
     run.stats
         .iter()
         .enumerate()
@@ -382,11 +383,11 @@ pub fn comm_rows(nodes: usize, elems: usize, policy: &AlgoPolicy) -> Vec<CommRow
             msgs_sent: s.msgs_sent,
             recv_wait_ms: s.recv_wait_ns as f64 / 1e6,
             stash_hwm: s.stash_hwm,
-            allreduce_ms: tuner.phase_ns(s) as f64 / 1e6,
+            allreduce_ms: policy.phase_ns(s) as f64 / 1e6,
             async_inflight_hwm: s.async_inflight_hwm,
             bucket_wait_ms: s.bucket_wait_ns as f64 / 1e6,
-            bucket_spans: s.bucket_spans.len() as u64,
-            inflight_bytes_avg: CommStats::inflight_bytes_avg(&s.bucket_spans),
+            bucket_spans: s.async_done,
+            inflight_bytes_avg: s.inflight_bytes_avg(),
         })
         .collect()
 }

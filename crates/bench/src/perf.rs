@@ -13,7 +13,7 @@
 //! file or with another run. What a ratio cannot see — a change that slows
 //! product and reference alike — is what `benchmark/`'s end-to-end bounds
 //! are for. Rows keep reporting the *minimum* ns per call (preemption and
-//! cache pollution only ever add time); rows with no reference (`tune/*`,
+//! cache pollution only ever add time); rows with no reference (`plan/*`,
 //! `sim/*`) are recorded for the trajectory and never gate.
 
 use std::fmt;
@@ -442,51 +442,6 @@ fn bench_conv(suite: &mut Suite) {
     );
 }
 
-/// The collective-tuner decision path: freezing the decision table from a
-/// cluster-agreed score table, and the per-bucket `select` that runs on
-/// every bucket launch once the table is frozen. Bookkeeping with nothing
-/// it replaced to be read against, so both rows are recorded and neither
-/// gates (`apply_agreed` allocates, and read +34…+74 % against a committed
-/// baseline whenever both cores were busy).
-fn bench_tuner(quick: bool, suite: &mut Suite) {
-    use dcnn_core::collectives::{AlgoPolicy, AllreduceAlgo, TunerConfig};
-
-    let reps = if quick { 5 } else { 9 };
-    let cfg = TunerConfig::with_candidates(vec![
-        AllreduceAlgo::PipelinedRing,
-        AllreduceAlgo::HalvingDoubling,
-        AllreduceAlgo::RecursiveDoubling,
-    ]);
-
-    // A synthetic agreed table: 64 size classes x 3 candidates of 16-byte
-    // wire entries, scores arranged so every class has a distinct argmin.
-    let table: Vec<(u32, u32, f64)> = (0..64u32)
-        .flat_map(|class| {
-            (0..3u32).map(move |cand| (class, cand, ((class * 7 + cand * 13) % 29) as f64 + 1.0))
-        })
-        .collect();
-
-    let mut tuner = AlgoPolicy::Auto(cfg).tuner();
-    let bytes = (table.len() * 16) as u64;
-    let iters = if quick { 1 << 9 } else { 1 << 11 };
-    let ns = min_ns_per_iter(reps, iters, || {
-        tuner.apply_agreed(black_box(&table));
-    });
-    suite.rows.push(row(format!("tune/apply_agreed/{}", table.len()), bytes, ns, false));
-
-    // Converged select: one decision per bucket launch, cycled over 16
-    // bucket sizes spanning the agreed classes.
-    let sizes: Vec<u64> = (6..22).map(|c| 1u64 << c).collect();
-    let iters = if quick { 1 << 11 } else { 1 << 13 };
-    let ns = min_ns_per_iter(reps, iters, || {
-        for (slot, &b) in sizes.iter().enumerate() {
-            let sel = tuner.select(slot, black_box(b), 4, false);
-            black_box(sel.candidate);
-        }
-    }) / sizes.len() as f64;
-    suite.rows.push(row(format!("tune/select_converged/{}", sizes.len()), 0, ns, false));
-}
-
 /// The simulator's own speed: schedule and simulate one 93 MB ring
 /// allreduce (GoogLeNet-BN's gradient) across 16 Minsky nodes — what every
 /// figure experiment does many times over.
@@ -529,7 +484,6 @@ pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     bench_decode(&mut suite);
     bench_gemm(&mut suite);
     bench_conv(&mut suite);
-    bench_tuner(quick, &mut suite);
     bench_plan(quick, &mut suite);
     bench_sim(quick, &mut suite);
     let Suite { rows, pairs } = suite;
@@ -600,19 +554,10 @@ mod tests {
     #[test]
     fn rows_without_a_reference_make_no_pair() {
         let mut suite = Suite::default();
-        bench_tuner(true, &mut suite);
         bench_plan(true, &mut suite);
         bench_sim(true, &mut suite);
         let names: Vec<&str> = suite.rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "tune/apply_agreed/192",
-                "tune/select_converged/16",
-                "plan/reduce_scatter/n16",
-                "sim/allreduce_ring_16nodes/93MB"
-            ]
-        );
+        assert_eq!(names, ["plan/reduce_scatter/n16", "sim/allreduce_ring_16nodes/93MB"]);
         assert!(suite.rows.iter().all(|r| !r.tracked && r.ns_per_iter > 0.0));
         assert!(suite.pairs.is_empty());
     }

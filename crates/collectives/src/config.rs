@@ -493,9 +493,10 @@ mod tests {
         assert_eq!(cfg.shard_optim, Some(true));
         assert_eq!(
             cfg.algo,
-            Some(crate::tune::AlgoPolicy::Auto(crate::tune::TunerConfig::with_candidates(
-                vec![crate::AllreduceAlgo::MultiColor(2), crate::AllreduceAlgo::PipelinedRing]
-            )))
+            Some(crate::tune::AlgoPolicy::Auto(vec![
+                crate::AllreduceAlgo::MultiColor(2),
+                crate::AllreduceAlgo::PipelinedRing
+            ]))
         );
     }
 
@@ -506,7 +507,7 @@ mod tests {
         let fixed = from_map(&[("DCNN_ALGO", "hierarchical:8")]).expect("parses");
         assert_eq!(fixed.algo, Some(AlgoPolicy::Fixed(AllreduceAlgo::Hierarchical(8))));
         let auto = from_map(&[("DCNN_ALGO", "auto")]).expect("parses");
-        assert_eq!(auto.algo, Some(AlgoPolicy::Auto(Default::default())));
+        assert_eq!(auto.algo, Some(AlgoPolicy::Auto(AllreduceAlgo::all())));
         for bad in ["warp-speed", "ring:4", "auto:", "auto:ring,", "multicolor:0"] {
             let err = from_map(&[("DCNN_ALGO", bad)])
                 .expect_err(&format!("{bad:?} must be rejected"));

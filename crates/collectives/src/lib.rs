@@ -66,10 +66,10 @@ pub use config::{ConfigError, FaultSpec, OverlapMode, RuntimeConfig};
 pub use measurement::CellMeasurement;
 pub use plan::Step;
 pub use runtime::{
-    run_cluster, try_run_tcp_rank_with, BucketSpan, ClusterBuilder, ClusterRun, CollectiveOp,
-    Comm, CommError, CommStats, PendingReduce, ProcessRun,
+    run_cluster, try_run_tcp_rank_with, ClusterBuilder, ClusterRun, CollectiveOp, Comm, CommError,
+    CommStats, PendingReduce, ProcessRun,
 };
 pub use trace::{render_trace, write_trace_json, TraceEvent, TraceEventKind};
 pub use transport::{crc32, crc32_f32, Payload, Transport, TransportKind};
 pub use tree::ColorTree;
-pub use tune::{agree_scores, AlgoPolicy, ScoreEntry, Selection, Tuner, TunerConfig};
+pub use tune::{size_class, AlgoPolicy, Decision};

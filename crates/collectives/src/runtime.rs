@@ -53,7 +53,8 @@
 //! recording (see [`crate::trace`]); the runtime always keeps cheap per-rank
 //! counters — bytes/messages sent and received, time spent blocked in
 //! receives, stash high-water mark, async launches and their in-flight
-//! high-water mark, time spent draining async reduces, and per-phase timings
+//! high-water mark, the completed launches' bytes × time in flight, time
+//! spent draining async reduces, and per-phase timings
 //! via [`Comm::phase`] — returned as [`CommStats`] in [`ClusterRun::stats`]
 //! and queryable mid-run with [`Comm::stats`].
 
@@ -221,9 +222,16 @@ struct RankLocal {
     /// counts loopback self-sends). The per-link view of `bytes_sent`, for
     /// cross-checking real link utilization against the simulator's.
     link_sent: Vec<AtomicU64>,
-    /// Launch/complete timestamps of the async bucket reduces completed
-    /// since the last [`Comm::take_bucket_spans`], in completion order.
-    bucket_spans: Mutex<Vec<BucketSpan>>,
+    /// Async collectives completed (each one launch-to-done span).
+    async_done: AtomicU64,
+    /// Σ payload bytes × nanoseconds in flight over the completed async
+    /// collectives, saturating.
+    async_byte_ns: AtomicU64,
+    /// Earliest launch and latest completion of a completed async
+    /// collective, in nanoseconds since cluster start (`u64::MAX` / 0
+    /// until one completes).
+    async_first_launch_ns: AtomicU64,
+    async_last_done_ns: AtomicU64,
     /// Inclusive per-phase wall time: `(label, ns, entries)`.
     phases: Mutex<Vec<(&'static str, u64, u64)>>,
     events: Mutex<Vec<TraceEvent>>,
@@ -252,7 +260,10 @@ impl RankLocal {
             gather_bytes: AtomicU64::new(0),
             gather_wait_ns: AtomicU64::new(0),
             link_sent: (0..world).map(|_| AtomicU64::new(0)).collect(),
-            bucket_spans: Mutex::new(Vec::new()),
+            async_done: AtomicU64::new(0),
+            async_byte_ns: AtomicU64::new(0),
+            async_first_launch_ns: AtomicU64::new(u64::MAX),
+            async_last_done_ns: AtomicU64::new(0),
             phases: Mutex::new(Vec::new()),
             events: Mutex::new(Vec::new()),
         }
@@ -302,7 +313,12 @@ impl RankLocal {
             gather_bytes: self.gather_bytes.load(Relaxed),
             gather_wait_ns: self.gather_wait_ns.load(Relaxed),
             link_bytes_sent: self.link_sent.iter().map(|a| a.load(Relaxed)).collect(),
-            bucket_spans: self.bucket_spans.lock().expect("bucket spans").clone(),
+            async_done: self.async_done.load(Relaxed),
+            async_byte_ns: self.async_byte_ns.load(Relaxed),
+            async_window_ns: self
+                .async_last_done_ns
+                .load(Relaxed)
+                .saturating_sub(self.async_first_launch_ns.load(Relaxed)),
             phase_ns: self
                 .phases
                 .lock()
@@ -321,29 +337,6 @@ impl RankLocal {
             self.shared.trace_sink.lock().expect("trace sink").append(&mut events);
         }
         self.shared.stats_sink.lock().expect("stats sink")[self.rank] = self.snapshot();
-    }
-}
-
-/// Launch/complete timestamps of one async bucket reduce, for bandwidth
-/// measurement (the tuner) and `repro comm` reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BucketSpan {
-    /// Launch sequence number on the parent communicator.
-    pub seq: u64,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Nanoseconds since cluster start when the launch was submitted.
-    pub launch_ns: u64,
-    /// Nanoseconds since cluster start when the reduce completed.
-    pub done_ns: u64,
-    /// The sealing gradient segment, when the launcher supplied one.
-    pub label: String,
-}
-
-impl BucketSpan {
-    /// Wall nanoseconds the bucket was in flight.
-    pub fn duration_ns(&self) -> u64 {
-        self.done_ns.saturating_sub(self.launch_ns)
     }
 }
 
@@ -391,10 +384,14 @@ pub struct CommStats {
     /// `bytes_sent`; the per-link resolution is what the real-vs-simnet
     /// cross-check compares against [`dcnn_simnet`]'s `link_bytes`.
     pub link_bytes_sent: Vec<u64>,
-    /// Launch/complete timestamps per async bucket reduce not yet drained
-    /// by [`Comm::take_bucket_spans`], in completion order — the raw data
-    /// behind bandwidth measurement.
-    pub bucket_spans: Vec<BucketSpan>,
+    /// Async collectives completed, each one launch-to-done span.
+    pub async_done: u64,
+    /// Σ payload bytes × nanoseconds in flight over those spans
+    /// (saturating at `u64::MAX`).
+    pub async_byte_ns: u64,
+    /// Nanoseconds from the earliest span's launch to the latest one's
+    /// completion; 0 before one completes.
+    pub async_window_ns: u64,
     /// Inclusive wall time per [`Comm::phase`] label: `(label, ns, entries)`.
     /// Nested phases both accumulate, so times are inclusive.
     pub phase_ns: Vec<(String, u64, u64)>,
@@ -443,20 +440,12 @@ impl CommStats {
         *peers.iter().max().expect("non-empty") as f64 / mean
     }
 
-    /// Time-averaged bytes in flight across the async bucket reduces in
-    /// `spans`: Σ(bytes × duration) over the window from the earliest
+    /// Time-averaged bytes in flight across the completed async
+    /// collectives: Σ(bytes × duration) over the window from the earliest
     /// launch to the latest completion (`repro comm` prints it). Returns 0
     /// when the window is empty or instantaneous.
-    pub fn inflight_bytes_avg(spans: &[BucketSpan]) -> u64 {
-        let start = spans.iter().map(|s| s.launch_ns).min().unwrap_or(0);
-        let end = spans.iter().map(|s| s.done_ns).max().unwrap_or(0);
-        let window = end.saturating_sub(start) as u128;
-        if window == 0 {
-            return 0;
-        }
-        let byte_ns: u128 =
-            spans.iter().map(|s| s.bytes as u128 * s.duration_ns() as u128).sum();
-        (byte_ns / window) as u64
+    pub fn inflight_bytes_avg(&self) -> u64 {
+        self.async_byte_ns.checked_div(self.async_window_ns).unwrap_or(0)
     }
 }
 
@@ -555,14 +544,6 @@ impl Comm {
         self.local.snapshot()
     }
 
-    /// Drain the spans of the async bucket reduces completed since the last
-    /// call (all of this rank's communicator handles share one list). The
-    /// per-epoch consumer — the tuner — reads through this, so a long
-    /// bucketed run holds one epoch's spans at most.
-    pub fn take_bucket_spans(&self) -> Vec<BucketSpan> {
-        std::mem::take(&mut *self.local.bucket_spans.lock().expect("bucket spans"))
-    }
-
     /// Start a labeled timing phase; the elapsed wall time is added to this
     /// rank's [`CommStats::phase_ns`] when the returned guard drops. Phases
     /// may nest (times are inclusive).
@@ -651,12 +632,17 @@ impl Comm {
         self.recv(src, tag).unwrap_or_else(|e| panic!("{e}")).into_bytes()
     }
 
-    /// Dissemination barrier over this communicator (⌈log₂ n⌉ rounds),
-    /// panicking with the report if a peer is dead.
+    /// [`Comm::try_barrier`], panicking with the report if a peer is dead.
     pub fn barrier(&self) {
+        self.try_barrier().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Dissemination barrier over this communicator (⌈log₂ n⌉ rounds), or
+    /// the [`CommError`] of a dead peer.
+    pub fn try_barrier(&self) -> Result<(), CommError> {
         let n = self.size();
         if n <= 1 {
-            return;
+            return Ok(());
         }
         let _phase = self.phase("barrier");
         let mut step = 1usize;
@@ -667,10 +653,11 @@ impl Comm {
             // needed before the subtraction.
             let from = (self.my_index + n - step) % n;
             self.send_raw(to, TAG_INTERNAL + 1 + round, Payload::bytes(Vec::new()));
-            self.recv_raw(from, TAG_INTERNAL + 1 + round).unwrap_or_else(|e| panic!("{e}"));
+            self.recv_raw(from, TAG_INTERNAL + 1 + round)?;
             step <<= 1;
             round += 1;
         }
+        Ok(())
     }
 
     /// Blocking counts-based ring reduce-scatter: `counts[r]` contiguous

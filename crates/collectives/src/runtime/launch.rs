@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use super::{BucketSpan, Comm, CommError, ConsumerId, RankLocal};
+use super::{Comm, CommError, ConsumerId, RankLocal};
 use crate::algorithms::Allreduce;
 use crate::plan::{self, Step};
 use crate::trace::TraceEventKind;
@@ -63,8 +63,8 @@ impl CollectiveOp {
 
     /// Attach a human-readable attribution — the gradient segment that
     /// sealed this bucket. A launched op carries it into deadlock-watchdog
-    /// reports (`rank 0 [bucket 3, sealed by conv1.w]`), [`super::CommError`]
-    /// and the bucket's [`BucketSpan`]; it has no effect on the collective.
+    /// reports (`rank 0 [bucket 3, sealed by conv1.w]`) and
+    /// [`super::CommError`]; it has no effect on the collective.
     pub fn labeled(mut self, label: Arc<str>) -> Self {
         self.label = Some(label);
         self
@@ -296,13 +296,14 @@ impl Comm {
             job_local.async_comm_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
             job_local.async_inflight.fetch_sub(1, Relaxed);
             job_local.trace(TraceEventKind::AsyncDone, sub.comm_id, seq as u32, None, bucket.len() * 4);
-            job_local.bucket_spans.lock().expect("bucket spans").push(BucketSpan {
-                seq,
-                bytes: (bucket.len() * 4) as u64,
-                launch_ns,
-                done_ns: job_local.shared.now_ns(),
-                label: op.label.as_deref().unwrap_or("").to_string(),
-            });
+            let done_ns = job_local.shared.now_ns();
+            let byte_ns = ((bucket.len() * 4) as u64).saturating_mul(done_ns - launch_ns);
+            job_local.async_done.fetch_add(1, Relaxed);
+            let _ = job_local
+                .async_byte_ns
+                .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_add(byte_ns)));
+            job_local.async_first_launch_ns.fetch_min(launch_ns, Relaxed);
+            job_local.async_last_done_ns.fetch_max(done_ns, Relaxed);
             let _ = done_tx.send(res.map(|()| bucket));
         }));
         PendingReduce {

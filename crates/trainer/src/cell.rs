@@ -169,12 +169,12 @@ impl CellSpec {
 
     /// Execute this cell on a live communicator and time it. Collective:
     /// every rank calls this with the identical spec. One [`GradSync`]
-    /// runs every iteration, and each iteration ends at the tuner's epoch
-    /// boundary. An `auto` cell first runs its probe epochs untimed, so
-    /// the timed iterations — seeded like a fixed cell's — run the frozen
-    /// table, as training after its first epochs does. The returned
-    /// fingerprint is asserted identical across ranks by the caller (the
-    /// `eval-cell` workload allgathers it).
+    /// runs every iteration. An `auto` cell makes its decision
+    /// ([`GradSync::decide`]) before the timed iterations, as training
+    /// does before its first step, so those iterations — seeded like a
+    /// fixed cell's — run the decided table. The returned fingerprint is
+    /// asserted identical across ranks by the caller (the `eval-cell`
+    /// workload allgathers it).
     ///
     /// The outer error is a spec that names no policy, found before any
     /// communication; the inner one a peer that died mid-cell.
@@ -182,28 +182,27 @@ impl CellSpec {
         &self,
         comm: &Comm,
     ) -> Result<Result<CellMeasurement, CommError>, String> {
+        self.policy().map(|policy| self.measure(comm, policy))
+    }
+
+    /// [`CellSpec::measure_on_comm`] under the parsed `policy`.
+    fn measure(&self, comm: &Comm, policy: AlgoPolicy) -> Result<CellMeasurement, CommError> {
         let elems = self.elems();
-        let bytes = (elems * 4) as u64;
         let segments = payload_segments(elems, self.bucket_bytes);
-        let policy = self.policy()?;
-        let warmup = match &policy {
-            AlgoPolicy::Auto(cfg) => cfg.probe_epochs,
-            AlgoPolicy::Fixed(_) => 0,
-        };
-        let sync = GradSync::with_policy(policy, &segments, self.bucket_bytes, false);
+        let mut sync = GradSync::with_policy(policy, &segments, self.bucket_bytes, false);
+        sync.decide(comm)?;
         let hooked = self.bucket_bytes > 0 && self.overlap == "hooked";
-        // Spans from whatever ran on this rank before the cell are not the
-        // tuner's to score.
-        comm.take_bucket_spans();
-        // One exchange of `buf` and its epoch boundary; the exchange's
-        // wall time in ns.
-        let exchange = |buf: &mut [f32]| -> Result<u64, CommError> {
+        let start_stats = comm.stats();
+        let mut best_ns = u64::MAX;
+        let mut fingerprint = 0u32;
+        for iter in 0..self.iters.max(1) {
+            let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
             let t0 = Instant::now();
             let mut stream = sync.begin(comm);
             if hooked {
                 let mut sink = 0.0f32;
                 for seg in segments.iter().rev() {
-                    stream.segment_ready(buf, seg.offset, seg.len);
+                    stream.segment_ready(&buf, seg.offset, seg.len);
                     // A small fixed busywork quantum per report, like a
                     // layer's backward pass running while the reduce is in
                     // flight.
@@ -213,41 +212,26 @@ impl CellSpec {
                 }
                 std::hint::black_box(sink);
             }
-            stream.try_finish(buf)?;
-            let ns = t0.elapsed().as_nanos() as u64;
-            sync.tune_epoch_end(comm, &comm.take_bucket_spans())?;
-            Ok(ns)
-        };
-        let measure = || -> Result<CellMeasurement, CommError> {
-            for iter in 0..warmup {
-                exchange(&mut cell_fill(comm.global_rank(), elems, iter as u64))?;
-            }
-            let start_stats = comm.stats();
-            let mut best_ns = u64::MAX;
-            let mut fingerprint = 0u32;
-            for iter in 0..self.iters.max(1) {
-                let mut buf = cell_fill(comm.global_rank(), elems, iter as u64);
-                best_ns = best_ns.min(exchange(&mut buf)?);
-                fingerprint = !crc32_f32(!0, &buf);
-            }
-            Ok(CellMeasurement {
-                wall_ns: best_ns,
-                bytes,
-                link_bytes_sent: comm.stats().link_bytes_delta(&start_stats),
-                algo_choices: sync.choices_string(),
-                fingerprint,
-            })
-        };
-        Ok(measure())
+            stream.try_finish(&mut buf)?;
+            best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
+            fingerprint = !crc32_f32(!0, &buf);
+        }
+        Ok(CellMeasurement {
+            wall_ns: best_ns,
+            bytes: (elems * 4) as u64,
+            link_bytes_sent: comm.stats().link_bytes_delta(&start_stats),
+            algo_choices: sync.choices_string(),
+            fingerprint,
+        })
     }
 
     /// Predict this cell's single-iteration time by compiling the same
     /// algorithm(s) to schedules over the modelled fat-tree, one per bucket
     /// of the cut [`CellSpec::measure_on_comm`] exchanges. `auto` cells are
-    /// scored as their steady state: per bucket, the candidate with the
-    /// smallest simulated makespan.
+    /// scored per bucket by the candidate with the smallest simulated
+    /// makespan.
     pub fn simulate(&self, cost: &CostModel) -> Result<SimEstimate, String> {
-        let tuner = self.policy()?.tuner();
+        let policy = self.policy()?;
         let topo = dcnn_simnet::FatTree::minsky(self.world);
         let opts = dcnn_simnet::SimOptions::default();
         let run_one = |algo: &AllreduceAlgo, bytes: f64| {
@@ -258,12 +242,12 @@ impl CellSpec {
         let mut max_util: f64 = 0.0;
         let segments = payload_segments(self.elems(), self.bucket_bytes);
         for b in plan_buckets(&segments, self.bucket_bytes) {
-            let (secs, util) = tuner
+            let (secs, util) = policy
                 .candidates()
                 .iter()
                 .map(|a| run_one(a, b.bytes() as f64))
                 .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("a tuner has at least one candidate");
+                .expect("a policy has at least one candidate");
             sim_ns += secs * 1e9;
             max_util = max_util.max(util);
         }
@@ -426,7 +410,7 @@ mod tests {
         };
         let runs = measure(cell);
         for m in &runs {
-            assert!(m.algo_choices.contains("<="), "timed while probing: {:?}", m.algo_choices);
+            assert!(m.algo_choices.contains("<="), "timed undecided: {:?}", m.algo_choices);
             assert_eq!(m.fingerprint, runs[0].fingerprint, "ranks disagree");
         }
         // The timed iteration reduces the payload a fixed cell's does.

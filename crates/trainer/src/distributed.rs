@@ -39,9 +39,9 @@ pub struct TrainConfig {
     /// Epochs to run.
     pub epochs: usize,
     /// Inter-node allreduce policy: pin one algorithm
-    /// ([`AlgoPolicy::Fixed`]) or let a measurement-driven tuner pick per
-    /// bucket size ([`AlgoPolicy::Auto`]). Set it from `DCNN_ALGO` via
-    /// [`TrainConfig::apply_runtime`].
+    /// ([`AlgoPolicy::Fixed`]) or time candidates once before the first
+    /// step and keep the fastest per bucket size ([`AlgoPolicy::Auto`]).
+    /// Set it from `DCNN_ALGO` via [`TrainConfig::apply_runtime`].
     pub algo: AlgoPolicy,
     /// Data-parallel-table scheduling strategy.
     pub strategy: DptStrategy,
@@ -245,8 +245,8 @@ pub struct EpochStats {
     /// a rank whose peer runs ahead can drain each bucket instantly, so the
     /// overlap shows on the leading rank, not a fixed one).
     pub async_inflight_hwm: u64,
-    /// Bucket size target (bytes) the exchange used during this epoch
-    /// (adaptive sizing re-plans it *between* epochs; 0 = fused blocking).
+    /// Bucket size target (bytes) of the run's exchange (0 = fused
+    /// blocking).
     pub bucket_bytes: u64,
     /// Nonblocking bucket reduces this rank launched during the epoch
     /// (0 in fused blocking mode).
@@ -269,12 +269,11 @@ pub struct EpochStats {
     /// epoch (1.0 = perfectly balanced, ~world-1 = one hot link), maxed
     /// over all ranks; 0 when the epoch sent nothing.
     pub link_imbalance: f64,
-    /// The allreduce decision in effect when the epoch ended: the fixed
-    /// algorithm's name, `probe` while an auto tuner is still rotating
-    /// candidates, or the tuner's frozen per-size decision table
+    /// The allreduce decision the run trained with, made before epoch 0:
+    /// the fixed algorithm's name, or an `auto` policy's per-size table
     /// (`<=BYTES:algo` entries joined by `;` — comma-free so the metrics
-    /// CSV stays parseable). Identical on every rank (the table is
-    /// cluster-agreed before it is ever used).
+    /// CSV stays parseable). The same in every epoch and on every rank
+    /// (the table is cluster-agreed before it is ever used).
     pub algo_choices: String,
 }
 
@@ -568,6 +567,9 @@ fn train_epochs(st: TrainState<'_>) -> Result<(), CommError> {
         }
     })?;
 
+    // The algorithm per bucket, decided before epoch 0's counters open: a
+    // multi-candidate `auto` policy measures and agrees here, once.
+    gsync.decide(comm)?;
     for epoch in 0..cfg.epochs {
         progress.begin(epoch, comm.stats());
         source.try_begin_epoch(epoch)?;
@@ -662,18 +664,11 @@ fn train_epochs(st: TrainState<'_>) -> Result<(), CommError> {
             Some(vs) => validate(comm, exec, vs, cfg.crop)?,
             None => 0.0,
         };
-        let spans = comm.take_bucket_spans();
         let mut row =
             epoch_row(cfg, progress, &comm.stats(), gsync, me, measure_residency(exec, velocity));
         row.train_loss = l / (n * iterations) as f64;
         row.train_acc = c as f64 / cnt as f64;
         row.val_acc = val_acc;
-        // Tuner epoch boundary: fold the epoch's bucket spans into the
-        // measured table, and — on the epoch that closes the probe window —
-        // run the cluster agreement round that freezes the decision table.
-        // Every rank reaches this point on the same epoch with the same
-        // tuner state, so the embedded collective is matched.
-        row.algo_choices = gsync.tune_epoch_end(comm, &spans)?;
         // Cluster maxima: the leading rank is the one that gets to overlap
         // and the busiest link can sit on any rank.
         row.overlap_frac = allreduce_max_f64(comm, row.overlap_frac)?;
@@ -1067,9 +1062,8 @@ mod tests {
 
     #[test]
     fn bucket_spans_are_drained_every_epoch() {
-        // The epoch end takes the epoch's spans out of the communicator, so
-        // a long bucketed run holds (and `Comm::stats` copies) one epoch's
-        // worth at most — not every span since cluster start.
+        // Every bucket an epoch launched completes one span, nothing else
+        // launches, and the spans' bytes in flight average above zero.
         let ds = tiny_ds();
         let mut cfg = tiny_cfg(2, 3);
         cfg.bucket_bytes = 1024;
@@ -1078,7 +1072,8 @@ mod tests {
             .run(|comm| train_on_comm(comm, &cfg, &ds, &tiny_factory));
         for (epochs, stats) in run.results.iter().zip(&run.stats) {
             assert_eq!(stats.async_launched, 3 * epochs[0].buckets_launched);
-            assert!(stats.bucket_spans.len() as u64 <= epochs[0].buckets_launched);
+            assert_eq!(stats.async_done, stats.async_launched);
+            assert!(stats.inflight_bytes_avg() > 0);
         }
     }
 
@@ -1410,10 +1405,9 @@ mod tests {
     #[test]
     fn auto_policy_two_ranks_matches_fixed_bitwise_even_while_probing() {
         // At world size 2 every algorithm reduces a pair of values with one
-        // f32 addition, so the tuner can rotate candidates mid-probe and
-        // still produce the exact bits a fixed run does. The decision table
-        // must also leave the probe state and freeze real size classes.
-        use dcnn_collectives::TunerConfig;
+        // f32 addition, so whatever the decision picks produces the exact
+        // bits a fixed run does. The table holds real size classes from
+        // epoch 0 on.
         let ds = tiny_ds();
         let mut fixed = tiny_cfg(2, 4);
         fixed.algo = AllreduceAlgo::PipelinedRing.into();
@@ -1421,17 +1415,40 @@ mod tests {
         fixed.validate = false;
         fixed.shuffle_every_epochs = 0;
         let mut tuned = fixed.clone();
-        tuned.algo = AlgoPolicy::Auto(TunerConfig::with_candidates(vec![
-            AllreduceAlgo::PipelinedRing,
-            AllreduceAlgo::HalvingDoubling,
-        ]));
+        tuned.algo =
+            AlgoPolicy::Auto(vec![AllreduceAlgo::PipelinedRing, AllreduceAlgo::HalvingDoubling]);
         let sf = train_distributed(&fixed, &ds, tiny_factory);
         let st = train_distributed(&tuned, &ds, tiny_factory);
         assert_bitwise_trajectory(&sf, &st, "auto vs fixed at 2 ranks");
-        assert_eq!(st[0].algo_choices, "probe", "{:?}", st[0].algo_choices);
         let last = &st.last().expect("stats").algo_choices;
+        assert_eq!(&st[0].algo_choices, last, "the table changed after epoch 0");
         assert!(last.contains("<="), "table never froze: {last:?}");
         assert_eq!(sf.last().expect("stats").algo_choices, "ring");
+    }
+
+    #[test]
+    fn decided_auto_run_is_the_fixed_run_of_its_table_from_step_zero() {
+        // The decision runs before epoch 0 opens its counters, so a decided
+        // `auto` run is `Fixed` of its table from the first step: the same
+        // bits (at 4 ranks, where the candidates sum in different orders)
+        // and the same traffic in every epoch row.
+        let ds = tiny_ds();
+        let mut tuned = tiny_cfg(4, 2);
+        tuned.algo =
+            AlgoPolicy::Auto(vec![AllreduceAlgo::PipelinedRing, AllreduceAlgo::HalvingDoubling]);
+        let st = train_distributed(&tuned, &ds, tiny_factory);
+        // Fused: one bucket, one size class, one `<=BYTES:algo` entry.
+        let table = &st[0].algo_choices;
+        let (_, chosen) = table.split_once(':').expect("a decided table");
+        let mut fixed = tuned.clone();
+        fixed.algo = AlgoPolicy::Fixed(chosen.parse().expect("an algorithm"));
+        let sf = train_distributed(&fixed, &ds, tiny_factory);
+        assert_bitwise_trajectory(&sf, &st, &format!("auto ({table}) vs fixed {chosen}"));
+        for (f, t) in sf.iter().zip(&st) {
+            let traffic = |s: &EpochStats| (s.comm_bytes, s.comm_msgs);
+            assert_eq!(traffic(f), traffic(t), "epoch {}", f.epoch);
+            assert_eq!(&t.algo_choices, table, "epoch {}", t.epoch);
+        }
     }
 
     /// Rank 0's traffic and loss for one gradient-exchange mode: mode name,
@@ -1537,14 +1554,11 @@ mod tests {
     fn auto_policy_decisions_agree_across_four_ranks() {
         // The per-rank timings differ; the allgather+max merge must leave
         // every rank with the same table, hence the same choices string in
-        // every epoch row — including the probe epochs.
-        use dcnn_collectives::TunerConfig;
+        // every epoch row.
         let ds = tiny_ds();
         let mut cfg = tiny_cfg(4, 4);
-        cfg.algo = AlgoPolicy::Auto(TunerConfig::with_candidates(vec![
-            AllreduceAlgo::PipelinedRing,
-            AllreduceAlgo::HalvingDoubling,
-        ]));
+        cfg.algo =
+            AlgoPolicy::Auto(vec![AllreduceAlgo::PipelinedRing, AllreduceAlgo::HalvingDoubling]);
         cfg.bucket_bytes = 1024;
         cfg.validate = false;
         cfg.shuffle_every_epochs = 0;

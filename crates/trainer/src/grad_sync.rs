@@ -36,16 +36,20 @@
 //! [`crate::shard::ShardMap`] owner map: after the exchange only the
 //! caller's owned range is fully reduced, which is all the sharded
 //! optimizer reads before it allgathers the stepped parameters.
+//!
+//! The algorithm per bucket is decided once, before the first exchange:
+//! `Fixed` (and single-candidate `auto`) at construction, a multi-candidate
+//! `auto` policy by the collective [`GradSync::decide`] step, which times
+//! each candidate on each size class of the plan through the exchange's own
+//! op and path. After that every bucket has one op, and no step measures or
+//! agrees anything.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use dcnn_collectives::runtime::{
-    BucketSpan, CollectiveOp, Comm, CommError, CommStats, PendingReduce,
-};
-use dcnn_collectives::{quantize_f16, AlgoPolicy, Selection, Tuner};
+use dcnn_collectives::runtime::{CollectiveOp, Comm, CommError, CommStats, PendingReduce};
+use dcnn_collectives::{quantize_f16, size_class, AlgoPolicy, AllreduceAlgo, Decision};
 use dcnn_tensor::layers::ParamSegment;
 
 use crate::shard::ShardMap;
@@ -119,22 +123,23 @@ pub fn plan_buckets(segments: &[ParamSegment], bucket_bytes: usize) -> Vec<Bucke
     out
 }
 
-/// The gradient-exchange engine: owns the algorithm selector and the bucket
+/// The gradient-exchange engine: owns the algorithm decision and the bucket
 /// plan, and runs one exchange per training iteration.
 pub struct GradSync {
-    /// Picks the algorithm per bucket launch; a `Fixed` policy is a tuner
-    /// pinned to its one candidate. The `RefCell` keeps selection usable
-    /// from `&self` ([`GradStream`] holds a shared borrow while sealing).
-    tuner: RefCell<Tuner>,
+    policy: AlgoPolicy,
+    /// The algorithm per bucket size; `None` until [`GradSync::decide`]
+    /// for a multi-candidate `auto` policy.
+    decision: Option<Decision>,
     segments: Vec<ParamSegment>,
     buckets: Vec<Bucket>,
     bucket_bytes: usize,
     fp16: bool,
     shards: Option<ShardMap>,
-    /// The sharded strategy's reduce-scatter op per (bucket, tuner
-    /// candidate). An op plans on its first run and its clones share the
-    /// plan, so every step after the first launches without planning.
-    scatter_ops: RefCell<HashMap<(usize, usize), CollectiveOp>>,
+    /// One op per bucket, from the decision: an allreduce, or the sharded
+    /// strategy's reduce-scatter, which plans on its first run and whose
+    /// clones share the plan, so every step after the first launches
+    /// without planning. Empty while undecided.
+    ops: Vec<CollectiveOp>,
     /// One payload buffer per bucket: a seal copies the bucket into it and
     /// hands it to the launch, `finish` puts it back after the copy-back,
     /// so after the first exchange a seal allocates nothing.
@@ -143,11 +148,12 @@ pub struct GradSync {
 
 impl GradSync {
     /// Plan buckets over `segments` (forward layer order, as produced by
-    /// `dcnn_tensor::layers::param_segments`) and stand up `policy`'s
-    /// launch-time selector ([`AlgoPolicy::tuner`]). `bucket_bytes == 0`
-    /// selects the fused blocking exchange; `fp16` quantizes each bucket's
-    /// payload before it is reduced (elementwise, so identical to
-    /// quantizing the fused gradient).
+    /// `dcnn_tensor::layers::param_segments`) under `policy`: `Fixed` and
+    /// single-candidate `auto` are decided here, a multi-candidate `auto`
+    /// by [`GradSync::decide`]. `bucket_bytes == 0` selects the fused
+    /// blocking exchange; `fp16` quantizes each bucket's payload before it
+    /// is reduced (elementwise, so identical to quantizing the fused
+    /// gradient).
     pub fn with_policy(
         policy: AlgoPolicy,
         segments: &[ParamSegment],
@@ -155,16 +161,20 @@ impl GradSync {
         fp16: bool,
     ) -> Self {
         let buckets = plan_buckets(segments, bucket_bytes);
-        GradSync {
-            tuner: RefCell::new(policy.tuner()),
+        let mut sync = GradSync {
+            policy,
+            decision: None,
             segments: segments.to_vec(),
             payloads: RefCell::new(vec![Vec::new(); buckets.len()]),
             buckets,
             bucket_bytes,
             fp16,
             shards: None,
-            scatter_ops: RefCell::default(),
-        }
+            ops: Vec::new(),
+        };
+        sync.decision = sync.policy.settled(sync.class_buckets().into_keys());
+        sync.build_ops();
+        sync
     }
 
     /// Switch the exchange to the sharded strategy: every reduce becomes a
@@ -176,8 +186,77 @@ impl GradSync {
         let total: usize = self.segments.iter().map(|s| s.len).sum();
         assert_eq!(shards.total(), total, "shard map must cover the gradient");
         self.shards = Some(shards);
-        self.scatter_ops.get_mut().clear();
+        self.build_ops();
         self
+    }
+
+    /// Decide the algorithm for every bucket, once, before the first
+    /// [`GradSync::begin`]: **collective** for a multi-candidate `auto`
+    /// policy ([`AlgoPolicy::decide`]: per size class of the plan and per
+    /// candidate, timed exchanges of the class's largest bucket through the
+    /// op and path a step runs — its reduce-scatter when sharded, a launch
+    /// and wait when bucketed, inline when fused — then one agreement
+    /// round), immediate for any other policy or once decided. Every rank
+    /// calls it at the same point, after [`GradSync::with_shards`].
+    pub fn decide(&mut self, comm: &Comm) -> Result<(), CommError> {
+        if self.decision.is_some() {
+            return Ok(());
+        }
+        let probes = self.class_buckets();
+        let classes: Vec<u32> = probes.keys().copied().collect();
+        let bucketed = self.is_bucketed();
+        let decision = self.policy.decide(comm, &classes, |class, algo| {
+            let i = probes[&class];
+            let op = self.op(i, algo);
+            let mut buf = vec![0.0f32; self.buckets[i].len];
+            move || {
+                if bucketed {
+                    buf = comm.launch(op.clone(), std::mem::take(&mut buf)).wait()?;
+                } else {
+                    op.run(comm, &mut buf)?;
+                }
+                Ok(())
+            }
+        })?;
+        self.decision = Some(decision);
+        self.build_ops();
+        Ok(())
+    }
+
+    /// Per size class of the plan, the index of its largest bucket (the
+    /// first of equals) — the one [`GradSync::decide`] times.
+    fn class_buckets(&self) -> BTreeMap<u32, usize> {
+        let mut out: BTreeMap<u32, usize> = BTreeMap::new();
+        for (i, b) in self.buckets.iter().enumerate() {
+            let e = out.entry(size_class(b.bytes() as u64)).or_insert(i);
+            if b.len > self.buckets[*e].len {
+                *e = i;
+            }
+        }
+        out
+    }
+
+    /// The collective that exchanges bucket `i` with `algo`: an allreduce,
+    /// or under the sharded strategy the reduce-scatter over the owner
+    /// map's cut of that bucket.
+    fn op(&self, i: usize, algo: AllreduceAlgo) -> CollectiveOp {
+        match &self.shards {
+            None => CollectiveOp::allreduce(algo.build()),
+            Some(sm) => CollectiveOp::reduce_scatter(
+                algo.build(),
+                sm.bucket_counts(self.buckets[i].range()),
+            ),
+        }
+    }
+
+    /// Rebuild every bucket's op from the decision (none while undecided).
+    fn build_ops(&mut self) {
+        self.ops = match &self.decision {
+            None => Vec::new(),
+            Some(d) => (0..self.buckets.len())
+                .map(|i| self.op(i, d.algo(self.buckets[i].bytes() as u64)))
+                .collect(),
+        };
     }
 
     /// The planned buckets, in launch (reverse layer) order.
@@ -196,27 +275,17 @@ impl GradSync {
     }
 
     /// Total nanoseconds `stats` attributes to this sync's allreduce
-    /// phase(s), summed over the selector's candidate labels.
+    /// phase(s), summed over the policy's candidate labels.
     pub fn allreduce_phase_ns(&self, stats: &CommStats) -> u64 {
-        self.tuner.borrow().phase_ns(stats)
+        self.policy.phase_ns(stats)
     }
 
-    /// Epoch boundary hook for the selector. `spans` are the bucket spans
-    /// the communicator completed during the finished epoch. When a probe
-    /// window just closed this runs the **collective** agreement round
-    /// (every rank reaches this on the same epoch, so the collective is
-    /// matched) and freezes the decision table. Returns the rendered
-    /// decision table.
-    pub fn tune_epoch_end(&self, comm: &Comm, spans: &[BucketSpan]) -> Result<String, CommError> {
-        self.tuner.borrow_mut().close_epoch(comm, spans)
-    }
-
-    /// The current decision table without any communication: the fixed
-    /// algorithm's name, or the tuner's frozen table (`"probe"` while the
-    /// warm-up window is still open). Safe to call off the collective path,
-    /// e.g. while flushing stats after an injected fault.
+    /// The decision as text, without any communication: the fixed
+    /// algorithm's name, or the `<=BYTES:algo;...` table; empty while
+    /// undecided. Safe to call off the collective path, e.g. while
+    /// flushing stats after an injected fault.
     pub fn choices_string(&self) -> String {
-        self.tuner.borrow().decision_table()
+        self.decision.as_ref().map_or_else(String::new, Decision::to_string)
     }
 
     /// Name of the parameter segment containing flat index `idx` (used to
@@ -229,28 +298,19 @@ impl GradSync {
         &self.segments[i - 1].name
     }
 
-    /// The collective that exchanges bucket `i` with the selected algorithm:
-    /// an allreduce, or under the sharded strategy the kept reduce-scatter
-    /// over the owner map's cut of that bucket.
-    fn op(&self, sel: &Selection, i: usize) -> CollectiveOp {
-        let algo = Arc::clone(&sel.handle);
-        match &self.shards {
-            None => CollectiveOp::allreduce(algo),
-            Some(sm) => self
-                .scatter_ops
-                .borrow_mut()
-                .entry((i, sel.candidate))
-                .or_insert_with(|| {
-                    CollectiveOp::reduce_scatter(algo, sm.bucket_counts(self.buckets[i].range()))
-                })
-                .clone(),
-        }
-    }
-
     /// Start one iteration's exchange. Feed the stream from the backward
     /// hook via [`GradStream::segment_ready`] (or not at all), then call
     /// [`GradStream::finish`] before the SGD step.
+    ///
+    /// # Panics
+    /// If a multi-candidate `auto` policy has not run [`GradSync::decide`].
     pub fn begin<'a>(&'a self, comm: &'a Comm) -> GradStream<'a> {
+        assert!(
+            !self.ops.is_empty(),
+            "GradSync::begin before GradSync::decide: policy {} measures its candidates in \
+             one collective decision step before the first exchange",
+            self.policy
+        );
         GradStream {
             sync: self,
             comm,
@@ -317,8 +377,8 @@ impl<'a> GradStream<'a> {
     }
 
     /// Everything one bucket's launch takes: copy the payload into the
-    /// bucket's buffer, quantize it, pick the algorithm, build the op from
-    /// the shard map, launch.
+    /// bucket's buffer, quantize it, launch the bucket's op labeled with
+    /// the segment that sealed it.
     fn seal(&mut self, i: usize, grad: &[f32], sealed_at: usize) {
         let sync = self.sync;
         let b = &sync.buckets[i];
@@ -328,11 +388,9 @@ impl<'a> GradStream<'a> {
         if sync.fp16 {
             quantize_f16(&mut payload);
         }
-        // Seal order is deterministic and identical on every rank, and the
-        // tuner's choice depends only on the bucket's plan index — so every
-        // rank launches the same algorithm for the same seq.
-        let sel = sync.tuner.borrow_mut().select(i, b.bytes() as u64, self.comm.size(), true);
-        let op = sync.op(&sel, i).labeled(Arc::from(sync.segment_name_at(sealed_at)));
+        // Seal order is deterministic and identical on every rank, and so is
+        // the decision — so every rank launches the same op for the same seq.
+        let op = sync.ops[i].clone().labeled(Arc::from(sync.segment_name_at(sealed_at)));
         self.in_flight.push((i, self.comm.launch(op, payload)));
     }
 
@@ -361,14 +419,7 @@ impl<'a> GradStream<'a> {
             if sync.fp16 {
                 quantize_f16(grad);
             }
-            // No bucket span will record a blocking launch, so time it
-            // here and report back to the tuner directly.
-            let bytes = (grad.len() * 4) as u64;
-            let sel = sync.tuner.borrow_mut().select(0, bytes, self.comm.size(), false);
-            let op = sync.op(&sel, 0);
-            let start = Instant::now();
-            op.run(self.comm, grad)?;
-            sync.tuner.borrow_mut().record(&sel, bytes, start.elapsed().as_nanos() as u64);
+            sync.ops[0].run(self.comm, grad)?;
             return Ok(0);
         }
         for i in (0..sync.buckets.len()).rev() {
@@ -670,11 +721,8 @@ mod tests {
         // bitwise-identical to `Fixed` of that algorithm for every launch
         // schedule (fused / drain / hooked) in both the replicated and the
         // sharded strategy — at three ranks, where summation order matters.
-        use dcnn_collectives::{AlgoPolicy, TunerConfig};
         let total = 101usize;
-        let auto = || {
-            AlgoPolicy::Auto(TunerConfig::with_candidates(vec![AllreduceAlgo::RingReduceScatter]))
-        };
+        let auto = || AlgoPolicy::Auto(vec![AllreduceAlgo::RingReduceScatter]);
         let fixed = || AlgoPolicy::Fixed(AllreduceAlgo::RingReduceScatter);
         for sharded in [false, true] {
             let s = segs(&[33, 5, 61, 2]);
@@ -731,6 +779,64 @@ mod tests {
                 assert!(unreported, "sharded={sharded} rank {rank}: reduce != unreported stream");
             }
         }
+    }
+
+    #[test]
+    fn decided_exchanges_run_only_the_chosen_algorithms() {
+        // After the decision every exchange runs the table: repeated steps
+        // add phase time under the chosen algorithms' labels and under no
+        // other candidate's — fused, bucketed and sharded alike. Three
+        // candidates over at most two size classes leave one unchosen.
+        let candidates = [
+            AllreduceAlgo::PipelinedRing,
+            AllreduceAlgo::HalvingDoubling,
+            AllreduceAlgo::RecursiveDoubling,
+        ];
+        for (bucket_bytes, sharded) in [(0, false), (128, false), (128, true)] {
+            let s = segs(&[33, 5, 61, 2]);
+            let out = run_cluster(3, move |comm| {
+                let mut gsync = GradSync::with_policy(
+                    AlgoPolicy::Auto(candidates.to_vec()),
+                    &s,
+                    bucket_bytes,
+                    false,
+                );
+                if sharded {
+                    gsync = gsync.with_shards(ShardMap::new(101, comm.size()));
+                }
+                gsync.decide(comm).expect("no peer dies");
+                let table = gsync.choices_string();
+                let before = comm.stats();
+                for _ in 0..3 {
+                    gsync.reduce(comm, &mut vec![1.0f32; 101]);
+                }
+                let after = comm.stats();
+                let ran: Vec<bool> = candidates
+                    .iter()
+                    .map(|c| after.phase(c.name()) > before.phase(c.name()))
+                    .collect();
+                (table, ran)
+            });
+            let (table, ran) = &out[0];
+            let chosen: Vec<&str> =
+                table.split(';').map(|e| e.split_once(':').expect("an entry").1).collect();
+            for (c, ran) in candidates.iter().zip(ran) {
+                let what = format!("{c} in {table:?}, bucket_bytes={bucket_bytes}");
+                assert_eq!(*ran, chosen.contains(&c.name()), "{what}");
+            }
+            assert!(out.iter().all(|r| r == &out[0]), "ranks disagree: {out:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "GradSync::decide")]
+    fn undecided_multi_candidate_auto_panics_at_begin() {
+        let s = segs(&[16]);
+        run_cluster(2, move |comm| {
+            let policy =
+                AlgoPolicy::Auto(vec![AllreduceAlgo::PipelinedRing, AllreduceAlgo::HalvingDoubling]);
+            GradSync::with_policy(policy, &s, 0, false).reduce(comm, &mut [0.0; 16]);
+        });
     }
 
     #[test]

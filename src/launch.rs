@@ -10,7 +10,7 @@
 
 use dcnn_collectives::primitives::try_allgather_bytes;
 use dcnn_collectives::transport::{crc32_f32, crc32_update};
-use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, Comm, CommError, RuntimeConfig, TunerConfig};
+use dcnn_collectives::{AlgoPolicy, AllreduceAlgo, Comm, CommError, RuntimeConfig};
 use dcnn_dimd::{open_source, Dimd, Hello, SynthConfig, SynthImageNet};
 use dcnn_tensor::optim::LrSchedule;
 use dcnn_trainer::cell::CELL_ENV;
@@ -323,11 +323,11 @@ pub fn sharded_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
 
 /// Three epochs of the wide ResNet under the self-tuning collective
 /// selector. Unless `DCNN_ALGO` overrides it, the policy is
-/// `auto:ring,halving-doubling` — two probe epochs rotate both candidates
-/// over the live buckets, then the measured crossover table is
-/// cluster-agreed and epoch 2 trains on the frozen per-size choices.
+/// `auto:ring,halving-doubling` — before the first step both candidates are
+/// timed on each bucket size class, the measured crossover table is
+/// cluster-agreed, and all three epochs train on those per-size choices.
 /// `DCNN_BUCKET_BYTES` defaults to 4096 here so there are real buckets to
-/// probe. The epoch lines carry the loss to full precision; the trailing
+/// measure. The epoch lines carry the loss to full precision; the trailing
 /// `decisions rank=…` lines gather every rank's final decision table, which
 /// must be identical on all ranks (the table is agreed before it is used) —
 /// `four_process_autotune_epoch_agrees_and_matches_fixed_bitwise` asserts
@@ -343,10 +343,10 @@ pub fn autotune_epoch_workload(comm: &Comm) -> Result<Vec<String>, CommError> {
     };
     let stats = train_epochs(comm, &spec, |cfg, rt| {
         if rt.algo.is_none() {
-            cfg.algo = AlgoPolicy::Auto(TunerConfig::with_candidates(vec![
+            cfg.algo = AlgoPolicy::Auto(vec![
                 AllreduceAlgo::PipelinedRing,
                 AllreduceAlgo::HalvingDoubling,
-            ]));
+            ]);
         }
         if rt.bucket_bytes.is_none() {
             cfg.bucket_bytes = 4096;
