@@ -298,8 +298,12 @@ fn bench_crc(suite: &mut Suite) {
 const DECODE_WINDOW_FLOOR: f64 = 2.0;
 
 /// The windowed decode against the chain it replaced, on the benchmark's
-/// `decode-data` shape: 8 records of 128x128 cropped to 16.
-fn bench_decode(suite: &mut Suite) {
+/// `decode-data` shape: 8 records of 128x128 cropped to 16. The load that
+/// produces those records — render then encode, what every training run
+/// pays once per rank — is a row of its own: the generator and encoder it
+/// replaced are not compiled into the product to serve as a reference, so
+/// it records the trajectory and does not gate.
+fn bench_decode(quick: bool, suite: &mut Suite) {
     use dcnn_core::dimd::{decode_augmented_batch, Dimd, SynthConfig, SynthImageNet};
 
     let mut synth = SynthConfig::tiny(4);
@@ -307,6 +311,10 @@ fn bench_decode(suite: &mut Suite) {
     synth.base_hw = 128;
     let ds = SynthImageNet::new(synth);
     let (salt, records) = Dimd::load_partition(&ds, 0, 1, 70, 42).sample_batch_records(8);
+    let ns = min_ns_per_iter(if quick { 3 } else { 9 }, 1, || {
+        black_box(Dimd::load_partition(black_box(&ds), 0, 1, 70, 42).len());
+    });
+    suite.rows.push(row("data/load_partition/128".into(), (8 * 3 * 128 * 128) as u64, ns, false));
     suite.pair(
         ("data/decode_window/128to16".into(), "data/decode_full_crop/128to16".into()),
         (8 * 3 * 16 * 16 * 4) as u64,
@@ -481,7 +489,7 @@ pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     let mut suite = Suite::default();
     bench_frame_encode(quick, &mut suite);
     bench_crc(&mut suite);
-    bench_decode(&mut suite);
+    bench_decode(quick, &mut suite);
     bench_gemm(&mut suite);
     bench_conv(&mut suite);
     bench_plan(quick, &mut suite);

@@ -71,31 +71,6 @@ fn dct_basis() -> &'static [[f32; 8]; 8] {
     &BASIS
 }
 
-fn dct2d(block: &[f32; 64], basis: &[[f32; 8]; 8]) -> [f32; 64] {
-    // rows then columns
-    let mut tmp = [0.0f32; 64];
-    for y in 0..8 {
-        for k in 0..8 {
-            let mut acc = 0.0;
-            for x in 0..8 {
-                acc += block[y * 8 + x] * basis[k][x];
-            }
-            tmp[y * 8 + k] = acc;
-        }
-    }
-    let mut out = [0.0f32; 64];
-    for k in 0..8 {
-        for x in 0..8 {
-            let mut acc = 0.0;
-            for y in 0..8 {
-                acc += tmp[y * 8 + x] * basis[k][y];
-            }
-            out[k * 8 + x] = acc;
-        }
-    }
-    out
-}
-
 /// Eight sums that advance together: one row of an 8×8 block.
 type Lanes = [f32; 8];
 
@@ -107,6 +82,36 @@ fn axpy(acc: Lanes, a: Lanes, s: f32) -> Lanes {
         r[i] += a[i] * s;
     }
     r
+}
+
+/// Forward 8×8 DCT; `basis_t` is `basis` transposed.
+///
+/// The arithmetic contract, which every coefficient of every record
+/// depends on: `tmp[y][k] = Σ_x block[y][x] · basis[k][x]` then
+/// `out[k][x] = Σ_y tmp[y][x] · basis[k][y]`, each sum taken in ascending
+/// `x` / `y` from `+0.0`. Both passes carry eight sums by value, as
+/// [`idct2d`] does and out of line for the same reason: a row of `tmp`
+/// advances along a column of the basis (a row of `basis_t`), then a row
+/// of `out` along the rows of `tmp`.
+#[inline(never)]
+fn dct2d(block: &[f32; 64], basis: &[[f32; 8]; 8], basis_t: &[[f32; 8]; 8]) -> [f32; 64] {
+    let mut tmp = [0.0f32; 64];
+    for (t, b) in tmp.chunks_exact_mut(8).zip(block.chunks_exact(8)) {
+        let mut acc = [0.0f32; 8];
+        for x in 0..8 {
+            acc = axpy(acc, basis_t[x], b[x]);
+        }
+        t.copy_from_slice(&acc);
+    }
+    let mut out = [0.0f32; 64];
+    for (o, basis_k) in out.chunks_exact_mut(8).zip(basis) {
+        let mut acc = [0.0f32; 8];
+        for (y, t) in tmp.chunks_exact(8).enumerate() {
+            acc = axpy(acc, t.try_into().expect("8 lanes"), basis_k[y]);
+        }
+        o.copy_from_slice(&acc);
+    }
+    out
 }
 
 /// Inverse 8×8 DCT.
@@ -193,10 +198,36 @@ fn get_long_varint(data: &[u8], pos: &mut usize) -> Result<i32, CodecError> {
     })
 }
 
+/// `x.round() as i32` — round half away from zero, NaN to 0, saturating —
+/// without `round`, which is a libm call on the baseline x86-64 target and
+/// keeps the quantiser's loop from vectorising. The rounding is
+/// [`to_pixel`]'s, on `|x|`: adding and subtracting 2²³ rounds ties to
+/// even, a tie that went down is put back up, then the sign is copied
+/// back. From 2²³ up every float is an integer already; those and NaN go
+/// through the plain saturating cast unrounded. Equal on every one of the
+/// 2³² inputs (`quantiser_matches_round_everywhere`).
+#[inline]
+fn round_to_i32(x: f32) -> i32 {
+    const NO_FRACTION: f32 = 8_388_608.0; // 2²³
+    let a = x.abs();
+    let even = (a + NO_FRACTION) - NO_FRACTION;
+    let r = if a - even == 0.5 { even + 1.0 } else { even };
+    (if a < NO_FRACTION { r.copysign(x) } else { x }) as i32
+}
+
 /// Compress an image. `quality` ∈ 1..=100 (higher = larger + more faithful).
+///
+/// The arithmetic contract, which every byte of every record depends on:
+/// after `dct2d`, coefficient `k` of a block is quantised as
+/// `coef[k] / qt[k]` — a division; a multiply by the reciprocal would move
+/// the quotient's last bit — rounded half away from zero to `i32`
+/// (`round_to_i32`, which is `f32::round` then the saturating cast), in
+/// natural order. The integers are then permuted into zigzag order and the
+/// DC is delta-coded on the block before it.
 pub fn encode_image(img: &RawImage, quality: u8) -> Vec<u8> {
     let qt = quant_table(quality);
     let basis = dct_basis();
+    let basis_t: [[f32; 8]; 8] = std::array::from_fn(|x| basis.map(|row| row[x]));
     let mut out = Vec::with_capacity(img.data.len() / 4 + 32);
     out.extend_from_slice(MAGIC);
     out.push(img.c as u8);
@@ -219,12 +250,13 @@ pub fn encode_image(img: &RawImage, quality: u8) -> Vec<u8> {
                         block[y * 8 + x] = img.at(c, sy, sx) as f32 - 128.0;
                     }
                 }
-                let coef = dct2d(&block, basis);
-                // Quantize in zigzag order; DC is delta-coded.
-                let mut q = [0i32; 64];
-                for (zi, &pos) in ZIGZAG.iter().enumerate() {
-                    q[zi] = (coef[pos] / qt[pos]).round() as i32;
+                let coef = dct2d(&block, basis, &basis_t);
+                // Quantise in natural order, scan in zigzag; DC is delta-coded.
+                let mut natural = [0i32; 64];
+                for ((n, &v), &d) in natural.iter_mut().zip(&coef).zip(&qt) {
+                    *n = round_to_i32(v / d);
                 }
+                let mut q = ZIGZAG.map(|pos| natural[pos]);
                 let dc = q[0];
                 q[0] = dc - prev_dc;
                 prev_dc = dc;
@@ -448,10 +480,36 @@ mod tests {
     use super::*;
 
     /// The decoder as it stood before the windowed one — scalar IDCT, every
-    /// block dequantised, per-pixel store through `round().clamp()` — kept
-    /// as what the kernels above are compared against bit for bit.
+    /// block dequantised, per-pixel store through `round().clamp()` — and
+    /// the encoder before the eight-lane DCT and the branchless quantiser,
+    /// kept as what the kernels above are compared against bit for bit.
     mod reference {
         use super::super::*;
+
+        pub fn dct2d(block: &[f32; 64], basis: &[[f32; 8]; 8]) -> [f32; 64] {
+            // rows then columns
+            let mut tmp = [0.0f32; 64];
+            for y in 0..8 {
+                for k in 0..8 {
+                    let mut acc = 0.0;
+                    for x in 0..8 {
+                        acc += block[y * 8 + x] * basis[k][x];
+                    }
+                    tmp[y * 8 + k] = acc;
+                }
+            }
+            let mut out = [0.0f32; 64];
+            for k in 0..8 {
+                for x in 0..8 {
+                    let mut acc = 0.0;
+                    for y in 0..8 {
+                        acc += tmp[y * 8 + x] * basis[k][y];
+                    }
+                    out[k * 8 + x] = acc;
+                }
+            }
+            out
+        }
 
         pub fn idct2d(coef: &[f32; 64], basis: &[[f32; 8]; 8]) -> [f32; 64] {
             let mut tmp = [0.0f32; 64];
@@ -479,6 +537,51 @@ mod tests {
 
         pub fn to_pixel(v: f32) -> u8 {
             (v + 128.0).round().clamp(0.0, 255.0) as u8
+        }
+
+        /// The encoder before the branchless quantiser: scalar DCT, then
+        /// `round` per coefficient in zigzag order.
+        pub fn encode_image(img: &RawImage, quality: u8) -> Vec<u8> {
+            let qt = quant_table(quality);
+            let basis = dct_basis();
+            let mut out = Vec::with_capacity(img.data.len() / 4 + 32);
+            out.extend_from_slice(MAGIC);
+            out.push(img.c as u8);
+            out.extend_from_slice(&(img.h as u32).to_le_bytes());
+            out.extend_from_slice(&(img.w as u32).to_le_bytes());
+            out.push(quality.clamp(1, 100));
+
+            let bh = img.h.div_ceil(8);
+            let bw = img.w.div_ceil(8);
+            for c in 0..img.c {
+                let mut prev_dc: i32 = 0;
+                for by in 0..bh {
+                    for bx in 0..bw {
+                        let mut block = [0.0f32; 64];
+                        for y in 0..8 {
+                            let sy = (by * 8 + y).min(img.h - 1);
+                            for x in 0..8 {
+                                let sx = (bx * 8 + x).min(img.w - 1);
+                                block[y * 8 + x] = img.at(c, sy, sx) as f32 - 128.0;
+                            }
+                        }
+                        let coef = dct2d(&block, basis);
+                        let mut q = [0i32; 64];
+                        for (zi, &pos) in ZIGZAG.iter().enumerate() {
+                            q[zi] = (coef[pos] / qt[pos]).round() as i32;
+                        }
+                        let dc = q[0];
+                        q[0] = dc - prev_dc;
+                        prev_dc = dc;
+                        let last = q.iter().rposition(|&v| v != 0).map(|i| i + 1).unwrap_or(0);
+                        out.push(last as u8);
+                        for &v in &q[..last] {
+                            put_varint(&mut out, v);
+                        }
+                    }
+                }
+            }
+            out
         }
 
         pub fn decode_image(data: &[u8]) -> RawImage {
@@ -647,7 +750,8 @@ mod tests {
         for (i, b) in block.iter_mut().enumerate() {
             *b = ((i * 37) % 256) as f32 - 128.0;
         }
-        let coef = dct2d(&block, basis);
+        let basis_t = std::array::from_fn(|x| basis.map(|row| row[x]));
+        let coef = dct2d(&block, basis, &basis_t);
         let back = idct2d(&coef, basis);
         for (a, b) in block.iter().zip(&back) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -684,12 +788,44 @@ mod tests {
     }
 
     #[test]
+    fn dct_matches_the_scalar_reference_bitwise() {
+        let basis = dct_basis();
+        let basis_t = std::array::from_fn(|x| basis.map(|row| row[x]));
+        let mut s = 0xD_C7u64;
+        for case in 0..4000 {
+            // Centred pixels, from a flat block to full-range noise.
+            let spread = 1 + case % 256;
+            let block: [f32; 64] =
+                std::array::from_fn(|_| (xorshift(&mut s) % spread) as f32 - 128.0);
+            assert_eq!(
+                dct2d(&block, basis, &basis_t).map(f32::to_bits),
+                reference::dct2d(&block, basis).map(f32::to_bits)
+            );
+        }
+    }
+
+    #[test]
     fn full_decode_matches_the_pre_change_decoder() {
         for (h, w) in [(40, 56), (33, 41), (8, 8), (3, 5), (64, 64)] {
             for q in [1u8, 30, 70, 95, 100] {
                 for img in [natural_image(h, w), noisy_image(h, w, q as u64)] {
                     let enc = encode_image(&img, q);
                     assert_eq!(decode_image(&enc), reference::decode_image(&enc), "{h}x{w} q{q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_matches_the_pre_change_encoder_bytewise() {
+        for (h, w) in [(40, 56), (33, 41), (8, 8), (3, 5), (64, 64)] {
+            for q in [1u8, 30, 70, 95, 100] {
+                for img in [natural_image(h, w), noisy_image(h, w, q as u64)] {
+                    assert_eq!(
+                        encode_image(&img, q),
+                        reference::encode_image(&img, q),
+                        "{h}x{w} q{q}"
+                    );
                 }
             }
         }
@@ -772,6 +908,40 @@ mod tests {
         for bits in 0..=u32::MAX {
             let v = f32::from_bits(bits);
             assert_eq!(to_pixel(v), reference::to_pixel(v), "{v:e} ({bits:#x})");
+        }
+    }
+
+    #[test]
+    fn quantiser_matches_round_on_the_boundaries() {
+        // ±0, every half-integer a block's quotient can reach and its
+        // neighbours, the integers' upper end at 2²³, i32 saturation, NaN
+        // and the infinities.
+        let mut inputs = vec![0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut near = |v: f32, ulps: i32| {
+            for steps in -ulps..=ulps {
+                inputs.push(f32::from_bits((v.to_bits() as i32 + steps) as u32));
+            }
+        };
+        for k in 0..=1100 {
+            near(k as f32 + 0.5, 3);
+            near(k as f32, 3);
+        }
+        near(8_388_608.0, 4); // 2²³
+        near(2_147_483_648.0, 4); // 2³¹
+        near(f32::MAX, 1);
+        near(f32::MIN_POSITIVE, 1);
+        let inputs: Vec<f32> = inputs.iter().flat_map(|&v| [v, -v]).collect();
+        for v in inputs {
+            assert_eq!(round_to_i32(v), v.round() as i32, "{v:e} ({:#x})", v.to_bits());
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "minutes in debug; ci.sh runs it in release")]
+    fn quantiser_matches_round_everywhere() {
+        for bits in 0..=u32::MAX {
+            let v = f32::from_bits(bits);
+            assert_eq!(round_to_i32(v), v.round() as i32, "{v:e} ({bits:#x})");
         }
     }
 }

@@ -483,6 +483,27 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// One CRC-32 over the `(bytes, label)` records of rank 0 of 2 at the
+    /// `decode-data` benchmark shape (4 classes × 64 images of 128×128,
+    /// seed 42, quality 70): each record's bytes, then its label as a
+    /// little-endian `u32`. The value was captured from the generator and
+    /// encoder as they stood before the per-axis render tables and the
+    /// branchless quantiser, so a record byte that moves fails here.
+    #[test]
+    fn decode_data_partition_matches_its_golden() {
+        const PARTITION_GOLDEN: u32 = 0x27C9_08C3;
+        let mut cfg = SynthConfig::tiny(4);
+        cfg.base_hw = 128;
+        cfg.val_per_class = 1;
+        cfg.seed = 42;
+        let d = Dimd::load_partition(&SynthImageNet::new(cfg), 0, 2, 70, 42);
+        assert_eq!(d.len(), 128);
+        let crc = d.records.iter().fold(0xFFFF_FFFF, |c, (bytes, label)| {
+            crate::crc::crc32_update(crate::crc::crc32_update(c, bytes), &label.to_le_bytes())
+        });
+        assert_eq!(!crc, PARTITION_GOLDEN, "partition CRC {:#010x}", !crc);
+    }
+
     #[test]
     fn shuffle_resets_epoch_cursor() {
         let ds = ds();

@@ -6,6 +6,17 @@
 //! a random phase shift, contrast jitter and pixel noise. A CNN must learn
 //! translation-robust class signatures — trivially separable datasets would
 //! make the accuracy curves (Figures 13–16) meaningless.
+//!
+//! The class pattern is `sin(fx₀·x + φx)·cos(fy₀·y + φy) + cos(fx₁·x + φy)·
+//! sin(fy₁·y + φx)`: each of its four factors depends on one axis only, so
+//! `SynthImageNet::render` evaluates them into two per-column and two
+//! per-row tables (`4·hw` trig calls per image instead of `12·hw²`). Every
+//! entry is the expression the per-pixel loop used to evaluate, in the same
+//! `f32` operations, and the pixel combines the same four values in the
+//! same order, so each pixel keeps its bits; the per-pixel noise is still
+//! drawn in channel, row, column order. Records, and every training run
+//! over them, are the same bytes as when the trig ran per pixel
+//! (`render_matches_the_pre_change_generator_bitwise`).
 
 use crate::image::RawImage;
 use rand::rngs::StdRng;
@@ -141,15 +152,21 @@ impl SynthImageNet {
         let phase_x: f32 = rng.random_range(0.0..std::f32::consts::TAU);
         let phase_y: f32 = rng.random_range(0.0..std::f32::consts::TAU);
         let contrast: f32 = rng.random_range(0.7..1.3);
+        // The pattern's four one-axis factors, each entry exactly the
+        // per-pixel expression it replaces.
+        let axis = |f: f32, phase: f32, trig: fn(f32) -> f32| -> Vec<f32> {
+            (0..hw).map(|i| trig(f * i as f32 + phase)).collect()
+        };
+        let (sin_x, cos_x) = (axis(p.fx[0], phase_x, f32::sin), axis(p.fx[1], phase_y, f32::cos));
+        let (cos_y, sin_y) = (axis(p.fy[0], phase_y, f32::cos), axis(p.fy[1], phase_x, f32::sin));
         let mut img = RawImage::new(3, hw, hw);
-        for c in 0..3 {
-            for y in 0..hw {
-                for x in 0..hw {
-                    let s = (p.fx[0] * x as f32 + phase_x).sin() * (p.fy[0] * y as f32 + phase_y).cos()
-                        + (p.fx[1] * x as f32 + phase_y).cos() * (p.fy[1] * y as f32 + phase_x).sin();
+        for (c, plane) in img.data.chunks_exact_mut(hw * hw).enumerate() {
+            for (row, (&cy, &sy)) in plane.chunks_exact_mut(hw).zip(cos_y.iter().zip(&sin_y)) {
+                for (px, (&sx, &cx)) in row.iter_mut().zip(sin_x.iter().zip(&cos_x)) {
+                    let s = sx * cy + cx * sy;
                     let noise: f32 = rng.random_range(-self.cfg.noise..=self.cfg.noise);
                     let v = 128.0 + p.chroma[c] + contrast * p.amp[c] * s * 0.5 + noise;
-                    img.set(c, y, x, v.clamp(0.0, 255.0) as u8);
+                    *px = v.clamp(0.0, 255.0) as u8;
                 }
             }
         }
@@ -160,6 +177,82 @@ impl SynthImageNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator as it stood before the per-axis tables — four trig
+    /// calls per pixel per channel — kept as what `render` is compared
+    /// against bit for bit.
+    mod reference {
+        use super::super::*;
+
+        pub fn render(ds: &SynthImageNet, class: usize, salt: u64, val: bool) -> RawImage {
+            let mut mix = salt
+                .wrapping_add(ds.cfg.seed)
+                .wrapping_add(if val { 0x5851_F42D_4C95_7F2D } else { 0 });
+            mix ^= mix >> 30;
+            mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            mix ^= mix >> 27;
+            mix = mix.wrapping_mul(0x94D0_49BB_1331_11EB);
+            mix ^= mix >> 31;
+            let mut rng = StdRng::seed_from_u64(mix);
+            let jitter = if ds.cfg.hw_jitter > 0 {
+                rng.random_range(0..=2 * ds.cfg.hw_jitter) as i64 - ds.cfg.hw_jitter as i64
+            } else {
+                0
+            };
+            let hw = (ds.cfg.base_hw as i64 + jitter).max(8) as usize;
+            let p = &ds.patterns[class];
+            let phase_x: f32 = rng.random_range(0.0..std::f32::consts::TAU);
+            let phase_y: f32 = rng.random_range(0.0..std::f32::consts::TAU);
+            let contrast: f32 = rng.random_range(0.7..1.3);
+            let mut img = RawImage::new(3, hw, hw);
+            for c in 0..3 {
+                for y in 0..hw {
+                    for x in 0..hw {
+                        let s = (p.fx[0] * x as f32 + phase_x).sin()
+                            * (p.fy[0] * y as f32 + phase_y).cos()
+                            + (p.fx[1] * x as f32 + phase_y).cos()
+                                * (p.fy[1] * y as f32 + phase_x).sin();
+                        let noise: f32 = rng.random_range(-ds.cfg.noise..=ds.cfg.noise);
+                        let v = 128.0 + p.chroma[c] + contrast * p.amp[c] * s * 0.5 + noise;
+                        img.set(c, y, x, v.clamp(0.0, 255.0) as u8);
+                    }
+                }
+            }
+            img
+        }
+    }
+
+    #[test]
+    fn render_matches_the_pre_change_generator_bitwise() {
+        for base_hw in [8, 32, 33, 128] {
+            for hw_jitter in [0, 8] {
+                for noise in [0.0, 18.0] {
+                    for seed in [0x5EED, 7, 42] {
+                        let cfg = SynthConfig {
+                            classes: 3,
+                            train_per_class: 2,
+                            val_per_class: 1,
+                            base_hw,
+                            hw_jitter,
+                            noise,
+                            seed,
+                        };
+                        let ds = SynthImageNet::new(cfg.clone());
+                        let at = format!("{cfg:?}");
+                        for i in 0..ds.train_len() {
+                            let want = reference::render(&ds, ds.train_label(i), i as u64, false);
+                            assert_eq!(ds.train_image(i), want, "train {i} of {at}");
+                        }
+                        for i in 0..ds.val_len() {
+                            let salt = 0x8000_0000_0000_0000 | i as u64;
+                            let want = reference::render(&ds, ds.val_label(i), salt, true);
+                            assert_eq!(ds.val_image(i), want, "val {i} of {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic() {
