@@ -293,8 +293,10 @@ fn bench_crc(suite: &mut Suite) {
     }
 }
 
-/// The windowed decode reads 3.1–12x the chain it replaced (the spread is
-/// the crop's position in the record, drawn per run).
+/// The windowed decode reads 14–17x the chain it replaced on a 2-core
+/// x86-64 host. Both sides share the decoder's walk over every block;
+/// before it stepped over one-byte runs the same pair read 2.1–2.7x there,
+/// the walk being most of a small window's cost.
 const DECODE_WINDOW_FLOOR: f64 = 2.0;
 
 /// The windowed decode against the chain it replaced, on the benchmark's
@@ -302,9 +304,13 @@ const DECODE_WINDOW_FLOOR: f64 = 2.0;
 /// produces those records — render then encode, what every training run
 /// pays once per rank — is a row of its own: the generator and encoder it
 /// replaced are not compiled into the product to serve as a reference, so
-/// it records the trajectory and does not gate.
+/// it records the trajectory and does not gate. So is the walk alone, the
+/// empty window over one of those records: the part of every crop's cost
+/// that the window's size does not change.
 fn bench_decode(quick: bool, suite: &mut Suite) {
-    use dcnn_core::dimd::{decode_augmented_batch, Dimd, SynthConfig, SynthImageNet};
+    use dcnn_core::dimd::{
+        decode_augmented_batch, try_decode_window, Dimd, SynthConfig, SynthImageNet,
+    };
 
     let mut synth = SynthConfig::tiny(4);
     synth.train_per_class = 2;
@@ -315,6 +321,12 @@ fn bench_decode(quick: bool, suite: &mut Suite) {
         black_box(Dimd::load_partition(black_box(&ds), 0, 1, 70, 42).len());
     });
     suite.rows.push(row("data/load_partition/128".into(), (8 * 3 * 128 * 128) as u64, ns, false));
+    let record = &records[0].0;
+    let ns = min_ns_per_iter(if quick { 3 } else { 9 }, 64, || {
+        black_box(try_decode_window(black_box(record), 128, 128, 0, 0).map(|img| img.data.len()))
+            .expect("a well-formed record");
+    });
+    suite.rows.push(row("data/decode_walk/128".into(), record.len() as u64, ns, false));
     suite.pair(
         ("data/decode_window/128to16".into(), "data/decode_full_crop/128to16".into()),
         (8 * 3 * 16 * 16 * 4) as u64,

@@ -8,11 +8,14 @@
 //! quality-scaled quantization, zigzag scan, DC delta coding and
 //! varint entropy coding with end-of-block truncation.
 //!
-//! Decoding is one function, [`try_decode_window`]: it walks every block's
-//! bytes (the DC chain needs them) but dequantises, inverts and stores only
-//! the blocks the caller's window meets — the whole image is the largest
-//! window. Records also arrive over TCP, so malformed bytes come back as a
-//! [`CodecError`], never as a panic or an allocation sized by the sender.
+//! Decoding is one function, [`try_decode_window`]: it walks every block
+//! (the DC chain needs each one's first coefficient) but dequantises,
+//! inverts and stores only the blocks the caller's window meets — the whole
+//! image is the largest window. Most coefficients are one-byte varints, so
+//! the walk steps over a run of them with one bounds check instead of
+//! reading them one by one. Records also arrive over TCP, so malformed
+//! bytes come back as a [`CodecError`], never as a panic or an allocation
+//! sized by the sender.
 
 use std::sync::LazyLock;
 
@@ -198,6 +201,24 @@ fn get_long_varint(data: &[u8], pos: &mut usize) -> Result<i32, CodecError> {
     })
 }
 
+/// The first byte at or after `from` with its high bit set, or
+/// `data.len()`: every byte before it is a whole one-byte varint. The bytes
+/// are OR-ed 32 at a time, as four words, and only the chunk that trips is
+/// searched.
+fn clean_run_end(data: &[u8], from: usize) -> usize {
+    const CHUNK: usize = 32;
+    let continues = |byte: &u8| byte & 0x80 != 0;
+    let (chunks, rest) = data[from..].as_chunks::<CHUNK>();
+    for (i, chunk) in chunks.iter().enumerate() {
+        let words = chunk.as_chunks::<8>().0.iter();
+        if words.fold(0, |acc, &w| acc | u64::from_ne_bytes(w)) & 0x8080_8080_8080_8080 != 0 {
+            let within = chunk.iter().position(continues).expect("a byte tripped the OR");
+            return from + i * CHUNK + within;
+        }
+    }
+    from + chunks.len() * CHUNK + rest.iter().position(continues).unwrap_or(rest.len())
+}
+
 /// `x.round() as i32` — round half away from zero, NaN to 0, saturating —
 /// without `round`, which is a libm call on the baseline x86-64 target and
 /// keeps the quantiser's loop from vectorising. The rounding is
@@ -367,12 +388,20 @@ fn to_pixel(v: f32) -> u8 {
 /// [`encode_image`]: byte for byte `decode_image(data).crop(..)`, for the
 /// cost of the blocks the window meets.
 ///
-/// The entropy pass cannot skip: every block's DC is a delta on the block
-/// before it and blocks have no length prefix, so each block of each
-/// channel is walked (its first varint into the DC chain, the rest read
-/// and dropped). Dequantisation, the inverse DCT and the pixel store run
-/// only for blocks that meet the window. The walk never stops early, so a
-/// window accepts exactly the records the full image accepts.
+/// The walk visits every block of every channel: each block's DC is a
+/// delta on the block before it and blocks have no byte-length prefix, so
+/// its length byte and first varint are read in turn. The rest of a block
+/// is stepped over where it can be: the walk keeps `clean`, the first byte
+/// ahead with its high bit set (found 32 bytes at a time), and a block
+/// whose coefficients end at or before it is `last − 1` one-byte varints —
+/// skipped with one add, or dequantised straight from the bytes when the
+/// window keeps it. A block that reaches past `clean` is read varint by
+/// varint through `get_varint`, which is also where every refusal is
+/// found, and `clean` is found anew once the walk has passed it.
+///
+/// Dequantisation, the inverse DCT and the pixel store run only for blocks
+/// that meet the window. The walk never stops early, so a window accepts
+/// exactly the records the full image accepts, refused at the same byte.
 pub fn try_decode_window(
     data: &[u8],
     top: usize,
@@ -389,6 +418,7 @@ pub fn try_decode_window(
     let basis = dct_basis();
     let mut img = RawImage::new(c, h, w);
     let mut pos = HEADER_LEN;
+    let mut clean = clean_run_end(data, pos);
     for ci in 0..c {
         let mut dc: i32 = 0;
         for by in (0..ih).step_by(8) {
@@ -405,9 +435,24 @@ pub fn try_decode_window(
                 if last > 0 {
                     dc = dc.wrapping_add(get_varint(data, &mut pos)?);
                 }
+                // Every byte before `clean` is a whole one-byte varint, so
+                // AC coefficients that end by it are `ac` bytes. Once the
+                // walk has passed `clean` (a long DC, or a block read below)
+                // the run is found anew; a stale `clean` is slow, not wrong.
+                // A block that reaches past it is read varint by varint,
+                // which is also where every refusal is found.
+                if pos > clean {
+                    clean = clean_run_end(data, pos);
+                }
+                let ac = last.saturating_sub(1);
+                let in_run = pos + ac <= clean;
                 if y0 >= y1 || x0 >= x1 {
-                    for _ in 1..last {
-                        get_varint(data, &mut pos)?;
+                    if in_run {
+                        pos += ac;
+                    } else {
+                        for _ in 0..ac {
+                            get_varint(data, &mut pos)?;
+                        }
                     }
                     continue;
                 }
@@ -415,8 +460,16 @@ pub fn try_decode_window(
                 // leaves out (end-of-block) stays +0.0.
                 let mut coef = [0.0f32; 64];
                 coef[0] = dc as f32 * qz[0];
-                for zi in 1..last {
-                    coef[ZIGZAG[zi]] = get_varint(data, &mut pos)? as f32 * qz[zi];
+                if in_run {
+                    let run = &data[pos..pos + ac];
+                    for ((&p, &q), &byte) in ZIGZAG[1..].iter().zip(&qz[1..]).zip(run) {
+                        coef[p] = decode_sign(byte as u32) as f32 * q;
+                    }
+                    pos += ac;
+                } else {
+                    for zi in 1..last {
+                        coef[ZIGZAG[zi]] = get_varint(data, &mut pos)? as f32 * qz[zi];
+                    }
                 }
                 let block = idct2d(&coef, basis);
                 for y in y0..y1 {
@@ -582,6 +635,67 @@ mod tests {
                 }
             }
             out
+        }
+
+        /// The windowed decoder before the walk stepped over one-byte runs:
+        /// every coefficient, kept or skipped, read through `get_varint`.
+        pub fn try_decode_window(
+            data: &[u8],
+            top: usize,
+            left: usize,
+            h: usize,
+            w: usize,
+        ) -> Result<RawImage, CodecError> {
+            let (c, ih, iw) = header(data)?;
+            let inside =
+                |at: usize, len: usize, of: usize| at.checked_add(len).is_some_and(|e| e <= of);
+            if !inside(top, h, ih) || !inside(left, w, iw) {
+                return Err(CodecError::WindowOutOfBounds);
+            }
+            let qz = zigzag_quant_table(data[13]);
+            let basis = dct_basis();
+            let mut img = RawImage::new(c, h, w);
+            let mut pos = HEADER_LEN;
+            for ci in 0..c {
+                let mut dc: i32 = 0;
+                for by in (0..ih).step_by(8) {
+                    let (y0, y1) = (top.max(by), (top + h).min(by + 8));
+                    for bx in (0..iw).step_by(8) {
+                        let (x0, x1) = (left.max(bx), (left + w).min(bx + 8));
+                        let at = pos;
+                        let last =
+                            *data.get(at).ok_or(CodecError::Truncated { offset: at })? as usize;
+                        pos += 1;
+                        if last > 64 {
+                            return Err(CodecError::CorruptBlock { offset: at });
+                        }
+                        if last > 0 {
+                            dc = dc.wrapping_add(get_varint(data, &mut pos)?);
+                        }
+                        if y0 >= y1 || x0 >= x1 {
+                            for _ in 1..last {
+                                get_varint(data, &mut pos)?;
+                            }
+                            continue;
+                        }
+                        let mut coef = [0.0f32; 64];
+                        coef[0] = dc as f32 * qz[0];
+                        for zi in 1..last {
+                            coef[ZIGZAG[zi]] = get_varint(data, &mut pos)? as f32 * qz[zi];
+                        }
+                        let block = idct2d(&coef, basis);
+                        for y in y0..y1 {
+                            let src = &block[(y - by) * 8 + (x0 - bx)..][..x1 - x0];
+                            let dst =
+                                &mut img.data[(ci * h + (y - top)) * w + (x0 - left)..][..x1 - x0];
+                            for (d, &v) in dst.iter_mut().zip(src) {
+                                *d = to_pixel(v);
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(img)
         }
 
         pub fn decode_image(data: &[u8]) -> RawImage {
@@ -868,6 +982,103 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "minutes in debug; ci.sh runs it in release")]
     fn every_window_of_a_128x128_record_equals_decode_then_crop() {
         sweep_windows(128, 128);
+    }
+
+    /// Where each block's length byte lies in a well-formed record.
+    fn block_starts(enc: &[u8]) -> Vec<usize> {
+        let (c, h, w) = header(enc).expect("well-formed header");
+        let mut pos = HEADER_LEN;
+        (0..c * h.div_ceil(8) * w.div_ceil(8))
+            .map(|_| {
+                let at = pos;
+                pos += 1;
+                for _ in 0..enc[at] {
+                    get_varint(enc, &mut pos).expect("well-formed varint");
+                }
+                at
+            })
+            .collect()
+    }
+
+    /// Mutated records come out of the walk exactly as they came out of the
+    /// one that read every coefficient through `get_varint`: the same pixels,
+    /// or the same refusal at the same offset. Records are 128x128: a
+    /// `decode-data` image at q70, where every coefficient is one byte (the
+    /// walk steps over whole blocks), and a noisier one at q95, where some
+    /// are two (the walk falls back and finds its run anew).
+    #[test]
+    fn window_refusals_match_the_pre_change_walk() {
+        let (h, w) = (128usize, 128usize);
+        let mut s = 0xC1EA_u64;
+        let (mut cases, mut refused) = (0usize, 0usize);
+        // The empty window, a 16x16 one at `(top, left)`, the whole image.
+        let mut check = |rec: &[u8], top: usize, left: usize, what: &str| {
+            for (t, l, wh, ww) in [(h, w, 0, 0), (top, left, 16, 16), (0, 0, h, w)] {
+                let expect = reference::try_decode_window(rec, t, l, wh, ww);
+                assert_eq!(
+                    try_decode_window(rec, t, l, wh, ww),
+                    expect,
+                    "{what}: {wh}x{ww} window at ({t}, {l})"
+                );
+                refused += expect.is_err() as usize;
+                cases += 1;
+            }
+        };
+        let mut synth = crate::synth::SynthConfig::tiny(4);
+        synth.base_hw = h;
+        let synth = crate::synth::SynthImageNet::new(synth).train_image(0);
+        for (q, img) in [(70u8, synth), (95, noisy_image(h, w, 95))] {
+            let enc = encode_image(&img, q);
+            let starts = block_starts(&enc);
+            let long: Vec<usize> = (HEADER_LEN..enc.len()).filter(|&i| enc[i] >= 0x80).collect();
+            assert_eq!(long.is_empty(), q == 70, "q{q}: {} continuation bytes", long.len());
+            let window = |s: &mut u64| {
+                let top = (xorshift(s) % (h - 15) as u64) as usize;
+                (top, (xorshift(s) % (w - 15) as u64) as usize)
+            };
+            for _ in 0..2000 {
+                let (top, left) = window(&mut s);
+                let mut rec = enc.clone();
+                let at = (xorshift(&mut s) % enc.len() as u64) as usize;
+                rec[at] = xorshift(&mut s) as u8;
+                check(&rec, top, left, &format!("q{q}: byte {at} set to {:#x}", rec[at]));
+            }
+            // Five continuation bytes in a block the 16x16 window skips.
+            for _ in 0..500 {
+                let (top, left) = window(&mut s);
+                let k = (xorshift(&mut s) % starts.len() as u64) as usize;
+                let (by, bx) = (k / (w / 8) % (h / 8) * 8, k % (w / 8) * 8);
+                if by + 8 > top && by < top + 16 && bx + 8 > left && bx < left + 16 {
+                    continue;
+                }
+                let end = starts.get(k + 1).copied().unwrap_or(enc.len());
+                let at = starts[k] + 1 + (xorshift(&mut s) % (end - starts[k]) as u64) as usize;
+                let mut rec = enc.clone();
+                for byte in rec.iter_mut().skip(at).take(5) {
+                    *byte = 0x80;
+                }
+                check(&rec, top, left, &format!("q{q}: block {k}, 5 x 0x80 at {at}"));
+            }
+            // A high bit flipped on each side of where a clean run ends:
+            // the record's end and, at q95, a sample of its long varints.
+            let stops = long.iter().copied().step_by(long.len() / 200 + 1).chain([enc.len()]);
+            for stop in stops {
+                for at in [stop - 1, stop + 1].into_iter().filter(|&at| at < enc.len()) {
+                    let (top, left) = window(&mut s);
+                    let mut rec = enc.clone();
+                    rec[at] ^= 0x80;
+                    check(&rec, top, left, &format!("q{q}: high bit of {at} flipped"));
+                }
+            }
+            if q == 95 {
+                for at in starts.iter().copied().chain([enc.len()]) {
+                    let (top, left) = window(&mut s);
+                    check(&enc[..at], top, left, &format!("q{q}: cut at {at}"));
+                }
+            }
+        }
+        // The sweep reaches both outcomes in bulk.
+        assert!(refused > cases / 10 && refused < cases * 9 / 10, "{refused} of {cases}");
     }
 
     #[test]
