@@ -160,7 +160,9 @@ pub struct RuntimeConfig {
     pub overlap_mode: Option<OverlapMode>,
     /// TCP dial/rendezvous bound (`DCNN_CONNECT_TIMEOUT_MS`): how long
     /// bootstrap connects retry and rank 0's registration accept loop
-    /// waits before naming the ranks that never showed up.
+    /// waits before naming the ranks that never showed up, and how long a
+    /// rank-fabric write may make no progress before its link counts as
+    /// dead.
     pub connect_timeout: Option<Duration>,
     /// Injected fault for failure-path testing (`DCNN_FAULT`).
     pub fault: Option<FaultSpec>,

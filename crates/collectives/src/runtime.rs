@@ -2,11 +2,11 @@
 //!
 //! [`run_cluster`] spawns one OS thread per rank and gives each a [`Comm`]
 //! for the world communicator. Point-to-point messages travel over a
-//! [`Transport`] backend (an *eager* protocol: sends never block, so
-//! collectives written against this runtime are deadlock-free as long as
-//! every posted receive is eventually matched). The backend delivers each
-//! message into the destination rank's mailbox, where it waits until a
-//! receive takes it. Tag matching follows MPI semantics: a receive names
+//! [`Transport`] backend (an *eager* protocol: a send never waits for a
+//! matching receive, so collectives written against this runtime are
+//! deadlock-free as long as every posted receive is eventually matched).
+//! The backend delivers each message into the destination rank's mailbox,
+//! where it waits until a receive takes it. Tag matching follows MPI semantics: a receive names
 //! `(source, communicator, tag)`, whatever order messages arrive in.
 //!
 //! Two backends exist (see [`crate::transport`]): in-process threads that

@@ -20,7 +20,7 @@ use serde::Serialize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TraceEventKind {
     /// A message was handed to the transport for a peer (eager send —
-    /// never blocks).
+    /// never waits for a matching receive).
     Send,
     /// A matching message was delivered to a receive call.
     Recv,

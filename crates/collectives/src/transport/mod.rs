@@ -231,10 +231,11 @@ impl Mailbox {
 }
 
 /// An eager, tagged, rank-addressed message fabric — what the rank runtime
-/// needs from MPI. Sends never block (buffering happens behind the trait);
-/// each endpoint's [`Mailbox`] receives in per-sender FIFO order. One
-/// `Transport` instance belongs to one rank, shared between the rank's main
-/// thread and its comm workers (hence `Send + Sync`).
+/// needs from MPI. A send never waits for a matching receive (TCP waits at
+/// most for the peer's kernel to take the bytes); each endpoint's
+/// [`Mailbox`] receives in per-sender FIFO order. One `Transport` instance
+/// belongs to one rank, shared between the rank's main thread and its comm
+/// workers (hence `Send + Sync`).
 pub trait Transport: Send + Sync {
     /// This endpoint's global rank.
     fn rank(&self) -> usize;
@@ -245,7 +246,8 @@ pub trait Transport: Send + Sync {
     /// Backend name for diagnostics ("threads", "tcp").
     fn backend(&self) -> &'static str;
 
-    /// Send `msg` to global rank `dst`. Must not block on the receiver.
+    /// Send `msg` to global rank `dst`. Must not wait for a matching
+    /// receive.
     fn send(&self, dst: usize, msg: WireMsg);
 
     /// The mailbox this endpoint's receives wait on: the backend delivers
@@ -258,9 +260,9 @@ pub trait Transport: Send + Sync {
     /// returns the buffer to it.
     fn pool(&self) -> &BufPool;
 
-    /// Flush queued sends and tear the fabric down. Called once, after the
-    /// rank's work has returned; must leave already-sent data deliverable
-    /// to peers still receiving.
+    /// Tear the fabric down. Called once, after the rank's work has
+    /// returned; must leave already-sent data deliverable to peers still
+    /// receiving.
     fn shutdown(&self);
 }
 

@@ -6,8 +6,8 @@
 //! one and freeing it after the sum (on TCP also zero-filling it before the
 //! socket overwrites it), the buffers cycle through a [`BufPool`] owned by
 //! the transport: one per threaded cluster, where a send's buffer becomes
-//! the receiver's, and one per TCP endpoint, where the writer thread returns
-//! what it sent and the reader thread takes what it reads into.
+//! the receiver's, and one per TCP endpoint, where a send returns what it
+//! wrote and the reader thread takes what it reads into.
 //! [`crate::plan::execute`] returns every receive buffer once its elements
 //! are summed or copied.
 //!

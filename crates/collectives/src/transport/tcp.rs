@@ -9,7 +9,7 @@
 //! [`crate::transport::crc32_update`], the same implementation
 //! `dcnn_dimd::crc` re-exports: on x86_64 with `PCLMULQDQ` a frame body is
 //! checksummed at memory speed (~25 GiB/s against ~1.5 for the portable
-//! table kernel), which is what keeps the writer and reader threads of a
+//! table kernel), which is what keeps the senders and readers of a
 //! 6 MiB-per-step gradient exchange from spending more CPU on the trailer
 //! than on the socket. Either kernel puts the same four bytes on the wire
 //! ([`crate::transport::crc`]), so ranks on different CPUs interoperate.
@@ -36,36 +36,35 @@
 //! Each established connection gets a reader thread (parses frames, checks
 //! the CRC, delivers each [`WireMsg`] into the rank's [`Mailbox`], where the
 //! waiting receive takes it — the same mailbox the threaded backend's
-//! senders deliver into) and a writer thread (drains a
-//! queue of outbound messages so [`Transport::send`] never blocks on a slow
-//! peer, preserving the eager-protocol guarantee the collectives rely on).
-//! The writer never stages a frame: it computes the head and CRC trailer,
-//! then hands head/payload/trailer to one vectored write
-//! ([`wire::write_service_frames_vectored`]) — and it drains whatever else
-//! is already queued first, so bursts of small frames (the collectives'
-//! control traffic) leave in a single syscall instead of one per frame. The
-//! DIMD blob server runs the same writer ([`spawn_writer`]) per client.
+//! senders deliver into). [`Transport::send`] writes its frame on the
+//! calling thread under the link's lock, head, payload and CRC trailer in
+//! one vectored write ([`wire::write_frames_vectored`]). It waits for the
+//! peer's kernel to take the bytes, never for a matching receive, so it
+//! cannot deadlock: every reader drains its socket whatever receives are
+//! posted.
 //!
-//! `f32` buffers cycle through the endpoint's [`BufPool`]: the writer
-//! returns each payload it has written, the reader takes the buffer it reads
-//! the next `f32` body into, and the rank returns a received payload once it
-//! has summed or copied it.
+//! `f32` buffers cycle through the endpoint's [`BufPool`]: a send returns
+//! its payload once written, the reader takes the buffer it reads the next
+//! `f32` body into, and the rank returns a received payload once it has
+//! summed or copied it.
 //!
 //! ## Failure semantics
 //!
 //! A connection that ends **without** a BYE frame is an abnormal death: a
 //! SIGKILLed peer's kernel closes the socket, a torn link resets it, a
-//! corrupted frame fails its CRC. In every such case the reader/writer
-//! thread records the death in the mailbox the data frames land in
-//! ([`Mailbox::link_down`]), so a receive blocked on that peer fails fast —
-//! no timeout required. Messages that arrived before the failure stay
-//! deliverable (per-sender FIFO holds right up to the cut). A clean
-//! shutdown always sends BYE first, which is what lets bare EOF be treated
-//! as a peer death rather than a graceful close.
+//! corrupted frame fails its CRC. In every such case the reader thread, or
+//! the send whose write failed, records the death in the mailbox the data
+//! frames land in ([`Mailbox::link_down`]), so a receive blocked on that
+//! peer fails fast — no timeout required. Messages that arrived before the
+//! failure stay deliverable (per-sender FIFO holds right up to the cut). A
+//! write that makes no progress for the constructors' timeout fails too, so
+//! a peer that stops reading cannot hang a sender; a failed write shuts the
+//! socket down and later sends to that peer are dropped. Only
+//! [`Transport::shutdown`] sends BYE, which is what lets bare EOF be
+//! treated as a peer death rather than a graceful close.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,25 +72,11 @@ use std::time::{Duration, Instant};
 use super::wire::{self, encode_bye, read_frame_with, FrameRead, FRAME_MAGIC};
 use super::{BufPool, Mailbox, Transport, WireMsg};
 
-/// Writer-side batching caps: drain at most this many already-queued frames
-/// (or this many payload bytes) into one vectored write. Bounds both the
-/// per-batch allocation and how much a huge backlog can delay the BYE.
-const BATCH_MAX_FRAMES: usize = 64;
-const BATCH_MAX_BYTES: usize = 256 * 1024;
-
 /// How long [`accept_until`] sleeps between polls of its listener. Picked
 /// by measurement: a two-rank loopback bootstrap takes ~0.6 ms at 200 µs,
 /// ~2.2 ms at 1 ms and ~10 ms at 5 ms (2-core x86_64), while waiting out a
 /// missing rank costs only ~5 000 wake-ups a second.
 const ACCEPT_POLL: Duration = Duration::from_micros(200);
-
-/// Commands for a connection's writer thread ([`spawn_writer`]).
-pub enum WriterCmd {
-    /// Send one frame of the given wire `kind` (see [`wire`]).
-    Frame(u8, WireMsg),
-    /// Flush everything queued, then send BYE and close the write half.
-    Bye,
-}
 
 /// One rank's endpoint on the TCP fabric. See the module docs for the
 /// protocol; from the runtime's point of view this behaves exactly like
@@ -102,17 +87,17 @@ pub struct TcpTransport {
     /// Where every reader thread and every self-send (no socket, no
     /// serialization) delivers, and every link death is recorded.
     mailbox: Arc<Mailbox>,
-    /// Outbound queues, indexed by peer global rank (`None` at `rank`).
-    peers: Vec<Option<Sender<WriterCmd>>>,
-    /// Raw socket per peer (clone of the reader/writer streams), kept so
-    /// [`TcpTransport::sever_link`] can cut a live connection for fault
-    /// injection without going through the writer queue.
-    links: Mutex<Vec<Option<TcpStream>>>,
-    /// Reader + writer threads, joined on shutdown.
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    /// The endpoint's `f32` buffers, shared with its reader and writer
-    /// threads.
+    /// The socket to each peer, indexed by global rank: `None` at `rank`,
+    /// and once the link's write failed or the endpoint tore down. A send
+    /// writes its frame under the lock, so frames never interleave.
+    links: Vec<Mutex<Option<TcpStream>>>,
+    /// The reader threads, joined on shutdown.
+    readers: Mutex<Vec<JoinHandle<()>>>,
+    /// The endpoint's `f32` buffers, shared with its reader threads.
     pool: Arc<BufPool>,
+    /// How long a write may make no progress before it counts as failed:
+    /// the constructors' timeout.
+    write_timeout: Duration,
 }
 
 /// Run `attempt` until it succeeds, fails with an error `retry` declines, or
@@ -409,10 +394,11 @@ impl TcpTransport {
     fn build(rank: usize, world: usize, role: RendezvousRole, timeout: Duration) -> io::Result<Self> {
         assert!(world >= 1, "world needs at least one rank");
         let mailbox = Arc::new(Mailbox::default());
-        let mut peers: Vec<Option<Sender<WriterCmd>>> = (0..world).map(|_| None).collect();
-        let mut links: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
-        let mut threads = Vec::new();
+        let mut links: Vec<_> = (0..world).map(|_| Mutex::new(None)).collect();
+        let mut readers = Vec::new();
         let pool = Arc::new(BufPool::default());
+        // The socket option refuses a zero timeout.
+        let write_timeout = timeout.max(Duration::from_millis(1));
 
         if world > 1 {
             // Every rank accepts mesh connections on its own ephemeral
@@ -500,22 +486,10 @@ impl TcpTransport {
                 // Latency over throughput: the collectives exchange many
                 // small control frames.
                 stream.set_nodelay(true)?;
+                stream.set_write_timeout(Some(write_timeout))?;
                 let reader = stream.try_clone()?;
-                links[peer] = Some(stream.try_clone()?);
-                let (wtx, wrx) = channel::<WriterCmd>();
-                peers[peer] = Some(wtx);
-                threads.push(spawn_reader(reader, peer, Arc::clone(&mailbox), Arc::clone(&pool)));
-                // The send side sees a dead peer first when we talk more
-                // than we listen; record it where the reader would.
-                let dead = Arc::clone(&mailbox);
-                threads.push(spawn_writer(
-                    stream,
-                    format!("dcnn-tcp-write-{peer}"),
-                    rank,
-                    wrx,
-                    Arc::clone(&pool),
-                    move |e| dead.link_down(peer, format!("write failed: {e}")),
-                ));
+                readers.push(spawn_reader(reader, peer, Arc::clone(&mailbox), Arc::clone(&pool)));
+                links[peer] = Mutex::new(Some(stream));
             }
         }
 
@@ -523,11 +497,16 @@ impl TcpTransport {
             rank,
             world,
             mailbox,
-            peers,
-            links: Mutex::new(links),
-            threads: Mutex::new(threads),
+            links,
+            readers: Mutex::new(readers),
             pool,
+            write_timeout,
         })
+    }
+
+    /// The slot of the link to `peer`.
+    fn link(&self, peer: usize) -> std::sync::MutexGuard<'_, Option<TcpStream>> {
+        self.links[peer].lock().expect("a send panicked holding the link")
     }
 
     /// Fault injection: cut the live connection to `peer` at the socket
@@ -536,8 +515,8 @@ impl TcpTransport {
     /// full LinkDown → `PeerDead` path runs exactly as it would for a
     /// SIGKILLed process. No-op if the link is already gone.
     pub fn sever_link(&self, peer: usize) {
-        if let Some(s) = self.links.lock().expect("link registry")[peer].as_ref() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
+        if let Some(s) = self.link(peer).as_ref() {
+            let _ = s.shutdown(Shutdown::Both);
         }
     }
 }
@@ -581,88 +560,6 @@ fn spawn_reader(
         .expect("spawn reader thread")
 }
 
-/// Spawn the writer thread of one connection — each rank-fabric link has
-/// one, and so does each client of a data-plane blob server. It drains
-/// `queue` into vectored writes of at most 64 frames or 256 KiB of payload,
-/// never waiting to fill a batch, and returns each written payload's buffer
-/// to `pool`. Only an explicit [`WriterCmd::Bye`] ends with a BYE frame
-/// (from `bye_src`); any other exit — the queue dropped, or a failed write,
-/// which is handed to `on_error` first — shuts the socket down without one,
-/// so the peer sees a dead link.
-pub fn spawn_writer(
-    mut stream: TcpStream,
-    name: String,
-    bye_src: usize,
-    queue: Receiver<WriterCmd>,
-    pool: Arc<BufPool>,
-    on_error: impl FnOnce(io::Error) + Send + 'static,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let graceful = write_queued(&mut stream, &queue, &pool).unwrap_or_else(|e| {
-                on_error(e);
-                false
-            });
-            if graceful {
-                let _ = stream.write_all(&encode_bye(bye_src));
-                let _ = stream.flush();
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-            } else {
-                // The reader holds a clone of this socket; dropping ours
-                // would leave the connection open under a dead writer.
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            }
-        })
-        .expect("spawn writer thread")
-}
-
-/// The writer thread's loop: `Ok(true)` once everything queued ahead of a
-/// `Bye` is written, `Ok(false)` once the queue is dropped — its owner is
-/// unwinding from a failure, which must not masquerade as a graceful leave.
-fn write_queued(
-    stream: &mut TcpStream,
-    queue: &Receiver<WriterCmd>,
-    pool: &BufPool,
-) -> io::Result<bool> {
-    let mut batch: Vec<(u8, WireMsg)> = Vec::new();
-    loop {
-        let mut end = None;
-        match queue.recv() {
-            Ok(WriterCmd::Frame(kind, msg)) => batch.push((kind, msg)),
-            Ok(WriterCmd::Bye) => end = Some(true),
-            Err(_) => return Ok(false),
-        }
-        // Send-side batching: drain whatever else is already queued
-        // (bounded) so bursts of small frames leave in one vectored write
-        // instead of one syscall each. Never waits — a lone frame goes out
-        // immediately. A teardown behind the frames still flushes them.
-        let mut bytes = batch.first().map_or(0, |(_, m)| m.payload.len_bytes());
-        while end.is_none() && batch.len() < BATCH_MAX_FRAMES && bytes < BATCH_MAX_BYTES {
-            match queue.try_recv() {
-                Ok(WriterCmd::Frame(kind, msg)) => {
-                    bytes += msg.payload.len_bytes();
-                    batch.push((kind, msg));
-                }
-                Ok(WriterCmd::Bye) => end = Some(true),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => end = Some(false),
-            }
-        }
-        if !batch.is_empty() {
-            // Head, payload bytes and CRC trailer of every frame go to the
-            // socket straight from their owning buffers — no staging Vec.
-            wire::write_service_frames_vectored(stream, &batch)?;
-            for (_, msg) in batch.drain(..) {
-                pool.recycle(msg.payload);
-            }
-        }
-        if let Some(graceful) = end {
-            return Ok(graceful);
-        }
-    }
-}
-
 impl Transport for TcpTransport {
     fn rank(&self) -> usize {
         self.rank
@@ -681,12 +578,27 @@ impl Transport for TcpTransport {
             self.mailbox.deliver(msg);
             return;
         }
-        // A send to a dead peer is dropped, not a panic: the writer thread
-        // already recorded the link's death in the mailbox, and the next
-        // receive touching that peer turns it into a structured failure.
-        if let Some(q) = self.peers[dst].as_ref() {
-            let _ = q.send(WriterCmd::Frame(wire::payload_kind(&msg.payload), msg));
+        let mut link = self.link(dst);
+        // A send to a dead peer is dropped, not a panic: the link's death
+        // is already in the mailbox, and the next receive touching that
+        // peer turns it into a structured failure.
+        if let Some(stream) = link.as_mut() {
+            if let Err(e) = wire::write_frames_vectored(stream, std::slice::from_ref(&msg)) {
+                let cause = match e.kind() {
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                        format!("write failed: stalled for {:?}", self.write_timeout)
+                    }
+                    _ => format!("write failed: {e}"),
+                };
+                // Recorded before the shutdown, so the reader's EOF that
+                // follows it does not stand in for the cause.
+                self.mailbox.link_down(dst, cause);
+                let _ = stream.shutdown(Shutdown::Both);
+                *link = None;
+            }
         }
+        drop(link);
+        self.pool.recycle(msg.payload);
     }
 
     fn mailbox(&self) -> &Mailbox {
@@ -698,13 +610,34 @@ impl Transport for TcpTransport {
     }
 
     fn shutdown(&self) {
-        for p in self.peers.iter().flatten() {
-            // The writer drains every queued frame before the BYE, so data
-            // already "sent" stays deliverable to peers still receiving.
-            let _ = p.send(WriterCmd::Bye);
+        // Every frame sent is already written, so a BYE behind it leaves it
+        // deliverable to peers still receiving.
+        for peer in 0..self.world {
+            if let Some(mut stream) = self.link(peer).take() {
+                let _ = stream.write_all(&encode_bye(self.rank));
+                let _ = stream.shutdown(Shutdown::Write);
+            }
         }
-        let handles = std::mem::take(&mut *self.threads.lock().expect("thread registry"));
-        for h in handles {
+        let readers = std::mem::take(&mut *self.readers.lock().expect("reader registry"));
+        for h in readers {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Every way out but [`Transport::shutdown`] — a rank returning `Err`, an
+/// unwind, a plain drop — closes each live link without a BYE, so its peer
+/// sees the link die instead of a graceful close. Each reader holds a clone
+/// of its socket, so dropping ours alone would leave the connection open;
+/// the shutdown ends the reader too.
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        for link in &mut self.links {
+            if let Some(s) = link.get_mut().unwrap_or_else(|p| p.into_inner()).take() {
+                let _ = s.shutdown(Shutdown::Both);
+            }
+        }
+        for h in self.readers.get_mut().unwrap_or_else(|p| p.into_inner()).drain(..) {
             let _ = h.join();
         }
     }
@@ -771,10 +704,9 @@ mod tests {
     }
 
     #[test]
-    fn small_frame_burst_survives_batched_writer_in_order() {
-        // Many tiny frames queued at once: the writer drains them into
-        // vectored batches; the receiver must see every frame, in order,
-        // bit-identical.
+    fn small_frame_burst_arrives_in_order() {
+        // Many tiny frames sent back to back, one write each: the receiver
+        // must see every frame, in order, bit-identical.
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let n = 500usize;
@@ -794,6 +726,111 @@ mod tests {
         }
         t0.shutdown();
         t.join().expect("rank 1 thread");
+    }
+
+    /// The `f32` payload of frame `i` from sender thread `t`: its length
+    /// cycles from one element to 256 KiB, and every element names the
+    /// frame.
+    fn mixed_frame(t: usize, i: usize) -> Vec<f32> {
+        let len = [1, 33, 1024, 16_384, 65_536][i % 5];
+        (0..len).map(|j| (t * 1_000_000 + i * 1000 + j % 1000) as f32).collect()
+    }
+
+    #[test]
+    fn concurrent_senders_on_one_link_keep_each_threads_order() {
+        // Two threads of rank 1 send 200 frames each to rank 0 at once, on
+        // their own tags: the link's lock must keep every frame whole and
+        // each thread's frames in its send order.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let n = 200usize;
+        let t = std::thread::spawn(move || {
+            let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
+            std::thread::scope(|s| {
+                for tag in 1..=2 {
+                    let t1 = &t1;
+                    s.spawn(move || {
+                        for i in 0..n {
+                            t1.send(0, msg(1, tag as u32, Payload::f32(mixed_frame(tag, i))));
+                        }
+                    });
+                }
+            });
+            t1.shutdown();
+        });
+        let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
+        let mut next = [0usize; 3];
+        for _ in 0..2 * n {
+            let m = next_arrival(t0.mailbox(), Duration::from_secs(10)).expect("a frame");
+            let tag = m.tag as usize;
+            assert!(tag == 1 || tag == 2, "unexpected tag {tag}");
+            let i = next[tag];
+            assert_eq!(m.payload.as_f32(), mixed_frame(tag, i), "thread {tag}, frame {i}");
+            next[tag] += 1;
+        }
+        assert_eq!(next, [0, n, n]);
+        t0.shutdown();
+        t.join().expect("rank 1 thread");
+    }
+
+    #[test]
+    fn a_drop_without_shutdown_closes_the_link_without_bye() {
+        // The path a rank that returns `Err` takes: its peers must see the
+        // link die (a receive from it is `PeerDead`), not a graceful close
+        // that leaves them waiting for the watchdog. A frame sent before
+        // the drop stays deliverable.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let t = std::thread::spawn(move || {
+            let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
+            t1.send(0, msg(1, 4, Payload::bytes(vec![9])));
+            drop(t1);
+        });
+        let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
+        t.join().expect("rank 1 thread");
+        let cause = link_down_cause(t0.mailbox(), 1, Duration::from_secs(10))
+            .expect("rank 1's link must die, not close");
+        assert!(cause.contains("closed without BYE"), "{cause}");
+        let m = next_arrival(t0.mailbox(), Duration::ZERO).expect("the frame sent before the drop");
+        assert_eq!((m.tag, m.payload.into_bytes()), (4, vec![9]));
+        t0.shutdown();
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_fails_the_send_at_the_timeout() {
+        // A fake rank 1 completes the mesh HELLO and then never reads. A
+        // 64 MiB frame fills both loopback buffers; the write that then
+        // makes no progress for the endpoint's timeout fails the link, so
+        // the send returns and a receive from rank 1 is `PeerDead` at once.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let timeout = Duration::from_secs(1);
+        let host = std::thread::spawn(move || TcpTransport::host(listener, 2, timeout));
+        let (_reg, table) = register_fake(&addr, 1, 2);
+        let mut stalled =
+            connect_with_backoff(&table[0], Duration::from_secs(5)).expect("dial data");
+        stalled.write_all(&FRAME_MAGIC).expect("magic");
+        stalled.write_all(&1u32.to_le_bytes()).expect("rank");
+        stalled.flush().expect("flush");
+        let t0 = host.join().expect("rank 0 thread").expect("rank 0");
+
+        let start = Instant::now();
+        t0.send(1, msg(0, 3, Payload::bytes(vec![0; 64 << 20])));
+        let elapsed = start.elapsed();
+        // Half the timeout below: the kernel rounds its timer, and the point
+        // is that the send waited on the socket instead of queueing.
+        assert!(elapsed >= timeout / 2, "the send returned after {elapsed:?}");
+        assert!(elapsed < timeout + Duration::from_secs(4), "the send hung for {elapsed:?}");
+        let cause = link_down_cause(t0.mailbox(), 1, Duration::ZERO)
+            .expect("the failed write must record the link's death");
+        assert!(cause.contains("write failed: stalled"), "{cause}");
+
+        // Later sends to the dead peer are dropped at once.
+        let start = Instant::now();
+        t0.send(1, msg(0, 4, Payload::bytes(vec![1])));
+        assert!(start.elapsed() < timeout / 2, "a send to a dead link waited");
+        t0.shutdown();
+        drop(stalled);
     }
 
     #[test]

@@ -250,8 +250,8 @@ pub fn write_frames_vectored(w: &mut impl Write, msgs: &[WireMsg]) -> io::Result
 }
 
 /// [`write_frames_vectored`] with each frame's kind given explicitly: the
-/// data plane's frames, and every frame the shared writer thread
-/// ([`super::tcp::spawn_writer`]) sends on either kind of connection.
+/// data plane's frames, which the blob server and its clients write on the
+/// calling thread (the rank fabric's sends use [`write_frames_vectored`]).
 pub fn write_service_frames_vectored(
     w: &mut impl Write,
     frames: &[(u8, WireMsg)],

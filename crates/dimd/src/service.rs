@@ -33,27 +33,28 @@
 //!   connection that ends any other way — EOF, an error, a BYE before that
 //!   ack — is a dead server, reported as [`CommError::PeerDead`].
 //!
-//! The connection code is the rank fabric's: the server writes to each
-//! client on its writer thread ([`spawn_writer`]), the client dials through
-//! its backoff loop ([`connect_with_backoff`]) and decodes on the
-//! [`Prefetcher`]'s decode lanes. Whatever a client sends, [`serve_blocking`]
-//! answers a violation with an `InvalidData` error naming the rank and its
-//! address, never a panic.
+//! The connection code is the rank fabric's: each end writes a frame on
+//! the calling thread in one vectored write ([`write_service_frames_vectored`])
+//! — the server from its store loop, beside one reader thread per client.
+//! The client dials through the fabric's backoff loop
+//! ([`connect_with_backoff`]) and decodes on the [`Prefetcher`]'s decode
+//! lanes. Whatever a client sends, [`serve_blocking`] answers a violation
+//! with an `InvalidData` error naming the rank and its address, never a
+//! panic.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 use std::time::Duration;
 
 use dcnn_collectives::runtime::{Comm, CommError};
-use dcnn_collectives::transport::tcp::{connect_with_backoff, spawn_writer, WriterCmd};
+use dcnn_collectives::transport::tcp::connect_with_backoff;
 use dcnn_collectives::transport::wire::{
     encode_bye, read_frame, write_service_frames_vectored, FrameRead, KIND_DATA_BATCH,
     KIND_DATA_EOE, KIND_DATA_REQ,
 };
-use dcnn_collectives::transport::{BufPool, Payload, WireMsg};
+use dcnn_collectives::transport::{Payload, WireMsg};
 use dcnn_tensor::Tensor;
 
 use crate::prefetch::{decode_lanes, Decoded, LaneJobs, LaneOuts, Prefetcher};
@@ -172,12 +173,26 @@ struct Client {
     hello: Hello,
     /// The client's socket address, for errors about what it sent.
     peer: String,
-    writer: Sender<WriterCmd>,
-    /// The writer thread, joined on clean shutdown so the final EOE ack
-    /// and BYE reach the wire before the server process can exit.
-    writer_thread: std::thread::JoinHandle<()>,
+    /// The socket the store loop writes to; the reader holds a clone.
+    stream: TcpStream,
     next_seq: u32,
     eoe_epoch: Option<u64>,
+}
+
+impl Client {
+    /// Write one frame on the store loop's thread. A failed write needs no
+    /// report: this client's reader sees the dead socket and sends `Gone`.
+    fn send(&self, kind: u8, msg: WireMsg) {
+        let _ = write_service_frames_vectored(&mut &self.stream, &[(kind, msg)]);
+    }
+}
+
+/// A client let go before the job's end sees a dead server: no BYE, and
+/// the reader's clone of the socket does not keep the connection open.
+impl Drop for Client {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
 }
 
 /// Read frames from one client socket and translate them into [`Event`]s,
@@ -338,21 +353,8 @@ fn serve(
                             live.peer
                         )));
                     }
-                    let (writer, rx) = channel();
-                    let writer_thread = spawn_writer(
-                        stream,
-                        format!("dcnn-data-write-{rank}"),
-                        0,
-                        rx,
-                        Arc::new(BufPool::default()),
-                        // Nothing to report: this client's reader sees the
-                        // dead socket and sends `Gone`.
-                        |_| {},
-                    );
-                    clients.insert(
-                        rank,
-                        Client { hello, peer, writer, writer_thread, next_seq: 0, eoe_epoch: None },
-                    );
+                    clients
+                        .insert(rank, Client { hello, peer, stream, next_seq: 0, eoe_epoch: None });
                     break;
                 }
                 Ok(Event::Gone { who, cause }) => {
@@ -398,13 +400,8 @@ fn serve(
                     .1;
                 let (salt, records) = dimd.sample_batch_records(batch);
                 report.batches_served += 1;
-                let frame = WireMsg {
-                    src: me,
-                    comm_id: salt,
-                    tag: seq,
-                    payload: Payload::bytes(pack(&records)),
-                };
-                let _ = client.writer.send(WriterCmd::Frame(KIND_DATA_BATCH, frame));
+                let payload = Payload::bytes(pack(&records));
+                client.send(KIND_DATA_BATCH, WireMsg { src: me, comm_id: salt, tag: seq, payload });
                 if let Some(n) = fault_after_batches {
                     if report.batches_served >= n {
                         // Simulate a crashed server: drop every socket on
@@ -473,26 +470,18 @@ fn serve(
                             .install_shuffled_records(recs);
                     }
                 }
-                for client in clients.values_mut() {
-                    let ack = WireMsg {
-                        src: me,
-                        comm_id: epoch,
-                        tag: 0,
-                        payload: Payload::bytes(Vec::new()),
-                    };
-                    let _ = client.writer.send(WriterCmd::Frame(KIND_DATA_EOE, ack));
-                    client.eoe_epoch = None;
-                    client.next_seq = 0;
+                for c in clients.values_mut() {
+                    let payload = Payload::bytes(Vec::new());
+                    c.send(KIND_DATA_EOE, WireMsg { src: me, comm_id: epoch, tag: 0, payload });
+                    c.eoe_epoch = None;
+                    c.next_seq = 0;
                 }
                 epoch += 1;
                 if epoch as usize >= job.epochs {
-                    // Each writer drains the final EOE ack, then says BYE;
-                    // join them so those frames are on the wire before the
-                    // server process can exit and tear the sockets down
-                    // under the clients.
-                    for (_, client) in clients.drain() {
-                        let _ = client.writer.send(WriterCmd::Bye);
-                        let _ = client.writer_thread.join();
+                    // The final EOE ack is already written; say BYE behind
+                    // it. Dropping `clients` on return closes the sockets.
+                    for client in clients.values() {
+                        let _ = (&client.stream).write_all(&encode_bye(0));
                     }
                     return Ok(report);
                 }

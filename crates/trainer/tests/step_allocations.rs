@@ -13,7 +13,7 @@
 //! [`StepGate`] that, at the start of step [`WARMUP`] + 1 and again
 //! [`MEASURED`] steps later, holds every rank at a barrier and arms or
 //! disarms the counter there — so the window is exactly those steps on every
-//! rank and every thread (comm workers, socket readers and writers).
+//! rank and every thread (comm workers, socket readers).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
@@ -216,8 +216,8 @@ fn hooked_tcp_step_allocates_nothing_but_pool_growth() {
     //
     // One site remains: a miss in an endpoint's `BufPool`. The pool keeps
     // as many sub-chunk buffers as the most messages any earlier step had
-    // alive on that endpoint at once (queued for the writer, or read and not
-    // yet summed). That number depends on thread timing and only rises, so
+    // alive on that endpoint at once (being written by a send, or read and
+    // not yet summed). That number depends on thread timing and only rises, so
     // now and then a step sets a new high and allocates a buffer or two
     // (0–3 in this window over 20 runs). A broken return path would miss on
     // every message of one direction instead: 6 per endpoint and step, 24 in
