@@ -40,6 +40,13 @@ if git grep -nE 'panic_any|set_hook|take_hook|catch_unwind|downcast(_ref)?::<Com
     exit 1
 fi
 
+# A launched collective advances on the calling thread (every call into the
+# runtime moves the rank's parked cursors), so the rank runtime starts none.
+if git grep -nE 'thread::(spawn|Builder|scope)' -- 'crates/collectives/src/runtime/'; then
+    echo "ci.sh: crates/collectives/src/runtime/ starts a thread" >&2
+    exit 1
+fi
+
 cargo_offline build --release --workspace
 cargo_offline test -q --workspace
 # The DCC1 codec's exhaustive sweeps — the pixel conversion on all 2^32

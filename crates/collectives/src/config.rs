@@ -2,8 +2,8 @@
 //! parsed in one place.
 //!
 //! Runtime knobs used to be read ad hoc wherever they were consumed —
-//! transport selection in `transport`, tracing in `trace`, worker counts and
-//! timeouts in `runtime`, bucket sizes in the trainer — each with its own
+//! transport selection in `transport`, tracing in `trace`, timeouts in
+//! `runtime`, bucket sizes in the trainer — each with its own
 //! silent fallback on a malformed value. [`RuntimeConfig`] replaces that:
 //! [`RuntimeConfig::from_env`] parses the whole `DCNN_*` namespace once and
 //! returns a [`ConfigError`] that names the offending variable, its value and
@@ -149,9 +149,6 @@ pub struct RuntimeConfig {
     pub trace_json: Option<String>,
     /// Deadlock-watchdog receive timeout (`DCNN_RECV_TIMEOUT_MS`).
     pub recv_timeout: Option<Duration>,
-    /// Comm-worker threads per rank for async reduces
-    /// (`DCNN_COMM_WORKERS`, ≥ 1).
-    pub comm_workers: Option<usize>,
     /// Gradient bucket size target in bytes (`DCNN_BUCKET_BYTES`;
     /// `0` = one fused blocking allreduce).
     pub bucket_bytes: Option<usize>,
@@ -229,7 +226,7 @@ impl RuntimeConfig {
     /// internal `DCNN_LAUNCH_CHILD` / `DCNN_LAUNCH_WORKLOAD` handshake
     /// variables, and its `eval-cell` workload `DCNN_LAUNCH_CELL`, which are
     /// not configuration.) The README env table is tested against this list.
-    pub const ENV_VARS: [&'static str; 18] = [
+    pub const ENV_VARS: [&'static str; 17] = [
         "DCNN_TRANSPORT",
         "DCNN_RENDEZVOUS",
         "DCNN_RANK",
@@ -237,7 +234,6 @@ impl RuntimeConfig {
         "DCNN_TRACE",
         "DCNN_TRACE_JSON",
         "DCNN_RECV_TIMEOUT_MS",
-        "DCNN_COMM_WORKERS",
         "DCNN_BUCKET_BYTES",
         "DCNN_OVERLAP_MODE",
         "DCNN_CONNECT_TIMEOUT_MS",
@@ -297,10 +293,6 @@ impl RuntimeConfig {
                 expected: "a timeout in milliseconds (unsigned integer)",
             })?;
             cfg.recv_timeout = Some(Duration::from_millis(ms));
-        }
-        if let Some(v) = get("DCNN_COMM_WORKERS") {
-            cfg.comm_workers =
-                Some(parse_at_least("DCNN_COMM_WORKERS", &v, 1, "a thread count (integer ≥ 1)")?);
         }
         if let Some(v) = get("DCNN_BUCKET_BYTES") {
             cfg.bucket_bytes =
@@ -385,9 +377,12 @@ impl RuntimeConfig {
         self.recv_timeout.unwrap_or(Duration::from_secs(60))
     }
 
-    /// Comm-worker threads per rank (default 2, minimum 1).
+    /// Threads a rank runs for launched collectives: always 0, since a
+    /// launch is a cursor every call into the runtime advances. It stays
+    /// only because the benchmark reports it (`comm_workers_per_rank`);
+    /// the benchmark's next change drops that row, and this with it.
     pub fn comm_workers_or_default(&self) -> usize {
-        self.comm_workers.unwrap_or(2).max(1)
+        0
     }
 
     /// TCP connect/rendezvous timeout (default 20 s).
@@ -439,7 +434,6 @@ mod tests {
         assert_eq!(cfg.transport_or_default(), TransportKind::Threads);
         assert!(!cfg.trace_or_default());
         assert_eq!(cfg.recv_timeout_or_default(), Duration::from_secs(60));
-        assert_eq!(cfg.comm_workers_or_default(), 2);
         assert_eq!(cfg.data_prefetch_depth_or_default(), 0);
         assert_eq!(cfg.data_decode_workers_or_default(), 1);
         assert_eq!(cfg.data_service, None);
@@ -463,7 +457,6 @@ mod tests {
             ("DCNN_TRACE", "on"),
             ("DCNN_TRACE_JSON", "/tmp/trace.jsonl"),
             ("DCNN_RECV_TIMEOUT_MS", "2500"),
-            ("DCNN_COMM_WORKERS", "3"),
             ("DCNN_BUCKET_BYTES", "4096"),
             ("DCNN_OVERLAP_MODE", "drain"),
             ("DCNN_CONNECT_TIMEOUT_MS", "750"),
@@ -483,7 +476,6 @@ mod tests {
         assert_eq!(cfg.trace, Some(true));
         assert_eq!(cfg.trace_json.as_deref(), Some("/tmp/trace.jsonl"));
         assert_eq!(cfg.recv_timeout, Some(Duration::from_millis(2500)));
-        assert_eq!(cfg.comm_workers, Some(3));
         assert_eq!(cfg.bucket_bytes, Some(4096));
         assert_eq!(cfg.overlap_mode, Some(OverlapMode::Drain));
         assert_eq!(cfg.connect_timeout, Some(Duration::from_millis(750)));
@@ -549,7 +541,6 @@ mod tests {
             ("DCNN_WORLD", "0"),
             ("DCNN_TRACE", "maybe"),
             ("DCNN_RECV_TIMEOUT_MS", "2.5s"),
-            ("DCNN_COMM_WORKERS", "0"),
             ("DCNN_BUCKET_BYTES", "-1"),
             ("DCNN_OVERLAP_MODE", "eager"),
             ("DCNN_CONNECT_TIMEOUT_MS", "0"),

@@ -3,9 +3,9 @@
 //!
 //! A collective is written once, as the list of [`Step`]s each rank performs
 //! over element ranges of its buffer. Exactly two things consume a plan:
-//! [`execute`] interprets one rank's steps on a [`Comm`] (the real run), and
-//! [`compile`] matches all ranks' steps into a [`CommSchedule`] for the
-//! virtual-time simulator. What runs and what is simulated therefore cannot
+//! `advance` interprets one rank's steps on a [`Comm`] as a cursor (the real
+//! run, blocking or launched), and [`compile`] matches all ranks' steps
+//! into a [`CommSchedule`] for the virtual-time simulator. What runs and what is simulated therefore cannot
 //! drift apart: they are the same list. One pass rewrites plans:
 //! [`reduce_scatter`] drops from an allreduce's plans every transfer the
 //! ranks' owned chunks do not depend on, so no algorithm writes its
@@ -18,7 +18,7 @@ use dcnn_simnet::{CommSchedule, OpId};
 
 use crate::algorithms::CostModel;
 use crate::reduce::sum_into;
-use crate::runtime::{Comm, CommError};
+use crate::runtime::{Comm, CommError, Payload};
 
 /// One action of one rank on element `range` of its buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,27 +81,41 @@ pub fn embed(steps: Vec<Step>, group: &[usize]) -> impl Iterator<Item = Step> + 
     })
 }
 
-/// Run this rank's `steps` on `comm` over `buf`, in order, stopping at the
-/// first receive whose peer is dead. Each received message's buffer goes
-/// back to the transport's pool as soon as it is summed or copied, for the
-/// next send or receive to reuse.
-pub fn execute(comm: &Comm, steps: &[Step], buf: &mut [f32]) -> Result<(), CommError> {
-    for step in steps {
+/// The step interpreter: run `steps[*at..]` on `comm` over `buf`, in order,
+/// moving the cursor `at` past each step done; `Ok(true)` once all are.
+/// Receive step `i` takes its message from `recv(i, from, tag)`, and stops
+/// the cursor there on `Ok(None)` (not here yet: `Ok(false)`) or an error.
+/// Each received buffer goes back to the transport's pool as soon as it is
+/// summed or copied, for the next send or receive to reuse.
+pub(crate) fn advance(
+    comm: &Comm,
+    steps: &[Step],
+    at: &mut usize,
+    buf: &mut [f32],
+    mut recv: impl FnMut(usize, usize, u32) -> Result<Option<Payload>, CommError>,
+) -> Result<bool, CommError> {
+    while let Some(step) = steps.get(*at) {
         match step {
             Step::Send { to, range, tag } => comm.send_f32(*to, *tag, &buf[range.clone()]),
-            Step::RecvReduce { from, range, tag } => {
-                let msg = comm.recv(*from, *tag)?;
-                sum_into(&mut buf[range.clone()], msg.as_f32());
-                comm.recycle(msg);
-            }
-            Step::RecvCopy { from, range, tag } => {
-                let msg = comm.recv(*from, *tag)?;
-                buf[range.clone()].copy_from_slice(msg.as_f32());
+            Step::RecvReduce { from, range, tag } | Step::RecvCopy { from, range, tag } => {
+                let Some(msg) = recv(*at, *from, *tag)? else { return Ok(false) };
+                if matches!(step, Step::RecvReduce { .. }) {
+                    sum_into(&mut buf[range.clone()], msg.as_f32());
+                } else {
+                    buf[range.clone()].copy_from_slice(msg.as_f32());
+                }
                 comm.recycle(msg);
             }
         }
+        *at += 1;
     }
-    Ok(())
+    Ok(true)
+}
+
+/// Run this rank's `steps` on `comm` over `buf`: the cursor driven to the
+/// end with blocking receives, stopping at the first whose peer is dead.
+pub fn execute(comm: &Comm, steps: &[Step], buf: &mut [f32]) -> Result<(), CommError> {
+    advance(comm, steps, &mut 0, buf, |_, from, tag| comm.recv(from, tag).map(Some)).map(drop)
 }
 
 /// Which op last wrote each element of one rank's buffer, as disjoint

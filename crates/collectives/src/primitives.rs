@@ -13,8 +13,8 @@
 //! [`crate::RingReduceScatter`]'s reduce-scatter plan (what
 //! [`Comm::reduce_scatter`] runs, as a reduce-scatter
 //! [`crate::CollectiveOp`]), and the parameters come back through
-//! [`Comm::allgather_f32`], which adds the gather [`crate::CommStats`]
-//! accounting itself.
+//! [`Comm::allgather_f32`], an allgather [`crate::CollectiveOp`] over the
+//! gather steps.
 
 use dcnn_simnet::CommSchedule;
 
@@ -85,18 +85,6 @@ pub(crate) fn ring_reduce_scatter_steps(r: usize, counts: &[usize]) -> Vec<Step>
 /// arithmetic, so it cannot perturb bits.
 pub(crate) fn ring_allgather_steps(r: usize, counts: &[usize]) -> Vec<Step> {
     ring_pass(r, counts, 1, TAG_AGC, |from, range, tag| Step::RecvCopy { from, range, tag })
-}
-
-/// [`Comm::try_allgather_f32`]'s body: run the allgather steps on `comm`.
-pub(crate) fn ring_allgather(
-    comm: &Comm,
-    buf: &mut [f32],
-    counts: &[usize],
-) -> Result<(), CommError> {
-    let _phase = comm.phase("allgather");
-    assert_eq!(counts.len(), comm.size(), "allgather needs one count per rank");
-    assert_eq!(counts.iter().sum::<usize>(), buf.len(), "allgather counts must cover the buffer");
-    execute(comm, &ring_allgather_steps(comm.rank(), counts), buf)
 }
 
 /// Binomial-tree broadcast of a byte buffer from `root`.

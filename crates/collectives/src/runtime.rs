@@ -22,30 +22,30 @@
 //!
 //! ## Nonblocking collectives
 //!
-//! [`Comm::launch`] runs a [`CollectiveOp`] (an allreduce, reduce-scatter or
-//! allgather described as a value) on the rank's comm worker — a small
-//! lazily-spawned thread pool (`DCNN_COMM_WORKERS`, default 2) — and returns
-//! a [`PendingReduce`] handle. Each launch runs on its own derived bucket
-//! communicator, so several reductions can be in flight without their
-//! messages cross-matching; the main thread and the workers receive from
-//! the rank's one mailbox side by side (`runtime/router.rs`). The bucketed
+//! [`Comm::launch`] starts a [`CollectiveOp`] (an allreduce, reduce-scatter
+//! or allgather described as a value) as a *cursor* over its steps, parked
+//! in the rank's table at the first receive whose message has not arrived,
+//! and returns a [`PendingReduce`] handle. No thread runs it: every call
+//! into the runtime advances the parked cursors (`runtime/launch.rs`), so a
+//! rank runs one thread, plus a socket reader per peer on TCP. Each launch
+//! has its own derived bucket communicator, so several reductions can be in
+//! flight without their messages cross-matching. The bucketed
 //! overlap-aware trainer loop is built on this.
 //!
 //! ## Deadlock watchdog
 //!
-//! A receive that stays blocked past the cluster's receive timeout
+//! A wait that stays blocked past the cluster's receive timeout
 //! ([`ClusterBuilder::recv_timeout`], default 60 s, overridable with the
 //! `DCNN_RECV_TIMEOUT_MS` environment variable) does not die with a bare
-//! timeout panic. Instead, every blocked consumer (a rank's main thread, or
-//! one of its in-flight async buckets) publishes its blocked-receive
-//! descriptor `(rank, sources, comm, tag)` and a snapshot of its stash keys
-//! (what waits in its mailbox) into a shared diagnostics registry
+//! timeout panic. Instead, a blocked receive publishes its descriptor
+//! `(rank, sources, comm, tag)`, every parked cursor's (bucket, label, step
+//! and awaited `(peer, tag)`) and a snapshot of its stash keys (what waits
+//! in its mailbox) into a shared diagnostics registry
 //! (`runtime/watchdog.rs`); the first rank to time out assembles
 //! the cross-rank wait-for graph, runs cycle detection, and panics with a
-//! readable report naming every blocked rank (bucket reduces labelled with
-//! their bucket number), what it waits for, what it has stashed, and the
-//! deadlock cycle if one exists. All other timing-out ranks panic with the
-//! same (memoized) report.
+//! readable report naming every blocked rank and cursor, what it waits for,
+//! what it has stashed, and the deadlock cycle if one exists. All other
+//! timing-out ranks panic with the same (memoized) report.
 //!
 //! ## Tracing and counters
 //!
@@ -76,27 +76,15 @@ mod launch;
 mod router;
 mod watchdog;
 
-use launch::CommWorker;
+use launch::Table;
 pub use launch::{CollectiveOp, PendingReduce};
 use watchdog::RankDiag;
-
-/// Which consumer of a rank's mailbox a receive belongs to: the rank's main
-/// thread, or the comm worker running one async bucket reduce. Ordered so
-/// `Main` sorts before buckets in watchdog reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ConsumerId {
-    /// The rank's own thread (blocking sends/receives/collectives).
-    Main,
-    /// The async reduce launched with this sequence number on its parent
-    /// communicator.
-    Bucket(u64),
-}
 
 /// A structured communication failure, returned as a value: the receive
 /// that finds its peer dead returns it, and every collective, launch and
 /// wait above that receive hands it up with `?` — through
-/// [`PendingReduce::wait`] for a bucket reduced on a comm worker — to the
-/// process edge, where [`try_run_tcp_rank_with`] returns it. Its
+/// [`PendingReduce::wait`] for a launched bucket, whose cursor met the dead
+/// peer — to the process edge, where [`try_run_tcp_rank_with`] returns it. Its
 /// `Display` is the one-line report a dying rank prints: `rank 2: peer
 /// rank 1 is dead (...)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,10 +99,11 @@ pub enum CommError {
         /// The transport's failure cause (the underlying I/O error).
         cause: String,
         /// Innermost [`Comm::phase`] label on the failing thread — the
-        /// algorithm phase ("ring_rs", "bcast", …) the receive belonged to.
+        /// algorithm phase ("ring_rs", "bcast", …) the receive belonged to;
+        /// for a launched bucket, its algorithm's name.
         phase: Option<String>,
-        /// The in-flight async bucket (launch sequence number) whose reduce
-        /// hit the dead peer; `None` when the main thread did.
+        /// The launched bucket (launch sequence number) whose cursor hit
+        /// the dead peer; `None` for a blocking receive.
         bucket: Option<u64>,
         /// The gradient segment that sealed the bucket, when labeled.
         label: Option<String>,
@@ -146,16 +135,10 @@ impl std::error::Error for CommError {}
 
 thread_local! {
     /// Innermost-to-outermost [`Comm::phase`] labels active on this thread.
-    /// Thread-local because phases run both on rank main threads and on
-    /// comm workers (each bucket's collective enters its algorithm phase on
-    /// the worker thread), and a peer-death report must name the phase of
-    /// the thread that was actually blocked.
+    /// Thread-local because a rank's communicator handles may live on more
+    /// than one thread (a `Comm` is `Send`), and a peer-death report must
+    /// name the phase of the thread that was actually blocked.
     static PHASE_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The phase label the current thread is inside, if any.
-fn current_phase() -> Option<String> {
-    PHASE_STACK.with(|s| s.borrow().last().map(|l| l.to_string()))
 }
 
 /// State shared by every rank of one cluster run: configuration, the
@@ -168,8 +151,6 @@ struct ClusterShared {
     /// only sees this process's ranks, so deadlock reports must say so
     /// instead of claiming remote ranks are "not blocked".
     cross_process: bool,
-    /// Comm worker threads each rank spawns for async reduces.
-    comm_workers: usize,
     diags: Vec<Mutex<RankDiag>>,
     /// Memoized deadlock report: built once by the first rank to time out,
     /// then reused by every other rank so all panics carry the same text.
@@ -184,16 +165,17 @@ impl ClusterShared {
     }
 }
 
-/// The rank's transport endpoint, counters and trace buffer, shared by
-/// every [`Comm`] handle of the rank (world, splits and async buckets)
-/// across the rank's main thread and its comm workers, like an MPI
-/// profiling layer.
+/// The rank's transport endpoint, parked cursors, counters and trace
+/// buffer, shared by every [`Comm`] handle of the rank (world, splits and
+/// async buckets), like an MPI profiling layer.
 struct RankLocal {
     rank: usize,
     shared: Arc<ClusterShared>,
     /// The message fabric (threads or TCP), addressed by global rank; its
     /// mailbox is where every receive of the rank waits.
     transport: Arc<dyn Transport>,
+    /// The launched collectives, parked between calls into the runtime.
+    parked: Table,
     bytes_sent: AtomicU64,
     msgs_sent: AtomicU64,
     bytes_recvd: AtomicU64,
@@ -202,13 +184,12 @@ struct RankLocal {
     recv_blocks: AtomicU64,
     /// Async collectives launched via [`Comm::launch`].
     async_launched: AtomicU64,
-    /// Async reduces launched but not yet completed, right now.
-    async_inflight: AtomicU64,
-    /// High-water mark of `async_inflight` — proof of overlap when ≥ 2.
+    /// Most launches at once not yet seen to complete (parked cursors) —
+    /// proof of overlap when ≥ 2.
     async_inflight_hwm: AtomicU64,
-    /// Time the main thread spent blocked in [`PendingReduce::wait`].
+    /// Time the rank thread spent in [`PendingReduce::wait`].
     bucket_wait_ns: AtomicU64,
-    /// Wall time comm workers spent inside async collectives.
+    /// Launch → completion wall time of the async collectives.
     async_comm_ns: AtomicU64,
     /// Payload bytes fed through [`Comm::reduce_scatter`].
     scatter_bytes: AtomicU64,
@@ -244,6 +225,7 @@ impl RankLocal {
             rank: transport.rank(),
             shared,
             transport,
+            parked: Table::default(),
             bytes_sent: AtomicU64::new(0),
             msgs_sent: AtomicU64::new(0),
             bytes_recvd: AtomicU64::new(0),
@@ -251,7 +233,6 @@ impl RankLocal {
             recv_wait_ns: AtomicU64::new(0),
             recv_blocks: AtomicU64::new(0),
             async_launched: AtomicU64::new(0),
-            async_inflight: AtomicU64::new(0),
             async_inflight_hwm: AtomicU64::new(0),
             bucket_wait_ns: AtomicU64::new(0),
             async_comm_ns: AtomicU64::new(0),
@@ -363,11 +344,12 @@ pub struct CommStats {
     /// High-water mark of async reduces in flight at once; ≥ 2 proves
     /// bucket reductions actually overlapped.
     pub async_inflight_hwm: u64,
-    /// Nanoseconds the launching thread spent blocked in
-    /// [`PendingReduce::wait`] — communication *not* hidden by compute.
+    /// Nanoseconds the launching thread spent in [`PendingReduce::wait`] —
+    /// communication *not* hidden by compute.
     pub bucket_wait_ns: u64,
-    /// Nanoseconds comm workers spent inside async collectives (inclusive
-    /// wall time across buckets; overlapping buckets both count).
+    /// Nanoseconds from launch to completion of the async collectives
+    /// (inclusive wall time across buckets; overlapping buckets both
+    /// count): the windows they were in flight, not time spent on them.
     pub async_comm_ns: u64,
     /// Payload bytes fed through a reduce-scatter: every reduce-scatter
     /// [`CollectiveOp`] (blocking or launched, whatever the algorithm) and
@@ -469,10 +451,8 @@ impl Drop for PhaseGuard {
 
 /// A communicator handle: a group of ranks that can exchange messages and
 /// run collectives. Cheap to clone-like via [`Comm::split`]. A `Comm` is
-/// owned by one rank; it is `Send` (async bucket reduces move a derived
-/// handle onto the rank's comm worker) but not `Sync` — concurrent
-/// consumers of a rank's mailbox each get their own handle, as MPI
-/// communicators work.
+/// owned by one rank; it is `Send` but not `Sync` — threads of one rank
+/// each get their own handle, as MPI communicators work.
 pub struct Comm {
     global_rank: usize,
     /// Global ranks of the group members, in group-rank order.
@@ -484,17 +464,10 @@ pub struct Comm {
     /// Async launches on this communicator, numbering derived bucket
     /// communicators (symmetric across ranks by collective-call order).
     async_seq: Cell<u64>,
-    /// The rank's transport endpoint, counters and trace buffer, shared
-    /// across all communicator handles on the rank (parent, splits and
-    /// buckets).
+    /// The rank's transport endpoint, parked cursors, counters and trace
+    /// buffer, shared across all communicator handles on the rank (parent,
+    /// splits and buckets).
     local: Arc<RankLocal>,
-    /// The rank's comm worker pool for async reduces.
-    worker: Arc<CommWorker>,
-    /// Which mailbox consumer this handle's receives belong to.
-    consumer: ConsumerId,
-    /// Human-readable attribution for bucket communicators (the gradient
-    /// segment that sealed the bucket); shown by the deadlock watchdog.
-    label: Option<Arc<str>>,
 }
 
 /// Reserved tag namespace for runtime-internal collectives (split, barrier).
@@ -582,7 +555,7 @@ impl Comm {
     /// server, which serves whichever worker finishes first.
     pub fn recv_any(&self, tag: u32) -> Result<(usize, Payload), CommError> {
         assert!(tag < TAG_INTERNAL, "tag {tag:#x} is reserved for the runtime");
-        let (gsrc, payload) = self.recv_from_sources(&self.group, true, tag)?;
+        let (gsrc, payload) = self.recv_from_sources(&self.group, true, tag, None, true)?.expect("blocking");
         let grank = self
             .group
             .iter()
@@ -592,7 +565,7 @@ impl Comm {
     }
 
     fn recv_raw(&self, src: usize, tag: u32) -> Result<Payload, CommError> {
-        Ok(self.recv_from_sources(&[self.group[src]], false, tag)?.1)
+        Ok(self.recv_from_sources(&[self.group[src]], false, tag, None, true)?.expect("blocking").1)
     }
 
     /// Send an `f32` slice, copied once into a buffer from the transport's
@@ -685,14 +658,10 @@ impl Comm {
     /// Blocking counts-based ring allgather of `f32` chunks: each rank
     /// contributes its owned chunk (layout as in [`Comm::reduce_scatter`]);
     /// on return every rank holds the full buffer. Pure forwarding, no
-    /// arithmetic. Adds to the `gather_*` counters in [`CommStats`].
-    /// Collective.
+    /// arithmetic. It is the allgather [`CollectiveOp`], run once, so it
+    /// adds to the `gather_*` counters in [`CommStats`]. Collective.
     pub fn try_allgather_f32(&self, buf: &mut [f32], counts: &[usize]) -> Result<(), CommError> {
-        let start = Instant::now();
-        crate::primitives::ring_allgather(self, buf, counts)?;
-        self.local.gather_bytes.fetch_add((buf.len() * 4) as u64, Relaxed);
-        self.local.gather_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-        Ok(())
+        CollectiveOp::allgather(counts.to_vec()).run(self, buf)
     }
 
     /// Split into sub-communicators, like `MPI_Comm_split`: ranks passing the
@@ -780,9 +749,6 @@ impl Comm {
             split_count: Cell::new(0),
             async_seq: Cell::new(0),
             local: Arc::clone(&self.local),
-            worker: Arc::clone(&self.worker),
-            consumer: self.consumer,
-            label: self.label.clone(),
         }
     }
 }
@@ -813,14 +779,12 @@ pub struct ClusterBuilder {
 /// Build a rank's world communicator on `transport`, run `f`, flush the
 /// rank's counters and trace events into `shared`'s sinks, and tear the
 /// transport down. The single code path under both the threaded cluster
-/// and the per-process TCP runtime. Comm workers (async bucket reduces)
-/// are joined — re-raising any worker panic — before the counters flush,
-/// so stats include every bucket and the transport outlives its users.
+/// and the per-process TCP runtime.
 ///
-/// When `f` fails the rank returns at once, with no teardown: its comm
-/// workers may still wait on peers, and a shutdown would say BYE, which a
-/// peer's reader takes for a graceful close — a peer blocked on this rank
-/// would then wait out the watchdog instead of seeing the link die.
+/// When `f` fails the rank returns at once, with no teardown: a shutdown
+/// would say BYE, which a peer's reader takes for a graceful close — a peer
+/// blocked on this rank would then wait out the watchdog instead of seeing
+/// the link die.
 fn rank_main<R, E>(
     transport: Arc<dyn Transport>,
     shared: Arc<ClusterShared>,
@@ -828,9 +792,7 @@ fn rank_main<R, E>(
 ) -> Result<R, E> {
     let rank = transport.rank();
     let n = transport.world_size();
-    let comm_workers = shared.comm_workers;
     let local = Arc::new(RankLocal::new(Arc::clone(&transport), shared));
-    let worker = Arc::new(CommWorker::new(rank, comm_workers));
     let comm = Comm {
         global_rank: rank,
         group: Arc::new((0..n).collect()),
@@ -839,12 +801,8 @@ fn rank_main<R, E>(
         split_count: Cell::new(0),
         async_seq: Cell::new(0),
         local: Arc::clone(&local),
-        worker: Arc::clone(&worker),
-        consumer: ConsumerId::Main,
-        label: None,
     };
     let r = f(&comm)?;
-    worker.shutdown_and_propagate();
     local.flush();
     drop(comm);
     transport.shutdown();
@@ -863,14 +821,12 @@ fn new_cluster_shared(
     trace_on: bool,
     recv_timeout: Duration,
     cross_process: bool,
-    comm_workers: usize,
 ) -> Arc<ClusterShared> {
     Arc::new(ClusterShared {
         epoch: Instant::now(),
         recv_timeout,
         trace_on,
         cross_process,
-        comm_workers,
         diags: (0..n).map(|_| Mutex::new(RankDiag::default())).collect(),
         report: Mutex::new(None),
         trace_sink: Mutex::new(Vec::new()),
@@ -941,8 +897,7 @@ impl ClusterBuilder {
         let trace_on = self.trace.unwrap_or_else(|| cfg.trace_or_default());
         let recv_timeout = self.recv_timeout.unwrap_or_else(|| cfg.recv_timeout_or_default());
         let kind = self.transport.unwrap_or_else(|| cfg.transport_or_default());
-        let shared =
-            new_cluster_shared(n, trace_on, recv_timeout, false, cfg.comm_workers_or_default());
+        let shared = new_cluster_shared(n, trace_on, recv_timeout, false);
 
         // Per-rank transport seeds, built up front so rank threads only
         // finish local establishment. TCP mode pre-binds the rendezvous
@@ -1102,13 +1057,7 @@ pub fn try_run_tcp_rank_with<R>(
     let json_path = cfg.trace_json.clone();
     let trace_on = cfg.trace_or_default();
     let recv_timeout = cfg.recv_timeout_or_default();
-    let shared = new_cluster_shared(
-        world,
-        trace_on,
-        recv_timeout,
-        true,
-        cfg.comm_workers_or_default(),
-    );
+    let shared = new_cluster_shared(world, trace_on, recv_timeout, true);
 
     let transport =
         TcpTransport::establish(rank, world, &rendezvous, cfg.connect_timeout_or_default())
@@ -1579,9 +1528,9 @@ mod tests {
     #[test]
     fn async_overlaps_with_main_thread_traffic() {
         use crate::algorithms::RecursiveDoubling;
-        // The main thread keeps exchanging point-to-point messages while a
-        // bucket reduces on the comm worker — both receive from the rank's
-        // mailbox and neither may steal the other's messages.
+        // The rank keeps exchanging point-to-point messages while a bucket
+        // is in flight — its blocking receives advance the parked cursor,
+        // and neither may steal the other's messages.
         let out = run_cluster(2, |c| {
             let op = CollectiveOp::allreduce(Arc::new(RecursiveDoubling));
             let pending = c.launch(op, vec![c.rank() as f32 + 1.0; 4096]);

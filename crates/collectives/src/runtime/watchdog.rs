@@ -1,13 +1,14 @@
 //! The deadlock watchdog: the diagnostics registry blocked receives publish
-//! into, and the cross-rank report the first receive to time out builds
-//! from it (see the parent module's docs).
+//! into, with the rank's parked cursors, and the cross-rank report the
+//! first receive to time out builds from it (see the parent module's docs).
 
 use std::sync::Arc;
 
-use super::{ClusterShared, ConsumerId};
+use super::launch::BucketId;
+use super::ClusterShared;
 
-/// A blocked-receive descriptor, published to the diagnostics registry while
-/// a consumer waits in a receive past the first poll interval.
+/// A blocked-receive descriptor — a blocking receive's or a parked cursor's
+/// — published to the diagnostics registry after each poll slice waited.
 #[derive(Debug, Clone)]
 pub(super) struct BlockedRecv {
     /// Global ranks the receive can match (one entry for a plain `recv`,
@@ -19,37 +20,37 @@ pub(super) struct BlockedRecv {
     pub(super) tag: u32,
     /// Nanoseconds since cluster start when the consumer blocked.
     pub(super) since_ns: u64,
-    /// For bucket consumers: the gradient segment that sealed the bucket
-    /// (set by the trainer's streaming scheduler), so watchdog reports can
-    /// name the layer instead of just a launch sequence number.
-    pub(super) label: Option<Arc<str>>,
+    /// For a launched bucket's receive: the bucket (its label is the
+    /// gradient segment that sealed it, so reports can name the layer), the
+    /// index of the step it waits at, and its step count.
+    pub(super) cursor: Option<(BucketId, usize, usize)>,
 }
 
 /// Per-rank slot in the shared diagnostics registry.
 #[derive(Default)]
 pub(super) struct RankDiag {
-    /// Blocked-receive descriptors, one per blocked consumer of the rank's
-    /// mailbox (main thread and/or in-flight async buckets).
-    pub(super) blocked: Vec<(ConsumerId, BlockedRecv)>,
+    /// Blocked-receive descriptors: the rank thread's blocking receive, if
+    /// it is in one, and every parked cursor.
+    pub(super) blocked: Vec<BlockedRecv>,
     /// Stash keys `(src, comm_id, tag, queued)` snapshotted at block time.
     pub(super) stash_keys: Vec<(usize, u64, u32, usize)>,
 }
 
-/// One rank's diagnostics snapshot: its blocked-receive descriptors (one per
-/// blocked consumer) and its stash keys `(src, comm_id, tag, queued)`.
-type DiagSnapshot = (Vec<(ConsumerId, BlockedRecv)>, Vec<(usize, u64, u32, usize)>);
+/// One rank's diagnostics snapshot: its blocked-receive descriptors and its
+/// stash keys `(src, comm_id, tag, queued)`.
+type DiagSnapshot = (Vec<BlockedRecv>, Vec<(usize, u64, u32, usize)>);
 
-/// The rank's main-thread blocked descriptor, if any. The wait-for graph is
-/// built over main threads only: a rank whose main thread still runs can
-/// always make progress toward the send a peer waits on, while async bucket
-/// workers reduce independently and are reported but not graphed.
+/// The rank's blocking-receive descriptor, if any. The wait-for graph is
+/// built over blocking receives only: a rank whose thread still runs can
+/// always make progress toward the send a peer waits on, while parked
+/// cursors are reported but not graphed.
 fn main_blocked(entry: &DiagSnapshot) -> Option<&BlockedRecv> {
-    entry.0.iter().find(|(c, _)| *c == ConsumerId::Main).map(|(_, b)| b)
+    entry.0.iter().find(|b| b.cursor.is_none())
 }
 
-/// Build (once) the cross-rank deadlock report: every blocked consumer's
-/// receive descriptor and stash snapshot, the wait-for graph, and any cycle
-/// in it.
+/// Build (once) the cross-rank deadlock report: every blocked descriptor
+/// (a parked cursor's with its step and awaited `(peer, tag)`) and stash
+/// snapshot, the wait-for graph, and any cycle in it.
 pub(super) fn deadlock_report(shared: &Arc<ClusterShared>, me: usize) -> Arc<String> {
     let mut memo = shared.report.lock().expect("report memo");
     if let Some(r) = memo.as_ref() {
@@ -83,14 +84,14 @@ pub(super) fn deadlock_report(shared: &Arc<ClusterShared>, me: usize) -> Arc<Str
             continue;
         }
         let mut entries = blocked.clone();
-        entries.sort_by_key(|&(c, _)| c);
-        for (consumer, b) in &entries {
-            let who = match (consumer, b.label.as_deref()) {
-                (ConsumerId::Main, _) => format!("rank {rank}"),
-                (ConsumerId::Bucket(k), Some(l)) => {
-                    format!("rank {rank} [bucket {k}, sealed by {l}]")
-                }
-                (ConsumerId::Bucket(k), None) => format!("rank {rank} [bucket {k}]"),
+        entries.sort_by_key(|b| b.cursor.as_ref().map(|c| c.0.seq));
+        for b in &entries {
+            let who = match &b.cursor {
+                None => format!("rank {rank}"),
+                Some((id, ..)) => match id.label.as_deref() {
+                    Some(l) => format!("rank {rank} [bucket {}, sealed by {l}]", id.seq),
+                    None => format!("rank {rank} [bucket {}]", id.seq),
+                },
             };
             let src = if b.any_source {
                 format!("any of {:?}", b.sources)
@@ -99,9 +100,16 @@ pub(super) fn deadlock_report(shared: &Arc<ClusterShared>, me: usize) -> Arc<Str
             };
             let waited = (shared.now_ns().saturating_sub(b.since_ns)) as f64 / 1e9;
             out.push_str(&format!(
-                "  {who}: waiting on {src} (comm {:#x}, tag {}), blocked {waited:.1}s\n",
+                "  {who}: waiting on {src} (comm {:#x}, tag {}), blocked {waited:.1}s",
                 b.comm_id, b.tag
             ));
+            if let Some((_, at, of)) = b.cursor {
+                out.push_str(&format!(
+                    "; cursor at step {at} of {of}, awaiting (peer {}, tag {})",
+                    b.sources[0], b.tag
+                ));
+            }
+            out.push('\n');
         }
         if stash.is_empty() {
             out.push_str("          stash: empty\n");

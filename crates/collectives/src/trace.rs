@@ -28,10 +28,12 @@ pub enum TraceEventKind {
     BlockEnter,
     /// A blocked receive was satisfied and resumed.
     BlockExit,
-    /// A nonblocking allreduce was handed to the comm worker (`tag` holds
-    /// the launch sequence number, `comm_id` the derived bucket comm).
+    /// A nonblocking collective was launched: its cursor ran its leading
+    /// sends and parked (`tag` holds the launch sequence number, `comm_id`
+    /// the derived bucket comm).
     AsyncLaunch,
-    /// A nonblocking allreduce finished on the comm worker.
+    /// A launched collective's cursor ran its last step, in whichever call
+    /// into the runtime took its last message.
     AsyncDone,
     /// The link to `peer` died abnormally (no BYE): recorded by the receive
     /// the death dooms, as it fails with `CommError::PeerDead`.

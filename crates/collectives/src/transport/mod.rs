@@ -187,6 +187,12 @@ impl MailboxState {
         self.queued -= 1;
         Some(payload)
     }
+
+    /// Deliveries and link deaths so far. A waiter that still reads the
+    /// count it saw before its last look at the queues has missed nothing.
+    pub(crate) fn events(&self) -> u64 {
+        self.arrivals + self.dead.len() as u64
+    }
 }
 
 impl Mailbox {
@@ -234,8 +240,8 @@ impl Mailbox {
 /// needs from MPI. A send never waits for a matching receive (TCP waits at
 /// most for the peer's kernel to take the bytes); each endpoint's
 /// [`Mailbox`] receives in per-sender FIFO order. One `Transport` instance
-/// belongs to one rank, shared between the rank's main thread and its comm
-/// workers (hence `Send + Sync`).
+/// belongs to one rank, shared by every communicator handle of the rank,
+/// which may live on more than one thread (hence `Send + Sync`).
 pub trait Transport: Send + Sync {
     /// This endpoint's global rank.
     fn rank(&self) -> usize;

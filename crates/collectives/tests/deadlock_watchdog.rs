@@ -112,7 +112,7 @@ fn subcommunicator_deadlock_reports_nonzero_comm_id() {
 #[test]
 fn async_bucket_deadlock_names_the_owning_bucket() {
     // Rank 0 launches a nonblocking bucket reduce that rank 1 never joins:
-    // the blocked receive lives on rank 0's comm worker, and the report
+    // the blocked receive is rank 0's parked cursor, and the report
     // must attribute it to the bucket (its launch sequence number) rather
     // than printing an anonymous rank-0 wait.
     use dcnn_collectives::{AllreduceAlgo, CollectiveOp};
@@ -175,4 +175,30 @@ fn healthy_cluster_with_short_timeout_does_not_fire() {
     // The slow receive was counted as a blocked receive.
     assert_eq!(out.stats[0].recv_blocks, 1);
     assert!(out.stats[0].recv_wait_ns >= 150_000_000);
+}
+
+#[test]
+fn parked_cursor_reports_its_step_and_awaited_peer_and_tag() {
+    // A launched bucket is a cursor over its rank's plan: the report shows
+    // which step it is parked at and the (peer, tag) that step awaits.
+    use dcnn_collectives::{AllreduceAlgo, CollectiveOp, Step};
+    let plan = AllreduceAlgo::RecursiveDoubling.build().plan(2, 0, 64);
+    let (at, tag) = plan
+        .iter()
+        .enumerate()
+        .find_map(|(i, s)| match s {
+            Step::RecvReduce { tag, .. } | Step::RecvCopy { tag, .. } => Some((i, *tag)),
+            Step::Send { .. } => None,
+        })
+        .expect("the plan receives");
+    let report = provoke(2, |c| {
+        if c.rank() == 0 {
+            let op = CollectiveOp::allreduce(AllreduceAlgo::RecursiveDoubling.build());
+            let _ = c.launch(op, vec![1.0f32; 64]).wait(); // the peer never launches
+        } else {
+            let _ = c.recv(0, 33);
+        }
+    });
+    let want = format!("cursor at step {at} of {}, awaiting (peer 1, tag {tag})", plan.len());
+    assert!(report.contains(&want), "want {want:?} in {report}");
 }

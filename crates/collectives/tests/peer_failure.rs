@@ -116,12 +116,12 @@ fn point_to_point_recv_from_dead_peer_fails_with_phase_context() {
 }
 
 #[test]
-fn launched_bucket_names_itself_and_its_worker_takes_the_next_launch() {
+fn launched_bucket_names_itself_and_the_next_launch_fails_as_its_own_bucket() {
     // Both ranks launch a labelled bucket reduce over the severed link. The
     // failure comes back through the bucket's handle, naming the bucket and
-    // the label it was launched with. The comm worker that ran it survives:
-    // it runs the next launch (which fails the same way, as bucket 1), and
-    // the cluster's teardown joins it without a panic.
+    // the label it was launched with. The rank's runtime goes on: the next
+    // launch gets a cursor of its own (which fails the same way, as bucket
+    // 1), and the cluster's teardown completes without a panic.
     let cfg = RuntimeConfig {
         fault: Some(FaultSpec::DropLink { from: 0, to: 1 }),
         ..RuntimeConfig::default()

@@ -408,8 +408,8 @@ impl<'a> GradStream<'a> {
     ///
     /// A fused plan (`bucket_bytes == 0`) that has launched nothing is the
     /// classic Algorithm 1 exchange instead: its one op runs blocking, in
-    /// place, on the caller's communicator — no payload copy, no worker
-    /// hop, and `0` launches reported.
+    /// place, on the caller's communicator — no payload copy, no derived
+    /// communicator, and `0` launches reported.
     ///
     /// A dead peer ends the drain at the first bucket that reports it; the
     /// error names that bucket and the segment that sealed it.

@@ -13,7 +13,8 @@
 //! [`StepGate`] that, at the start of step [`WARMUP`] + 1 and again
 //! [`MEASURED`] steps later, holds every rank at a barrier and arms or
 //! disarms the counter there — so the window is exactly those steps on every
-//! rank and every thread (comm workers, socket readers).
+//! rank and every thread (the rank threads, which also advance launched
+//! buckets, and the socket readers).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
