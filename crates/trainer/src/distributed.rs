@@ -1453,8 +1453,8 @@ mod tests {
 
     /// Rank 0's traffic and loss for one gradient-exchange mode: mode name,
     /// whole-run `(bytes_sent, msgs_sent)`, then per epoch `(comm_bytes,
-    /// comm_msgs, buckets_launched, train_loss bits)`.
-    type TrafficRow = (&'static str, (u64, u64), [(u64, u64, u64, u64); 2]);
+    /// comm_msgs, buckets_launched, train_loss bits, val_acc bits)`.
+    type TrafficRow = (&'static str, (u64, u64), [(u64, u64, u64, u64, u64); 2]);
 
     /// Captured at the commit before the exchange paths were unified, on the
     /// threaded fabric, where byte and message counts are deterministic.
@@ -1463,55 +1463,60 @@ mod tests {
     /// cluster maxima), which no epoch row counts. The six
     /// `multicolor/*/sharded` rows' byte and message fields were re-captured
     /// when the default reduce-scatter stopped running the whole allreduce
-    /// (dead-step elimination); their loss bits did not move.
+    /// (dead-step elimination); their loss bits did not move. The `/val`
+    /// row (validation on) was captured before the epoch end's collectives
+    /// were folded into one.
     #[rustfmt::skip]
     const TRAFFIC_GOLDEN: &[TrafficRow] = &[
-        ("ring-reduce-scatter/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
-        ("ring-reduce-scatter/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
-        ("ring-reduce-scatter/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
-        ("ring-reduce-scatter/w2/drain/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731), (21048, 37, 30, 4607210913014694081)]),
-        ("ring-reduce-scatter/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
-        ("ring-reduce-scatter/w2/hooked/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731), (21048, 37, 30, 4607210913014694081)]),
-        ("ring-reduce-scatter/w3/fused/replicated", (38592, 52), [(18848, 18, 0, 4608845318715749144), (18848, 18, 0, 4607345403102038685)]),
-        ("ring-reduce-scatter/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318715749144), (18848, 18, 0, 4607345403102038685)]),
-        ("ring-reduce-scatter/w3/drain/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181), (18848, 82, 20, 4607345403130227696)]),
-        ("ring-reduce-scatter/w3/drain/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144), (18848, 50, 20, 4607345403102038685)]),
-        ("ring-reduce-scatter/w3/hooked/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181), (18848, 82, 20, 4607345403130227696)]),
-        ("ring-reduce-scatter/w3/hooked/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144), (18848, 50, 20, 4607345403102038685)]),
-        ("multicolor/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
-        ("multicolor/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731), (21048, 13, 0, 4607210913014694081)]),
-        ("multicolor/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
-        ("multicolor/w2/drain/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731), (25560, 55, 30, 4607210913014694081)]),
-        ("multicolor/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731), (21048, 61, 30, 4607210913014694081)]),
-        ("multicolor/w2/hooked/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731), (25560, 55, 30, 4607210913014694081)]),
-        ("multicolor/w3/fused/replicated", (38624, 52), [(18864, 18, 0, 4608845318705986953), (18864, 18, 0, 4607345403100759925)]),
-        ("multicolor/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318705986953), (18848, 18, 0, 4607345403100759925)]),
-        ("multicolor/w3/drain/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549), (18864, 82, 20, 4607345403115794811)]),
-        ("multicolor/w3/drain/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549), (20864, 66, 20, 4607345403115794811)]),
-        ("multicolor/w3/hooked/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549), (18864, 82, 20, 4607345403115794811)]),
-        ("multicolor/w3/hooked/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549), (20864, 66, 20, 4607345403115794811)]),
-        ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42416, 130), [(21048, 61, 30, 4608632138296352319), (21048, 61, 30, 4607211123083706365)]),
-        ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84368, 250), [(42024, 121, 60, 4608663114122042792), (42024, 121, 60, 4606370365909963915)]),
+        ("ring-reduce-scatter/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/drain/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731, 0), (21048, 37, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/hooked/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731, 0), (21048, 37, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w3/fused/replicated", (38592, 52), [(18848, 18, 0, 4608845318715749144, 0), (18848, 18, 0, 4607345403102038685, 0)]),
+        ("ring-reduce-scatter/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318715749144, 0), (18848, 18, 0, 4607345403102038685, 0)]),
+        ("ring-reduce-scatter/w3/drain/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181, 0), (18848, 82, 20, 4607345403130227696, 0)]),
+        ("ring-reduce-scatter/w3/drain/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144, 0), (18848, 50, 20, 4607345403102038685, 0)]),
+        ("ring-reduce-scatter/w3/hooked/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181, 0), (18848, 82, 20, 4607345403130227696, 0)]),
+        ("ring-reduce-scatter/w3/hooked/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144, 0), (18848, 50, 20, 4607345403102038685, 0)]),
+        ("multicolor/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
+        ("multicolor/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
+        ("multicolor/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
+        ("multicolor/w2/drain/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731, 0), (25560, 55, 30, 4607210913014694081, 0)]),
+        ("multicolor/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
+        ("multicolor/w2/hooked/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731, 0), (25560, 55, 30, 4607210913014694081, 0)]),
+        ("multicolor/w3/fused/replicated", (38624, 52), [(18864, 18, 0, 4608845318705986953, 0), (18864, 18, 0, 4607345403100759925, 0)]),
+        ("multicolor/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318705986953, 0), (18848, 18, 0, 4607345403100759925, 0)]),
+        ("multicolor/w3/drain/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549, 0), (18864, 82, 20, 4607345403115794811, 0)]),
+        ("multicolor/w3/drain/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549, 0), (20864, 66, 20, 4607345403115794811, 0)]),
+        ("multicolor/w3/hooked/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549, 0), (18864, 82, 20, 4607345403115794811, 0)]),
+        ("multicolor/w3/hooked/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549, 0), (20864, 66, 20, 4607345403115794811, 0)]),
+        ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42416, 130), [(21048, 61, 30, 4608632138296352319, 0), (21048, 61, 30, 4607211123083706365, 0)]),
+        ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84368, 250), [(42024, 121, 60, 4608663114122042792, 0), (42024, 121, 60, 4606370365909963915, 0)]),
+        ("ring-reduce-scatter/w3/hooked/replicated/val", (39008, 184), [(19056, 84, 20, 4608845318711261181, 4602678819172646912), (19056, 84, 20, 4607345403130227696, 4598738169498697728)]),
     ];
 
     #[test]
     fn exchange_traffic_and_loss_match_the_golden_capture() {
         use dcnn_collectives::ClusterBuilder;
         let ds = tiny_ds();
-        // (algorithm, ranks, schedule, sharded, fp16, accumulation steps)
+        // (algorithm, ranks, schedule, sharded, fp16, accumulation steps,
+        // validation)
         let mut modes = Vec::new();
         for algo in [AllreduceAlgo::RingReduceScatter, AllreduceAlgo::MultiColor(4)] {
             for nodes in [2, 3] {
                 for sched in ["fused", "drain", "hooked"] {
-                    modes.extend([false, true].map(|shd| (algo, nodes, sched, shd, false, 1)));
+                    modes.extend([false, true].map(|shd| (algo, nodes, sched, shd, false, 1, false)));
                 }
             }
         }
-        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, true, 1));
-        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, false, 2));
+        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, true, 1, false));
+        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, false, 2, false));
+        modes.push((AllreduceAlgo::RingReduceScatter, 3, "hooked", false, false, 1, true));
 
         let mut actual = Vec::new();
-        for (algo, nodes, sched, sharded, fp16, accum) in modes {
+        for (algo, nodes, sched, sharded, fp16, accum, validate) in modes {
             let mut cfg = tiny_cfg(nodes, 2);
             cfg.algo = algo.into();
             // 1 KiB buckets: five per step on the tiny model.
@@ -1521,7 +1526,7 @@ mod tests {
             cfg.fp16_grads = fp16;
             cfg.accum_steps = accum;
             cfg.batch_per_gpu = 4 / accum;
-            cfg.validate = false;
+            cfg.validate = validate;
             cfg.shuffle_every_epochs = 0;
             let run = ClusterBuilder::new(nodes)
                 .run(|comm| train_on_comm(comm, &cfg, &ds, &tiny_factory));
@@ -1529,9 +1534,13 @@ mod tests {
             name += if sharded { "sharded" } else { "replicated" };
             name += if fp16 { "/fp16" } else { "" };
             name += if accum > 1 { "/accum2" } else { "" };
-            let epochs: Vec<(u64, u64, u64, u64)> = run.results[0]
+            name += if validate { "/val" } else { "" };
+            let epochs: Vec<(u64, u64, u64, u64, u64)> = run.results[0]
                 .iter()
-                .map(|s| (s.comm_bytes, s.comm_msgs, s.buckets_launched, s.train_loss.to_bits()))
+                .map(|s| {
+                    let bits = (s.train_loss.to_bits(), s.val_acc.to_bits());
+                    (s.comm_bytes, s.comm_msgs, s.buckets_launched, bits.0, bits.1)
+                })
                 .collect();
             actual.push((name, (run.stats[0].bytes_sent, run.stats[0].msgs_sent), epochs));
         }
