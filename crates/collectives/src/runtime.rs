@@ -76,7 +76,7 @@ mod launch;
 mod router;
 mod watchdog;
 
-use launch::Table;
+use launch::{BusyClock, Table};
 pub use launch::{CollectiveOp, PendingReduce};
 use watchdog::RankDiag;
 
@@ -189,8 +189,8 @@ struct RankLocal {
     async_inflight_hwm: AtomicU64,
     /// Time the rank thread spent in [`PendingReduce::wait`].
     bucket_wait_ns: AtomicU64,
-    /// Launch → completion wall time of the async collectives.
-    async_comm_ns: AtomicU64,
+    /// Time at least one launched collective was unfinished.
+    async_busy: Mutex<BusyClock>,
     /// Payload bytes fed through [`Comm::reduce_scatter`].
     scatter_bytes: AtomicU64,
     /// Wall time spent inside blocking [`Comm::reduce_scatter`] calls.
@@ -235,7 +235,7 @@ impl RankLocal {
             async_launched: AtomicU64::new(0),
             async_inflight_hwm: AtomicU64::new(0),
             bucket_wait_ns: AtomicU64::new(0),
-            async_comm_ns: AtomicU64::new(0),
+            async_busy: Mutex::default(),
             scatter_bytes: AtomicU64::new(0),
             scatter_wait_ns: AtomicU64::new(0),
             gather_bytes: AtomicU64::new(0),
@@ -288,7 +288,7 @@ impl RankLocal {
             async_launched: self.async_launched.load(Relaxed),
             async_inflight_hwm: self.async_inflight_hwm.load(Relaxed),
             bucket_wait_ns: self.bucket_wait_ns.load(Relaxed),
-            async_comm_ns: self.async_comm_ns.load(Relaxed),
+            async_busy_ns: self.async_busy.lock().expect("busy clock").read(self.shared.now_ns()),
             scatter_bytes: self.scatter_bytes.load(Relaxed),
             scatter_wait_ns: self.scatter_wait_ns.load(Relaxed),
             gather_bytes: self.gather_bytes.load(Relaxed),
@@ -347,10 +347,12 @@ pub struct CommStats {
     /// Nanoseconds the launching thread spent in [`PendingReduce::wait`] —
     /// communication *not* hidden by compute.
     pub bucket_wait_ns: u64,
-    /// Nanoseconds from launch to completion of the async collectives
-    /// (inclusive wall time across buckets; overlapping buckets both
-    /// count): the windows they were in flight, not time spent on them.
-    pub async_comm_ns: u64,
+    /// Nanoseconds during which at least one collective launched via
+    /// [`Comm::launch`] was unfinished — the union of their launch →
+    /// completion (or abandonment) windows, so buckets in flight together
+    /// count once: the time communication was pending, not time spent on
+    /// it.
+    pub async_busy_ns: u64,
     /// Payload bytes fed through a reduce-scatter: every reduce-scatter
     /// [`CollectiveOp`] (blocking or launched, whatever the algorithm) and
     /// every direct [`Comm::reduce_scatter`] call.
@@ -1494,7 +1496,7 @@ mod tests {
         for s in &run.stats {
             assert_eq!(s.async_launched, 3);
             assert!(s.async_inflight_hwm >= 2, "no overlap: hwm {}", s.async_inflight_hwm);
-            assert!(s.async_comm_ns > 0);
+            assert!(s.async_busy_ns > 0);
         }
     }
 
@@ -1546,6 +1548,54 @@ mod tests {
             assert_eq!(*acc, (0..50u64).sum::<u64>());
             assert!(buf.iter().all(|&x| x == 3.0));
         }
+    }
+    #[test]
+    fn concurrent_launches_count_their_busy_time_once() {
+        use crate::algorithms::RingReduceScatter;
+        // Rank 1 launches only after rank 0 has launched both collectives,
+        // so on rank 0 neither can finish before both are in flight: their
+        // launch → completion windows overlap, and the busy time is their
+        // union — at most the first launch → last completion window, where
+        // a sum of the windows would exceed it.
+        let run = ClusterBuilder::new(2).run(|c| {
+            let op = || CollectiveOp::allreduce(Arc::new(RingReduceScatter));
+            if c.rank() == 1 {
+                c.recv_bytes(0, 12);
+            }
+            let a = c.launch(op(), vec![1.0; 4096]);
+            let b = c.launch(op(), vec![2.0; 4096]);
+            if c.rank() == 0 {
+                c.send_bytes(1, 12, Vec::new());
+            }
+            a.wait().expect("no peer dies");
+            b.wait().expect("no peer dies");
+        });
+        let s = &run.stats[0];
+        assert_eq!((s.async_done, s.async_inflight_hwm), (2, 2));
+        assert!(
+            s.async_busy_ns > 0 && s.async_busy_ns <= s.async_window_ns,
+            "busy {} ns vs first-launch → last-done window {} ns",
+            s.async_busy_ns,
+            s.async_window_ns
+        );
+    }
+
+    #[test]
+    fn a_dropped_launch_stops_counting_busy_time() {
+        use crate::algorithms::RingReduceScatter;
+        // Only rank 0 launches, so its collective can never finish; dropping
+        // the handle abandons it and closes its window.
+        let out = run_cluster(2, |c| {
+            if c.rank() == 1 {
+                return (0, 0);
+            }
+            drop(c.launch(CollectiveOp::allreduce(Arc::new(RingReduceScatter)), vec![1.0; 4096]));
+            let before = c.stats().async_busy_ns;
+            std::thread::sleep(Duration::from_millis(20));
+            (before, c.stats().async_busy_ns)
+        });
+        assert!(out[0].0 > 0, "the launch opened no window");
+        assert_eq!(out[0].0, out[0].1, "a dropped launch kept the rank busy");
     }
 }
 

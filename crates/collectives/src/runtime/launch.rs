@@ -185,7 +185,7 @@ impl Cursor {
         if res.is_ok() {
             self.op.account(local, self.bucket.len(), ns);
         }
-        local.async_comm_ns.fetch_add(ns, Relaxed);
+        local.async_busy.lock().expect("busy clock").close(done_ns);
         local.trace(TraceEventKind::AsyncDone, self.comm.comm_id, self.id.seq as u32, None, bytes);
         local.async_done.fetch_add(1, Relaxed);
         let byte_ns = (bytes as u64).saturating_mul(ns);
@@ -193,6 +193,49 @@ impl Cursor {
         local.async_first_launch_ns.fetch_min(self.launch_ns, Relaxed);
         local.async_last_done_ns.fetch_max(done_ns, Relaxed);
         self.done = Some(res);
+    }
+}
+
+impl Drop for Cursor {
+    /// An abandoned collective stops being pending when its handle goes.
+    fn drop(&mut self) {
+        if self.done.is_none() {
+            let local = &self.comm.local;
+            local.async_busy.lock().expect("busy clock").close(local.shared.now_ns());
+        }
+    }
+}
+
+/// How many launched collectives are unfinished, since when at least one
+/// has been, and the nanoseconds of the earlier such stretches: the union
+/// of their launch → completion windows, which
+/// [`super::CommStats::async_busy_ns`] reports.
+#[derive(Default)]
+pub(super) struct BusyClock {
+    open: u64,
+    since_ns: u64,
+    closed_ns: u64,
+}
+
+impl BusyClock {
+    fn open(&mut self, now_ns: u64) {
+        if self.open == 0 {
+            self.since_ns = now_ns;
+        }
+        self.open += 1;
+    }
+
+    fn close(&mut self, now_ns: u64) {
+        self.open -= 1;
+        if self.open == 0 {
+            self.closed_ns += now_ns.saturating_sub(self.since_ns);
+        }
+    }
+
+    /// The busy nanoseconds up to `now_ns`, an open stretch included.
+    pub(super) fn read(&self, now_ns: u64) -> u64 {
+        let open_ns = if self.open > 0 { now_ns.saturating_sub(self.since_ns) } else { 0 };
+        self.closed_ns + open_ns
     }
 }
 
@@ -282,7 +325,7 @@ impl PendingReduce {
             cursor.advance(true);
         }
         local.bucket_wait_ns.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
-        let res = cursor.done.take().expect("a driven cursor is done");
+        let res = cursor.done.clone().expect("a driven cursor is done");
         res.map(|()| std::mem::take(&mut cursor.bucket))
     }
 }
@@ -322,6 +365,8 @@ impl Comm {
         let launch_ns = local.shared.now_ns();
         let (phase, steps) = op.plan(&comm, bucket.len());
         let id = BucketId { seq, label: op.label.clone(), phase };
+        // Closed by the cursor's `finish`, or by its drop if it never ends.
+        local.async_busy.lock().expect("busy clock").open(launch_ns);
         let cursor = Cursor { op, comm, id, steps, at: 0, bucket, launch_ns, done: None };
         let cursor = Arc::new(Mutex::new(cursor));
         let mut table = local.parked.lock().expect("cursor table");

@@ -728,8 +728,8 @@ pub trait BatchSource {
     /// service decides from the handshake cadence, so the flag is advisory
     /// there).
     fn try_end_epoch(&mut self, epoch: usize, shuffle: bool) -> Result<(), CommError>;
-    /// Tear down; in-process sources hand the partition back.
-    fn finish(self: Box<Self>) -> Option<Dimd>;
+    /// Tear down: join the prefetch pipeline, or say BYE to the server.
+    fn finish(self: Box<Self>);
 
     /// [`BatchSource::try_begin_epoch`], panicking with the report if a
     /// peer is dead.
@@ -830,11 +830,9 @@ impl BatchSource for LocalSource<'_> {
         Ok(())
     }
 
-    fn finish(self: Box<Self>) -> Option<Dimd> {
-        match (self.dimd, self.pre) {
-            (Some(d), _) => Some(d),
-            (None, Some(p)) => Some(p.finish()),
-            (None, None) => None,
+    fn finish(self: Box<Self>) {
+        if let Some(p) = self.pre {
+            p.finish();
         }
     }
 }
@@ -842,7 +840,7 @@ impl BatchSource for LocalSource<'_> {
 /// The service path: batches come from a remote blob server via
 /// [`ServiceClient`].
 pub struct ServiceSource {
-    client: Option<ServiceClient>,
+    client: ServiceClient,
 }
 
 impl ServiceSource {
@@ -860,28 +858,25 @@ impl ServiceSource {
         let idx = hello.rank % addrs.len();
         let client =
             ServiceClient::connect(&addrs[idx], idx, hello, crop, depth, workers, timeout)?;
-        Ok(ServiceSource { client: Some(client) })
+        Ok(ServiceSource { client })
     }
 }
 
 impl BatchSource for ServiceSource {
     fn try_begin_epoch(&mut self, epoch: usize) -> Result<(), CommError> {
-        self.client.as_mut().expect("connected").begin_epoch(epoch as u64)
+        self.client.begin_epoch(epoch as u64)
     }
 
     fn try_next_batch(&mut self) -> Result<(Tensor, Vec<usize>), CommError> {
-        self.client.as_mut().expect("connected").next_batch()
+        self.client.next_batch()
     }
 
     fn try_end_epoch(&mut self, epoch: usize, _shuffle: bool) -> Result<(), CommError> {
-        self.client.as_mut().expect("connected").end_epoch(epoch as u64)
+        self.client.end_epoch(epoch as u64)
     }
 
-    fn finish(mut self: Box<Self>) -> Option<Dimd> {
-        if let Some(c) = self.client.take() {
-            c.finish();
-        }
-        None
+    fn finish(self: Box<Self>) {
+        self.client.finish();
     }
 }
 

@@ -16,7 +16,7 @@ use dcnn_collectives::{
     run_cluster, AlgoPolicy, AllreduceAlgo, FaultSpec, OverlapMode, RuntimeConfig,
 };
 use dcnn_dimd::shuffle::MPI_COUNT_LIMIT;
-use dcnn_dimd::{open_source, Dimd, Hello, SynthImageNet, ValSet};
+use dcnn_dimd::{open_source, BatchSource, Dimd, Hello, SynthImageNet, ValSet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
 use dcnn_tensor::layers::{collect_params, params_into, release_momentum, resident_bytes, Module};
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
@@ -219,9 +219,11 @@ pub struct EpochStats {
     pub val_acc: f64,
     /// Learning rate used during the epoch (at its start).
     pub lr: f32,
-    /// Bytes rank 0 sent during the epoch (gradients, shuffle, control).
+    /// Bytes rank 0 sent during the epoch's steps: the gradient exchange
+    /// and, sharded, the parameter allgather. The epoch end's agreement
+    /// and the shuffle after it are billed to no row.
     pub comm_bytes: u64,
-    /// Messages rank 0 sent during the epoch.
+    /// Messages rank 0 sent during the epoch's steps.
     pub comm_msgs: u64,
     /// Seconds rank 0's receives spent blocked during the epoch.
     pub comm_wait_secs: f64,
@@ -234,11 +236,13 @@ pub struct EpochStats {
     /// Seconds rank 0 spent blocked draining bucket handles this epoch
     /// (zero in fused blocking mode).
     pub bucket_wait_secs: f64,
-    /// Fraction of this epoch's asynchronous reduction time hidden behind
-    /// other work: `1 - bucket_wait/async_comm`, clamped to `[0, 1]`, maxed
-    /// over all ranks (the leading rank is the one that gets to overlap —
-    /// its laggard peer drains instantly); zero when no nonblocking reduces
-    /// ran.
+    /// Fraction of the time this epoch had a nonblocking reduce pending
+    /// that the rank spent on other work instead of waiting for one:
+    /// `1 - bucket_wait/async_busy`, where `async_busy` counts concurrent
+    /// buckets once ([`CommStats::async_busy_ns`]), clamped to `[0, 1]`,
+    /// maxed over all ranks (the leading rank is the one that gets to
+    /// overlap — its laggard peer drains instantly); zero when no
+    /// nonblocking reduces ran.
     pub overlap_frac: f64,
     /// High-water mark of concurrently in-flight bucket reduces, maxed over
     /// all ranks (whole run up to this epoch; ≥ 2 proves genuine overlap —
@@ -277,68 +281,19 @@ pub struct EpochStats {
     pub algo_choices: String,
 }
 
-/// Cluster-wide maximum of a per-rank `u64` (for high-water-mark stats).
-fn allreduce_max_u64(comm: &Comm, v: u64) -> Result<u64, CommError> {
-    Ok(try_allgather_bytes(comm, v.to_le_bytes().to_vec())?
-        .iter()
-        .map(|b| u64::from_le_bytes(b[0..8].try_into().expect("8")))
-        .max()
-        .unwrap_or(v))
-}
-
-/// Cluster-wide maximum of a per-rank `f64` (every rank gets the same
-/// value, so derived decisions stay identical everywhere).
-fn allreduce_max_f64(comm: &Comm, v: f64) -> Result<f64, CommError> {
-    Ok(try_allgather_bytes(comm, v.to_le_bytes().to_vec())?
-        .iter()
-        .map(|b| f64::from_le_bytes(b[0..8].try_into().expect("8")))
-        .fold(v, f64::max))
-}
-
-/// Average a per-rank scalar triple `(loss_sum, correct, count)` cluster-wide.
-fn allreduce_stats(
-    comm: &Comm,
-    loss: f64,
-    correct: u64,
-    count: u64,
-) -> Result<(f64, u64, u64), CommError> {
-    let mut buf = Vec::with_capacity(24);
-    buf.extend_from_slice(&loss.to_le_bytes());
-    buf.extend_from_slice(&correct.to_le_bytes());
-    buf.extend_from_slice(&count.to_le_bytes());
-    let all = try_allgather_bytes(comm, buf)?;
-    let mut l = 0.0;
-    let mut c = 0u64;
-    let mut n = 0u64;
-    for b in all {
-        l += f64::from_le_bytes(b[0..8].try_into().expect("8"));
-        c += u64::from_le_bytes(b[8..16].try_into().expect("8"));
-        n += u64::from_le_bytes(b[16..24].try_into().expect("8"));
-    }
-    Ok((l, c, n))
-}
-
-fn validate(
-    comm: &Comm,
-    exec: &mut DptExecutor,
-    vs: &ValSet,
-    crop: usize,
-) -> Result<f64, CommError> {
+/// This rank's share of top-1 validation, `(correct, count)`: every `n`-th
+/// image from index `me` on. The epoch end sums it cluster-wide.
+fn validate(exec: &mut DptExecutor, vs: &ValSet, me: usize, n: usize, crop: usize) -> (u64, u64) {
     let crit = SoftmaxCrossEntropy;
-    let n = comm.size();
-    let me = comm.rank();
-    let mut correct = 0u64;
-    let mut count = 0u64;
+    let (mut correct, mut count) = (0u64, 0u64);
     let my_indices: Vec<usize> = (0..vs.len()).filter(|i| i % n == me).collect();
     for chunk in my_indices.chunks(16) {
         let (x, labels) = vs.batch(chunk, crop);
         let logits = exec.eval_logits(&x);
-        let out = crit.forward(&logits, &labels);
-        correct += out.correct as u64;
+        correct += crit.forward(&logits, &labels).correct as u64;
         count += chunk.len() as u64;
     }
-    let (_, c, n_total) = allreduce_stats(comm, 0.0, correct, count)?;
-    Ok(if n_total == 0 { 0.0 } else { c as f64 / n_total as f64 })
+    (correct, count)
 }
 
 /// Run distributed training; returns the per-epoch statistics (identical on
@@ -385,81 +340,31 @@ pub fn try_train_on_comm(
         comm.size(),
         "cfg.nodes must match the communicator's size"
     );
-    let me = comm.rank();
-    let n = comm.size();
-    let batch_node = cfg.batch_per_gpu * cfg.gpus_per_node;
-    let global_batch = batch_node * n;
-    let iterations = (ds.train_len() / global_batch).max(1);
-    let sgd = Sgd::new(cfg.sgd.clone());
-
-    // Service mode skips the in-process partition entirely: the blob
-    // servers own the DIMD partitions and this rank only streams batches.
-    let mut dimd = cfg.data_service.is_none().then(|| {
-        Dimd::load_partition(ds, me, n, cfg.quality, cfg.seed ^ (me as u64) << 20)
-    });
-    // The validation blob (paper §4.1's second DIMD file) lives whole on
-    // every learner; evaluation decodes from it, like training does.
-    let val = cfg.validate.then(|| ValSet::load(ds, cfg.quality));
-    let mut exec = DptExecutor::new(cfg.gpus_per_node, factory);
-    let param_total: usize = exec.segments().iter().map(|s| s.len).sum();
-    let mut gsync =
-        GradSync::with_policy(cfg.algo.clone(), exec.segments(), cfg.bucket_bytes, cfg.fp16_grads);
-    // Sharded strategy: every gradient exchange becomes a reduce-scatter
-    // over the canonical owner map, this rank keeps its momentum in one
-    // shard-sized velocity buffer, and the replicas' full momentum tensors
-    // are released — that release is the memory saving the strategy exists
-    // for, and `resident_opt_bytes` measures it.
-    let shards = cfg.shard_optim.then(|| ShardMap::new(param_total, n));
-    let mut velocity: Vec<f32> = Vec::new();
-    if let Some(sm) = &shards {
-        gsync = gsync.with_shards(sm.clone());
-        velocity = vec![0.0f32; sm.owned(me).len()];
-        exec.visit_replicas(|m| {
-            release_momentum(m);
-        });
-    }
-    // Hooked overlap needs the parallel DPT path to stream segments during
-    // backprop and a bucket plan to stream them into; otherwise the drain
-    // schedule (launch-after-backward) applies.
-    let hooked = cfg.overlap == OverlapMode::Hooked
-        && gsync.is_bucketed()
-        && cfg.strategy == DptStrategy::Optimized;
-    // One accumulation buffer for the whole run: sized from the segment
-    // map, reused every iteration instead of reallocating per micro-batch.
-    let mut grad = vec![0.0f32; param_total];
+    let mut trainer = Trainer::new(comm, cfg, ds, factory);
     let mut stats = Vec::with_capacity(cfg.epochs);
-    let mut progress = PartialEpoch::default();
-
-    // A dead peer ends the epoch loop with whichever collective observed
-    // the dead link; flush what this rank still knows — a partial
-    // EpochStats row and, with `DCNN_CHECKPOINT_DIR` set, an abort
-    // checkpoint — before handing the error to the process edge.
-    let run = train_epochs(TrainState {
-        comm,
-        cfg,
-        iterations,
-        batch_node,
-        hooked,
-        sgd: &sgd,
-        dimd: &mut dimd,
-        val: &val,
-        exec: &mut exec,
-        gsync: &mut gsync,
-        grad: &mut grad,
-        shards: &shards,
-        velocity: &mut velocity,
-        stats: &mut stats,
-        progress: &mut progress,
-    });
+    let mut run = || {
+        trainer.start(ds)?;
+        for epoch in 0..cfg.epochs {
+            trainer.begin_epoch(epoch)?;
+            for _ in 0..trainer.iterations {
+                trainer.step()?;
+            }
+            stats.push(trainer.end_epoch()?);
+        }
+        trainer.source.take().expect("opened").finish();
+        Ok(())
+    };
+    let run = run();
+    // A dead peer ends the loop at whichever collective observed the dead
+    // link; flush what this rank still knows before handing the error on.
     if let Err(e) = &run {
-        flush_abort_state(comm, cfg, &mut exec, &gsync, &shards, &velocity, &progress, e);
+        trainer.abort(e);
     }
     run.map(|()| stats)
 }
 
-/// Mid-epoch progress, owned outside the epoch loop so the peer-death
-/// abort path can still reach it after the loop returns: enough to emit a
-/// partial [`EpochStats`] row for the epoch that never completed.
+/// The current epoch's progress: enough to emit a partial [`EpochStats`]
+/// row for an epoch that never completed.
 #[derive(Default)]
 struct PartialEpoch {
     epoch: usize,
@@ -468,332 +373,393 @@ struct PartialEpoch {
     correct: u64,
     seen: u64,
     buckets_launched: u64,
+    /// The rank's counters when the epoch opened.
     start: CommStats,
 }
 
-impl PartialEpoch {
-    fn begin(&mut self, epoch: usize, start: CommStats) {
-        *self = PartialEpoch { epoch, start, ..PartialEpoch::default() };
-    }
-}
-
-/// Borrowed training state for the epoch loop, bundled so
-/// `try_train_on_comm` can reclaim the pieces after a failure.
-struct TrainState<'a> {
+/// One rank's run of Algorithm 1 as a value the loop steps: the replicas,
+/// the gradient exchange, the optimizer state, the batch source and the
+/// current epoch's progress. [`try_train_on_comm`] drives it
+/// (`start`, then per epoch `begin_epoch`, `step` × iterations,
+/// `end_epoch`) and, on a dead peer, calls [`Trainer::abort`].
+struct Trainer<'a> {
     comm: &'a Comm,
     cfg: &'a TrainConfig,
+    /// Optimizer steps per epoch.
     iterations: usize,
-    batch_node: usize,
-    hooked: bool,
-    sgd: &'a Sgd,
-    dimd: &'a mut Option<Dimd>,
-    val: &'a Option<ValSet>,
-    exec: &'a mut DptExecutor,
-    gsync: &'a mut GradSync,
-    grad: &'a mut [f32],
-    shards: &'a Option<ShardMap>,
-    velocity: &'a mut Vec<f32>,
-    stats: &'a mut Vec<EpochStats>,
-    progress: &'a mut PartialEpoch,
+    sgd: Sgd,
+    exec: DptExecutor,
+    gsync: GradSync,
+    /// The sharded strategy's owner map and its per-rank counts.
+    shards: Option<(ShardMap, Vec<usize>)>,
+    /// This rank's shard of the momentum (empty when replicated).
+    velocity: Vec<f32>,
+    /// The step's gradient, accumulated in place and exchanged in place;
+    /// under sharding it carries the parameter allgather too.
+    grad: Vec<f32>,
+    val: Option<ValSet>,
+    /// Opened by [`Trainer::start`].
+    source: Option<Box<dyn BatchSource + 'a>>,
+    progress: PartialEpoch,
 }
 
-fn train_epochs(st: TrainState<'_>) -> Result<(), CommError> {
-    let TrainState {
-        comm,
-        cfg,
-        iterations,
-        batch_node,
-        hooked,
-        sgd,
-        dimd,
-        val,
-        exec,
-        gsync,
-        grad,
-        shards,
-        velocity,
-        stats,
-        progress,
-    } = st;
-    let me = comm.rank();
-    let n = comm.size();
-    let shard_counts = shards.as_ref().map(|sm| sm.counts());
-    // Fault-injection arming (`DCNN_FAULT`): `kill_at` is the optimizer
-    // step after which THIS rank aborts (the kernel closes its sockets, so
-    // peers observe the same bare EOF a SIGKILL leaves); any armed fault
-    // also emits per-step heartbeats so external tests can kill a rank at a
-    // deterministic point mid-epoch.
-    let kill_at = match cfg.fault {
-        Some(FaultSpec::KillAfterStep { step, rank }) if rank == me => Some(step),
-        _ => None,
-    };
-    let heartbeat = cfg.fault.is_some();
-    let mut global_step = 0usize;
-
-    // One batch source for the whole run, behind the data-plane seam: the
-    // in-process partition (optionally fronted by the donkey prefetch
-    // pipeline) or a remote blob server when `DCNN_DATA_SERVICE` is set.
-    // Both deliver byte-identical batches for identical seeds.
-    let hello = Hello {
-        rank: me,
-        world: n,
-        batch: batch_node,
-        requests_per_epoch: iterations * cfg.accum_steps.max(1),
-        epochs: cfg.epochs,
-        shuffle_every: cfg.shuffle_every_epochs,
-        segment_bytes: cfg.shuffle_segment_bytes as u64,
-    };
-    let mut source = open_source(
-        comm,
-        cfg.data_service.as_deref(),
-        || dimd.take().expect("partition present"),
-        hello,
-        cfg.crop,
-        cfg.prefetch_depth,
-        cfg.decode_workers,
-        cfg.connect_timeout,
-    )
-    .map_err(|e| {
-        // An unreachable server is the data plane's dead peer, reported
-        // like a mid-run death.
-        let servers = cfg.data_service.as_ref().map_or(1, |s| s.split(',').count());
-        CommError::PeerDead {
-            rank: me,
-            peer: me % servers,
-            cause: format!("data service connect: {e}"),
-            phase: Some("data-plane".into()),
-            bucket: None,
-            label: None,
+impl<'a> Trainer<'a> {
+    /// Build the replicas, the gradient exchange and (sharded) the owner
+    /// map with its shard-sized velocity; no communication.
+    fn new(
+        comm: &'a Comm,
+        cfg: &'a TrainConfig,
+        ds: &SynthImageNet,
+        factory: &(impl Fn() -> Box<dyn Module> + Sync),
+    ) -> Self {
+        let n = comm.size();
+        let mut exec = DptExecutor::new(cfg.gpus_per_node, factory);
+        let param_total: usize = exec.segments().iter().map(|s| s.len).sum();
+        let (algo, segments) = (cfg.algo.clone(), exec.segments());
+        let mut gsync = GradSync::with_policy(algo, segments, cfg.bucket_bytes, cfg.fp16_grads);
+        // Sharded strategy: every gradient exchange becomes a reduce-scatter
+        // over the canonical owner map, this rank keeps its momentum in one
+        // shard-sized velocity buffer, and the replicas' full momentum
+        // tensors are released — that release is the memory saving the
+        // strategy exists for, and `resident_opt_bytes` measures it.
+        let shards = cfg.shard_optim.then(|| ShardMap::new(param_total, n));
+        let mut velocity = Vec::new();
+        if let Some(sm) = &shards {
+            gsync = gsync.with_shards(sm.clone());
+            velocity = vec![0.0f32; sm.owned(comm.rank()).len()];
+            exec.visit_replicas(|m| {
+                release_momentum(m);
+            });
         }
-    })?;
+        let global_batch = cfg.batch_per_gpu * cfg.gpus_per_node * n;
+        Trainer {
+            comm,
+            cfg,
+            iterations: (ds.train_len() / global_batch).max(1),
+            sgd: Sgd::new(cfg.sgd.clone()),
+            exec,
+            gsync,
+            shards: shards.map(|sm| {
+                let counts = sm.counts();
+                (sm, counts)
+            }),
+            velocity,
+            // One buffer for the whole run, sized from the segment map.
+            grad: vec![0.0f32; param_total],
+            // The validation blob (paper §4.1's second DIMD file) lives
+            // whole on every learner; evaluation decodes from it.
+            val: cfg.validate.then(|| ValSet::load(ds, cfg.quality)),
+            source: None,
+            progress: PartialEpoch::default(),
+        }
+    }
 
-    // The algorithm per bucket, decided before epoch 0's counters open: a
-    // multi-candidate `auto` policy measures and agrees here, once.
-    gsync.decide(comm)?;
-    for epoch in 0..cfg.epochs {
-        progress.begin(epoch, comm.stats());
-        source.try_begin_epoch(epoch)?;
-        for it in 0..iterations {
-            let frac_epoch = epoch as f32 + it as f32 / iterations as f32;
-            let lr = cfg.lr.lr_at(frac_epoch);
-            // Gradient accumulation: average `accum_steps` micro-batches
-            // before the exchange in the pre-sized buffer, range by range as
-            // each micro-batch reports them: the first copies, the rest add,
-            // the last scales by 1/accum and, hooked, hands the range to the
-            // bucket scheduler — a bucket's allreduce launches the instant
-            // its last range lands.
-            let accum = cfg.accum_steps.max(1);
-            let inv_accum = 1.0 / accum as f32;
-            let mut step_loss = 0.0;
-            let mut step_correct = 0u64;
-            // One exchange per step, whatever the schedule: the hooked path
-            // feeds it from the backward pass, drain and fused report
-            // nothing and let `finish` do all of it.
-            let mut stream = gsync.begin(comm);
-            for micro in 0..accum {
-                let (x, labels) = source.try_next_batch()?;
-                let last = micro + 1 == accum;
-                let mut take = |off: usize, vals: &[f32]| {
-                    let seg = &mut grad[off..off + vals.len()];
-                    if micro == 0 {
-                        seg.copy_from_slice(vals);
-                    } else {
-                        reduce::sum_into(seg, vals);
-                    }
-                    if last && accum > 1 {
-                        reduce::scale(seg, inv_accum);
-                    }
-                    if last && hooked {
-                        stream.segment_ready(&grad[..], off, vals.len());
-                    }
-                };
-                let (l, c) = match cfg.strategy {
-                    DptStrategy::Optimized => exec.step_streamed(&x, &labels, &mut take),
-                    DptStrategy::Baseline => {
-                        let out = exec.step(&x, &labels, DptStrategy::Baseline);
-                        take(0, &out.grad);
-                        (out.loss, out.correct)
-                    }
-                };
-                step_loss += l / accum as f64;
-                step_correct += c as u64;
+    /// Open the batch source behind the data-plane seam — the in-process
+    /// partition (optionally behind the donkey prefetch pipeline) or, with
+    /// `DCNN_DATA_SERVICE`, a remote blob server; both deliver
+    /// byte-identical batches for identical seeds — then decide the
+    /// algorithm per bucket: a multi-candidate `auto` policy measures and
+    /// agrees here, once, before epoch 0's counters open.
+    fn start(&mut self, ds: &SynthImageNet) -> Result<(), CommError> {
+        let (comm, cfg) = (self.comm, self.cfg);
+        let (me, n) = (comm.rank(), comm.size());
+        let hello = Hello {
+            rank: me,
+            world: n,
+            batch: cfg.batch_per_gpu * cfg.gpus_per_node,
+            requests_per_epoch: self.iterations * cfg.accum_steps.max(1),
+            epochs: cfg.epochs,
+            shuffle_every: cfg.shuffle_every_epochs,
+            segment_bytes: cfg.shuffle_segment_bytes as u64,
+        };
+        let seed = cfg.seed ^ (me as u64) << 20;
+        let partition = || Dimd::load_partition(ds, me, n, cfg.quality, seed);
+        let source = open_source(
+            comm,
+            cfg.data_service.as_deref(),
+            partition,
+            hello,
+            cfg.crop,
+            cfg.prefetch_depth,
+            cfg.decode_workers,
+            cfg.connect_timeout,
+        )
+        .map_err(|e| {
+            // An unreachable server is the data plane's dead peer, reported
+            // like a mid-run death.
+            let servers = cfg.data_service.as_ref().map_or(1, |s| s.split(',').count());
+            CommError::PeerDead {
+                rank: me,
+                peer: me % servers,
+                cause: format!("data service connect: {e}"),
+                phase: Some("data-plane".into()),
+                bucket: None,
+                label: None,
             }
-            // Inter-node average: sum node-averages; the optimizer divides
-            // by N as it reads them.
-            progress.buckets_launched += stream.try_finish(&mut grad[..])? as u64;
-            let inv_n = 1.0 / n as f32;
-            match shards {
-                // Replicated: every replica applies the full averaged
-                // gradient with full momentum, staying in sync implicitly.
-                None => exec.visit_replicas(|m| sgd.step_flat(m, lr, &grad[..], inv_n)),
-                // Sharded: the reduce-scatter above fully reduced only this
-                // rank's owned range, so step exactly that range (replica 0
-                // stands in for the shard — the others resync from the
-                // allgather), then rebroadcast the stepped parameters.
-                // Per-element arithmetic is identical to the replicated
-                // step, so the gathered weights match it bitwise. The
-                // gradient is dead once stepped and the next step rewrites
-                // all of it, so its buffer carries the allgather: this rank
-                // fills its owned range from replica 0, the allgather the
-                // rest.
-                Some(sm) => {
-                    let owned = sm.owned(me);
-                    let r0 = exec.replica(0);
-                    sgd.step_range_flat(r0, lr, owned.clone(), velocity, &grad[..], inv_n);
-                    params_into(r0, owned.clone(), &mut grad[owned]);
-                    comm.try_allgather_f32(grad, shard_counts.as_ref().expect("counts"))?;
-                    exec.set_params_all(grad);
+        })?;
+        self.source = Some(source);
+        self.gsync.decide(comm)
+    }
+
+    /// Open `epoch`: zero its progress, snapshot the counters its row
+    /// reports against, and start the source's epoch.
+    fn begin_epoch(&mut self, epoch: usize) -> Result<(), CommError> {
+        self.progress = PartialEpoch { epoch, start: self.comm.stats(), ..PartialEpoch::default() };
+        self.source.as_mut().expect("opened").try_begin_epoch(epoch)
+    }
+
+    /// One optimizer step: `accum_steps` micro-batches forward and backward
+    /// into the gradient buffer, the exchange, the SGD update, then the
+    /// fault-injection hooks.
+    fn step(&mut self) -> Result<(), CommError> {
+        let (comm, cfg) = (self.comm, self.cfg);
+        let (me, n) = (comm.rank(), comm.size());
+        let (epoch, it) = (self.progress.epoch, self.progress.iters);
+        let lr = cfg.lr.lr_at(epoch as f32 + it as f32 / self.iterations as f32);
+        // Hooked overlap needs the parallel DPT path to stream segments
+        // during backprop and a bucket plan to stream them into; otherwise
+        // the drain schedule (launch-after-backward) applies.
+        let hooked = cfg.overlap == OverlapMode::Hooked
+            && self.gsync.is_bucketed()
+            && cfg.strategy == DptStrategy::Optimized;
+        let source = self.source.as_mut().expect("opened");
+        let grad = &mut self.grad;
+        // Gradient accumulation: average `accum_steps` micro-batches before
+        // the exchange in the pre-sized buffer, range by range as each
+        // micro-batch reports them: the first copies, the rest add, the
+        // last scales by 1/accum and, hooked, hands the range to the bucket
+        // scheduler — a bucket's allreduce launches the instant its last
+        // range lands.
+        let accum = cfg.accum_steps.max(1);
+        let inv_accum = 1.0 / accum as f32;
+        let mut step_loss = 0.0;
+        let mut step_correct = 0u64;
+        // One exchange per step, whatever the schedule: the hooked path
+        // feeds it from the backward pass, drain and fused report nothing
+        // and let `finish` do all of it.
+        let mut stream = self.gsync.begin(comm);
+        for micro in 0..accum {
+            let (x, labels) = source.try_next_batch()?;
+            let last = micro + 1 == accum;
+            let mut take = |off: usize, vals: &[f32]| {
+                let seg = &mut grad[off..off + vals.len()];
+                if micro == 0 {
+                    seg.copy_from_slice(vals);
+                } else {
+                    reduce::sum_into(seg, vals);
                 }
+                if last && accum > 1 {
+                    reduce::scale(seg, inv_accum);
+                }
+                if last && hooked {
+                    stream.segment_ready(&grad[..], off, vals.len());
+                }
+            };
+            let (l, c) = match cfg.strategy {
+                DptStrategy::Optimized => self.exec.step_streamed(&x, &labels, &mut take),
+                DptStrategy::Baseline => {
+                    let out = self.exec.step(&x, &labels, DptStrategy::Baseline);
+                    take(0, &out.grad);
+                    (out.loss, out.correct)
+                }
+            };
+            step_loss += l / accum as f64;
+            step_correct += c as u64;
+        }
+        // Inter-node average: sum node-averages; the optimizer divides by N
+        // as it reads them.
+        self.progress.buckets_launched += stream.try_finish(&mut grad[..])? as u64;
+        let inv_n = 1.0 / n as f32;
+        match &self.shards {
+            // Replicated: every replica applies the full averaged gradient
+            // with full momentum, staying in sync implicitly.
+            None => self.exec.visit_replicas(|m| self.sgd.step_flat(m, lr, &grad[..], inv_n)),
+            // Sharded: the reduce-scatter above fully reduced only this
+            // rank's owned range, so step exactly that range (replica 0
+            // stands in for the shard — the others resync from the
+            // allgather), then rebroadcast the stepped parameters.
+            // Per-element arithmetic is identical to the replicated step, so
+            // the gathered weights match it bitwise. The gradient is dead
+            // once stepped and the next step rewrites all of it, so its
+            // buffer carries the allgather: this rank fills its owned range
+            // from replica 0, the allgather the rest.
+            Some((sm, counts)) => {
+                let owned = sm.owned(me);
+                let (r0, velocity) = (self.exec.replica(0), &mut self.velocity);
+                self.sgd.step_range_flat(r0, lr, owned.clone(), velocity, &grad[..], inv_n);
+                params_into(r0, owned.clone(), &mut grad[owned]);
+                comm.try_allgather_f32(grad, counts)?;
+                self.exec.set_params_all(grad);
             }
-            progress.loss_sum += step_loss;
-            progress.correct += step_correct;
-            progress.seen += (batch_node * accum) as u64;
-            progress.iters += 1;
-            if heartbeat {
-                eprintln!("dcnn-fault: rank {me} step {global_step} (epoch {epoch} it {it})");
-            }
-            if kill_at == Some(global_step) {
+        }
+        let p = &mut self.progress;
+        p.loss_sum += step_loss;
+        p.correct += step_correct;
+        p.seen += (cfg.batch_per_gpu * cfg.gpus_per_node * accum) as u64;
+        p.iters += 1;
+        // Fault injection (`DCNN_FAULT`): any armed fault emits per-step
+        // heartbeats so external tests can kill a rank at a deterministic
+        // point mid-epoch; `kill-after-step` aborts THIS rank after its
+        // step (the kernel closes its sockets, so peers observe the same
+        // bare EOF a SIGKILL leaves).
+        let global_step = epoch * self.iterations + it;
+        if cfg.fault.is_some() {
+            eprintln!("dcnn-fault: rank {me} step {global_step} (epoch {epoch} it {it})");
+        }
+        if let Some(FaultSpec::KillAfterStep { step, rank }) = cfg.fault {
+            if (step, rank) == (global_step, me) {
                 eprintln!("dcnn-fault: rank {me}: kill-after-step={global_step}: aborting now");
                 std::process::abort();
             }
-            global_step += 1;
         }
-        let (l, c, cnt) =
-            allreduce_stats(comm, progress.loss_sum, progress.correct, progress.seen)?;
-        let val_acc = match val {
-            Some(vs) => validate(comm, exec, vs, cfg.crop)?,
-            None => 0.0,
+        Ok(())
+    }
+
+    /// Close the epoch: validate locally, take the row's closing counter
+    /// snapshot, agree the cluster-wide values in one allgather, then run
+    /// the source's epoch end (the shuffle, when due).
+    fn end_epoch(&mut self) -> Result<EpochStats, CommError> {
+        let (comm, cfg) = (self.comm, self.cfg);
+        let n = comm.size();
+        let val = match &self.val {
+            Some(vs) => validate(&mut self.exec, vs, comm.rank(), n, cfg.crop),
+            None => (0, 0),
         };
-        let mut row =
-            epoch_row(cfg, progress, &comm.stats(), gsync, me, measure_residency(exec, velocity));
-        row.train_loss = l / (n * iterations) as f64;
-        row.train_acc = c as f64 / cnt as f64;
-        row.val_acc = val_acc;
-        // Cluster maxima: the leading rank is the one that gets to overlap
-        // and the busiest link can sit on any rank.
-        row.overlap_frac = allreduce_max_f64(comm, row.overlap_frac)?;
-        row.async_inflight_hwm = allreduce_max_u64(comm, row.async_inflight_hwm)?;
-        row.link_bytes_max = allreduce_max_u64(comm, row.link_bytes_max)?;
-        row.link_imbalance = allreduce_max_f64(comm, row.link_imbalance)?;
-        stats.push(row);
-        let shuffle_due =
-            cfg.shuffle_every_epochs > 0 && (epoch + 1) % cfg.shuffle_every_epochs == 0;
-        source.try_end_epoch(epoch, shuffle_due)?;
+        // The row's counters close before the allgather, so they count the
+        // epoch's steps and none of the epoch end's own traffic.
+        let mut row = self.local_row();
+        let p = &self.progress;
+        // One fixed record per rank: sums add in rank order and maxima do
+        // not depend on order, so every rank gets the same bits. The
+        // leading rank is the one that gets to overlap and the busiest
+        // link can sit on any rank, hence the maxima.
+        let record = [
+            p.loss_sum.to_bits(),
+            p.correct,
+            p.seen,
+            val.0,
+            val.1,
+            row.overlap_frac.to_bits(),
+            row.async_inflight_hwm,
+            row.link_bytes_max,
+            row.link_imbalance.to_bits(),
+        ];
+        let bytes = record.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let (mut loss, mut correct, mut seen, mut val_correct, mut val_count) = (0.0, 0, 0, 0, 0);
+        for theirs in try_allgather_bytes(comm, bytes)? {
+            let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8"));
+            let w: Vec<u64> = theirs.chunks_exact(8).map(word).collect();
+            loss += f64::from_bits(w[0]);
+            correct += w[1];
+            seen += w[2];
+            val_correct += w[3];
+            val_count += w[4];
+            row.overlap_frac = row.overlap_frac.max(f64::from_bits(w[5]));
+            row.async_inflight_hwm = row.async_inflight_hwm.max(w[6]);
+            row.link_bytes_max = row.link_bytes_max.max(w[7]);
+            row.link_imbalance = row.link_imbalance.max(f64::from_bits(w[8]));
+        }
+        row.train_loss = loss / (n * self.iterations) as f64;
+        row.train_acc = correct as f64 / seen as f64;
+        row.val_acc = if val_count == 0 { 0.0 } else { val_correct as f64 / val_count as f64 };
+        let epoch = self.progress.epoch;
+        // Every `shuffle_every_epochs` epochs; never when it is 0.
+        let shuffle_due = (epoch + 1).is_multiple_of(cfg.shuffle_every_epochs);
+        self.source.as_mut().expect("opened").try_end_epoch(epoch, shuffle_due)?;
+        Ok(row)
     }
-    *dimd = source.finish();
-    Ok(())
-}
 
-/// The [`EpochStats`] row for `progress`'s epoch as this rank alone sees
-/// it: every field from local counters (`now` against the epoch's opening
-/// snapshot), no communication. The abort path emits it as is; the epoch
-/// end then overwrites the fields the cluster agrees on.
-fn epoch_row(
-    cfg: &TrainConfig,
-    progress: &PartialEpoch,
-    now: &CommStats,
-    gsync: &GradSync,
-    me: usize,
-    (resident_param_bytes, resident_opt_bytes): (u64, u64),
-) -> EpochStats {
-    let start = &progress.start;
-    let secs = |to: u64, from: u64| to.saturating_sub(from) as f64 / 1e9;
-    let async_ns = now.async_comm_ns.saturating_sub(start.async_comm_ns);
-    let wait_ns = now.bucket_wait_ns.saturating_sub(start.bucket_wait_ns);
-    let links = now.link_bytes_delta(start);
-    EpochStats {
-        epoch: progress.epoch,
-        train_loss: if progress.iters == 0 {
-            0.0
-        } else {
-            progress.loss_sum / progress.iters as f64
-        },
-        train_acc: if progress.seen == 0 {
-            0.0
-        } else {
-            progress.correct as f64 / progress.seen as f64
-        },
-        val_acc: 0.0,
-        lr: cfg.lr.lr_at(progress.epoch as f32),
-        comm_bytes: now.bytes_sent.saturating_sub(start.bytes_sent),
-        comm_msgs: now.msgs_sent.saturating_sub(start.msgs_sent),
-        comm_wait_secs: secs(now.recv_wait_ns, start.recv_wait_ns),
-        allreduce_secs: secs(gsync.allreduce_phase_ns(now), gsync.allreduce_phase_ns(start)),
-        stash_hwm: now.stash_hwm,
-        bucket_wait_secs: wait_ns as f64 / 1e9,
-        overlap_frac: if async_ns == 0 {
-            0.0
-        } else {
-            (1.0 - wait_ns as f64 / async_ns as f64).clamp(0.0, 1.0)
-        },
-        async_inflight_hwm: now.async_inflight_hwm,
-        bucket_bytes: gsync.bucket_bytes() as u64,
-        buckets_launched: progress.buckets_launched,
-        resident_param_bytes,
-        resident_opt_bytes,
-        link_bytes_max: CommStats::link_bytes_max(me, &links),
-        link_imbalance: CommStats::link_imbalance(me, &links),
-        algo_choices: gsync.choices_string(),
+    /// The [`EpochStats`] row for the current epoch as this rank alone sees
+    /// it: every field from local counters (a fresh snapshot against the
+    /// epoch's opening one), no communication. The abort path emits it as
+    /// is; the epoch end then overwrites the fields the cluster agrees on.
+    fn local_row(&mut self) -> EpochStats {
+        let (mut resident_param_bytes, mut resident_opt_bytes) = (0usize, 0usize);
+        self.exec.visit_replicas(|m| {
+            let (p, o) = resident_bytes(m);
+            resident_param_bytes += p;
+            resident_opt_bytes += o;
+        });
+        resident_opt_bytes += std::mem::size_of_val(&self.velocity[..]);
+        let (progress, gsync, me) = (&self.progress, &self.gsync, self.comm.rank());
+        let (now, start) = (&self.comm.stats(), &progress.start);
+        let secs = |to: u64, from: u64| to.saturating_sub(from) as f64 / 1e9;
+        let busy_ns = now.async_busy_ns.saturating_sub(start.async_busy_ns);
+        let wait_ns = now.bucket_wait_ns.saturating_sub(start.bucket_wait_ns);
+        let links = now.link_bytes_delta(start);
+        EpochStats {
+            epoch: progress.epoch,
+            train_loss: if progress.iters == 0 {
+                0.0
+            } else {
+                progress.loss_sum / progress.iters as f64
+            },
+            train_acc: if progress.seen == 0 {
+                0.0
+            } else {
+                progress.correct as f64 / progress.seen as f64
+            },
+            val_acc: 0.0,
+            lr: self.cfg.lr.lr_at(progress.epoch as f32),
+            comm_bytes: now.bytes_sent.saturating_sub(start.bytes_sent),
+            comm_msgs: now.msgs_sent.saturating_sub(start.msgs_sent),
+            comm_wait_secs: secs(now.recv_wait_ns, start.recv_wait_ns),
+            allreduce_secs: secs(gsync.allreduce_phase_ns(now), gsync.allreduce_phase_ns(start)),
+            stash_hwm: now.stash_hwm,
+            bucket_wait_secs: wait_ns as f64 / 1e9,
+            overlap_frac: if busy_ns == 0 {
+                0.0
+            } else {
+                (1.0 - wait_ns as f64 / busy_ns as f64).clamp(0.0, 1.0)
+            },
+            async_inflight_hwm: now.async_inflight_hwm,
+            bucket_bytes: gsync.bucket_bytes() as u64,
+            buckets_launched: progress.buckets_launched,
+            resident_param_bytes: resident_param_bytes as u64,
+            resident_opt_bytes: resident_opt_bytes as u64,
+            link_bytes_max: CommStats::link_bytes_max(me, &links),
+            link_imbalance: CommStats::link_imbalance(me, &links),
+            algo_choices: gsync.choices_string(),
+        }
     }
-}
 
-/// Live parameter + optimizer bytes on this rank, summed over every local
-/// replica's tensors plus the shard-local velocity buffer.
-fn measure_residency(exec: &mut DptExecutor, velocity: &[f32]) -> (u64, u64) {
-    let (mut res_param, mut res_opt) = (0usize, 0usize);
-    exec.visit_replicas(|m| {
-        let (p, o) = resident_bytes(m);
-        res_param += p;
-        res_opt += o;
-    });
-    res_opt += std::mem::size_of_val(velocity);
-    (res_param as u64, res_opt as u64)
-}
-
-/// A peer died mid-epoch: preserve what this rank can before the error
-/// goes on to the process edge — a partial [`EpochStats`] row (stderr, plus a JSON file next
-/// to the checkpoint) telling the operator where training stood, and an
-/// abort checkpoint making the completed steps resumable. Deliberately
-/// avoids every collective call: peers are dead or dying, so only local
-/// counters go into the row ([`epoch_row`]).
-///
-/// Under the sharded strategy the abort checkpoint is this rank's
-/// [`ShardCheckpoint`] (`DCKS`) — full momentum no longer exists anywhere —
-/// and the surviving ranks' shards merge back into a full `DCKP` state via
-/// [`Checkpoint::merge`], or restore directly into another sharded run.
-#[allow(clippy::too_many_arguments)]
-fn flush_abort_state(
-    comm: &Comm,
-    cfg: &TrainConfig,
-    exec: &mut DptExecutor,
-    gsync: &GradSync,
-    shards: &Option<ShardMap>,
-    velocity: &[f32],
-    progress: &PartialEpoch,
-    err: &CommError,
-) {
-    let me = comm.rank();
-    let row = epoch_row(cfg, progress, &comm.stats(), gsync, me, measure_residency(exec, velocity));
-    eprintln!(
-        "dcnn: rank {me}: aborting training after {} iteration(s) of epoch {}: {err}",
-        progress.iters, progress.epoch
-    );
-    let json = serde_json::to_string(&row).unwrap_or_default();
-    eprintln!("dcnn: rank {me}: partial epoch row: {json}");
-    if let Some(dir) = &cfg.checkpoint_dir {
+    /// A peer died: preserve what this rank can before the error goes on to
+    /// the process edge — a partial [`EpochStats`] row (stderr, plus a JSON
+    /// file next to the checkpoint) telling the operator where training
+    /// stood, and an abort checkpoint making the completed steps
+    /// resumable. Deliberately avoids every collective call: peers are dead
+    /// or dying, so only local counters go into the row
+    /// ([`Trainer::local_row`]).
+    ///
+    /// Under the sharded strategy the abort checkpoint is this rank's
+    /// [`ShardCheckpoint`] (`DCKS`) — full momentum no longer exists
+    /// anywhere — and the surviving ranks' shards merge back into a full
+    /// `DCKP` state via [`Checkpoint::merge`], or restore directly into
+    /// another sharded run.
+    fn abort(&mut self, err: &CommError) {
+        let me = self.comm.rank();
+        let row = self.local_row();
+        let epoch = self.progress.epoch;
+        eprintln!(
+            "dcnn: rank {me}: aborting training after {} iteration(s) of epoch {epoch}: {err}",
+            self.progress.iters
+        );
+        let json = serde_json::to_string(&row).unwrap_or_default();
+        eprintln!("dcnn: rank {me}: partial epoch row: {json}");
+        let Some(dir) = &self.cfg.checkpoint_dir else { return };
         let dir = std::path::Path::new(dir);
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("dcnn: rank {me}: cannot create checkpoint dir {}: {e}", dir.display());
             return;
         }
         let path = dir.join(format!("abort-rank{me}.ckpt"));
-        let written = match shards {
-            None => Checkpoint::capture(exec.replica(0), progress.epoch as u32).write_to(&path),
-            Some(sm) => {
+        let written = match &self.shards {
+            None => Checkpoint::capture(self.exec.replica(0), epoch as u32).write_to(&path),
+            Some((sm, _)) => {
                 let owned = sm.owned(me);
-                let params = collect_params(exec.replica(0));
+                let params = collect_params(self.exec.replica(0));
                 ShardCheckpoint {
-                    epoch: progress.epoch as u32,
+                    epoch: epoch as u32,
                     meta: ShardMeta {
                         rank: me as u32,
                         world: sm.world() as u32,
@@ -801,16 +767,13 @@ fn flush_abort_state(
                         total: sm.total() as u64,
                     },
                     params: params[owned].to_vec(),
-                    momentum: velocity.to_vec(),
+                    momentum: self.velocity.clone(),
                 }
                 .write_to(&path)
             }
         };
         match written {
-            Ok(()) => eprintln!(
-                "dcnn: rank {me}: abort checkpoint written to {}",
-                path.display()
-            ),
+            Ok(()) => eprintln!("dcnn: rank {me}: abort checkpoint written to {}", path.display()),
             Err(e) => eprintln!("dcnn: rank {me}: abort checkpoint write failed: {e}"),
         }
         let _ = std::fs::write(dir.join(format!("abort-rank{me}.partial.json")), json);
@@ -893,6 +856,22 @@ mod tests {
             );
             assert!(s.comm_wait_secs >= 0.0);
         }
+    }
+
+    #[test]
+    fn the_epoch_end_is_one_collective() {
+        // Replicated, a fixed algorithm, no shuffle: the only allgathers
+        // are the epoch ends', and validation adds none of its own.
+        let ds = tiny_ds();
+        let mut cfg = tiny_cfg(2, 2);
+        cfg.algo = AllreduceAlgo::RingReduceScatter.into();
+        cfg.validate = true;
+        cfg.shuffle_every_epochs = 0;
+        let run = ClusterBuilder::new(2).run(|comm| train_on_comm(comm, &cfg, &ds, &tiny_factory));
+        let phases = &run.stats[0].phase_ns;
+        let gathers = phases.iter().find(|p| p.0 == "allgather").map_or(0, |p| p.2);
+        assert_eq!(gathers, 2, "one allgather per epoch expected; phases {phases:?}");
+        assert!(run.results[0].iter().all(|s| s.val_acc > 0.0));
     }
 
     #[test]
@@ -1459,42 +1438,45 @@ mod tests {
     /// Captured at the commit before the exchange paths were unified, on the
     /// threaded fabric, where byte and message counts are deterministic.
     /// The whole-run totals also cover the collectives between one epoch's
-    /// closing snapshot and the next epoch's opening one (tuner agreement,
-    /// cluster maxima), which no epoch row counts. The six
+    /// closing snapshot and the next epoch's opening one (the epoch end's
+    /// allgather), which no epoch row counts. The six
     /// `multicolor/*/sharded` rows' byte and message fields were re-captured
     /// when the default reduce-scatter stopped running the whole allreduce
     /// (dead-step elimination); their loss bits did not move. The `/val`
-    /// row (validation on) was captured before the epoch end's collectives
-    /// were folded into one.
+    /// row (validation on) was captured before the epoch end's six
+    /// allgathers became one; then every row's byte and message fields
+    /// were re-captured, each moved by exactly what that fold predicts
+    /// from the record sizes (an epoch row no longer bills the epoch end's
+    /// allgathers), and no loss, accuracy or bucket field moved.
     #[rustfmt::skip]
     const TRAFFIC_GOLDEN: &[TrafficRow] = &[
-        ("ring-reduce-scatter/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
-        ("ring-reduce-scatter/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
-        ("ring-reduce-scatter/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
-        ("ring-reduce-scatter/w2/drain/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731, 0), (21048, 37, 30, 4607210913014694081, 0)]),
-        ("ring-reduce-scatter/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
-        ("ring-reduce-scatter/w2/hooked/sharded", (42416, 82), [(21048, 37, 30, 4608632158400617731, 0), (21048, 37, 30, 4607210913014694081, 0)]),
-        ("ring-reduce-scatter/w3/fused/replicated", (38592, 52), [(18848, 18, 0, 4608845318715749144, 0), (18848, 18, 0, 4607345403102038685, 0)]),
-        ("ring-reduce-scatter/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318715749144, 0), (18848, 18, 0, 4607345403102038685, 0)]),
-        ("ring-reduce-scatter/w3/drain/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181, 0), (18848, 82, 20, 4607345403130227696, 0)]),
-        ("ring-reduce-scatter/w3/drain/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144, 0), (18848, 50, 20, 4607345403102038685, 0)]),
-        ("ring-reduce-scatter/w3/hooked/replicated", (38592, 180), [(18848, 82, 20, 4608845318711261181, 0), (18848, 82, 20, 4607345403130227696, 0)]),
-        ("ring-reduce-scatter/w3/hooked/sharded", (38592, 116), [(18848, 50, 20, 4608845318715749144, 0), (18848, 50, 20, 4607345403102038685, 0)]),
-        ("multicolor/w2/fused/replicated", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
-        ("multicolor/w2/fused/sharded", (42416, 34), [(21048, 13, 0, 4608632158400617731, 0), (21048, 13, 0, 4607210913014694081, 0)]),
-        ("multicolor/w2/drain/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
-        ("multicolor/w2/drain/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731, 0), (25560, 55, 30, 4607210913014694081, 0)]),
-        ("multicolor/w2/hooked/replicated", (42416, 130), [(21048, 61, 30, 4608632158400617731, 0), (21048, 61, 30, 4607210913014694081, 0)]),
-        ("multicolor/w2/hooked/sharded", (51440, 118), [(25560, 55, 30, 4608632158400617731, 0), (25560, 55, 30, 4607210913014694081, 0)]),
-        ("multicolor/w3/fused/replicated", (38624, 52), [(18864, 18, 0, 4608845318705986953, 0), (18864, 18, 0, 4607345403100759925, 0)]),
-        ("multicolor/w3/fused/sharded", (38592, 52), [(18848, 18, 0, 4608845318705986953, 0), (18848, 18, 0, 4607345403100759925, 0)]),
-        ("multicolor/w3/drain/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549, 0), (18864, 82, 20, 4607345403115794811, 0)]),
-        ("multicolor/w3/drain/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549, 0), (20864, 66, 20, 4607345403115794811, 0)]),
-        ("multicolor/w3/hooked/replicated", (38624, 180), [(18864, 82, 20, 4608845318743314549, 0), (18864, 82, 20, 4607345403115794811, 0)]),
-        ("multicolor/w3/hooked/sharded", (42624, 148), [(20864, 66, 20, 4608845318743314549, 0), (20864, 66, 20, 4607345403115794811, 0)]),
-        ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42416, 130), [(21048, 61, 30, 4608632138296352319, 0), (21048, 61, 30, 4607211123083706365, 0)]),
-        ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84368, 250), [(42024, 121, 60, 4608663114122042792, 0), (42024, 121, 60, 4606370365909963915, 0)]),
-        ("ring-reduce-scatter/w3/hooked/replicated/val", (39008, 184), [(19056, 84, 20, 4608845318711261181, 4602678819172646912), (19056, 84, 20, 4607345403130227696, 4598738169498697728)]),
+        ("ring-reduce-scatter/w2/fused/replicated", (42288, 26), [(20976, 12, 0, 4608632158400617731, 0), (20976, 12, 0, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/fused/sharded", (42288, 26), [(20976, 12, 0, 4608632158400617731, 0), (20976, 12, 0, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/drain/replicated", (42288, 122), [(20976, 60, 30, 4608632158400617731, 0), (20976, 60, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/drain/sharded", (42288, 74), [(20976, 36, 30, 4608632158400617731, 0), (20976, 36, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/hooked/replicated", (42288, 122), [(20976, 60, 30, 4608632158400617731, 0), (20976, 60, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w2/hooked/sharded", (42288, 74), [(20976, 36, 30, 4608632158400617731, 0), (20976, 36, 30, 4607210913014694081, 0)]),
+        ("ring-reduce-scatter/w3/fused/replicated", (38272, 36), [(18640, 16, 0, 4608845318715749144, 0), (18640, 16, 0, 4607345403102038685, 0)]),
+        ("ring-reduce-scatter/w3/fused/sharded", (38272, 36), [(18640, 16, 0, 4608845318715749144, 0), (18640, 16, 0, 4607345403102038685, 0)]),
+        ("ring-reduce-scatter/w3/drain/replicated", (38272, 164), [(18640, 80, 20, 4608845318711261181, 0), (18640, 80, 20, 4607345403130227696, 0)]),
+        ("ring-reduce-scatter/w3/drain/sharded", (38272, 100), [(18640, 48, 20, 4608845318715749144, 0), (18640, 48, 20, 4607345403102038685, 0)]),
+        ("ring-reduce-scatter/w3/hooked/replicated", (38272, 164), [(18640, 80, 20, 4608845318711261181, 0), (18640, 80, 20, 4607345403130227696, 0)]),
+        ("ring-reduce-scatter/w3/hooked/sharded", (38272, 100), [(18640, 48, 20, 4608845318715749144, 0), (18640, 48, 20, 4607345403102038685, 0)]),
+        ("multicolor/w2/fused/replicated", (42288, 26), [(20976, 12, 0, 4608632158400617731, 0), (20976, 12, 0, 4607210913014694081, 0)]),
+        ("multicolor/w2/fused/sharded", (42288, 26), [(20976, 12, 0, 4608632158400617731, 0), (20976, 12, 0, 4607210913014694081, 0)]),
+        ("multicolor/w2/drain/replicated", (42288, 122), [(20976, 60, 30, 4608632158400617731, 0), (20976, 60, 30, 4607210913014694081, 0)]),
+        ("multicolor/w2/drain/sharded", (51312, 110), [(25488, 54, 30, 4608632158400617731, 0), (25488, 54, 30, 4607210913014694081, 0)]),
+        ("multicolor/w2/hooked/replicated", (42288, 122), [(20976, 60, 30, 4608632158400617731, 0), (20976, 60, 30, 4607210913014694081, 0)]),
+        ("multicolor/w2/hooked/sharded", (51312, 110), [(25488, 54, 30, 4608632158400617731, 0), (25488, 54, 30, 4607210913014694081, 0)]),
+        ("multicolor/w3/fused/replicated", (38304, 36), [(18656, 16, 0, 4608845318705986953, 0), (18656, 16, 0, 4607345403100759925, 0)]),
+        ("multicolor/w3/fused/sharded", (38272, 36), [(18640, 16, 0, 4608845318705986953, 0), (18640, 16, 0, 4607345403100759925, 0)]),
+        ("multicolor/w3/drain/replicated", (38304, 164), [(18656, 80, 20, 4608845318743314549, 0), (18656, 80, 20, 4607345403115794811, 0)]),
+        ("multicolor/w3/drain/sharded", (42304, 132), [(20656, 64, 20, 4608845318743314549, 0), (20656, 64, 20, 4607345403115794811, 0)]),
+        ("multicolor/w3/hooked/replicated", (38304, 164), [(18656, 80, 20, 4608845318743314549, 0), (18656, 80, 20, 4607345403115794811, 0)]),
+        ("multicolor/w3/hooked/sharded", (42304, 132), [(20656, 64, 20, 4608845318743314549, 0), (20656, 64, 20, 4607345403115794811, 0)]),
+        ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42288, 122), [(20976, 60, 30, 4608632138296352319, 0), (20976, 60, 30, 4607211123083706365, 0)]),
+        ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84240, 242), [(41952, 120, 60, 4608663114122042792, 0), (41952, 120, 60, 4606370365909963915, 0)]),
+        ("ring-reduce-scatter/w3/hooked/replicated/val", (38272, 164), [(18640, 80, 20, 4608845318711261181, 4602678819172646912), (18640, 80, 20, 4607345403130227696, 4598738169498697728)]),
     ];
 
     #[test]
@@ -1507,7 +1489,8 @@ mod tests {
         for algo in [AllreduceAlgo::RingReduceScatter, AllreduceAlgo::MultiColor(4)] {
             for nodes in [2, 3] {
                 for sched in ["fused", "drain", "hooked"] {
-                    modes.extend([false, true].map(|shd| (algo, nodes, sched, shd, false, 1, false)));
+                    let mode = |shd| (algo, nodes, sched, shd, false, 1, false);
+                    modes.extend([false, true].map(mode));
                 }
             }
         }
