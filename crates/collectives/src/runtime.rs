@@ -1549,6 +1549,7 @@ mod tests {
             assert!(buf.iter().all(|&x| x == 3.0));
         }
     }
+
     #[test]
     fn concurrent_launches_count_their_busy_time_once() {
         use crate::algorithms::RingReduceScatter;

@@ -198,10 +198,14 @@ impl Cursor {
 
 impl Drop for Cursor {
     /// An abandoned collective stops being pending when its handle goes.
+    /// A clock poisoned by a panic elsewhere is left as it is: a drop
+    /// during that unwind must not panic again.
     fn drop(&mut self) {
+        let local = &self.comm.local;
         if self.done.is_none() {
-            let local = &self.comm.local;
-            local.async_busy.lock().expect("busy clock").close(local.shared.now_ns());
+            if let Ok(mut clock) = local.async_busy.lock() {
+                clock.close(local.shared.now_ns());
+            }
         }
     }
 }
