@@ -1447,7 +1447,9 @@ mod tests {
     /// allgathers became one; then every row's byte and message fields
     /// were re-captured, each moved by exactly what that fold predicts
     /// from the record sizes (an epoch row no longer bills the epoch end's
-    /// allgathers), and no loss, accuracy or bucket field moved.
+    /// allgathers), and no loss, accuracy or bucket field moved. The four
+    /// `/m1` rows (one replica per rank) were captured after that, before
+    /// the one-replica step merged straight into the exchange buffer.
     #[rustfmt::skip]
     const TRAFFIC_GOLDEN: &[TrafficRow] = &[
         ("ring-reduce-scatter/w2/fused/replicated", (42288, 26), [(20976, 12, 0, 4608632158400617731, 0), (20976, 12, 0, 4607210913014694081, 0)]),
@@ -1477,29 +1479,41 @@ mod tests {
         ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42288, 122), [(20976, 60, 30, 4608632138296352319, 0), (20976, 60, 30, 4607211123083706365, 0)]),
         ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84240, 242), [(41952, 120, 60, 4608663114122042792, 0), (41952, 120, 60, 4606370365909963915, 0)]),
         ("ring-reduce-scatter/w3/hooked/replicated/val", (38272, 164), [(18640, 80, 20, 4608845318711261181, 4602678819172646912), (18640, 80, 20, 4607345403130227696, 4598738169498697728)]),
+        ("multicolor/w2/fused/sharded/m1", (42288, 26), [(20976, 12, 0, 4608107045475401115, 0), (20976, 12, 0, 4605621887679148411, 0)]),
+        ("ring-reduce-scatter/w3/hooked/replicated/m1", (38272, 164), [(18640, 80, 20, 4608586333762764639, 0), (18640, 80, 20, 4606241119460428355, 0)]),
+        ("ring-reduce-scatter/w2/hooked/replicated/m1/accum2", (84240, 242), [(41952, 120, 60, 4607922982560980207, 0), (41952, 120, 60, 4604018019713446778, 0)]),
+        ("ring-reduce-scatter/w3/fused/sharded/m1/accum2", (75552, 68), [(37280, 32, 0, 4608106797207278573, 0), (37280, 32, 0, 4605852862027570697, 0)]),
     ];
 
     #[test]
     fn exchange_traffic_and_loss_match_the_golden_capture() {
         use dcnn_collectives::ClusterBuilder;
         let ds = tiny_ds();
-        // (algorithm, ranks, schedule, sharded, fp16, accumulation steps,
-        // validation)
+        // (algorithm, ranks, schedule, sharded, fp16, replicas per rank,
+        // accumulation steps, validation)
+        let (ring, multicolor) = (AllreduceAlgo::RingReduceScatter, AllreduceAlgo::MultiColor(4));
         let mut modes = Vec::new();
-        for algo in [AllreduceAlgo::RingReduceScatter, AllreduceAlgo::MultiColor(4)] {
+        for algo in [ring, multicolor] {
             for nodes in [2, 3] {
                 for sched in ["fused", "drain", "hooked"] {
-                    let mode = |shd| (algo, nodes, sched, shd, false, 1, false);
+                    let mode = |shd| (algo, nodes, sched, shd, false, 2, 1, false);
                     modes.extend([false, true].map(mode));
                 }
             }
         }
-        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, true, 1, false));
-        modes.push((AllreduceAlgo::RingReduceScatter, 2, "hooked", false, false, 2, false));
-        modes.push((AllreduceAlgo::RingReduceScatter, 3, "hooked", false, false, 1, true));
+        modes.push((ring, 2, "hooked", false, true, 2, 1, false));
+        modes.push((ring, 2, "hooked", false, false, 2, 2, false));
+        modes.push((ring, 3, "hooked", false, false, 2, 1, true));
+        // One replica per rank, as the benchmark's workloads run: the merge
+        // has no second replica to add and the sharded step no other
+        // replica to rebroadcast to.
+        modes.push((multicolor, 2, "fused", true, false, 1, 1, false));
+        modes.push((ring, 3, "hooked", false, false, 1, 1, false));
+        modes.push((ring, 2, "hooked", false, false, 1, 2, false));
+        modes.push((ring, 3, "fused", true, false, 1, 2, false));
 
         let mut actual = Vec::new();
-        for (algo, nodes, sched, sharded, fp16, accum, validate) in modes {
+        for (algo, nodes, sched, sharded, fp16, gpus, accum, validate) in modes {
             let mut cfg = tiny_cfg(nodes, 2);
             cfg.algo = algo.into();
             // 1 KiB buckets: five per step on the tiny model.
@@ -1507,8 +1521,10 @@ mod tests {
             cfg.overlap = if sched == "drain" { OverlapMode::Drain } else { OverlapMode::Hooked };
             cfg.shard_optim = sharded;
             cfg.fp16_grads = fp16;
+            // Eight images per rank and step, whatever the split.
+            cfg.gpus_per_node = gpus;
             cfg.accum_steps = accum;
-            cfg.batch_per_gpu = 4 / accum;
+            cfg.batch_per_gpu = 8 / (gpus * accum);
             cfg.validate = validate;
             cfg.shuffle_every_epochs = 0;
             let run = ClusterBuilder::new(nodes)
@@ -1516,6 +1532,7 @@ mod tests {
             let mut name = format!("{algo}/w{nodes}/{sched}/");
             name += if sharded { "sharded" } else { "replicated" };
             name += if fp16 { "/fp16" } else { "" };
+            name += if gpus == 1 { "/m1" } else { "" };
             name += if accum > 1 { "/accum2" } else { "" };
             name += if validate { "/val" } else { "" };
             let epochs: Vec<(u64, u64, u64, u64, u64)> = run.results[0]
