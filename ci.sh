@@ -184,6 +184,17 @@ if echo "$fault_out" | grep -q "panicked at"; then
     echo "ci.sh: the survivor panicked instead of returning the peer failure" >&2
     exit 1
 fi
+# Each rank writes every heartbeat in one call, so on the shared stderr a
+# `dcnn-fault:` line that is not one whole heartbeat means two ranks' lines
+# were interleaved mid-line.
+torn_fault=$(echo "$fault_out" | grep 'dcnn-fault:' | grep -Ev \
+    '^dcnn-fault: rank [0-9]+( step [0-9]+ \(epoch [0-9]+ it [0-9]+\)|: kill-after-step=[0-9]+: aborting now)$' \
+    || true)
+if [ -n "$torn_fault" ]; then
+    echo "ci.sh: fault heartbeat lines are not whole:" >&2
+    echo "$torn_fault" >&2
+    exit 1
+fi
 
 # Kernel-pair smoke: time each hot-path kernel against the code it replaced,
 # interleaved in one run, and assert the BENCH_<date>.json report is

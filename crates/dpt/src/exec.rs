@@ -10,11 +10,12 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
 
 use dcnn_tensor::layers::{
-    collect_grads, param_segments, set_params, zero_grads, Module, ParamSegment,
+    collect_grads, param_segments, set_params, set_params_outside, zero_grads, Module, ParamSegment,
 };
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::Tensor;
@@ -74,10 +75,34 @@ fn merge_first(dst: &mut [f32], g: &[f32], m: f32) {
     }
 }
 
+/// [`merge_first`] with `g` taken from `dst` itself.
+fn merge_first_in_place(dst: &mut [f32], m: f32) {
+    for a in dst {
+        *a = 0.0 + *a / m;
+    }
+}
+
 /// Every later term of the replica average, in replica index order.
 fn merge_add(dst: &mut [f32], g: &[f32], m: f32) {
     for (a, &b) in dst.iter_mut().zip(g) {
         *a += b / m;
+    }
+}
+
+/// A later micro-batch's merged range summed onto the earlier ones',
+/// `dst += merged` (the sum `reduce::sum_into` runs).
+fn accumulate_into(dst: &mut [f32], merged: &[f32]) {
+    for (a, &b) in dst.iter_mut().zip(merged) {
+        *a += b;
+    }
+}
+
+/// One replica's [`merge_first`] and [`accumulate_into`] fused, the same
+/// two f32 operations per element without the merged value stored between
+/// them.
+fn merge_first_accumulate(dst: &mut [f32], g: &[f32], m: f32) {
+    for (a, &b) in dst.iter_mut().zip(g) {
+        *a += 0.0 + b / m;
     }
 }
 
@@ -109,6 +134,18 @@ impl DptExecutor {
         }
     }
 
+    /// [`DptExecutor::set_params_all`] after the sharded optimizer stepped
+    /// replica 0's `stepped` range in place: replica 0 already holds
+    /// `flat[stepped]` there and is written everywhere else; every other
+    /// replica is written whole.
+    pub fn set_params_all_except(&mut self, flat: &[f32], stepped: Range<usize>) {
+        let (first, rest) = self.replicas.split_first_mut().expect("at least one replica");
+        set_params_outside(first.as_mut(), flat, stepped);
+        for r in rest {
+            set_params(r.as_mut(), flat);
+        }
+    }
+
     /// Apply `f` to every replica (e.g. optimizer steps — replicas receive
     /// identical gradients, so identical updates keep them in sync).
     pub fn visit_replicas(&mut self, mut f: impl FnMut(&mut dyn Module)) {
@@ -119,7 +156,7 @@ impl DptExecutor {
 
     /// Direct access to one replica. The sharded optimizer steps only
     /// replica 0's owned parameter range, then rebroadcasts via
-    /// [`DptExecutor::set_params_all`].
+    /// [`DptExecutor::set_params_all_except`].
     ///
     /// # Panics
     /// Panics if `i >= self.gpus()`.
@@ -133,47 +170,56 @@ impl DptExecutor {
     }
 
     /// Run one iteration like [`DptExecutor::step`] under
-    /// [`DptStrategy::Optimized`], but report the node-averaged gradient
-    /// incrementally *during* backprop: `on_segment(offset, grads)` fires
-    /// the moment every replica has finished the backward step for one
-    /// parameter range of the flattened gradient ([`collect_grads`] layout),
-    /// in backward-traversal order — tail-layer ranges first. The overlap
-    /// engine seals and launches gradient buckets from this callback while
-    /// earlier layers are still backpropagating.
+    /// [`DptStrategy::Optimized`], merging the node-averaged gradient into
+    /// the caller's `dst` ([`collect_grads`] layout) range by range *during*
+    /// backprop: `on_range(dst, range)` fires the moment every replica has
+    /// finished the backward step for one parameter range and its merge has
+    /// landed in `dst[range]`, in backward-traversal order — tail-layer
+    /// ranges first. The hook gets the whole buffer, so an overlap engine
+    /// can seal and launch a gradient bucket from it while earlier layers
+    /// are still backpropagating.
     ///
-    /// The ranges tile `[0, param_count)` exactly. This is the one
-    /// Optimized body — `step` runs it with a hook that does nothing — so
-    /// the reported values and the returned `(mean loss, correct)` pair are
-    /// `step`'s: replicas are averaged in replica index order (`0.0 + g / m`,
-    /// then `+= g / m`) into one executor-owned buffer that `on_segment`
-    /// borrows a range of. One replica runs on the calling thread, its hook
-    /// merging straight from the parameter gradients; several run one thread
-    /// each, sending each finished range back to this thread to be merged.
+    /// The ranges tile `[0, param_count)` exactly. Replicas are averaged in
+    /// replica index order, `0.0 + g / m` then `+= g / m`. Without
+    /// `accumulate` the average lands in `dst[range]` as is; with it, it is
+    /// summed onto what `dst[range]` holds, `dst += average`, as a later
+    /// micro-batch of gradient accumulation adds to the earlier ones. The
+    /// average is then merged in a temporary first — the first replica's
+    /// received range at several replicas, and fused into the add at one —
+    /// so the operands and their order are the same either way. One replica
+    /// runs on the calling thread, its hook merging straight from the
+    /// parameter gradients; several run one thread each, sending each
+    /// finished range back to this thread to be merged. Returns the mean
+    /// loss and the top-1 hits.
     ///
     /// # Panics
-    /// Panics unless the batch divides evenly across replicas.
-    pub fn step_streamed(
+    /// Panics unless the batch divides evenly across replicas, or if `dst`
+    /// is not the flattened gradient's length.
+    pub fn step_into(
         &mut self,
         x: &Tensor,
         labels: &[usize],
-        mut on_segment: impl FnMut(usize, &[f32]),
+        dst: &mut [f32],
+        accumulate: bool,
+        mut on_range: impl FnMut(&mut [f32], Range<usize>),
     ) -> (f64, usize) {
         let m = self.replicas.len();
         let shards = split_batch(x, labels, m);
-        let total = self.segments.last().map_or(0, |s| s.offset + s.len);
-        if self.merged.len() != total {
-            self.merged = vec![0.0; total];
-        }
-        let merged = &mut self.merged;
+        let total = self.param_total();
+        assert_eq!(dst.len(), total, "merge buffer must be the flattened gradient's length");
 
         if let ([model], [(x, labels)]) = (&mut self.replicas[..], &shards[..]) {
             zero_grads(model.as_mut());
             let logits = model.forward(x, true);
             let out = SoftmaxCrossEntropy.forward(&logits, labels);
             let _ = model.backward_hooked(&out.grad, 0, &mut |off, vals| {
-                let dst = &mut merged[off..off + vals.len()];
-                merge_first(dst, vals, 1.0);
-                on_segment(off, dst);
+                let range = off..off + vals.len();
+                if accumulate {
+                    merge_first_accumulate(&mut dst[range.clone()], vals, 1.0);
+                } else {
+                    merge_first(&mut dst[range.clone()], vals, 1.0);
+                }
+                on_range(dst, range);
             });
             return (0.0 + out.loss, out.correct);
         }
@@ -206,7 +252,7 @@ impl DptExecutor {
             // replica thread has finished its backward pass.
             drop(tx);
 
-            // Fire `on_segment` the moment the last replica reports a range.
+            // Fire `on_range` the moment the last replica reports a range.
             // Every replica walks the same module tree, so ranges complete in
             // backward order; averaging runs in replica *index* order.
             let mut slots: HashMap<usize, Vec<Option<Vec<f32>>>> = HashMap::new();
@@ -214,18 +260,20 @@ impl DptExecutor {
                 let entry = slots.entry(off).or_insert_with(|| vec![None; m]);
                 entry[g] = Some(vals);
                 if entry.iter().all(Option::is_some) {
-                    let parts = slots.remove(&off).expect("slot just filled");
-                    let n = parts[0].as_ref().expect("all parts present").len();
-                    let dst = &mut merged[off..off + n];
-                    for (g, p) in parts.iter().enumerate() {
-                        let p = p.as_ref().expect("all parts present");
-                        if g == 0 {
-                            merge_first(dst, p, m as f32);
-                        } else {
-                            merge_add(dst, p, m as f32);
-                        }
+                    let slot = slots.remove(&off).expect("slot just filled");
+                    let mut parts = slot.into_iter().map(|p| p.expect("all parts present"));
+                    let mut first = parts.next().expect("several replicas");
+                    let range = off..off + first.len();
+                    if accumulate {
+                        merge_first_in_place(&mut first, m as f32);
+                        parts.for_each(|p| merge_add(&mut first, &p, m as f32));
+                        accumulate_into(&mut dst[range.clone()], &first);
+                    } else {
+                        let merged = &mut dst[range.clone()];
+                        merge_first(merged, &first, m as f32);
+                        parts.for_each(|p| merge_add(merged, &p, m as f32));
                     }
-                    on_segment(off, dst);
+                    on_range(dst, range);
                 }
             }
             assert!(slots.is_empty(), "every replica must report every range");
@@ -239,17 +287,42 @@ impl DptExecutor {
         (loss, correct)
     }
 
+    /// [`DptExecutor::step_into`] an executor-owned buffer (allocated on the
+    /// first call, reused after), lending `on_segment(offset, grads)` each
+    /// merged range as it lands.
+    ///
+    /// # Panics
+    /// Panics unless the batch divides evenly across replicas.
+    pub fn step_streamed(
+        &mut self,
+        x: &Tensor,
+        labels: &[usize],
+        mut on_segment: impl FnMut(usize, &[f32]),
+    ) -> (f64, usize) {
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.resize(self.param_total(), 0.0);
+        let out = self.step_into(x, labels, &mut merged, false, |dst, range| {
+            on_segment(range.start, &dst[range]);
+        });
+        self.merged = merged;
+        out
+    }
+
+    /// Length of the flattened parameter (and gradient) vector.
+    fn param_total(&self) -> usize {
+        self.segments.last().map_or(0, |s| s.offset + s.len)
+    }
+
     /// Run one iteration on a node batch `x: [B, C, H, W]` under `strategy`.
-    /// [`DptStrategy::Optimized`] is [`DptExecutor::step_streamed`] with a
-    /// hook that does nothing; the merged gradient is moved out, so the next
-    /// step allocates a new one.
+    /// [`DptStrategy::Optimized`] is [`DptExecutor::step_into`] a new buffer
+    /// with a hook that does nothing.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas.
     pub fn step(&mut self, x: &Tensor, labels: &[usize], strategy: DptStrategy) -> IterOutput {
         if strategy == DptStrategy::Optimized {
-            let (loss, correct) = self.step_streamed(x, labels, |_, _| {});
-            let grad = std::mem::take(&mut self.merged);
+            let mut grad = vec![0.0; self.param_total()];
+            let (loss, correct) = self.step_into(x, labels, &mut grad, false, |_, _| {});
             return IterOutput { loss, grad, correct, segments: Arc::clone(&self.segments) };
         }
         let b = x.shape()[0];
@@ -592,6 +665,85 @@ mod tests {
             }
             for (i, (a, b)) in out.grad.iter().zip(&streamed).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "m={m} grad[{i}]: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn step_into_is_the_streamed_merge_plus_the_copy_or_sum_bitwise() {
+        // The first micro-batch lands in `dst` as `step_streamed`'s ranges
+        // copied out; each later one as its ranges summed on (`sum_into`'s
+        // `+=`); both equal `step(.., Optimized)`'s gradients added up. Every
+        // micro-batch carries `-0.0` gradient entries, and `dst` starts as
+        // NaN, so the first micro-batch must overwrite, not add.
+        let factory = || -> Box<dyn Module> {
+            let extra = dcnn_tensor::layers::Param::new(Tensor::zeros(&[3]));
+            Box::new(NegZeroGrad { extra, inner: tiny_factory() })
+        };
+        let bits = |x: &[f32]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in [1, 2, 4] {
+            let mut into = DptExecutor::new(m, factory);
+            let mut streamed = DptExecutor::new(m, factory);
+            let mut plain = DptExecutor::new(m, factory);
+            let n = into.param_total();
+            let (mut dst, mut want, mut plain_sum) =
+                (vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]);
+            for micro in 0..3 {
+                let what = format!("m={m} micro-batch {micro}");
+                let (x, labels) = batch(8, 29 + micro as u64);
+                let accumulate = micro > 0;
+                let mut fired = Vec::new();
+                let (loss, correct) = into.step_into(&x, &labels, &mut dst, accumulate, |d, r| {
+                    fired.push((r.clone(), bits(&d[r])));
+                });
+                let (s_loss, s_correct) = streamed.step_streamed(&x, &labels, |off, vals| {
+                    let w = &mut want[off..off + vals.len()];
+                    if accumulate {
+                        w.iter_mut().zip(vals).for_each(|(a, &b)| *a += b);
+                    } else {
+                        w.copy_from_slice(vals);
+                    }
+                });
+                let out = plain.step(&x, &labels, DptStrategy::Optimized);
+                if accumulate {
+                    plain_sum.iter_mut().zip(&out.grad).for_each(|(a, &b)| *a += b);
+                } else {
+                    plain_sum.copy_from_slice(&out.grad);
+                }
+                assert_eq!((loss.to_bits(), correct), (s_loss.to_bits(), s_correct), "{what}");
+                assert_eq!((loss.to_bits(), correct), (out.loss.to_bits(), out.correct), "{what}");
+                assert_eq!(bits(&dst), bits(&want), "{what}: step_into vs step_streamed");
+                assert_eq!(bits(&dst), bits(&plain_sum), "{what}: step_into vs step");
+                assert_eq!(dst[0].to_bits(), 0.0f32.to_bits(), "{what}: -0.0 merges to +0.0");
+                // Each range is final when the hook sees it, and the ranges
+                // tile the buffer.
+                fired.sort_by_key(|(r, _)| r.start);
+                let mut off = 0;
+                for (r, seen) in fired {
+                    assert_eq!(r.start, off, "{what}: ranges must tile without gaps or overlap");
+                    assert_eq!(seen, bits(&dst[r.clone()]), "{what}: {r:?} moved after its hook");
+                    off = r.end;
+                }
+                assert_eq!(off, n, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn set_params_all_except_leaves_replica_zeros_stepped_range() {
+        let m = 3;
+        let mut e = DptExecutor::new(m, tiny_factory);
+        let n = e.param_total();
+        let stepped = n / 3..n / 2;
+        let sentinel = 7.25f32;
+        e.set_params_all(&vec![sentinel; n]);
+        let src: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
+        e.set_params_all_except(&src, stepped.clone());
+        for r in 0..m {
+            let got = dcnn_tensor::layers::collect_params(e.replica(r));
+            for (i, (&got, &src)) in got.iter().zip(&src).enumerate() {
+                let want = if r == 0 && stepped.contains(&i) { sentinel } else { src };
+                assert_eq!(got.to_bits(), want.to_bits(), "replica {r} element {i}");
             }
         }
     }

@@ -188,15 +188,23 @@ fn collect(m: &mut dyn Module, field: fn(&Param) -> &Tensor) -> Vec<f32> {
 /// # Panics
 /// Panics if `flat` has the wrong total length.
 pub fn set_grads(m: &mut dyn Module, flat: &[f32]) {
-    set(m, flat, |p| &mut p.grad, "gradient");
+    set(m, flat, 0..0, |p| &mut p.grad, "gradient");
 }
 
 /// Overwrite one tensor of every parameter from a flattened buffer, the
-/// inverse of [`collect`].
-fn set(m: &mut dyn Module, flat: &[f32], field: fn(&mut Param) -> &mut Tensor, what: &str) {
-    let total = visit_range(m, ALL, |p, local, at| {
+/// inverse of [`collect`], except the elements at `skip`.
+fn set(
+    m: &mut dyn Module,
+    flat: &[f32],
+    skip: Range<usize>,
+    field: fn(&mut Param) -> &mut Tensor,
+    what: &str,
+) {
+    let mut copy = |p: &mut Param, local: Range<usize>, at: Range<usize>| {
         field(p).data_mut()[local].copy_from_slice(&flat[at]);
-    });
+    };
+    visit_range(m, 0..skip.start, &mut copy);
+    let total = visit_range(m, skip.end..flat.len(), &mut copy);
     assert_eq!(total, flat.len(), "flattened {what} length mismatch");
 }
 
@@ -257,7 +265,7 @@ pub fn collect_momentum(m: &mut dyn Module) -> Vec<f32> {
 
 /// Restore flattened momentum state.
 pub fn set_momentum(m: &mut dyn Module, flat: &[f32]) {
-    set(m, flat, |p| &mut p.momentum, "momentum");
+    set(m, flat, 0..0, |p| &mut p.momentum, "momentum");
 }
 
 /// Free every per-parameter momentum buffer (shrink to zero elements). The
@@ -301,7 +309,15 @@ pub fn resident_bytes(m: &mut dyn Module) -> (usize, usize) {
 
 /// Overwrite parameter values from a flattened buffer.
 pub fn set_params(m: &mut dyn Module, flat: &[f32]) {
-    set(m, flat, |p| &mut p.value, "parameter");
+    set(m, flat, 0..0, |p| &mut p.value, "parameter");
+}
+
+/// [`set_params`] everywhere but `skip`, whose values stay as they are.
+///
+/// # Panics
+/// Panics if `flat` has the wrong total length or `skip` ends past it.
+pub fn set_params_outside(m: &mut dyn Module, flat: &[f32], skip: Range<usize>) {
+    set(m, flat, skip, |p| &mut p.value, "parameter");
 }
 
 /// Central-difference numeric gradient checker used by layer tests: compares
@@ -346,6 +362,22 @@ mod tests {
             let mut out = vec![f32::NAN; range.len()];
             params_into(&mut l, range.clone(), &mut out);
             assert_eq!(out, all[range.clone()], "{range:?}");
+        }
+    }
+
+    #[test]
+    fn set_params_outside_leaves_exactly_the_skipped_range() {
+        let n = param_count(&mut Linear::new(3, 4, 5)); // 12 weights + 4 biases
+        let flat: Vec<f32> = (0..n).map(|i| i as f32 + 0.5).collect();
+        for skip in [0..0, 0..16, 3..12, 7..15, 12..16, 16..16] {
+            let mut l = Linear::new(3, 4, 5);
+            let before = collect_params(&mut l);
+            set_params_outside(&mut l, &flat, skip.clone());
+            let after = collect_params(&mut l);
+            for i in 0..n {
+                let want = if skip.contains(&i) { before[i] } else { flat[i] };
+                assert_eq!(after[i].to_bits(), want.to_bits(), "{skip:?} element {i}");
+            }
         }
     }
 }

@@ -92,6 +92,24 @@ impl Sgd {
         self.update(m, lr, Some((owned, velocity)), Grad::Flat(flat, k));
     }
 
+    /// [`Sgd::step_range_flat`] that leaves each stepped value in `flat`,
+    /// in the slot it just read that element's gradient from: afterwards
+    /// `flat[owned]` holds the owned parameters ([`crate::layers::params_into`]
+    /// of `owned`) and the rest of `flat` is untouched. The sharded trainer
+    /// steps its gradient buffer into the parameter allgather's buffer this
+    /// way, without a second pass over the owned range.
+    pub fn step_range_write_back(
+        &self,
+        m: &mut dyn Module,
+        lr: f32,
+        owned: Range<usize>,
+        velocity: &mut [f32],
+        flat: &mut [f32],
+        k: f32,
+    ) {
+        self.update(m, lr, Some((owned, velocity)), Grad::WriteBack(flat, k));
+    }
+
     /// The walk behind every entry point: each element of the flattened
     /// parameter vector inside the shard's owned range (all of them without
     /// a shard) goes through [`sgd_update`], its momentum taken from the
@@ -101,21 +119,29 @@ impl Sgd {
         m: &mut dyn Module,
         lr: f32,
         mut shard: Option<(Range<usize>, &mut [f32])>,
-        grad: Grad<'_>,
+        mut grad: Grad<'_>,
     ) {
         let (mu, wd) = (self.cfg.momentum, self.cfg.weight_decay);
         let total = visit_range(m, shard_range(&shard), |p, local, at| {
             let decay = if p.weight_decay { wd } else { 0.0 };
             let Param { value, grad: own, momentum, .. } = p;
-            let (g, k) = match grad {
-                Grad::Params => (&own.data()[local.clone()], 1.0),
-                Grad::Flat(flat, k) => (&flat[at.clone()], k),
-            };
-            let v = velocity(&mut shard, momentum, local.clone(), at);
-            sgd_update(&mut value.data_mut()[local], v, g, k, mu, decay, lr);
+            let v = velocity(&mut shard, momentum, local.clone(), at.clone());
+            let w = &mut value.data_mut()[local.clone()];
+            match &mut grad {
+                Grad::Params => sgd_update(w, v, &own.data()[local], 1.0, mu, decay, lr),
+                Grad::Flat(flat, k) => sgd_update(w, v, &flat[at], *k, mu, decay, lr),
+                Grad::WriteBack(flat, k) => {
+                    sgd_update_write_back(w, v, &mut flat[at], *k, mu, decay, lr)
+                }
+            }
         });
-        if let Grad::Flat(flat, _) = grad {
-            assert_eq!(flat.len(), total, "flattened gradient length mismatch");
+        let flat_len = match &grad {
+            Grad::Params => None,
+            Grad::Flat(flat, _) => Some(flat.len()),
+            Grad::WriteBack(flat, _) => Some(flat.len()),
+        };
+        if let Some(len) = flat_len {
+            assert_eq!(len, total, "flattened gradient length mismatch");
         }
     }
 }
@@ -148,20 +174,43 @@ fn velocity<'a>(
 }
 
 /// Where an update reads its gradient: each parameter's own `p.grad`, or a
-/// flattened gradient times a scale.
-#[derive(Clone, Copy)]
+/// flattened gradient times a scale, optionally overwritten with the
+/// stepped values as it is read.
 enum Grad<'a> {
     Params,
     Flat(&'a [f32], f32),
+    WriteBack(&'a mut [f32], f32),
 }
 
-/// The one SGD update kernel: `v ← μ·v + g·k + λ·w`, `w ← w − lr·v`,
-/// elementwise. `k` is `1.0` for a gradient already at scale (`g · 1.0 == g`
-/// exactly), so the stored-gradient and folded-scale paths share it.
+/// The one SGD update: `v ← μ·v + g·k + λ·w`, `w ← w − lr·v`. `k` is `1.0`
+/// for a gradient already at scale (`g · 1.0 == g` exactly), so the
+/// stored-gradient and folded-scale paths share it.
+#[inline(always)]
+fn sgd_element(w: &mut f32, v: &mut f32, g: f32, k: f32, mu: f32, decay: f32, lr: f32) {
+    *v = mu * *v + g * k + decay * *w;
+    *w -= lr * *v;
+}
+
+/// [`sgd_element`] over a run of elements.
 fn sgd_update(w: &mut [f32], v: &mut [f32], g: &[f32], k: f32, mu: f32, decay: f32, lr: f32) {
     for ((w, v), &g) in w.iter_mut().zip(v.iter_mut()).zip(g) {
-        *v = mu * *v + g * k + decay * *w;
-        *w -= lr * *v;
+        sgd_element(w, v, g, k, mu, decay, lr);
+    }
+}
+
+/// [`sgd_update`] storing each stepped value over the gradient it read.
+fn sgd_update_write_back(
+    w: &mut [f32],
+    v: &mut [f32],
+    g: &mut [f32],
+    k: f32,
+    mu: f32,
+    decay: f32,
+    lr: f32,
+) {
+    for ((w, v), g) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+        sgd_element(w, v, *g, k, mu, decay, lr);
+        *g = *w;
     }
 }
 
@@ -463,6 +512,42 @@ mod tests {
             v_installed.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             v_folded.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn write_back_step_matches_step_range_flat_and_fills_the_owned_range() {
+        // Same parameter and velocity bits as `step_range_flat` over several
+        // steps (a -0.0 and a subnormal in the gradient, the shard cut
+        // through the weight tensor); afterwards `flat[owned]` is the owned
+        // parameters and the rest of `flat` is the gradient as it was.
+        let total = crate::layers::param_count(&mut Linear::new(3, 4, 7));
+        let (k, owned) = (0.5f32, 5..14);
+        let sgd = Sgd::new(SgdConfig { momentum: 0.9, weight_decay: 1e-2 });
+        let (mut read, mut written) = (Linear::new(3, 4, 7), Linear::new(3, 4, 7));
+        let (mut v_read, mut v_written) = (vec![0.0f32; owned.len()], vec![0.0f32; owned.len()]);
+        let bits = |x: &[f32]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for step in 0..3 {
+            let mut grad: Vec<f32> =
+                (0..total).map(|i| ((i * 23 + step * 11) as f32).cos() * 3.0).collect();
+            grad[6] = -0.0;
+            grad[7] = f32::MIN_POSITIVE / 4.0;
+            sgd.step_range_flat(&mut read, 0.05, owned.clone(), &mut v_read, &grad, k);
+            let mut flat = grad.clone();
+            let w = &mut written;
+            sgd.step_range_write_back(w, 0.05, owned.clone(), &mut v_written, &mut flat, k);
+            assert_eq!(
+                bits(&crate::layers::collect_params(&mut read)),
+                bits(&crate::layers::collect_params(&mut written)),
+                "step {step} parameters"
+            );
+            assert_eq!(bits(&v_read), bits(&v_written), "step {step} velocity");
+            let mut stepped = vec![f32::NAN; owned.len()];
+            crate::layers::params_into(&mut written, owned.clone(), &mut stepped);
+            assert_eq!(bits(&flat[owned.clone()]), bits(&stepped), "step {step} owned range");
+            for i in (0..total).filter(|i| !owned.contains(i)) {
+                assert_eq!(flat[i].to_bits(), grad[i].to_bits(), "step {step} flat[{i}] moved");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! identical everywhere (same factory seed) and stay identical because every
 //! rank applies the same averaged gradient — asserted in tests.
 
+use std::io::Write;
+use std::ops::Range;
 use std::time::Duration;
 
 use dcnn_collectives::primitives::try_allgather_bytes;
@@ -18,7 +20,7 @@ use dcnn_collectives::{
 use dcnn_dimd::shuffle::MPI_COUNT_LIMIT;
 use dcnn_dimd::{open_source, BatchSource, Dimd, Hello, SynthImageNet, ValSet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
-use dcnn_tensor::layers::{collect_params, params_into, release_momentum, resident_bytes, Module};
+use dcnn_tensor::layers::{collect_params, release_momentum, resident_bytes, Module};
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::optim::{LrSchedule, Sgd, SgdConfig};
 use serde::Serialize;
@@ -363,6 +365,13 @@ pub fn try_train_on_comm(
     run.map(|()| stats)
 }
 
+/// Write one fault-injection line to stderr in a single `write_all`, so
+/// ranks sharing a stderr never split each other's lines.
+fn fault_line(mut line: String) {
+    line.push('\n');
+    let _ = std::io::stderr().lock().write_all(line.as_bytes());
+}
+
 /// The current epoch's progress: enough to emit a partial [`EpochStats`]
 /// row for an epoch that never completed.
 #[derive(Default)]
@@ -526,10 +535,10 @@ impl<'a> Trainer<'a> {
         let grad = &mut self.grad;
         // Gradient accumulation: average `accum_steps` micro-batches before
         // the exchange in the pre-sized buffer, range by range as each
-        // micro-batch reports them: the first copies, the rest add, the
-        // last scales by 1/accum and, hooked, hands the range to the bucket
-        // scheduler — a bucket's allreduce launches the instant its last
-        // range lands.
+        // micro-batch reports them: the executor merges the first straight
+        // into it and adds the rest; the last scales each range by 1/accum
+        // and, hooked, hands it to the bucket scheduler — a bucket's
+        // allreduce launches the instant its last range lands.
         let accum = cfg.accum_steps.max(1);
         let inv_accum = 1.0 / accum as f32;
         let mut step_loss = 0.0;
@@ -541,25 +550,28 @@ impl<'a> Trainer<'a> {
         for micro in 0..accum {
             let (x, labels) = source.try_next_batch()?;
             let last = micro + 1 == accum;
-            let mut take = |off: usize, vals: &[f32]| {
-                let seg = &mut grad[off..off + vals.len()];
-                if micro == 0 {
-                    seg.copy_from_slice(vals);
-                } else {
-                    reduce::sum_into(seg, vals);
-                }
+            let mut landed = |grad: &mut [f32], range: Range<usize>| {
                 if last && accum > 1 {
-                    reduce::scale(seg, inv_accum);
+                    reduce::scale(&mut grad[range.clone()], inv_accum);
                 }
                 if last && hooked {
-                    stream.segment_ready(&grad[..], off, vals.len());
+                    stream.segment_ready(grad, range.start, range.len());
                 }
             };
             let (l, c) = match cfg.strategy {
-                DptStrategy::Optimized => self.exec.step_streamed(&x, &labels, &mut take),
+                DptStrategy::Optimized => {
+                    self.exec.step_into(&x, &labels, grad, micro > 0, &mut landed)
+                }
+                // The paper's unoptimised control keeps its copy.
                 DptStrategy::Baseline => {
                     let out = self.exec.step(&x, &labels, DptStrategy::Baseline);
-                    take(0, &out.grad);
+                    if micro == 0 {
+                        grad.copy_from_slice(&out.grad);
+                    } else {
+                        reduce::sum_into(grad, &out.grad);
+                    }
+                    let all = 0..grad.len();
+                    landed(grad, all);
                     (out.loss, out.correct)
                 }
             };
@@ -581,15 +593,16 @@ impl<'a> Trainer<'a> {
             // Per-element arithmetic is identical to the replicated step, so
             // the gathered weights match it bitwise. The gradient is dead
             // once stepped and the next step rewrites all of it, so its
-            // buffer carries the allgather: this rank fills its owned range
-            // from replica 0, the allgather the rest.
+            // buffer carries the allgather: the step leaves each owned
+            // parameter where it read that element's gradient, the
+            // allgather fills the rest, and replica 0 takes back only what
+            // it did not step itself.
             Some((sm, counts)) => {
                 let owned = sm.owned(me);
                 let (r0, velocity) = (self.exec.replica(0), &mut self.velocity);
-                self.sgd.step_range_flat(r0, lr, owned.clone(), velocity, &grad[..], inv_n);
-                params_into(r0, owned.clone(), &mut grad[owned]);
+                self.sgd.step_range_write_back(r0, lr, owned.clone(), velocity, grad, inv_n);
                 comm.try_allgather_f32(grad, counts)?;
-                self.exec.set_params_all(grad);
+                self.exec.set_params_all_except(grad, owned);
             }
         }
         let p = &mut self.progress;
@@ -604,11 +617,13 @@ impl<'a> Trainer<'a> {
         // bare EOF a SIGKILL leaves).
         let global_step = epoch * self.iterations + it;
         if cfg.fault.is_some() {
-            eprintln!("dcnn-fault: rank {me} step {global_step} (epoch {epoch} it {it})");
+            fault_line(format!("dcnn-fault: rank {me} step {global_step} (epoch {epoch} it {it})"));
         }
         if let Some(FaultSpec::KillAfterStep { step, rank }) = cfg.fault {
             if (step, rank) == (global_step, me) {
-                eprintln!("dcnn-fault: rank {me}: kill-after-step={global_step}: aborting now");
+                let abort =
+                    format!("dcnn-fault: rank {me}: kill-after-step={global_step}: aborting now");
+                fault_line(abort);
                 std::process::abort();
             }
         }

@@ -1,8 +1,9 @@
 //! Regression guard for the copies this repository removed from the
 //! gradient path (DESIGN.md, "Where the gradient is copied"): once two
-//! warm-up steps have filled the buffers that get reused — the executor's
-//! merge buffer, the per-bucket payloads, the transports' message pools, the
-//! trainer's gradient buffer the sharded allgather reuses — a training step
+//! warm-up steps have filled the buffers that get reused — the trainer's
+//! gradient buffer, which the replicas' merge lands in and the sharded
+//! allgather reuses, the per-bucket payloads, the transports' message pools
+//! — a training step
 //! of the FC model (6.3 MB of gradient) allocates no block of 64 KiB or
 //! more, bar the site a test names (before those copies went, 22 such
 //! blocks per rank and step on the TCP run and 11 on the sharded one; the
