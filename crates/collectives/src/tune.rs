@@ -207,7 +207,7 @@ impl Decision {
 }
 
 /// `Fixed` renders as the algorithm's name; a table as `<=BYTES:algo`
-/// entries joined by `;` (comma-free, so it embeds in the metrics CSV).
+/// entries joined by `;` (comma-free, so it embeds in a CSV field).
 impl std::fmt::Display for Decision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -13,7 +13,11 @@
 //! `workers` decode threads run the JPEG-decode + augment + normalize work
 //! in parallel. `depth` bounds the number of batches picked but not yet
 //! consumed to *exactly* `depth` (the old bounded-channel design allowed
-//! `depth + 1`: `depth` queued plus one blocked in `send`).
+//! `depth + 1`: `depth` queued plus one blocked in `send`): the picker
+//! spends one token per pick from a channel that starts with `depth` of
+//! them, and each consumed batch sends one back. Dropping the
+//! [`Prefetcher`] — finished or not — hangs up that channel, which ends
+//! the picker, and the ended picker ends the lanes.
 //!
 //! The decode threads are *decode lanes* (`decode_lanes`), the pool the
 //! data-plane service client decodes on too, fed by its socket reader.
@@ -22,7 +26,8 @@ use dcnn_tensor::Tensor;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crate::shuffle::Record;
 use crate::store::{try_decode_augmented_batch, Dimd};
@@ -41,10 +46,11 @@ pub(crate) struct LaneJobs<J>(Vec<Sender<J>>, usize);
 pub(crate) struct LaneOuts {
     outs: Vec<Receiver<Decoded>>,
     next: Cell<usize>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-/// Spawn `lanes` decode threads, each running `decode` on its jobs.
+/// Spawn `lanes` decode threads (`dcnn-decode-N`), each running `decode`
+/// on its jobs.
 pub(crate) fn decode_lanes<J: Send + 'static>(
     lanes: usize,
     decode: impl Fn(J) -> Decoded + Clone + Send + 'static,
@@ -52,15 +58,15 @@ pub(crate) fn decode_lanes<J: Send + 'static>(
     assert!(lanes >= 1, "need at least one decode worker");
     let mut jobs = Vec::with_capacity(lanes);
     let mut outs = LaneOuts { outs: Vec::new(), next: Cell::new(0), threads: Vec::new() };
-    for _ in 0..lanes {
+    for lane in 0..lanes {
         let (job_tx, job_rx) = channel::<J>();
         let (out_tx, out_rx) = channel();
         jobs.push(job_tx);
         outs.outs.push(out_rx);
         let decode = decode.clone();
-        outs.threads.push(std::thread::spawn(move || {
-            // A lane stops after delivering an `Err`, or once either end
-            // hangs up.
+        // A lane stops after delivering an `Err`, or once either end hangs
+        // up.
+        let run = move || {
             for job in job_rx {
                 let decoded = decode(job);
                 let failed = decoded.is_err();
@@ -68,9 +74,17 @@ pub(crate) fn decode_lanes<J: Send + 'static>(
                     return;
                 }
             }
-        }));
+        };
+        outs.threads.push(spawn_named(format!("dcnn-decode-{lane}"), run));
     }
     (LaneJobs(jobs, 0), outs)
+}
+
+fn spawn_named<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new().name(name).spawn(f).expect("spawn a data-pipeline thread")
 }
 
 impl<J> LaneJobs<J> {
@@ -100,53 +114,13 @@ impl LaneOuts {
     }
 }
 
-/// A counting gate: `acquire` blocks until a permit is free (or the gate
-/// closes), `release` returns one. Bounds in-flight batches to the permit
-/// count exactly.
-struct Permits {
-    state: Mutex<(usize, bool)>,
-    cv: Condvar,
-}
-
-impl Permits {
-    fn new(count: usize) -> Self {
-        Permits { state: Mutex::new((count, false)), cv: Condvar::new() }
-    }
-
-    /// Take a permit; `false` means the gate closed while waiting.
-    fn acquire(&self) -> bool {
-        let mut st = self.state.lock().expect("permit lock");
-        loop {
-            if st.1 {
-                return false;
-            }
-            if st.0 > 0 {
-                st.0 -= 1;
-                return true;
-            }
-            st = self.cv.wait(st).expect("permit lock");
-        }
-    }
-
-    fn release(&self) {
-        let mut st = self.state.lock().expect("permit lock");
-        st.0 += 1;
-        self.cv.notify_all();
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().expect("permit lock");
-        st.1 = true;
-        self.cv.notify_all();
-    }
-}
-
 /// A running prefetch pipeline for one epoch.
 pub struct Prefetcher {
     lanes: LaneOuts,
-    permits: Arc<Permits>,
+    /// One token back per consumed batch; dropping it ends the picker.
+    tokens: Sender<()>,
     produced: Arc<AtomicUsize>,
-    picker: std::thread::JoinHandle<Dimd>,
+    picker: JoinHandle<Dimd>,
 }
 
 impl Prefetcher {
@@ -175,7 +149,10 @@ impl Prefetcher {
         workers: usize,
     ) -> Prefetcher {
         assert!(depth >= 1, "queue depth must be at least 1");
-        let permits = Arc::new(Permits::new(depth));
+        let (tokens, picker_tokens) = channel();
+        for _ in 0..depth {
+            tokens.send(()).expect("the picker's end is alive");
+        }
         let produced = Arc::new(AtomicUsize::new(0));
         let (mut jobs, lanes) =
             decode_lanes(workers, move |(salt, records): (u64, Vec<Record>)| {
@@ -183,12 +160,11 @@ impl Prefetcher {
                     .map_err(|e| format!("malformed DCC1 record: {e}"))
             });
 
-        let picker_permits = Arc::clone(&permits);
         let picker_produced = Arc::clone(&produced);
-        let picker = std::thread::spawn(move || {
+        let picker = spawn_named("dcnn-prefetch".into(), move || {
             let mut dimd = dimd;
             for _ in 0..iterations {
-                if !picker_permits.acquire() {
+                if picker_tokens.recv().is_err() {
                     break; // consumer finished early
                 }
                 let job = dimd.sample_batch_records(batch);
@@ -200,7 +176,7 @@ impl Prefetcher {
             dimd
         });
 
-        Prefetcher { lanes, permits, produced, picker }
+        Prefetcher { lanes, tokens, produced, picker }
     }
 
     /// Receive the next batch (blocks until the pipeline catches up).
@@ -213,7 +189,9 @@ impl Prefetcher {
             Some(Err(cause)) => panic!("prefetch decode failed: {cause}"),
             None => panic!("prefetcher exhausted: more batches requested than produced"),
         };
-        self.permits.release();
+        // The picker may be gone already (its last pick made); nothing
+        // then waits for the token.
+        let _ = self.tokens.send(());
         b
     }
 
@@ -225,7 +203,7 @@ impl Prefetcher {
 
     /// Join the pipeline and recover the partition.
     pub fn finish(self) -> Dimd {
-        self.permits.close();
+        drop(self.tokens);
         self.lanes.join();
         self.picker.join().expect("prefetch picker panicked")
     }
@@ -307,7 +285,7 @@ mod tests {
         let dimd = Dimd::load_partition(&ds, 0, 1, 70, 9);
         let p = Prefetcher::run_epoch(dimd, 100, 4, 16, 1);
         let _ = p.next_batch();
-        let back = p.finish(); // closes the gate with 99 batches pending
+        let back = p.finish(); // hangs up the tokens with 99 batches pending
         assert_eq!(back.len(), 36);
     }
 

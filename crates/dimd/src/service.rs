@@ -764,8 +764,8 @@ pub struct LocalSource<'a> {
 }
 
 impl<'a> LocalSource<'a> {
-    /// Wrap a partition. `batches_per_epoch` counts every micro-batch the
-    /// trainer will draw (iterations × accumulation steps).
+    /// Wrap a partition. `batches_per_epoch` counts the batches the trainer
+    /// will draw per epoch (one per iteration).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         comm: &'a Comm,

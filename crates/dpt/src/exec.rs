@@ -39,23 +39,6 @@ pub struct IterOutput {
     pub grad: Vec<f32>,
     /// Top-1 hits in the node batch.
     pub correct: usize,
-    /// Segment map over `grad`: one named span per parameter, in forward
-    /// layer order (shared with the executor that produced this output).
-    pub segments: Arc<Vec<ParamSegment>>,
-}
-
-impl IterOutput {
-    /// The gradient's segments in **reverse layer order** — the order
-    /// backprop finishes them, and the order an overlap-aware exchange
-    /// should bucket them (last layer's gradient is ready first).
-    pub fn rev_segments(&self) -> impl Iterator<Item = &ParamSegment> {
-        self.segments.iter().rev()
-    }
-
-    /// The gradient slice belonging to `seg`.
-    pub fn grad_segment(&self, seg: &ParamSegment) -> &[f32] {
-        &self.grad[seg.range()]
-    }
 }
 
 /// `m` model replicas driven by one of the two strategies.
@@ -75,34 +58,10 @@ fn merge_first(dst: &mut [f32], g: &[f32], m: f32) {
     }
 }
 
-/// [`merge_first`] with `g` taken from `dst` itself.
-fn merge_first_in_place(dst: &mut [f32], m: f32) {
-    for a in dst {
-        *a = 0.0 + *a / m;
-    }
-}
-
 /// Every later term of the replica average, in replica index order.
 fn merge_add(dst: &mut [f32], g: &[f32], m: f32) {
     for (a, &b) in dst.iter_mut().zip(g) {
         *a += b / m;
-    }
-}
-
-/// A later micro-batch's merged range summed onto the earlier ones',
-/// `dst += merged` (the sum `reduce::sum_into` runs).
-fn accumulate_into(dst: &mut [f32], merged: &[f32]) {
-    for (a, &b) in dst.iter_mut().zip(merged) {
-        *a += b;
-    }
-}
-
-/// One replica's [`merge_first`] and [`accumulate_into`] fused, the same
-/// two f32 operations per element without the merged value stored between
-/// them.
-fn merge_first_accumulate(dst: &mut [f32], g: &[f32], m: f32) {
-    for (a, &b) in dst.iter_mut().zip(g) {
-        *a += 0.0 + b / m;
     }
 }
 
@@ -180,17 +139,12 @@ impl DptExecutor {
     /// are still backpropagating.
     ///
     /// The ranges tile `[0, param_count)` exactly. Replicas are averaged in
-    /// replica index order, `0.0 + g / m` then `+= g / m`. Without
-    /// `accumulate` the average lands in `dst[range]` as is; with it, it is
-    /// summed onto what `dst[range]` holds, `dst += average`, as a later
-    /// micro-batch of gradient accumulation adds to the earlier ones. The
-    /// average is then merged in a temporary first — the first replica's
-    /// received range at several replicas, and fused into the add at one —
-    /// so the operands and their order are the same either way. One replica
-    /// runs on the calling thread, its hook merging straight from the
-    /// parameter gradients; several run one thread each, sending each
-    /// finished range back to this thread to be merged. Returns the mean
-    /// loss and the top-1 hits.
+    /// replica index order, `0.0 + g / m` then `+= g / m`, straight into
+    /// `dst[range]`, overwriting what it held. One replica runs on the
+    /// calling thread, its hook merging straight from the parameter
+    /// gradients; several run one thread each, sending each finished range
+    /// back to this thread to be merged. Returns the mean loss and the
+    /// top-1 hits.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas, or if `dst`
@@ -200,7 +154,6 @@ impl DptExecutor {
         x: &Tensor,
         labels: &[usize],
         dst: &mut [f32],
-        accumulate: bool,
         mut on_range: impl FnMut(&mut [f32], Range<usize>),
     ) -> (f64, usize) {
         let m = self.replicas.len();
@@ -214,11 +167,7 @@ impl DptExecutor {
             let out = SoftmaxCrossEntropy.forward(&logits, labels);
             let _ = model.backward_hooked(&out.grad, 0, &mut |off, vals| {
                 let range = off..off + vals.len();
-                if accumulate {
-                    merge_first_accumulate(&mut dst[range.clone()], vals, 1.0);
-                } else {
-                    merge_first(&mut dst[range.clone()], vals, 1.0);
-                }
+                merge_first(&mut dst[range.clone()], vals, 1.0);
                 on_range(dst, range);
             });
             return (0.0 + out.loss, out.correct);
@@ -262,17 +211,11 @@ impl DptExecutor {
                 if entry.iter().all(Option::is_some) {
                     let slot = slots.remove(&off).expect("slot just filled");
                     let mut parts = slot.into_iter().map(|p| p.expect("all parts present"));
-                    let mut first = parts.next().expect("several replicas");
+                    let first = parts.next().expect("several replicas");
                     let range = off..off + first.len();
-                    if accumulate {
-                        merge_first_in_place(&mut first, m as f32);
-                        parts.for_each(|p| merge_add(&mut first, &p, m as f32));
-                        accumulate_into(&mut dst[range.clone()], &first);
-                    } else {
-                        let merged = &mut dst[range.clone()];
-                        merge_first(merged, &first, m as f32);
-                        parts.for_each(|p| merge_add(merged, &p, m as f32));
-                    }
+                    let merged = &mut dst[range.clone()];
+                    merge_first(merged, &first, m as f32);
+                    parts.for_each(|p| merge_add(merged, &p, m as f32));
                     on_range(dst, range);
                 }
             }
@@ -301,7 +244,7 @@ impl DptExecutor {
     ) -> (f64, usize) {
         let mut merged = std::mem::take(&mut self.merged);
         merged.resize(self.param_total(), 0.0);
-        let out = self.step_into(x, labels, &mut merged, false, |dst, range| {
+        let out = self.step_into(x, labels, &mut merged, |dst, range| {
             on_segment(range.start, &dst[range]);
         });
         self.merged = merged;
@@ -322,8 +265,8 @@ impl DptExecutor {
     pub fn step(&mut self, x: &Tensor, labels: &[usize], strategy: DptStrategy) -> IterOutput {
         if strategy == DptStrategy::Optimized {
             let mut grad = vec![0.0; self.param_total()];
-            let (loss, correct) = self.step_into(x, labels, &mut grad, false, |_, _| {});
-            return IterOutput { loss, grad, correct, segments: Arc::clone(&self.segments) };
+            let (loss, correct) = self.step_into(x, labels, &mut grad, |_, _| {});
+            return IterOutput { loss, grad, correct };
         }
         let b = x.shape()[0];
         let m = self.replicas.len();
@@ -377,12 +320,7 @@ impl DptExecutor {
                 }
             }
         }
-        IterOutput {
-            loss: out.loss,
-            grad: grad.expect("replicas"),
-            correct: out.correct,
-            segments: Arc::clone(&self.segments),
-        }
+        IterOutput { loss: out.loss, grad: grad.expect("replicas"), correct: out.correct }
     }
 }
 
@@ -508,37 +446,17 @@ mod tests {
     }
 
     #[test]
-    fn iter_output_segments_tile_the_gradient() {
+    fn segments_tile_the_gradient() {
         let (x, labels) = batch(4, 13);
         let mut e = DptExecutor::new(2, tiny_factory);
         let out = e.step(&x, &labels, DptStrategy::Optimized);
         let mut off = 0;
-        for s in out.segments.iter() {
+        for s in e.segments().iter() {
             assert_eq!(s.offset, off);
-            assert_eq!(out.grad_segment(s).len(), s.len);
+            assert_eq!(s.range(), off..off + s.len);
             off += s.len;
         }
         assert_eq!(off, out.grad.len(), "segments must cover the whole gradient");
-        // The executor hands out the same shared map every step.
-        assert!(Arc::ptr_eq(&out.segments, e.segments()));
-    }
-
-    #[test]
-    fn rev_segments_walk_backprop_completion_order() {
-        let mut e = DptExecutor::new(1, tiny_factory);
-        let segs = Arc::clone(e.segments());
-        let (x, labels) = batch(2, 17);
-        let out = e.step(&x, &labels, DptStrategy::Optimized);
-        let rev: Vec<&ParamSegment> = out.rev_segments().collect();
-        assert_eq!(rev.len(), segs.len());
-        // First emitted segment is the network's last parameter (the
-        // classifier), whose gradient backprop produces first.
-        assert_eq!(rev[0].name, segs.last().unwrap().name);
-        assert_eq!(rev.last().unwrap().name, segs[0].name);
-        // Offsets strictly decrease walking in reverse.
-        for w in rev.windows(2) {
-            assert!(w[0].offset > w[1].offset);
-        }
     }
 
     /// The Optimized step as `step` computed it on its own before it ran
@@ -670,62 +588,46 @@ mod tests {
     }
 
     #[test]
-    fn step_into_is_the_streamed_merge_plus_the_copy_or_sum_bitwise() {
-        // The first micro-batch lands in `dst` as `step_streamed`'s ranges
-        // copied out; each later one as its ranges summed on (`sum_into`'s
-        // `+=`); both equal `step(.., Optimized)`'s gradients added up. Every
-        // micro-batch carries `-0.0` gradient entries, and `dst` starts as
-        // NaN, so the first micro-batch must overwrite, not add.
+    fn step_into_is_the_streamed_merge_plus_the_copy_bitwise() {
+        // The step lands in `dst` as `step_streamed`'s ranges copied out,
+        // equal to `step(.., Optimized)`'s gradient. The batch carries `-0.0`
+        // gradient entries, and `dst` starts as NaN, so the step must
+        // overwrite, not add.
         let factory = || -> Box<dyn Module> {
             let extra = dcnn_tensor::layers::Param::new(Tensor::zeros(&[3]));
             Box::new(NegZeroGrad { extra, inner: tiny_factory() })
         };
         let bits = |x: &[f32]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for m in [1, 2, 4] {
+            let what = format!("m={m}");
             let mut into = DptExecutor::new(m, factory);
-            let mut streamed = DptExecutor::new(m, factory);
-            let mut plain = DptExecutor::new(m, factory);
             let n = into.param_total();
-            let (mut dst, mut want, mut plain_sum) =
-                (vec![f32::NAN; n], vec![f32::NAN; n], vec![f32::NAN; n]);
-            for micro in 0..3 {
-                let what = format!("m={m} micro-batch {micro}");
-                let (x, labels) = batch(8, 29 + micro as u64);
-                let accumulate = micro > 0;
-                let mut fired = Vec::new();
-                let (loss, correct) = into.step_into(&x, &labels, &mut dst, accumulate, |d, r| {
-                    fired.push((r.clone(), bits(&d[r])));
-                });
-                let (s_loss, s_correct) = streamed.step_streamed(&x, &labels, |off, vals| {
-                    let w = &mut want[off..off + vals.len()];
-                    if accumulate {
-                        w.iter_mut().zip(vals).for_each(|(a, &b)| *a += b);
-                    } else {
-                        w.copy_from_slice(vals);
-                    }
-                });
-                let out = plain.step(&x, &labels, DptStrategy::Optimized);
-                if accumulate {
-                    plain_sum.iter_mut().zip(&out.grad).for_each(|(a, &b)| *a += b);
-                } else {
-                    plain_sum.copy_from_slice(&out.grad);
-                }
-                assert_eq!((loss.to_bits(), correct), (s_loss.to_bits(), s_correct), "{what}");
-                assert_eq!((loss.to_bits(), correct), (out.loss.to_bits(), out.correct), "{what}");
-                assert_eq!(bits(&dst), bits(&want), "{what}: step_into vs step_streamed");
-                assert_eq!(bits(&dst), bits(&plain_sum), "{what}: step_into vs step");
-                assert_eq!(dst[0].to_bits(), 0.0f32.to_bits(), "{what}: -0.0 merges to +0.0");
-                // Each range is final when the hook sees it, and the ranges
-                // tile the buffer.
-                fired.sort_by_key(|(r, _)| r.start);
-                let mut off = 0;
-                for (r, seen) in fired {
-                    assert_eq!(r.start, off, "{what}: ranges must tile without gaps or overlap");
-                    assert_eq!(seen, bits(&dst[r.clone()]), "{what}: {r:?} moved after its hook");
-                    off = r.end;
-                }
-                assert_eq!(off, n, "{what}");
+            let (mut dst, mut want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+            let (x, labels) = batch(8, 29);
+            let mut fired = Vec::new();
+            let (loss, correct) = into.step_into(&x, &labels, &mut dst, |d, r| {
+                fired.push((r.clone(), bits(&d[r])));
+            });
+            let mut streamed = DptExecutor::new(m, factory);
+            let (s_loss, s_correct) = streamed.step_streamed(&x, &labels, |off, vals| {
+                want[off..off + vals.len()].copy_from_slice(vals);
+            });
+            let out = DptExecutor::new(m, factory).step(&x, &labels, DptStrategy::Optimized);
+            assert_eq!((loss.to_bits(), correct), (s_loss.to_bits(), s_correct), "{what}");
+            assert_eq!((loss.to_bits(), correct), (out.loss.to_bits(), out.correct), "{what}");
+            assert_eq!(bits(&dst), bits(&want), "{what}: step_into vs step_streamed");
+            assert_eq!(bits(&dst), bits(&out.grad), "{what}: step_into vs step");
+            assert_eq!(dst[0].to_bits(), 0.0f32.to_bits(), "{what}: -0.0 merges to +0.0");
+            // Each range is final when the hook sees it, and the ranges tile
+            // the buffer.
+            fired.sort_by_key(|(r, _)| r.start);
+            let mut off = 0;
+            for (r, seen) in fired {
+                assert_eq!(r.start, off, "{what}: ranges must tile without gaps or overlap");
+                assert_eq!(seen, bits(&dst[r.clone()]), "{what}: {r:?} moved after its hook");
+                off = r.end;
             }
+            assert_eq!(off, n, "{what}");
         }
     }
 

@@ -8,7 +8,6 @@
 
 mod bn;
 mod conv;
-mod dropout;
 mod flatten;
 mod linear;
 mod pool;
@@ -16,7 +15,6 @@ mod relu;
 
 pub use bn::BatchNorm2d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};

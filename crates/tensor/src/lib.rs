@@ -45,10 +45,9 @@ pub mod optim;
 pub mod tensor;
 
 pub use layers::{
-    AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, Linear, MaxPool2d, Module,
-    Param, ReLU,
+    AvgPool2d, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Module, Param, ReLU,
 };
 pub use loss::SoftmaxCrossEntropy;
 pub use nn::{Concat, Residual, Sequential};
-pub use optim::{Lars, LrSchedule, Sgd, SgdConfig};
+pub use optim::{LrSchedule, Sgd, SgdConfig};
 pub use tensor::Tensor;

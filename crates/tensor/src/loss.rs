@@ -58,27 +58,6 @@ impl SoftmaxCrossEntropy {
     }
 }
 
-/// Count samples whose label is among the `k` highest logits (top-k
-/// accuracy; ImageNet evaluations conventionally also report top-5).
-pub fn topk_correct(logits: &Tensor, labels: &[usize], k: usize) -> usize {
-    let n = logits.shape()[0];
-    let classes = logits.shape()[1];
-    assert_eq!(labels.len(), n);
-    assert!(k >= 1 && k <= classes, "k must be in 1..=classes");
-    let mut correct = 0;
-    for i in 0..n {
-        let row = &logits.data()[i * classes..(i + 1) * classes];
-        let label_score = row[labels[i]];
-        // Rank = number of strictly larger scores (ties resolved in the
-        // label's favour, matching the usual evaluation convention).
-        let rank = row.iter().filter(|&&v| v > label_score).count();
-        if rank < k {
-            correct += 1;
-        }
-    }
-    correct
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,34 +126,5 @@ mod tests {
     #[should_panic]
     fn label_out_of_range_panics() {
         let _ = SoftmaxCrossEntropy.forward(&Tensor::zeros(&[1, 2]), &[2]);
-    }
-
-    #[test]
-    fn topk_ranks_correctly() {
-        let logits = Tensor::from_vec(
-            vec![
-                0.9, 0.5, 0.1, 0.0, // label 1 is 2nd
-                0.1, 0.2, 0.3, 0.4, // label 0 is 4th
-            ],
-            &[2, 4],
-        );
-        assert_eq!(topk_correct(&logits, &[1, 0], 1), 0);
-        assert_eq!(topk_correct(&logits, &[1, 0], 2), 1);
-        assert_eq!(topk_correct(&logits, &[1, 0], 4), 2);
-        // Top-1 agrees with the criterion's own counting.
-        let out = SoftmaxCrossEntropy.forward(&logits, &[0, 3]);
-        assert_eq!(out.correct, topk_correct(&logits, &[0, 3], 1));
-    }
-
-    #[test]
-    fn topk_ties_favour_label() {
-        let logits = Tensor::from_vec(vec![1.0, 1.0, 0.0], &[1, 3]);
-        assert_eq!(topk_correct(&logits, &[1], 1), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn topk_zero_panics() {
-        let _ = topk_correct(&Tensor::zeros(&[1, 3]), &[0], 0);
     }
 }

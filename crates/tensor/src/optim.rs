@@ -214,82 +214,6 @@ fn sgd_update_write_back(
     }
 }
 
-/// LARS — layer-wise adaptive rate scaling (You et al., whose 512-KNL
-/// ResNet-50 run is the paper's Table 2 comparator; LARS is what made their
-/// 32k global batch trainable). Each parameter tensor gets a local rate
-/// `trust · ‖w‖ / (‖∇‖ + λ‖w‖ + ε)` multiplying the global LR, so layers
-/// with small weights aren't blown away by large-batch gradients.
-#[derive(Debug, Clone)]
-pub struct Lars {
-    /// Momentum coefficient.
-    pub momentum: f32,
-    /// L2 weight decay λ.
-    pub weight_decay: f32,
-    /// Trust coefficient (You et al. use 0.001–0.01).
-    pub trust: f32,
-    /// Numerical floor.
-    pub eps: f32,
-}
-
-impl Default for Lars {
-    fn default() -> Self {
-        Lars { momentum: 0.9, weight_decay: 1e-4, trust: 0.01, eps: 1e-9 }
-    }
-}
-
-impl Lars {
-    /// Apply one LARS update at global learning rate `lr`.
-    pub fn step(&self, m: &mut dyn Module, lr: f32) {
-        self.update(m, lr, None);
-    }
-
-    /// Range-restricted LARS step, the analog of [`Sgd::step_range`].
-    ///
-    /// The trust ratio is a *whole-tensor* statistic, so every parameter
-    /// tensor overlapping `owned` must carry its full, fully reduced
-    /// gradient — under a shard map that cuts through tensors the caller
-    /// must align shards to parameter boundaries (or allreduce instead of
-    /// reduce-scatter) for the norms to be right. Updates are applied only
-    /// to the owned elements, with momentum in the shard-sized `velocity`
-    /// buffer.
-    pub fn step_range(
-        &self,
-        m: &mut dyn Module,
-        lr: f32,
-        owned: Range<usize>,
-        velocity: &mut [f32],
-    ) {
-        self.update(m, lr, Some((owned, velocity)));
-    }
-
-    /// The walk behind both entry points, as [`Sgd`]'s: momentum from the
-    /// shard's velocity buffer or else the parameter's own tensor.
-    fn update(&self, m: &mut dyn Module, lr: f32, mut shard: Option<(Range<usize>, &mut [f32])>) {
-        let (mu, wd, trust, eps) = (self.momentum, self.weight_decay, self.trust, self.eps);
-        visit_range(m, shard_range(&shard), |p, local, at| {
-            let wn = norm(p.value.data());
-            let gn = norm(p.grad.data());
-            let decay = if p.weight_decay { wd } else { 0.0 };
-            let local_lr = if wn > 0.0 && gn > 0.0 {
-                trust * wn / (gn + decay * wn + eps)
-            } else {
-                1.0
-            };
-            let Param { value, grad, momentum, .. } = p;
-            let v = velocity(&mut shard, momentum, local.clone(), at);
-            let (w, g) = (&mut value.data_mut()[local.clone()], &grad.data()[local]);
-            for ((w, v), &g) in w.iter_mut().zip(v.iter_mut()).zip(g) {
-                *v = mu * *v + local_lr * lr * (g + decay * *w);
-                *w -= *v;
-            }
-        });
-    }
-}
-
-fn norm(v: &[f32]) -> f32 {
-    v.iter().map(|&x| (x as f64).powi(2)).sum::<f64>().sqrt() as f32
-}
-
 /// The paper's learning-rate schedule: linear warmup from `init_lr` to
 /// `base_lr` over the first `warmup_epochs`, then a step decay by 10× every
 /// `step_epochs`.
@@ -385,58 +309,6 @@ mod tests {
         }
         let last = crit.forward(&l.forward(&x, false), &labels).loss;
         assert!(last < first * 0.2, "loss {first} → {last}");
-    }
-
-    #[test]
-    fn lars_update_scale_tracks_weight_norm() {
-        // With fixed gradients, a layer whose weights are 10× larger gets a
-        // ~10× larger update (the defining LARS property); plain SGD gives
-        // both the same update.
-        let mk = |scale: f32| {
-            let mut l = Linear::new(4, 4, 0);
-            l.weight.value.scale_(scale / l.weight.value.max_abs().max(1e-9));
-            l.weight.grad = Tensor::full(&[4, 4], 0.01);
-            l.bias.grad = Tensor::zeros(&[4]);
-            let before = l.weight.value.clone();
-            Lars { momentum: 0.0, weight_decay: 0.0, ..Lars::default() }.step(&mut l, 1.0);
-            let mut delta = before;
-            delta.sub_(&l.weight.value);
-            delta.max_abs()
-        };
-        let small = mk(0.1);
-        let large = mk(1.0);
-        let ratio = large / small;
-        assert!((8.0..12.0).contains(&ratio), "update ratio {ratio}");
-    }
-
-    #[test]
-    fn lars_trains_toy_problem() {
-        let mut l = Linear::new(2, 2, 42);
-        let lars = Lars::default();
-        let x = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0, -1.0, 0.5], &[4, 2]);
-        let labels = [0usize, 1, 1, 0];
-        let crit = SoftmaxCrossEntropy;
-        let first = crit.forward(&l.forward(&x, true), &labels).loss;
-        for _ in 0..300 {
-            crate::layers::zero_grads(&mut l);
-            let y = l.forward(&x, true);
-            let out = crit.forward(&y, &labels);
-            let _ = l.backward(&out.grad);
-            lars.step(&mut l, 2.0);
-        }
-        let last = crit.forward(&l.forward(&x, false), &labels).loss;
-        assert!(last < first * 0.5, "LARS loss {first} → {last}");
-    }
-
-    #[test]
-    fn lars_zero_gradient_is_noop_modulo_momentum() {
-        let mut l = Linear::new(3, 3, 1);
-        l.weight.grad.zero_();
-        l.bias.grad.zero_();
-        let before = l.weight.value.clone();
-        Lars { momentum: 0.0, weight_decay: 0.0, ..Lars::default() }.step(&mut l, 1.0);
-        // local rate falls back to 1.0 but gradient is zero → no movement.
-        assert_eq!(l.weight.value, before);
     }
 
     #[test]
@@ -566,34 +438,6 @@ mod tests {
             } else {
                 assert_eq!(before[i].to_bits(), after[i].to_bits(), "unowned {i} must not");
             }
-        }
-    }
-
-    #[test]
-    fn lars_step_range_matches_full_step_on_aligned_shards() {
-        // Shards aligned to parameter boundaries (weight | bias): whole-
-        // tensor trust ratios are computable on both sides, so the sharded
-        // LARS walk is bitwise the full one.
-        let mut full = Linear::new(3, 4, 11);
-        let mut sharded = Linear::new(3, 4, 11); // same seed → identical init
-        let total = crate::layers::param_count(&mut full);
-        let weight_len = 12usize;
-        let mut v_w = vec![0.0f32; weight_len];
-        let mut v_b = vec![0.0f32; total - weight_len];
-        let lars = Lars::default();
-        for step in 0..3 {
-            let grads: Vec<f32> =
-                (0..total).map(|i| ((i * 13 + step * 5) as f32).cos() * 0.01).collect();
-            crate::layers::set_grads(&mut full, &grads);
-            crate::layers::set_grads(&mut sharded, &grads);
-            lars.step(&mut full, 0.5);
-            lars.step_range(&mut sharded, 0.5, 0..weight_len, &mut v_w);
-            lars.step_range(&mut sharded, 0.5, weight_len..total, &mut v_b);
-        }
-        let a = crate::layers::collect_params(&mut full);
-        let b = crate::layers::collect_params(&mut sharded);
-        for i in 0..total {
-            assert_eq!(a[i].to_bits(), b[i].to_bits(), "param {i}");
         }
     }
 

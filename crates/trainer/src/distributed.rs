@@ -8,11 +8,9 @@
 //! rank applies the same averaged gradient — asserted in tests.
 
 use std::io::Write;
-use std::ops::Range;
 use std::time::Duration;
 
 use dcnn_collectives::primitives::try_allgather_bytes;
-use dcnn_collectives::reduce;
 use dcnn_collectives::runtime::{Comm, CommError, CommStats};
 use dcnn_collectives::{
     run_cluster, AlgoPolicy, AllreduceAlgo, FaultSpec, OverlapMode, RuntimeConfig,
@@ -20,7 +18,7 @@ use dcnn_collectives::{
 use dcnn_dimd::shuffle::MPI_COUNT_LIMIT;
 use dcnn_dimd::{open_source, BatchSource, Dimd, Hello, SynthImageNet, ValSet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
-use dcnn_tensor::layers::{collect_params, release_momentum, resident_bytes, Module};
+use dcnn_tensor::layers::{params_into, release_momentum, resident_bytes, Module};
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::optim::{LrSchedule, Sgd, SgdConfig};
 use serde::Serialize;
@@ -81,10 +79,6 @@ pub struct TrainConfig {
     /// shuffle. Defaults to MPI's 32-bit count limit; tests lower it to
     /// force multi-round exchanges.
     pub shuffle_segment_bytes: usize,
-    /// Gradient-accumulation micro-steps: each iteration averages this many
-    /// sequential micro-batches before the allreduce, multiplying the
-    /// effective batch without more device memory (extension).
-    pub accum_steps: usize,
     /// Target bucket size in bytes for the overlap-aware gradient exchange:
     /// parameter segments are packed into buckets of roughly this size in
     /// reverse layer order and each bucket's allreduce is launched
@@ -145,7 +139,6 @@ impl TrainConfig {
             data_service: None,
             connect_timeout: RuntimeConfig::default().connect_timeout_or_default(),
             shuffle_segment_bytes: MPI_COUNT_LIMIT,
-            accum_steps: 1,
             bucket_bytes: 0,
             overlap: OverlapMode::Hooked,
             shard_optim: false,
@@ -277,8 +270,8 @@ pub struct EpochStats {
     pub link_imbalance: f64,
     /// The allreduce decision the run trained with, made before epoch 0:
     /// the fixed algorithm's name, or an `auto` policy's per-size table
-    /// (`<=BYTES:algo` entries joined by `;` — comma-free so the metrics
-    /// CSV stays parseable). The same in every epoch and on every rank
+    /// (`<=BYTES:algo` entries joined by `;` — comma-free, so it embeds in
+    /// a CSV field). The same in every epoch and on every rank
     /// (the table is cluster-agreed before it is ever used).
     pub algo_choices: String,
 }
@@ -403,7 +396,7 @@ struct Trainer<'a> {
     shards: Option<(ShardMap, Vec<usize>)>,
     /// This rank's shard of the momentum (empty when replicated).
     velocity: Vec<f32>,
-    /// The step's gradient, accumulated in place and exchanged in place;
+    /// The step's gradient, merged in place and exchanged in place;
     /// under sharding it carries the parameter allgather too.
     grad: Vec<f32>,
     val: Option<ValSet>,
@@ -476,7 +469,7 @@ impl<'a> Trainer<'a> {
             rank: me,
             world: n,
             batch: cfg.batch_per_gpu * cfg.gpus_per_node,
-            requests_per_epoch: self.iterations * cfg.accum_steps.max(1),
+            requests_per_epoch: self.iterations,
             epochs: cfg.epochs,
             shuffle_every: cfg.shuffle_every_epochs,
             segment_bytes: cfg.shuffle_segment_bytes as u64,
@@ -517,8 +510,8 @@ impl<'a> Trainer<'a> {
         self.source.as_mut().expect("opened").try_begin_epoch(epoch)
     }
 
-    /// One optimizer step: `accum_steps` micro-batches forward and backward
-    /// into the gradient buffer, the exchange, the SGD update, then the
+    /// One optimizer step: one batch forward and backward into the
+    /// gradient buffer, the exchange, the SGD update, then the
     /// fault-injection hooks.
     fn step(&mut self) -> Result<(), CommError> {
         let (comm, cfg) = (self.comm, self.cfg);
@@ -531,53 +524,26 @@ impl<'a> Trainer<'a> {
         let hooked = cfg.overlap == OverlapMode::Hooked
             && self.gsync.is_bucketed()
             && cfg.strategy == DptStrategy::Optimized;
-        let source = self.source.as_mut().expect("opened");
+        let (x, labels) = self.source.as_mut().expect("opened").try_next_batch()?;
         let grad = &mut self.grad;
-        // Gradient accumulation: average `accum_steps` micro-batches before
-        // the exchange in the pre-sized buffer, range by range as each
-        // micro-batch reports them: the executor merges the first straight
-        // into it and adds the rest; the last scales each range by 1/accum
-        // and, hooked, hands it to the bucket scheduler — a bucket's
-        // allreduce launches the instant its last range lands.
-        let accum = cfg.accum_steps.max(1);
-        let inv_accum = 1.0 / accum as f32;
-        let mut step_loss = 0.0;
-        let mut step_correct = 0u64;
         // One exchange per step, whatever the schedule: the hooked path
-        // feeds it from the backward pass, drain and fused report nothing
-        // and let `finish` do all of it.
+        // feeds it from the backward pass — a bucket's allreduce launches
+        // the instant its last range lands in the pre-sized buffer — drain
+        // and fused report nothing and let `finish` do all of it.
         let mut stream = self.gsync.begin(comm);
-        for micro in 0..accum {
-            let (x, labels) = source.try_next_batch()?;
-            let last = micro + 1 == accum;
-            let mut landed = |grad: &mut [f32], range: Range<usize>| {
-                if last && accum > 1 {
-                    reduce::scale(&mut grad[range.clone()], inv_accum);
-                }
-                if last && hooked {
+        let (loss, correct) = match cfg.strategy {
+            DptStrategy::Optimized => self.exec.step_into(&x, &labels, grad, |grad, range| {
+                if hooked {
                     stream.segment_ready(grad, range.start, range.len());
                 }
-            };
-            let (l, c) = match cfg.strategy {
-                DptStrategy::Optimized => {
-                    self.exec.step_into(&x, &labels, grad, micro > 0, &mut landed)
-                }
-                // The paper's unoptimised control keeps its copy.
-                DptStrategy::Baseline => {
-                    let out = self.exec.step(&x, &labels, DptStrategy::Baseline);
-                    if micro == 0 {
-                        grad.copy_from_slice(&out.grad);
-                    } else {
-                        reduce::sum_into(grad, &out.grad);
-                    }
-                    let all = 0..grad.len();
-                    landed(grad, all);
-                    (out.loss, out.correct)
-                }
-            };
-            step_loss += l / accum as f64;
-            step_correct += c as u64;
-        }
+            }),
+            // The paper's unoptimised control keeps its copy.
+            DptStrategy::Baseline => {
+                let out = self.exec.step(&x, &labels, DptStrategy::Baseline);
+                grad.copy_from_slice(&out.grad);
+                (out.loss, out.correct)
+            }
+        };
         // Inter-node average: sum node-averages; the optimizer divides by N
         // as it reads them.
         self.progress.buckets_launched += stream.try_finish(&mut grad[..])? as u64;
@@ -606,9 +572,9 @@ impl<'a> Trainer<'a> {
             }
         }
         let p = &mut self.progress;
-        p.loss_sum += step_loss;
-        p.correct += step_correct;
-        p.seen += (cfg.batch_per_gpu * cfg.gpus_per_node * accum) as u64;
+        p.loss_sum += loss;
+        p.correct += correct as u64;
+        p.seen += (cfg.batch_per_gpu * cfg.gpus_per_node) as u64;
         p.iters += 1;
         // Fault injection (`DCNN_FAULT`): any armed fault emits per-step
         // heartbeats so external tests can kill a rank at a deterministic
@@ -772,7 +738,8 @@ impl<'a> Trainer<'a> {
             None => Checkpoint::capture(self.exec.replica(0), epoch as u32).write_to(&path),
             Some((sm, _)) => {
                 let owned = sm.owned(me);
-                let params = collect_params(self.exec.replica(0));
+                let mut params = vec![0.0f32; owned.len()];
+                params_into(self.exec.replica(0), owned.clone(), &mut params);
                 ShardCheckpoint {
                     epoch: epoch as u32,
                     meta: ShardMeta {
@@ -781,7 +748,7 @@ impl<'a> Trainer<'a> {
                         offset: owned.start as u64,
                         total: sm.total() as u64,
                     },
-                    params: params[owned].to_vec(),
+                    params,
                     momentum: self.velocity.clone(),
                 }
                 .write_to(&path)
@@ -934,24 +901,6 @@ mod tests {
                 b.train_loss
             );
         }
-    }
-
-    #[test]
-    fn gradient_accumulation_converges_like_bigger_batches() {
-        // accum=2 with batch 2/GPU sees the same images/iteration as batch
-        // 4/GPU (sampling order differs, so trajectories aren't identical,
-        // but both must train).
-        let ds = tiny_ds();
-        let mut cfg = tiny_cfg(2, 3);
-        cfg.batch_per_gpu = 2;
-        cfg.accum_steps = 2;
-        cfg.validate = false;
-        let stats = train_distributed(&cfg, &ds, tiny_factory);
-        let first = stats.first().expect("stats").train_loss;
-        let last = stats.last().expect("stats").train_loss;
-        assert!(last < first, "accumulated loss {first:.3} → {last:.3}");
-        // Images seen per epoch accounts for the accumulation.
-        assert!(stats.iter().all(|s| s.train_loss.is_finite()));
     }
 
     #[test]
@@ -1219,24 +1168,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bucketed_training_works_with_accumulation() {
-        // Buckets and micro-batch accumulation compose: the buffer-reuse
-        // path feeds the same averaged gradient into the bucketed exchange.
-        let ds = tiny_ds();
-        let mut blocking = tiny_cfg(2, 2);
-        blocking.accum_steps = 2;
-        blocking.batch_per_gpu = 2;
-        blocking.validate = false;
-        let mut bucketed = blocking.clone();
-        bucketed.bucket_bytes = 1024;
-        let sb = train_distributed(&blocking, &ds, tiny_factory);
-        let so = train_distributed(&bucketed, &ds, tiny_factory);
-        for (a, b) in sb.iter().zip(&so) {
-            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits());
-        }
-    }
-
     /// Assert two runs took bitwise-identical trajectories (loss, accuracy
     /// and validation accuracy per epoch).
     fn assert_bitwise_trajectory(a: &[EpochStats], b: &[EpochStats], what: &str) {
@@ -1331,21 +1262,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_composes_with_fp16_and_accumulation_bitwise() {
+    fn sharded_composes_with_fp16_bitwise() {
         // The extensions stack: fp16 quantization happens before the
-        // exchange and accumulation before the scale, so neither interacts
-        // with who owns the reduction.
+        // exchange, so it does not interact with who owns the reduction.
         let ds = tiny_ds();
         let mut replicated = tiny_cfg(2, 2);
         replicated.fp16_grads = true;
-        replicated.accum_steps = 2;
-        replicated.batch_per_gpu = 2;
         replicated.validate = false;
         let mut sharded = replicated.clone();
         sharded.shard_optim = true;
         let sr = train_distributed(&replicated, &ds, tiny_factory);
         let ss = train_distributed(&sharded, &ds, tiny_factory);
-        assert_bitwise_trajectory(&sr, &ss, "fp16+accum sharded");
+        assert_bitwise_trajectory(&sr, &ss, "fp16 sharded");
     }
 
     #[test]
@@ -1462,7 +1390,7 @@ mod tests {
     /// allgathers became one; then every row's byte and message fields
     /// were re-captured, each moved by exactly what that fold predicts
     /// from the record sizes (an epoch row no longer bills the epoch end's
-    /// allgathers), and no loss, accuracy or bucket field moved. The four
+    /// allgathers), and no loss, accuracy or bucket field moved. The two
     /// `/m1` rows (one replica per rank) were captured after that, before
     /// the one-replica step merged straight into the exchange buffer.
     #[rustfmt::skip]
@@ -1492,12 +1420,9 @@ mod tests {
         ("multicolor/w3/hooked/replicated", (38304, 164), [(18656, 80, 20, 4608845318743314549, 0), (18656, 80, 20, 4607345403115794811, 0)]),
         ("multicolor/w3/hooked/sharded", (42304, 132), [(20656, 64, 20, 4608845318743314549, 0), (20656, 64, 20, 4607345403115794811, 0)]),
         ("ring-reduce-scatter/w2/hooked/replicated/fp16", (42288, 122), [(20976, 60, 30, 4608632138296352319, 0), (20976, 60, 30, 4607211123083706365, 0)]),
-        ("ring-reduce-scatter/w2/hooked/replicated/accum2", (84240, 242), [(41952, 120, 60, 4608663114122042792, 0), (41952, 120, 60, 4606370365909963915, 0)]),
         ("ring-reduce-scatter/w3/hooked/replicated/val", (38272, 164), [(18640, 80, 20, 4608845318711261181, 4602678819172646912), (18640, 80, 20, 4607345403130227696, 4598738169498697728)]),
         ("multicolor/w2/fused/sharded/m1", (42288, 26), [(20976, 12, 0, 4608107045475401115, 0), (20976, 12, 0, 4605621887679148411, 0)]),
         ("ring-reduce-scatter/w3/hooked/replicated/m1", (38272, 164), [(18640, 80, 20, 4608586333762764639, 0), (18640, 80, 20, 4606241119460428355, 0)]),
-        ("ring-reduce-scatter/w2/hooked/replicated/m1/accum2", (84240, 242), [(41952, 120, 60, 4607922982560980207, 0), (41952, 120, 60, 4604018019713446778, 0)]),
-        ("ring-reduce-scatter/w3/fused/sharded/m1/accum2", (75552, 68), [(37280, 32, 0, 4608106797207278573, 0), (37280, 32, 0, 4605852862027570697, 0)]),
     ];
 
     #[test]
@@ -1505,30 +1430,27 @@ mod tests {
         use dcnn_collectives::ClusterBuilder;
         let ds = tiny_ds();
         // (algorithm, ranks, schedule, sharded, fp16, replicas per rank,
-        // accumulation steps, validation)
+        // validation)
         let (ring, multicolor) = (AllreduceAlgo::RingReduceScatter, AllreduceAlgo::MultiColor(4));
         let mut modes = Vec::new();
         for algo in [ring, multicolor] {
             for nodes in [2, 3] {
                 for sched in ["fused", "drain", "hooked"] {
-                    let mode = |shd| (algo, nodes, sched, shd, false, 2, 1, false);
+                    let mode = |shd| (algo, nodes, sched, shd, false, 2, false);
                     modes.extend([false, true].map(mode));
                 }
             }
         }
-        modes.push((ring, 2, "hooked", false, true, 2, 1, false));
-        modes.push((ring, 2, "hooked", false, false, 2, 2, false));
-        modes.push((ring, 3, "hooked", false, false, 2, 1, true));
+        modes.push((ring, 2, "hooked", false, true, 2, false));
+        modes.push((ring, 3, "hooked", false, false, 2, true));
         // One replica per rank, as the benchmark's workloads run: the merge
         // has no second replica to add and the sharded step no other
         // replica to rebroadcast to.
-        modes.push((multicolor, 2, "fused", true, false, 1, 1, false));
-        modes.push((ring, 3, "hooked", false, false, 1, 1, false));
-        modes.push((ring, 2, "hooked", false, false, 1, 2, false));
-        modes.push((ring, 3, "fused", true, false, 1, 2, false));
+        modes.push((multicolor, 2, "fused", true, false, 1, false));
+        modes.push((ring, 3, "hooked", false, false, 1, false));
 
         let mut actual = Vec::new();
-        for (algo, nodes, sched, sharded, fp16, gpus, accum, validate) in modes {
+        for (algo, nodes, sched, sharded, fp16, gpus, validate) in modes {
             let mut cfg = tiny_cfg(nodes, 2);
             cfg.algo = algo.into();
             // 1 KiB buckets: five per step on the tiny model.
@@ -1538,8 +1460,7 @@ mod tests {
             cfg.fp16_grads = fp16;
             // Eight images per rank and step, whatever the split.
             cfg.gpus_per_node = gpus;
-            cfg.accum_steps = accum;
-            cfg.batch_per_gpu = 8 / (gpus * accum);
+            cfg.batch_per_gpu = 8 / gpus;
             cfg.validate = validate;
             cfg.shuffle_every_epochs = 0;
             let run = ClusterBuilder::new(nodes)
@@ -1548,7 +1469,6 @@ mod tests {
             name += if sharded { "sharded" } else { "replicated" };
             name += if fp16 { "/fp16" } else { "" };
             name += if gpus == 1 { "/m1" } else { "" };
-            name += if accum > 1 { "/accum2" } else { "" };
             name += if validate { "/val" } else { "" };
             let epochs: Vec<(u64, u64, u64, u64, u64)> = run.results[0]
                 .iter()

@@ -24,7 +24,6 @@ pub mod checkpoint;
 pub mod distributed;
 pub mod epoch_model;
 pub mod grad_sync;
-pub mod metrics;
 pub mod shard;
 
 pub use async_sgd::{train_async, AsyncConfig, AsyncStats};

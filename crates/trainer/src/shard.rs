@@ -15,9 +15,9 @@
 //!
 //! The map is deliberately element-aligned rather than parameter-aligned:
 //! shard boundaries may cut through a tensor. [`dcnn_tensor::optim::Sgd`]
-//! handles that with range-restricted stepping; LARS-style optimizers that
-//! need whole-tensor norms require aligned shards (see
-//! [`dcnn_tensor::optim::Lars::step_range`]).
+//! handles that with range-restricted stepping; an optimizer that needs
+//! whole-tensor norms (LARS-style trust ratios) would require shards
+//! aligned to parameter boundaries.
 
 use std::ops::Range;
 
