@@ -504,6 +504,82 @@ mod tests {
         assert_eq!(!crc, PARTITION_GOLDEN, "partition CRC {:#010x}", !crc);
     }
 
+    /// CRC-32 over records in order: each record's bytes, then its label
+    /// as a little-endian `u32`.
+    fn records_crc(records: &[Record]) -> u32 {
+        !records.iter().fold(0xFFFF_FFFF, |c, (bytes, label)| {
+            crate::crc::crc32_update(crate::crc::crc32_update(c, bytes), &label.to_le_bytes())
+        })
+    }
+
+    /// Each rank's [`records_crc`] after three epoch shuffles (rounds 0, 1,
+    /// 2) of the `decode_data_partition_matches_its_golden` dataset, split
+    /// over 2 and 3 ranks. The values were captured from the shuffle as it
+    /// stood before records bound for their own rank were moved instead of
+    /// packed, so a record that lands elsewhere, or in another order, fails
+    /// here. The hosted case runs both partitions of the 2-rank split on one
+    /// server and must read the 2-rank values.
+    #[test]
+    fn shuffled_partition_matches_its_golden() {
+        use crate::shuffle::{try_shuffle_hosted, HostedPartition, MPI_COUNT_LIMIT};
+        use dcnn_collectives::ClusterBuilder;
+        const TWO_RANKS: [u32; 2] = [0x3275_3A50, 0x4E87_520F];
+        const THREE_RANKS: [u32; 3] = [0xB9C8_7C31, 0x9698_BE05, 0x1A78_0102];
+        // Segmentation changes the receive order, so the capped run has its own.
+        const TWO_RANKS_CAPPED: [u32; 2] = [0x113F_EA66, 0x26B3_1E14];
+        let mut cfg = SynthConfig::tiny(4);
+        cfg.base_hw = 128;
+        cfg.val_per_class = 1;
+        cfg.seed = 42;
+        // Encoded once: member r of n holds every n-th record, as
+        // `load_partition(ds, r, n, 70, 42)` would load it.
+        let all = Dimd::load_partition(&SynthImageNet::new(cfg), 0, 1, 70, 42).records;
+        let split = |r: usize, n: usize| -> Vec<Record> {
+            all.iter().skip(r).step_by(n).cloned().collect()
+        };
+        let classic = |n: usize, cap: usize| {
+            ClusterBuilder::new(n).run(|c| {
+                let mut d = Dimd::from_records(split(c.rank(), n), 42);
+                for round in 0..3 {
+                    d.shuffle(c, round, cap);
+                }
+                records_crc(&d.records)
+            })
+        };
+        let two = classic(2, MPI_COUNT_LIMIT);
+        assert_eq!(two.results, TWO_RANKS, "2 ranks: {:#010x?}", two.results);
+        let three = classic(3, MPI_COUNT_LIMIT);
+        assert_eq!(three.results, THREE_RANKS, "3 ranks: {:#010x?}", three.results);
+        // A 1 MiB cap against ~1.9 MB leaving each rank per epoch.
+        let capped = classic(2, 1 << 20);
+        assert_eq!(capped.results, TWO_RANKS_CAPPED, "capped: {:#010x?}", capped.results);
+        let a2a = capped.stats[0].phase_ns.iter().find(|p| p.0 == "alltoallv").map_or(0, |p| p.2);
+        assert!(a2a >= 2 * 3, "the cap did not force two rounds per shuffle: {a2a} alltoallv");
+        // Both virtual ranks of the 2-rank split on one server.
+        let hosted = dcnn_collectives::run_cluster(1, |c| {
+            let mut parts: Vec<Vec<Record>> = (0..2).map(|v| split(v, 2)).collect();
+            for round in 0..3u64 {
+                let mine = parts
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(v, records)| HostedPartition {
+                        virtual_rank: v,
+                        rng_id: v as u64,
+                        seed: 42 ^ round,
+                        records: std::mem::take(records),
+                    })
+                    .collect();
+                let out =
+                    try_shuffle_hosted(c, mine, 2, |_| 0, MPI_COUNT_LIMIT).expect("one server");
+                for (v, records) in out.partitions {
+                    parts[v] = records;
+                }
+            }
+            parts.iter().map(|p| records_crc(p)).collect::<Vec<u32>>()
+        });
+        assert_eq!(hosted[0], TWO_RANKS, "hosted: {:#010x?}", hosted[0]);
+    }
+
     #[test]
     fn shuffle_resets_epoch_cursor() {
         let ds = ds();
