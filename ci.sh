@@ -54,6 +54,13 @@ if git grep -nF '#[allow(clippy::too_many_arguments)]' -- 'crates/trainer/src'; 
     exit 1
 fi
 
+# dcnn-dimd is held to the house style (rustfmt.toml): any diff `cargo fmt`
+# would make there fails the gate, printed.
+if ! cargo fmt -p dcnn-dimd -- --check; then
+    echo "ci.sh: crates/dimd is not rustfmt-clean; run cargo fmt -p dcnn-dimd" >&2
+    exit 1
+fi
+
 cargo_offline build --release --workspace
 cargo_offline test -q --workspace
 # The DCC1 codec's exhaustive sweeps — the pixel conversion on all 2^32

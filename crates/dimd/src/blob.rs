@@ -68,12 +68,7 @@ impl BlobStore {
     pub fn push_record(&mut self, bytes: &[u8], label: u32) {
         let offset = self.data.len() as u64;
         self.data.extend_from_slice(bytes);
-        self.index.push(RecordMeta {
-            offset,
-            len: bytes.len() as u32,
-            label,
-            crc: crc32(bytes),
-        });
+        self.index.push(RecordMeta { offset, len: bytes.len() as u32, label, crc: crc32(bytes) });
     }
 
     /// Check record `i`'s bytes against its stored CRC-32.

@@ -37,9 +37,9 @@ const QBASE: [u16; 64] = [
 
 /// Zigzag scan order for an 8×8 block.
 const ZIGZAG: [usize; 64] = [
-    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27,
-    20, 13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58,
-    59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
+    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5, 12, 19, 26, 33, 40, 48, 41, 34, 27, 20,
+    13, 6, 7, 14, 21, 28, 35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51, 58, 59,
+    52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ];
 
 fn quant_table(quality: u8) -> [f32; 64] {
@@ -827,7 +827,12 @@ mod tests {
 
     #[test]
     fn single_channel_tiny_image() {
-        let img = RawImage { c: 1, h: 3, w: 5, data: vec![7, 50, 100, 150, 200, 10, 60, 110, 160, 210, 20, 70, 120, 170, 220] };
+        let img = RawImage {
+            c: 1,
+            h: 3,
+            w: 5,
+            data: vec![7, 50, 100, 150, 200, 10, 60, 110, 160, 210, 20, 70, 120, 170, 220],
+        };
         let dec = decode_image(&encode_image(&img, 95));
         assert_eq!((dec.c, dec.h, dec.w), (1, 3, 5));
         // Small block, high quality: close reconstruction.

@@ -30,12 +30,7 @@ impl FileServer {
     /// modest per-stream bandwidth, so the donkey pipeline cannot hide them
     /// (4 P100s outrun it, §4.1).
     pub fn paper_nfs() -> Self {
-        FileServer {
-            seq_bw: 12e9,
-            req_latency: 1.5e-3,
-            rand_stream_bw: 40e6,
-            max_streams: 640,
-        }
+        FileServer { seq_bw: 12e9, req_latency: 1.5e-3, rand_stream_bw: 40e6, max_streams: 640 }
     }
 
     /// Seconds for all nodes together to bulk-load `total_bytes`
@@ -115,9 +110,6 @@ mod tests {
         let fs = FileServer::paper_nfs();
         let bulk = fs.bulk_load_secs(74e9);
         let random = fs.epoch_random_read_secs(1_281_167, 110e3, 8 * 20);
-        assert!(
-            random > 5.0 * bulk,
-            "random epoch {random:.0}s vs one bulk load {bulk:.0}s"
-        );
+        assert!(random > 5.0 * bulk, "random epoch {random:.0}s vs one bulk load {bulk:.0}s");
     }
 }

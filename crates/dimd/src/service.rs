@@ -119,9 +119,8 @@ impl Hello {
         if buf[0..4] != HELLO_MAGIC {
             return Err(format!("bad handshake magic {:02x?}", &buf[0..4]));
         }
-        let u32_at = |i: usize| {
-            u32::from_le_bytes(buf[i..i + 4].try_into().expect("4 bytes")) as usize
-        };
+        let u32_at =
+            |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().expect("4 bytes")) as usize;
         let version = u32_at(4);
         if version != HELLO_VERSION as usize {
             return Err(format!("handshake version {version} (want {HELLO_VERSION})"));
@@ -358,7 +357,9 @@ fn serve(
                     break;
                 }
                 Ok(Event::Gone { who, cause }) => {
-                    return Err(io::Error::other(format!("{who} failed during handshake: {cause}")));
+                    return Err(io::Error::other(format!(
+                        "{who} failed during handshake: {cause}"
+                    )));
                 }
                 Ok(ev) => pending.push_back(ev),
                 Err(_) => return Err(io::Error::other("reader threads gone")),
@@ -811,11 +812,9 @@ impl BatchSource for LocalSource<'_> {
     fn try_next_batch(&mut self) -> Result<(Tensor, Vec<usize>), CommError> {
         Ok(match &self.pre {
             Some(p) => p.next_batch(),
-            None => self
-                .dimd
-                .as_mut()
-                .expect("partition present")
-                .random_batch(self.batch, self.crop),
+            None => {
+                self.dimd.as_mut().expect("partition present").random_batch(self.batch, self.crop)
+            }
         })
     }
 
@@ -978,19 +977,12 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let server = std::thread::spawn(move || {
-            let parts: Vec<(usize, Dimd)> =
-                (0..WORLD).map(|v| (v, partition(&ds, v))).collect();
+            let parts: Vec<(usize, Dimd)> = (0..WORLD).map(|v| (v, partition(&ds, v))).collect();
             let parts = std::sync::Mutex::new(Some(parts));
             run_cluster(1, move |c| {
                 let parts = parts.lock().expect("parts").take().expect("one server rank");
-                serve_blocking(
-                    listener.try_clone().expect("clone listener"),
-                    c,
-                    parts,
-                    WORLD,
-                    None,
-                )
-                .expect("serve")
+                serve_blocking(listener.try_clone().expect("clone listener"), c, parts, WORLD, None)
+                    .expect("serve")
             })
         });
         let clients: Vec<_> = (0..WORLD)
@@ -1115,8 +1107,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let server = std::thread::spawn(move || {
-            let parts: Vec<(usize, Dimd)> =
-                (0..WORLD).map(|v| (v, partition(&ds, v))).collect();
+            let parts: Vec<(usize, Dimd)> = (0..WORLD).map(|v| (v, partition(&ds, v))).collect();
             let parts = std::sync::Mutex::new(Some(parts));
             run_cluster(1, move |c| {
                 let parts = parts.lock().expect("parts").take().expect("one server rank");

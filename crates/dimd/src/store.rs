@@ -38,10 +38,7 @@ impl Dimd {
         let records: Vec<Record> = (0..ds.train_len())
             .filter(|i| i % group_size == group_rank)
             .map(|i| {
-                (
-                    crate::codec::encode_image(&ds.train_image(i), quality),
-                    ds.train_label(i) as u32,
-                )
+                (crate::codec::encode_image(&ds.train_image(i), quality), ds.train_label(i) as u32)
             })
             .collect();
         Self::from_records(records, seed)
@@ -281,10 +278,7 @@ impl ValSet {
     pub fn load(ds: &SynthImageNet, quality: u8) -> Self {
         let records: Vec<Record> = (0..ds.val_len())
             .map(|i| {
-                (
-                    crate::codec::encode_image(&ds.val_image(i), quality),
-                    ds.val_label(i) as u32,
-                )
+                (crate::codec::encode_image(&ds.val_image(i), quality), ds.val_label(i) as u32)
             })
             .collect();
         ValSet { records }

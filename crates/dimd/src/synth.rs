@@ -133,9 +133,11 @@ impl SynthImageNet {
     }
 
     fn render(&self, class: usize, salt: u64, val: bool) -> RawImage {
-        let mut mix = salt
-            .wrapping_add(self.cfg.seed)
-            .wrapping_add(if val { 0x5851_F42D_4C95_7F2D } else { 0 });
+        let mut mix = salt.wrapping_add(self.cfg.seed).wrapping_add(if val {
+            0x5851_F42D_4C95_7F2D
+        } else {
+            0
+        });
         mix ^= mix >> 30;
         mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         mix ^= mix >> 27;
@@ -185,9 +187,11 @@ mod tests {
         use super::super::*;
 
         pub fn render(ds: &SynthImageNet, class: usize, salt: u64, val: bool) -> RawImage {
-            let mut mix = salt
-                .wrapping_add(ds.cfg.seed)
-                .wrapping_add(if val { 0x5851_F42D_4C95_7F2D } else { 0 });
+            let mut mix = salt.wrapping_add(ds.cfg.seed).wrapping_add(if val {
+                0x5851_F42D_4C95_7F2D
+            } else {
+                0
+            });
             mix ^= mix >> 30;
             mix = mix.wrapping_mul(0xBF58_476D_1CE4_E5B9);
             mix ^= mix >> 27;
