@@ -26,14 +26,23 @@ pub type Record = (Vec<u8>, u32);
 /// segments between ranks and mini-batches from a blob server to its
 /// clients (`dimd::service`).
 pub fn pack(records: &[Record]) -> Vec<u8> {
-    let total: usize = records.iter().map(|(b, _)| 8 + b.len()).sum();
-    let mut out = Vec::with_capacity(total);
+    let mut out = Vec::with_capacity(packed_len(records));
+    pack_into(&mut out, records);
+    out
+}
+
+/// Append the [`pack`] encoding of `records` to `out` — the one encoder,
+/// which the shuffle also calls to pack straight into a send buffer.
+fn pack_into(out: &mut Vec<u8>, records: &[Record]) {
     for (bytes, label) in records {
         out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(&label.to_le_bytes());
         out.extend_from_slice(bytes);
     }
-    out
+}
+
+fn packed_len(records: &[Record]) -> usize {
+    records.iter().map(|(b, _)| 8 + b.len()).sum()
 }
 
 /// What was wrong with a malformed packed record.
@@ -117,10 +126,7 @@ pub fn unpack(buf: &[u8], out: &mut Vec<Record>) -> Result<(), (usize, ShuffleEr
         let len = u32::from_le_bytes(rest[0..4].try_into().expect("4")) as usize;
         let label = u32::from_le_bytes(rest[4..8].try_into().expect("4"));
         if rest.len() < 8 + len {
-            return Err((
-                off,
-                ShuffleErrorKind::Payload { need: len, remaining: rest.len() - 8 },
-            ));
+            return Err((off, ShuffleErrorKind::Payload { need: len, remaining: rest.len() - 8 }));
         }
         out.push((rest[8..8 + len].to_vec(), label));
         off += 8 + len;
@@ -149,8 +155,7 @@ pub fn shuffle_records(
     seed: u64,
     max_segment_bytes: usize,
 ) -> Vec<Record> {
-    try_shuffle_records(comm, records, seed, max_segment_bytes)
-        .unwrap_or_else(|e| panic!("{e}"))
+    try_shuffle_records(comm, records, seed, max_segment_bytes).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`shuffle_records`], but a dead peer or a malformed received buffer
@@ -247,83 +252,80 @@ pub fn try_shuffle_hosted(
     let mut parts: Vec<PartState> = mine
         .into_iter()
         .map(|p| {
-            let mut rng =
-                StdRng::seed_from_u64(p.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ p.rng_id);
-            let assigned: Vec<(usize, Record)> = p
-                .records
-                .into_iter()
-                .map(|r| (rng.random_range(0..virtual_world), r))
-                .collect();
+            let mut rng = StdRng::seed_from_u64(p.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ p.rng_id);
+            let assigned: Vec<(usize, Record)> =
+                p.records.into_iter().map(|r| (rng.random_range(0..virtual_world), r)).collect();
             (p.virtual_rank, p.rng_id, p.seed, assigned)
         })
         .collect();
     let local_of: std::collections::HashMap<usize, usize> =
         parts.iter().enumerate().map(|(i, p)| (p.0, i)).collect();
 
-    let mut received: Vec<Vec<Record>> = parts.iter().map(|_| Vec::new()).collect();
-    let mut round = 0usize;
     // Segment greedily per virtual rank: each alltoallv round ships at most
-    // `max_segment_bytes` of payload from each partition — and every fabric
-    // rank participates in the same number of rounds, coordinated via an
-    // allgather of the worst remaining count.
-    loop {
-        let mut cuts = Vec::with_capacity(parts.len());
-        let mut my_remaining = 0u64;
-        for (_, _, _, assigned) in &parts {
-            let mut seg_bytes = 0usize;
-            let mut end = 0usize;
-            while end < assigned.len() {
-                let sz = 8 + assigned[end].1 .0.len();
-                if seg_bytes + sz > max_segment_bytes && end > 0 {
-                    break;
+    // `max_segment_bytes` of payload from each partition (and at least one
+    // record). Every fabric rank runs the most segments any partition
+    // needs, agreed in one allgather.
+    let segments: Vec<Vec<usize>> = parts
+        .iter()
+        .map(|(_, _, _, assigned)| {
+            let (mut lens, mut n, mut bytes) = (Vec::new(), 0usize, 0usize);
+            for (_, (b, _)) in assigned {
+                if n > 0 && bytes + 8 + b.len() > max_segment_bytes {
+                    lens.push(std::mem::take(&mut n));
+                    bytes = 0;
                 }
-                seg_bytes += sz;
-                end += 1;
+                n += 1;
+                bytes += 8 + b.len();
             }
-            my_remaining = my_remaining.max(assigned.len() as u64);
-            cuts.push(end);
-        }
+            lens.extend((n > 0).then_some(n));
+            lens
+        })
+        .collect();
+    let most = segments.iter().map(Vec::len).max().unwrap_or(0) as u64;
+    let rounds = try_allgather_bytes(comm, most.to_le_bytes().to_vec())?
+        .iter()
+        .map(|b| u64::from_le_bytes(b.as_slice().try_into().expect("8")))
+        .max()
+        .expect("non-empty cluster") as usize;
 
-        // Do all fabric ranks agree there is nothing left?
-        let flags = try_allgather_bytes(comm, my_remaining.to_le_bytes().to_vec())?;
-        let global_remaining: u64 = flags
-            .iter()
-            .map(|b| u64::from_le_bytes(b.as_slice().try_into().expect("8")))
-            .max()
-            .expect("non-empty cluster");
-        if global_remaining == 0 {
-            break;
-        }
-
-        // Frame this round's traffic per destination *server*: a run of
-        // `src_virtual u32 | dst_virtual u32 | len u32 | packed records`
-        // sub-chunks, so the receiver can replay appends in virtual-source
-        // order regardless of which server carried them.
-        let mut send: Vec<Vec<u8>> = vec![Vec::new(); fabric];
-        for ((u, _, _, assigned), end) in parts.iter_mut().zip(&cuts) {
+    let mut received: Vec<Vec<Record>> = parts.iter().map(|_| Vec::new()).collect();
+    for round in 0..rounds {
+        // Sub-chunks keyed (virtual dst, virtual src); the BTreeMap
+        // iteration replays each partition's appends in virtual-source
+        // order — exactly the classic path's `for src in 0..n` order. A
+        // sub-chunk bound for a partition hosted here is moved into its
+        // slot uncopied; every other one leaves in its server's send buffer
+        // as `src_virtual u32 | dst_virtual u32 | len u32 | packed records`.
+        let mut chunks: std::collections::BTreeMap<(usize, usize), Vec<Record>> =
+            std::collections::BTreeMap::new();
+        let mut outgoing = Vec::new();
+        let mut send_len = vec![0usize; fabric];
+        for ((u, _, _, assigned), lens) in parts.iter_mut().zip(&segments) {
             let mut per_dest: Vec<Vec<Record>> = vec![Vec::new(); virtual_world];
-            for (dest, rec) in assigned.drain(..*end) {
+            for (dest, rec) in assigned.drain(..lens.get(round).copied().unwrap_or(0)) {
                 per_dest[dest].push(rec);
             }
-            for (v, recs) in per_dest.iter().enumerate() {
-                if recs.is_empty() {
-                    continue;
+            for (v, recs) in per_dest.into_iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+                let host = host_of(v);
+                if host == comm.rank() {
+                    chunks.insert((v, *u), recs);
+                } else {
+                    let len = packed_len(&recs);
+                    send_len[host] += 12 + len;
+                    outgoing.push((host, *u, v, len, recs));
                 }
-                let body = pack(recs);
-                let out = &mut send[host_of(v)];
-                out.extend_from_slice(&(*u as u32).to_le_bytes());
-                out.extend_from_slice(&(v as u32).to_le_bytes());
-                out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                out.extend_from_slice(&body);
             }
+        }
+        let mut send: Vec<Vec<u8>> = send_len.into_iter().map(Vec::with_capacity).collect();
+        for (host, u, v, len, recs) in outgoing {
+            let out = &mut send[host];
+            out.extend_from_slice(&(u as u32).to_le_bytes());
+            out.extend_from_slice(&(v as u32).to_le_bytes());
+            out.extend_from_slice(&(len as u32).to_le_bytes());
+            pack_into(out, &recs);
         }
         let recv = try_alltoallv_bytes(comm, send)?;
 
-        // Gather sub-chunks keyed (virtual dst, virtual src); the BTreeMap
-        // iteration then replays each partition's appends in virtual-source
-        // order — exactly the classic path's `for src in 0..n` order.
-        let mut chunks: std::collections::BTreeMap<(usize, usize), Vec<Record>> =
-            std::collections::BTreeMap::new();
         for (src_server, buf) in recv.iter().enumerate() {
             let mut off = 0usize;
             while off < buf.len() {
@@ -338,8 +340,7 @@ pub fn try_shuffle_hosted(
                     .into());
                 }
                 let u = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4")) as usize;
-                let v =
-                    u32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("4")) as usize;
+                let v = u32::from_le_bytes(buf[off + 4..off + 8].try_into().expect("4")) as usize;
                 let len =
                     u32::from_le_bytes(buf[off + 8..off + 12].try_into().expect("4")) as usize;
                 off += 12;
@@ -370,7 +371,6 @@ pub fn try_shuffle_hosted(
                 .expect("received a chunk for a partition not hosted here: host_of mismatch");
             received[li].extend(recs);
         }
-        round += 1;
     }
 
     // Local permutation per virtual rank (the paper's final
@@ -385,7 +385,7 @@ pub fn try_shuffle_hosted(
             (v, recs)
         })
         .collect();
-    Ok(HostedShuffle { partitions, rounds: round })
+    Ok(HostedShuffle { partitions, rounds })
 }
 
 /// Byte-count matrix of one shuffle round for virtual-time simulation:
@@ -412,7 +412,7 @@ pub fn shuffle_counts_matrix(nodes: usize, partition_bytes: f64, groups: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcnn_collectives::run_cluster;
+    use dcnn_collectives::{run_cluster, ClusterBuilder};
     use std::collections::HashMap;
 
     fn make_records(rank: usize, count: usize) -> Vec<Record> {
@@ -452,24 +452,18 @@ mod tests {
         let before: Vec<Vec<Record>> = (0..n).map(|r| make_records(r, 30)).collect();
         let expect = census(&before);
         // Tiny cap: forces many alltoallv rounds (Algorithm 2's m > 1).
-        let after = run_cluster(n, |c| {
-            shuffle_records(c, make_records(c.rank(), 30), 7, 64)
-        });
+        let after = run_cluster(n, |c| shuffle_records(c, make_records(c.rank(), 30), 7, 64));
         assert_eq!(census(&after), expect);
     }
 
     #[test]
     fn shuffle_actually_moves_records() {
         let n = 4;
-        let after = run_cluster(n, |c| {
-            shuffle_records(c, make_records(c.rank(), 40), 3, MPI_COUNT_LIMIT)
-        });
+        let after =
+            run_cluster(n, |c| shuffle_records(c, make_records(c.rank(), 40), 3, MPI_COUNT_LIMIT));
         // Rank 0 should now hold some records that originated elsewhere
         // (labels ≥ 1000).
-        assert!(
-            after[0].iter().any(|(_, label)| *label >= 1000),
-            "no foreign records on rank 0"
-        );
+        assert!(after[0].iter().any(|(_, label)| *label >= 1000), "no foreign records on rank 0");
     }
 
     #[test]
@@ -481,19 +475,13 @@ mod tests {
             shuffle_records(c, recs, 11, MPI_COUNT_LIMIT)
         });
         for (r, recs) in after.iter().enumerate() {
-            assert!(
-                (60..=140).contains(&recs.len()),
-                "rank {r} got {} records",
-                recs.len()
-            );
+            assert!((60..=140).contains(&recs.len()), "rank {r} got {} records", recs.len());
         }
     }
 
     #[test]
     fn single_rank_shuffle_is_local_permutation() {
-        let out = run_cluster(1, |c| {
-            shuffle_records(c, make_records(0, 10), 5, MPI_COUNT_LIMIT)
-        });
+        let out = run_cluster(1, |c| shuffle_records(c, make_records(0, 10), 5, MPI_COUNT_LIMIT));
         assert_eq!(out[0].len(), 10);
     }
 
@@ -559,12 +547,11 @@ mod tests {
         unpack(&packed, &mut out).expect("intact buffer");
         assert_eq!(out.len(), 3);
         // Chop mid-payload: the header promises more than remains.
-        let (off, kind) = unpack(&packed[..packed.len() - 2], &mut Vec::new())
-            .expect_err("truncated payload");
+        let (off, kind) =
+            unpack(&packed[..packed.len() - 2], &mut Vec::new()).expect_err("truncated payload");
         assert!(matches!(kind, ShuffleErrorKind::Payload { .. }), "{kind:?}");
         // Chop mid-header of the first record.
-        let (off0, kind0) =
-            unpack(&packed[..5], &mut Vec::new()).expect_err("truncated header");
+        let (off0, kind0) = unpack(&packed[..5], &mut Vec::new()).expect_err("truncated header");
         assert_eq!(off0, 0);
         assert_eq!(kind0, ShuffleErrorKind::Header { remaining: 5 });
         // The rendered error names every coordinate an operator needs.
@@ -640,9 +627,8 @@ mod tests {
         // the receive order, so equality here proves the hosted greedy cuts
         // and round count replay the classic ones per virtual rank.
         let t = 4;
-        let classic = run_cluster(t, |c| {
-            shuffle_records(c, make_records(c.rank(), 25), vseed(c.rank()), 96)
-        });
+        let classic =
+            run_cluster(t, |c| shuffle_records(c, make_records(c.rank(), 25), vseed(c.rank()), 96));
         let (hosted, rounds) = hosted_run(2, t, 96);
         assert_eq!(hosted, classic);
         assert!(rounds >= 2, "cap did not engage segmentation (rounds={rounds})");
@@ -655,6 +641,53 @@ mod tests {
             run_cluster(1, |c| shuffle_records(c, make_records(0, 25), vseed(0), MPI_COUNT_LIMIT));
         assert_eq!(hosted, classic);
         assert_eq!(rounds, 0);
+    }
+
+    #[test]
+    fn records_staying_on_their_rank_keep_their_buffers() {
+        let out = run_cluster(2, |c| {
+            // Spare capacity tells a moved buffer from a copy even when the
+            // allocator hands a copy a freed address.
+            let mut records = make_records(c.rank(), 40);
+            records.iter_mut().for_each(|(b, _)| b.reserve_exact(1));
+            let bufs: HashMap<usize, usize> =
+                records.iter().map(|(b, _)| (b.as_ptr() as usize, b.capacity())).collect();
+            let after = shuffle_records(c, records, 17, MPI_COUNT_LIMIT);
+            let stayed: Vec<&Record> =
+                after.iter().filter(|(_, label)| *label as usize / 1000 == c.rank()).collect();
+            let kept = stayed
+                .iter()
+                .filter(|(b, _)| bufs.get(&(b.as_ptr() as usize)) == Some(&b.capacity()));
+            (stayed.len(), kept.count())
+        });
+        for (rank, (stayed, kept)) in out.into_iter().enumerate() {
+            assert!(stayed > 0, "rank {rank}: no record stayed");
+            assert_eq!(kept, stayed, "rank {rank}: {kept} of {stayed} staying records kept");
+        }
+    }
+
+    #[test]
+    fn the_round_count_is_agreed_in_one_collective() {
+        // A 96-byte cap forces several rounds; two shuffles back to back.
+        let run = ClusterBuilder::new(2).run(|c| {
+            (0..2u64)
+                .map(|seed| {
+                    let mine = vec![HostedPartition {
+                        virtual_rank: c.rank(),
+                        rng_id: c.rank() as u64,
+                        seed,
+                        records: make_records(c.rank(), 25),
+                    }];
+                    try_shuffle_hosted(c, mine, 2, |v| v, 96).expect("clean exchange").rounds
+                })
+                .sum::<usize>()
+        });
+        let rounds = run.results[0];
+        assert!(rounds >= 2 * 2, "cap did not engage segmentation (rounds={rounds})");
+        let phases = &run.stats[0].phase_ns;
+        let count = |label: &str| phases.iter().find(|p| p.0 == label).map_or(0, |p| p.2);
+        assert_eq!(count("allgather"), 2, "one allgather per shuffle expected; {phases:?}");
+        assert_eq!(count("alltoallv"), rounds as u64, "one alltoallv per round; {phases:?}");
     }
 
     #[test]
