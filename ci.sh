@@ -54,10 +54,10 @@ if git grep -nF '#[allow(clippy::too_many_arguments)]' -- 'crates/trainer/src'; 
     exit 1
 fi
 
-# dcnn-dimd is held to the house style (rustfmt.toml): any diff `cargo fmt`
-# would make there fails the gate, printed.
-if ! cargo fmt -p dcnn-dimd -- --check; then
-    echo "ci.sh: crates/dimd is not rustfmt-clean; run cargo fmt -p dcnn-dimd" >&2
+# dcnn-dimd and dcnn-trainer are held to the house style (rustfmt.toml): any
+# diff `cargo fmt` would make there fails the gate, printed.
+if ! cargo fmt -p dcnn-dimd -p dcnn-trainer -- --check; then
+    echo "ci.sh: crates/dimd or crates/trainer is not rustfmt-clean; run cargo fmt -p dcnn-dimd -p dcnn-trainer" >&2
     exit 1
 fi
 

@@ -10,8 +10,8 @@
 //! and can damp stale gradients by `1/(1+staleness)` (the staleness-aware
 //! rule of Zhang et al., the paper's reference \[10\]).
 
-use dcnn_collectives::runtime::{Comm, CommError, Payload};
 use dcnn_collectives::run_cluster;
+use dcnn_collectives::runtime::{Comm, CommError, Payload};
 use dcnn_dimd::{Dimd, SynthImageNet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
 use dcnn_tensor::layers::{collect_params, set_grads, set_params, Module};
@@ -298,8 +298,7 @@ mod tests {
         // Each worker has at most one gradient in flight, so *typical*
         // staleness is below the worker count (a slow worker can exceed it
         // while the others keep cycling, so the max is not bounded by it).
-        let mean =
-            stats.staleness.iter().sum::<u64>() as f64 / stats.staleness.len().max(1) as f64;
+        let mean = stats.staleness.iter().sum::<u64>() as f64 / stats.staleness.len().max(1) as f64;
         assert!(mean < 2.0 * 4.0, "mean staleness {mean}");
     }
 

@@ -275,9 +275,8 @@ pub fn payload_segments(elems: usize, bucket_bytes: usize) -> Vec<ParamSegment> 
 /// reduction (an all-zeros payload would fingerprint identically under a
 /// broken algorithm).
 fn cell_fill(rank: usize, elems: usize, iter: u64) -> Vec<f32> {
-    let mut state = 0x9e37_79b9_u64
-        .wrapping_mul(rank as u64 + 1)
-        .wrapping_add(iter.wrapping_mul(0x85eb_ca6b));
+    let mut state =
+        0x9e37_79b9_u64.wrapping_mul(rank as u64 + 1).wrapping_add(iter.wrapping_mul(0x85eb_ca6b));
     (0..elems)
         .map(|_| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -394,8 +393,8 @@ mod tests {
         };
         assert_eq!(CellMeasurement::from_json(&m.to_json()), Ok(m));
         let cell = spec("auto:ring,halving-doubling", 4096, "hooked", 4);
-        let doc: Value = serde_json::from_str(&serde_json::to_string(&cell).expect("json"))
-            .expect("parses");
+        let doc: Value =
+            serde_json::from_str(&serde_json::to_string(&cell).expect("json")).expect("parses");
         assert_eq!(CellSpec::from_value(&doc), Ok(cell));
         assert!(CellMeasurement::from_json("{}").unwrap_err().contains("wall_ns"));
     }
@@ -430,11 +429,7 @@ mod tests {
         ] {
             let est = cell.simulate(&cost).expect("simulates");
             assert!(est.sim_ns > 0.0, "{}: {est:?}", cell.id());
-            assert!(
-                (0.0..=1.0).contains(&est.max_link_utilization),
-                "{}: {est:?}",
-                cell.id()
-            );
+            assert!((0.0..=1.0).contains(&est.max_link_utilization), "{}: {est:?}", cell.id());
         }
         let bad = spec("warp-speed", 0, "fused", 4);
         assert!(bad.policy().is_err());

@@ -19,9 +19,7 @@
 //!   wrote the files.
 
 use dcnn_collectives::crc32;
-use dcnn_tensor::layers::{
-    collect_momentum, collect_params, set_momentum, set_params, Module,
-};
+use dcnn_tensor::layers::{collect_momentum, collect_params, set_momentum, set_params, Module};
 
 use crate::shard::ShardMap;
 
@@ -154,8 +152,7 @@ impl Checkpoint {
     /// Serialize to a byte buffer (`DCKP` header + params + momentum +
     /// CRC-32 trailer).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(20 + 4 * (self.params.len() + self.momentum.len()));
+        let mut out = Vec::with_capacity(20 + 4 * (self.params.len() + self.momentum.len()));
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
@@ -304,8 +301,7 @@ impl ShardCheckpoint {
     /// Serialize to a byte buffer (`DCKS` header + owned params + owned
     /// momentum + CRC-32 trailer).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(44 + 4 * (self.params.len() + self.momentum.len()));
+        let mut out = Vec::with_capacity(44 + 4 * (self.params.len() + self.momentum.len()));
         out.extend_from_slice(SHARD_MAGIC);
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.meta.rank.to_le_bytes());
@@ -443,14 +439,8 @@ mod tests {
 
     #[test]
     fn too_short_buffer_is_typed_error() {
-        assert_eq!(
-            Checkpoint::from_bytes(&[0u8; 3]),
-            Err(CheckpointError::TooShort { len: 3 })
-        );
-        assert_eq!(
-            Checkpoint::from_bytes(&[]),
-            Err(CheckpointError::TooShort { len: 0 })
-        );
+        assert_eq!(Checkpoint::from_bytes(&[0u8; 3]), Err(CheckpointError::TooShort { len: 3 }));
+        assert_eq!(Checkpoint::from_bytes(&[]), Err(CheckpointError::TooShort { len: 0 }));
     }
 
     #[test]
@@ -467,17 +457,11 @@ mod tests {
         let full = Checkpoint::capture(m.as_mut(), 1).to_bytes();
         // Chop one byte off the end: header still promises the full size.
         let err = Checkpoint::from_bytes(&full[..full.len() - 1]).expect_err("truncated");
-        assert_eq!(
-            err,
-            CheckpointError::Truncated { expected: full.len(), len: full.len() - 1 }
-        );
+        assert_eq!(err, CheckpointError::Truncated { expected: full.len(), len: full.len() - 1 });
         // A corrupt (absurd) count must error, not attempt a huge allocation.
         let mut bomb = full[..16].to_vec();
         bomb[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            Checkpoint::from_bytes(&bomb),
-            Err(CheckpointError::Truncated { .. })
-        ));
+        assert!(matches!(Checkpoint::from_bytes(&bomb), Err(CheckpointError::Truncated { .. })));
     }
 
     #[test]
@@ -579,22 +563,13 @@ mod tests {
     fn merge_rejects_inconsistent_shards() {
         let mut m = model();
         let full = Checkpoint::capture(m.as_mut(), 2);
-        assert!(matches!(
-            Checkpoint::merge(&[]),
-            Err(CheckpointError::ShardMismatch { .. })
-        ));
+        assert!(matches!(Checkpoint::merge(&[]), Err(CheckpointError::ShardMismatch { .. })));
         // Missing a rank.
         let partial = [full.to_shard(0, 3), full.to_shard(1, 3)];
-        assert!(matches!(
-            Checkpoint::merge(&partial),
-            Err(CheckpointError::ShardMismatch { .. })
-        ));
+        assert!(matches!(Checkpoint::merge(&partial), Err(CheckpointError::ShardMismatch { .. })));
         // Duplicate rank.
         let dup = [full.to_shard(0, 2), full.to_shard(0, 2)];
-        assert!(matches!(
-            Checkpoint::merge(&dup),
-            Err(CheckpointError::ShardMismatch { .. })
-        ));
+        assert!(matches!(Checkpoint::merge(&dup), Err(CheckpointError::ShardMismatch { .. })));
         // Epoch skew.
         let mut skew = [full.to_shard(0, 2), full.to_shard(1, 2)];
         skew[1].epoch = 3;
@@ -632,8 +607,7 @@ mod tests {
         let total = collect_params(rep.as_mut()).len();
         let sm = ShardMap::new(total, world);
         let mut ranks: Vec<Box<dyn Module>> = (0..world).map(|_| model()).collect();
-        let mut vel: Vec<Vec<f32>> =
-            (0..world).map(|r| vec![0.0f32; sm.owned(r).len()]).collect();
+        let mut vel: Vec<Vec<f32>> = (0..world).map(|r| vec![0.0f32; sm.owned(r).len()]).collect();
         for m in &mut ranks {
             release_momentum(m.as_mut());
         }

@@ -330,11 +330,7 @@ pub fn try_train_on_comm(
     ds: &SynthImageNet,
     factory: &(impl Fn() -> Box<dyn Module> + Sync),
 ) -> Result<Vec<EpochStats>, CommError> {
-    assert_eq!(
-        cfg.nodes,
-        comm.size(),
-        "cfg.nodes must match the communicator's size"
-    );
+    assert_eq!(cfg.nodes, comm.size(), "cfg.nodes must match the communicator's size");
     let mut trainer = Trainer::new(comm, cfg, ds, factory);
     let mut stats = Vec::with_capacity(cfg.epochs);
     let mut run = || {
@@ -810,10 +806,7 @@ mod tests {
         assert_eq!(stats.len(), 5);
         let first = stats.first().expect("stats").train_loss;
         let last = stats.last().expect("stats").train_loss;
-        assert!(
-            last < first * 0.9,
-            "loss should fall: {first:.3} → {last:.3}"
-        );
+        assert!(last < first * 0.9, "loss should fall: {first:.3} → {last:.3}");
     }
 
     #[test]
@@ -831,11 +824,7 @@ mod tests {
         for s in &stats {
             assert!(s.comm_bytes > 0, "epoch {}: no bytes counted", s.epoch);
             assert!(s.comm_msgs > 0, "epoch {}: no messages counted", s.epoch);
-            assert!(
-                s.allreduce_secs > 0.0,
-                "epoch {}: allreduce phase not timed",
-                s.epoch
-            );
+            assert!(s.allreduce_secs > 0.0, "epoch {}: allreduce phase not timed", s.epoch);
             assert!(s.comm_wait_secs >= 0.0);
         }
     }
@@ -875,10 +864,7 @@ mod tests {
         // node counts converge, to within an absolute noise band.
         assert!(l1 < 0.5, "1-node failed to converge: loss {l1:.3}");
         assert!(l2 < 0.5, "2-node failed to converge: loss {l2:.3}");
-        assert!(
-            (l1 - l2).abs() < 0.3,
-            "1-node {l1:.3} vs 2-node {l2:.3} should be similar"
-        );
+        assert!((l1 - l2).abs() < 0.3, "1-node {l1:.3} vs 2-node {l2:.3} should be similar");
     }
 
     #[test]
@@ -1519,4 +1505,3 @@ mod tests {
         assert!(last.contains("<="), "table never froze: {last:?}");
     }
 }
-

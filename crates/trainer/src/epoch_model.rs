@@ -18,10 +18,10 @@
 use dcnn_collectives::{AllreduceAlgo, CostModel};
 use dcnn_dimd::shuffle::shuffle_counts_matrix;
 use dcnn_dimd::FileServer;
+use dcnn_dpt::{iter_overhead_secs, DptParams, DptVariant};
 use dcnn_gpusim::NodeModel;
 use dcnn_models::ModelCensus;
 use dcnn_simnet::{FatTree, SimOptions};
-use dcnn_dpt::{iter_overhead_secs, DptParams, DptVariant};
 
 /// A dataset's externally visible numbers (we model ImageNet-1k/-22k by
 /// their sizes; the synthetic data stands in for content, not volume).
@@ -238,7 +238,8 @@ impl EpochTimeModel {
         let payload = payload_override.unwrap_or_else(|| census.payload_bytes());
 
         let compute_iter = node.device.train_step_secs(census, batch_per_gpu);
-        let variant = if flags.dpt_optimized { DptVariant::Optimized } else { DptVariant::Baseline };
+        let variant =
+            if flags.dpt_optimized { DptVariant::Optimized } else { DptVariant::Baseline };
         let dpt_iter =
             iter_overhead_secs(census, batch_node, node, &self.dpt_params, variant).total();
         let allreduce_iter = self.allreduce_secs(&flags.allreduce, payload);
@@ -248,8 +249,7 @@ impl EpochTimeModel {
             // by the donkeys; only the periodic shuffle is paid.
             (
                 0.0,
-                self.cluster.shuffles_per_epoch as f64
-                    * self.shuffle_secs(workload.blob_bytes, 1),
+                self.cluster.shuffles_per_epoch as f64 * self.shuffle_secs(workload.blob_bytes, 1),
             )
         } else {
             (self.stock_data_secs(workload), 0.0)

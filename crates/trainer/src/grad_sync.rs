@@ -620,8 +620,7 @@ mod tests {
                     (0..total).map(|i| ((i * 37 + rank * 11) as f32 * 0.618).sin()).collect()
                 };
                 let mut replicated = mk(comm.rank());
-                GradSync::with_policy(algo_kind.into(), &s, 0, false)
-                    .reduce(comm, &mut replicated);
+                GradSync::with_policy(algo_kind.into(), &s, 0, false).reduce(comm, &mut replicated);
                 let sm = ShardMap::new(total, comm.size());
                 let mut sharded = mk(comm.rank());
                 GradSync::with_policy(algo_kind.into(), &s, 0, false)
@@ -650,12 +649,15 @@ mod tests {
         for bucket_bytes in [0, 128] {
             let s = segs(&[33, 5, 61, 2]);
             let run = ClusterBuilder::new(3).run(move |comm| {
-                let gsync =
-                    GradSync::with_policy(AllreduceAlgo::MultiColor(4).into(), &s, bucket_bytes, false)
-                        .with_shards(ShardMap::new(total, comm.size()));
+                let gsync = GradSync::with_policy(
+                    AllreduceAlgo::MultiColor(4).into(),
+                    &s,
+                    bucket_bytes,
+                    false,
+                )
+                .with_shards(ShardMap::new(total, comm.size()));
                 let step = || {
-                    let mut grad: Vec<f32> =
-                        (0..total).map(|i| (i + comm.rank()) as f32).collect();
+                    let mut grad: Vec<f32> = (0..total).map(|i| (i + comm.rank()) as f32).collect();
                     gsync.reduce(comm, &mut grad);
                     comm.stats().phase_ns.iter().find(|p| p.0 == "scatter-plan").map(|p| p.2)
                 };
@@ -663,7 +665,10 @@ mod tests {
             });
             for (rank, (first, second, buckets)) in run.results.into_iter().enumerate() {
                 assert_eq!(first, Some(buckets), "bucket_bytes={bucket_bytes} rank {rank}");
-                assert_eq!(second, first, "bucket_bytes={bucket_bytes} rank {rank}: step 2 planned");
+                assert_eq!(
+                    second, first,
+                    "bucket_bytes={bucket_bytes} rank {rank}: step 2 planned"
+                );
             }
         }
     }
@@ -692,8 +697,7 @@ mod tests {
                 .with_shards(sm.clone())
                 .reduce(comm, &mut bucketed);
 
-            let gsync =
-                GradSync::with_policy(algo.into(), &s, 128, false).with_shards(sm.clone());
+            let gsync = GradSync::with_policy(algo.into(), &s, 128, false).with_shards(sm.clone());
             let mut streamed = mk(comm.rank());
             let mut stream = gsync.begin(comm);
             for seg in s.iter().rev() {
@@ -833,8 +837,10 @@ mod tests {
     fn undecided_multi_candidate_auto_panics_at_begin() {
         let s = segs(&[16]);
         run_cluster(2, move |comm| {
-            let policy =
-                AlgoPolicy::Auto(vec![AllreduceAlgo::PipelinedRing, AllreduceAlgo::HalvingDoubling]);
+            let policy = AlgoPolicy::Auto(vec![
+                AllreduceAlgo::PipelinedRing,
+                AllreduceAlgo::HalvingDoubling,
+            ]);
             GradSync::with_policy(policy, &s, 0, false).reduce(comm, &mut [0.0; 16]);
         });
     }

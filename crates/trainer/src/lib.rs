@@ -32,6 +32,6 @@ pub use checkpoint::{Checkpoint, CheckpointError, ShardCheckpoint, ShardMeta};
 pub use distributed::{
     train_distributed, train_on_comm, try_train_on_comm, EpochStats, TrainConfig,
 };
-pub use grad_sync::{plan_buckets, Bucket, GradStream, GradSync};
 pub use epoch_model::{ClusterSetup, EpochBreakdown, EpochTimeModel, OptimizationFlags, Workload};
+pub use grad_sync::{plan_buckets, Bucket, GradStream, GradSync};
 pub use shard::ShardMap;

@@ -103,7 +103,8 @@ fn header_counts_that_overflow_the_length_are_refused_before_anything_is_sized_f
         u64::MAX / per_element,     // the multiply fits, the header on top does not
         1 << 40,
     ] {
-        for (good, header) in [(full().to_bytes(), FULL_HEADER), (shard().to_bytes(), SHARD_HEADER)] {
+        for (good, header) in [(full().to_bytes(), FULL_HEADER), (shard().to_bytes(), SHARD_HEADER)]
+        {
             let mut bomb = good[..good.len() - 4].to_vec();
             bomb[header - 8..header].copy_from_slice(&count.to_le_bytes());
             let crc = dcnn_collectives::crc32(&bomb);
