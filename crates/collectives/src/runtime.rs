@@ -534,15 +534,22 @@ impl Comm {
     }
 
     fn send_raw(&self, dst: usize, tag: u32, payload: Payload) {
-        let gdst = self.group[dst];
-        self.local.bytes_sent.fetch_add(payload.len_bytes() as u64, Relaxed);
-        self.local.link_sent[gdst].fetch_add(payload.len_bytes() as u64, Relaxed);
-        self.local.msgs_sent.fetch_add(1, Relaxed);
-        self.local.trace(TraceEventKind::Send, self.comm_id, tag, Some(gdst), payload.len_bytes());
+        let gdst = self.count_send(dst, tag, payload.len_bytes());
         self.local.transport.send(
             gdst,
             WireMsg { src: self.global_rank, comm_id: self.comm_id, tag, payload },
         );
+    }
+
+    /// Count and trace one message of `bytes` to group rank `dst`; returns
+    /// its global rank.
+    fn count_send(&self, dst: usize, tag: u32, bytes: usize) -> usize {
+        let gdst = self.group[dst];
+        self.local.bytes_sent.fetch_add(bytes as u64, Relaxed);
+        self.local.link_sent[gdst].fetch_add(bytes as u64, Relaxed);
+        self.local.msgs_sent.fetch_add(1, Relaxed);
+        self.local.trace(TraceEventKind::Send, self.comm_id, tag, Some(gdst), bytes);
+        gdst
     }
 
     /// Receive the next message from group rank `src` with `tag`, or the
@@ -570,10 +577,15 @@ impl Comm {
         Ok(self.recv_from_sources(&[self.group[src]], false, tag, None, true)?.expect("blocking").1)
     }
 
-    /// Send an `f32` slice, copied once into a buffer from the transport's
-    /// [`crate::transport::BufPool`].
+    /// Send an `f32` slice. The transport takes it borrowed
+    /// ([`Transport::send_f32`]): a TCP send to a peer writes the frame
+    /// straight from it, and the threads backend (or a TCP self-send)
+    /// copies it once into a buffer from the transport's
+    /// [`crate::transport::BufPool`] for the receiver to own.
     pub fn send_f32(&self, dst: usize, tag: u32, data: &[f32]) {
-        self.send(dst, tag, Payload::f32(self.local.transport.pool().copy_of(data)));
+        assert!(tag < TAG_INTERNAL, "tag {tag:#x} is reserved for the runtime");
+        let gdst = self.count_send(dst, tag, std::mem::size_of_val(data));
+        self.local.transport.send_f32(gdst, self.global_rank, self.comm_id, tag, data);
     }
 
     /// Hand a received payload's buffer back to the transport's pool once

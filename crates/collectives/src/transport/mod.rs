@@ -256,13 +256,27 @@ pub trait Transport: Send + Sync {
     /// receive.
     fn send(&self, dst: usize, msg: WireMsg);
 
+    /// Send the `f32` slice `data` to global rank `dst` as one message from
+    /// `src` on `comm_id` with `tag`; the same contract as
+    /// [`Transport::send`]. The default copies the slice into a buffer from
+    /// [`Transport::pool`] and sends that, which is what a backend that
+    /// hands the receiver a buffer must do (the threads backend, a TCP
+    /// self-send); a backend that writes the bytes out before returning
+    /// overrides it to write straight from the slice.
+    fn send_f32(&self, dst: usize, src: usize, comm_id: u64, tag: u32, data: &[f32]) {
+        let payload = Payload::f32(self.pool().copy_of(data));
+        self.send(dst, WireMsg { src, comm_id, tag, payload });
+    }
+
     /// The mailbox this endpoint's receives wait on: the backend delivers
     /// every inbound message into it ([`Mailbox::deliver`]) and records
     /// every abnormal link death there ([`Mailbox::link_down`]).
     fn mailbox(&self) -> &Mailbox;
 
-    /// The [`BufPool`] this endpoint's `f32` messages cycle through: sends
-    /// copy into its buffers, and a consumer done with a received payload
+    /// The [`BufPool`] this endpoint's `f32` messages cycle through: a
+    /// [`Transport::send_f32`] that hands the receiver a buffer copies into
+    /// one of its buffers (a TCP send to a peer copies nothing), a TCP
+    /// reader reads into one, and a consumer done with a received payload
     /// returns the buffer to it.
     fn pool(&self) -> &BufPool;
 

@@ -36,17 +36,20 @@
 //! Each established connection gets a reader thread (parses frames, checks
 //! the CRC, delivers each [`WireMsg`] into the rank's [`Mailbox`], where the
 //! waiting receive takes it — the same mailbox the threaded backend's
-//! senders deliver into). [`Transport::send`] writes its frame on the
-//! calling thread under the link's lock, head, payload and CRC trailer in
-//! one vectored write ([`wire::write_frames_vectored`]). It waits for the
+//! senders deliver into). A send writes its frame on the calling thread
+//! under the link's lock, head, payload and CRC trailer in one vectored
+//! write: [`Transport::send`] from its payload's buffer
+//! ([`wire::write_frames_vectored`]), [`Transport::send_f32`] straight from
+//! the caller's slice ([`wire::write_f32_frame`]), so a collective's
+//! `Step::Send` is never copied before the socket takes it. It waits for the
 //! peer's kernel to take the bytes, never for a matching receive, so it
 //! cannot deadlock: every reader drains its socket whatever receives are
 //! posted.
 //!
-//! `f32` buffers cycle through the endpoint's [`BufPool`]: a send returns
-//! its payload once written, the reader takes the buffer it reads the next
-//! `f32` body into, and the rank returns a received payload once it has
-//! summed or copied it.
+//! `f32` buffers cycle through the endpoint's [`BufPool`]: a send of an
+//! owned payload returns it once written, the reader takes the buffer it
+//! reads the next `f32` body into, and the rank returns a received payload
+//! once it has summed or copied it.
 //!
 //! ## Failure semantics
 //!
@@ -70,7 +73,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::wire::{self, encode_bye, read_frame_with, FrameRead, FRAME_MAGIC};
-use super::{BufPool, Mailbox, Transport, WireMsg};
+use super::{BufPool, Mailbox, Payload, Transport, WireMsg};
 
 /// How long [`accept_until`] sleeps between polls of its listener. Picked
 /// by measurement: a two-rank loopback bootstrap takes ~0.6 ms at 200 µs,
@@ -509,6 +512,30 @@ impl TcpTransport {
         self.links[peer].lock().expect("a send panicked holding the link")
     }
 
+    /// Write one frame to `peer` with `write`, under the link's lock. A
+    /// send to a dead peer is dropped, not a panic: the link's death is
+    /// already in the mailbox, and the next receive touching that peer
+    /// turns it into a structured failure. A write that fails records the
+    /// death, naming a stall past the write timeout as such, and closes the
+    /// link.
+    fn write_to(&self, peer: usize, write: impl FnOnce(&mut TcpStream) -> io::Result<()>) {
+        let mut link = self.link(peer);
+        let Some(stream) = link.as_mut() else { return };
+        if let Err(e) = write(stream) {
+            let cause = match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                    format!("write failed: stalled for {:?}", self.write_timeout)
+                }
+                _ => format!("write failed: {e}"),
+            };
+            // Recorded before the shutdown, so the reader's EOF that
+            // follows it does not stand in for the cause.
+            self.mailbox.link_down(peer, cause);
+            let _ = stream.shutdown(Shutdown::Both);
+            *link = None;
+        }
+    }
+
     /// Fault injection: cut the live connection to `peer` at the socket
     /// level (both directions). Every side of the link observes the same
     /// thing a peer death produces — an EOF/reset with no BYE — so the
@@ -578,27 +605,17 @@ impl Transport for TcpTransport {
             self.mailbox.deliver(msg);
             return;
         }
-        let mut link = self.link(dst);
-        // A send to a dead peer is dropped, not a panic: the link's death
-        // is already in the mailbox, and the next receive touching that
-        // peer turns it into a structured failure.
-        if let Some(stream) = link.as_mut() {
-            if let Err(e) = wire::write_frames_vectored(stream, std::slice::from_ref(&msg)) {
-                let cause = match e.kind() {
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-                        format!("write failed: stalled for {:?}", self.write_timeout)
-                    }
-                    _ => format!("write failed: {e}"),
-                };
-                // Recorded before the shutdown, so the reader's EOF that
-                // follows it does not stand in for the cause.
-                self.mailbox.link_down(dst, cause);
-                let _ = stream.shutdown(Shutdown::Both);
-                *link = None;
-            }
-        }
-        drop(link);
+        self.write_to(dst, |stream| wire::write_frames_vectored(stream, std::slice::from_ref(&msg)));
         self.pool.recycle(msg.payload);
+    }
+
+    fn send_f32(&self, dst: usize, src: usize, comm_id: u64, tag: u32, data: &[f32]) {
+        if dst == self.rank {
+            let payload = Payload::f32(self.pool.copy_of(data));
+            self.mailbox.deliver(WireMsg { src, comm_id, tag, payload });
+            return;
+        }
+        self.write_to(dst, |stream| wire::write_f32_frame(stream, src, comm_id, tag, data));
     }
 
     fn mailbox(&self) -> &Mailbox {
@@ -647,7 +664,6 @@ impl Drop for TcpTransport {
 mod tests {
     use super::*;
     use crate::transport::tests::{link_down_cause, next_arrival};
-    use crate::transport::Payload;
     use std::sync::Arc;
 
     const TIMEOUT: Duration = Duration::from_secs(20);
@@ -1105,6 +1121,29 @@ mod tests {
         t0.send(1, msg(0, 5, Payload::bytes(vec![7, 8])));
         t0.shutdown();
         t.join().expect("rank 1 thread");
+    }
+
+    #[test]
+    fn an_f32_send_writes_from_the_slice_and_leaves_no_copy_in_the_pool() {
+        // The frame leaves from the caller's slice, so once the write has
+        // returned the sender's pool holds no send copy to recycle.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let data: Vec<f32> = (0..1 << 18).map(|i| (i as f32 * 1e-3).sin()).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let t = std::thread::spawn(move || {
+            let t1 = TcpTransport::connect(&addr, 1, 2, TIMEOUT).expect("rank 1");
+            let m = next_arrival(t1.mailbox(), Duration::from_secs(10)).expect("rank 0's slice");
+            t1.shutdown();
+            m
+        });
+        let t0 = TcpTransport::host(listener, 2, TIMEOUT).expect("rank 0");
+        t0.send_f32(1, 0, 7, 3, &data);
+        assert_eq!(t0.pool().len(), 0, "the send left a buffer in the pool");
+        t0.shutdown();
+        let m = t.join().expect("rank 1 thread");
+        assert_eq!((m.src, m.comm_id, m.tag), (0, 7, 3));
+        assert_eq!(bits(m.payload.as_f32()), bits(&data));
     }
 
     #[test]

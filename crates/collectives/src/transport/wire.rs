@@ -19,9 +19,11 @@
 //! the equivalence tests and the `dcnn-perf` baseline compare against it —
 //! but the hot path no longer uses it. Writers instead compute
 //! [`FrameParts`] (the 29-byte head and 4-byte CRC trailer around the
-//! payload) and hand head/payload/trailer to [`write_frames_vectored`],
-//! which pushes them through one `writev`-style call: the payload bytes go
-//! from the `Arc` buffer straight into the socket, never re-staged. On
+//! payload) and hand head/payload/trailer to one `writev`-style call
+//! ([`write_all_vectored`]): the payload bytes go from the buffer that
+//! holds them straight into the socket, never re-staged — an owned
+//! payload's `Arc` buffer ([`write_frames_vectored`]) or, for the rank
+//! fabric's `f32` sends, the caller's borrowed slice ([`write_f32_frame`]). On
 //! little-endian targets (everything we run on) an `f32` payload's wire
 //! bytes *are* its in-memory bytes, so the conversion is free too;
 //! big-endian targets pay one bounce buffer.
@@ -247,6 +249,22 @@ pub fn write_all_vectored(w: &mut impl Write, bufs: &[&[u8]]) -> io::Result<()> 
 /// kind is derived from its payload type.
 pub fn write_frames_vectored(w: &mut impl Write, msgs: &[WireMsg]) -> io::Result<()> {
     write_frames(w, msgs.iter().map(|m| (payload_kind(&m.payload), m)))
+}
+
+/// Write one `f32` frame whose payload is the borrowed slice `data`, head,
+/// body and trailer in one [`write_all_vectored`]: the rank fabric's `f32`
+/// send, which needs no owned [`Payload`] and so no copy of the slice.
+/// Byte-identical to [`encode_frame`] of the same message.
+pub fn write_f32_frame(
+    w: &mut impl Write,
+    src: usize,
+    comm_id: u64,
+    tag: u32,
+    data: &[f32],
+) -> io::Result<()> {
+    let body = f32s_as_le_bytes(data);
+    let parts = frame_parts(src, comm_id, tag, KIND_F32, &body);
+    write_all_vectored(w, &[&parts.head, &body, &parts.crc])
 }
 
 /// [`write_frames_vectored`] with each frame's kind given explicitly: the
@@ -500,28 +518,47 @@ mod tests {
         assert_eq!(batched, seq);
     }
 
+    /// Sink that accepts at most 3 bytes per call.
+    struct Dribble(Vec<u8>);
+    impl io::Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            // Only ever consume from the first slice, partially.
+            self.write(&bufs[0])
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn write_all_vectored_survives_short_writes() {
-        /// Sink that accepts at most 3 bytes per call.
-        struct Dribble(Vec<u8>);
-        impl io::Write for Dribble {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                let n = buf.len().min(3);
-                self.0.extend_from_slice(&buf[..n]);
-                Ok(n)
-            }
-            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-                // Only ever consume from the first slice, partially.
-                self.write(&bufs[0])
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         let parts: [&[u8]; 5] = [b"hello", b"", b" ", b"vectored", b" world"];
         let mut sink = Dribble(Vec::new());
         write_all_vectored(&mut sink, &parts).expect("all written");
         assert_eq!(sink.0, b"hello vectored world");
+    }
+
+    #[test]
+    fn slice_write_matches_staged_encoder_through_short_writes() {
+        // The borrowed-slice send puts the staged encoder's bytes on the
+        // wire, byte for byte, however the socket splits the write.
+        let slices: [Vec<f32>; 4] = [
+            vec![],
+            vec![f32::NAN, f32::INFINITY, -0.0, f32::MIN_POSITIVE / 8.0],
+            (0..1025).map(|i| (i as f32).sin()).collect(),
+            (0..1 << 14).map(|i| (i as f32 * 1e-3).cos()).collect(),
+        ];
+        for (i, data) in slices.iter().enumerate() {
+            let mut sink = Dribble(Vec::new());
+            write_f32_frame(&mut sink, 3 + i, 7, i as u32, data).expect("all written");
+            let staged = encode_frame(3 + i, 7, i as u32, &Payload::f32(data.clone()));
+            assert_eq!(sink.0, staged, "slice #{i}");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use std::ops::Range;
 
 use crate::layers::{visit_range, Module, Param, ALL};
-use crate::tensor::Tensor;
 
 /// Hyper-parameters for SGD (fb.resnet.torch defaults, which the paper uses).
 #[derive(Debug, Clone)]
@@ -43,7 +42,7 @@ impl Sgd {
     /// Apply one update at learning rate `lr` to every parameter of `m`,
     /// using the gradients currently stored in the parameters.
     pub fn step(&self, m: &mut dyn Module, lr: f32) {
-        self.update(m, lr, None, Grad::Params);
+        self.update(m, lr, ALL, None, Grad::Params);
     }
 
     /// [`Sgd::step`] reading the gradient from `flat` (the
@@ -58,7 +57,21 @@ impl Sgd {
     /// Panics if `flat` is not exactly the flattened parameter vector's
     /// length.
     pub fn step_flat(&self, m: &mut dyn Module, lr: f32, flat: &[f32], k: f32) {
-        self.update(m, lr, None, Grad::Flat(flat, k));
+        self.update(m, lr, ALL, None, Grad::Flat(flat, k));
+    }
+
+    /// [`Sgd::step_flat`] over the elements of the flattened vector inside
+    /// `range` only, reading element `i`'s gradient as
+    /// `g[i - range.start] * k`, with each parameter's own momentum. The
+    /// replicated trainer steps each bucket from its reduced payload this
+    /// way as its exchange completes; stepping any cut of the vector range
+    /// by range moves the same bits as one [`Sgd::step_flat`].
+    ///
+    /// # Panics
+    /// Panics if `g` is not `range`-sized or `range` ends past the vector.
+    pub fn step_slice(&self, m: &mut dyn Module, lr: f32, range: Range<usize>, g: &[f32], k: f32) {
+        assert_eq!(g.len(), range.len(), "gradient slice must be range-sized");
+        self.update(m, lr, range, None, Grad::Flat(g, k));
     }
 
     /// Range-restricted step for the sharded optimizer: update only the
@@ -75,29 +88,16 @@ impl Sgd {
         owned: Range<usize>,
         velocity: &mut [f32],
     ) {
-        self.update(m, lr, Some((owned, velocity)), Grad::Params);
+        self.update(m, lr, owned, Some(velocity), Grad::Params);
     }
 
-    /// [`Sgd::step_range`] reading `flat[owned] * k` as the gradient, the
-    /// sharded counterpart of [`Sgd::step_flat`].
-    pub fn step_range_flat(
-        &self,
-        m: &mut dyn Module,
-        lr: f32,
-        owned: Range<usize>,
-        velocity: &mut [f32],
-        flat: &[f32],
-        k: f32,
-    ) {
-        self.update(m, lr, Some((owned, velocity)), Grad::Flat(flat, k));
-    }
-
-    /// [`Sgd::step_range_flat`] that leaves each stepped value in `flat`,
-    /// in the slot it just read that element's gradient from: afterwards
-    /// `flat[owned]` holds the owned parameters ([`crate::layers::params_into`]
-    /// of `owned`) and the rest of `flat` is untouched. The sharded trainer
-    /// steps its gradient buffer into the parameter allgather's buffer this
-    /// way, without a second pass over the owned range.
+    /// [`Sgd::step_range`] reading `flat[owned] * k` as the gradient that
+    /// leaves each stepped value in `flat`, in the slot it just read that
+    /// element's gradient from: afterwards `flat[owned]` holds the owned
+    /// parameters ([`crate::layers::params_into`] of `owned`) and the rest
+    /// of `flat` is untouched. The sharded trainer steps its gradient
+    /// buffer into the parameter allgather's buffer this way, without a
+    /// second pass over the owned range.
     pub fn step_range_write_back(
         &self,
         m: &mut dyn Module,
@@ -107,69 +107,52 @@ impl Sgd {
         flat: &mut [f32],
         k: f32,
     ) {
-        self.update(m, lr, Some((owned, velocity)), Grad::WriteBack(flat, k));
+        self.update(m, lr, owned, Some(velocity), Grad::WriteBack(flat, k));
     }
 
     /// The walk behind every entry point: each element of the flattened
-    /// parameter vector inside the shard's owned range (all of them without
-    /// a shard) goes through [`sgd_update`], its momentum taken from the
-    /// shard's velocity buffer or else the parameter's own tensor.
+    /// parameter vector inside `range` ([`ALL`] for all of them) goes
+    /// through [`sgd_update`], its momentum taken from the shard's
+    /// `velocity` buffer or else the parameter's own tensor. `velocity`
+    /// and a [`Grad::Flat`] slice are indexed from `range.start`.
     fn update(
         &self,
         m: &mut dyn Module,
         lr: f32,
-        mut shard: Option<(Range<usize>, &mut [f32])>,
+        range: Range<usize>,
+        mut velocity: Option<&mut [f32]>,
         mut grad: Grad<'_>,
     ) {
+        if let Some(v) = &velocity {
+            assert_eq!(v.len(), range.len(), "velocity buffer must be shard-sized");
+        }
         let (mu, wd) = (self.cfg.momentum, self.cfg.weight_decay);
-        let total = visit_range(m, shard_range(&shard), |p, local, at| {
+        let (start, whole) = (range.start, range == ALL);
+        let total = visit_range(m, range, |p, local, at| {
             let decay = if p.weight_decay { wd } else { 0.0 };
             let Param { value, grad: own, momentum, .. } = p;
-            let v = velocity(&mut shard, momentum, local.clone(), at.clone());
+            let rel = at.start - start..at.end - start;
+            let v = match &mut velocity {
+                Some(velocity) => &mut velocity[rel.clone()],
+                None => &mut momentum.data_mut()[local.clone()],
+            };
             let w = &mut value.data_mut()[local.clone()];
             match &mut grad {
                 Grad::Params => sgd_update(w, v, &own.data()[local], 1.0, mu, decay, lr),
-                Grad::Flat(flat, k) => sgd_update(w, v, &flat[at], *k, mu, decay, lr),
+                Grad::Flat(g, k) => sgd_update(w, v, &g[rel], *k, mu, decay, lr),
                 Grad::WriteBack(flat, k) => {
                     sgd_update_write_back(w, v, &mut flat[at], *k, mu, decay, lr)
                 }
             }
         });
         let flat_len = match &grad {
-            Grad::Params => None,
-            Grad::Flat(flat, _) => Some(flat.len()),
+            Grad::Flat(flat, _) if whole => Some(flat.len()),
             Grad::WriteBack(flat, _) => Some(flat.len()),
+            _ => None,
         };
         if let Some(len) = flat_len {
             assert_eq!(len, total, "flattened gradient length mismatch");
         }
-    }
-}
-
-/// The flattened range a step walks: the shard's owned range, checked
-/// against its velocity buffer, or [`ALL`] without a shard.
-fn shard_range(shard: &Option<(Range<usize>, &mut [f32])>) -> Range<usize> {
-    match shard {
-        Some((owned, velocity)) => {
-            assert_eq!(velocity.len(), owned.len(), "velocity buffer must be shard-sized");
-            owned.clone()
-        }
-        None => ALL,
-    }
-}
-
-/// The momentum for one overlap the walk yields: the shard's velocity
-/// buffer at `at` (counted from the owned range's start), or else the
-/// parameter's own `momentum` tensor at `local`.
-fn velocity<'a>(
-    shard: &'a mut Option<(Range<usize>, &mut [f32])>,
-    momentum: &'a mut Tensor,
-    local: Range<usize>,
-    at: Range<usize>,
-) -> &'a mut [f32] {
-    match shard {
-        Some((owned, velocity)) => &mut velocity[at.start - owned.start..at.end - owned.start],
-        None => &mut momentum.data_mut()[local],
     }
 }
 
@@ -348,10 +331,10 @@ mod tests {
 
     #[test]
     fn folded_scale_steps_match_scale_install_step_bitwise() {
-        // `step_flat` / `step_range_flat` read `flat[i] * k` where the old
-        // trainer scaled `flat` in place, installed it with `set_grads` and
-        // stepped: same bits, including a -0.0, a subnormal and a shard cut
-        // through the weight tensor.
+        // `step_flat` / `step_range_write_back` read `flat[i] * k` where the
+        // old trainer scaled `flat` in place, installed it with `set_grads`
+        // and stepped: same bits, including a -0.0, a subnormal and a shard
+        // cut through the weight tensor.
         let total = crate::layers::param_count(&mut Linear::new(3, 4, 7));
         let k = 1.0 / 3.0f32;
         let sgd = Sgd::new(SgdConfig { momentum: 0.9, weight_decay: 1e-2 });
@@ -370,7 +353,8 @@ mod tests {
             sgd.step_flat(&mut folded, 0.05, &flat, k);
             crate::layers::set_grads(&mut shard_installed, &scaled);
             sgd.step_range(&mut shard_installed, 0.05, 5..14, &mut v_installed);
-            sgd.step_range_flat(&mut shard_folded, 0.05, 5..14, &mut v_folded, &flat, k);
+            let (w, v) = (&mut shard_folded, &mut v_folded);
+            sgd.step_range_write_back(w, 0.05, 5..14, v, &mut flat, k);
         }
         let bits = |m: &mut Linear| {
             let mut out: Vec<u32> =
@@ -387,11 +371,12 @@ mod tests {
     }
 
     #[test]
-    fn write_back_step_matches_step_range_flat_and_fills_the_owned_range() {
-        // Same parameter and velocity bits as `step_range_flat` over several
-        // steps (a -0.0 and a subnormal in the gradient, the shard cut
-        // through the weight tensor); afterwards `flat[owned]` is the owned
-        // parameters and the rest of `flat` is the gradient as it was.
+    fn write_back_step_matches_step_range_and_fills_the_owned_range() {
+        // Same parameter and velocity bits as `step_range` over the scaled,
+        // installed gradient for several steps (a -0.0 and a subnormal in
+        // the gradient, the shard cut through the weight tensor); afterwards
+        // `flat[owned]` is the owned parameters and the rest of `flat` is
+        // the gradient as it was.
         let total = crate::layers::param_count(&mut Linear::new(3, 4, 7));
         let (k, owned) = (0.5f32, 5..14);
         let sgd = Sgd::new(SgdConfig { momentum: 0.9, weight_decay: 1e-2 });
@@ -403,7 +388,9 @@ mod tests {
                 (0..total).map(|i| ((i * 23 + step * 11) as f32).cos() * 3.0).collect();
             grad[6] = -0.0;
             grad[7] = f32::MIN_POSITIVE / 4.0;
-            sgd.step_range_flat(&mut read, 0.05, owned.clone(), &mut v_read, &grad, k);
+            let scaled: Vec<f32> = grad.iter().map(|g| g * k).collect();
+            crate::layers::set_grads(&mut read, &scaled);
+            sgd.step_range(&mut read, 0.05, owned.clone(), &mut v_read);
             let mut flat = grad.clone();
             let w = &mut written;
             sgd.step_range_write_back(w, 0.05, owned.clone(), &mut v_written, &mut flat, k);
@@ -420,6 +407,43 @@ mod tests {
                 assert_eq!(flat[i].to_bits(), grad[i].to_bits(), "step {step} flat[{i}] moved");
             }
         }
+    }
+
+    #[test]
+    fn slice_steps_over_any_cut_match_one_flat_step_bitwise() {
+        // Two layers, the first one's bias without weight decay: w1 0..12,
+        // b1 12..16, w2 16..24, b2 24..26. The cut splits a weight, ends on
+        // a parameter's edge, holds empty ranges, starts inside the bias and
+        // crosses into the next weight, and is stepped out of order, as the
+        // trainer's buckets complete; parameters and momentum must move as
+        // one `step_flat` over the whole vector moves them.
+        let model = || {
+            let mut first = Linear::new(3, 4, 7);
+            first.bias.weight_decay = false;
+            crate::nn::Sequential::new().push(first).push(Linear::new(4, 2, 9))
+        };
+        let (mut whole, mut sliced) = (model(), model());
+        let total = crate::layers::param_count(&mut whole);
+        assert_eq!(total, 26);
+        let cut = [19..26, 12..12, 0..5, 14..19, 26..26, 5..12, 12..14];
+        let (k, sgd) = (0.5f32, Sgd::new(SgdConfig { momentum: 0.9, weight_decay: 1e-2 }));
+        for step in 0..3 {
+            let mut flat: Vec<f32> =
+                (0..total).map(|i| ((i * 19 + step * 7) as f32).sin() * 5.0).collect();
+            flat[13] = -0.0;
+            flat[20] = f32::MIN_POSITIVE / 2.0;
+            sgd.step_flat(&mut whole, 0.05, &flat, k);
+            for r in cut.iter().cloned() {
+                sgd.step_slice(&mut sliced, 0.05, r.clone(), &flat[r], k);
+            }
+        }
+        let bits = |m: &mut crate::nn::Sequential| {
+            let mut out: Vec<u32> =
+                crate::layers::collect_params(m).iter().map(|x| x.to_bits()).collect();
+            out.extend(crate::layers::collect_momentum(m).iter().map(|x| x.to_bits()));
+            out
+        };
+        assert_eq!(bits(&mut whole), bits(&mut sliced));
     }
 
     #[test]

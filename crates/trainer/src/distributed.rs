@@ -542,12 +542,20 @@ impl<'a> Trainer<'a> {
         };
         // Inter-node average: sum node-averages; the optimizer divides by N
         // as it reads them.
-        self.progress.buckets_launched += stream.try_finish(&mut grad[..])? as u64;
         let inv_n = 1.0 / n as f32;
         match &self.shards {
             // Replicated: every replica applies the full averaged gradient
-            // with full momentum, staying in sync implicitly.
-            None => self.exec.visit_replicas(|m| self.sgd.step_flat(m, lr, &grad[..], inv_n)),
+            // with full momentum, staying in sync implicitly, one bucket at
+            // a time as each exchange completes, straight from the bucket's
+            // reduced payload (the fused exchange's whole vector at once).
+            None => {
+                let sgd = &self.sgd;
+                let launched = stream.try_finish_each(grad, |range, reduced| {
+                    self.exec
+                        .visit_replicas(|m| sgd.step_slice(m, lr, range.clone(), reduced, inv_n))
+                })?;
+                self.progress.buckets_launched += launched as u64;
+            }
             // Sharded: the reduce-scatter above fully reduced only this
             // rank's owned range, so step exactly that range (replica 0
             // stands in for the shard — the others resync from the
@@ -560,6 +568,7 @@ impl<'a> Trainer<'a> {
             // allgather fills the rest, and replica 0 takes back only what
             // it did not step itself.
             Some((sm, counts)) => {
+                self.progress.buckets_launched += stream.try_finish(grad)? as u64;
                 let owned = sm.owned(me);
                 let (r0, velocity) = (self.exec.replica(0), &mut self.velocity);
                 self.sgd.step_range_write_back(r0, lr, owned.clone(), velocity, grad, inv_n);

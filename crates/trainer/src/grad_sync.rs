@@ -46,6 +46,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use dcnn_collectives::runtime::{CollectiveOp, Comm, CommError, CommStats, PendingReduce};
@@ -397,8 +398,29 @@ impl<'a> GradStream<'a> {
     /// Launch any buckets backprop never sealed (stragglers, ranges the
     /// caller withheld, or — nothing reported — all of them) and drain
     /// everything in flight, scattering the reduced payloads back into
-    /// `grad`. Returns the number of nonblocking reduces this exchange
-    /// launched.
+    /// `grad`: the copy-back case of [`GradStream::try_finish_each`].
+    /// Returns the number of nonblocking reduces this exchange launched.
+    pub fn try_finish(self, grad: &mut [f32]) -> Result<usize, CommError> {
+        self.drain(grad, |grad, range, reduced| {
+            if let Some(reduced) = reduced {
+                grad[range].copy_from_slice(reduced);
+            }
+        })
+    }
+
+    /// [`GradStream::try_finish`], panicking with the report if a peer is
+    /// dead.
+    pub fn finish(self, grad: &mut [f32]) -> usize {
+        self.try_finish(grad).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Launch any buckets backprop never sealed and drain everything in
+    /// flight, handing `done` each bucket's span of the flattened gradient
+    /// and its reduced values the moment its wait returns — the bucket's
+    /// payload, never copied back into `grad`. The replicated trainer steps
+    /// each bucket's parameters from them while later buckets are still in
+    /// flight. The fused in-place exchange hands over the whole of `grad`
+    /// once. Returns the number of nonblocking reduces launched.
     ///
     /// Stragglers launch in **reverse bucket-index order** — the plan's last
     /// bucket covers the first forward layers, which the next iteration
@@ -411,15 +433,35 @@ impl<'a> GradStream<'a> {
     /// place, on the caller's communicator — no payload copy, no derived
     /// communicator, and `0` launches reported.
     ///
-    /// A dead peer ends the drain at the first bucket that reports it; the
-    /// error names that bucket and the segment that sealed it.
-    pub fn try_finish(mut self, grad: &mut [f32]) -> Result<usize, CommError> {
+    /// A dead peer ends the drain at the first bucket that reports it, with
+    /// the buckets drained before it already handed over; the error names
+    /// that bucket and the segment that sealed it.
+    pub fn try_finish_each(
+        self,
+        grad: &mut [f32],
+        mut done: impl FnMut(Range<usize>, &[f32]),
+    ) -> Result<usize, CommError> {
+        self.drain(grad, |grad, range, reduced| {
+            done(range.clone(), reduced.unwrap_or(&grad[range]))
+        })
+    }
+
+    /// The one drain loop behind [`GradStream::try_finish_each`] and
+    /// [`GradStream::try_finish`]: `done(grad, range, reduced)` per bucket
+    /// as its wait returns, `reduced` being its payload, or `None` when the
+    /// fused exchange reduced `grad[range]` in place.
+    fn drain(
+        mut self,
+        grad: &mut [f32],
+        mut done: impl FnMut(&mut [f32], Range<usize>, Option<&[f32]>),
+    ) -> Result<usize, CommError> {
         let sync = self.sync;
         if !sync.is_bucketed() && self.in_flight.is_empty() {
             if sync.fp16 {
                 quantize_f16(grad);
             }
             sync.ops[0].run(self.comm, grad)?;
+            done(grad, 0..grad.len(), None);
             return Ok(0);
         }
         for i in (0..sync.buckets.len()).rev() {
@@ -430,16 +472,10 @@ impl<'a> GradStream<'a> {
         let launched = self.in_flight.len();
         for (i, p) in self.in_flight.into_iter().rev() {
             let reduced = p.wait()?;
-            grad[sync.buckets[i].range()].copy_from_slice(&reduced);
+            done(grad, sync.buckets[i].range(), Some(&reduced));
             sync.payloads.borrow_mut()[i] = reduced;
         }
         Ok(launched)
-    }
-
-    /// [`GradStream::try_finish`], panicking with the report if a peer is
-    /// dead.
-    pub fn finish(self, grad: &mut [f32]) -> usize {
-        self.try_finish(grad).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
