@@ -288,7 +288,8 @@ pub fn render_extensions() -> String {
         &[
             vec!["multicolor-4 (paper)".into(), t(&MultiColor::new(4), 102e6)],
             vec!["hierarchical 4-per-group".into(), t(&Hierarchical::new(4, 4), 102e6)],
-            // fp16 (`GradSync` with `fp16`) halves the bytes on the wire.
+            // Modelled: half the payload on the wire. `GradSync`'s `fp16`
+            // rounds each value to half precision but still sends f32s.
             vec!["fp16 multicolor-4".into(), t(&MultiColor::new(4), 102e6 / 2.0)],
         ],
     ));

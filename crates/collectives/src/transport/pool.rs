@@ -1,13 +1,15 @@
 //! Recycled `f32` message buffers.
 //!
-//! Every `f32` message a collective sends needs a buffer the size of the
-//! range it moves — on the FC workload 1 MiB sub-chunks, a dozen per rank
-//! and step — and every receive hands one over. Instead of allocating each
-//! one and freeing it after the sum (on TCP also zero-filling it before the
-//! socket overwrites it), the buffers cycle through a [`BufPool`] owned by
-//! the transport: one per threaded cluster, where a send's buffer becomes
-//! the receiver's, and one per TCP endpoint, where a send returns what it
-//! wrote and the reader thread takes what it reads into.
+//! Every `f32` message a collective receives arrives in a buffer the size
+//! of the range it moves — on the FC workload 1 MiB sub-chunks, a dozen per
+//! rank and step. Instead of allocating each one and freeing it after the
+//! sum (on TCP also zero-filling it before the socket overwrites it), the
+//! buffers cycle through a [`BufPool`] owned by the transport: one per
+//! threaded cluster, where a send copies its slice into a pooled buffer
+//! that becomes the receiver's, and one per TCP endpoint, where the reader
+//! thread takes what it reads into (a send to a peer writes straight from
+//! the caller's slice and takes none; a send of an owned payload returns
+//! it once written).
 //! [`crate::plan::execute`] returns every receive buffer once its elements
 //! are summed or copied.
 //!

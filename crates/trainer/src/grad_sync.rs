@@ -567,6 +567,60 @@ mod tests {
     }
 
     #[test]
+    fn each_bucket_is_handed_over_once_with_the_copied_back_values() {
+        // Fused, drained and hooked: the ranges `try_finish_each` hands
+        // over tile the gradient once, in drain order, and their values
+        // are the bits `try_finish` copies back; the buffer itself keeps
+        // the local gradient unless the exchange ran in place.
+        let s = segs(&[33, 5, 61, 2]);
+        let out = run_cluster(2, move |comm| {
+            let mk = |rank: usize| -> Vec<f32> {
+                (0..101).map(|i| ((i * 41 + rank * 7) as f32 * 0.377).cos()).collect()
+            };
+            let algo = AllreduceAlgo::RingReduceScatter;
+            let mut checked = 0;
+            for (bytes, hooked) in [(0, false), (128, false), (128, true)] {
+                let gsync = GradSync::with_policy(algo.into(), &s, bytes, false);
+                let mut copied = mk(comm.rank());
+                gsync.reduce(comm, &mut copied);
+                let mut local = mk(comm.rank());
+                let mut stream = gsync.begin(comm);
+                if hooked {
+                    for seg in s.iter().rev() {
+                        stream.segment_ready(&local, seg.offset, seg.len);
+                    }
+                }
+                let mut handed = vec![f32::NAN; local.len()];
+                let mut ranges = Vec::new();
+                stream
+                    .try_finish_each(&mut local, |range, reduced| {
+                        assert!(
+                            handed[range.clone()].iter().all(|x| x.is_nan()),
+                            "{range:?} twice"
+                        );
+                        handed[range.clone()].copy_from_slice(reduced);
+                        ranges.push(range);
+                    })
+                    .expect("no peer dies");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&handed), bits(&copied), "{bytes} B, hooked {hooked}");
+                // Hooked seals in plan order, the drain launches stragglers
+                // last first, and both drain in reverse-launch order.
+                let mut drained: Vec<_> = gsync.buckets().iter().map(Bucket::range).collect();
+                if hooked {
+                    drained.reverse();
+                }
+                assert_eq!(ranges, drained, "{bytes} B, hooked {hooked}: drain order");
+                let in_place = bytes == 0;
+                assert_eq!(bits(&local) == bits(&mk(comm.rank())), !in_place, "{bytes} B");
+                checked += 1;
+            }
+            checked
+        });
+        assert_eq!(out, [3, 3]);
+    }
+
+    #[test]
     fn streamed_exchange_matches_blocking_bitwise_at_two_ranks() {
         let s = segs(&[33, 5, 61, 2]);
         let out = run_cluster(2, move |comm| {
