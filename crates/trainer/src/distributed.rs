@@ -549,10 +549,9 @@ impl<'a> Trainer<'a> {
             // a time as each exchange completes, straight from the bucket's
             // reduced payload (the fused exchange's whole vector at once).
             None => {
-                let sgd = &self.sgd;
-                let launched = stream.try_finish_each(grad, |range, reduced| {
-                    self.exec
-                        .visit_replicas(|m| sgd.step_slice(m, lr, range.clone(), reduced, inv_n))
+                let (exec, sgd) = (&mut self.exec, &self.sgd);
+                let launched = stream.try_finish_each(grad, |range, g| {
+                    exec.visit_replicas(|m| sgd.step_slice(m, lr, range.clone(), g, inv_n))
                 })?;
                 self.progress.buckets_launched += launched as u64;
             }
