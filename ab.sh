@@ -138,7 +138,8 @@ for row in rows:
     if not got:
         continue
     a_vals, b_vals = [a for a, _ in got], [b for _, b in got]
-    ratios = [b / a for a, b in got if a != 0]
+    # A ratio means something only when every reading is positive.
+    ratios = [b / a for a, b in got] if all(a > 0 and b > 0 for a, b in got) else []
     wins = sum(1 for a, b in got if (b > a if higher else b < a))
     fmt = lambda v: "{:.4g} [{:.4g}, {:.4g}]".format(*quart(v))
     ratio = f"{statistics.median(ratios):.3f}" if ratios else "-"
