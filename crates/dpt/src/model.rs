@@ -158,11 +158,7 @@ mod tests {
             let opt = iter_overhead_secs(&census, batch, &node, &p, DptVariant::Optimized);
             let compute = node.device.train_step_secs(&census, 64);
             let saving = (base.total() - opt.total()) / (compute + opt.total());
-            assert!(
-                (lo..hi).contains(&saving),
-                "{}: saving fraction {saving:.3}",
-                census.name
-            );
+            assert!((lo..hi).contains(&saving), "{}: saving fraction {saving:.3}", census.name);
         }
     }
 
