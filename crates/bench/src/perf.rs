@@ -462,6 +462,73 @@ fn bench_conv(suite: &mut Suite) {
     );
 }
 
+/// The one-replica training step backpropagating into the exchange's
+/// buffer, on the benchmark's `fcnet` model (batch 2, 3x8x8 inputs, a 6 MiB
+/// gradient behind a few hundred kFLOP), against the same model behind a
+/// pass-through wrapper that takes `Module::backward_into`'s default: zero
+/// every `p.grad`, add the backward into it, copy `0.0 + g` into the buffer
+/// — the step as it ran before the layers wrote their slots. Same bits;
+/// the product skips three passes over the gradient. Held to "no slower".
+fn bench_step_into(suite: &mut Suite) {
+    use dcnn_core::dpt::DptExecutor;
+    use dcnn_core::models::Arch;
+    use dcnn_core::tensor::layers::{FlatSink, Param};
+    use dcnn_core::tensor::{Module, Tensor};
+
+    struct PassThrough(Box<dyn Module>);
+
+    impl Module for PassThrough {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            self.0.forward(x, train)
+        }
+        fn backward(&mut self, grad: &Tensor) -> Tensor {
+            self.0.backward(grad)
+        }
+        fn backward_hooked(
+            &mut self,
+            grad: &Tensor,
+            base: usize,
+            hook: &mut dyn FnMut(usize, &[f32]),
+        ) -> Tensor {
+            self.0.backward_hooked(grad, base, hook)
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.0.visit_params(f)
+        }
+    }
+
+    let fcnet = || {
+        let conv = Arch::Conv { out_c: 8, kernel: 3, stride: 1, pad: 1, bias: true };
+        let fc = |out| Arch::Fc { out };
+        let arch = Arch::Seq(vec![
+            conv,
+            Arch::Relu,
+            Arch::Flatten,
+            fc(1024),
+            Arch::Relu,
+            fc(1024),
+            Arch::Relu,
+            fc(4),
+        ]);
+        arch.build(&mut [3, 8, 8], &mut 42)
+    };
+    let product = DptExecutor::new(1, fcnet);
+    let reference = DptExecutor::new(1, || Box::new(PassThrough(fcnet())));
+    let total: usize = product.segments().iter().map(|s| s.len).sum();
+    let (x, labels) = (Tensor::from_vec(fill(2 * 3 * 8 * 8, 37), &[2, 3, 8, 8]), [0, 1]);
+    let step = |exec: &mut DptExecutor, buf: &mut [f32]| {
+        black_box(exec.step_into(black_box(&x), &labels, &mut FlatSink::new(buf, |_, _| {})));
+    };
+    suite.pair(
+        ("dpt/step_into/m1/fcnet".into(), "dpt/step_into_default/m1/fcnet".into()),
+        (total * 4) as u64,
+        Some(NO_SLOWER),
+        &mut (product, reference, vec![0.0f32; total]),
+        |(product, _, buf)| step(product, buf),
+        |(_, reference, buf)| step(reference, buf),
+    );
+}
+
 /// The simulator's own speed: schedule and simulate one 93 MB ring
 /// allreduce (GoogLeNet-BN's gradient) across 16 Minsky nodes — what every
 /// figure experiment does many times over.
@@ -504,6 +571,7 @@ pub fn run_suite(quick: bool) -> (BenchReport, Vec<Pair>) {
     bench_decode(quick, &mut suite);
     bench_gemm(&mut suite);
     bench_conv(&mut suite);
+    bench_step_into(&mut suite);
     bench_plan(quick, &mut suite);
     bench_sim(quick, &mut suite);
     let Suite { rows, pairs } = suite;

@@ -15,7 +15,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use dcnn_tensor::layers::{
-    collect_grads, param_segments, set_params, set_params_outside, zero_grads, Module, ParamSegment,
+    collect_grads, param_segments, set_params, set_params_outside, zero_grads, FlatSink, GradSink,
+    Module, ParamSegment,
 };
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::Tensor;
@@ -129,47 +130,40 @@ impl DptExecutor {
     }
 
     /// Run one iteration like [`DptExecutor::step`] under
-    /// [`DptStrategy::Optimized`], merging the node-averaged gradient into
-    /// the caller's `dst` ([`collect_grads`] layout) range by range *during*
-    /// backprop: `on_range(dst, range)` fires the moment every replica has
-    /// finished the backward step for one parameter range and its merge has
-    /// landed in `dst[range]`, in backward-traversal order — tail-layer
-    /// ranges first. The hook gets the whole buffer, so an overlap engine
-    /// can seal and launch a gradient bucket from it while earlier layers
-    /// are still backpropagating.
+    /// [`DptStrategy::Optimized`], laying the node-averaged gradient down
+    /// through `sink` ([`collect_grads`] layout) range by range *during*
+    /// backprop: each range goes into `sink.slot(range)`, overwriting what
+    /// it held, and `sink.ready(range)` fires the moment every replica has
+    /// finished the backward step for it, in backward-traversal order —
+    /// tail-layer ranges first. An overlap engine whose slots are its bucket
+    /// payloads launches each bucket from there while earlier layers are
+    /// still backpropagating.
     ///
-    /// The ranges tile `[0, param_count)` exactly. Replicas are averaged in
-    /// replica index order, `0.0 + g / m` then `+= g / m`, straight into
-    /// `dst[range]`, overwriting what it held. One replica runs on the
-    /// calling thread, its hook merging straight from the parameter
-    /// gradients; several run one thread each, sending each finished range
-    /// back to this thread to be merged. Returns the mean loss and the
-    /// top-1 hits.
+    /// The ranges tile `[0, param_count)` exactly. One replica runs on the
+    /// calling thread and backpropagates straight into the sink
+    /// ([`Module::backward_into`]): no parameter gradient is zeroed, written
+    /// or copied. Several run one thread each, sending each finished range
+    /// back to this thread, where the replicas are averaged in replica index
+    /// order, `0.0 + g / m` then `+= g / m`, straight into the slot. Either
+    /// way a range holds the bits of that average. Returns the mean loss and
+    /// the top-1 hits.
     ///
     /// # Panics
-    /// Panics unless the batch divides evenly across replicas, or if `dst`
-    /// is not the flattened gradient's length.
+    /// Panics unless the batch divides evenly across replicas, or if the
+    /// sink has no slot for a range of a multi-replica step.
     pub fn step_into(
         &mut self,
         x: &Tensor,
         labels: &[usize],
-        dst: &mut [f32],
-        mut on_range: impl FnMut(&mut [f32], Range<usize>),
+        sink: &mut dyn GradSink,
     ) -> (f64, usize) {
         let m = self.replicas.len();
         let shards = split_batch(x, labels, m);
-        let total = self.param_total();
-        assert_eq!(dst.len(), total, "merge buffer must be the flattened gradient's length");
 
         if let ([model], [(x, labels)]) = (&mut self.replicas[..], &shards[..]) {
-            zero_grads(model.as_mut());
             let logits = model.forward(x, true);
             let out = SoftmaxCrossEntropy.forward(&logits, labels);
-            let _ = model.backward_hooked(&out.grad, 0, &mut |off, vals| {
-                let range = off..off + vals.len();
-                merge_first(&mut dst[range.clone()], vals, 1.0);
-                on_range(dst, range);
-            });
+            let _ = model.backward_into(&out.grad, 0, sink);
             return (0.0 + out.loss, out.correct);
         }
 
@@ -213,10 +207,12 @@ impl DptExecutor {
                     let mut parts = slot.into_iter().map(|p| p.expect("all parts present"));
                     let first = parts.next().expect("several replicas");
                     let range = off..off + first.len();
-                    let merged = &mut dst[range.clone()];
+                    let merged = sink
+                        .slot(range.clone())
+                        .expect("a multi-replica step merges into the sink's slots");
                     merge_first(merged, &first, m as f32);
                     parts.for_each(|p| merge_add(merged, &p, m as f32));
-                    on_range(dst, range);
+                    sink.ready(range, None);
                 }
             }
             assert!(slots.is_empty(), "every replica must report every range");
@@ -230,9 +226,9 @@ impl DptExecutor {
         (loss, correct)
     }
 
-    /// [`DptExecutor::step_into`] an executor-owned buffer (allocated on the
-    /// first call, reused after), lending `on_segment(offset, grads)` each
-    /// merged range as it lands.
+    /// [`DptExecutor::step_into`] a [`FlatSink`] over an executor-owned
+    /// buffer (allocated on the first call, reused after), lending
+    /// `on_segment(offset, grads)` each range as it lands.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas.
@@ -244,9 +240,11 @@ impl DptExecutor {
     ) -> (f64, usize) {
         let mut merged = std::mem::take(&mut self.merged);
         merged.resize(self.param_total(), 0.0);
-        let out = self.step_into(x, labels, &mut merged, |dst, range| {
-            on_segment(range.start, &dst[range]);
-        });
+        let out = self.step_into(
+            x,
+            labels,
+            &mut FlatSink::new(&mut merged, |buf, range| on_segment(range.start, &buf[range])),
+        );
         self.merged = merged;
         out
     }
@@ -257,15 +255,16 @@ impl DptExecutor {
     }
 
     /// Run one iteration on a node batch `x: [B, C, H, W]` under `strategy`.
-    /// [`DptStrategy::Optimized`] is [`DptExecutor::step_into`] a new buffer
-    /// with a hook that does nothing.
+    /// [`DptStrategy::Optimized`] is [`DptExecutor::step_into`] a
+    /// [`FlatSink`] over a new buffer that hears nothing.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas.
     pub fn step(&mut self, x: &Tensor, labels: &[usize], strategy: DptStrategy) -> IterOutput {
         if strategy == DptStrategy::Optimized {
             let mut grad = vec![0.0; self.param_total()];
-            let (loss, correct) = self.step_into(x, labels, &mut grad, |_, _| {});
+            let (loss, correct) =
+                self.step_into(x, labels, &mut FlatSink::new(&mut grad, |_, _| {}));
             return IterOutput { loss, grad, correct };
         }
         let b = x.shape()[0];
@@ -605,9 +604,11 @@ mod tests {
             let (mut dst, mut want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
             let (x, labels) = batch(8, 29);
             let mut fired = Vec::new();
-            let (loss, correct) = into.step_into(&x, &labels, &mut dst, |d, r| {
-                fired.push((r.clone(), bits(&d[r])));
-            });
+            let (loss, correct) = into.step_into(
+                &x,
+                &labels,
+                &mut FlatSink::new(&mut dst, |d, r| fired.push((r.clone(), bits(&d[r])))),
+            );
             let mut streamed = DptExecutor::new(m, factory);
             let (s_loss, s_correct) = streamed.step_streamed(&x, &labels, |off, vals| {
                 want[off..off + vals.len()].copy_from_slice(vals);
@@ -629,6 +630,36 @@ mod tests {
             }
             assert_eq!(off, n, "{what}");
         }
+    }
+
+    #[test]
+    fn one_replica_step_into_writes_only_the_sink() {
+        // One replica backpropagates straight into the sink: a NaN sentinel
+        // in every `p.grad` survives the step, and the NaN-filled buffer
+        // ends with the bits of the baseline's zero + backward + flatten.
+        let (x, labels) = batch(4, 31);
+        let mut into = DptExecutor::new(1, tiny_factory);
+        let sentinel = f32::from_bits(0x7fc0_1234);
+        into.visit_replicas(|r| r.visit_params(&mut |p| p.grad.data_mut().fill(sentinel)));
+        let mut dst = vec![f32::NAN; into.param_total()];
+        let mut ready = Vec::new();
+        let (loss, correct) =
+            into.step_into(&x, &labels, &mut FlatSink::new(&mut dst, |_, r| ready.push(r)));
+        into.visit_replicas(|r| {
+            r.visit_params(&mut |p| {
+                assert!(p.grad.data().iter().all(|g| g.to_bits() == sentinel.to_bits()));
+            })
+        });
+        let out = DptExecutor::new(1, tiny_factory).step(&x, &labels, DptStrategy::Baseline);
+        assert_eq!((loss.to_bits(), correct), (out.loss.to_bits(), out.correct));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dst), bits(&out.grad));
+        ready.sort_by_key(|r| r.start);
+        let ends: Vec<usize> = ready.iter().map(|r| r.end).collect();
+        let starts: Vec<usize> = ready.iter().map(|r| r.start).collect();
+        assert_eq!(starts[0], 0);
+        assert_eq!(starts[1..], ends[..ends.len() - 1], "ready ranges tile the buffer");
+        assert_eq!(ends.last(), Some(&dst.len()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Batch normalization over `[N, C, H, W]` (per-channel statistics), as in
 //! Ioffe & Szegedy — the "BN" of the paper's GoogLeNet-BN workload.
 
-use super::{Module, Param};
+use super::{lay_grad, GradSink, Module, OwnGrads, Param};
 use crate::gemm::{fold_lanes, LANES};
 use crate::tensor::Tensor;
 
@@ -143,6 +143,10 @@ impl Module for BatchNorm2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_into(grad, 0, &mut OwnGrads(&mut |_, _| {}))
+    }
+
+    fn backward_into(&mut self, grad: &Tensor, base: usize, sink: &mut dyn GradSink) -> Tensor {
         let cache = self.saved.take().expect("forward(train=true) before backward");
         let s = &cache.shape;
         assert_eq!(grad.shape(), s.as_slice());
@@ -158,9 +162,14 @@ impl Module for BatchNorm2d {
             sum_gx[i % c] += lane_sum2(gp, hp, |g, h| (g * h) as f64);
         }
 
-        for ci in 0..c {
-            self.gamma.grad.data_mut()[ci] += sum_gx[ci] as f32;
-            self.beta.grad.data_mut()[ci] += sum_g[ci] as f32;
+        // γ's gradient is Σ(g·x̂), β's Σg: written as `0.0 + sum`, or added.
+        let params = [(&mut self.gamma, base, &sum_gx), (&mut self.beta, base + c, &sum_g)];
+        for (p, off, sums) in params {
+            lay_grad(sink, off, &mut p.grad, |dst, write| {
+                for (d, &s) in dst.iter_mut().zip(sums) {
+                    *d = if write { 0.0 } else { *d } + s as f32;
+                }
+            });
         }
 
         let g = self.gamma.value.data();

@@ -20,7 +20,7 @@
 
 use std::cell::RefCell;
 
-use super::{Module, Param};
+use super::{lay_sum, GradSink, Module, OwnGrads, Param};
 use crate::gemm::{
     gemm_acc, gemm_nt_acc, gemm_nt_rows_acc, gemm_strips, gemm_tn_acc, gemm_tn_rows, MR,
 };
@@ -136,11 +136,13 @@ impl Conv2d {
         }
     }
 
-    /// `dx += col2im(Wᵀ · g)` for one image: one slab of rows of `Wᵀ · g` at
-    /// a time, added into a padded gradient image while the slab is in L1,
-    /// then the padded image copied into `dx` (still zeros).
-    fn input_gradient(&self, geom: &ConvGeom, g: &[f32], dx: &mut [f32]) {
-        let (k2, cols, w) = (geom.taps(), geom.cols(), self.weight.value.data());
+    /// `dx += col2im(Wᵀ · g)` for one image and the `out_c × k2` filter
+    /// bank `w`: one slab of rows of `Wᵀ · g` at a time, added into a padded
+    /// gradient image while the slab is in L1, then the padded image copied
+    /// into `dx` (still zeros).
+    fn input_gradient(w: &[f32], geom: &ConvGeom, g: &[f32], dx: &mut [f32]) {
+        let (k2, cols) = (geom.taps(), geom.cols());
+        let out_c = w.len() / k2;
         let rows_per_slab = slab_rows(cols);
         with_scratch(&SLAB_SCRATCH, rows_per_slab * cols, |slab| {
             with_scratch(&GRAD_SCRATCH, geom.padded_len(), |dxp| {
@@ -148,7 +150,7 @@ impl Conv2d {
                 for l in (0..k2).step_by(rows_per_slab) {
                     let rows = l..k2.min(l + rows_per_slab);
                     let slab = &mut slab[..rows.len() * cols];
-                    gemm_tn_rows(slab, w, g, rows.clone(), (k2, self.out_c, cols));
+                    gemm_tn_rows(slab, w, g, rows.clone(), (k2, out_c, cols));
                     geom.scatter_rows(slab, rows, dxp);
                 }
                 geom.unpad_image(dxp, dx);
@@ -201,47 +203,46 @@ impl Module for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_into(grad, 0, &mut OwnGrads(&mut |_, _| {}))
+    }
+
+    fn backward_into(&mut self, grad: &Tensor, base: usize, sink: &mut dyn GradSink) -> Tensor {
         let Saved { shape, images } =
             self.saved.take().expect("forward(train=true) before backward");
         let geom = self.geom(&shape);
         assert_eq!(grad.shape(), &self.out_shape(&shape)[..], "grad shape");
         let (k2, img, cols) = (geom.taps(), geom.image_len(), geom.cols());
-        let oimg = self.out_c * cols;
+        let (out_c, oimg, pointwise) = (self.out_c, self.out_c * cols, self.is_pointwise());
         let mut dx = Tensor::zeros(&shape);
         let wdata = self.weight.value.data();
-        let per_image = if self.is_pointwise() { img } else { geom.padded_len() };
+        let per_image = if pointwise { img } else { geom.padded_len() };
+
+        // Per-image work, the weight gradient summed over the batch into
+        // the sink's zeroed slot (or a zeroed scratch added to `p.grad`).
+        lay_sum(sink, base, &mut self.weight.grad, |gw| {
+            let inputs = images.chunks(per_image).zip(grad.data().chunks(oimg));
+            for (dxo, (xo, go)) in dx.data_mut().chunks_mut(img).zip(inputs) {
+                if pointwise {
+                    // gW[oc, ic] += g[oc, hw] · xᵀ; dx[ic, hw] = Wᵀ · g.
+                    gemm_nt_acc(gw, go, xo, out_c, cols, k2);
+                    gemm_tn_acc(dxo, wdata, go, k2, out_c, cols);
+                } else {
+                    // gW[oc, k2] += g[oc, ohow] · colᵀ, two rows of col at a
+                    // time, copied out of the padded image.
+                    gemm_nt_rows_acc(gw, go, &geom.col_rows(xo), (out_c, cols, k2));
+                    Self::input_gradient(wdata, &geom, go, dxo);
+                }
+            }
+        });
         // A conv feeding a BatchNorm has no bias gradient to sum.
-        let gb_len = if self.bias.is_some() { self.out_c } else { 0 };
-
-        // Per-image work, accumulating the weight/bias gradients into one
-        // pair of buffers that is added to the (batch-shared) grad buffers at
-        // the end.
-        let mut gw = vec![0.0f32; self.out_c * k2];
-        let mut gb = vec![0.0f32; gb_len];
-        let inputs = images.chunks(per_image).zip(grad.data().chunks(oimg));
-        for (dxo, (xo, go)) in dx.data_mut().chunks_mut(img).zip(inputs) {
-            if self.is_pointwise() {
-                // gW[oc, ic] += g[oc, hw] · xᵀ; dx[ic, hw] = Wᵀ · g.
-                gemm_nt_acc(&mut gw, go, xo, self.out_c, cols, k2);
-                gemm_tn_acc(dxo, wdata, go, k2, self.out_c, cols);
-            } else {
-                // gW[oc, k2] += g[oc, ohow] · colᵀ, two rows of col at a
-                // time, copied out of the padded image.
-                gemm_nt_rows_acc(&mut gw, go, &geom.col_rows(xo), (self.out_c, cols, k2));
-                self.input_gradient(&geom, go, dxo);
-            }
-            for (b, gc) in gb.iter_mut().zip(go.chunks(cols)) {
-                *b += gc.iter().sum::<f32>();
-            }
-        }
-
-        for (g, v) in self.weight.grad.data_mut().iter_mut().zip(&gw) {
-            *g += v;
-        }
         if let Some(b) = &mut self.bias {
-            for (g, v) in b.grad.data_mut().iter_mut().zip(&gb) {
-                *g += v;
-            }
+            lay_sum(sink, base + out_c * k2, &mut b.grad, |gb| {
+                for go in grad.data().chunks(oimg) {
+                    for (b, gc) in gb.iter_mut().zip(go.chunks(cols)) {
+                        *b += gc.iter().sum::<f32>();
+                    }
+                }
+            });
         }
         dx
     }

@@ -1,7 +1,7 @@
 //! Fully connected layer (the classifier head of both paper models).
 
-use super::{Module, Param};
-use crate::gemm::{gemm, gemm_nt_acc, gemm_tn_acc};
+use super::{lay_grad, GradSink, Module, OwnGrads, Param};
+use crate::gemm::{gemm, gemm_nt_acc, gemm_tn_acc, gemm_tn_rows};
 use crate::init::xavier_linear;
 use crate::tensor::Tensor;
 
@@ -49,17 +49,31 @@ impl Module for Linear {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_into(grad, 0, &mut OwnGrads(&mut |_, _| {}))
+    }
+
+    fn backward_into(&mut self, grad: &Tensor, base: usize, sink: &mut dyn GradSink) -> Tensor {
         let x = self.saved_x.take().expect("forward(train=true) before backward");
         let n = x.shape()[0];
-        assert_eq!(grad.shape(), &[n, self.out_f]);
-        // gW[out,in] += gᵀ[out,N] · x[N,in]  (g stored N×out).
-        gemm_tn_acc(self.weight.grad.data_mut(), grad.data(), x.data(), self.out_f, n, self.in_f);
-        // gb += column sums of g.
-        for row in grad.data().chunks(self.out_f) {
-            for (g, &v) in self.bias.grad.data_mut().iter_mut().zip(row) {
-                *g += v;
+        let (in_f, out_f) = (self.in_f, self.out_f);
+        assert_eq!(grad.shape(), &[n, out_f]);
+        // gW[out,in] (+)= gᵀ[out,N] · x[N,in]  (g stored N×out).
+        lay_grad(sink, base, &mut self.weight.grad, |gw, write| {
+            if write {
+                gemm_tn_rows(gw, grad.data(), x.data(), 0..out_f, (out_f, n, in_f));
+            } else {
+                gemm_tn_acc(gw, grad.data(), x.data(), out_f, n, in_f);
             }
-        }
+        });
+        // gb (+)= column sums of g.
+        lay_grad(sink, base + out_f * in_f, &mut self.bias.grad, |gb, write| {
+            if write {
+                gb.fill(0.0);
+            }
+            for row in grad.data().chunks(out_f) {
+                gb.iter_mut().zip(row).for_each(|(g, &v)| *g += v);
+            }
+        });
         // dx[N,in] = g[N,out] · W[out,in].
         let mut dx = Tensor::zeros(x.shape());
         gemm(dx.data_mut(), grad.data(), self.weight.value.data(), n, self.out_f, self.in_f);

@@ -1,7 +1,7 @@
 //! Module composition: sequential chains, residual blocks (ResNet) and
 //! channel-concatenated parallel branches (GoogLeNet inception modules).
 
-use crate::layers::{param_count, Module, Param};
+use crate::layers::{param_count, GradSink, Module, OwnGrads, Param};
 use crate::tensor::Tensor;
 
 /// A chain of modules applied in order.
@@ -54,7 +54,7 @@ impl Module for Sequential {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.backward_hooked(grad, 0, &mut |_, _| {})
+        self.backward_into(grad, 0, &mut OwnGrads(&mut |_, _| {}))
     }
 
     fn backward_hooked(
@@ -63,6 +63,10 @@ impl Module for Sequential {
         base: usize,
         hook: &mut dyn FnMut(usize, &[f32]),
     ) -> Tensor {
+        self.backward_into(grad, base, &mut OwnGrads(hook))
+    }
+
+    fn backward_into(&mut self, grad: &Tensor, base: usize, sink: &mut dyn GradSink) -> Tensor {
         // Child base offsets follow visit_params order (forward order);
         // backward then walks the chain in reverse, so the last child's
         // parameters are reported first.
@@ -76,9 +80,9 @@ impl Module for Sequential {
         let Some((last, b)) = mods.next() else {
             return grad.clone();
         };
-        let mut cur = last.backward_hooked(grad, b, hook);
+        let mut cur = last.backward_into(grad, b, sink);
         for (m, b) in mods {
-            cur = m.backward_hooked(&cur, b, hook);
+            cur = m.backward_into(&cur, b, sink);
         }
         cur
     }
@@ -139,7 +143,7 @@ impl Module for Residual {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.backward_hooked(grad, 0, &mut |_, _| {})
+        self.backward_into(grad, 0, &mut OwnGrads(&mut |_, _| {}))
     }
 
     fn backward_hooked(
@@ -148,6 +152,10 @@ impl Module for Residual {
         base: usize,
         hook: &mut dyn FnMut(usize, &[f32]),
     ) -> Tensor {
+        self.backward_into(grad, base, &mut OwnGrads(hook))
+    }
+
+    fn backward_into(&mut self, grad: &Tensor, base: usize, sink: &mut dyn GradSink) -> Tensor {
         let mask = self.relu_mask.take().expect("forward(train=true) before backward");
         let gated = Tensor::from_vec(
             grad.data()
@@ -160,11 +168,11 @@ impl Module for Residual {
         // visit_params order is main then shortcut, so the shortcut's
         // parameters live after the main path's in the flat layout.
         let main_len = param_count(&mut self.main);
-        let mut dx = self.main.backward_hooked(&gated, base, hook);
+        let mut dx = self.main.backward_into(&gated, base, sink);
         if self.shortcut.is_empty() {
             dx.add_(&gated);
         } else {
-            dx.add_(&self.shortcut.backward_hooked(&gated, base + main_len, hook));
+            dx.add_(&self.shortcut.backward_into(&gated, base + main_len, sink));
         }
         dx
     }
@@ -225,7 +233,7 @@ impl Module for Concat {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        self.backward_hooked(grad, 0, &mut |_, _| {})
+        self.backward_into(grad, 0, &mut OwnGrads(&mut |_, _| {}))
     }
 
     fn backward_hooked(
@@ -234,6 +242,10 @@ impl Module for Concat {
         base: usize,
         hook: &mut dyn FnMut(usize, &[f32]),
     ) -> Tensor {
+        self.backward_into(grad, base, &mut OwnGrads(hook))
+    }
+
+    fn backward_into(&mut self, grad: &Tensor, base: usize, sink: &mut dyn GradSink) -> Tensor {
         let channels = self.saved_channels.take().expect("forward(train=true) before backward");
         let (n, c_total, h, w) =
             (grad.shape()[0], grad.shape()[1], grad.shape()[2], grad.shape()[3]);
@@ -255,7 +267,7 @@ impl Module for Concat {
                 let dst = &mut gb.data_mut()[ni * cb * plane..(ni + 1) * cb * plane];
                 dst.copy_from_slice(&grad.data()[src_start..src_start + cb * plane]);
             }
-            let gi = b.backward_hooked(&gb, bb, hook);
+            let gi = b.backward_into(&gb, bb, sink);
             match &mut dx {
                 None => dx = Some(gi),
                 Some(acc) => acc.add_(&gi),
@@ -483,6 +495,85 @@ mod tests {
 
         // The chain's last child reports before its first (reverse order).
         assert!(fired[0].0 > fired[fired.len() - 1].0, "backward reports tail layers first");
+    }
+
+    /// A parameter whose gradient backward leaves at `-0.0`, taking the
+    /// trait's default `backward_into`.
+    struct NegZero(Param);
+
+    impl Module for NegZero {
+        fn forward(&mut self, x: &Tensor, _: bool) -> Tensor {
+            x.clone()
+        }
+        fn backward(&mut self, grad: &Tensor) -> Tensor {
+            self.0.grad.data_mut().fill(-0.0);
+            grad.clone()
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            f(&mut self.0);
+        }
+    }
+
+    #[test]
+    fn backward_into_writes_what_zero_backward_and_the_merge_give() {
+        use crate::layers::{collect_grads, zero_grads, BatchNorm2d, FlatSink, Flatten};
+        // Every leaf that writes its own slots, inside a projection
+        // residual and a concat: convs with and without bias, pointwise and
+        // 3x3, batch norms, a linear head, and a default-path parameter.
+        let build = || {
+            let main = Sequential::new()
+                .push(Conv2d::new(2, 3, 3, 1, 1, true, 1))
+                .push(BatchNorm2d::new(3))
+                .push(ReLU::new());
+            let shortcut = Sequential::new().push(Conv2d::new(2, 3, 1, 1, 0, false, 2));
+            Sequential::new()
+                .push(Residual::with_shortcut(main, shortcut))
+                .push(Concat::new(vec![
+                    Sequential::new().push(Conv2d::new(3, 2, 1, 1, 0, true, 3)),
+                    Sequential::new()
+                        .push(Conv2d::new(3, 1, 3, 1, 1, false, 4))
+                        .push(BatchNorm2d::new(1))
+                        .push(NegZero(Param::new(Tensor::zeros(&[2])))),
+                ]))
+                .push(Flatten::new())
+                .push(Linear::new(3 * 4 * 4, 5, 5))
+        };
+        let x = Tensor::randn(&[2, 2, 4, 4], 1.0, 7);
+        // Output column 3 gets `-0.0` from both images: its bias sums to 0.
+        let mut g = Tensor::randn(&[2, 5], 1.0, 8);
+        g.data_mut()[3] = -0.0;
+        g.data_mut()[8] = -0.0;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut plain = build();
+        let _ = plain.forward(&x, true);
+        zero_grads(&mut plain);
+        let dx_plain = plain.backward(&g);
+        let want: Vec<f32> = collect_grads(&mut plain).iter().map(|&v| 0.0 + v / 1.0).collect();
+
+        let mut hooked = build();
+        let _ = hooked.forward(&x, true);
+        let mut hook_order = Vec::new();
+        let _ = hooked.backward_hooked(&g, 0, &mut |off, v| hook_order.push(off..off + v.len()));
+
+        let mut into = build();
+        let _ = into.forward(&x, true);
+        let mut got = vec![f32::NAN; param_count(&mut into)];
+        let mut ready = Vec::new();
+        let dx_into =
+            into.backward_into(&g, 0, &mut FlatSink::new(&mut got, |_, r| ready.push(r)));
+
+        assert_eq!(bits(dx_into.data()), bits(dx_plain.data()), "dx");
+        assert_eq!(bits(&got), bits(&want), "backward_into vs zero + backward + 0.0 + g");
+        assert!(want.iter().any(|v| *v == 0.0), "some gradient is zero");
+        assert_eq!(ready, hook_order, "ready ranges in backward_hooked's order");
+        let mut tiles = ready.clone();
+        tiles.sort_by_key(|r| r.start);
+        assert_eq!(tiles[0].start, 0);
+        for pair in tiles.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start, "ready ranges tile the buffer");
+        }
+        assert_eq!(tiles.last().map(|r| r.end), Some(got.len()));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use dcnn_collectives::{
 use dcnn_dimd::shuffle::MPI_COUNT_LIMIT;
 use dcnn_dimd::{open_source, BatchSource, Dimd, Hello, SynthImageNet, ValSet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
-use dcnn_tensor::layers::{params_into, release_momentum, resident_bytes, Module};
+use dcnn_tensor::layers::{params_into, release_momentum, resident_bytes, FlatSink, Module};
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::optim::{LrSchedule, Sgd, SgdConfig};
 use serde::Serialize;
@@ -392,8 +392,9 @@ struct Trainer<'a> {
     shards: Option<(ShardMap, Vec<usize>)>,
     /// This rank's shard of the momentum (empty when replicated).
     velocity: Vec<f32>,
-    /// The step's gradient, merged in place and exchanged in place;
-    /// under sharding it carries the parameter allgather too.
+    /// The step's gradient: backprop writes it here (the hooked path
+    /// writes into the bucket payloads instead) and the exchange reduces it
+    /// in place; under sharding it carries the parameter allgather too.
     grad: Vec<f32>,
     val: Option<ValSet>,
     /// Opened by [`Trainer::start`].
@@ -523,16 +524,16 @@ impl<'a> Trainer<'a> {
         let (x, labels) = self.source.as_mut().expect("opened").try_next_batch()?;
         let grad = &mut self.grad;
         // One exchange per step, whatever the schedule: the hooked path
-        // feeds it from the backward pass — a bucket's allreduce launches
-        // the instant its last range lands in the pre-sized buffer — drain
-        // and fused report nothing and let `finish` do all of it.
+        // feeds it from the backward pass — backprop writes each gradient
+        // into its bucket's payload, and a bucket's allreduce launches the
+        // instant its last range is ready — drain and fused backpropagate
+        // into the step's buffer and let `finish` do all of it.
         let mut stream = self.gsync.begin(comm);
         let (loss, correct) = match cfg.strategy {
-            DptStrategy::Optimized => self.exec.step_into(&x, &labels, grad, |grad, range| {
-                if hooked {
-                    stream.segment_ready(grad, range.start, range.len());
-                }
-            }),
+            DptStrategy::Optimized if hooked => self.exec.step_into(&x, &labels, &mut stream),
+            DptStrategy::Optimized => {
+                self.exec.step_into(&x, &labels, &mut FlatSink::new(grad, |_, _| {}))
+            }
             // The paper's unoptimised control keeps its copy.
             DptStrategy::Baseline => {
                 let out = self.exec.step(&x, &labels, DptStrategy::Baseline);

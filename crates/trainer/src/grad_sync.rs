@@ -8,10 +8,13 @@
 //! them — into size-targeted buckets, and one schedule, the [`GradStream`],
 //! exchanges them:
 //!
-//! * the backward hook reports each parameter range the moment its gradient
-//!   is final ([`GradStream::segment_ready`]); a bucket seals and launches
-//!   the instant its last segment arrives, so early buckets travel the
-//!   network while earlier layers are still backpropagating (**hooked**);
+//! * the stream is the backward pass's [`GradSink`]: backprop writes each
+//!   parameter's gradient straight into its bucket's payload and reports the
+//!   range the moment it is final; a bucket seals and launches the instant
+//!   its last segment arrives, so early buckets travel the network while
+//!   earlier layers are still backpropagating (**hooked**). A gradient that
+//!   already lies in a flat buffer is copied in by
+//!   [`GradStream::segment_ready`] instead;
 //! * [`GradStream::finish`] launches whatever was never sealed
 //!   **first-needed first** (the bucket covering the first forward layer
 //!   goes out ahead of the rest) and drains the in-flight handles in
@@ -51,7 +54,7 @@ use std::sync::Arc;
 
 use dcnn_collectives::runtime::{CollectiveOp, Comm, CommError, CommStats, PendingReduce};
 use dcnn_collectives::{quantize_f16, size_class, AlgoPolicy, AllreduceAlgo, Decision};
-use dcnn_tensor::layers::ParamSegment;
+use dcnn_tensor::layers::{GradSink, ParamSegment};
 
 use crate::shard::ShardMap;
 
@@ -141,9 +144,9 @@ pub struct GradSync {
     /// clones share the plan, so every step after the first launches
     /// without planning. Empty while undecided.
     ops: Vec<CollectiveOp>,
-    /// One payload buffer per bucket: a seal copies the bucket into it and
-    /// hands it to the launch, `finish` puts it back after the copy-back,
-    /// so after the first exchange a seal allocates nothing.
+    /// One payload buffer per bucket, lent to each exchange's
+    /// [`GradStream`] and given back by its drain, so after the first
+    /// exchange no bucket allocates.
     payloads: RefCell<Vec<Vec<f32>>>,
 }
 
@@ -312,10 +315,13 @@ impl GradSync {
              one collective decision step before the first exchange",
             self.policy
         );
+        let mut payloads = std::mem::take(&mut *self.payloads.borrow_mut());
+        payloads.resize_with(self.buckets.len(), Vec::new);
         GradStream {
             sync: self,
             comm,
             remaining: self.buckets.iter().map(|b| b.len).collect(),
+            payloads,
             in_flight: Vec::new(),
         }
     }
@@ -338,30 +344,39 @@ pub struct GradStream<'a> {
     comm: &'a Comm,
     /// Scalars of each bucket not yet reported by the hook; `0` = sealed.
     remaining: Vec<usize>,
+    /// Each bucket's payload, taken from the [`GradSync`] for the step and
+    /// given back by the drain; a launched bucket's is in its launch.
+    payloads: Vec<Vec<f32>>,
     /// Launched buckets (plan index, handle), in launch order.
     in_flight: Vec<(usize, PendingReduce)>,
 }
 
 impl<'a> GradStream<'a> {
     /// Report that `grad[off..off + len]` is final (no later backward step
-    /// will touch it). Every bucket the range overlaps credits the overlap;
-    /// a bucket whose last outstanding scalars just arrived seals — its
-    /// payload is copied out of `grad` and its nonblocking allreduce
-    /// launches immediately, labeled with the name of the parameter segment
-    /// that sealed it (the watchdog surfaces that label if the reduce ever
-    /// blocks).
+    /// will touch it): the copy-in case of the stream's [`GradSink`]. Every
+    /// bucket the range overlaps credits the overlap; a bucket whose last
+    /// outstanding scalars just arrived seals — its payload is copied out of
+    /// `grad` and its nonblocking allreduce launches immediately, labeled
+    /// with the name of the parameter segment that sealed it (the watchdog
+    /// surfaces that label if the reduce ever blocks).
     ///
     /// All ranks must report the same ranges in the same order — true by
     /// construction when the reports come from the backward hook over
     /// identical model replicas.
     pub fn segment_ready(&mut self, grad: &[f32], off: usize, len: usize) {
-        let end = off + len;
+        self.credit(off..off + len, Some(grad));
+    }
+
+    /// Credit `range` to every bucket it overlaps and seal each bucket it
+    /// completes, copying the bucket out of `grad` if one is given (else its
+    /// payload already holds it).
+    fn credit(&mut self, range: Range<usize>, grad: Option<&[f32]>) {
         for (i, b) in self.sync.buckets.iter().enumerate() {
             if self.remaining[i] == 0 {
                 continue;
             }
-            let lo = b.offset.max(off);
-            let hi = (b.offset + b.len).min(end);
+            let lo = b.offset.max(range.start);
+            let hi = (b.offset + b.len).min(range.end);
             if lo >= hi {
                 continue;
             }
@@ -377,15 +392,17 @@ impl<'a> GradStream<'a> {
         self.in_flight.len()
     }
 
-    /// Everything one bucket's launch takes: copy the payload into the
-    /// bucket's buffer, quantize it, launch the bucket's op labeled with
-    /// the segment that sealed it.
-    fn seal(&mut self, i: usize, grad: &[f32], sealed_at: usize) {
+    /// Everything one bucket's launch takes: copy the payload out of
+    /// `grad` (unless backprop wrote it in place), quantize it, launch the
+    /// bucket's op labeled with the segment that sealed it.
+    fn seal(&mut self, i: usize, grad: Option<&[f32]>, sealed_at: usize) {
         let sync = self.sync;
         let b = &sync.buckets[i];
-        let mut payload = std::mem::take(&mut sync.payloads.borrow_mut()[i]);
-        payload.clear();
-        payload.extend_from_slice(&grad[b.range()]);
+        let mut payload = std::mem::take(&mut self.payloads[i]);
+        if let Some(grad) = grad {
+            payload.clear();
+            payload.extend_from_slice(&grad[b.range()]);
+        }
         if sync.fp16 {
             quantize_f16(&mut payload);
         }
@@ -457,6 +474,7 @@ impl<'a> GradStream<'a> {
     ) -> Result<usize, CommError> {
         let sync = self.sync;
         if !sync.is_bucketed() && self.in_flight.is_empty() {
+            *sync.payloads.borrow_mut() = self.payloads;
             if sync.fp16 {
                 quantize_f16(grad);
             }
@@ -466,16 +484,42 @@ impl<'a> GradStream<'a> {
         }
         for i in (0..sync.buckets.len()).rev() {
             if self.remaining[i] > 0 {
-                self.seal(i, grad, sync.buckets[i].offset);
+                self.seal(i, Some(grad), sync.buckets[i].offset);
             }
         }
         let launched = self.in_flight.len();
         for (i, p) in self.in_flight.into_iter().rev() {
             let reduced = p.wait()?;
             done(grad, sync.buckets[i].range(), Some(&reduced));
-            sync.payloads.borrow_mut()[i] = reduced;
+            self.payloads[i] = reduced;
         }
+        *sync.payloads.borrow_mut() = self.payloads;
         Ok(launched)
+    }
+}
+
+/// The hooked step's sink: the slot of a parameter's range is that range
+/// of its bucket's payload, so backprop writes each gradient where the
+/// bucket's launch reads it, and `ready` seals a bucket without a copy.
+/// Buckets hold whole parameter segments, so a parameter's range lies in
+/// one bucket.
+impl GradSink for GradStream<'_> {
+    fn slot(&mut self, range: Range<usize>) -> Option<&mut [f32]> {
+        if range.is_empty() {
+            return Some(&mut []);
+        }
+        // Buckets run in launch order, down the flat layout.
+        let i = self.sync.buckets.partition_point(|b| b.offset > range.start);
+        let b = &self.sync.buckets[i];
+        assert!(range.end <= b.offset + b.len, "{range:?} straddles a bucket edge");
+        assert!(self.remaining[i] > 0, "{range:?} is in a sealed bucket");
+        let payload = &mut self.payloads[i];
+        payload.resize(b.len, 0.0);
+        Some(&mut payload[range.start - b.offset..range.end - b.offset])
+    }
+
+    fn ready(&mut self, range: Range<usize>, _: Option<&[f32]>) {
+        self.credit(range, None);
     }
 }
 
@@ -618,6 +662,61 @@ mod tests {
             checked
         });
         assert_eq!(out, [3, 3]);
+    }
+
+    #[test]
+    fn slot_fed_stream_matches_the_copy_in_and_keeps_its_payloads() {
+        // The same values reported twice per step: copied in from a flat
+        // buffer by `segment_ready`, and written into the stream's slots
+        // before `ready`. Both launch the same buckets in the same order,
+        // reduce to the same bits, and leave the step's buffer alone when
+        // fed through the slots; after the first exchange no payload moves.
+        let s = segs(&[33, 5, 61, 2]);
+        let out = run_cluster(2, move |comm| {
+            let gsync =
+                GradSync::with_policy(AllreduceAlgo::RingReduceScatter.into(), &s, 128, false);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let payloads = || -> Vec<usize> {
+                gsync.payloads.borrow().iter().map(|p| p.as_ptr() as usize).collect()
+            };
+            let mut first = None;
+            for step in 0..3 {
+                let local: Vec<f32> = (0..101)
+                    .map(|i| ((i * 29 + comm.rank() * 5 + step * 3) as f32 * 0.41).sin())
+                    .collect();
+                let mut exchange = |slots: bool| {
+                    let mut stream = gsync.begin(comm);
+                    let mut buf = if slots { vec![f32::NAN; 101] } else { local.clone() };
+                    for seg in s.iter().rev() {
+                        if slots {
+                            let slot = stream.slot(seg.range()).expect("a payload slot");
+                            slot.copy_from_slice(&local[seg.range()]);
+                            stream.ready(seg.range(), None);
+                        } else {
+                            stream.segment_ready(&buf, seg.offset, seg.len);
+                        }
+                    }
+                    let launched = stream.launched();
+                    let (mut reduced, mut ranges) = (vec![f32::NAN; 101], Vec::new());
+                    stream
+                        .try_finish_each(&mut buf, |range, g| {
+                            reduced[range.clone()].copy_from_slice(g);
+                            ranges.push(range);
+                        })
+                        .expect("no peer dies");
+                    if slots {
+                        assert!(buf.iter().all(|x| x.is_nan()), "the slots path wrote the buffer");
+                    }
+                    first.get_or_insert_with(payloads);
+                    assert_eq!(first.as_ref(), Some(&payloads()), "step {step}: a payload moved");
+                    (launched, ranges, bits(&reduced))
+                };
+                let copied = exchange(false);
+                assert_eq!(exchange(true), copied, "step {step}");
+                assert_eq!(copied.0, gsync.buckets().len(), "step {step}: every bucket sealed");
+            }
+        });
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
