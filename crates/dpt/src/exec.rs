@@ -141,8 +141,9 @@ impl DptExecutor {
     ///
     /// The ranges tile `[0, param_count)` exactly. One replica runs on the
     /// calling thread and backpropagates straight into the sink
-    /// ([`Module::backward_into`]): no parameter gradient is zeroed, written
-    /// or copied. Several run one thread each, sending each finished range
+    /// ([`Module::backward_into`]): its layers write each gradient into the
+    /// slot, with no zero pass and no merge copy. Several run one thread
+    /// each, zeroing and adding into `p.grad`, sending each finished range
     /// back to this thread, where the replicas are averaged in replica index
     /// order, `0.0 + g / m` then `+= g / m`, straight into the slot. Either
     /// way a range holds the bits of that average. Returns the mean loss and

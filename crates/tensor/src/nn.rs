@@ -565,7 +565,7 @@ mod tests {
 
         assert_eq!(bits(dx_into.data()), bits(dx_plain.data()), "dx");
         assert_eq!(bits(&got), bits(&want), "backward_into vs zero + backward + 0.0 + g");
-        assert!(want.iter().any(|v| *v == 0.0), "some gradient is zero");
+        assert!(want.contains(&0.0), "some gradient is zero");
         assert_eq!(ready, hook_order, "ready ranges in backward_hooked's order");
         let mut tiles = ready.clone();
         tiles.sort_by_key(|r| r.start);
