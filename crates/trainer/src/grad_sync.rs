@@ -676,9 +676,10 @@ mod tests {
             let gsync =
                 GradSync::with_policy(AllreduceAlgo::RingReduceScatter.into(), &s, 128, false);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let payloads = || -> Vec<usize> {
-                gsync.payloads.borrow().iter().map(|p| p.as_ptr() as usize).collect()
+            let payloads = || -> Vec<(usize, usize)> {
+                gsync.payloads.borrow().iter().map(|p| (p.as_ptr() as usize, p.len())).collect()
             };
+            let sizes: Vec<usize> = gsync.buckets().iter().map(|b| b.len).collect();
             let mut first = None;
             for step in 0..3 {
                 let local: Vec<f32> = (0..101)
@@ -707,8 +708,14 @@ mod tests {
                     if slots {
                         assert!(buf.iter().all(|x| x.is_nan()), "the slots path wrote the buffer");
                     }
-                    first.get_or_insert_with(payloads);
-                    assert_eq!(first.as_ref(), Some(&payloads()), "step {step}: a payload moved");
+                    let now = payloads();
+                    let lens: Vec<usize> = now.iter().map(|&(_, n)| n).collect();
+                    assert_eq!(lens, sizes, "step {step}: the drain gave back every payload");
+                    assert_eq!(
+                        first.get_or_insert(now.clone()),
+                        &now,
+                        "step {step}: a payload moved"
+                    );
                     (launched, ranges, bits(&reduced))
                 };
                 let copied = exchange(false);
