@@ -203,6 +203,14 @@ if [ -n "$torn_fault" ]; then
     exit 1
 fi
 
+# The committed repro_raw.md must be what `repro` prints today: the modelled
+# figures and tables, and the trained accuracy tables of Figures 13-16
+# (two replicas per rank, so they run the multi-replica merge). repro
+# --check re-renders every section and names the first section and line
+# that differ, skipping the `_generated in` lines and the comm table's
+# timed columns (~2 min at full scale).
+run ./target/release/repro --check repro_raw.md
+
 # Kernel-pair smoke: time each hot-path kernel against the code it replaced,
 # interleaved in one run, and assert the BENCH_<date>.json report is
 # written — dcnn-perf exits 1 naming any pair that reads below the floor

@@ -469,6 +469,85 @@ pub fn to_json(name: &str, scale: &AccuracyScale) -> String {
     }
 }
 
+/// The `comm` table's columns a run's thread timing decides (wall-clock
+/// waits, and what happened to be in flight at once): [`check_report`]
+/// skips them.
+const COMM_TIMED: [&str; 6] = [
+    "recv wait ms",
+    "stash hwm",
+    "allreduce ms",
+    "inflight hwm",
+    "bucket wait ms",
+    "inflight B avg",
+];
+
+/// Compare a `repro` report (`file`, e.g. the committed `repro_raw.md`)
+/// with `rendered`, each experiment's name and its fresh [`render`], in
+/// the report's order. The report's `## ` sections must match them one for
+/// one, line for line, blank lines, `_generated in` lines and the `comm`
+/// table's timed columns aside. The error names the first section and
+/// line that differ.
+pub fn check_report(file: &str, rendered: &[(&str, String)]) -> Result<(), String> {
+    let mut sections: Vec<Vec<(usize, &str)>> = Vec::new();
+    for (n, line) in file.lines().enumerate() {
+        if line.starts_with("## ") {
+            sections.push(Vec::new());
+        }
+        if let Some(section) = sections.last_mut() {
+            section.push((n + 1, line));
+        }
+    }
+    if let Some(extra) = sections.get(rendered.len()) {
+        let (at, title) = extra[0];
+        return Err(format!("line {at}: a section `repro` does not print: {title}"));
+    }
+    for (i, (name, text)) in rendered.iter().enumerate() {
+        let title = text.lines().next().unwrap_or_default();
+        let Some(section) = sections.get(i) else {
+            return Err(format!("section {name} ({title}) is missing"));
+        };
+        let want = comparable(name, text.lines().map(|l| (0, l)));
+        let got = comparable(name, section.iter().copied());
+        for k in 0..want.len().max(got.len()) {
+            let (at, got_line) = got.get(k).map_or((section[0].0, "(nothing)"), |(n, l)| (*n, l));
+            let want_line = want.get(k).map_or("(nothing)", |(_, l)| l);
+            if got_line != want_line {
+                return Err(format!(
+                    "section {name} ({title}), line {at}: the file has\n  {got_line}\nwhere `repro` prints\n  {want_line}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The lines of one section a check compares: no blank or `_generated in`
+/// lines, and in `comm`'s table each [`COMM_TIMED`] cell blanked.
+fn comparable<'a>(
+    name: &str,
+    lines: impl Iterator<Item = (usize, &'a str)>,
+) -> Vec<(usize, String)> {
+    let mut timed: Option<Vec<usize>> = None;
+    lines
+        .filter(|(_, l)| !l.trim().is_empty() && !l.starts_with("_generated in"))
+        .map(|(n, l)| {
+            if name != "comm" || !l.starts_with('|') {
+                return (n, l.to_string());
+            }
+            let cells: Vec<&str> = l.split('|').collect();
+            let timed = timed.get_or_insert_with(|| {
+                (0..cells.len()).filter(|&i| COMM_TIMED.contains(&cells[i].trim())).collect()
+            });
+            let masked: Vec<&str> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| if timed.contains(&i) { " … " } else { c })
+                .collect();
+            (n, masked.join("|"))
+        })
+        .collect()
+}
+
 /// Render one experiment by name (accuracy figures at the given scale).
 pub fn render(name: &str, scale: &AccuracyScale) -> String {
     match name {
@@ -487,5 +566,43 @@ pub fn render(name: &str, scale: &AccuracyScale) -> String {
         "ext" => render_extensions(),
         "comm" => render_comm(),
         other => panic!("unknown experiment {other}; try one of {ALL_EXPERIMENTS:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(sections: &[&str]) -> String {
+        let mut s = String::from("# dist-cnn reproduction\n\n");
+        for section in sections {
+            s.push_str(&format!("{section}\n\n_generated in 1.0s_\n\n"));
+        }
+        s
+    }
+
+    #[test]
+    fn a_check_skips_generated_lines_and_comm_timing_and_names_the_first_change() {
+        let fig = "## Figure 9 — x\n\nnote\n\n| a | b |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |";
+        let comm = |wait: &str, bytes: &str| {
+            format!("## Comm — y\n\n| rank | bytes sent | recv wait ms |\n|---|---|---|\n| 0 | {bytes} | {wait} |")
+        };
+        let rendered = [("fig9", fig.to_string()), ("comm", comm("0.25", "64"))];
+        assert_eq!(check_report(&report(&[fig, &comm("9.75", "64")]), &rendered), Ok(()));
+
+        let moved = fig.replace("| 3 | 4 |", "| 3 | 5 |");
+        let err = check_report(&report(&[&moved, &comm("0.25", "64")]), &rendered).unwrap_err();
+        assert!(err.starts_with("section fig9 (## Figure 9 — x), line 10:"), "{err}");
+        assert!(err.contains("| 3 | 5 |") && err.contains("| 3 | 4 |"), "{err}");
+
+        let err = check_report(&report(&[fig, &comm("0.25", "65")]), &rendered).unwrap_err();
+        assert!(err.starts_with("section comm (## Comm — y), line 18:"), "{err}");
+
+        let err = check_report(&report(&[fig]), &rendered).unwrap_err();
+        assert_eq!(err, "section comm (## Comm — y) is missing");
+        let err = check_report(&report(&[fig, &comm("0", "64"), fig]), &rendered).unwrap_err();
+        assert!(err.ends_with("a section `repro` does not print: ## Figure 9 — x"), "{err}");
+        let err = check_report(&report(&[&fig.replace("| 3 | 4 |", "")]), &rendered[..1]);
+        assert!(err.unwrap_err().contains("(nothing)\nwhere `repro` prints\n  | 3 | 4 |"));
     }
 }
