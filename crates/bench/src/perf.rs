@@ -465,10 +465,11 @@ fn bench_conv(suite: &mut Suite) {
 /// The one-replica training step backpropagating into the exchange's
 /// buffer, on the benchmark's `fcnet` model (batch 2, 3x8x8 inputs, a 6 MiB
 /// gradient behind a few hundred kFLOP), against the same model behind a
-/// pass-through wrapper that takes `Module::backward_into`'s default: zero
-/// every `p.grad`, add the backward into it, copy `0.0 + g` into the buffer
-/// — the step as it ran before the layers wrote their slots. Same bits;
-/// the product skips three passes over the gradient. Held to "no slower".
+/// pass-through wrapper that takes `Module::backward_into`'s default: the
+/// backward sets every `p.grad`, then `0.0 + g` is copied into the buffer —
+/// the step as it ran before the layers wrote their slots, less its zero
+/// pass. Same bits; the product skips two passes over the gradient. Held to
+/// "no slower".
 fn bench_step_into(suite: &mut Suite) {
     use dcnn_core::dpt::DptExecutor;
     use dcnn_core::models::Arch;

@@ -9,14 +9,13 @@
 //! claim (§5.4), made checkable.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
 
 use dcnn_tensor::layers::{
-    collect_grads, param_segments, set_params, set_params_outside, zero_grads, FlatSink, GradSink,
-    Module, ParamSegment,
+    collect_grads, param_segments, set_params, set_params_outside, FlatSink, GradSink, Module,
+    ParamSegment,
 };
 use dcnn_tensor::loss::SoftmaxCrossEntropy;
 use dcnn_tensor::Tensor;
@@ -143,11 +142,13 @@ impl DptExecutor {
     /// calling thread and backpropagates straight into the sink
     /// ([`Module::backward_into`]): its layers write each gradient into the
     /// slot, with no zero pass and no merge copy. Several run one thread
-    /// each, zeroing and adding into `p.grad`, sending each finished range
-    /// back to this thread, where the replicas are averaged in replica index
-    /// order, `0.0 + g / m` then `+= g / m`, straight into the slot. Either
-    /// way a range holds the bits of that average. Returns the mean loss and
-    /// the top-1 hits.
+    /// each, setting `p.grad` and sending each finished range back to this
+    /// thread over the replica's own channel. Every replica reports the same
+    /// ranges in the same backward order, so this thread takes each range
+    /// from replica 0, then 1, …, m − 1 and averages them in that order,
+    /// `0.0 + g / m` then `+= g / m`, straight into the slot. Either way a
+    /// range holds the bits of that average. Returns the mean loss and the
+    /// top-1 hits.
     ///
     /// # Panics
     /// Panics unless the batch divides evenly across replicas, or if the
@@ -168,55 +169,50 @@ impl DptExecutor {
             return (0.0 + out.loss, out.correct);
         }
 
-        // One thread per replica, with a channel back to this thread so
-        // ranges stream out as they finish.
-        let (tx, rx) = mpsc::channel::<(usize, usize, Vec<f32>)>();
+        // One thread per replica, each with its own channel back to this
+        // thread, so ranges stream out as they finish.
         let mut loss = 0.0f64;
         let mut correct = 0usize;
         std::thread::scope(|s| {
-            let handles: Vec<_> = self
+            let (handles, rxs): (Vec<_>, Vec<_>) = self
                 .replicas
                 .iter_mut()
                 .zip(&shards)
-                .enumerate()
-                .map(|(g, (model, (xs, shard_labels)))| {
-                    let tx = tx.clone();
-                    s.spawn(move || {
-                        zero_grads(model.as_mut());
+                .map(|(model, (xs, shard_labels))| {
+                    let (tx, rx) = mpsc::channel::<(usize, Vec<f32>)>();
+                    let handle = s.spawn(move || {
                         let logits = model.forward(xs, true);
                         let out = SoftmaxCrossEntropy.forward(&logits, shard_labels);
                         let _ = model.backward_hooked(&out.grad, 0, &mut |off, vals| {
-                            let _ = tx.send((g, off, vals.to_vec()));
+                            let _ = tx.send((off, vals.to_vec()));
                         });
                         (out.loss, out.correct)
-                    })
+                    });
+                    (handle, rx)
                 })
-                .collect();
-            // Drop the original sender so the collector loop ends once every
-            // replica thread has finished its backward pass.
-            drop(tx);
+                .unzip();
 
-            // Fire `on_range` the moment the last replica reports a range.
-            // Every replica walks the same module tree, so ranges complete in
-            // backward order; averaging runs in replica *index* order.
-            let mut slots: HashMap<usize, Vec<Option<Vec<f32>>>> = HashMap::new();
-            while let Ok((g, off, vals)) = rx.recv() {
-                let entry = slots.entry(off).or_insert_with(|| vec![None; m]);
-                entry[g] = Some(vals);
-                if entry.iter().all(Option::is_some) {
-                    let slot = slots.remove(&off).expect("slot just filled");
-                    let mut parts = slot.into_iter().map(|p| p.expect("all parts present"));
-                    let first = parts.next().expect("several replicas");
-                    let range = off..off + first.len();
-                    let merged = sink
-                        .slot(range.clone())
-                        .expect("a multi-replica step merges into the sink's slots");
-                    merge_first(merged, &first, m as f32);
-                    parts.for_each(|p| merge_add(merged, &p, m as f32));
-                    sink.ready(range, None);
+            // Replica 0's next range is the next range every replica
+            // reports: it is final once the last replica has sent it, and
+            // it averages in replica index order as the parts arrive.
+            let (first, rest) = rxs.split_first().expect("several replicas");
+            while let Ok((off, vals)) = first.recv() {
+                let range = off..off + vals.len();
+                let merged = sink
+                    .slot(range.clone())
+                    .expect("a multi-replica step merges into the sink's slots");
+                merge_first(merged, &vals, m as f32);
+                for rx in rest {
+                    let (at, vals) = rx.recv().expect("every replica must report every range");
+                    assert_eq!(at..at + vals.len(), range, "replicas report ranges in one order");
+                    merge_add(merged, &vals, m as f32);
                 }
+                sink.ready(range, None);
             }
-            assert!(slots.is_empty(), "every replica must report every range");
+            assert!(
+                rest.iter().all(|rx| rx.recv().is_err()),
+                "every replica must report every range"
+            );
 
             for h in handles {
                 let (l, c) = h.join().expect("replica thread");
@@ -282,7 +278,6 @@ impl DptExecutor {
         // scattered back — all serialized.
         let mut logits_all: Option<Tensor> = None;
         for (g, (model, (xs, _))) in self.replicas.iter_mut().zip(&shards).enumerate() {
-            zero_grads(model.as_mut());
             let logits = model.forward(xs, true);
             let k = logits.shape()[1];
             match &mut logits_all {
@@ -397,7 +392,6 @@ mod tests {
         let o1 = one.step(&x, &labels, DptStrategy::Optimized);
         // Monolithic reference.
         let mut model = tiny_factory();
-        zero_grads(model.as_mut());
         let logits = model.forward(&x, true);
         let out = SoftmaxCrossEntropy.forward(&logits, &labels);
         let _ = model.backward(&out.grad);
@@ -472,7 +466,7 @@ mod tests {
         let m = replicas.len();
         let (mut loss, mut grad, mut correct) = (0.0f64, Vec::new(), 0usize);
         for (model, (xs, ls)) in replicas.iter_mut().zip(split_batch(x, labels, m)) {
-            zero_grads(model.as_mut());
+            model.visit_params(&mut |p| p.grad.zero_());
             let logits = model.forward(&xs, true);
             let out = SoftmaxCrossEntropy.forward(&logits, ls);
             let _ = model.backward(&out.grad);
@@ -533,12 +527,12 @@ mod tests {
                 assert_eq!(off, ref_grad.len(), "{what}");
                 // All three step their replicas the same way, so the second
                 // step starts from equal parameters again.
-                let sgd = dcnn_tensor::optim::Sgd::default();
+                let (sgd, n) = (dcnn_tensor::optim::Sgd::default(), ref_grad.len());
                 for r in &mut replicas {
-                    sgd.step_flat(r.as_mut(), 0.1, &ref_grad, 1.0);
+                    sgd.step_slice(r.as_mut(), 0.1, 0..n, &ref_grad, 1.0);
                 }
-                plain.visit_replicas(|r| sgd.step_flat(r, 0.1, &out.grad, 1.0));
-                streamed.visit_replicas(|r| sgd.step_flat(r, 0.1, &grad, 1.0));
+                plain.visit_replicas(|r| sgd.step_slice(r, 0.1, 0..n, &out.grad, 1.0));
+                streamed.visit_replicas(|r| sgd.step_slice(r, 0.1, 0..n, &grad, 1.0));
             }
         }
     }
@@ -591,8 +585,9 @@ mod tests {
     fn step_into_is_the_streamed_merge_plus_the_copy_bitwise() {
         // The step lands in `dst` as `step_streamed`'s ranges copied out,
         // equal to `step(.., Optimized)`'s gradient. The batch carries `-0.0`
-        // gradient entries, and `dst` starts as NaN, so the step must
-        // overwrite, not add.
+        // gradient entries, and `dst` and every replica's `p.grad` start as
+        // NaN, so the step and each replica's backward must overwrite, not
+        // add.
         let factory = || -> Box<dyn Module> {
             let extra = dcnn_tensor::layers::Param::new(Tensor::zeros(&[3]));
             Box::new(NegZeroGrad { extra, inner: tiny_factory() })
@@ -601,6 +596,7 @@ mod tests {
         for m in [1, 2, 4] {
             let what = format!("m={m}");
             let mut into = DptExecutor::new(m, factory);
+            into.visit_replicas(|r| r.visit_params(&mut |p| p.grad.data_mut().fill(f32::NAN)));
             let n = into.param_total();
             let (mut dst, mut want) = (vec![f32::NAN; n], vec![f32::NAN; n]);
             let (x, labels) = batch(8, 29);

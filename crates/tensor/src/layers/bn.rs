@@ -162,12 +162,12 @@ impl Module for BatchNorm2d {
             sum_gx[i % c] += lane_sum2(gp, hp, |g, h| (g * h) as f64);
         }
 
-        // γ's gradient is Σ(g·x̂), β's Σg: written as `0.0 + sum`, or added.
+        // γ's gradient is Σ(g·x̂), β's Σg, each written as `0.0 + sum`.
         let params = [(&mut self.gamma, base, &sum_gx), (&mut self.beta, base + c, &sum_g)];
         for (p, off, sums) in params {
-            lay_grad(sink, off, &mut p.grad, |dst, write| {
+            lay_grad(sink, off, &mut p.grad, |dst| {
                 for (d, &s) in dst.iter_mut().zip(sums) {
-                    *d = if write { 0.0 } else { *d } + s as f32;
+                    *d = 0.0 + s as f32;
                 }
             });
         }

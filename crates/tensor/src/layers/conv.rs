@@ -20,7 +20,7 @@
 
 use std::cell::RefCell;
 
-use super::{lay_sum, GradSink, Module, OwnGrads, Param};
+use super::{lay_grad, GradSink, Module, OwnGrads, Param};
 use crate::gemm::{
     gemm_acc, gemm_nt_acc, gemm_nt_rows_acc, gemm_strips, gemm_tn_acc, gemm_tn_rows, MR,
 };
@@ -217,9 +217,10 @@ impl Module for Conv2d {
         let wdata = self.weight.value.data();
         let per_image = if pointwise { img } else { geom.padded_len() };
 
-        // Per-image work, the weight gradient summed over the batch into
-        // the sink's zeroed slot (or a zeroed scratch added to `p.grad`).
-        lay_sum(sink, base, &mut self.weight.grad, |gw| {
+        // Per-image work, the weight gradient summed over the batch from
+        // zeros in the sink's slot (or `p.grad`).
+        lay_grad(sink, base, &mut self.weight.grad, |gw| {
+            gw.fill(0.0);
             let inputs = images.chunks(per_image).zip(grad.data().chunks(oimg));
             for (dxo, (xo, go)) in dx.data_mut().chunks_mut(img).zip(inputs) {
                 if pointwise {
@@ -236,7 +237,8 @@ impl Module for Conv2d {
         });
         // A conv feeding a BatchNorm has no bias gradient to sum.
         if let Some(b) = &mut self.bias {
-            lay_sum(sink, base + out_c * k2, &mut b.grad, |gb| {
+            lay_grad(sink, base + out_c * k2, &mut b.grad, |gb| {
+                gb.fill(0.0);
                 for go in grad.data().chunks(oimg) {
                     for (b, gc) in gb.iter_mut().zip(go.chunks(cols)) {
                         *b += gc.iter().sum::<f32>();
@@ -404,16 +406,23 @@ mod tests {
     }
 
     #[test]
-    fn grads_accumulate_until_zeroed() {
-        let mut conv = Conv2d::new(1, 1, 1, 1, 0, false, 2);
-        let x = Tensor::full(&[1, 1, 2, 2], 1.0);
-        let g = Tensor::full(&[1, 1, 2, 2], 1.0);
-        conv.forward(&x, true);
-        conv.backward(&g);
-        let g1 = conv.weight.grad.data()[0];
-        conv.forward(&x, true);
-        conv.backward(&g);
-        assert_eq!(conv.weight.grad.data()[0], 2.0 * g1);
+    fn a_second_backward_overwrites() {
+        // Pointwise and 3x3, both with a bias: the second backward sets
+        // `p.grad` to its own gradient, whatever the first left there.
+        for (k, pad) in [(1, 0), (3, 1)] {
+            let mut conv = Conv2d::new(2, 3, k, 1, pad, true, 2);
+            let x = Tensor::randn(&[2, 2, 4, 4], 1.0, 3);
+            let g = Tensor::randn(&[2, 3, 4, 4], 1.0, 4);
+            conv.forward(&x, true);
+            conv.backward(&g);
+            let mut first = Vec::new();
+            conv.visit_params(&mut |p| first.push(p.grad.data().to_vec()));
+            conv.forward(&x, true);
+            conv.backward(&g);
+            let mut second = Vec::new();
+            conv.visit_params(&mut |p| second.push(p.grad.data().to_vec()));
+            assert_eq!(first, second, "k={k}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fully connected layer (the classifier head of both paper models).
 
 use super::{lay_grad, GradSink, Module, OwnGrads, Param};
-use crate::gemm::{gemm, gemm_nt_acc, gemm_tn_acc, gemm_tn_rows};
+use crate::gemm::{gemm, gemm_nt_acc, gemm_tn_rows};
 use crate::init::xavier_linear;
 use crate::tensor::Tensor;
 
@@ -57,19 +57,13 @@ impl Module for Linear {
         let n = x.shape()[0];
         let (in_f, out_f) = (self.in_f, self.out_f);
         assert_eq!(grad.shape(), &[n, out_f]);
-        // gW[out,in] (+)= gᵀ[out,N] · x[N,in]  (g stored N×out).
-        lay_grad(sink, base, &mut self.weight.grad, |gw, write| {
-            if write {
-                gemm_tn_rows(gw, grad.data(), x.data(), 0..out_f, (out_f, n, in_f));
-            } else {
-                gemm_tn_acc(gw, grad.data(), x.data(), out_f, n, in_f);
-            }
+        // gW[out,in] = gᵀ[out,N] · x[N,in]  (g stored N×out).
+        lay_grad(sink, base, &mut self.weight.grad, |gw| {
+            gemm_tn_rows(gw, grad.data(), x.data(), 0..out_f, (out_f, n, in_f));
         });
-        // gb (+)= column sums of g.
-        lay_grad(sink, base + out_f * in_f, &mut self.bias.grad, |gb, write| {
-            if write {
-                gb.fill(0.0);
-            }
+        // gb = column sums of g.
+        lay_grad(sink, base + out_f * in_f, &mut self.bias.grad, |gb| {
+            gb.fill(0.0);
             for row in grad.data().chunks(out_f) {
                 gb.iter_mut().zip(row).for_each(|(g, &v)| *g += v);
             }

@@ -29,9 +29,10 @@ use crate::tensor::Tensor;
 pub struct Param {
     /// Current value.
     pub value: Tensor,
-    /// Gradient accumulated by [`Module::backward`]. A backward into a sink
-    /// with slots ([`Module::backward_into`]) writes the gradient there
-    /// instead, so a one-replica training step leaves this untouched.
+    /// Gradient set by [`Module::backward`], overwriting what it held. A
+    /// backward into a sink with slots ([`Module::backward_into`]) writes
+    /// the gradient there instead, so a one-replica training step leaves
+    /// this untouched.
     pub grad: Tensor,
     /// SGD momentum state.
     pub momentum: Tensor,
@@ -65,8 +66,9 @@ pub trait Module: Send {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Propagate `grad` (w.r.t. the forward output) back to the input,
-    /// accumulating parameter gradients into each `p.grad` along the way. A
-    /// training step writes them into its own buffer instead
+    /// setting each parameter's `p.grad` to its gradient along the way: what
+    /// `p.grad` held before is overwritten, never added to. A one-replica
+    /// training step writes the gradients into its own buffer instead
     /// ([`Module::backward_into`]); this is the path of the tests, the
     /// baseline strategy and the replicas of a multi-replica step.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
@@ -105,28 +107,22 @@ pub trait Module: Send {
         dx
     }
 
-    /// [`Module::backward`] into `sink`: each parameter's gradient goes
-    /// where [`GradSink::slot`] says for its range of the flattened vector
-    /// (`base` is this module's start) and [`GradSink::ready`] hears the
-    /// range the moment it is final, in [`Module::backward_hooked`]'s order.
-    /// A slot is overwritten with the bits a zeroed `p.grad`, the backward's
-    /// sum and `0.0 + g` give, so a sink that owns the step's buffer needs no
-    /// zero pass and no copy.
+    /// [`Module::backward`] into `sink`: each parameter's gradient is
+    /// written where [`GradSink::slot`] says for its range of the flattened
+    /// vector (`base` is this module's start), or into its own `p.grad`
+    /// where the sink has no slot, and [`GradSink::ready`] hears the range
+    /// the moment it is final, in [`Module::backward_hooked`]'s order. A
+    /// slot is overwritten with the bits `0.0 + g` gives for the gradient
+    /// `g` a plain backward sets, so a sink that owns the step's buffer
+    /// needs no zero pass and no copy.
     ///
     /// `Linear`, `Conv2d` and `BatchNorm2d` write straight into the slot;
     /// the composites carry the recursion, and their `backward` and
     /// `backward_hooked` are this method into a sink that has no slots. The
-    /// default covers any other module: it zeroes each of its own
-    /// parameters that has a slot, runs [`Module::backward_hooked`] and
-    /// copies `0.0 + g` into the slot as each range is reported.
+    /// default covers any other module: it runs
+    /// [`Module::backward_hooked`] and copies `0.0 + g` into the slot as
+    /// each range is reported (a generic module may report `-0.0`).
     fn backward_into(&mut self, grad: &Tensor, base: usize, sink: &mut dyn GradSink) -> Tensor {
-        let mut off = base;
-        self.visit_params(&mut |p| {
-            if sink.slot(off..off + p.len()).is_some() {
-                p.grad.zero_();
-            }
-            off += p.len();
-        });
         self.backward_hooked(grad, base, &mut |off, g| {
             let range = off..off + g.len();
             match sink.slot(range.clone()) {
@@ -163,9 +159,9 @@ pub trait Module: Send {
 /// ([`collect_grads`] layout).
 pub trait GradSink {
     /// The buffer the gradient of `range` is written into, overwriting what
-    /// it holds — or `None`: add it into the parameter's own `p.grad`, the
-    /// [`Module::backward`] contract. A sink gives the same answer for the
-    /// same range until that range is ready.
+    /// it holds — or `None`: write it into the parameter's own `p.grad`,
+    /// the [`Module::backward`] contract. A sink gives the same answer for
+    /// the same range until that range is ready.
     fn slot(&mut self, range: Range<usize>) -> Option<&mut [f32]>;
 
     /// The gradient of `range` is final: no later backward step touches
@@ -175,8 +171,8 @@ pub trait GradSink {
 }
 
 /// The sink of [`Module::backward`] and [`Module::backward_hooked`]: no
-/// slots, so every gradient is added into its own `p.grad`, which the hook
-/// is lent with the range's start when it is final.
+/// slots, so every gradient is written into its own `p.grad`, which the
+/// hook is lent with the range's start when it is final.
 pub(crate) struct OwnGrads<'h>(pub(crate) &'h mut dyn FnMut(usize, &[f32]));
 
 impl GradSink for OwnGrads<'_> {
@@ -215,52 +211,30 @@ impl<F: FnMut(&[f32], Range<usize>)> GradSink for FlatSink<'_, F> {
 }
 
 /// How a leaf hands one parameter's gradient to `sink`, `off` being the
-/// parameter's flat offset and `grad` its `p.grad`: `lay(dst, write)`
-/// computes the gradient into the sink's slot (`write`: `dst` holds garbage
-/// and takes the bits of zero, the sum and `0.0 + g`) or, where the sink has
-/// none, adds it into `grad`. Then the sink hears the range is final.
+/// parameter's flat offset and `grad` its `p.grad`: `lay(dst)` overwrites
+/// `dst` with the gradient, starting any sum from `+0.0`, where `dst` is
+/// the sink's slot or, where the sink has none, `grad`. Then the sink hears
+/// the range is final.
 pub(crate) fn lay_grad(
     sink: &mut dyn GradSink,
     off: usize,
     grad: &mut Tensor,
-    lay: impl FnOnce(&mut [f32], bool),
+    lay: impl FnOnce(&mut [f32]),
 ) {
     let range = off..off + grad.len();
-    match sink.slot(range.clone()) {
+    let own = match sink.slot(range.clone()) {
         Some(slot) => {
-            lay(slot, true);
-            if !range.is_empty() {
-                sink.ready(range, None);
-            }
+            lay(slot);
+            None
         }
         None => {
-            lay(grad.data_mut(), false);
-            if !range.is_empty() {
-                sink.ready(range, Some(grad.data()));
-            }
+            lay(grad.data_mut());
+            Some(grad.data())
         }
+    };
+    if !range.is_empty() {
+        sink.ready(range, own);
     }
-}
-
-/// [`lay_grad`] for a gradient `acc` sums into a zeroed buffer: a slot is
-/// zeroed and summed into; without one the sum is taken in a zeroed scratch
-/// and then added into `p.grad`, as the layer's `backward` always did.
-pub(crate) fn lay_sum(
-    sink: &mut dyn GradSink,
-    off: usize,
-    grad: &mut Tensor,
-    acc: impl FnOnce(&mut [f32]),
-) {
-    lay_grad(sink, off, grad, |dst, write| {
-        if write {
-            dst.fill(0.0);
-            acc(dst);
-        } else {
-            let mut sum = vec![0.0f32; dst.len()];
-            acc(&mut sum);
-            dst.iter_mut().zip(&sum).for_each(|(d, v)| *d += v);
-        }
-    });
 }
 
 /// One named span of the flattened parameter/gradient vector: the slice
@@ -303,13 +277,6 @@ pub fn param_count(m: &mut dyn Module) -> usize {
     let mut n = 0;
     m.visit_params(&mut |p| n += p.len());
     n
-}
-
-/// Zero all parameter gradients — what [`Module::backward`]'s sum starts
-/// from. A one-replica training step needs none: it writes each gradient
-/// into its sink's slot ([`Module::backward_into`]).
-pub fn zero_grads(m: &mut dyn Module) {
-    m.visit_params(&mut |p| p.grad.zero_());
 }
 
 /// Flatten all parameter gradients into one contiguous buffer — the payload

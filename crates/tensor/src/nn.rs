@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn backward_into_writes_what_zero_backward_and_the_merge_give() {
-        use crate::layers::{collect_grads, zero_grads, BatchNorm2d, FlatSink, Flatten};
+        use crate::layers::{collect_grads, BatchNorm2d, FlatSink, Flatten};
         // Every leaf that writes its own slots, inside a projection
         // residual and a concat: convs with and without bias, pointwise and
         // 3x3, batch norms, a linear head, and a default-path parameter.
@@ -545,11 +545,21 @@ mod tests {
         g.data_mut()[8] = -0.0;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
+        // A fresh model's `p.grad` are zeros.
         let mut plain = build();
         let _ = plain.forward(&x, true);
-        zero_grads(&mut plain);
         let dx_plain = plain.backward(&g);
-        let want: Vec<f32> = collect_grads(&mut plain).iter().map(|&v| 0.0 + v / 1.0).collect();
+        let fresh = collect_grads(&mut plain);
+        let want: Vec<f32> = fresh.iter().map(|&v| 0.0 + v / 1.0).collect();
+
+        // `backward` sets each `p.grad`: over NaN it leaves the bits it
+        // leaves over zeros, for every leaf kind.
+        let mut stale = build();
+        stale.visit_params(&mut |p| p.grad.data_mut().fill(f32::NAN));
+        let _ = stale.forward(&x, true);
+        let dx_stale = stale.backward(&g);
+        assert_eq!(bits(dx_stale.data()), bits(dx_plain.data()), "dx over NaN p.grad");
+        assert_eq!(bits(&collect_grads(&mut stale)), bits(&fresh), "backward over NaN p.grad");
 
         let mut hooked = build();
         let _ = hooked.forward(&x, true);

@@ -45,27 +45,17 @@ impl Sgd {
         self.update(m, lr, ALL, None, Grad::Params);
     }
 
-    /// [`Sgd::step`] reading the gradient from `flat` (the
-    /// [`crate::layers::collect_grads`] layout) times `k` instead of from
-    /// the parameters — the replicated trainer's summed gradient with the
-    /// `1/n` average folded in, so scaling, installing and applying it is one
-    /// pass. `g = flat[i] * k` is the f32 product `reduce::scale` would have
-    /// stored (Rust never fuses it into the add), so the update is bitwise
-    /// that of scaling `flat`, installing it and calling [`Sgd::step`].
-    ///
-    /// # Panics
-    /// Panics if `flat` is not exactly the flattened parameter vector's
-    /// length.
-    pub fn step_flat(&self, m: &mut dyn Module, lr: f32, flat: &[f32], k: f32) {
-        self.update(m, lr, ALL, None, Grad::Flat(flat, k));
-    }
-
-    /// [`Sgd::step_flat`] over the elements of the flattened vector inside
-    /// `range` only, reading element `i`'s gradient as
-    /// `g[i - range.start] * k`, with each parameter's own momentum. The
+    /// [`Sgd::step`] over the elements of the flattened vector
+    /// ([`crate::layers::collect_grads`] layout) inside `range` only,
+    /// reading element `i`'s gradient as `g[i - range.start] * k` instead
+    /// of from the parameters, with each parameter's own momentum. The
     /// replicated trainer steps each bucket from its reduced payload this
-    /// way as its exchange completes; stepping any cut of the vector range
-    /// by range moves the same bits as one [`Sgd::step_flat`].
+    /// way as its exchange completes, the `1/n` average folded in as `k`:
+    /// `g * k` is the f32 product `reduce::scale` would have stored (Rust
+    /// never fuses it into the add), so the update is bitwise that of
+    /// scaling the gradient, installing it and calling [`Sgd::step`], and
+    /// stepping any cut of the vector range by range moves the same bits
+    /// as one step over `0..len`.
     ///
     /// # Panics
     /// Panics if `g` is not `range`-sized or `range` ends past the vector.
@@ -127,7 +117,7 @@ impl Sgd {
             assert_eq!(v.len(), range.len(), "velocity buffer must be shard-sized");
         }
         let (mu, wd) = (self.cfg.momentum, self.cfg.weight_decay);
-        let (start, whole) = (range.start, range == ALL);
+        let start = range.start;
         let total = visit_range(m, range, |p, local, at| {
             let decay = if p.weight_decay { wd } else { 0.0 };
             let Param { value, grad: own, momentum, .. } = p;
@@ -145,13 +135,8 @@ impl Sgd {
                 }
             }
         });
-        let flat_len = match &grad {
-            Grad::Flat(flat, _) if whole => Some(flat.len()),
-            Grad::WriteBack(flat, _) => Some(flat.len()),
-            _ => None,
-        };
-        if let Some(len) = flat_len {
-            assert_eq!(len, total, "flattened gradient length mismatch");
+        if let Grad::WriteBack(flat, _) = &grad {
+            assert_eq!(flat.len(), total, "flattened gradient length mismatch");
         }
     }
 }
@@ -284,7 +269,6 @@ mod tests {
         let crit = SoftmaxCrossEntropy;
         let first = crit.forward(&l.forward(&x, true), &labels).loss;
         for _ in 0..200 {
-            crate::layers::zero_grads(&mut l);
             let y = l.forward(&x, true);
             let out = crit.forward(&y, &labels);
             let _ = l.backward(&out.grad);
@@ -331,7 +315,7 @@ mod tests {
 
     #[test]
     fn folded_scale_steps_match_scale_install_step_bitwise() {
-        // `step_flat` / `step_range_write_back` read `flat[i] * k` where the
+        // `step_slice` / `step_range_write_back` read `flat[i] * k` where the
         // old trainer scaled `flat` in place, installed it with `set_grads`
         // and stepped: same bits, including a -0.0, a subnormal and a shard
         // cut through the weight tensor.
@@ -350,7 +334,7 @@ mod tests {
             scaled.iter_mut().for_each(|g| *g *= k);
             crate::layers::set_grads(&mut installed, &scaled);
             sgd.step(&mut installed, 0.05);
-            sgd.step_flat(&mut folded, 0.05, &flat, k);
+            sgd.step_slice(&mut folded, 0.05, 0..total, &flat, k);
             crate::layers::set_grads(&mut shard_installed, &scaled);
             sgd.step_range(&mut shard_installed, 0.05, 5..14, &mut v_installed);
             let (w, v) = (&mut shard_folded, &mut v_folded);
@@ -416,7 +400,7 @@ mod tests {
         // a parameter's edge, holds empty ranges, starts inside the bias and
         // crosses into the next weight, and is stepped out of order, as the
         // trainer's buckets complete; parameters and momentum must move as
-        // one `step_flat` over the whole vector moves them.
+        // one `step_slice` over the whole vector moves them.
         let model = || {
             let mut first = Linear::new(3, 4, 7);
             first.bias.weight_decay = false;
@@ -432,7 +416,7 @@ mod tests {
                 (0..total).map(|i| ((i * 19 + step * 7) as f32).sin() * 5.0).collect();
             flat[13] = -0.0;
             flat[20] = f32::MIN_POSITIVE / 2.0;
-            sgd.step_flat(&mut whole, 0.05, &flat, k);
+            sgd.step_slice(&mut whole, 0.05, 0..total, &flat, k);
             for r in cut.iter().cloned() {
                 sgd.step_slice(&mut sliced, 0.05, r.clone(), &flat[r], k);
             }

@@ -14,7 +14,7 @@ use dcnn_collectives::run_cluster;
 use dcnn_collectives::runtime::{Comm, CommError, Payload};
 use dcnn_dimd::{Dimd, SynthImageNet};
 use dcnn_dpt::{DptExecutor, DptStrategy};
-use dcnn_tensor::layers::{collect_params, set_grads, set_params, Module};
+use dcnn_tensor::layers::{collect_params, set_params, Module};
 use dcnn_tensor::optim::{Sgd, SgdConfig};
 use serde::Serialize;
 
@@ -116,6 +116,7 @@ fn server(
     let sgd = Sgd::new(cfg.sgd.clone());
     let mut version = 0u64;
     let params = collect_params(master.as_mut());
+    let n = params.len();
     for w in 1..comm.size() {
         send_params(comm, w, version, &params);
     }
@@ -131,8 +132,7 @@ fn server(
         if losses.len() < cfg.steps {
             let stale = version - grad_version;
             let damp = if cfg.staleness_damping { 1.0 / (1.0 + stale as f32) } else { 1.0 };
-            set_grads(master.as_mut(), &grad);
-            sgd.step(master.as_mut(), cfg.lr * damp);
+            sgd.step_slice(master.as_mut(), cfg.lr * damp, 0..n, &grad, 1.0);
             version += 1;
             losses.push(loss);
             staleness.push(stale);

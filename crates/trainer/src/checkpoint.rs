@@ -358,7 +358,6 @@ impl ShardCheckpoint {
 mod tests {
     use super::*;
     use dcnn_models::resnet::ResNetConfig;
-    use dcnn_tensor::layers::zero_grads;
     use dcnn_tensor::loss::SoftmaxCrossEntropy;
     use dcnn_tensor::optim::{Sgd, SgdConfig};
     use dcnn_tensor::Tensor;
@@ -382,7 +381,6 @@ mod tests {
         for s in 0..steps {
             let x = Tensor::randn(&[4, 3, 8, 8], 1.0, seed + s as u64);
             let labels = [0usize, 1, 2, 0];
-            zero_grads(m);
             let y = m.forward(&x, true);
             let out = crit.forward(&y, &labels);
             let _ = m.backward(&out.grad);
@@ -597,7 +595,6 @@ mod tests {
         let backward = |m: &mut dyn Module, s: u64| {
             let x = Tensor::randn(&[4, 3, 8, 8], 1.0, s);
             let labels = [0usize, 1, 2, 0];
-            zero_grads(m);
             let y = m.forward(&x, true);
             let out = crit.forward(&y, &labels);
             let _ = m.backward(&out.grad);
